@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 from .chain import RATIONAL, ScoreChain, symbolic_chain
 from .conditions import Condition, ExprCondition
-from .errors import ParseError, RankrelError, UnknownNameError
+from .errors import IncompatibleChainError, ParseError, RankrelError, UnknownNameError
 from .maps import AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, PiecewiseConstantMap
 from .table import RankedTable, read_table_csv
 
@@ -62,7 +62,7 @@ class Catalog:
 
     def add_table(self, name: str, table: RankedTable) -> None:
         if table.chain != self.chain:
-            raise UnknownNameError(f"table {name!r} is not on the catalog chain")
+            raise IncompatibleChainError(f"table {name!r} is not on the catalog chain")
         self.tables[name.lower()] = table
 
     @classmethod

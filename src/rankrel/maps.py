@@ -32,6 +32,7 @@ from .errors import (
     QuantizationError,
     UnsupportedOperationError,
 )
+from .ordinal import _rank_profile, ordinally_equivalent
 from .table import RankedTable
 
 PROPERTIES = (
@@ -266,29 +267,18 @@ def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
     the partition induced by d1's range, with adjacent equal-valued pieces
     merged, and satisfies ``compose_table(d1, f) == d2``.
     """
-    from .ordinal import ordinally_included  # deferred: ordinal imports maps
-
     if d1.scheme != d2.scheme:
         raise NotIncludedError("tables on different schemes are never ordinally included")
-    if not ordinally_included(d1, d2):
+    floors, escaping = _rank_profile(d1, d2)
+    if escaping:
         raise NotIncludedError("first table is not ordinally included in the second")
     chain = d1.chain
-    levels = sorted({score.value for _, score in d1})
-    rows = list(d1)
-
-    def image_of(threshold) -> Score:
-        candidates = [d2.score_of(row) for row, score in rows if score.value >= threshold]
-        result = chain.top
-        for c in candidates:
-            if c.value < result.value:
-                result = c
-        return result
-
+    levels = sorted(value for value in floors if value != chain.bottom.value)
     pieces: list[Piece] = []
     lo = chain.bottom
     for value in levels:
         hi = Score(chain, value)
-        pieces.append(Piece(lo, hi, image_of(value)))
+        pieces.append(Piece(lo, hi, Score(chain, floors[value])))
         lo = hi
     if lo < chain.top:
         pieces.append(Piece(lo, chain.top, chain.top))  # no d1 score reaches here
@@ -310,8 +300,6 @@ def witness_isomorphism(d1: RankedTable, d2: RankedTable) -> GraphMap:
     finite chains of equal length then, so matching them rank by rank gives
     the unique order isomorphism between them.
     """
-    from .ordinal import ordinally_equivalent
-
     if d1.scheme != d2.scheme or not ordinally_equivalent(d1, d2):
         raise NotEquivalentError("tables are not ordinally equivalent")
     range1 = d1.range_of()

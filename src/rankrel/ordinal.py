@@ -7,9 +7,10 @@ ordinally equivalent when inclusion holds both ways (same tuple ordering by
 score, regardless of the actual score values).
 
 Cones over unbounded attribute types are infinite as soon as score-0 tuples
-enter, so the decision procedures below reduce everything to finite scans
-over answer sets; explicitly finite schemes fall back to direct enumeration
-when their whole domain is covered.
+enter.  Every tuple outside both answer sets scores bottom in both tables,
+so one stand-in represents all of them: inclusion, its evidence and the
+canonical map's images are read off a single sort of the answer-set union
+(plus that stand-in), exactly for finite and unbounded schemes alike.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from typing import Optional
 
 from .errors import SchemeError
 from .table import RankedTable, Row
-
-#: Cap on enumerating explicitly finite tuple domains.
-ENUMERATION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -76,83 +74,37 @@ def _check_comparable(d1: RankedTable, d2: RankedTable) -> None:
         raise SchemeError("ordinal comparison needs one shared chain")
 
 
-def _covers_whole_domain(d: RankedTable) -> bool:
-    size = d.scheme.domain_size()
-    return size is not None and size == len(d)
+def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
+    """Floor of every d1 level, and the rows whose d1 upper cone escapes d2's.
 
-
-def _included_reduced(d1: RankedTable, d2: RankedTable) -> bool:
-    """Finite decision assuming some tuple has d2-score bottom.
-
-    Then inclusion is equivalent to: (a) d2's answer set is contained in
-    d1's (a row absent from d1 has an all-tuples upper cone, which d2 can
-    only match by sending the row to bottom as well), and (b) among rows of
-    d1's answer set, the d1 order is respected by the d2 scores, reading d2
-    as bottom off its answer set.
+    Ranges over the union of both answer sets, plus one stand-in for the
+    tuples outside it (scoring bottom in both) whenever the scheme has any.
+    The floor of a level is the least d2 value among tuples whose d1 value
+    reaches it; a row escapes exactly when its d2 value exceeds the floor of
+    its d1 value (so the stand-in never does).
     """
-    if not d2.answer_set <= d1.answer_set:
-        return False
-    ranked = sorted(d1, key=lambda kv: -kv[1].value)
-    previous_level = None
-    previous_d2 = None
-    level_d2 = None
-    for row, score in ranked:
-        image = d2.score_of(row)
-        if previous_level is not None and score.value == previous_level:
-            if image.value != level_d2.value:
-                return False  # a d1 tie must stay a d2 tie
-        else:
-            if previous_d2 is not None and image.value > previous_d2.value:
-                return False  # strictly lower d1 rank may not rise in d2
-            level_d2 = image
-        previous_level = score.value
-        previous_d2 = level_d2
-    return True
-
-
-def _included_enumerated(d1: RankedTable, d2: RankedTable) -> bool:
-    """Direct cone comparison over an explicitly finite tuple domain."""
-    domain = d1.scheme.enumerate_rows(ENUMERATION_CAP)
-    for row in domain:
-        score1 = d1.score_of(row)
-        score2 = d2.score_of(row)
-        for other in domain:
-            if d1.score_of(other).value >= score1.value and d2.score_of(other).value < score2.value:
-                return False
-    return True
+    _check_comparable(d1, d2)
+    bottom = d1.chain.bottom.value
+    first = {row: score.value for row, score in d1}
+    second = {row: score.value for row, score in d2}
+    union = first.keys() | second.keys()
+    pairs = [(first.get(row, bottom), second.get(row, bottom), row) for row in union]
+    size = d1.scheme.domain_size()
+    if size is None or size > len(union):
+        pairs.append((bottom, bottom, None))
+    pairs.sort(key=lambda pair: pair[0], reverse=True)
+    floors = {}
+    least = d2.chain.top.value
+    for level, image, _ in pairs:
+        least = min(least, image)
+        floors[level] = least  # ties run consecutively; the last one sets it
+    escaping = [row for level, image, row in pairs if image > floors[level]]
+    return floors, escaping
 
 
 def ordinally_included(d1: RankedTable, d2: RankedTable) -> bool:
     """Whether every upper cone of d1 is contained in d2's cone of the same row."""
-    _check_comparable(d1, d2)
-    if _covers_whole_domain(d2):
-        return _included_enumerated(d1, d2)
-    return _included_reduced(d1, d2)
-
-
-def ordinally_included_lower(d1: RankedTable, d2: RankedTable) -> bool:
-    """The same relation decided through lower cones (the dual characterization)."""
-    _check_comparable(d1, d2)
-    if _covers_whole_domain(d2):
-        domain = d1.scheme.enumerate_rows(ENUMERATION_CAP)
-        for row in domain:
-            s1, s2 = d1.score_of(row), d2.score_of(row)
-            for other in domain:
-                if d1.score_of(other).value <= s1.value and d2.score_of(other).value > s2.value:
-                    return False
-        return True
-    # Rows absent from d1 sit in every lower cone of d1; containment forces
-    # them to bottom in d2 as well, which is condition (a) again.  On the
-    # answer set the lower-cone condition is the contrapositive scan of (b).
-    if not d2.answer_set <= d1.answer_set:
-        return False
-    rows = list(d1)
-    for row, score in rows:
-        image = d2.score_of(row)
-        for other, other_score in rows:
-            if other_score.value <= score.value and d2.score_of(other).value > image.value:
-                return False
-    return True
+    return not _rank_profile(d1, d2)[1]
 
 
 def ordinally_equivalent(d1: RankedTable, d2: RankedTable) -> bool:
@@ -177,24 +129,4 @@ def first_inclusion_violation(d1: RankedTable, d2: RankedTable) -> Optional[Row]
 
     Returns None when d1 is ordinally included in d2.  Used as CLI evidence.
     """
-    _check_comparable(d1, d2)
-    if _covers_whole_domain(d2):
-        domain = sorted(d1.scheme.enumerate_rows(ENUMERATION_CAP), key=Row.key)
-        for row in domain:
-            s1, s2 = d1.score_of(row), d2.score_of(row)
-            if any(
-                d1.score_of(o).value >= s1.value and d2.score_of(o).value < s2.value
-                for o in domain
-            ):
-                return row
-        return None
-    rows = sorted(d1.answer_set, key=Row.key)
-    for row in rows:
-        score = d1.score_of(row)
-        image = d2.score_of(row)
-        for other in d1.answer_set:
-            if d1.score_of(other).value >= score.value and d2.score_of(other).value < image.value:
-                return row
-    for row in sorted(d2.answer_set - d1.answer_set, key=Row.key):
-        return row  # d1-absent row: its all-tuples cone cannot be matched
-    return None
+    return min(_rank_profile(d1, d2)[1], key=Row.key, default=None)

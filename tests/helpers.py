@@ -9,6 +9,8 @@ or top).
 from __future__ import annotations
 
 import random
+import zlib
+from contextlib import contextmanager
 from fractions import Fraction
 
 from rankrel.calculus import And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure
@@ -23,6 +25,24 @@ GRID = [Fraction(i, GRID_DENOM) for i in range(GRID_DENOM + 1)]
 
 ATTR_POOL = ("a", "b", "c", "d")
 VALUE_POOL = (0, 1, 2)
+
+
+def stable_seed(label: str) -> int:
+    """RNG seed derived from ``label``, the same in every process.
+
+    Unlike ``hash(label)``, it does not depend on ``PYTHONHASHSEED``, so a
+    failing seed can be replayed.
+    """
+    return zlib.crc32(label.encode())
+
+
+@contextmanager
+def replay_hint(seed: int):
+    """Re-raise any failure inside the block with the seed that replays it."""
+    try:
+        yield
+    except Exception as exc:
+        raise AssertionError(f"failed under random.Random({seed}): {exc!r}") from exc
 
 
 def grid_score(rng: random.Random) -> Score:
@@ -126,3 +146,70 @@ def rnd_formula(rng: random.Random, depth: int = 2, variables=("x", "y", "z")):
     if roll < 0.85:
         return ForAll(rng.choice(variables), rnd_formula(rng, depth - 1, variables))
     return Exists(rng.choice(variables), rnd_formula(rng, depth - 1, variables))
+
+
+# --- ordinal oracles ----------------------------------------------------------
+# Quadratic decision procedures for ordinal inclusion, kept only to
+# cross-check the sort-based kernel in rankrel.ordinal.
+
+
+def _covers_whole_domain(d: RankedTable) -> bool:
+    size = d.scheme.domain_size()
+    return size is not None and size == len(d)
+
+
+def included_enumerated_oracle(d1: RankedTable, d2: RankedTable) -> bool:
+    """Upper-cone comparison over every tuple of an explicitly finite domain."""
+    domain = d1.scheme.enumerate_rows()
+    for row in domain:
+        score1 = d1.score_of(row)
+        score2 = d2.score_of(row)
+        for other in domain:
+            if d1.score_of(other).value >= score1.value and d2.score_of(other).value < score2.value:
+                return False
+    return True
+
+
+def included_lower_oracle(d1: RankedTable, d2: RankedTable) -> bool:
+    """Inclusion decided through lower cones (the dual characterization)."""
+    if _covers_whole_domain(d2):
+        domain = d1.scheme.enumerate_rows()
+        for row in domain:
+            s1, s2 = d1.score_of(row), d2.score_of(row)
+            for other in domain:
+                if d1.score_of(other).value <= s1.value and d2.score_of(other).value > s2.value:
+                    return False
+        return True
+    # Some tuple scores bottom in d2.  Rows absent from d1 sit in every lower
+    # cone of d1, so containment forces them to bottom in d2 as well; on d1's
+    # answer set the lower-cone condition is checked pair by pair.
+    if not d2.answer_set <= d1.answer_set:
+        return False
+    rows = list(d1)
+    for row, score in rows:
+        image = d2.score_of(row)
+        for other, other_score in rows:
+            if other_score.value <= score.value and d2.score_of(other).value > image.value:
+                return False
+    return True
+
+
+def first_violation_oracle(d1: RankedTable, d2: RankedTable):
+    """Canonical-first row whose d1 upper cone escapes its d2 cone, by brute force.
+
+    Finite schemes are enumerated whole.  Otherwise the candidates are the
+    union of both answer sets, and every other tuple scores bottom in both
+    tables, which one (bottom, bottom) pair stands for inside the cones.
+    """
+    if d1.scheme.is_finite:
+        rows = d1.scheme.enumerate_rows()
+        pairs = []
+    else:
+        rows = list(d1.answer_set | d2.answer_set)
+        pairs = [(d1.chain.bottom.value, d2.chain.bottom.value)]
+    pairs += [(d1.score_of(row).value, d2.score_of(row).value) for row in rows]
+    for row in sorted(rows, key=Row.key):
+        s1, s2 = d1.score_of(row).value, d2.score_of(row).value
+        if any(o1 >= s1 and o2 < s2 for o1, o2 in pairs):
+            return row
+    return None

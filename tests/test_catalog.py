@@ -5,7 +5,12 @@ import pytest
 from rankrel import algebra, ordinal, planner
 from rankrel.catalog import Catalog, parse_config
 from rankrel.chain import RATIONAL
-from rankrel.errors import MapPropertyError, ParseError, UnknownNameError
+from rankrel.errors import (
+    IncompatibleChainError,
+    MapPropertyError,
+    ParseError,
+    UnknownNameError,
+)
 from rankrel.maps import AnalyticMap, GraphMap, IdentityMap, PiecewiseConstantMap
 from rankrel.table import Row, read_table_csv, write_table_csv
 
@@ -125,6 +130,14 @@ class TestSymbolicCarrier:
         expr = planner.parse_query("union(left, right)")
         merged = planner.evaluate(expr, catalog)
         assert merged.score_of(Row.of({"item": "apple"})) == chain.score("full")
+
+    def test_table_on_another_chain_rejected(self):
+        from rankrel import demo
+
+        catalog = parse_config(SYMBOLIC_CFG)
+        with pytest.raises(IncompatibleChainError):
+            catalog.add_table("houses", demo.houses())
+        assert "houses" not in catalog.tables
 
     def test_round_trips_through_csv(self, tmp_path):
         (tmp_path / "catalog.cfg").write_text(SYMBOLIC_CFG, encoding="utf-8")

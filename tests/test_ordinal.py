@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rnd_grid_isomorphism, rnd_monotone_map, rnd_scheme, rnd_table
+from helpers import (
+    first_violation_oracle,
+    included_enumerated_oracle,
+    included_lower_oracle,
+    rnd_grid_isomorphism,
+    rnd_monotone_map,
+    rnd_scheme,
+    rnd_table,
+)
 
 from rankrel import algebra, demo, ordinal
 from rankrel.chain import RATIONAL
@@ -83,33 +91,47 @@ class TestInclusion:
             ordinal.ordinally_included(joined, demo.houses())
 
     def test_upper_and_lower_deciders_agree(self):
+        # Unbounded INT attributes: the kernel against the lower-cone oracle,
+        # and its evidence against a brute-force canonical-first violator.
         rng = random.Random(59)
+        outside_d1 = 0
         for _ in range(200):
             scheme = rnd_scheme(rng)
             d1, d2 = rnd_table(rng, scheme), rnd_table(rng, scheme)
             if rng.random() < 0.5:  # bias toward related pairs
                 d2 = compose_table(d1, rnd_monotone_map(rng))
-            assert ordinal.ordinally_included(d1, d2) == ordinal.ordinally_included_lower(
-                d1, d2
-            )
+            included = ordinal.ordinally_included(d1, d2)
+            evidence = ordinal.first_inclusion_violation(d1, d2)
+            assert included == included_lower_oracle(d1, d2)
+            assert evidence == first_violation_oracle(d1, d2)
+            assert (evidence is None) == included
+            outside_d1 += evidence is not None and evidence not in d1.answer_set
+        assert outside_d1 > 0  # rows only d2 holds must win the evidence sometimes
 
     def test_reduction_matches_enumeration_on_finite_domains(self):
         rng = random.Random(61)
         domain = AttrType("int", (0, 1, 2))
         scheme = Scheme((("a", domain), ("b", domain)))
         rows = scheme.enumerate_rows()
+        covered = 0
         for _ in range(150):
             def build():
+                density = rng.choice((0.4, 0.8, 1.0))  # partly or fully covered
                 entries = {}
                 for row in rows:
-                    if rng.random() < 0.4:
+                    if rng.random() < density:
                         entries[row] = RATIONAL.score(
                             Fraction(rng.randint(1, 4), 4)
                         )
                 return RankedTable(scheme, RATIONAL, entries)
 
             d1, d2 = build(), build()
-            assert ordinal.ordinally_included(d1, d2) == ordinal._included_enumerated(d1, d2)
+            included = ordinal.ordinally_included(d1, d2)
+            assert included == included_enumerated_oracle(d1, d2)
+            assert included == included_lower_oracle(d1, d2)
+            assert ordinal.first_inclusion_violation(d1, d2) == first_violation_oracle(d1, d2)
+            covered += len(d1.answer_set | d2.answer_set) == len(rows)
+        assert covered > 0  # the stand-in-free case must actually occur
 
     def test_fully_covered_finite_domain(self):
         domain = AttrType("int", (0, 1))
@@ -120,8 +142,8 @@ class TestInclusion:
         sparse = RankedTable.from_entries(scheme, [({"a": 0}, fr("0.5"))])
         # With the whole domain covered, full's bottom rank plays the role of
         # sparse's score-0 tuples: the pair is equivalent despite the
-        # different answer sets.  The answer-set reduction alone would miss
-        # this; the enumeration path decides it.
+        # different answer sets.  No tuple lies outside both answer sets, so
+        # the kernel adds no all-bottom stand-in here.
         assert ordinal.ordinally_included(sparse, full)
         assert ordinal.ordinally_included(full, sparse)
         reversed_full = RankedTable.from_entries(
@@ -189,3 +211,11 @@ def test_first_violation_evidence(joined, similar):
     evidence = ordinal.first_inclusion_violation(joined, similar)
     assert evidence is not None and evidence.value("price") == 798000
     assert ordinal.first_inclusion_violation(similar, joined) is None
+    # a=9 escapes inside d1's answer set, but a=1, held only by d2, escapes
+    # too (its d1 cone is every tuple) and comes first in canonical order.
+    scheme = Scheme((("a", INT),))
+    d1 = RankedTable.from_entries(scheme, [({"a": 5}, fr("0.5")), ({"a": 9}, fr("0.25"))])
+    d2 = RankedTable.from_entries(
+        scheme, [({"a": 5}, fr("0.5")), ({"a": 9}, fr("0.75")), ({"a": 1}, fr("0.5"))]
+    )
+    assert ordinal.first_inclusion_violation(d1, d2) == Row.of({"a": 1})
