@@ -18,7 +18,8 @@ to, which is all the algebra ever needs and keeps verification decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import exprs
@@ -120,24 +121,30 @@ class PiecewiseConstantMap(OrderMap):
     bottom_value: Score
     pieces: tuple[Piece, ...]
     declared: frozenset = frozenset()
+    #: the pieces' upper bounds as raw chain values, ascending, for bisection
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         previous = None
         for piece in self.pieces:
+            if piece.hi.chain != self.chain:
+                raise IncompatibleChainError(f"piece {piece!r} is not on this map's chain")
             if not piece.lo < piece.hi:
                 raise MapPropertyError(f"empty piece ({piece.lo!r}, {piece.hi!r}]")
             if previous is not None and piece.lo < previous:
                 raise MapPropertyError("pieces overlap; they must be sorted and disjoint")
             previous = piece.hi
+        object.__setattr__(self, "_bounds", tuple(piece.hi.value for piece in self.pieces))
 
     def apply(self, score: Score) -> Score:
         if score.chain != self.chain:
             raise IncompatibleChainError(f"{score!r} is not on this map's chain")
         if score.is_bottom:
             return self.bottom_value
-        for piece in self.pieces:
-            if piece.lo < score <= piece.hi:
-                return piece.value
+        # The only piece that can hold the score is the first one reaching it.
+        i = bisect_left(self._bounds, score.value)
+        if i < len(self.pieces) and self.pieces[i].lo.value < score.value:
+            return self.pieces[i].value
         raise MapDomainError(f"score {score!r} outside every declared piece")
 
     def domain_scores(self) -> list[Score]:
@@ -189,6 +196,11 @@ class GraphMap(OrderMap):
 
     graph: tuple[tuple[Score, Score], ...]
     declared: frozenset = frozenset()
+    _images: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Reversed, so that the first pair for an input wins, as in a scan.
+        object.__setattr__(self, "_images", dict(reversed(self.graph)))
 
     @classmethod
     def of(cls, pairs: Mapping[Score, Score] | Iterable[tuple[Score, Score]],
@@ -198,10 +210,10 @@ class GraphMap(OrderMap):
         return cls(ordered, declared=frozenset(declared))
 
     def apply(self, score: Score) -> Score:
-        for src, dst in self.graph:
-            if src.chain == score.chain and src.value == score.value:
-                return dst
-        raise MapDomainError(f"score {score!r} outside the map's finite graph")
+        try:
+            return self._images[score]  # scores hash by (chain, value)
+        except KeyError:
+            raise MapDomainError(f"score {score!r} outside the map's finite graph") from None
 
     def domain_scores(self) -> list[Score]:
         return [src for src, _ in self.graph]

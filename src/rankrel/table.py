@@ -248,6 +248,21 @@ class Row:
 EMPTY_ROW = Row(())
 
 
+def rank_key(item: tuple[Row, Score]) -> tuple:
+    """Display-order key for a (row, score) pair: descending score, then row.
+
+    The float of the score is compared first and the exact value only where
+    two floats tie.  This gives exactly the order of ``(-value, row.key())``:
+    ``float()`` of a rational (and of a level index) is correctly rounded and
+    hence monotone, so ``a <= b`` implies ``float(a) <= float(b)``.  Unequal
+    floats therefore order the exact values the same way, and equal floats
+    fall through to the exact comparison.
+    """
+    row, score = item
+    value = score.value
+    return (-float(value), -value, row.key())
+
+
 def join_rows(r: Row, s: Row) -> Row:
     """Join two tuples agreeing on shared attributes (the empty row is neutral)."""
     merged = dict(r.items)
@@ -357,7 +372,7 @@ class RankedTable:
 
     def rows_by_rank(self) -> list[tuple[Row, Score]]:
         """Answer set in display order: descending score, canonical row ties."""
-        return sorted(self._entries.items(), key=lambda kv: (-kv[1].value, kv[0].key()))
+        return sorted(self._entries.items(), key=rank_key)
 
     def range_of(self) -> list[Score]:
         """All scores appearing in the table, ascending.

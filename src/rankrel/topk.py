@@ -9,17 +9,30 @@ unmaterialized is built entirely from unseen tuples and therefore cannot
 score above the threshold.  We halt once k materialized results score
 strictly above it, which also pins the canonical tie order to match the
 brute-force oracle exactly.
+
+The stop test is O(log k) per access: a min-heap holds the scores of the k
+best distinct results seen so far, so "k results above the threshold" is
+just "the heap is full and its least score beats the threshold".  A join
+tuple reached again from another starting source is not pushed twice.
+
+Completion from a starting source visits the other sources in a keyed
+order, fixed once per start: next comes the remaining source sharing the
+most attributes with those bound so far (ties to the lower index).  Looking
+up keyed sources first keeps the partial joins small; a source sharing
+nothing with the bound attributes is crossed in only when no keyed one is
+left.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import algebra
 from .chain import Score
 from .errors import IncompatibleChainError, RankrelError
-from .table import RankedTable, Row, join_rows
+from .table import RankedTable, Row, join_rows, rank_key
 
 
 class TopKError(RankrelError):
@@ -61,7 +74,7 @@ class TopKResult:
 
 
 def _rank_order(items: Iterable[tuple[Row, Score]]) -> list[tuple[Row, Score]]:
-    return sorted(items, key=lambda kv: (-kv[1].value, kv[0].key()))
+    return sorted(items, key=rank_key)
 
 
 def brute_force_top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
@@ -76,11 +89,35 @@ def brute_force_top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     return TopKResult(tuple(_rank_order(list(joined))[:k]))
 
 
+def _completion_plan(
+    sources: Sequence[SortedSource], start: int
+) -> list[tuple[int, tuple[str, ...]]]:
+    """Keyed completion order from ``start``: (source index, join-key names) steps.
+
+    Greedy: the next source is the remaining one sharing the most attributes
+    with the names bound so far, ties going to the lower index.
+    """
+    bound = set(sources[start].names)
+    remaining = [i for i in range(len(sources)) if i != start]
+    plan = []
+    while remaining:
+        other = max(remaining, key=lambda i: len(bound & sources[i].names))
+        remaining.remove(other)
+        plan.append((other, tuple(sorted(bound & sources[other].names))))
+        bound |= sources[other].names
+    return plan
+
+
 def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     """The k best tuples of the full join, scored by the minimum.
 
     Exactly equals the brute-force oracle's list under the canonical tie
-    order, but typically touches only a prefix of each source.
+    order, but typically touches only a prefix of each source.  After each
+    sorted access the new row is completed into every join tuple containing
+    it, visiting the other sources in keyed order (most shared attributes
+    with those already bound first); the loop stops as soon as the k best
+    distinct results, kept in a min-heap, all score strictly above the
+    threshold.
     """
     if k < 1:
         raise TopKError("k must be at least 1")
@@ -93,23 +130,13 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
 
     n = len(sources)
     positions = [0] * n
-    last_seen: list[Score] = [chain.top] * n
+    last_seen = [chain.top.value] * n
     results: dict[Row, Score] = {}
+    best: list = []  # min-heap of the k best result score values
     counters = {"sorted": 0, "random": 0}
-
     # Completion orders and join-key attribute tuples are fixed per starting
     # source, so random-access indexes can be reused across accesses.
-    plans: list[list[tuple[int, tuple[str, ...]]]] = []
-    for start in range(n):
-        seen_names = set(sources[start].names)
-        plan = []
-        for other in range(n):
-            if other == start:
-                continue
-            key_names = tuple(sorted(seen_names & sources[other].names))
-            plan.append((other, key_names))
-            seen_names |= sources[other].names
-        plans.append(plan)
+    plans = [_completion_plan(sources, start) for start in range(n)]
 
     def complete(start: int, row: Row, score: Score) -> None:
         partial = [(row, score)]
@@ -125,20 +152,13 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
             if not partial:
                 return
         for joined, joined_score in partial:
-            results.setdefault(joined, joined_score)
-
-    def threshold() -> Score:
-        value = None
-        for i in range(n):
-            current = last_seen[i] if positions[i] <= len(sources[i].ranked) else chain.bottom
-            if value is None or current.value < value.value:
-                value = current
-        return value
-
-    def can_stop() -> bool:
-        gate = threshold()
-        above = sum(1 for score in results.values() if score.value > gate.value)
-        return above >= k
+            if joined in results:
+                continue  # already completed from another starting source
+            results[joined] = joined_score
+            if len(best) < k:
+                heapq.heappush(best, joined_score.value)
+            elif joined_score.value > best[0]:
+                heapq.heapreplace(best, joined_score.value)
 
     while True:
         progressed = False
@@ -147,15 +167,15 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
             if positions[i] >= len(ranked):
                 if positions[i] == len(ranked):
                     positions[i] += 1
-                    last_seen[i] = chain.bottom  # exhausted: no unseen tuple remains
+                    last_seen[i] = chain.bottom.value  # exhausted: no unseen tuple remains
                 continue
             row, score = ranked[positions[i]]
             positions[i] += 1
-            last_seen[i] = score
+            last_seen[i] = score.value
             counters["sorted"] += 1
             progressed = True
             complete(i, row, score)
-            if can_stop():
+            if len(best) == k and best[0] > min(last_seen):
                 ordered = _rank_order(results.items())[:k]
                 return TopKResult(tuple(ordered), counters["sorted"], counters["random"])
         if not progressed:

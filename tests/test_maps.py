@@ -7,8 +7,13 @@ import pytest
 
 from helpers import rnd_grid_isomorphism, rnd_monotone_map, rnd_scheme, rnd_table
 
-from rankrel.chain import RATIONAL
-from rankrel.errors import MapDomainError, MapPropertyError, QuantizationError
+from rankrel.chain import RATIONAL, symbolic_chain
+from rankrel.errors import (
+    IncompatibleChainError,
+    MapDomainError,
+    MapPropertyError,
+    QuantizationError,
+)
 from rankrel.maps import (
     AnalyticMap,
     GraphMap,
@@ -49,12 +54,34 @@ class TestApply:
         )
         with pytest.raises(MapDomainError):
             gap.apply(fr("0.25"))
+        # Bounds are half-open (lo, hi]; a gap sits between the two pieces.
+        split = PiecewiseConstantMap(
+            RATIONAL, RATIONAL.bottom,
+            (Piece(RATIONAL.bottom, fr("0.25"), fr("0.1")),
+             Piece(fr("0.5"), fr("0.75"), fr("0.6"))),
+        )
+        assert split.apply(fr("0.125")) == fr("0.1")
+        assert split.apply(fr("0.25")) == fr("0.1")
+        assert split.apply(fr("0.75")) == fr("0.6")
+        for outside in ("0.3", "0.5", "0.8", "1"):
+            with pytest.raises(MapDomainError):
+                split.apply(fr(outside))
+
+    def test_piecewise_pieces_on_another_chain_rejected(self):
+        other = symbolic_chain("no < some < all")
+        with pytest.raises(IncompatibleChainError):
+            PiecewiseConstantMap(
+                RATIONAL, RATIONAL.bottom,
+                (Piece(other.score("no"), other.score("all"), other.score("all")),),
+            )
 
     def test_graph_lookup_and_domain(self):
         graph = GraphMap.of({RATIONAL.bottom: RATIONAL.bottom, fr("0.6"): fr("0.5")})
         assert graph.apply(fr("0.6")) == fr("0.5")
         with pytest.raises(MapDomainError):
             graph.apply(fr("0.7"))
+        with pytest.raises(MapDomainError):
+            graph.apply(symbolic_chain("no < yes").bottom)  # same raw value, other chain
 
     def test_quantization_injectivity_guard(self):
         squeeze = AnalyticMap.parse("0.5 + x/10000000")

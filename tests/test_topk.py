@@ -11,7 +11,7 @@ from rankrel import algebra, demo
 from rankrel.chain import RATIONAL
 from rankrel.errors import IncompatibleChainError
 from rankrel.maps import compose_table
-from rankrel.table import INT, RankedTable, Row, Scheme
+from rankrel.table import INT, STR, RankedTable, Row, Scheme
 from rankrel.topk import SortedSource, TopKError, brute_force_top_k, top_k
 
 fr = RATIONAL.parse
@@ -146,3 +146,66 @@ def test_early_termination_on_clear_gap():
     assert result.items[0][1] == fr("0.9")
     total = len(left) + len(right)
     assert result.sorted_accesses < total
+
+
+def test_tuple_completed_from_two_sources_counts_once():
+    # a=1 is completed from both sources.  Counted twice among the k best it
+    # would stop the scan after a=2 (0.2) and miss a=3 (0.45).
+    scheme = Scheme((("a", INT),))
+    left = RankedTable.from_entries(
+        scheme, [({"a": 1}, fr("1")), ({"a": 2}, fr("0.5")), ({"a": 3}, fr("0.45"))]
+    )
+    right = RankedTable.from_entries(
+        scheme, [({"a": 1}, fr("1")), ({"a": 3}, fr("0.6")), ({"a": 2}, fr("0.2"))]
+    )
+    sources = [SortedSource.from_table(left), SortedSource.from_table(right)]
+    result = top_k(sources, 2)
+    assert [(row.value("a"), score) for row, score in result.items] == [
+        (1, fr("1")), (3, fr("0.45"))
+    ]
+    assert result.items == brute_force_top_k(sources, 2).items
+
+
+def test_completion_looks_up_keyed_sources_first():
+    # From `regions`, the first other source in index order (`houses`)
+    # shares no attribute with it.  Completion goes through `offers` first
+    # (keyed on agent, 2 matches), then `houses` (keyed on id): 1 + 2 random
+    # accesses per regions row.  Index order would cross all 4 houses first
+    # and then look up offers 4 times: 1 + 4.
+    houses = RankedTable.from_entries(
+        Scheme((("id", INT), ("bdrm", INT))),
+        [({"id": i, "bdrm": i}, fr(score))
+         for i, score in ((1, "0.9"), (2, "0.8"), (3, "0.7"), (4, "0.6"))],
+    )
+    offers = RankedTable.from_entries(
+        Scheme((("id", INT), ("agent", STR))),
+        [({"id": i, "agent": agent}, fr(score))
+         for i, agent, score in
+         ((1, "A", "0.9"), (2, "B", "0.8"), (3, "A", "0.7"), (4, "B", "0.6"))],
+    )
+    regions = RankedTable.from_entries(
+        Scheme((("agent", STR), ("region", STR))),
+        [({"agent": "A", "region": "north"}, fr("0.95")),
+         ({"agent": "B", "region": "south"}, fr("0.5"))],
+    )
+    sources = [SortedSource.from_table(t) for t in (houses, offers, regions)]
+    result = top_k(sources, 1)
+    # Round 1 reads houses id=1 (2 random accesses), offers id=1 (2) and
+    # regions A (3); round 2 reads houses id=2 (2), after which the best
+    # result, 0.9, beats the threshold 0.8.
+    assert result.sorted_accesses == 4
+    assert result.random_accesses == 9
+    assert result.items == brute_force_top_k(sources, 1).items
+    assert result.items[0][1] == fr("0.9")
+
+
+def test_rank_order_exact_below_float_resolution():
+    x = Fraction(1, 3)
+    y = x + Fraction(1, 10**30)
+    assert float(x) == float(y) and x < y
+    table = RankedTable.from_entries(
+        Scheme((("a", INT),)), [({"a": 1}, RATIONAL.score(x)), ({"a": 2}, RATIONAL.score(y))]
+    )
+    assert [row.value("a") for row, _ in table.rows_by_rank()] == [2, 1]
+    result = top_k([SortedSource.from_table(table)], 2)
+    assert [row.value("a") for row, _ in result.items] == [2, 1]
