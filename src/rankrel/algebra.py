@@ -11,7 +11,7 @@ coincides with its classic counterpart.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .chain import Score, abjunction, meet, min_score, residuum
 from .conditions import Condition
@@ -34,19 +34,25 @@ def _require_same_scheme(*tables: RankedTable) -> None:
             raise SchemeError(f"schemes differ: {scheme!r} vs {t.scheme!r}")
 
 
-def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
-    """Join on shared attributes; the joined tuple scores the minimum."""
-    _require_same_chain(d1, d2)
-    scheme = d1.scheme.union(d2.scheme)
+def _matched_pairs(d1: RankedTable, d2: RankedTable) -> Iterator[tuple[Row, Score, Row, Score]]:
+    """Hash join: every d1 row and d2 row agreeing on the shared attributes."""
     shared = d1.scheme.shared_names(d2.scheme)
     index: dict[tuple, list[tuple[Row, Score]]] = {}
     for row, score in d2:
         index.setdefault(row.project(shared).key(), []).append((row, score))
-    entries: dict[Row, Score] = {}
     for row, score in d1:
         for other, other_score in index.get(row.project(shared).key(), ()):
-            entries[join_rows(row, other)] = meet(score, other_score)
-    return RankedTable(scheme, d1.chain, entries)
+            yield row, score, other, other_score
+
+
+def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
+    """Join on shared attributes; the joined tuple scores the minimum."""
+    _require_same_chain(d1, d2)
+    entries = {
+        join_rows(row, other): meet(score, other_score)
+        for row, score, other, other_score in _matched_pairs(d1, d2)
+    }
+    return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)
 
 
 def restrict(d: RankedTable, theta: Condition) -> RankedTable:
@@ -188,15 +194,9 @@ def product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     _require_same_chain(d1, d2)
     if not d1.chain.is_rational:
         raise UnsupportedOperationError("product-scored join needs the rational carrier")
-    scheme = d1.scheme.union(d2.scheme)
-    shared = d1.scheme.shared_names(d2.scheme)
-    index: dict[tuple, list[tuple[Row, Score]]] = {}
-    for row, score in d2:
-        index.setdefault(row.project(shared).key(), []).append((row, score))
     entries: dict[Row, Score] = {}
-    for row, score in d1:
-        for other, other_score in index.get(row.project(shared).key(), ()):
-            value = d1.chain.score(score.value * other_score.value)
-            if not value.is_bottom:
-                entries[join_rows(row, other)] = value
-    return RankedTable(scheme, d1.chain, entries)
+    for row, score, other, other_score in _matched_pairs(d1, d2):
+        value = d1.chain.score(score.value * other_score.value)
+        if not value.is_bottom:
+            entries[join_rows(row, other)] = value
+    return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)

@@ -176,13 +176,16 @@ class Score:
     def __ge__(self, other: "Score") -> bool:
         return not self < other
 
+    # Compared on the raw carrier value, without building chain.bottom or
+    # chain.top: bottom is 0 on both carriers, top is 1 or the last level.
     @property
     def is_bottom(self) -> bool:
-        return self.value == self.chain.bottom.value
+        return self.value == 0
 
     @property
     def is_top(self) -> bool:
-        return self.value == self.chain.top.value
+        levels = self.chain.levels
+        return self.value == (1 if levels is None else len(levels) - 1)
 
     def __repr__(self) -> str:
         if self.chain.is_rational:

@@ -68,35 +68,46 @@ class OrderMap:
             return False
 
 
+def _image_values(images: Mapping[Score, Score]) -> list:
+    """Raw image values of a finite map graph, in ascending input order."""
+    return [images[s].value for s in sorted(images, key=lambda s: s.value)]
+
+
+def _preserves(values: list) -> bool:
+    return all(a <= b for a, b in zip(values, values[1:]))
+
+
+def _reflects(values: list) -> bool:
+    # On a chain with a <= b already established, reflection fails exactly
+    # when two distinct inputs collapse or swap.
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 def is_order_preserving_on(f: OrderMap, scores: Sequence[Score]) -> bool:
     """a <= b implies f(a) <= f(b), over every pair in ``scores``."""
-    ordered = sorted(scores, key=lambda s: s.value)
-    images = [f.apply(s) for s in ordered]
-    return all(images[i].value <= images[i + 1].value for i in range(len(images) - 1))
+    return _preserves(_image_values({s: f.apply(s) for s in scores}))
 
 
 def is_order_reflecting_on(f: OrderMap, scores: Sequence[Score]) -> bool:
     """f(a) <= f(b) implies a <= b, over every pair in ``scores``."""
-    ordered = sorted(set(scores), key=lambda s: s.value)
-    images = [f.apply(s) for s in ordered]
-    # On a chain with a <= b already established, reflection fails exactly
-    # when two distinct inputs collapse or swap.
-    return all(images[i].value < images[i + 1].value for i in range(len(images) - 1))
+    return _reflects(_image_values({s: f.apply(s) for s in scores}))
 
 
 def is_order_embedding_on(f: OrderMap, scores: Sequence[Score]) -> bool:
-    return is_order_preserving_on(f, scores) and is_order_reflecting_on(f, scores)
+    values = _image_values({s: f.apply(s) for s in scores})
+    return _preserves(values) and _reflects(values)
 
 
-def verify_declared(f: OrderMap, scores: Sequence[Score], chain: ScoreChain) -> None:
-    """Check every declared property of ``f`` on the given finite score set."""
-    pool = list(scores)
+def verify_declared(f: OrderMap, images: Mapping[Score, Score], chain: ScoreChain) -> None:
+    """Check every declared property of ``f`` on a finite set, given its images there."""
+    values = _image_values(images)
+    preserving, reflecting = _preserves(values), _reflects(values)
     for name in f.declared:
-        if name == "preserving" and not is_order_preserving_on(f, pool):
+        if name == "preserving" and not preserving:
             raise MapPropertyError("map declared order preserving but is not on these scores")
-        if name == "reflecting" and not is_order_reflecting_on(f, pool):
+        if name == "reflecting" and not reflecting:
             raise MapPropertyError("map declared order reflecting but is not on these scores")
-        if name in ("embedding", "isomorphism") and not is_order_embedding_on(f, pool):
+        if name in ("embedding", "isomorphism") and not (preserving and reflecting):
             raise MapPropertyError(f"map declared {name} but does not embed these scores")
         if name == "fixed-bottom" and not f.fixes_bottom(chain):
             raise MapPropertyError("map declared fixed-bottom but moves bottom")
@@ -254,14 +265,12 @@ def compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
         )
     images = f.apply_all({score for _, score in table})
     if f.declared:
-        pool = list(images) + [chain.bottom]
+        graph = {**images, chain.bottom: chain.bottom}  # f fixes bottom, checked above
         try:
-            f.apply(chain.top)
+            graph[chain.top] = f.apply(chain.top)
         except MapDomainError:
             pass
-        else:
-            pool.append(chain.top)
-        verify_declared(f, pool, chain)
+        verify_declared(f, graph, chain)
     entries = {}
     for row, score in table:
         image = images[score]

@@ -1,6 +1,9 @@
 """Query expressions: AST, text syntax, scheme inference, and rewrite laws.
 
 Queries are trees over base-table references and the relational operations.
+``OPERATORS`` holds one entry per operation node class (keyword, subquery
+fields, trailing parameter, scheme rule, algebra function); the parser, the
+renderer, scheme inference, evaluation and the rewrite walk all read it.
 The rewrite functions implement the semantics-preserving plan laws (pushing
 restrictions into joins, commuting restrictions with projections, splitting
 projections over unions, collapsing projection cascades, and folding a
@@ -18,13 +21,13 @@ Text syntax (case-insensitive names)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import typing
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from . import algebra, exprs
 from .conditions import Condition, ExprCondition
-from .errors import ParseError, SchemeError, UnknownNameError
+from .errors import ParseError, RankrelError, SchemeError, UnknownNameError
 from .table import RankedTable, Scheme
 
 
@@ -104,36 +107,6 @@ QueryExpr = typing.Union[
 ]
 
 
-def children(expr: QueryExpr) -> tuple[QueryExpr, ...]:
-    if isinstance(expr, (Join, Union, Difference, Semijoin, ProductJoin)):
-        return (expr.left, expr.right)
-    if isinstance(expr, (Restrict, Project, Rename)):
-        return (expr.child,)
-    if isinstance(expr, Divide):
-        return (expr.dividend, expr.mediator, expr.divisor)
-    if isinstance(expr, Residuum):
-        return (expr.bound, expr.antecedent, expr.consequent)
-    return ()
-
-
-def format_expr(expr: QueryExpr, indent: int = 0) -> str:
-    """Multi-line tree rendering used by the plan subcommand."""
-    pad = "  " * indent
-    if isinstance(expr, Base):
-        return f"{pad}{expr.name}"
-    if isinstance(expr, Restrict):
-        cond = expr.condition if isinstance(expr.condition, str) else repr(expr.condition)
-        return f"{pad}restrict[{cond}]\n{format_expr(expr.child, indent + 1)}"
-    if isinstance(expr, Project):
-        return f"{pad}project[{', '.join(expr.attrs)}]\n{format_expr(expr.child, indent + 1)}"
-    if isinstance(expr, Rename):
-        pairs = ", ".join(f"{old}->{new}" for old, new in expr.mapping)
-        return f"{pad}rename[{pairs}]\n{format_expr(expr.child, indent + 1)}"
-    label = type(expr).__name__.rstrip("_").lower()
-    parts = "\n".join(format_expr(c, indent + 1) for c in children(expr))
-    return f"{pad}{label}\n{parts}"
-
-
 def resolve_condition(spec: typing.Union[Condition, str], conditions: Mapping[str, Condition]):
     if isinstance(spec, str):
         try:
@@ -153,79 +126,186 @@ def _condition_attrs(spec: typing.Union[Condition, str],
     return spec.free_attrs()
 
 
-# --- scheme inference --------------------------------------------------------
+# --- operator parameters --------------------------------------------------------
+
+
+def _read_condition(parser) -> typing.Union[Condition, str]:
+    # A lone identifier names a catalog condition; anything else is an
+    # inline expression over attribute values.
+    start = parser.index
+    token = parser.advance()
+    if token.kind == "name" and parser.peek().text in (",", ")"):
+        return token.text.lower()
+    parser.index = start
+    depth = 0
+    pieces = []
+    while True:
+        nxt = parser.peek()
+        if nxt.kind == "end" or (depth == 0 and nxt.text in (",", ")")):
+            break
+        if nxt.text == "(":
+            depth += 1
+        elif nxt.text == ")":
+            depth -= 1
+        pieces.append(parser.advance().text)
+    if not pieces:
+        raise ParseError("missing restriction condition", column=parser.peek().pos)
+    return ExprCondition(exprs.parse_expr(" ".join(pieces)))
+
+
+def _read_name(parser) -> str:
+    token = parser.advance()
+    if token.kind != "name":
+        raise ParseError("expected an attribute name", column=token.pos)
+    return token.text.lower()
+
+
+def _read_rename(parser) -> tuple[str, str]:
+    old = _read_name(parser)
+    parser.expect("->")
+    return old, _read_name(parser)
+
+
+def _read_list(parser, read_item, allow_empty: bool) -> tuple:
+    """``[item, item, ...]``; only attribute lists may be empty."""
+    parser.expect("[")
+    items = []
+    if not (allow_empty and parser.peek().text == "]"):
+        items.append(read_item(parser))
+        while parser.peek().text == ",":
+            parser.advance()
+            items.append(read_item(parser))
+    parser.expect("]")
+    return tuple(items)
+
+
+@dataclass(frozen=True)
+class Param:
+    """An operator's trailing argument that is not a subquery."""
+
+    field: str
+    read: Callable  # parser -> value, after the last subquery's comma
+    show: Callable  # value -> the text between the plan label's brackets
+    resolve: Callable  # (value, conditions) -> the algebra function's last argument
+
+
+_CONDITION = Param("condition", _read_condition,
+                   lambda spec: spec if isinstance(spec, str) else repr(spec),
+                   resolve_condition)
+_ATTRS = Param("attrs", lambda parser: _read_list(parser, _read_name, True), ", ".join,
+               lambda attrs, conditions: attrs)
+_MAPPING = Param("mapping", lambda parser: _read_list(parser, _read_rename, False),
+                 lambda pairs: ", ".join(f"{old}->{new}" for old, new in pairs),
+                 lambda pairs, conditions: dict(pairs))
+
+
+# --- operator table -------------------------------------------------------------
+#
+# Scheme rules take (node, conditions, *child schemes), the children in the
+# entry's field order.  They raise without a location; the walker below
+# appends the failing node's path.
+
+
+def _joined_scheme(node, conditions, left, right) -> Scheme:
+    return left.union(right)
+
+
+def _equal_operands(node, conditions, left, right) -> Scheme:
+    if left != right:
+        raise SchemeError(f"operands of {OPERATORS[type(node)].keyword} differ")
+    return left
+
+
+def _restrict_scheme(node, conditions, scheme) -> Scheme:
+    deps = _condition_attrs(node.condition, conditions)
+    if deps is not None and not deps <= scheme.name_set:
+        raise SchemeError(f"condition needs {sorted(deps - scheme.name_set)} absent")
+    return scheme
+
+
+def _divide_scheme(node, conditions, dividend, mediator, divisor) -> Scheme:
+    if dividend.name_set & divisor.name_set:
+        raise SchemeError("dividend and divisor schemes overlap")
+    if mediator != dividend.union(divisor):
+        raise SchemeError("mediator scheme must unite dividend and divisor")
+    return dividend
+
+
+def _residuum_scheme(node, conditions, bound, antecedent, consequent) -> Scheme:
+    if bound != antecedent or antecedent != consequent:
+        raise SchemeError("residuum operands need one shared scheme")
+    return bound
+
+
+@dataclass(frozen=True)
+class Operator:
+    """One operator node class: its text form, its scheme rule and its algebra."""
+
+    keyword: str
+    kids: tuple[str, ...]  # subquery fields, in argument order
+    scheme: Callable
+    #: name of the ``algebra`` function, looked up per call so that wrappers
+    #: installed on the module (tracing, tests) see every evaluation
+    algebra: str
+    param: Optional[Param] = None
+    #: outside the monotone fragment: normalize_to_join_chain leaves it in place
+    blocked: bool = False
+
+
+_PAIR = ("left", "right")
+
+#: Every operator node class; Base, the table reference, is the only leaf.
+OPERATORS: dict[type, Operator] = {
+    Join: Operator("join", _PAIR, _joined_scheme, "natural_join"),
+    Restrict: Operator("restrict", ("child",), _restrict_scheme, "restrict", _CONDITION),
+    Project: Operator("project", ("child",),
+                      lambda node, conditions, scheme: scheme.project(node.attrs),
+                      "project", _ATTRS),
+    Union: Operator("union", _PAIR, _equal_operands, "union_tables", blocked=True),
+    Difference: Operator("difference", _PAIR, _equal_operands, "difference", blocked=True),
+    Divide: Operator("divide", ("dividend", "mediator", "divisor"), _divide_scheme,
+                     "divide", blocked=True),
+    Residuum: Operator("residuum", ("bound", "antecedent", "consequent"), _residuum_scheme,
+                       "residuum_tables", blocked=True),
+    Semijoin: Operator("semijoin", _PAIR, lambda node, conditions, left, right: left,
+                       "semijoin"),
+    Rename: Operator("rename", ("child",),
+                     lambda node, conditions, scheme: scheme.rename(dict(node.mapping)),
+                     "rename", _MAPPING),
+    ProductJoin: Operator("product", _PAIR, _joined_scheme, "product_join", blocked=True),
+}
+
+_KEYWORDS = {op.keyword: node_type for node_type, op in OPERATORS.items()}
+
+
+def children(expr: QueryExpr) -> tuple[QueryExpr, ...]:
+    op = OPERATORS.get(type(expr))
+    return tuple(getattr(expr, name) for name in op.kids) if op else ()
+
+
+def format_expr(expr: QueryExpr, indent: int = 0) -> str:
+    """Multi-line tree rendering used by the plan subcommand."""
+    pad = "  " * indent
+    op = OPERATORS.get(type(expr))
+    if op is None:
+        return f"{pad}{expr.name}"
+    label = op.keyword
+    if op.param is not None:
+        label += f"[{op.param.show(getattr(expr, op.param.field))}]"
+    return "\n".join([pad + label] + [format_expr(c, indent + 1) for c in children(expr)])
+
+
+# --- scheme inference and evaluation --------------------------------------------
 
 
 def infer_scheme(expr: QueryExpr, catalog) -> Scheme:
     """Result scheme of an expression against a catalog; errors carry paths."""
-    return _infer(expr, catalog.tables, catalog.conditions, "query")
+    return _walk(expr, catalog.tables, catalog.conditions, evaluating=False)
 
 
 def infer_scheme_over(expr: QueryExpr, tables: Mapping[str, RankedTable],
                       conditions: Optional[Mapping[str, Condition]] = None) -> Scheme:
-    return _infer(expr, tables, conditions or {}, "query")
-
-
-def _infer(expr, tables, conditions, path: str) -> Scheme:
-    if isinstance(expr, Base):
-        table = tables.get(expr.name)
-        if table is None:
-            raise UnknownNameError(f"unknown table {expr.name!r} at {path}")
-        return table.scheme
-    if isinstance(expr, (Join, ProductJoin)):
-        left = _infer(expr.left, tables, conditions, path + ".left")
-        right = _infer(expr.right, tables, conditions, path + ".right")
-        return left.union(right)
-    if isinstance(expr, Semijoin):
-        left = _infer(expr.left, tables, conditions, path + ".left")
-        _infer(expr.right, tables, conditions, path + ".right")
-        return left
-    if isinstance(expr, Restrict):
-        scheme = _infer(expr.child, tables, conditions, path + ".child")
-        deps = _condition_attrs(expr.condition, conditions)
-        if deps is not None and not deps <= scheme.name_set:
-            missing = sorted(deps - scheme.name_set)
-            raise SchemeError(f"condition needs {missing} absent at {path}")
-        return scheme
-    if isinstance(expr, Project):
-        scheme = _infer(expr.child, tables, conditions, path + ".child")
-        try:
-            return scheme.project(expr.attrs)
-        except SchemeError as exc:
-            raise SchemeError(f"{exc} at {path}") from None
-    if isinstance(expr, (Union, Difference)):
-        left = _infer(expr.left, tables, conditions, path + ".left")
-        right = _infer(expr.right, tables, conditions, path + ".right")
-        if left != right:
-            raise SchemeError(f"operands of {type(expr).__name__.lower()} differ at {path}")
-        return left
-    if isinstance(expr, Divide):
-        dividend = _infer(expr.dividend, tables, conditions, path + ".dividend")
-        mediator = _infer(expr.mediator, tables, conditions, path + ".mediator")
-        divisor = _infer(expr.divisor, tables, conditions, path + ".divisor")
-        if dividend.name_set & divisor.name_set:
-            raise SchemeError(f"dividend and divisor schemes overlap at {path}")
-        if mediator != dividend.union(divisor):
-            raise SchemeError(f"mediator scheme must unite dividend and divisor at {path}")
-        return dividend
-    if isinstance(expr, Residuum):
-        schemes = [
-            _infer(sub, tables, conditions, f"{path}.{part}")
-            for sub, part in zip(children(expr), ("bound", "antecedent", "consequent"))
-        ]
-        if schemes[0] != schemes[1] or schemes[1] != schemes[2]:
-            raise SchemeError(f"residuum operands need one shared scheme at {path}")
-        return schemes[0]
-    if isinstance(expr, Rename):
-        scheme = _infer(expr.child, tables, conditions, path + ".child")
-        try:
-            return scheme.rename(dict(expr.mapping))
-        except SchemeError as exc:
-            raise SchemeError(f"{exc} at {path}") from None
-    raise SchemeError(f"unknown expression node {expr!r} at {path}")
-
-
-# --- evaluation ---------------------------------------------------------------
+    return _walk(expr, tables, conditions or {}, evaluating=False)
 
 
 def evaluate(expr: QueryExpr, catalog) -> RankedTable:
@@ -234,38 +314,40 @@ def evaluate(expr: QueryExpr, catalog) -> RankedTable:
 
 def evaluate_over(expr: QueryExpr, tables: Mapping[str, RankedTable],
                   conditions: Optional[Mapping[str, Condition]] = None) -> RankedTable:
-    conditions = conditions or {}
+    """Result table of an expression; errors carry paths."""
+    return _walk(expr, tables, conditions or {}, evaluating=True)
 
-    def run(node) -> RankedTable:
-        if isinstance(node, Base):
+
+def _walk(expr, tables, conditions, evaluating: bool):
+    """Bottom-up pass giving every node its table (``evaluating``) or scheme.
+
+    Children go first, in field order.  An error raised at a node itself
+    gets that node's path from the root appended, e.g. ``at query.child.right``.
+    """
+
+    def visit(node, path):
+        op = OPERATORS.get(type(node))
+        kids = [visit(getattr(node, name), f"{path}.{name}") for name in op.kids] if op else ()
+        try:
+            if op is not None and evaluating:
+                if op.param is not None:
+                    kids.append(op.param.resolve(getattr(node, op.param.field), conditions))
+                return getattr(algebra, op.algebra)(*kids)
+            if op is not None:
+                return op.scheme(node, conditions, *kids)
+            if not isinstance(node, Base):
+                raise SchemeError(f"unknown expression node {node!r}")
             table = tables.get(node.name)
             if table is None:
                 raise UnknownNameError(f"unknown table {node.name!r}")
-            return table
-        if isinstance(node, Join):
-            return algebra.natural_join(run(node.left), run(node.right))
-        if isinstance(node, Restrict):
-            return algebra.restrict(run(node.child), resolve_condition(node.condition, conditions))
-        if isinstance(node, Project):
-            return algebra.project(run(node.child), node.attrs)
-        if isinstance(node, Union):
-            return algebra.union_tables(run(node.left), run(node.right))
-        if isinstance(node, Difference):
-            return algebra.difference(run(node.left), run(node.right))
-        if isinstance(node, Divide):
-            return algebra.divide(run(node.dividend), run(node.mediator), run(node.divisor))
-        if isinstance(node, Residuum):
-            return algebra.residuum_tables(run(node.bound), run(node.antecedent),
-                                           run(node.consequent))
-        if isinstance(node, Semijoin):
-            return algebra.semijoin(run(node.left), run(node.right))
-        if isinstance(node, Rename):
-            return algebra.rename(run(node.child), dict(node.mapping))
-        if isinstance(node, ProductJoin):
-            return algebra.product_join(run(node.left), run(node.right))
-        raise SchemeError(f"unknown expression node {node!r}")
+            return table if evaluating else table.scheme
+        except RankrelError as exc:
+            # Extended in place, not rebuilt: subclasses such as ParseError
+            # take other constructor arguments than a message.
+            exc.args = (f"{exc} at {path}",)
+            raise
 
-    return run(expr)
+    return visit(expr, "query")
 
 
 # --- rewrite laws -------------------------------------------------------------
@@ -298,29 +380,9 @@ def _rewrite_everywhere(expr, rule) -> tuple[QueryExpr, int, tuple[str, ...]]:
 
 
 def _rebuild(node, kids):
-    if isinstance(node, Base):
+    if not kids:
         return node
-    if isinstance(node, Join):
-        return Join(*kids)
-    if isinstance(node, Restrict):
-        return Restrict(kids[0], node.condition)
-    if isinstance(node, Project):
-        return Project(kids[0], node.attrs)
-    if isinstance(node, Union):
-        return Union(*kids)
-    if isinstance(node, Difference):
-        return Difference(*kids)
-    if isinstance(node, Divide):
-        return Divide(*kids)
-    if isinstance(node, Residuum):
-        return Residuum(*kids)
-    if isinstance(node, Semijoin):
-        return Semijoin(*kids)
-    if isinstance(node, Rename):
-        return Rename(kids[0], node.mapping)
-    if isinstance(node, ProductJoin):
-        return ProductJoin(*kids)
-    raise SchemeError(f"unknown expression node {node!r}")
+    return replace(node, **dict(zip(OPERATORS[type(node)].kids, kids)))
 
 
 def rewrite_push_restriction(expr: QueryExpr, catalog) -> RewriteOutcome:
@@ -432,16 +494,18 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
 
     Deterministic bottom-up passes iterated to a fixpoint, restriction
     pushdown running before the projection rules.  Operators outside the
-    monotone fragment (union, difference, division, residuum, the product
-    join) are left in place and reported in ``blocked``; their own subtrees
-    are still normalized.
+    monotone fragment (flagged ``blocked`` in ``OPERATORS``: union,
+    difference, division, residuum, the product join) are left in place and
+    reported in ``blocked`` by keyword; their own subtrees are still
+    normalized.
     """
     blocked: list[str] = []
     notes: list[str] = []
 
     def scan(node, path):
-        if isinstance(node, (Union, Difference, Divide, Residuum, ProductJoin)):
-            blocked.append(f"{type(node).__name__.rstrip('_').lower()} at {path}")
+        op = OPERATORS.get(type(node))
+        if op is not None and op.blocked:
+            blocked.append(f"{op.keyword} at {path}")
         for i, child in enumerate(children(node)):
             scan(child, f"{path}.{i}")
 
@@ -495,16 +559,11 @@ def join_chain_leaves(expr: QueryExpr) -> list[QueryExpr]:
 
 # --- parser -------------------------------------------------------------------
 
-_OPERATORS = {
-    "join": 2, "restrict": 2, "project": 2, "union": 2, "difference": 2,
-    "divide": 3, "residuum": 3, "semijoin": 2, "rename": 2, "product": 2,
-}
-
 
 def parse_query(text: str) -> QueryExpr:
     """Parse query text into an expression tree; errors carry positions."""
     tokens = exprs.tokenize(text)
-    parser = _QueryParser(tokens, text)
+    parser = _QueryParser(tokens)
     expr = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "end":
@@ -513,9 +572,8 @@ def parse_query(text: str) -> QueryExpr:
 
 
 class _QueryParser:
-    def __init__(self, tokens, text: str):
+    def __init__(self, tokens):
         self.tokens = tokens
-        self.text = text
         self.index = 0
 
     def peek(self):
@@ -541,105 +599,18 @@ class _QueryParser:
         name = token.text.lower()
         if self.peek().text != "(":
             return Base(name)
-        if name not in _OPERATORS:
+        node_type = _KEYWORDS.get(name)
+        if node_type is None:
             raise ParseError(f"unknown operation {name!r}", column=token.pos)
+        op = OPERATORS[node_type]
         self.expect("(")
-        node = self._operation(name, token.pos)
+        fields = {}
+        for field in op.kids:
+            if fields:
+                self.expect(",")
+            fields[field] = self.parse_expr()
+        if op.param is not None:
+            self.expect(",")
+            fields[op.param.field] = op.param.read(self)
         self.expect(")")
-        return node
-
-    def _operation(self, name: str, pos: int) -> QueryExpr:
-        if name == "join":
-            left = self.parse_expr(); self.expect(",")
-            return Join(left, self.parse_expr())
-        if name == "product":
-            left = self.parse_expr(); self.expect(",")
-            return ProductJoin(left, self.parse_expr())
-        if name == "union":
-            left = self.parse_expr(); self.expect(",")
-            return Union(left, self.parse_expr())
-        if name == "difference":
-            left = self.parse_expr(); self.expect(",")
-            return Difference(left, self.parse_expr())
-        if name == "semijoin":
-            left = self.parse_expr(); self.expect(",")
-            return Semijoin(left, self.parse_expr())
-        if name == "divide":
-            dividend = self.parse_expr(); self.expect(",")
-            mediator = self.parse_expr(); self.expect(",")
-            return Divide(dividend, mediator, self.parse_expr())
-        if name == "residuum":
-            bound = self.parse_expr(); self.expect(",")
-            antecedent = self.parse_expr(); self.expect(",")
-            return Residuum(bound, antecedent, self.parse_expr())
-        if name == "restrict":
-            child = self.parse_expr()
-            self.expect(",")
-            return Restrict(child, self._condition())
-        if name == "project":
-            child = self.parse_expr()
-            self.expect(",")
-            return Project(child, self._name_list())
-        if name == "rename":
-            child = self.parse_expr()
-            self.expect(",")
-            return Rename(child, self._rename_list())
-        raise ParseError(f"unknown operation {name!r}", column=pos)
-
-    def _condition(self):
-        # A lone identifier names a catalog condition; anything else is an
-        # inline expression over attribute values.
-        start = self.index
-        token = self.advance()
-        if token.kind == "name" and self.peek().text in (",", ")"):
-            return token.text.lower()
-        self.index = start
-        depth = 0
-        pieces = []
-        while True:
-            nxt = self.peek()
-            if nxt.kind == "end" or (depth == 0 and nxt.text in (",", ")")):
-                break
-            if nxt.text == "(":
-                depth += 1
-            elif nxt.text == ")":
-                depth -= 1
-            pieces.append(self.advance().text)
-        if not pieces:
-            raise ParseError("missing restriction condition", column=self.peek().pos)
-        return ExprCondition(exprs.parse_expr(" ".join(pieces)))
-
-    def _name_list(self) -> tuple[str, ...]:
-        self.expect("[")
-        names = []
-        if self.peek().text != "]":
-            while True:
-                token = self.advance()
-                if token.kind != "name":
-                    raise ParseError("expected an attribute name", column=token.pos)
-                names.append(token.text.lower())
-                if self.peek().text == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect("]")
-        return tuple(names)
-
-    def _rename_list(self) -> tuple[tuple[str, str], ...]:
-        self.expect("[")
-        pairs = []
-        while True:
-            old = self.advance()
-            if old.kind != "name":
-                raise ParseError("expected an attribute name", column=old.pos)
-            self.expect("->")
-            new = self.advance()
-            if new.kind != "name":
-                raise ParseError("expected an attribute name", column=new.pos)
-            pairs.append((old.text.lower(), new.text.lower()))
-            if self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        self.expect("]")
-        return tuple(pairs)
+        return node_type(**fields)

@@ -29,6 +29,17 @@ def fr(text):
 rationals = st.fractions(min_value=0, max_value=1).map(RATIONAL.score)
 
 
+class TestBounds:
+    @pytest.mark.parametrize("chain, middle", [
+        (RATIONAL, Fraction(1, 2)), (symbolic_chain("none < low < full"), "low"),
+    ])
+    def test_bottom_and_top_flags(self, chain, middle):
+        assert chain.bottom.is_bottom and not chain.bottom.is_top
+        assert chain.top.is_top and not chain.top.is_bottom
+        score = chain.score(middle)
+        assert not score.is_bottom and not score.is_top
+
+
 class TestUnitValues:
     def test_meet_picks_smaller(self):
         assert meet(fr("0.937"), fr("0.997")) == fr("0.937")

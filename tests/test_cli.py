@@ -75,6 +75,20 @@ class TestEval:
         code, _, err = run(capsys, "eval", "missing", "--catalog", str(catalog_dir))
         assert code == 1 and "unknown table" in err
 
+    def test_unknown_table_error_names_query_path(self, capsys, catalog_dir):
+        code, _, err = run(
+            capsys, "eval", "project(join(houses, nosuch), [id])", "--catalog", str(catalog_dir)
+        )
+        assert code == 1
+        assert err.strip() == "error: unknown table 'nosuch' at query.child.right"
+
+    def test_unknown_condition_error_names_query_path(self, capsys, catalog_dir):
+        code, _, err = run(
+            capsys, "eval", "join(offers, restrict(houses, nosuch))", "--catalog", str(catalog_dir)
+        )
+        assert code == 1
+        assert err.strip() == "error: unknown condition 'nosuch' at query.right"
+
     def test_corrupt_catalog_file_named_in_error(self, capsys, catalog_dir):
         (catalog_dir / "stray.csv").write_text("", encoding="utf-8")
         code, _, err = run(capsys, "eval", "houses", "--catalog", str(catalog_dir))
@@ -166,6 +180,14 @@ class TestTopkPlanCalc:
         before, after = out.split("-- normalized")
         assert before.index("restrict") < before.index("join")
         assert after.index("join") < after.index("restrict")
+
+    def test_plan_labels_reparse(self, capsys, catalog_dir):
+        code, out, _ = run(
+            capsys, "plan", "product(houses, offers)", "--catalog", str(catalog_dir)
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "product"
+        assert "blocked: product at query" in out.splitlines()
 
     def test_calc_formula(self, capsys, catalog_dir):
         code, out, _ = run(

@@ -1,6 +1,7 @@
 """Order maps: application, verified properties, witnesses, extension."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from rankrel.maps import (
     AnalyticMap,
     GraphMap,
     IDENTITY,
+    OrderMap,
     Piece,
     PiecewiseConstantMap,
     canonical_map,
@@ -117,7 +119,51 @@ class TestPropertyVerification:
             compose_table(table, collapse)
 
 
+class CountingMap(OrderMap):
+    """Wraps a map and counts how often each score is sent through it."""
+
+    def __init__(self, inner: OrderMap):
+        self.inner = inner
+        self.declared = inner.declared
+        self.calls = Counter()
+
+    def apply(self, score):
+        self.calls[score] += 1
+        return self.inner.apply(score)
+
+
+def two_level_table() -> RankedTable:
+    return RankedTable(Scheme((("a", INT),)), RATIONAL,
+                       {Row.of({"a": 1}): fr("0.2"), Row.of({"a": 2}): fr("0.8")})
+
+
 class TestComposeTable:
+    def test_each_score_mapped_once_under_declared_properties(self):
+        rng = random.Random(5)
+        table = rnd_table(rng, rnd_scheme(rng))
+        f = CountingMap(rnd_grid_isomorphism(rng))
+        assert {"preserving", "reflecting", "embedding"} <= f.declared
+        compose_table(table, f)
+        inner = {score for _, score in table if not score.is_top}
+        assert inner and all(f.calls[score] == 1 for score in inner)
+
+    @pytest.mark.parametrize("declared, fails", [
+        ("preserving", False), ("fixed-bottom", False), ("reflecting", True),
+        ("embedding", True), ("isomorphism", True), ("fixed-top", True),
+    ])
+    def test_collapse_checked_per_declared_property(self, declared, fails):
+        collapse = PiecewiseConstantMap(
+            RATIONAL, RATIONAL.bottom,
+            (Piece(RATIONAL.bottom, RATIONAL.top, fr("0.5")),),
+            declared=frozenset((declared,)),
+        )
+        if fails:
+            with pytest.raises(MapPropertyError):
+                compose_table(two_level_table(), collapse)
+        else:
+            assert len(compose_table(two_level_table(), collapse)) == 2
+
+
     def test_identity_is_neutral(self):
         table = demo.houses()
         assert compose_table(table, IDENTITY) == table

@@ -8,8 +8,8 @@ from helpers import rnd_scheme, rnd_table
 
 from rankrel import demo, planner
 from rankrel.catalog import Catalog
-from rankrel.conditions import ExprCondition
-from rankrel.errors import ParseError, SchemeError, UnknownNameError
+from rankrel.conditions import Condition, ExprCondition
+from rankrel.errors import EvalError, ParseError, SchemeError, UnknownNameError
 
 
 @pytest.fixture
@@ -58,6 +58,98 @@ class TestParser:
     def test_case_insensitive(self):
         expr = planner.parse_query("JOIN(Houses, OFFERS)")
         assert expr == planner.Join(planner.Base("houses"), planner.Base("offers"))
+
+
+#: Sample text for each kind of trailing operator parameter.
+PARAM_TEXT = {"condition": "theta", "attrs": "[id]", "mapping": "[id -> key]"}
+
+
+def sample_query(keyword: str) -> str:
+    op = planner.OPERATORS[planner._KEYWORDS[keyword]]
+    args = ["a", "b", "c"][: len(op.kids)]
+    if op.param is not None:
+        args.append(PARAM_TEXT[op.param.field])
+    return f"{keyword}({', '.join(args)})"
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize("keyword", sorted(op.keyword for op in planner.OPERATORS.values()))
+    def test_rendered_label_is_the_parser_keyword(self, keyword):
+        expr = planner.parse_query(sample_query(keyword))
+        assert type(expr) is planner._KEYWORDS[keyword]
+        top = planner.format_expr(expr).splitlines()[0]
+        assert top.split("[")[0] == keyword
+
+    def test_blocked_operators(self):
+        blocked = {op.keyword for op in planner.OPERATORS.values() if op.blocked}
+        assert blocked == {"union", "difference", "divide", "residuum", "product"}
+
+    def test_product_reported_by_keyword(self, catalog):
+        expr = planner.parse_query("join(houses, product(houses, offers))")
+        result = planner.normalize_to_join_chain(expr, catalog)
+        assert result.blocked == ("product at query.1",)
+
+    def test_children_and_rebuild_follow_field_order(self):
+        expr = planner.parse_query("divide(a, b, c)")
+        assert planner.children(expr) == (planner.Base("a"), planner.Base("b"), planner.Base("c"))
+        swapped = planner._rebuild(expr, (planner.Base("x"), planner.Base("b"), planner.Base("c")))
+        assert swapped == planner.Divide(planner.Base("x"), planner.Base("b"), planner.Base("c"))
+
+
+    def test_algebra_functions_looked_up_per_call(self, catalog, monkeypatch):
+        from rankrel import algebra
+
+        calls = []
+        real = algebra.natural_join
+        monkeypatch.setattr(algebra, "natural_join", lambda *t: calls.append(t) or real(*t))
+        planner.evaluate(planner.parse_query("join(houses, offers)"), catalog)
+        assert len(calls) == 1
+
+
+class TestEvaluationErrors:
+    def test_unknown_table_carries_path(self, catalog):
+        expr = planner.parse_query("project(join(houses, nosuch), [id])")
+        with pytest.raises(UnknownNameError) as err:
+            planner.evaluate(expr, catalog)
+        assert str(err.value) == "unknown table 'nosuch' at query.child.right"
+
+    def test_unknown_condition_carries_path(self, catalog):
+        expr = planner.parse_query("join(offers, restrict(houses, nosuch))")
+        with pytest.raises(UnknownNameError, match=r"unknown condition 'nosuch' at query\.right$"):
+            planner.evaluate(expr, catalog)
+
+    def test_condition_over_missing_attribute_carries_path(self, catalog):
+        expr = planner.parse_query("project(restrict(houses, price/1000000), [id])")
+        with pytest.raises(SchemeError, match=r"\['price'\].* at query\.child$"):
+            planner.evaluate(expr, catalog)
+
+    def test_failing_condition_carries_path(self, catalog):
+        expr = planner.parse_query("restrict(houses, 1/(bdrm-bdrm))")
+        with pytest.raises(EvalError, match=r"division by zero at query$"):
+            planner.evaluate(expr, catalog)
+
+    def test_error_type_and_fields_survive(self, catalog):
+        class Unparsable(Condition):
+            def free_attrs(self):
+                return frozenset()
+
+            def check_scheme(self, scheme):
+                raise ParseError("bad condition text", line=2, column=5)
+
+        expr = planner.Join(planner.Base("offers"), planner.Restrict(planner.Base("houses"),
+                                                                     Unparsable()))
+        with pytest.raises(ParseError) as err:
+            planner.evaluate(expr, catalog)
+        assert (err.value.line, err.value.column) == (2, 5)
+        assert str(err.value) == "bad condition text (line 2, column 5) at query.right"
+
+    def test_inference_and_evaluation_agree(self, catalog):
+        expr = planner.parse_query("project(union(houses, join(houses, nosuch)), [id])")
+        with pytest.raises(UnknownNameError) as inferred:
+            planner.infer_scheme(expr, catalog)
+        with pytest.raises(UnknownNameError) as evaluated:
+            planner.evaluate(expr, catalog)
+        assert str(inferred.value) == str(evaluated.value)
 
 
 class TestSchemeInference:
