@@ -17,12 +17,13 @@ Formula syntax accepted by :func:`parse_formula`::
 
 from __future__ import annotations
 
-import re
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .chain import RATIONAL, Score, ScoreChain, max_score, meet, min_score, residuum
 from .errors import EvalError, ParseError, SchemeError, UnsupportedOperationError
+from .exprs import TokenCursor
 from .maps import OrderMap
 from .table import STR, RankedTable, Row, Scheme
 
@@ -194,8 +195,23 @@ def evaluate(phi: Formula, m: Structure, valuation: Mapping[str, str]) -> Score:
     raise EvalError(f"unknown formula node {phi!r}")
 
 
+#: Most valuations ``table_of`` may visit: the universe size raised to the
+#: number of distinct variables, free and bound.
+VALUATION_CAP = 1_000_000
+
+
 def table_of(m: Structure, phi: Formula) -> RankedTable:
-    """The ranked table a formula denotes: free variables become attributes."""
+    """The ranked table a formula denotes: free variables become attributes.
+
+    Raises ``UnsupportedOperationError`` before any work when the formula
+    would visit more than ``VALUATION_CAP`` valuations.
+    """
+    count = len(m.universe) ** len(_all_vars(phi))
+    if count > VALUATION_CAP:
+        raise UnsupportedOperationError(
+            f"formula needs {count:,} valuations over a {len(m.universe)}-element "
+            f"universe, above the cap of {VALUATION_CAP:,}"
+        )
     variables = free_vars(phi)
     scheme = Scheme((var, STR) for var in variables)
     entries = {}
@@ -393,7 +409,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
         symbol = f"__cond_{counter[0]}"
         variables = scheme.names
         entries: dict[tuple[str, ...], Score] = {}
-        for combo in _combinations(list(universe.values()), len(variables)):
+        for combo in itertools.product(universe.values(), repeat=len(variables)):
             try:
                 row = Row.of(dict(zip(variables, combo)))
                 score = cond.score_of(row, chain[0])
@@ -454,15 +470,6 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
         chain[0], tuple(sorted(str(v) for v in universe)), arities, interps
     )
     return formula, structure
-
-
-def _combinations(values, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _combinations(values, n - 1):
-        for value in values:
-            yield (value,) + rest
 
 
 def _all_vars(phi: Formula) -> set[str]:
@@ -538,118 +545,71 @@ def stringified(table: RankedTable) -> RankedTable:
 
 # --- formula parser ---------------------------------------------------------
 
-_FORMULA_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op><->|->|[()&|~.,]))"
-)
 
-
-def _formula_tokens(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _FORMULA_TOKEN.match(text, pos)
-        if match is None:
-            stray = text[pos:].lstrip()
-            if not stray:
-                break
-            raise ParseError(f"unexpected character {stray[0]!r} in formula", column=pos)
-        kind = "name" if match.group("name") else "op"
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.tokens = _formula_tokens(text)
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, text: str):
-        kind, value, pos = self.advance()
-        if value != text:
-            raise ParseError(f"expected {text!r}, found {value or 'end'!r}", column=pos)
-
-    def parse(self) -> Formula:
-        phi = self.implication()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {value!r} in formula", column=pos)
-        return phi
+class _FormulaParser(TokenCursor):
+    def phrase(self) -> Formula:
+        return self.implication()
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        _, value, _ = self.peek()
-        if value == "->":
+        op = self.peek().text
+        if op == "->":
             self.advance()
             return Implies(left, self.implication())
-        if value == "<->":
+        if op == "<->":
             self.advance()
             return Iff(left, self.implication())
         return left
 
     def disjunction(self) -> Formula:
         phi = self.conjunction()
-        while self.peek()[1] == "|":
+        while self.peek().text == "|":
             self.advance()
             phi = Or(phi, self.conjunction())
         return phi
 
     def conjunction(self) -> Formula:
         phi = self.unary()
-        while self.peek()[1] == "&":
+        while self.peek().text == "&":
             self.advance()
             phi = And(phi, self.unary())
         return phi
 
     def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if value == "~":
-            self.advance()
+        token = self.advance()
+        if token.text == "~":
             return Not(self.unary())
-        if value == "(":
-            self.advance()
+        if token.text == "(":
             phi = self.implication()
             self.expect(")")
             return phi
-        if kind == "name" and value in ("forall", "exists"):
-            self.advance()
-            var_kind, var, var_pos = self.advance()
-            if var_kind != "name":
-                raise ParseError("quantifier needs a variable", column=var_pos)
+        if token.kind != "name":
+            raise ParseError(f"unexpected token {token.text or 'end'!r} in formula",
+                             column=token.pos)
+        if token.text in ("forall", "exists"):
+            var = self.variable("quantifier needs a variable")
             self.expect(".")
             body = self.implication()
-            return ForAll(var, body) if value == "forall" else Exists(var, body)
-        if kind == "name" and value == "false":
-            self.advance()
+            return ForAll(var, body) if token.text == "forall" else Exists(var, body)
+        if token.text == "false":
             return Falsum()
-        if kind == "name":
-            self.advance()
-            if self.peek()[1] != "(":
-                return Atom(value, ())
-            self.advance()
-            args = []
-            if self.peek()[1] != ")":
-                while True:
-                    arg_kind, arg, arg_pos = self.advance()
-                    if arg_kind != "name":
-                        raise ParseError("atom arguments must be variables", column=arg_pos)
-                    args.append(arg)
-                    if self.peek()[1] == ",":
-                        self.advance()
-                        continue
-                    break
-            self.expect(")")
-            return Atom(value, tuple(args))
-        raise ParseError(f"unexpected token {value or 'end'!r} in formula", column=pos)
+        if self.peek().text != "(":
+            return Atom(token.text, ())
+        self.advance()
+        args = []
+        if self.peek().text != ")":
+            args.append(self.variable("atom arguments must be variables"))
+            while self.peek().text == ",":
+                self.advance()
+                args.append(self.variable("atom arguments must be variables"))
+        self.expect(")")
+        return Atom(token.text, tuple(args))
+
+    def variable(self, message: str) -> str:
+        token = self.advance()
+        if token.kind != "name":
+            raise ParseError(message, column=token.pos)
+        return token.text
 
 
 def parse_formula(text: str) -> Formula:

@@ -72,6 +72,9 @@ class ExprCondition(Condition):
     def __repr__(self) -> str:
         return f"ExprCondition({exprs.format_expr(self.expr)})"
 
+    def __str__(self) -> str:
+        return exprs.format_expr(self.expr)
+
 
 @dataclass(frozen=True)
 class TableCondition(Condition):

@@ -7,6 +7,9 @@ variable ``x``, e.g. ``x <= 0.5 ? sqrt(x)/sqrt(2) : 2*(x-0.5)^2 + 0.5``).
 Arithmetic stays exact (``Fraction``) until an irrational function such as
 ``sqrt`` forces a float; callers quantize float results onto a fixed decimal
 grid.  Comparisons yield 0/1.  Names are case-insensitive.
+
+The tokenizer and :class:`TokenCursor` here also serve the query parser in
+``planner`` and the formula parser in ``calculus``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ Number = Union[Fraction, float]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op><=|>=|==|!=|->|[-+*/^()<>=?:,\[\]]))"
+    r"|(?P<op><->|<=|>=|==|!=|->|[-+*/^()<>=?:,\[\]&|~.]))"
 )
 
 _FUNCTIONS = ("min", "max", "sqrt", "abs")
@@ -37,6 +40,8 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The one token set of queries, expressions and formulas, ending in an
+    ``end`` token; each parser rejects the operators its grammar lacks."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -45,11 +50,9 @@ def tokenize(text: str) -> list[Token]:
             stray = text[pos:].lstrip()
             if not stray:
                 break
-            raise ParseError(f"unexpected character {stray[0]!r}", column=pos)
-        for kind in ("num", "name", "op"):
-            if match.group(kind) is not None:
-                tokens.append(Token(kind, match.group(kind), match.start(kind)))
-                break
+            raise ParseError(f"unexpected character {stray[0]!r}", column=len(text) - len(stray))
+        kind = match.lastgroup  # the one alternative that matched
+        tokens.append(Token(kind, match.group(kind), match.start(kind)))
         pos = match.end()
     tokens.append(Token("end", "", len(text)))
     return tokens
@@ -101,36 +104,50 @@ class Call:
 Expr = Union[Num, Ref, Unary, Binary, Compare, Ternary, Call]
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+class TokenCursor:
+    """A parser's position in the tokens of one text.
+
+    Subclasses supply the grammar: ``phrase`` reads one phrase from the
+    current token on, and ``parse`` requires it to span the whole text.
+    """
+
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
         self.index = 0
 
     def peek(self) -> Token:
         return self.tokens[self.index]
 
-    def next(self) -> Token:
+    def advance(self) -> Token:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
     def expect(self, text: str) -> Token:
-        token = self.next()
+        token = self.advance()
         if token.text != text:
             raise ParseError(f"expected {text!r}, found {token.text or 'end'!r}", column=token.pos)
         return token
 
-    def parse(self) -> Expr:
-        expr = self.ternary()
+    def parse(self):
+        result = self.phrase()
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"trailing input {tail.text!r}", column=tail.pos)
-        return expr
+        return result
+
+    def phrase(self):
+        raise NotImplementedError
+
+
+class ExprParser(TokenCursor):
+    def phrase(self) -> Expr:
+        return self.ternary()
 
     def ternary(self) -> Expr:
         test = self.comparison()
         if self.peek().text == "?":
-            self.next()
+            self.advance()
             then = self.ternary()
             self.expect(":")
             otherwise = self.ternary()
@@ -141,7 +158,7 @@ class _Parser:
         left = self.additive()
         op = self.peek().text
         if op in ("<=", "<", ">=", ">", "=", "==", "!="):
-            self.next()
+            self.advance()
             right = self.additive()
             return Compare("==" if op == "=" else op, left, right)
         return left
@@ -149,32 +166,32 @@ class _Parser:
     def additive(self) -> Expr:
         expr = self.multiplicative()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
+            op = self.advance().text
             expr = Binary(op, expr, self.multiplicative())
         return expr
 
     def multiplicative(self) -> Expr:
         expr = self.unary()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
+            op = self.advance().text
             expr = Binary(op, expr, self.unary())
         return expr
 
     def unary(self) -> Expr:
         if self.peek().text == "-":
-            self.next()
+            self.advance()
             return Unary("-", self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek().text == "^":
-            self.next()
+            self.advance()
             return Binary("^", base, self.unary())
         return base
 
     def atom(self) -> Expr:
-        token = self.next()
+        token = self.advance()
         if token.kind == "num":
             return Num(Fraction(token.text))
         if token.kind == "name":
@@ -182,10 +199,10 @@ class _Parser:
             if self.peek().text == "(":
                 if name not in _FUNCTIONS:
                     raise ParseError(f"unknown function {token.text!r}", column=token.pos)
-                self.next()
+                self.advance()
                 args = [self.ternary()]
                 while self.peek().text == ",":
-                    self.next()
+                    self.advance()
                     args.append(self.ternary())
                 self.expect(")")
                 return Call(name, tuple(args))
@@ -198,7 +215,7 @@ class _Parser:
 
 
 def parse_expr(text: str) -> Expr:
-    return _Parser(tokenize(text)).parse()
+    return ExprParser(text).parse()
 
 
 def free_names(expr: Expr) -> frozenset[str]:

@@ -158,11 +158,6 @@ class PiecewiseConstantMap(OrderMap):
             return self.pieces[i].value
         raise MapDomainError(f"score {score!r} outside every declared piece")
 
-    def domain_scores(self) -> list[Score]:
-        scores = [self.chain.bottom]
-        scores += [p.hi for p in self.pieces]
-        return scores
-
 
 @dataclass(frozen=True)
 class AnalyticMap(OrderMap):
@@ -225,9 +220,6 @@ class GraphMap(OrderMap):
             return self._images[score]  # scores hash by (chain, value)
         except KeyError:
             raise MapDomainError(f"score {score!r} outside the map's finite graph") from None
-
-    def domain_scores(self) -> list[Score]:
-        return [src for src, _ in self.graph]
 
     def inverse(self) -> "GraphMap":
         images = [dst.value for _, dst in self.graph]

@@ -131,26 +131,12 @@ def _condition_attrs(spec: typing.Union[Condition, str],
 
 def _read_condition(parser) -> typing.Union[Condition, str]:
     # A lone identifier names a catalog condition; anything else is an
-    # inline expression over attribute values.
-    start = parser.index
-    token = parser.advance()
-    if token.kind == "name" and parser.peek().text in (",", ")"):
+    # inline expression over attribute values, read from the same tokens.
+    token = parser.peek()
+    if token.kind == "name" and parser.tokens[parser.index + 1].text in (",", ")"):
+        parser.advance()
         return token.text.lower()
-    parser.index = start
-    depth = 0
-    pieces = []
-    while True:
-        nxt = parser.peek()
-        if nxt.kind == "end" or (depth == 0 and nxt.text in (",", ")")):
-            break
-        if nxt.text == "(":
-            depth += 1
-        elif nxt.text == ")":
-            depth -= 1
-        pieces.append(parser.advance().text)
-    if not pieces:
-        raise ParseError("missing restriction condition", column=parser.peek().pos)
-    return ExprCondition(exprs.parse_expr(" ".join(pieces)))
+    return ExprCondition(parser.ternary())
 
 
 def _read_name(parser) -> str:
@@ -189,9 +175,7 @@ class Param:
     resolve: Callable  # (value, conditions) -> the algebra function's last argument
 
 
-_CONDITION = Param("condition", _read_condition,
-                   lambda spec: spec if isinstance(spec, str) else repr(spec),
-                   resolve_condition)
+_CONDITION = Param("condition", _read_condition, str, resolve_condition)
 _ATTRS = Param("attrs", lambda parser: _read_list(parser, _read_name, True), ", ".join,
                lambda attrs, conditions: attrs)
 _MAPPING = Param("mapping", lambda parser: _read_list(parser, _read_rename, False),
@@ -504,10 +488,12 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
 
     def scan(node, path):
         op = OPERATORS.get(type(node))
-        if op is not None and op.blocked:
+        if op is None:
+            return
+        if op.blocked:
             blocked.append(f"{op.keyword} at {path}")
-        for i, child in enumerate(children(node)):
-            scan(child, f"{path}.{i}")
+        for name in op.kids:
+            scan(getattr(node, name), f"{path}.{name}")
 
     scan(expr, "query")
 
@@ -562,36 +548,13 @@ def join_chain_leaves(expr: QueryExpr) -> list[QueryExpr]:
 
 def parse_query(text: str) -> QueryExpr:
     """Parse query text into an expression tree; errors carry positions."""
-    tokens = exprs.tokenize(text)
-    parser = _QueryParser(tokens)
-    expr = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"trailing input {tail.text!r}", column=tail.pos)
-    return expr
+    return _QueryParser(text).parse()
 
 
-class _QueryParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.index = 0
+class _QueryParser(exprs.ExprParser):
+    """Query grammar; restriction conditions use the inherited expression rules."""
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, text: str):
-        token = self.advance()
-        if token.text != text:
-            raise ParseError(f"expected {text!r}, found {token.text or 'end'!r}",
-                             column=token.pos)
-        return token
-
-    def parse_expr(self) -> QueryExpr:
+    def phrase(self) -> QueryExpr:
         token = self.advance()
         if token.kind != "name":
             raise ParseError(f"expected a table name or operation, found "
@@ -608,7 +571,7 @@ class _QueryParser:
         for field in op.kids:
             if fields:
                 self.expect(",")
-            fields[field] = self.parse_expr()
+            fields[field] = self.phrase()
         if op.param is not None:
             self.expect(",")
             fields[op.param.field] = op.param.read(self)

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import rnd_formula, rnd_grid_isomorphism, rnd_structure
 
-from rankrel import algebra, planner
+from rankrel import algebra, calculus, demo, planner
 from rankrel.calculus import (
     And,
     Atom,
@@ -159,6 +159,26 @@ class TestTableOf:
         table = table_of(structure, Atom("s", ("x", "x")))
         assert len(table) == 1
         assert table.score_of(Row.of({"x": "m2"})).is_top
+
+
+    def test_valuation_cap_counts_free_and_bound_variables(self, structure, monkeypatch):
+        # three free or bound variables over three elements: 27 valuations
+        monkeypatch.setattr(calculus, "VALUATION_CAP", 27)
+        table_of(structure, parse_formula("exists z. (s(x, y) & r(z))"))
+        with pytest.raises(UnsupportedOperationError, match=r"81 valuations .* cap of 27$"):
+            table_of(structure, parse_formula("exists z. exists w. (s(x, y) & s(z, w))"))
+
+    def test_demo_join_formula_refused_before_evaluating(self, monkeypatch):
+        m = structure_from_tables(demo.demo_catalog().tables)
+        phi = parse_formula("exists x. (houses(id, x, sqft) & offers(id, a, p))")
+
+        def refuse(*args):
+            raise AssertionError("evaluated a formula over the valuation cap")
+
+        monkeypatch.setattr(calculus, "evaluate", refuse)
+        with pytest.raises(UnsupportedOperationError,
+                           match=r"11,881,376 valuations .* cap of 1,000,000$"):
+            table_of(m, phi)
 
 
 class TestFormulaToAlgebra:

@@ -200,6 +200,14 @@ class TestTopkPlanCalc:
         assert code == 0
         assert out.splitlines()[2].startswith("1.000")
 
+    def test_calc_over_valuation_cap_fails_fast(self, capsys):
+        code, out, err = run(
+            capsys, "calc", "exists x. (houses(id, x, sqft) & offers(id, a, p))"
+        )
+        assert code == 1
+        assert out == ""
+        assert "11,881,376 valuations" in err and "cap of 1,000,000" in err
+
 
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import rnd_scheme, rnd_table
 
-from rankrel import demo, planner
+from rankrel import demo, exprs, planner
 from rankrel.catalog import Catalog
 from rankrel.conditions import Condition, ExprCondition
 from rankrel.errors import EvalError, ParseError, SchemeError, UnknownNameError
@@ -87,7 +87,17 @@ class TestOperatorTable:
     def test_product_reported_by_keyword(self, catalog):
         expr = planner.parse_query("join(houses, product(houses, offers))")
         result = planner.normalize_to_join_chain(expr, catalog)
-        assert result.blocked == ("product at query.1",)
+        assert result.blocked == ("product at query.right",)
+
+    def test_inline_condition_label_reparses(self, catalog):
+        expr = planner.parse_query("restrict(houses, 0.1*(4+bdrm))")
+        label = planner.format_expr(expr).splitlines()[0]
+        assert label.startswith("restrict[") and label.endswith("]")
+        shown = ExprCondition(exprs.parse_expr(label[len("restrict["):-1]))
+        houses = catalog.tables["houses"]
+        assert len(houses) > 0
+        for row, _ in houses:
+            assert shown.score_of(row, houses.chain) == expr.condition.score_of(row, houses.chain)
 
     def test_children_and_rebuild_follow_field_order(self):
         expr = planner.parse_query("divide(a, b, c)")
