@@ -9,7 +9,8 @@ infima and suprema always exist and every formula with free variables
 denotes a ranked table (free variables double as attribute names; types are
 deliberately ignored, values travel as strings).
 
-Formula syntax accepted by :func:`parse_formula`::
+Formula syntax accepted by :func:`parse_formula` (names and keywords are
+case-insensitive, read in lower case as in queries)::
 
     forall x. (r(x, y) -> s(y))
     exists x. (p(x) & ~q(x, x)) | false
@@ -24,8 +25,8 @@ from typing import Mapping, Union
 from .chain import RATIONAL, Score, ScoreChain, max_score, meet, min_score, residuum
 from .errors import EvalError, ParseError, SchemeError, UnsupportedOperationError
 from .exprs import TokenCursor
-from .maps import OrderMap
-from .table import STR, RankedTable, Row, Scheme
+from .maps import OrderMap, apply_checked
+from .table import STR, RankedTable, Row, Scheme, from_classic
 
 
 # --- formulas ---------------------------------------------------------------
@@ -99,23 +100,26 @@ def Or(phi: Formula, psi: Formula) -> Formula:
     return And(Implies(Implies(phi, psi), psi), Implies(Implies(psi, phi), phi))
 
 
+def _variables(phi: Formula, bound: frozenset[str] = frozenset()):
+    """Every variable occurrence with whether it is free; binders count as bound."""
+    if isinstance(phi, Atom):
+        for var in phi.args:
+            yield var, var not in bound
+    elif isinstance(phi, (And, Implies)):
+        yield from _variables(phi.left, bound)
+        yield from _variables(phi.right, bound)
+    elif isinstance(phi, (ForAll, Exists)):
+        yield phi.var, False
+        yield from _variables(phi.body, bound | {phi.var})
+
+
 def free_vars(phi: Formula) -> tuple[str, ...]:
     """Free variables in order of first appearance."""
-    seen: list[str] = []
+    return tuple(dict.fromkeys(var for var, free in _variables(phi) if free))
 
-    def walk(node: Formula, bound: frozenset[str]) -> None:
-        if isinstance(node, Atom):
-            for var in node.args:
-                if var not in bound and var not in seen:
-                    seen.append(var)
-        elif isinstance(node, (And, Implies)):
-            walk(node.left, bound)
-            walk(node.right, bound)
-        elif isinstance(node, (ForAll, Exists)):
-            walk(node.body, bound | {node.var})
 
-    walk(phi, frozenset())
-    return tuple(seen)
+def _all_vars(phi: Formula) -> set[str]:
+    return {var for var, _ in _variables(phi)}
 
 
 # --- structures -------------------------------------------------------------
@@ -156,15 +160,19 @@ class Structure:
         return self.interps.get(symbol, {}).get(vector, self.chain.bottom)
 
     def compose(self, f: OrderMap) -> "Structure":
-        """Transform every interpretation pointwise; entries sent to bottom drop."""
-        interps = {}
-        for symbol, interp in self.interps.items():
-            out = {}
-            for vector, score in interp.items():
-                image = f.apply(score)
-                if not image.is_bottom:
-                    out[vector] = image
-            interps[symbol] = out
+        """Transform every interpretation pointwise; entries sent to bottom drop.
+
+        The map is checked as :func:`maps.compose_table` checks it, on every
+        score the interpretations hold.
+        """
+        images = apply_checked(
+            f, {score for interp in self.interps.values() for score in interp.values()},
+            self.chain,
+        )
+        interps = {
+            symbol: {v: images[s] for v, s in interp.items() if not images[s].is_bottom}
+            for symbol, interp in self.interps.items()
+        }
         return Structure(self.chain, self.universe, dict(self.arities), interps)
 
 
@@ -213,22 +221,13 @@ def table_of(m: Structure, phi: Formula) -> RankedTable:
             f"universe, above the cap of {VALUATION_CAP:,}"
         )
     variables = free_vars(phi)
-    scheme = Scheme((var, STR) for var in variables)
     entries = {}
-
-    def assign(index: int, valuation: dict) -> None:
-        if index == len(variables):
-            score = evaluate(phi, m, valuation)
-            if not score.is_bottom:
-                entries[Row.of(dict(valuation))] = score
-            return
-        for element in m.universe:
-            valuation[variables[index]] = element
-            assign(index + 1, valuation)
-        del valuation[variables[index]]
-
-    assign(0, {})
-    return RankedTable(scheme, m.chain, entries)
+    for values in itertools.product(m.universe, repeat=len(variables)):
+        valuation = dict(zip(variables, values))
+        score = evaluate(phi, m, valuation)
+        if not score.is_bottom:
+            entries[Row.of(valuation)] = score
+    return RankedTable(Scheme((var, STR) for var in variables), m.chain, entries)
 
 
 # --- formula -> relational expression ---------------------------------------
@@ -253,23 +252,16 @@ def formula_to_algebra(phi: Formula, m: Structure):
         counter[0] += 1
         return f"__{prefix}_{counter[0]}"
 
-    def universe_table(var: str) -> RankedTable:
-        scheme = Scheme(((var, STR),))
-        return RankedTable.from_entries(
-            scheme, {Row.of({var: el}): m.chain.top for el in m.universe}, m.chain
-        )
-
     def universe_expr(var: str) -> planner.QueryExpr:
         name = fresh(f"dom_{var}")
-        tables[name] = universe_table(var)
+        rows = (Row.of({var: element}) for element in m.universe)
+        tables[name] = from_classic(rows, Scheme(((var, STR),)), m.chain)
         return planner.Base(name)
 
     def all_of(variables) -> planner.QueryExpr:
         if not variables:
             name = fresh("unit")
-            tables[name] = RankedTable.from_entries(
-                Scheme(()), {Row.of({}): m.chain.top}, m.chain
-            )
+            tables[name] = from_classic([Row.of({})], Scheme(()), m.chain)
             return planner.Base(name)
         expr = universe_expr(variables[0])
         for var in variables[1:]:
@@ -357,72 +349,52 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     from . import planner
 
     conditions = conditions or {}
-    universe: dict[str, object] = {}
-    arities: dict[str, int] = {}
-    interps: dict[str, dict[tuple[str, ...], Score]] = {}
-    chain = [None]
-    counter = [0]
+    used: dict[str, RankedTable] = {}
 
-    def note_chain(c: ScoreChain) -> None:
-        if chain[0] is None:
-            chain[0] = c
-        elif chain[0] != c:
-            raise UnsupportedOperationError("catalog mixes score chains")
-
-    def collect_values(node) -> None:
+    def collect_tables(node) -> None:
         if isinstance(node, planner.Base):
-            table = tables.get(node.name)
-            if table is None:
+            if node.name not in tables:
                 raise SchemeError(f"unknown base table {node.name!r}")
-            note_chain(table.chain)
-            for row, _ in table:
-                for _, value in row.items:
-                    text = str(value)
-                    if universe.setdefault(text, value) != value:
-                        raise UnsupportedOperationError(
-                            f"values {universe[text]!r} and {value!r} collide as {text!r}"
-                        )
+            used[node.name] = tables[node.name]
         for child in planner.children(node):
-            collect_values(child)
+            collect_tables(child)
 
-    collect_values(expr)
-    if chain[0] is None:
-        chain[0] = RATIONAL
-    if not universe:
-        universe["__nil__"] = "__nil__"
-
-    def register(symbol: str, arity: int, entries: dict) -> None:
-        arities[symbol] = arity
-        interps[symbol] = entries
-
-    def base_formula(name: str) -> Formula:
-        table = tables[name]
-        variables = table.scheme.names
-        entries = {
-            tuple(str(row.value(v)) for v in variables): score for row, score in table
-        }
-        register(name, len(variables), entries)
-        return Atom(name, variables)
+    collect_tables(expr)
+    base = structure_from_tables(used)
+    # Condition symbols are scored on typed values, so no two values may
+    # share a string form; the placeholder of an empty universe stays a string.
+    typed: dict[str, object] = {}
+    for table in used.values():
+        for row, _ in table:
+            for _, value in row.items:
+                if typed.setdefault(str(value), value) != value:
+                    raise UnsupportedOperationError(
+                        f"values {typed[str(value)]!r} and {value!r} collide as {str(value)!r}"
+                    )
+    values = [typed.get(text, text) for text in base.universe]
+    arities, interps = dict(base.arities), dict(base.interps)
+    counter = [0]
 
     def condition_formula(cond, scheme: Scheme) -> Formula:
         counter[0] += 1
         symbol = f"__cond_{counter[0]}"
         variables = scheme.names
         entries: dict[tuple[str, ...], Score] = {}
-        for combo in itertools.product(universe.values(), repeat=len(variables)):
+        for combo in itertools.product(values, repeat=len(variables)):
             try:
                 row = Row.of(dict(zip(variables, combo)))
-                score = cond.score_of(row, chain[0])
+                score = cond.score_of(row, base.chain)
             except (EvalError, SchemeError):
                 continue  # type-mismatched combination: only reachable at score 0
             if not score.is_bottom:
                 entries[tuple(str(v) for v in combo)] = score
-        register(symbol, len(variables), entries)
+        arities[symbol] = len(variables)
+        interps[symbol] = entries
         return Atom(symbol, variables)
 
     def translate(node) -> Formula:
         if isinstance(node, planner.Base):
-            return base_formula(node.name)
+            return Atom(node.name, tables[node.name].scheme.names)
         if isinstance(node, planner.Join):
             return And(translate(node.left), translate(node.right))
         if isinstance(node, planner.Restrict):
@@ -466,20 +438,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
         )
 
     formula = translate(expr)
-    structure = Structure(
-        chain[0], tuple(sorted(str(v) for v in universe)), arities, interps
-    )
-    return formula, structure
-
-
-def _all_vars(phi: Formula) -> set[str]:
-    if isinstance(phi, Atom):
-        return set(phi.args)
-    if isinstance(phi, (And, Implies)):
-        return _all_vars(phi.left) | _all_vars(phi.right)
-    if isinstance(phi, (ForAll, Exists)):
-        return {phi.var} | _all_vars(phi.body)
-    return set()
+    return formula, Structure(base.chain, base.universe, arities, interps)
 
 
 def _rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
@@ -586,15 +545,16 @@ class _FormulaParser(TokenCursor):
         if token.kind != "name":
             raise ParseError(f"unexpected token {token.text or 'end'!r} in formula",
                              column=token.pos)
-        if token.text in ("forall", "exists"):
+        name = token.text.lower()
+        if name in ("forall", "exists"):
             var = self.variable("quantifier needs a variable")
             self.expect(".")
             body = self.implication()
-            return ForAll(var, body) if token.text == "forall" else Exists(var, body)
-        if token.text == "false":
+            return ForAll(var, body) if name == "forall" else Exists(var, body)
+        if name == "false":
             return Falsum()
         if self.peek().text != "(":
-            return Atom(token.text, ())
+            return Atom(name, ())
         self.advance()
         args = []
         if self.peek().text != ")":
@@ -603,13 +563,13 @@ class _FormulaParser(TokenCursor):
                 self.advance()
                 args.append(self.variable("atom arguments must be variables"))
         self.expect(")")
-        return Atom(token.text, tuple(args))
+        return Atom(name, tuple(args))
 
     def variable(self, message: str) -> str:
         token = self.advance()
         if token.kind != "name":
             raise ParseError(message, column=token.pos)
-        return token.text
+        return token.text.lower()
 
 
 def parse_formula(text: str) -> Formula:

@@ -18,6 +18,7 @@ Restricted to {bottom, top} they reproduce the Boolean truth tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -92,11 +93,11 @@ class ScoreChain:
     def is_rational(self) -> bool:
         return self.levels is None
 
-    @property
+    @cached_property
     def bottom(self) -> "Score":
         return Score(self, Fraction(0) if self.is_rational else 0)
 
-    @property
+    @cached_property
     def top(self) -> "Score":
         if self.is_rational:
             return Score(self, Fraction(1))

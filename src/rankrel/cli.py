@@ -18,6 +18,7 @@ re-ingests to an equal table.  ``verify`` replays the bundled demo checks.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from . import calculus, checks, demo, ordinal, planner, topk
 from .catalog import Catalog, parse_config
 from .errors import RankrelError
 from .maps import compose_table
-from .table import RankedTable, read_table_csv, render_table, write_table_csv
+from .table import RankedTable, format_value, read_table_csv, render_table, write_table_csv
 
 
 def _load_catalog(path: str | None) -> Catalog:
@@ -100,10 +101,10 @@ def cmd_topk(args) -> int:
     for source in sources:
         names.extend(n for n in source.table.scheme.names if n not in names)
     chain = sources[0].table.chain
-    print("#," + ",".join(names))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["#", *names])
     for row, score in result.items:
-        cells = [chain.format(score)] + [str(row.value(n)) for n in names]
-        print(",".join(cells))
+        writer.writerow([chain.format(score)] + [format_value(row.value(n)) for n in names])
     print(
         f"-- {len(sources)} sources, {result.sorted_accesses} sorted / "
         f"{result.random_accesses} random accesses"

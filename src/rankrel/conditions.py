@@ -121,11 +121,6 @@ def constant_condition(value) -> ExprCondition:
     return ExprCondition.parse(str(value))
 
 
-def classic_equality(attr_a: str, attr_b: str) -> ExprCondition:
-    """The classic comparator condition: 1 when the two attributes agree."""
-    return ExprCondition.parse(f"{attr_a} = {attr_b}")
-
-
 #: theta(r) = 1 everywhere; neutral for restriction on the rational chain.
 ALWAYS = constant_condition(1)
 

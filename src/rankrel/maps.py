@@ -159,6 +159,10 @@ class PiecewiseConstantMap(OrderMap):
         raise MapDomainError(f"score {score!r} outside every declared piece")
 
 
+#: Decimal places of the grid that analytic map outputs are quantized onto.
+GRID_PLACES = 6
+
+
 @dataclass(frozen=True)
 class AnalyticMap(OrderMap):
     """Map given by an expression in ``x`` over the rational carrier.
@@ -170,7 +174,6 @@ class AnalyticMap(OrderMap):
     """
 
     expr: exprs.Expr
-    places: int = 6
     declared: frozenset = frozenset()
 
     @classmethod
@@ -181,13 +184,13 @@ class AnalyticMap(OrderMap):
         if not score.chain.is_rational:
             raise UnsupportedOperationError("analytic maps require the rational carrier")
         result = exprs.evaluate(self.expr, {"x": score.value})
-        return score.chain.score(clamp01(quantize(result, self.places)))
+        return score.chain.score(clamp01(quantize(result, GRID_PLACES)))
 
     def apply_all(self, scores: Iterable[Score]) -> dict[Score, Score]:
         out = {s: self.apply(s) for s in set(scores)}
         if len({img.value for img in out.values()}) != len(out):
             raise QuantizationError(
-                f"quantization to {self.places} decimals is not injective on "
+                f"quantization to {GRID_PLACES} decimals is not injective on "
                 f"the {len(out)} scores produced; refusing to transform"
             )
         return out
@@ -241,21 +244,21 @@ class IdentityMap(OrderMap):
 IDENTITY = IdentityMap()
 
 
-def compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
-    """Pointwise transform of a table's scores: row r scores f(old score).
+def apply_checked(f: OrderMap, scores: Iterable[Score],
+                  chain: ScoreChain) -> dict[Score, Score]:
+    """Images of a finite set of stored scores under f, after checking f there.
 
-    Requires f(bottom) = bottom, otherwise the result would assign nonzero
-    scores to the (possibly infinitely many) absent tuples and stop being a
-    ranked table.  Declared map properties are verified on the scores the
-    map actually touches here (the table's range).
+    Requires f(bottom) = bottom, otherwise every absent tuple (possibly
+    infinitely many) would move off bottom.  Batch application runs the
+    map's own consistency checks, and declared map properties are verified
+    on the scores given, plus bottom and top.
     """
-    chain = table.chain
     if not f.fixes_bottom(chain):
         raise MapPropertyError(
-            "order map does not send bottom to bottom; composing it with a "
-            "table would not yield a ranked table"
+            "order map does not send bottom to bottom; absent tuples would "
+            "stop scoring bottom"
         )
-    images = f.apply_all({score for _, score in table})
+    images = f.apply_all(scores)
     if f.declared:
         graph = {**images, chain.bottom: chain.bottom}  # f fixes bottom, checked above
         try:
@@ -263,22 +266,31 @@ def compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
         except MapDomainError:
             pass
         verify_declared(f, graph, chain)
-    entries = {}
-    for row, score in table:
-        image = images[score]
-        if not image.is_bottom:
-            entries[row] = image
-    return RankedTable(table.scheme, chain, entries)
+    return images
+
+
+def compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
+    """Pointwise transform of a table's scores: row r scores f(old score).
+
+    The map is checked by :func:`apply_checked` on the table's range; rows
+    whose image is bottom drop out.
+    """
+    images = apply_checked(f, {score for _, score in table}, table.chain)
+    entries = {row: images[score] for row, score in table if not images[score].is_bottom}
+    return RankedTable(table.scheme, table.chain, entries)
 
 
 def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
     """The canonical order-preserving witness of ordinal inclusion.
 
-    For d1 ordinally included in d2 it returns the map sending each score
-    ``a`` to the least d2-score among rows whose d1-score reaches ``a``
-    (empty set of such rows: top).  The result is piecewise-constant over
-    the partition induced by d1's range, with adjacent equal-valued pieces
-    merged, and satisfies ``compose_table(d1, f) == d2``.
+    For d1 ordinally included in d2 it returns the map fixing bottom and
+    sending each other score ``a`` to the least d2-score among rows whose
+    d1-score reaches ``a`` (empty set of such rows: top): the
+    :func:`extend_piecewise` of that map on d1's levels.  It agrees with d2
+    on d1's answer set, so ``compose_table(d1, f) == d2`` holds exactly when
+    every tuple d1 leaves out also scores bottom in d2.  That is always so
+    over an unbounded attribute type, but not on an explicitly finite domain
+    that d2 covers beyond d1.
     """
     if d1.scheme != d2.scheme:
         raise NotIncludedError("tables on different schemes are never ordinally included")
@@ -286,24 +298,9 @@ def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
     if escaping:
         raise NotIncludedError("first table is not ordinally included in the second")
     chain = d1.chain
-    levels = sorted(value for value in floors if value != chain.bottom.value)
-    pieces: list[Piece] = []
-    lo = chain.bottom
-    for value in levels:
-        hi = Score(chain, value)
-        pieces.append(Piece(lo, hi, Score(chain, floors[value])))
-        lo = hi
-    if lo < chain.top:
-        pieces.append(Piece(lo, chain.top, chain.top))  # no d1 score reaches here
-    merged: list[Piece] = []
-    for piece in pieces:
-        if merged and merged[-1].value == piece.value:
-            merged[-1] = Piece(merged[-1].lo, piece.hi, piece.value)
-        else:
-            merged.append(piece)
-    return PiecewiseConstantMap(
-        chain, chain.bottom, tuple(merged), declared=frozenset(("preserving",))
-    )
+    graph = {Score(chain, level): Score(chain, floor) for level, floor in floors.items()}
+    graph[chain.bottom] = chain.bottom
+    return extend_piecewise(GraphMap.of(graph, declared=("preserving",)), chain)
 
 
 def witness_isomorphism(d1: RankedTable, d2: RankedTable) -> GraphMap:

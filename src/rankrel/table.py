@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -27,7 +26,6 @@ from .errors import (
     IncompatibleChainError,
     NotCrispError,
     SchemeError,
-    UnsupportedOperationError,
 )
 
 _KINDS = ("str", "int", "dec")
@@ -185,24 +183,6 @@ class Scheme:
             size *= len(attr.atype.domain)
         return size
 
-    def enumerate_rows(self, cap: int = 100_000) -> list["Row"]:
-        """All rows over the scheme; only for explicitly finite schemes."""
-        size = self.domain_size()
-        if size is None:
-            raise UnsupportedOperationError(
-                f"scheme {self.names} has an infinite attribute type; cannot enumerate"
-            )
-        if size > cap:
-            raise UnsupportedOperationError(
-                f"finite domain of {self.names} has {size} tuples, above the {cap} cap"
-            )
-        names = self.names
-        domains = [attr.atype.domain for attr in self.attrs]
-        return [Row(tuple(sorted(zip(names, combo)))) for combo in itertools.product(*domains)]
-
-
-EMPTY_SCHEME = Scheme(())
-
 
 @dataclass(frozen=True)
 class Row:
@@ -243,9 +223,6 @@ class Row:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.items)
         return f"Row({inner})"
-
-
-EMPTY_ROW = Row(())
 
 
 def rank_key(item: tuple[Row, Score]) -> tuple:
@@ -472,11 +449,10 @@ def _read_rows(reader, chain: ScoreChain) -> RankedTable:
         score = chain.parse(cells[0])
         if score.is_bottom:
             raise ChainError(f"line {lineno}: rows with score 0 are not stored; omit the row")
-        values = {
+        row = Row.of({
             attr.name: _parse_value(cell.strip(), attr.atype.kind)
             for attr, cell in zip(scheme.attrs, cells[1:])
-        }
-        row = make_row(scheme, values)
+        })
         if row in entries:
             raise SchemeError(f"line {lineno}: duplicate tuple {row!r}")
         entries[row] = score
@@ -508,11 +484,11 @@ def write_table_csv(table: RankedTable, target=None) -> str:
     return text
 
 
-def render_table(table: RankedTable, places: Optional[int] = 3) -> str:
-    """Human-readable table: score column first, descending by score."""
+def render_table(table: RankedTable) -> str:
+    """Human-readable table: score column first (three decimals), descending by score."""
     header = ["#"] + list(table.scheme.names)
     rows = [
-        [table.chain.format(score, places=places)]
+        [table.chain.format(score)]
         + [format_value(row.value(name)) for name in table.scheme.names]
         for row, score in table.rows_by_rank()
     ]

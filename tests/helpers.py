@@ -8,6 +8,7 @@ or top).
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 from contextlib import contextmanager
@@ -16,6 +17,7 @@ from fractions import Fraction
 from rankrel.calculus import And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure
 from rankrel.chain import RATIONAL, Score
 from rankrel.conditions import TableCondition
+from rankrel.errors import UnsupportedOperationError
 from rankrel.maps import Piece, PiecewiseConstantMap
 from rankrel.table import INT, RankedTable, Row, Scheme
 
@@ -153,6 +155,21 @@ def rnd_formula(rng: random.Random, depth: int = 2, variables=("x", "y", "z")):
 # cross-check the sort-based kernel in rankrel.ordinal.
 
 
+def enumerate_rows(scheme: Scheme, cap: int = 100_000) -> list[Row]:
+    """All rows over an explicitly finite scheme, refusing more than ``cap``."""
+    size = scheme.domain_size()
+    if size is None:
+        raise UnsupportedOperationError(
+            f"scheme {scheme.names} has an infinite attribute type; cannot enumerate"
+        )
+    if size > cap:
+        raise UnsupportedOperationError(
+            f"finite domain of {scheme.names} has {size} tuples, above the {cap} cap"
+        )
+    domains = [attr.atype.domain for attr in scheme.attrs]
+    return [Row.of(dict(zip(scheme.names, combo))) for combo in itertools.product(*domains)]
+
+
 def _covers_whole_domain(d: RankedTable) -> bool:
     size = d.scheme.domain_size()
     return size is not None and size == len(d)
@@ -160,7 +177,7 @@ def _covers_whole_domain(d: RankedTable) -> bool:
 
 def included_enumerated_oracle(d1: RankedTable, d2: RankedTable) -> bool:
     """Upper-cone comparison over every tuple of an explicitly finite domain."""
-    domain = d1.scheme.enumerate_rows()
+    domain = enumerate_rows(d1.scheme)
     for row in domain:
         score1 = d1.score_of(row)
         score2 = d2.score_of(row)
@@ -173,7 +190,7 @@ def included_enumerated_oracle(d1: RankedTable, d2: RankedTable) -> bool:
 def included_lower_oracle(d1: RankedTable, d2: RankedTable) -> bool:
     """Inclusion decided through lower cones (the dual characterization)."""
     if _covers_whole_domain(d2):
-        domain = d1.scheme.enumerate_rows()
+        domain = enumerate_rows(d1.scheme)
         for row in domain:
             s1, s2 = d1.score_of(row), d2.score_of(row)
             for other in domain:
@@ -202,7 +219,7 @@ def first_violation_oracle(d1: RankedTable, d2: RankedTable):
     tables, which one (bottom, bottom) pair stands for inside the cones.
     """
     if d1.scheme.is_finite:
-        rows = d1.scheme.enumerate_rows()
+        rows = enumerate_rows(d1.scheme)
         pairs = []
     else:
         rows = list(d1.answer_set | d2.answer_set)

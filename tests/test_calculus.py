@@ -29,7 +29,14 @@ from rankrel.calculus import (
 )
 from rankrel.chain import RATIONAL
 from rankrel.conditions import ExprCondition
-from rankrel.errors import EvalError, ParseError, UnsupportedOperationError
+from rankrel.errors import (
+    EvalError,
+    MapPropertyError,
+    ParseError,
+    QuantizationError,
+    UnsupportedOperationError,
+)
+from rankrel.maps import AnalyticMap, compose_table
 from rankrel.table import INT, RankedTable, Row, Scheme
 
 fr = RATIONAL.parse
@@ -282,14 +289,24 @@ class TestLogicalIdentities:
             rhs = And(phi, Exists("x", psi))
             assert table_of(m, lhs) == table_of(m, rhs)
 
+    @pytest.mark.parametrize("text, error", [
+        ("x/2 + 1/4", MapPropertyError),  # moves bottom
+        ("x/1000000", QuantizationError),  # collapses distinct scores on the grid
+    ])
+    def test_structure_compose_refuses_what_compose_table_refuses(self, structure, text,
+                                                                  error):
+        f = AnalyticMap.parse(text)
+        with pytest.raises(error):
+            compose_table(table_of(structure, Atom("r", ("x",))), f)
+        with pytest.raises(error):
+            structure.compose(f)
+
     def test_transform_commutes_with_table_of(self):
         rng = random.Random(37)
         for _ in range(60):
             m = rnd_structure(rng)
             phi = rnd_formula(rng, depth=2)
             f = rnd_grid_isomorphism(rng)
-            from rankrel.maps import compose_table
-
             assert compose_table(table_of(m, phi), f) == table_of(m.compose(f), phi)
 
 
@@ -303,6 +320,12 @@ class TestFormulaParser:
         assert parse_formula("p(x) | q(x)") == Or(Atom("p", ("x",)), Atom("q", ("x",)))
         assert parse_formula("p(x) <-> q(x)") == Iff(Atom("p", ("x",)), Atom("q", ("x",)))
         assert parse_formula("false") == Falsum()
+
+    def test_names_and_keywords_are_read_in_lower_case(self):
+        assert parse_formula("Exists X. (R(X, y) -> FALSE)") == parse_formula(
+            "exists x. (r(x, y) -> false)"
+        )
+        assert parse_formula("FORALL x. S(x)") == ForAll("x", Atom("s", ("x",)))
 
     def test_propositional_symbol(self):
         assert parse_formula("rain") == Atom("rain", ())

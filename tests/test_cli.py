@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour."""
 
+import csv
+
 import pytest
 
 from rankrel import algebra, demo
@@ -199,6 +201,37 @@ class TestTopkPlanCalc:
         )
         assert code == 0
         assert out.splitlines()[2].startswith("1.000")
+
+    def test_calc_names_are_case_insensitive(self, capsys, catalog_dir):
+        lower = run(capsys, "calc", "exists x. (houses(id, x, sqft))", "--catalog",
+                    str(catalog_dir))
+        for text in ("EXISTS X. (HOUSES(ID, X, SQFT))", "Exists x. houses(Id, x, Sqft)"):
+            assert run(capsys, "calc", text, "--catalog", str(catalog_dir)) == lower
+        assert lower[0] == 0 and lower[1]
+
+    def test_topk_quotes_cells_holding_commas(self, capsys, catalog_dir):
+        offers = (catalog_dir / "offers.csv").read_text(encoding="utf-8")
+        (catalog_dir / "offers.csv").write_text(offers.replace("Black", '"Smith, J"'),
+                                                encoding="utf-8")
+        code, out, _ = run(
+            capsys, "topk", "2", "join(houses, offers)", "--catalog", str(catalog_dir)
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1].startswith("-- 2 sources")
+        header, *rows = csv.reader(lines[:-1])
+        assert header == ["#", "id", "bdrm", "sqft", "agent", "price"]
+        assert [row[:2] for row in rows] == [["0.937", "71"], ["0.937", "71"]]
+        assert sorted(row[4] for row in rows) == ["Adams", "Smith, J"]
+        assert all(len(row) == len(header) for row in rows)
+
+    def test_topk_writes_dec_values_as_eval_does(self, capsys, tmp_path):
+        (tmp_path / "t.csv").write_text("#,id:int,rate:dec\n0.9,1,1.5\n", encoding="utf-8")
+        code, out, _ = run(capsys, "topk", "1", "t", "--catalog", str(tmp_path))
+        assert code == 0 and out.splitlines()[1] == "0.900,1,1.5"
+        assert run(capsys, "eval", "t", "--catalog", str(tmp_path))[1].splitlines()[2] == (
+            "0.900  1   1.5"
+        )
 
     def test_calc_over_valuation_cap_fails_fast(self, capsys):
         code, out, err = run(

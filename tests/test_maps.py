@@ -30,7 +30,8 @@ from rankrel.maps import (
     is_order_reflecting_on,
     witness_isomorphism,
 )
-from rankrel.table import INT, RankedTable, Row, Scheme
+from rankrel.ordinal import ordinally_included
+from rankrel.table import INT, AttrType, RankedTable, Row, Scheme
 from rankrel import demo
 
 
@@ -222,6 +223,18 @@ class TestCanonicalMap:
         table = demo.houses()
         f = canonical_map(table, table)
         assert compose_table(table, f) == table
+
+    def test_covered_finite_domain_keeps_only_the_answer_set(self):
+        # d2 covers the finite domain beyond d1: inclusion holds, but the
+        # witness fixes bottom, so row a=1 stays absent after composing.
+        scheme = Scheme((("a", AttrType("int", (0, 1))),))
+        d1 = RankedTable.from_entries(scheme, [({"a": 0}, fr("1/2"))])
+        d2 = RankedTable.from_entries(scheme, [({"a": 0}, fr("1/2")), ({"a": 1}, fr("1/4"))])
+        assert ordinally_included(d1, d2)
+        composed = compose_table(d1, canonical_map(d1, d2))
+        assert composed != d2
+        assert composed == d1  # agrees with d2 on d1's answer set
+        assert d2.score_of(Row.of({"a": 1})) == fr("1/4")
 
     def test_not_included_rejected(self):
         from rankrel.errors import NotIncludedError

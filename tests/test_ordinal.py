@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    enumerate_rows,
     first_violation_oracle,
     included_enumerated_oracle,
     included_lower_oracle,
@@ -112,7 +113,7 @@ class TestInclusion:
         rng = random.Random(61)
         domain = AttrType("int", (0, 1, 2))
         scheme = Scheme((("a", domain), ("b", domain)))
-        rows = scheme.enumerate_rows()
+        rows = enumerate_rows(scheme)
         covered = 0
         for _ in range(150):
             def build():

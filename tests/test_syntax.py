@@ -68,3 +68,7 @@ def test_readme_config_block_parses():
     config = parse_config(_readme_block("### Config file", "text"))
     assert set(config.maps) == {"f", "g", "h"}
     assert set(config.conditions) == {"theta", "theta_f"}
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_block("## Library example", "python"), "README.md", "exec"), {})

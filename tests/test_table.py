@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import enumerate_rows
+
 from rankrel.chain import RATIONAL
 from rankrel.errors import (
     ChainError,
@@ -68,11 +70,11 @@ class TestScheme:
             scheme.rename({"a": "b"})
 
     def test_empty_scheme_has_one_tuple(self):
-        assert Scheme(()).enumerate_rows() == [Row.of({})]
+        assert enumerate_rows(Scheme(())) == [Row.of({})]
 
     def test_finite_enumeration(self):
         scheme = Scheme((("a", AttrType("int", (0, 1))), ("b", AttrType("int", (0, 1)))))
-        assert len(scheme.enumerate_rows()) == 4
+        assert len(enumerate_rows(scheme)) == 4
 
 
 class TestRows:
