@@ -22,8 +22,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+from . import planner
 from .chain import RATIONAL, Score, ScoreChain, max_score, meet, min_score, residuum
-from .errors import EvalError, ParseError, SchemeError, UnsupportedOperationError
+from .errors import (
+    EvalError, IncompatibleChainError, ParseError, SchemeError, UnsupportedOperationError,
+)
 from .exprs import TokenCursor
 from .maps import OrderMap, apply_checked
 from .table import STR, RankedTable, Row, Scheme, from_classic
@@ -150,7 +153,7 @@ class Structure:
                 if len(vector) != arity:
                     raise EvalError(f"vector {vector!r} does not match arity of {symbol!r}")
                 if score.chain != self.chain:
-                    raise EvalError(f"score {score!r} is off the structure's chain")
+                    raise IncompatibleChainError(f"score {score!r} is off the structure's chain")
 
     def lookup(self, symbol: str, vector: tuple[str, ...]) -> Score:
         if symbol not in self.arities:
@@ -203,9 +206,19 @@ def evaluate(phi: Formula, m: Structure, valuation: Mapping[str, str]) -> Score:
     raise EvalError(f"unknown formula node {phi!r}")
 
 
-#: Most valuations ``table_of`` may visit: the universe size raised to the
-#: number of distinct variables, free and bound.
+#: Most valuations ``table_of`` may visit (the universe size raised to the
+#: number of distinct variables, free and bound), and most value combinations
+#: ``algebra_to_formula`` may score for one restriction condition.
 VALUATION_CAP = 1_000_000
+
+
+def _check_valuations(what: str, size: int, variables: int) -> None:
+    count = size ** variables
+    if count > VALUATION_CAP:
+        raise UnsupportedOperationError(
+            f"{what} needs {count:,} valuations over a {size}-element "
+            f"universe, above the cap of {VALUATION_CAP:,}"
+        )
 
 
 def table_of(m: Structure, phi: Formula) -> RankedTable:
@@ -214,12 +227,7 @@ def table_of(m: Structure, phi: Formula) -> RankedTable:
     Raises ``UnsupportedOperationError`` before any work when the formula
     would visit more than ``VALUATION_CAP`` valuations.
     """
-    count = len(m.universe) ** len(_all_vars(phi))
-    if count > VALUATION_CAP:
-        raise UnsupportedOperationError(
-            f"formula needs {count:,} valuations over a {len(m.universe)}-element "
-            f"universe, above the cap of {VALUATION_CAP:,}"
-        )
+    _check_valuations("formula", len(m.universe), len(_all_vars(phi)))
     variables = free_vars(phi)
     entries = {}
     for values in itertools.product(m.universe, repeat=len(variables)):
@@ -243,8 +251,6 @@ def formula_to_algebra(phi: Formula, m: Structure):
     bounded residuum after aligning both sides on a common scheme through
     joins with those same active-domain tables.
     """
-    from . import planner
-
     tables: dict[str, RankedTable] = {}
     counter = [0]
 
@@ -345,21 +351,57 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     every value appearing in the referenced base tables, as strings; the
     returned formula then satisfies
     ``table_of(structure, formula) == evaluate(expr over stringified tables)``.
+    Each restriction condition becomes a relation symbol tabulated over the
+    universe; one needing more than ``VALUATION_CAP`` combinations is refused.
     """
-    from . import planner
-
     conditions = conditions or {}
+    translatable = (planner.Join, planner.Restrict, planner.Project, planner.Union,
+                    planner.Divide, planner.Rename, planner.Semijoin)
     used: dict[str, RankedTable] = {}
+    pending: list[tuple] = []  # (symbol, condition, variables), tabulated after the fold
 
-    def collect_tables(node) -> None:
+    def exists_out(phi: Formula, scheme: Scheme, kept: Scheme) -> Formula:
+        for var in sorted(scheme.name_set - kept.name_set):
+            phi = Exists(var, phi)
+        return phi
+
+    def translate(node, kids, path) -> tuple[Formula, Scheme]:
         if isinstance(node, planner.Base):
             if node.name not in tables:
                 raise SchemeError(f"unknown base table {node.name!r}")
-            used[node.name] = tables[node.name]
-        for child in planner.children(node):
-            collect_tables(child)
+            table = used[node.name] = tables[node.name]
+            return Atom(node.name, table.scheme.names), table.scheme
+        if not isinstance(node, translatable):
+            raise UnsupportedOperationError(
+                f"{type(node).__name__} has no formula counterpart in this fragment"
+            )
+        formulas, schemes = zip(*kids)
+        scheme = planner.OPERATORS[type(node)].scheme(node, conditions, *schemes)
+        if isinstance(node, planner.Join):
+            return And(*formulas), scheme
+        if isinstance(node, planner.Restrict):
+            cond = planner.resolve_condition(node.condition, conditions)
+            deps = cond.free_attrs()
+            variables = (scheme if deps is None else scheme.project(deps)).names
+            symbol = f"__cond_{len(pending) + 1}"
+            pending.append((symbol, cond, variables))
+            return And(formulas[0], Atom(symbol, variables)), scheme
+        if isinstance(node, planner.Project):
+            return exists_out(formulas[0], schemes[0], scheme), scheme
+        if isinstance(node, planner.Union):
+            return Or(*formulas), scheme
+        if isinstance(node, planner.Divide):
+            dividend, mediator, divisor = formulas
+            body: Formula = Implies(divisor, mediator)
+            for var in sorted(schemes[2].name_set, reverse=True):
+                body = ForAll(var, body)
+            return And(dividend, body), scheme
+        if isinstance(node, planner.Rename):
+            return _rename_free(formulas[0], dict(node.mapping)), scheme
+        # Semijoin: the projection of the join onto the left scheme.
+        return exists_out(And(*formulas), schemes[0].union(schemes[1]), scheme), scheme
 
-    collect_tables(expr)
+    formula, _ = planner.fold(expr, translate)
     base = structure_from_tables(used)
     # Condition symbols are scored on typed values, so no two values may
     # share a string form; the placeholder of an empty universe stays a string.
@@ -373,12 +415,8 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
                     )
     values = [typed.get(text, text) for text in base.universe]
     arities, interps = dict(base.arities), dict(base.interps)
-    counter = [0]
-
-    def condition_formula(cond, scheme: Scheme) -> Formula:
-        counter[0] += 1
-        symbol = f"__cond_{counter[0]}"
-        variables = scheme.names
+    for symbol, cond, variables in pending:
+        _check_valuations("condition", len(values), len(variables))
         entries: dict[tuple[str, ...], Score] = {}
         for combo in itertools.product(values, repeat=len(variables)):
             try:
@@ -390,54 +428,6 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
                 entries[tuple(str(v) for v in combo)] = score
         arities[symbol] = len(variables)
         interps[symbol] = entries
-        return Atom(symbol, variables)
-
-    def translate(node) -> Formula:
-        if isinstance(node, planner.Base):
-            return Atom(node.name, tables[node.name].scheme.names)
-        if isinstance(node, planner.Join):
-            return And(translate(node.left), translate(node.right))
-        if isinstance(node, planner.Restrict):
-            child = translate(node.child)
-            cond = planner.resolve_condition(node.condition, conditions)
-            scheme = planner.infer_scheme_over(node.child, tables, conditions)
-            deps = cond.free_attrs()
-            cond_scheme = scheme if deps is None else scheme.project(
-                tuple(deps & scheme.name_set)
-            )
-            return And(child, condition_formula(cond, cond_scheme))
-        if isinstance(node, planner.Project):
-            child = translate(node.child)
-            child_scheme = planner.infer_scheme_over(node.child, tables, conditions)
-            dropped = sorted(child_scheme.name_set - {a.lower() for a in node.attrs})
-            for var in dropped:
-                child = Exists(var, child)
-            return child
-        if isinstance(node, planner.Union):
-            return Or(translate(node.left), translate(node.right))
-        if isinstance(node, planner.Divide):
-            dividend = translate(node.dividend)
-            mediator = translate(node.mediator)
-            divisor = translate(node.divisor)
-            shared = sorted(planner.infer_scheme_over(node.divisor, tables, conditions).name_set)
-            body: Formula = Implies(divisor, mediator)
-            for var in reversed(shared):
-                body = ForAll(var, body)
-            return And(dividend, body)
-        if isinstance(node, planner.Rename):
-            child = translate(node.child)
-            return _rename_free(child, {old: new for old, new in node.mapping})
-        if isinstance(node, planner.Semijoin):
-            unfolded = planner.Project(
-                planner.Join(node.left, node.right),
-                planner.infer_scheme_over(node.left, tables, conditions).names,
-            )
-            return translate(unfolded)
-        raise UnsupportedOperationError(
-            f"{type(node).__name__} has no formula counterpart in this fragment"
-        )
-
-    formula = translate(expr)
     return formula, Structure(base.chain, base.universe, arities, interps)
 
 
@@ -476,7 +466,7 @@ def structure_from_tables(tables: Mapping[str, RankedTable]) -> Structure:
         if chain is None:
             chain = table.chain
         elif chain != table.chain:
-            raise UnsupportedOperationError("structure tables must share one chain")
+            raise IncompatibleChainError("structure tables must share one chain")
         columns = table.scheme.names
         arities[name] = len(columns)
         entries = {}

@@ -57,18 +57,16 @@ def cmd_equiv(args) -> int:
         chain = parse_config(Path(args.config).read_text(encoding="utf-8")).chain
     first = read_table_csv(args.first, chain)
     second = read_table_csv(args.second, chain)
-    forward = ordinal.ordinally_included(first, second)
+    evidence = ordinal.first_inclusion_violation(first, second)
     backward = ordinal.ordinally_included(second, first)
-    if forward and backward:
+    if evidence is None and backward:
         print("EQUIVALENT")
-    elif forward:
+    elif evidence is None:
         print("INCLUDED")
     else:
         print("NEITHER")
-        evidence = ordinal.first_inclusion_violation(first, second)
-        if evidence is not None:
-            pairs = ", ".join(f"{k}={v}" for k, v in evidence.items)
-            print(f"evidence: first table's cone fails at ({pairs})")
+        pairs = ", ".join(f"{k}={v}" for k, v in evidence.items)
+        print(f"evidence: first table's cone fails at ({pairs})")
         if backward:
             print("note: inclusion holds in the reverse direction")
     return 0

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import exprs
 from .chain import Score, ScoreChain, clamp01, quantize
-from .errors import SchemeError, UnsupportedOperationError
+from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
 from .table import RankedTable, Row, Scheme
 
 
@@ -93,7 +93,7 @@ class TableCondition(Condition):
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
         if chain != self.table.chain:
-            raise UnsupportedOperationError("condition table lives on a different chain")
+            raise IncompatibleChainError("condition table lives on a different chain")
         return self.table.score_of(row)
 
 

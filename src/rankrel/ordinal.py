@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SchemeError
+from .errors import IncompatibleChainError, SchemeError
 from .table import RankedTable, Row
 
 
@@ -71,7 +71,7 @@ def _check_comparable(d1: RankedTable, d2: RankedTable) -> None:
     if d1.scheme != d2.scheme:
         raise SchemeError("ordinal comparison needs equal schemes")
     if d1.chain != d2.chain:
-        raise SchemeError("ordinal comparison needs one shared chain")
+        raise IncompatibleChainError("ordinal comparison needs one shared chain")
 
 
 def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:

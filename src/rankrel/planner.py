@@ -2,8 +2,9 @@
 
 Queries are trees over base-table references and the relational operations.
 ``OPERATORS`` holds one entry per operation node class (keyword, subquery
-fields, trailing parameter, scheme rule, algebra function); the parser, the
-renderer, scheme inference, evaluation and the rewrite walk all read it.
+fields, trailing parameter, scheme rule, algebra function); the parser reads
+it, and so does ``fold``, the one bottom-up pass over a tree behind the
+renderer, scheme inference, evaluation, the rewrite laws and normalization.
 The rewrite functions implement the semantics-preserving plan laws (pushing
 restrictions into joins, commuting restrictions with projections, splitting
 projections over unions, collapsing projection cascades, and folding a
@@ -116,14 +117,11 @@ def resolve_condition(spec: typing.Union[Condition, str], conditions: Mapping[st
     return spec
 
 
-def _condition_attrs(spec: typing.Union[Condition, str],
-                     conditions: Optional[Mapping[str, Condition]] = None):
+def _condition_attrs(spec: typing.Union[Condition, str], conditions: Mapping[str, Condition]):
     """Attributes a restriction depends on, or None when not statically known."""
     if isinstance(spec, str):
-        if conditions is None or spec not in conditions:
-            return None
-        spec = conditions[spec]
-    return spec.free_attrs()
+        spec = conditions.get(spec)
+    return None if spec is None else spec.free_attrs()
 
 
 # --- operator parameters --------------------------------------------------------
@@ -267,16 +265,32 @@ def children(expr: QueryExpr) -> tuple[QueryExpr, ...]:
     return tuple(getattr(expr, name) for name in op.kids) if op else ()
 
 
-def format_expr(expr: QueryExpr, indent: int = 0) -> str:
-    """Multi-line tree rendering used by the plan subcommand."""
-    pad = "  " * indent
+def fold(expr: QueryExpr, visit: Callable, path: str = "query"):
+    """The one recursion over a query tree, bottom-up.
+
+    Children go first, in their ``OPERATORS`` field order; then
+    ``visit(node, kid_results, path)`` gives the node its result from theirs.
+    ``kid_results`` is a fresh list, and a path names the fields taken from
+    the root, e.g. ``query.child.right``.
+    """
     op = OPERATORS.get(type(expr))
-    if op is None:
-        return f"{pad}{expr.name}"
-    label = op.keyword
-    if op.param is not None:
-        label += f"[{op.param.show(getattr(expr, op.param.field))}]"
-    return "\n".join([pad + label] + [format_expr(c, indent + 1) for c in children(expr)])
+    kids = [fold(getattr(expr, name), visit, f"{path}.{name}") for name in op.kids] if op else []
+    return visit(expr, kids, path)
+
+
+def format_expr(expr: QueryExpr) -> str:
+    """Multi-line tree rendering used by the plan subcommand."""
+
+    def lines(node, kids, path):
+        op = OPERATORS.get(type(node))
+        if op is None:
+            return [node.name]
+        label = op.keyword
+        if op.param is not None:
+            label += f"[{op.param.show(getattr(node, op.param.field))}]"
+        return [label] + ["  " + line for kid in kids for line in kid]
+
+    return "\n".join(fold(expr, lines))
 
 
 # --- scheme inference and evaluation --------------------------------------------
@@ -303,15 +317,14 @@ def evaluate_over(expr: QueryExpr, tables: Mapping[str, RankedTable],
 
 
 def _walk(expr, tables, conditions, evaluating: bool):
-    """Bottom-up pass giving every node its table (``evaluating``) or scheme.
+    """Fold giving every node its table (``evaluating``) or scheme.
 
-    Children go first, in field order.  An error raised at a node itself
-    gets that node's path from the root appended, e.g. ``at query.child.right``.
+    An error raised at a node itself gets that node's path from the root
+    appended, e.g. ``at query.child.right``.
     """
 
-    def visit(node, path):
+    def visit(node, kids, path):
         op = OPERATORS.get(type(node))
-        kids = [visit(getattr(node, name), f"{path}.{name}") for name in op.kids] if op else ()
         try:
             if op is not None and evaluating:
                 if op.param is not None:
@@ -331,7 +344,7 @@ def _walk(expr, tables, conditions, evaluating: bool):
             exc.args = (f"{exc} at {path}",)
             raise
 
-    return visit(expr, "query")
+    return fold(expr, visit)
 
 
 # --- rewrite laws -------------------------------------------------------------
@@ -344,114 +357,95 @@ class RewriteOutcome:
     notes: tuple[str, ...] = ()
 
 
-def _rewrite_everywhere(expr, rule) -> tuple[QueryExpr, int, tuple[str, ...]]:
-    """One bottom-up pass applying ``rule`` at every node it matches."""
-    applied = 0
-    notes: list[str] = []
-
-    def walk(node):
-        nonlocal applied
-        rebuilt = _rebuild(node, tuple(walk(c) for c in children(node)))
-        replacement, note = rule(rebuilt)
-        if replacement is not None:
-            applied += 1
-            return replacement
-        if note:
-            notes.append(note)
-        return rebuilt
-
-    return walk(expr), applied, tuple(notes)
-
-
 def _rebuild(node, kids):
     if not kids:
         return node
     return replace(node, **dict(zip(OPERATORS[type(node)].kids, kids)))
 
 
-def rewrite_push_restriction(expr: QueryExpr, catalog) -> RewriteOutcome:
+def _law(outer: type, inner: type):
+    """Make a plan law on ``outer(inner(...))`` nodes a whole-tree rewrite.
+
+    The law body takes (node, catalog) and returns the replacement node, a
+    note saying why the law does not apply, or None.  The rewrite is one
+    bottom-up fold: each node is rebuilt from its rewritten children and the
+    law is applied there when the node matches.
+    """
+
+    def wrap(body):
+        def rewrite(expr: QueryExpr, catalog) -> RewriteOutcome:
+            applied, notes = 0, []
+
+            def visit(node, kids, path):
+                nonlocal applied
+                node = _rebuild(node, kids)
+                if not (isinstance(node, outer) and isinstance(node.child, inner)):
+                    return node
+                result = body(node, catalog)
+                if isinstance(result, str):
+                    notes.append(result)
+                elif result is not None:
+                    applied += 1
+                    return result
+                return node
+
+            return RewriteOutcome(fold(expr, visit), applied, tuple(notes))
+
+        rewrite.__name__, rewrite.__qualname__ = body.__name__, body.__qualname__
+        rewrite.__doc__ = body.__doc__
+        return rewrite
+
+    return wrap
+
+
+@_law(Restrict, Join)
+def rewrite_push_restriction(node, catalog):
     """restrict(join(A, B), theta) -> join(restrict(A, theta), B) when theta
     only mentions attributes of one side."""
-
-    def rule(node):
-        if not (isinstance(node, Restrict) and isinstance(node.child, Join)):
-            return None, None
-        deps = _condition_attrs(node.condition, catalog.conditions)
-        if deps is None:
-            return None, "restriction not pushed: condition dependencies unknown"
-        left = infer_scheme(node.child.left, catalog)
-        right = infer_scheme(node.child.right, catalog)
-        if deps <= left.name_set:
-            return Join(Restrict(node.child.left, node.condition), node.child.right), None
-        if deps <= right.name_set:
-            return Join(node.child.left, Restrict(node.child.right, node.condition)), None
-        return None, "restriction not pushed: condition spans both join sides"
-
-    new, applied, notes = _rewrite_everywhere(expr, rule)
-    return RewriteOutcome(new, applied, notes)
+    deps = _condition_attrs(node.condition, catalog.conditions)
+    if deps is None:
+        return "restriction not pushed: condition dependencies unknown"
+    left = infer_scheme(node.child.left, catalog)
+    right = infer_scheme(node.child.right, catalog)
+    if deps <= left.name_set:
+        return Join(Restrict(node.child.left, node.condition), node.child.right)
+    if deps <= right.name_set:
+        return Join(node.child.left, Restrict(node.child.right, node.condition))
+    return "restriction not pushed: condition spans both join sides"
 
 
-def rewrite_commute_project_restrict(expr: QueryExpr, catalog) -> RewriteOutcome:
+@_law(Project, Restrict)
+def rewrite_commute_project_restrict(node, catalog):
     """project(restrict(A, theta), S) -> restrict(project(A, S), theta) when
     theta ignores the projected-away attributes."""
-
-    def rule(node):
-        if not (isinstance(node, Project) and isinstance(node.child, Restrict)):
-            return None, None
-        deps = _condition_attrs(node.child.condition, catalog.conditions)
-        if deps is None:
-            return None, "projection not commuted: condition dependencies unknown"
-        kept = {a.lower() for a in node.attrs}
-        if deps <= kept:
-            return Restrict(Project(node.child.child, node.attrs), node.child.condition), None
-        return None, "projection not commuted: condition uses dropped attributes"
-
-    new, applied, notes = _rewrite_everywhere(expr, rule)
-    return RewriteOutcome(new, applied, notes)
+    deps = _condition_attrs(node.child.condition, catalog.conditions)
+    if deps is None:
+        return "projection not commuted: condition dependencies unknown"
+    if deps <= {a.lower() for a in node.attrs}:
+        return Restrict(Project(node.child.child, node.attrs), node.child.condition)
+    return "projection not commuted: condition uses dropped attributes"
 
 
-def rewrite_project_over_union(expr: QueryExpr, catalog) -> RewriteOutcome:
+@_law(Project, Union)
+def rewrite_project_over_union(node, catalog):
     """project(union(A, B), S) -> union(project(A, S), project(B, S))."""
-
-    def rule(node):
-        if isinstance(node, Project) and isinstance(node.child, Union):
-            return Union(Project(node.child.left, node.attrs),
-                          Project(node.child.right, node.attrs)), None
-        return None, None
-
-    new, applied, notes = _rewrite_everywhere(expr, rule)
-    return RewriteOutcome(new, applied, notes)
+    return Union(Project(node.child.left, node.attrs), Project(node.child.right, node.attrs))
 
 
-def rewrite_project_cascade(expr: QueryExpr, catalog) -> RewriteOutcome:
+@_law(Project, Project)
+def rewrite_project_cascade(node, catalog):
     """project(project(A, R), S) -> project(A, S); S is a subset of R by typing."""
-
-    def rule(node):
-        if isinstance(node, Project) and isinstance(node.child, Project):
-            outer = {a.lower() for a in node.attrs}
-            inner = {a.lower() for a in node.child.attrs}
-            if outer <= inner:
-                return Project(node.child.child, node.attrs), None
-            return None, "projection cascade kept: outer attributes not nested in inner"
-        return None, None
-
-    new, applied, notes = _rewrite_everywhere(expr, rule)
-    return RewriteOutcome(new, applied, notes)
+    if {a.lower() for a in node.attrs} <= {a.lower() for a in node.child.attrs}:
+        return Project(node.child.child, node.attrs)
+    return "projection cascade kept: outer attributes not nested in inner"
 
 
-def rewrite_semijoin(expr: QueryExpr, catalog) -> RewriteOutcome:
+@_law(Project, Join)
+def rewrite_semijoin(node, catalog):
     """project(join(A, B), scheme-of-A) -> semijoin(A, B)."""
-
-    def rule(node):
-        if not (isinstance(node, Project) and isinstance(node.child, Join)):
-            return None, None
-        left = infer_scheme(node.child.left, catalog)
-        if {a.lower() for a in node.attrs} == left.name_set:
-            return Semijoin(node.child.left, node.child.right), None
-        return None, "semijoin not folded: projection keeps non-left attributes"
-
-    new, applied, notes = _rewrite_everywhere(expr, rule)
-    return RewriteOutcome(new, applied, notes)
+    if {a.lower() for a in node.attrs} == infer_scheme(node.child.left, catalog).name_set:
+        return Semijoin(node.child.left, node.child.right)
+    return "semijoin not folded: projection keeps non-left attributes"
 
 
 REWRITE_RULES = (
@@ -483,28 +477,20 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
     reported in ``blocked`` by keyword; their own subtrees are still
     normalized.
     """
-    blocked: list[str] = []
-    notes: list[str] = []
 
-    def scan(node, path):
+    def scan(node, kids, path):
         op = OPERATORS.get(type(node))
-        if op is None:
-            return
-        if op.blocked:
-            blocked.append(f"{op.keyword} at {path}")
-        for name in op.kids:
-            scan(getattr(node, name), f"{path}.{name}")
+        own = [f"{op.keyword} at {path}"] if op is not None and op.blocked else []
+        return own + [entry for kid in kids for entry in kid]
 
-    scan(expr, "query")
+    blocked = fold(expr, scan)
+    notes: list[str] = []
 
     current = expr
     for _ in range(64):  # fixpoint; the tree strictly shrinks or reorders
         changed = 0
-        for _, rule in (
-            ("push-restriction", rewrite_push_restriction),
-            ("restrict-into-project", _rewrite_restrict_into_project),
-            ("project-cascade", rewrite_project_cascade),
-        ):
+        for rule in (rewrite_push_restriction, _rewrite_restrict_into_project,
+                     rewrite_project_cascade):
             outcome = rule(current, catalog)
             current = outcome.expr
             changed += outcome.applied
@@ -514,26 +500,18 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
     return NormalizeResult(current, tuple(blocked), tuple(dict.fromkeys(notes)))
 
 
-def _rewrite_restrict_into_project(expr: QueryExpr, catalog) -> RewriteOutcome:
+@_law(Restrict, Project)
+def _rewrite_restrict_into_project(node, catalog):
     """restrict(project(A, S), theta) -> project(restrict(A, theta), S).
 
     The leaf-direction reading of the commutation law: valid because the
     condition can only mention attributes surviving the projection.
     """
-
-    def rule(node):
-        if not (isinstance(node, Restrict) and isinstance(node.child, Project)):
-            return None, None
-        deps = _condition_attrs(node.condition, catalog.conditions)
-        if deps is None:
-            return None, "restriction kept above projection: dependencies unknown"
-        kept = {a.lower() for a in node.child.attrs}
-        if deps <= kept:
-            return Project(Restrict(node.child.child, node.condition), node.child.attrs), None
-        return None, None
-
-    new, applied, notes = _rewrite_everywhere(expr, rule)
-    return RewriteOutcome(new, applied, notes)
+    deps = _condition_attrs(node.condition, catalog.conditions)
+    if deps is None:
+        return "restriction kept above projection: dependencies unknown"
+    if deps <= {a.lower() for a in node.child.attrs}:
+        return Project(Restrict(node.child.child, node.condition), node.child.attrs)
 
 
 def join_chain_leaves(expr: QueryExpr) -> list[QueryExpr]:

@@ -80,10 +80,10 @@ class Scheme:
     """A finite set of typed attributes.  The empty scheme is legal.
 
     Declaration order is remembered for display; equality and all relational
-    semantics treat the scheme as a set.
+    semantics treat the scheme as a set.  Its name views are computed once.
     """
 
-    __slots__ = ("attrs", "_by_name")
+    __slots__ = ("attrs", "names", "name_set", "sorted_names", "_by_name", "_key")
 
     def __init__(self, attrs: Iterable[tuple[str, AttrType] | Attribute]):
         normalized = []
@@ -99,18 +99,14 @@ class Scheme:
             normalized.append(attr)
             by_name[name] = attr
         object.__setattr__(self, "attrs", tuple(normalized))
+        object.__setattr__(self, "names", tuple(by_name))
+        object.__setattr__(self, "name_set", frozenset(by_name))
+        object.__setattr__(self, "sorted_names", tuple(sorted(by_name)))  # as Row.names
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_key", frozenset(normalized))
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("Scheme is immutable")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(attr.name for attr in self.attrs)
-
-    @property
-    def name_set(self) -> frozenset[str]:
-        return frozenset(self._by_name)
 
     def attr(self, name: str) -> Attribute:
         try:
@@ -125,10 +121,10 @@ class Scheme:
         return len(self.attrs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Scheme) and frozenset(self.attrs) == frozenset(other.attrs)
+        return isinstance(other, Scheme) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.attrs))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a.name}:{a.atype.kind}" for a in self.attrs)
@@ -273,7 +269,7 @@ def make_row(scheme: Scheme, values: Mapping[str, object]) -> Row:
 
 
 def _row_conforms(scheme: Scheme, row: Row) -> bool:
-    if row.names != tuple(sorted(scheme.names)):
+    if row.names != scheme.sorted_names:
         return False
     for name, value in row.items:
         attr = scheme.attr(name)

@@ -276,6 +276,67 @@ class TestAlgebraToFormula:
         with pytest.raises(UnsupportedOperationError):
             algebra_to_formula(expr, tables)
 
+    @staticmethod
+    def _fixed_tables():
+        t1 = RankedTable.from_entries(Scheme((("a", INT), ("b", INT))), [
+            ({"a": 1, "b": 2}, fr("0.5")), ({"a": 2, "b": 2}, fr("0.75")),
+            ({"a": 3, "b": 1}, fr("1")),
+        ])
+        t2 = RankedTable.from_entries(Scheme((("b", INT), ("c", INT))), [
+            ({"b": 2, "c": 5}, fr("0.6")), ({"b": 1, "c": 6}, fr("0.25")),
+        ])
+        return {"t1": t1, "t2": t2}
+
+    @pytest.mark.parametrize("expr, text", [
+        (planner.Project(planner.Join(planner.Base("t1"), planner.Base("t2")), ("a", "c")),
+         "exists b. (t1(a, b) & t2(b, c))"),
+        (planner.Restrict(planner.Base("t1"), ExprCondition.parse("a <= 1 ? 0.5 : 1")),
+         "(t1(a, b) & __cond_1(a))"),
+        (planner.Union(planner.Base("t1"), planner.Base("t1")),
+         "(((t1(a, b) -> t1(a, b)) -> t1(a, b)) & ((t1(a, b) -> t1(a, b)) -> t1(a, b)))"),
+        (planner.Rename(planner.Base("t2"), (("c", "z"),)), "t2(b, z)"),
+        (planner.Semijoin(planner.Base("t1"), planner.Base("t2")),
+         "exists c. (t1(a, b) & t2(b, c))"),
+        (planner.Divide(planner.Project(planner.Base("t1"), ("a",)),
+                        planner.Join(planner.Base("t1"), planner.Base("t2")),
+                        planner.Project(planner.Base("t2"), ("b", "c"))),
+         "(exists b. t1(a, b) & forall b. forall c. (t2(b, c) -> (t1(a, b) & t2(b, c))))"),
+    ])
+    def test_schemes_come_from_the_translation_itself(self, expr, text, monkeypatch):
+        tables = self._fixed_tables()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inferred a subtree's scheme in a second walk")
+
+        monkeypatch.setattr(planner, "infer_scheme_over", refuse)
+        phi, m = algebra_to_formula(expr, tables)
+        assert str(phi) == text
+        assert table_of(m, phi) == stringified(planner.evaluate_over(expr, tables))
+
+    def test_semijoin_translates_as_its_defining_projection(self):
+        tables = self._fixed_tables()
+        t1, t2 = planner.Base("t1"), planner.Base("t2")
+        assert algebra_to_formula(planner.Semijoin(t1, t2), tables) == algebra_to_formula(
+            planner.Project(planner.Join(t1, t2), ("a", "b")), tables
+        )
+
+    def test_condition_over_valuation_cap_refused_before_scoring(self, monkeypatch):
+        names = ("a", "b", "c", "d", "e", "f")
+        scheme = Scheme((name, INT) for name in names)
+        # two rows holding 0..5 and 5..10: an 11-element universe, 11**6 combinations
+        rows = [({name: start + i for i, name in enumerate(names)}, fr("1")) for start in (0, 5)]
+        tables = {"t": RankedTable.from_entries(scheme, rows)}
+
+        def refuse(*args):
+            raise AssertionError("scored a condition over the valuation cap")
+
+        monkeypatch.setattr(ExprCondition, "score_of", refuse)
+        expr = planner.Restrict(planner.Base("t"), ExprCondition.parse("a + b + c + d + e + f"))
+        with pytest.raises(UnsupportedOperationError,
+                           match=r"^condition needs 1,771,561 valuations over a 11-element "
+                                 r"universe, above the cap of 1,000,000$"):
+            algebra_to_formula(expr, tables)
+
 
 class TestLogicalIdentities:
     def test_exists_conjunction_pullout(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rankrel import calculus, ordinal
 from rankrel.chain import (
     RATIONAL,
     ScoreChain,
@@ -19,7 +20,9 @@ from rankrel.chain import (
     residuum,
     symbolic_chain,
 )
+from rankrel.conditions import TableCondition
 from rankrel.errors import ChainError, IncompatibleChainError
+from rankrel.table import INT, RankedTable, Row, Scheme
 
 
 def fr(text):
@@ -173,3 +176,31 @@ class TestParsingAndFormat:
             assert RATIONAL.parse(RATIONAL.format(fr(text), places=None)) == fr(text)
         assert exact_decimal_str(Fraction(1, 3)) == "1/3"
         assert fixed_decimal_str(Fraction(7, 10), 3) == "0.700"
+
+
+def _structure_with(score):
+    return calculus.Structure(RATIONAL, ("1",), {"s": 1}, {"s": {("1",): score}})
+
+
+#: Every place that meets a rational table and a symbolic one, with its message.
+MIXED_CHAIN_SITES = [
+    ("ordinal comparison needs one shared chain",
+     lambda rational, symbolic: ordinal.ordinally_included(rational, symbolic)),
+    ("structure tables must share one chain",
+     lambda rational, symbolic: calculus.structure_from_tables({"r": rational, "s": symbolic})),
+    ("is off the structure's chain",
+     lambda rational, symbolic: _structure_with(symbolic.score_of(Row.of({"v": 1})))),
+    ("condition table lives on a different chain",
+     lambda rational, symbolic: TableCondition(symbolic).score_of(Row.of({"v": 1}),
+                                                                  rational.chain)),
+]
+
+
+@pytest.mark.parametrize("message, mix", MIXED_CHAIN_SITES, ids=[m for m, _ in MIXED_CHAIN_SITES])
+def test_mixing_two_chains_raises_incompatible_chain_error(message, mix):
+    scheme = Scheme((("v", INT),))
+    rational = RankedTable.from_entries(scheme, [({"v": 1}, Fraction(1, 2))])
+    symbolic = RankedTable.from_entries(scheme, [({"v": 1}, "high")],
+                                        symbolic_chain("none < low < high"))
+    with pytest.raises(IncompatibleChainError, match=message):
+        mix(rational, symbolic)

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from rankrel import algebra, demo
+from rankrel import algebra, demo, ordinal
 from rankrel.cli import main
 from rankrel.table import read_table_csv, write_table_csv
 
@@ -120,6 +120,25 @@ class TestEquiv:
             capsys, "equiv", str(tmp_path / "similar.csv"), str(tmp_path / "joined.csv")
         )
         assert out.splitlines()[0] == "INCLUDED"
+
+    def test_neither_sorts_each_direction_once(self, capsys, tmp_path, monkeypatch):
+        joined = algebra.natural_join(demo.houses(), demo.offers())
+        write_table_csv(joined, tmp_path / "joined.csv")
+        write_table_csv(demo.similar_join(), tmp_path / "similar.csv")
+        calls = []
+        profile = ordinal._rank_profile
+
+        def counted(d1, d2):
+            calls.append(1)
+            return profile(d1, d2)
+
+        monkeypatch.setattr(ordinal, "_rank_profile", counted)
+        code, out, _ = run(
+            capsys, "equiv", str(tmp_path / "joined.csv"), str(tmp_path / "similar.csv")
+        )
+        assert code == 0 and out.splitlines()[0] == "NEITHER"
+        assert "evidence: first table's cone fails at" in out
+        assert len(calls) == 2
 
     def test_equivalent_pair(self, capsys, tmp_path):
         first, second = demo.single_column_pair()

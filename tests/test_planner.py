@@ -1,5 +1,6 @@
 """Query parsing, scheme inference, rewrite laws, and normalization."""
 
+import inspect
 import random
 
 import pytest
@@ -381,3 +382,34 @@ class TestNormalization:
         )
         leaves = planner.join_chain_leaves(expr)
         assert [leaf.name for leaf in leaves] == ["x", "y", "z"]
+
+
+class TestFold:
+    def test_children_first_in_field_order(self):
+        expr = planner.parse_query("divide(project(a, [x]), join(b, c), d)")
+        order = []
+        planner.fold(expr, lambda node, kids, path: order.append(path))
+        assert order == [
+            "query.dividend.child", "query.dividend",
+            "query.mediator.left", "query.mediator.right", "query.mediator",
+            "query.divisor", "query",
+        ]
+
+    def test_nested_blocked_order_is_root_first(self, catalog):
+        expr = planner.parse_query(
+            "union(product(houses, houses), difference(divide(project(houses, [id]), houses,"
+            " project(houses, [bdrm, sqft])), project(houses, [id])))"
+        )
+        result = planner.normalize_to_join_chain(expr, catalog)
+        assert result.blocked == (
+            "union at query", "product at query.left", "difference at query.right",
+            "divide at query.right.left",
+        )
+
+    @pytest.mark.parametrize("rule", [rule for _, rule in planner.REWRITE_RULES]
+                             + [planner._rewrite_restrict_into_project])
+    def test_laws_keep_their_names_docstrings_and_signature(self, rule):
+        assert getattr(planner, rule.__name__) is rule and rule.__doc__
+        signature = inspect.signature(rule)
+        assert list(signature.parameters) == ["expr", "catalog"]
+        assert signature.return_annotation == "RewriteOutcome"

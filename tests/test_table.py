@@ -48,6 +48,14 @@ class TestScheme:
         second = Scheme((("b", STR), ("a", INT)))
         assert first == second
 
+    def test_name_views_are_built_once(self):
+        scheme = Scheme((("B", INT), ("a", STR)))
+        assert scheme.names is scheme.names and scheme.names == ("b", "a")
+        assert scheme.name_set is scheme.name_set and scheme.name_set == {"a", "b"}
+        assert scheme.sorted_names == ("a", "b") == Row.of({"b": 1, "a": "x"}).names
+        assert hash(scheme) == hash(Scheme((("a", STR), ("b", INT))))
+        assert scheme != Scheme((("a", INT), ("b", INT)))
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemeError):
             Scheme((("a", INT), ("A", STR)))
