@@ -9,6 +9,12 @@ infima and suprema always exist and every formula with free variables
 denotes a ranked table (free variables double as attribute names; types are
 deliberately ignored, values travel as strings).
 
+Evaluation runs on rank codes: the distinct scores a structure stores, plus
+bottom and top, numbered in order from 0.  Every connective (min, the
+residuum, and the quantifiers' infima and suprema) only compares its
+arguments and returns one of them, bottom or top, so a formula's code
+decodes to exactly the score it has on the chain itself.
+
 Formula syntax accepted by :func:`parse_formula` (names and keywords are
 case-insensitive, read in lower case as in queries)::
 
@@ -20,10 +26,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Union
 
 from . import planner
-from .chain import RATIONAL, Score, ScoreChain, max_score, meet, min_score, residuum
+from .chain import RATIONAL, Score, ScoreChain
 from .errors import (
     EvalError, IncompatibleChainError, ParseError, SchemeError, UnsupportedOperationError,
 )
@@ -180,30 +187,122 @@ class Structure:
 
 
 def evaluate(phi: Formula, m: Structure, valuation: Mapping[str, str]) -> Score:
-    """Value of a formula under a valuation of its free variables."""
-    if isinstance(phi, Falsum):
-        return m.chain.bottom
-    if isinstance(phi, Atom):
-        vector = []
-        for var in phi.args:
-            if var not in valuation:
-                raise EvalError(f"unbound variable {var!r}")
-            vector.append(valuation[var])
-        return m.lookup(phi.symbol, tuple(vector))
-    if isinstance(phi, And):
-        return meet(evaluate(phi.left, m, valuation), evaluate(phi.right, m, valuation))
-    if isinstance(phi, Implies):
-        return residuum(evaluate(phi.left, m, valuation), evaluate(phi.right, m, valuation))
-    if isinstance(phi, (ForAll, Exists)):
-        values = []
-        scoped = dict(valuation)
-        for element in m.universe:
-            scoped[phi.var] = element
-            values.append(evaluate(phi.body, m, scoped))
-        if isinstance(phi, ForAll):
-            return min_score(values, m.chain.top)
-        return max_score(values, m.chain.bottom)
-    raise EvalError(f"unknown formula node {phi!r}")
+    """Value of a formula under a valuation of its free variables.
+
+    Compiles ``phi`` against ``m`` and runs it on rank codes.  The last
+    compilation is kept, matched by identity on ``phi`` and ``m`` and by the
+    valuation's names, so the per-valuation calls of :func:`table_of` compile
+    once; a structure whose interpretations are changed in place after that
+    must be rebuilt to be seen.
+    """
+    global _last
+    names = tuple(valuation)
+    last = _last
+    if last is None or last[0] is not phi or last[1] is not m or last[2] != names:
+        last = _last = (phi, m, names, _compile(phi, m, names))
+    run, decode, binders = last[3]
+    return decode[run([*valuation.values(), *binders])]
+
+
+#: ``(phi, m, names, compiled)`` of the last :func:`evaluate` call.
+_last = None
+
+
+def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
+    """Compile a formula against a structure into one closure over rank codes.
+
+    The codes number the sorted distinct scores of the interpretations, plus
+    bottom and top, from 0 to ``top``.  Returns ``(run, decode, binders)``:
+    ``run(env)`` is the code of the formula's value, where ``env`` holds the
+    values of ``names`` followed by one slot per binder (``binders`` gives
+    their initial contents), and ``decode[code]`` is the score.  Atoms are
+    checked here, in evaluation order, so every error is raised before any
+    short-cut could skip its branch.
+    """
+    chain = m.chain
+    values = {chain.bottom.value, chain.top.value}
+    values.update(s.value for interp in m.interps.values() for s in interp.values())
+    decode = [Score(chain, value) for value in sorted(values)]
+    code = {score.value: index for index, score in enumerate(decode)}
+    top = len(decode) - 1
+    coded = {symbol: {vector: code[s.value] for vector, s in interp.items()}
+             for symbol, interp in m.interps.items()}
+    universe = m.universe
+    width = len(names)
+
+    def build(node: Formula, scope: dict[str, int]):
+        nonlocal width
+        if isinstance(node, Falsum):
+            return lambda env: 0
+        if isinstance(node, Atom):
+            slots = []
+            for var in node.args:
+                if var not in scope:
+                    raise EvalError(f"unbound variable {var!r}")
+                slots.append(scope[var])
+            if node.symbol not in m.arities:
+                raise EvalError(f"unknown relation symbol {node.symbol!r}")
+            if len(slots) != m.arities[node.symbol]:
+                raise EvalError(f"arity mismatch for {node.symbol!r}")
+            get = coded.get(node.symbol, {}).get
+            if not slots:
+                constant = get((), 0)
+                return lambda env: constant
+            if len(slots) == 1:
+                slot = slots[0]
+                return lambda env: get((env[slot],), 0)
+            pick = itemgetter(*slots)
+            return lambda env: get(pick(env), 0)
+        if isinstance(node, (And, Implies)):
+            left, right = build(node.left, scope), build(node.right, scope)
+            if isinstance(node, And):
+                def meet_codes(env):
+                    a = left(env)
+                    if not a:
+                        return 0
+                    b = right(env)
+                    return a if a <= b else b
+                return meet_codes
+
+            def residuum_codes(env):
+                a = left(env)
+                if not a:
+                    return top
+                b = right(env)
+                return top if a <= b else b
+            return residuum_codes
+        if isinstance(node, (ForAll, Exists)):
+            slot = width
+            width += 1
+            body = build(node.body, {**scope, node.var: slot})
+            if isinstance(node, ForAll):
+                def infimum(env):
+                    low = top
+                    for element in universe:
+                        env[slot] = element
+                        value = body(env)
+                        if value < low:
+                            if not value:
+                                return 0
+                            low = value
+                    return low
+                return infimum
+
+            def supremum(env):
+                high = 0
+                for element in universe:
+                    env[slot] = element
+                    value = body(env)
+                    if value > high:
+                        if value == top:
+                            return top
+                        high = value
+                return high
+            return supremum
+        raise EvalError(f"unknown formula node {node!r}")
+
+    run = build(phi, {name: slot for slot, name in enumerate(names)})
+    return run, decode, (None,) * (width - len(names))
 
 
 #: Most valuations ``table_of`` may visit (the universe size raised to the
@@ -365,6 +464,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
             phi = Exists(var, phi)
         return phi
 
+    @planner.located
     def translate(node, kids, path) -> tuple[Formula, Scheme]:
         if isinstance(node, planner.Base):
             if node.name not in tables:

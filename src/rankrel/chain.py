@@ -250,12 +250,3 @@ def min_score(scores, default: Score) -> Score:
             result = s
     return result
 
-
-def max_score(scores, default: Score) -> Score:
-    """Maximum of finitely many scores; ``default`` is the empty-set supremum."""
-    result = default
-    for s in scores:
-        _pair(result, s)
-        if s.value > result.value:
-            result = s
-    return result

@@ -4,8 +4,9 @@ Each check replays one worked result: the natural join, the transformed
 queries and their preserved tuple order, the product-scored contrast (whose
 tuple order is *not* preserved), the restriction with and without the
 transformed condition, the containment and similarity scores, the ordinal
-relations, and the canonical inclusion witness.  Exposed through the CLI
-``verify`` subcommand and reused by the acceptance tests.
+relations, the canonical inclusion witness, and one calculus formula whose
+table commutes with the score map.  Exposed through the CLI ``verify``
+subcommand and reused by the acceptance tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import algebra, demo, ordinal
+from . import algebra, calculus, demo, ordinal
 from .chain import RATIONAL
 from .maps import canonical_map, compose_table
 from .table import RankedTable, Row
@@ -332,6 +333,27 @@ def check_canonical_map() -> CheckResult:
     return CheckResult("canonical-map", True, "all seven pieces match and compose correctly")
 
 
+#: how far a good house match for an id implies a good offer for it; three
+#: variables keep it at 26**3 valuations of the demo universe
+CALCULUS_FORMULA = "(exists x. exists y. houses(i, x, y)) -> exists x. exists y. offers(i, x, y)"
+
+
+def check_calculus_invariance() -> CheckResult:
+    m = calculus.structure_from_tables(demo.demo_catalog().tables)
+    f = demo.demo_map()
+    phi = calculus.parse_formula(CALCULUS_FORMULA)
+    direct = calculus.table_of(m, phi)
+    if compose_table(direct, f) != calculus.table_of(m.compose(f), phi):
+        return CheckResult(
+            "calculus-invariance", False, "transforming the structure changed the formula's table"
+        )
+    partial = sum(1 for _, score in direct if not score.is_top)
+    return CheckResult(
+        "calculus-invariance", True,
+        f"{len(direct)} rows ({partial} below top) commute with the score map",
+    )
+
+
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_join,
     check_transformed_projection,
@@ -342,6 +364,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_containment_scores,
     check_ordinal_relations,
     check_canonical_map,
+    check_calculus_invariance,
 )
 
 

@@ -323,28 +323,42 @@ def _walk(expr, tables, conditions, evaluating: bool):
     appended, e.g. ``at query.child.right``.
     """
 
+    @located
     def visit(node, kids, path):
         op = OPERATORS.get(type(node))
+        if op is not None and evaluating:
+            if op.param is not None:
+                kids.append(op.param.resolve(getattr(node, op.param.field), conditions))
+            return getattr(algebra, op.algebra)(*kids)
+        if op is not None:
+            return op.scheme(node, conditions, *kids)
+        if not isinstance(node, Base):
+            raise SchemeError(f"unknown expression node {node!r}")
+        table = tables.get(node.name)
+        if table is None:
+            raise UnknownNameError(f"unknown table {node.name!r}")
+        return table if evaluating else table.scheme
+
+    return fold(expr, visit)
+
+
+def located(visit: Callable) -> Callable:
+    """A fold visit whose own errors end in the node's path, e.g. ``at query.left``.
+
+    Errors from the children pass through unchanged: ``fold`` raises them
+    before this node's visit starts, and they already carry their own path.
+    """
+
+    def visit_at(node, kids, path):
         try:
-            if op is not None and evaluating:
-                if op.param is not None:
-                    kids.append(op.param.resolve(getattr(node, op.param.field), conditions))
-                return getattr(algebra, op.algebra)(*kids)
-            if op is not None:
-                return op.scheme(node, conditions, *kids)
-            if not isinstance(node, Base):
-                raise SchemeError(f"unknown expression node {node!r}")
-            table = tables.get(node.name)
-            if table is None:
-                raise UnknownNameError(f"unknown table {node.name!r}")
-            return table if evaluating else table.scheme
+            return visit(node, kids, path)
         except RankrelError as exc:
             # Extended in place, not rebuilt: subclasses such as ParseError
             # take other constructor arguments than a message.
             exc.args = (f"{exc} at {path}",)
             raise
 
-    return fold(expr, visit)
+    return visit_at
 
 
 # --- rewrite laws -------------------------------------------------------------

@@ -108,6 +108,10 @@ class Scheme:
     def __setattr__(self, *args) -> None:
         raise AttributeError("Scheme is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating constructor
+        return Scheme, (self.attrs,)
+
     def attr(self, name: str) -> Attribute:
         try:
             return self._by_name[name.lower()]
@@ -299,6 +303,9 @@ class RankedTable:
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("RankedTable is immutable")
+
+    def __reduce__(self):
+        return RankedTable, (self.scheme, self.chain, self._entries)
 
     @classmethod
     def from_entries(

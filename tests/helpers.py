@@ -14,12 +14,14 @@ import zlib
 from contextlib import contextmanager
 from fractions import Fraction
 
-from rankrel.calculus import And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure
-from rankrel.chain import RATIONAL, Score
+from rankrel.calculus import (
+    And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure, free_vars,
+)
+from rankrel.chain import RATIONAL, Score, ScoreChain, meet, residuum
 from rankrel.conditions import TableCondition
-from rankrel.errors import UnsupportedOperationError
+from rankrel.errors import EvalError, UnsupportedOperationError
 from rankrel.maps import Piece, PiecewiseConstantMap
-from rankrel.table import INT, RankedTable, Row, Scheme
+from rankrel.table import INT, STR, RankedTable, Row, Scheme
 
 #: Score grid: multiples of 1/24 (contains halves, quarters, sixths...).
 GRID_DENOM = 24
@@ -124,8 +126,9 @@ def rnd_structure(rng: random.Random, universe_size: int = 3) -> Structure:
     return Structure(RATIONAL, universe, arities, interps)
 
 
-def rnd_formula(rng: random.Random, depth: int = 2, variables=("x", "y", "z")):
-    arities = {"p": 1, "q": 2, "r": 2}
+def rnd_formula(rng: random.Random, depth: int = 2, variables=("x", "y", "z"),
+                arities=None):
+    arities = arities or {"p": 1, "q": 2, "r": 2}
     if depth <= 0:
         roll = rng.random()
         if roll < 0.1:
@@ -134,20 +137,78 @@ def rnd_formula(rng: random.Random, depth: int = 2, variables=("x", "y", "z")):
         args = tuple(rng.choice(variables) for _ in range(arities[symbol]))
         return Atom(symbol, args)
     roll = rng.random()
+
+    def sub():
+        return rnd_formula(rng, depth - 1, variables, arities)
+
     if roll < 0.25:
-        return And(rnd_formula(rng, depth - 1, variables),
-                   rnd_formula(rng, depth - 1, variables))
+        return And(sub(), sub())
     if roll < 0.5:
-        return Implies(rnd_formula(rng, depth - 1, variables),
-                       rnd_formula(rng, depth - 1, variables))
+        return Implies(sub(), sub())
     if roll < 0.6:
-        return Or(rnd_formula(rng, depth - 1, variables),
-                  rnd_formula(rng, depth - 1, variables))
+        return Or(sub(), sub())
     if roll < 0.7:
-        return Not(rnd_formula(rng, depth - 1, variables))
+        return Not(sub())
     if roll < 0.85:
-        return ForAll(rng.choice(variables), rnd_formula(rng, depth - 1, variables))
-    return Exists(rng.choice(variables), rnd_formula(rng, depth - 1, variables))
+        return ForAll(rng.choice(variables), sub())
+    return Exists(rng.choice(variables), sub())
+
+
+#: Symbols of :func:`rnd_any_structure`, a propositional one included.
+ANY_ARITIES = {"o": 0, "p": 1, "q": 2, "r": 2}
+
+
+def rnd_any_structure(rng: random.Random, chain: ScoreChain, universe_size: int = 3):
+    """A structure on either carrier whose interpretations may store bottom."""
+    if chain.is_rational:
+        scores = [chain.score(value) for value in GRID]
+    else:
+        scores = [chain.score(level) for level in chain.levels]
+    universe = tuple(f"m{i}" for i in range(universe_size))
+    interps = {}
+    for symbol, arity in ANY_ARITIES.items():
+        interps[symbol] = {
+            vector: rng.choice(scores)
+            for vector in itertools.product(universe, repeat=arity)
+            if rng.random() < 0.5
+        }
+    return Structure(chain, universe, dict(ANY_ARITIES), interps)
+
+
+def reference_evaluate(phi, m: Structure, valuation) -> Score:
+    """Recursive evaluation on scores themselves: the oracle for ``calculus.evaluate``."""
+    if isinstance(phi, Falsum):
+        return m.chain.bottom
+    if isinstance(phi, Atom):
+        vector = []
+        for var in phi.args:
+            if var not in valuation:
+                raise EvalError(f"unbound variable {var!r}")
+            vector.append(valuation[var])
+        return m.lookup(phi.symbol, tuple(vector))
+    if isinstance(phi, And):
+        return meet(reference_evaluate(phi.left, m, valuation),
+                    reference_evaluate(phi.right, m, valuation))
+    if isinstance(phi, Implies):
+        return residuum(reference_evaluate(phi.left, m, valuation),
+                        reference_evaluate(phi.right, m, valuation))
+    if isinstance(phi, (ForAll, Exists)):
+        values = [reference_evaluate(phi.body, m, {**valuation, phi.var: element})
+                  for element in m.universe]
+        return min(values) if isinstance(phi, ForAll) else max(values)
+    raise EvalError(f"unknown formula node {phi!r}")
+
+
+def reference_table_of(m: Structure, phi) -> RankedTable:
+    """Every valuation of the free variables, scored by :func:`reference_evaluate`."""
+    variables = free_vars(phi)
+    entries = {}
+    for values in itertools.product(m.universe, repeat=len(variables)):
+        valuation = dict(zip(variables, values))
+        score = reference_evaluate(phi, m, valuation)
+        if not score.is_bottom:
+            entries[Row.of(valuation)] = score
+    return RankedTable(Scheme((var, STR) for var in variables), m.chain, entries)
 
 
 # --- ordinal oracles ----------------------------------------------------------

@@ -1,10 +1,21 @@
 """Formula evaluation, induced tables, and the two translation directions."""
 
+import itertools
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import rnd_formula, rnd_grid_isomorphism, rnd_structure
+from helpers import (
+    ANY_ARITIES,
+    reference_evaluate,
+    reference_table_of,
+    rnd_any_structure,
+    rnd_formula,
+    rnd_grid_isomorphism,
+    rnd_structure,
+)
 
 from rankrel import algebra, calculus, demo, planner
 from rankrel.calculus import (
@@ -27,13 +38,14 @@ from rankrel.calculus import (
     structure_from_tables,
     table_of,
 )
-from rankrel.chain import RATIONAL
+from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.conditions import ExprCondition
 from rankrel.errors import (
     EvalError,
     MapPropertyError,
     ParseError,
     QuantizationError,
+    SchemeError,
     UnsupportedOperationError,
 )
 from rankrel.maps import AnalyticMap, compose_table
@@ -139,6 +151,106 @@ class TestEvaluate:
             assert evaluate(phi, m, valuation).is_top == classic(phi, valuation)
 
 
+LEVELS = ScoreChain(("none", "low", "mid", "high", "full"))
+
+
+class TestRankCodes:
+    """``evaluate`` and ``table_of`` against the recursive evaluator on scores."""
+
+    @pytest.mark.parametrize("chain", [RATIONAL, LEVELS], ids=["rational", "levels"])
+    @pytest.mark.parametrize("text", [
+        "exists x. (p(x) & forall x. q(x, x))",  # shadowed binder, repeated variable
+        "forall y. exists y. r(y, x)",  # inner binder shadows the outer
+        "exists x. (q(x, y) -> exists y. r(y, x))",  # free y, bound y beneath
+        "o & p(x)",  # arity-0 atom
+        "o -> false",
+        "false | q(x, x)",
+        "forall z. (false & p(z))",
+    ])
+    def test_fixed_formulas(self, chain, text):
+        rng = random.Random(41)
+        phi = parse_formula(text)
+        for _ in range(20):
+            m = rnd_any_structure(rng, chain)
+            assert table_of(m, phi) == reference_table_of(m, phi)
+
+    @pytest.mark.parametrize("chain", [RATIONAL, LEVELS], ids=["rational", "levels"])
+    def test_random_formulas(self, chain):
+        rng = random.Random(43)
+        for _ in range(300):
+            m = rnd_any_structure(rng, chain)
+            phi = rnd_formula(rng, depth=3, arities=ANY_ARITIES)
+            assert table_of(m, phi) == reference_table_of(m, phi), str(phi)
+            # every variable bound, in a shuffled order, plus one the formula never reads
+            names = ["x", "y", "z", "unused"]
+            rng.shuffle(names)
+            valuation = {name: rng.choice(m.universe) for name in names}
+            assert evaluate(phi, m, valuation) == reference_evaluate(phi, m, valuation)
+
+    def test_stored_bottom_reads_as_absent(self):
+        m = Structure(LEVELS, ("m1", "m2"), {"p": 1}, {"p": {("m1",): LEVELS.bottom}})
+        assert evaluate(Exists("x", Atom("p", ("x",))), m, {}).is_bottom
+        assert evaluate(Not(Atom("p", ("x",))), m, {"x": "m1"}).is_top
+        assert len(table_of(m, Atom("p", ("x",)))) == 0
+
+    def test_one_table_of_compiles_once_and_never_looks_up(self, monkeypatch):
+        universe = tuple(f"e{i}" for i in range(30))
+        rng = random.Random(47)
+        interps = {
+            symbol: {pair: RATIONAL.score(Fraction(rng.randint(1, 4), 4))
+                     for pair in itertools.product(universe, repeat=2)
+                     if rng.random() < 0.1}
+            for symbol in ("r", "s")
+        }
+        m = Structure(RATIONAL, universe, {"r": 2, "s": 2}, interps)
+        phi = parse_formula("exists z. (r(x, z) & s(z, y))")
+        compiled, evaluated = [], []
+        compile_, evaluate_ = calculus._compile, calculus.evaluate
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return compile_(*args)
+
+        def counting_evaluate(*args):
+            evaluated.append(args)
+            return evaluate_(*args)
+
+        def refuse(*args):
+            raise AssertionError("looked up a score outside the compiled closure")
+
+        monkeypatch.setattr(calculus, "_compile", counting_compile)
+        monkeypatch.setattr(calculus, "evaluate", counting_evaluate)
+        monkeypatch.setattr(Structure, "lookup", refuse)
+        table = table_of(m, phi)
+        assert len(evaluated) == 900 and len(compiled) == 1
+        monkeypatch.undo()
+        assert table == reference_table_of(m, phi)
+
+
+class TestErrors:
+    """Messages and their order match the recursive evaluator's, short-cuts or not."""
+
+    @pytest.mark.parametrize("phi, valuation, message", [
+        (parse_formula("false & nosuch(x)"), {"x": "m1"}, "unknown relation symbol 'nosuch'"),
+        (parse_formula("false -> nosuch(x)"), {"x": "m1"}, "unknown relation symbol 'nosuch'"),
+        (parse_formula("forall x. (false & s(x))"), {}, "arity mismatch for 's'"),
+        (parse_formula("exists x. (~false | r(y))"), {}, "unbound variable 'y'"),
+        (parse_formula("nosuch(y)"), {}, "unbound variable 'y'"),
+        (parse_formula("nosuch(x)"), {"x": "m1"}, "unknown relation symbol 'nosuch'"),
+        (parse_formula("false & rain"), {}, "unknown relation symbol 'rain'"),
+        (parse_formula("s(x) & nosuch(x)"), {"x": "m1"}, "arity mismatch for 's'"),
+        (parse_formula("r(x) -> (nosuch(x) & s(x))"), {"x": "m1"},
+         "unknown relation symbol 'nosuch'"),
+        (And(Falsum(), "bogus"), {}, "unknown formula node 'bogus'"),
+    ])
+    def test_messages_and_order(self, structure, phi, valuation, message):
+        with pytest.raises(EvalError) as reference:
+            reference_evaluate(phi, structure, valuation)
+        with pytest.raises(EvalError) as compiled:
+            evaluate(phi, structure, valuation)
+        assert str(compiled.value) == str(reference.value) == message
+
+
 class TestTableOf:
     def test_sentence_gives_empty_scheme(self, structure):
         sentence = Exists("x", Atom("r", ("x",)))
@@ -214,6 +326,21 @@ class TestFormulaToAlgebra:
 
 
 class TestAlgebraToFormula:
+    @pytest.mark.parametrize("text, where", [
+        ("union(houses, offers)", "query"),
+        ("join(houses, union(houses, offers))", "query.right"),
+    ])
+    def test_scheme_errors_carry_the_query_path(self, text, where):
+        catalog = demo.demo_catalog()
+        expr = planner.parse_query(text)
+        with pytest.raises(SchemeError) as inferred:
+            planner.infer_scheme(expr, catalog)
+        with pytest.raises(SchemeError) as translated:
+            algebra_to_formula(expr, catalog.tables)
+        assert str(translated.value) == str(inferred.value) == (
+            f"operands of union differ at {where}"
+        )
+
     def _tables(self, rng):
         from helpers import rnd_scheme, rnd_table
 
@@ -396,6 +523,14 @@ class TestFormulaParser:
             parse_formula("forall . p(x)")
         with pytest.raises(ParseError):
             parse_formula("p(x")
+
+
+def test_structure_pickles_after_table_of(structure):
+    phi = parse_formula("exists y. s(x, y)")
+    table = table_of(structure, phi)
+    copy = pickle.loads(pickle.dumps(structure))
+    assert copy == structure
+    assert table_of(copy, phi) == table
 
 
 def test_structure_from_tables_uses_column_order():

@@ -264,5 +264,5 @@ class TestTopkPlanCalc:
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
-    assert "9/9 checks passed" in out
-    assert out.count("PASS") == 9
+    assert "10/10 checks passed" in out
+    assert out.count("PASS") == 10

@@ -1,5 +1,7 @@
 """Schemes, rows, tables, the classic embedding, and the CSV contract."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -172,6 +174,25 @@ class TestDemoTables:
         values = [s.value for s in demo.houses().range_of()]
         expected = ["0", "0.148", "0.426", "0.643", "0.937", "0.971", "1.000"]
         assert values == [Fraction(text) for text in expected]
+
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_round_trips(self, round_trip):
+        from rankrel import demo
+
+        for value in (Scheme((("a", INT),)), demo.houses(), demo.offers(),
+                      demo.similar_join()):
+            again = round_trip(value)
+            assert again == value and repr(again) == repr(value)
+
+    def test_round_trips_rebuild_through_the_constructors(self):
+        from rankrel import demo
+
+        table = demo.houses()
+        assert table.scheme.__reduce__() == (Scheme, (table.scheme.attrs,))
+        assert table.__reduce__()[0] is RankedTable
 
 
 class TestClassicEmbedding:
