@@ -58,9 +58,10 @@ def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
 def restrict(d: RankedTable, theta: Condition) -> RankedTable:
     """Pointwise minimum of the table with a restriction condition."""
     theta.check_scheme(d.scheme)
+    score_of = theta.scorer(d.scheme, d.chain)
     entries: dict[Row, Score] = {}
     for row, score in d:
-        value = meet(score, theta.score_of(row, d.chain))
+        value = meet(score, score_of(row))
         if not value.is_bottom:
             entries[row] = value
     return RankedTable(d.scheme, d.chain, entries)

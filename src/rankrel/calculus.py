@@ -162,11 +162,15 @@ class Structure:
                 if score.chain != self.chain:
                     raise IncompatibleChainError(f"score {score!r} is off the structure's chain")
 
-    def lookup(self, symbol: str, vector: tuple[str, ...]) -> Score:
+    def check_atom(self, symbol: str, arity: int) -> None:
+        """Raise unless ``symbol`` is declared, with ``arity`` arguments."""
         if symbol not in self.arities:
             raise EvalError(f"unknown relation symbol {symbol!r}")
-        if len(vector) != self.arities[symbol]:
+        if arity != self.arities[symbol]:
             raise EvalError(f"arity mismatch for {symbol!r}")
+
+    def lookup(self, symbol: str, vector: tuple[str, ...]) -> Score:
+        self.check_atom(symbol, len(vector))
         return self.interps.get(symbol, {}).get(vector, self.chain.bottom)
 
     def compose(self, f: OrderMap) -> "Structure":
@@ -240,10 +244,7 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
                 if var not in scope:
                     raise EvalError(f"unbound variable {var!r}")
                 slots.append(scope[var])
-            if node.symbol not in m.arities:
-                raise EvalError(f"unknown relation symbol {node.symbol!r}")
-            if len(slots) != m.arities[node.symbol]:
-                raise EvalError(f"arity mismatch for {node.symbol!r}")
+            m.check_atom(node.symbol, len(slots))
             get = coded.get(node.symbol, {}).get
             if not slots:
                 constant = get((), 0)
@@ -418,13 +419,13 @@ def _atom_table(m: Structure, atom: Atom) -> RankedTable:
     """Interpretation of a relation symbol as a table on the atom's variables.
 
     Repeated variables keep only the diagonal vectors whose positions agree.
+    The atom is checked as :func:`table_of` checks it, stored vectors or not.
     """
+    m.check_atom(atom.symbol, len(atom.args))
     distinct = list(dict.fromkeys(atom.args))
     scheme = Scheme((var, STR) for var in distinct)
     entries: dict[Row, Score] = {}
     for vector, score in m.interps.get(atom.symbol, {}).items():
-        if len(vector) != len(atom.args):
-            raise EvalError(f"arity mismatch for {atom.symbol!r}")
         assignment: dict[str, str] = {}
         consistent = True
         for var, value in zip(atom.args, vector):
@@ -457,7 +458,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     translatable = (planner.Join, planner.Restrict, planner.Project, planner.Union,
                     planner.Divide, planner.Rename, planner.Semijoin)
     used: dict[str, RankedTable] = {}
-    pending: list[tuple] = []  # (symbol, condition, variables), tabulated after the fold
+    pending: list[tuple] = []  # (symbol, condition, scheme scored), tabulated after the fold
 
     def exists_out(phi: Formula, scheme: Scheme, kept: Scheme) -> Formula:
         for var in sorted(scheme.name_set - kept.name_set):
@@ -482,10 +483,10 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
         if isinstance(node, planner.Restrict):
             cond = planner.resolve_condition(node.condition, conditions)
             deps = cond.free_attrs()
-            variables = (scheme if deps is None else scheme.project(deps)).names
+            scored = scheme if deps is None else scheme.project(deps)
             symbol = f"__cond_{len(pending) + 1}"
-            pending.append((symbol, cond, variables))
-            return And(formulas[0], Atom(symbol, variables)), scheme
+            pending.append((symbol, cond, scored))
+            return And(formulas[0], Atom(symbol, scored.names)), scheme
         if isinstance(node, planner.Project):
             return exists_out(formulas[0], schemes[0], scheme), scheme
         if isinstance(node, planner.Union):
@@ -515,13 +516,14 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
                     )
     values = [typed.get(text, text) for text in base.universe]
     arities, interps = dict(base.arities), dict(base.interps)
-    for symbol, cond, variables in pending:
+    for symbol, cond, scored in pending:
+        variables = scored.names
         _check_valuations("condition", len(values), len(variables))
+        score_of = cond.scorer(scored, base.chain)
         entries: dict[tuple[str, ...], Score] = {}
         for combo in itertools.product(values, repeat=len(variables)):
             try:
-                row = Row.of(dict(zip(variables, combo)))
-                score = cond.score_of(row, base.chain)
+                score = score_of(Row.of(dict(zip(variables, combo))))
             except (EvalError, SchemeError):
                 continue  # type-mismatched combination: only reachable at score 0
             if not score.is_bottom:

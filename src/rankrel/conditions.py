@@ -10,12 +10,22 @@ Two concrete flavors:
 
 Either flavor can be composed with an order map, giving the transformed
 condition used by the invariance laws.
+
+An operator scores a whole table through :meth:`Condition.scorer`, set up
+once per call.  A condition's score is a function of the values of its free
+attributes alone, so the expression and composed scorers memoise it on those
+values and run once per distinct value tuple.  The memo is exact: stored
+values are never floats or bools, and an int scores as the ``Fraction`` equal
+to it, so values equal as keys score alike.  It lives only as long as the
+operator call, and nothing compiled is kept on a condition, which therefore
+still pickles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import exprs
 from .chain import Score, ScoreChain, clamp01, quantize
@@ -28,6 +38,14 @@ class Condition:
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
         raise NotImplementedError
+
+    def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
+        """:meth:`score_of` for rows over ``scheme``, set up once per operator call.
+
+        It raises what ``score_of`` raises, on the same row, so a condition
+        that cannot score on ``chain`` still restricts an empty table.
+        """
+        return lambda row: self.score_of(row, chain)
 
     def free_attrs(self):
         """Attribute names the condition depends on, or None when unknown."""
@@ -59,15 +77,25 @@ class ExprCondition(Condition):
             )
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
-        if not chain.is_rational:
-            raise UnsupportedOperationError(
-                "expression conditions require the rational chain; "
-                "use an explicit score table on symbolic chains"
-            )
-        value = exprs.evaluate(self.expr, row.as_dict())
-        if isinstance(value, float):
-            value = quantize(value)
-        return chain.score(clamp01(Fraction(value)))
+        return self._compiled(chain)(row)
+
+    def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
+        return _memoised(scheme, self.free_attrs(), self._compiled(chain))
+
+    def _compiled(self, chain: ScoreChain) -> Callable[[Row], Score]:
+        run = exprs.compile_expr(self.expr)
+
+        def score(row: Row) -> Score:
+            if not chain.is_rational:
+                raise UnsupportedOperationError(
+                    "expression conditions require the rational chain; "
+                    "use an explicit score table on symbolic chains"
+                )
+            value = run(row.as_dict())
+            if isinstance(value, float):
+                value = quantize(value)
+            return chain.score(clamp01(Fraction(value)))
+        return score
 
     def __repr__(self) -> str:
         return f"ExprCondition({exprs.format_expr(self.expr)})"
@@ -96,6 +124,11 @@ class TableCondition(Condition):
             raise IncompatibleChainError("condition table lives on a different chain")
         return self.table.score_of(row)
 
+    def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
+        if chain != self.table.chain:
+            return super().scorer(scheme, chain)  # score_of raises on the first row
+        return self.table.score_of
+
 
 @dataclass(frozen=True)
 class ComposedCondition(Condition):
@@ -112,6 +145,31 @@ class ComposedCondition(Condition):
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
         return self.order_map.apply(self.base.score_of(row, chain))
+
+    def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
+        base = self.base.scorer(scheme, chain)
+        return _memoised(scheme, self.free_attrs(),
+                         lambda row: self.order_map.apply(base(row)))
+
+
+def _memoised(scheme: Scheme, names, score: Callable[[Row], Score]) -> Callable[[Row], Score]:
+    """``score`` run once per distinct values of ``names`` (every attribute when None).
+
+    Rows must be over ``scheme``.  Errors are not memoised: each row that
+    raises, raises as ``score`` would.
+    """
+    positions = [i for i, name in enumerate(scheme.sorted_names) if names is None or name in names]
+    memo: dict[tuple, Score] = {}
+
+    def memoised(row: Row) -> Score:
+        items = row.items
+        key = tuple([items[i][1] for i in positions])
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = score(row)
+            return value
+    return memoised
 
 
 def constant_condition(value) -> ExprCondition:

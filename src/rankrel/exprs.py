@@ -15,10 +15,11 @@ The tokenizer and :class:`TokenCursor` here also serve the query parser in
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import EvalError, ParseError
 
@@ -28,9 +29,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><->|<=|>=|==|!=|->|[-+*/^()<>=?:,\[\]&|~.]))"
 )
-
-_FUNCTIONS = ("min", "max", "sqrt", "abs")
-
 
 @dataclass(frozen=True)
 class Token:
@@ -197,7 +195,7 @@ class ExprParser(TokenCursor):
         if token.kind == "name":
             name = token.text.lower()
             if self.peek().text == "(":
-                if name not in _FUNCTIONS:
+                if name not in _CALLS:
                     raise ParseError(f"unknown function {token.text!r}", column=token.pos)
                 self.advance()
                 args = [self.ternary()]
@@ -243,81 +241,88 @@ def evaluate(expr: Expr, env: Mapping[str, object]) -> Number:
     the computation.  String-valued names may only appear in (in)equality
     comparisons.
     """
-    result = _eval(expr, env)
-    if isinstance(result, str):
-        raise EvalError("expression evaluates to a string, not a number")
-    return result
+    return compile_expr(expr)(env)
 
 
-def _eval(expr, env):
+def compile_expr(expr: Expr) -> Callable[[Mapping[str, object]], Number]:
+    """Compile once into nested closures; calling the result is :func:`evaluate`.
+
+    The closures do the same exact arithmetic and raise the same errors at
+    the same point: nothing is checked while compiling, and an untaken
+    ternary branch is never evaluated.
+    """
+    run = _compile(expr)
+
+    def evaluated(env):
+        result = run(env)
+        if isinstance(result, str):
+            raise EvalError("expression evaluates to a string, not a number")
+        return result
+
+    return evaluated
+
+
+def _compile(expr):
     if isinstance(expr, Num):
-        return expr.value
+        value = expr.value
+        return lambda env: value
     if isinstance(expr, Ref):
-        try:
-            value = env[expr.name]
-        except KeyError:
-            raise EvalError(f"unknown name {expr.name!r}") from None
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
-            raise EvalError(f"unsupported value {value!r} for {expr.name!r}")
-        return Fraction(value) if isinstance(value, int) else value
+        name = expr.name
+
+        def ref(env):
+            try:
+                value = env[name]
+            except KeyError:
+                raise EvalError(f"unknown name {name!r}") from None
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
+                raise EvalError(f"unsupported value {value!r} for {name!r}")
+            return Fraction(value) if isinstance(value, int) else value
+        return ref
     if isinstance(expr, Unary):
-        return -_numeric(_eval(expr.operand, env))
+        operand = _compile(expr.operand)
+        return lambda env: -_numeric(operand(env))
     if isinstance(expr, Binary):
-        left = _numeric(_eval(expr.left, env))
-        right = _numeric(_eval(expr.right, env))
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0:
-                raise EvalError("division by zero")
-            return left / right
-        if expr.op == "^":
-            if isinstance(right, Fraction) and right.denominator == 1:
-                return left ** right.numerator
-            return float(left) ** float(right)
-        raise EvalError(f"unknown operator {expr.op!r}")
+        left, right = _compile(expr.left), _compile(expr.right)
+        arithmetic = _ARITHMETIC.get(expr.op) or _unknown(f"unknown operator {expr.op!r}")
+
+        def binary(env):
+            a = _numeric(left(env))
+            return arithmetic(a, _numeric(right(env)))
+        return binary
     if isinstance(expr, Compare):
-        left = _eval(expr.left, env)
-        right = _eval(expr.right, env)
-        if isinstance(left, str) or isinstance(right, str):
-            if expr.op not in ("==", "!="):
-                raise EvalError("strings only support = and != comparisons")
-            outcome = (left == right) if expr.op == "==" else (left != right)
-        else:
-            ops = {
-                "<=": left <= right,
-                "<": left < right,
-                ">=": left >= right,
-                ">": left > right,
-                "==": left == right,
-                "!=": left != right,
-            }
-            outcome = ops[expr.op]
-        return Fraction(1 if outcome else 0)
+        left, right, op = _compile(expr.left), _compile(expr.right), expr.op
+
+        def compare(env):
+            a, b = left(env), right(env)
+            if isinstance(a, str) or isinstance(b, str):
+                if op not in ("==", "!="):
+                    raise EvalError("strings only support = and != comparisons")
+                outcome = (a == b) if op == "==" else (a != b)
+            else:
+                if isinstance(a, complex) or isinstance(b, complex):
+                    operator.le(a, b)  # a complex power is unordered: the TypeError of <=, any op
+                outcome = _COMPARISONS[op](a, b)
+            return _ONE if outcome else _ZERO
+        return compare
     if isinstance(expr, Ternary):
-        test = _eval(expr.test, env)
-        branch = expr.then if (not isinstance(test, str) and test != 0) else expr.otherwise
-        return _eval(branch, env)
+        test, then, otherwise = map(_compile, (expr.test, expr.then, expr.otherwise))
+
+        def ternary(env):
+            value = test(env)
+            return then(env) if (not isinstance(value, str) and value != 0) else otherwise(env)
+        return ternary
     if isinstance(expr, Call):
-        args = [_eval(arg, env) for arg in expr.args]
-        if expr.func in ("min", "max"):
-            numbers = [_numeric(a) for a in args]
-            return (min if expr.func == "min" else max)(numbers)
-        if expr.func == "abs":
-            (arg,) = _one(expr, args)
-            return abs(_numeric(arg))
-        if expr.func == "sqrt":
-            (arg,) = _one(expr, args)
-            value = float(_numeric(arg))
-            if value < 0:
-                raise EvalError("sqrt of a negative value")
-            return math.sqrt(value)
-        raise EvalError(f"unknown function {expr.func!r}")
-    raise EvalError(f"unknown expression node {expr!r}")
+        args = tuple(_compile(arg) for arg in expr.args)
+        function = _CALLS.get(expr.func) or _unknown(f"unknown function {expr.func!r}")
+        return lambda env: function([arg(env) for arg in args])
+    return _unknown(f"unknown expression node {expr!r}")
+
+
+def _unknown(message: str):
+    """A closure raising ``message`` when run, after its operands are evaluated."""
+    def refuse(*operands):
+        raise EvalError(message)
+    return refuse
 
 
 def _numeric(value) -> Number:
@@ -326,10 +331,46 @@ def _numeric(value) -> Number:
     return value
 
 
-def _one(expr: Call, args: list):
+def _divide(left, right):
+    if right == 0:
+        raise EvalError("division by zero")
+    return left / right
+
+
+def _power(left, right):
+    if isinstance(right, Fraction) and right.denominator == 1:
+        return left ** right.numerator
+    return float(left) ** float(right)
+
+
+def _one(func: str, args: list):
     if len(args) != 1:
-        raise EvalError(f"{expr.func} takes one argument")
-    return args
+        raise EvalError(f"{func} takes one argument")
+    return args[0]
+
+
+def _sqrt(args: list) -> float:
+    value = float(_numeric(_one("sqrt", args)))
+    if value < 0:
+        raise EvalError("sqrt of a negative value")
+    return math.sqrt(value)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": _divide, "^": _power}
+
+_COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+                ">": operator.gt, "==": operator.eq, "!=": operator.ne}
+
+#: The functions an expression may call, each applied to its evaluated arguments.
+_CALLS = {
+    "min": lambda args: min([_numeric(a) for a in args]),
+    "max": lambda args: max([_numeric(a) for a in args]),
+    "abs": lambda args: abs(_numeric(_one("abs", args))),
+    "sqrt": _sqrt,
+}
+
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 def format_expr(expr: Expr) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import exprs
 from .chain import Score, ScoreChain, clamp01, quantize
@@ -181,13 +181,24 @@ class AnalyticMap(OrderMap):
         return cls(exprs.parse_expr(text), declared=frozenset(declared))
 
     def apply(self, score: Score) -> Score:
-        if not score.chain.is_rational:
-            raise UnsupportedOperationError("analytic maps require the rational carrier")
-        result = exprs.evaluate(self.expr, {"x": score.value})
-        return score.chain.score(clamp01(quantize(result, GRID_PLACES)))
+        return self._compiled()(score)
+
+    def _compiled(self) -> Callable[[Score], Score]:
+        """:meth:`apply` with the expression compiled once, for one batch.
+
+        Returned, never stored on the map, so the map still pickles.
+        """
+        run = exprs.compile_expr(self.expr)
+
+        def apply(score: Score) -> Score:
+            if not score.chain.is_rational:
+                raise UnsupportedOperationError("analytic maps require the rational carrier")
+            return score.chain.score(clamp01(quantize(run({"x": score.value}), GRID_PLACES)))
+        return apply
 
     def apply_all(self, scores: Iterable[Score]) -> dict[Score, Score]:
-        out = {s: self.apply(s) for s in set(scores)}
+        apply = self._compiled()
+        out = {s: apply(s) for s in set(scores)}
         if len({img.value for img in out.values()}) != len(out):
             raise QuantizationError(
                 f"quantization to {GRID_PLACES} decimals is not injective on "

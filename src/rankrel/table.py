@@ -83,7 +83,7 @@ class Scheme:
     semantics treat the scheme as a set.  Its name views are computed once.
     """
 
-    __slots__ = ("attrs", "names", "name_set", "sorted_names", "_by_name", "_key")
+    __slots__ = ("attrs", "names", "name_set", "sorted_names", "_conformance", "_by_name", "_key")
 
     def __init__(self, attrs: Iterable[tuple[str, AttrType] | Attribute]):
         normalized = []
@@ -102,6 +102,11 @@ class Scheme:
         object.__setattr__(self, "names", tuple(by_name))
         object.__setattr__(self, "name_set", frozenset(by_name))
         object.__setattr__(self, "sorted_names", tuple(sorted(by_name)))  # as Row.names
+        # (name, kind, domain) per attribute in Row order, for _row_conforms
+        object.__setattr__(self, "_conformance", tuple(
+            (name, by_name[name].atype.kind, by_name[name].atype.domain)
+            for name in self.sorted_names
+        ))
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_key", frozenset(normalized))
 
@@ -273,13 +278,12 @@ def make_row(scheme: Scheme, values: Mapping[str, object]) -> Row:
 
 
 def _row_conforms(scheme: Scheme, row: Row) -> bool:
-    if row.names != scheme.sorted_names:
+    if len(row.items) != len(scheme._conformance):
         return False
-    for name, value in row.items:
-        attr = scheme.attr(name)
-        if not _conforms(value, attr.atype.kind):
+    for (name, value), (want, kind, domain) in zip(row.items, scheme._conformance):
+        if name != want or not _conforms(value, kind):
             return False
-        if attr.atype.domain is not None and value not in attr.atype.domain:
+        if domain is not None and value not in domain:
             return False
     return True
 

@@ -9,6 +9,7 @@ or top).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import zlib
 from contextlib import contextmanager
@@ -20,8 +21,9 @@ from rankrel.calculus import (
 from rankrel.chain import RATIONAL, Score, ScoreChain, meet, residuum
 from rankrel.conditions import TableCondition
 from rankrel.errors import EvalError, UnsupportedOperationError
+from rankrel.exprs import Binary, Call, Compare, Num, Ref, Ternary, Unary
 from rankrel.maps import Piece, PiecewiseConstantMap
-from rankrel.table import INT, STR, RankedTable, Row, Scheme
+from rankrel.table import INT, STR, RankedTable, Row, Scheme, _conforms
 
 #: Score grid: multiples of 1/24 (contains halves, quarters, sixths...).
 GRID_DENOM = 24
@@ -291,3 +293,113 @@ def first_violation_oracle(d1: RankedTable, d2: RankedTable):
         if any(o1 >= s1 and o2 < s2 for o1, o2 in pairs):
             return row
     return None
+
+
+# --- expression oracle --------------------------------------------------------
+
+
+def reference_evaluate_expr(expr, env):
+    """Recursive tree walk: the oracle for ``exprs.evaluate`` and ``exprs.compile_expr``."""
+    result = _reference_eval(expr, env)
+    if isinstance(result, str):
+        raise EvalError("expression evaluates to a string, not a number")
+    return result
+
+
+def _reference_eval(expr, env):
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Ref):
+        try:
+            value = env[expr.name]
+        except KeyError:
+            raise EvalError(f"unknown name {expr.name!r}") from None
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
+            raise EvalError(f"unsupported value {value!r} for {expr.name!r}")
+        return Fraction(value) if isinstance(value, int) else value
+    if isinstance(expr, Unary):
+        return -_reference_numeric(_reference_eval(expr.operand, env))
+    if isinstance(expr, Binary):
+        left = _reference_numeric(_reference_eval(expr.left, env))
+        right = _reference_numeric(_reference_eval(expr.right, env))
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        if expr.op == "/":
+            if right == 0:
+                raise EvalError("division by zero")
+            return left / right
+        if expr.op == "^":
+            if isinstance(right, Fraction) and right.denominator == 1:
+                return left ** right.numerator
+            return float(left) ** float(right)
+        raise EvalError(f"unknown operator {expr.op!r}")
+    if isinstance(expr, Compare):
+        left = _reference_eval(expr.left, env)
+        right = _reference_eval(expr.right, env)
+        if isinstance(left, str) or isinstance(right, str):
+            if expr.op not in ("==", "!="):
+                raise EvalError("strings only support = and != comparisons")
+            outcome = (left == right) if expr.op == "==" else (left != right)
+        else:
+            ops = {
+                "<=": left <= right,
+                "<": left < right,
+                ">=": left >= right,
+                ">": left > right,
+                "==": left == right,
+                "!=": left != right,
+            }
+            outcome = ops[expr.op]
+        return Fraction(1 if outcome else 0)
+    if isinstance(expr, Ternary):
+        test = _reference_eval(expr.test, env)
+        branch = expr.then if (not isinstance(test, str) and test != 0) else expr.otherwise
+        return _reference_eval(branch, env)
+    if isinstance(expr, Call):
+        args = [_reference_eval(arg, env) for arg in expr.args]
+        if expr.func in ("min", "max"):
+            numbers = [_reference_numeric(a) for a in args]
+            return (min if expr.func == "min" else max)(numbers)
+        if expr.func == "abs":
+            (arg,) = _reference_one(expr, args)
+            return abs(_reference_numeric(arg))
+        if expr.func == "sqrt":
+            (arg,) = _reference_one(expr, args)
+            value = float(_reference_numeric(arg))
+            if value < 0:
+                raise EvalError("sqrt of a negative value")
+            return math.sqrt(value)
+        raise EvalError(f"unknown function {expr.func!r}")
+    raise EvalError(f"unknown expression node {expr!r}")
+
+
+def _reference_numeric(value):
+    if isinstance(value, str):
+        raise EvalError(f"string value {value!r} used in arithmetic")
+    return value
+
+
+def _reference_one(expr, args: list):
+    if len(args) != 1:
+        raise EvalError(f"{expr.func} takes one argument")
+    return args
+
+
+# --- table oracle ---------------------------------------------------------------
+
+
+def reference_row_conforms(scheme: Scheme, row: Row) -> bool:
+    """Name-by-name conformance check: the oracle for ``table._row_conforms``."""
+    if row.names != scheme.sorted_names:
+        return False
+    for name, value in row.items:
+        attr = scheme.attr(name)
+        if not _conforms(value, attr.atype.kind):
+            return False
+        if attr.atype.domain is not None and value not in attr.atype.domain:
+            return False
+    return True

@@ -324,6 +324,21 @@ class TestFormulaToAlgebra:
             expr, tables = formula_to_algebra(phi, m)
             assert planner.evaluate_over(expr, tables) == table_of(m, phi)
 
+    @pytest.mark.parametrize("text, message", [
+        ("exists x. nosuch(x)", "unknown relation symbol 'nosuch'"),
+        ("e(x)", "arity mismatch for 'e'"),
+        ("r(x) & s(x)", "arity mismatch for 's'"),
+    ])
+    def test_atoms_checked_as_table_of_checks_them(self, structure, text, message):
+        # "e" is declared binary but stores no vectors
+        m = Structure(RATIONAL, structure.universe, {**structure.arities, "e": 2},
+                      structure.interps)
+        phi = parse_formula(text)
+        for run in (lambda: table_of(m, phi), lambda: formula_to_algebra(phi, m)):
+            with pytest.raises(EvalError) as err:
+                run()
+            assert str(err.value) == message
+
 
 class TestAlgebraToFormula:
     @pytest.mark.parametrize("text, where", [

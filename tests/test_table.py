@@ -2,11 +2,12 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import enumerate_rows
+from helpers import enumerate_rows, reference_row_conforms, replay_hint, stable_seed
 
 from rankrel.chain import RATIONAL
 from rankrel.errors import (
@@ -23,6 +24,7 @@ from rankrel.table import (
     RankedTable,
     Row,
     Scheme,
+    _row_conforms,
     from_classic,
     join_rows,
     make_row,
@@ -109,6 +111,48 @@ class TestRows:
             make_row(scheme, {"id": "three", "w": 2})
         with pytest.raises(SchemeError):
             make_row(scheme, {"id": 3})
+
+
+def rnd_conformance_case(rng: random.Random):
+    """A random scheme, one row conforming to it, and one malformed row of each kind."""
+    values = {"str": ["x", "y"], "int": [0, 1, 2], "dec": [Fraction(1, 2), Fraction(3)]}
+    attrs = []
+    for name in rng.sample("abcde", rng.randint(1, 4)):
+        kind = rng.choice(("str", "int", "dec"))
+        domain = tuple(values[kind][:2]) if rng.random() < 0.4 else None
+        attrs.append((name, AttrType(kind, domain)))
+    scheme = Scheme(attrs)
+    good = {attr.name: rng.choice(attr.atype.domain or values[attr.atype.kind])
+            for attr in scheme.attrs}
+    name = rng.choice(scheme.names)
+    kind = scheme.attr(name).atype.kind
+    bad = {
+        "wrong name": {("z" if n == name else n): v for n, v in good.items()},
+        "wrong kind": {**good, name: {"str": 1, "int": "1", "dec": 1}[kind]},
+        "bool for int": {**good, name: True},
+        "outside domain": {**good, name: {"str": "q", "int": 7, "dec": Fraction(9)}[kind]},
+        "too short": {n: v for n, v in good.items() if n != name},
+        "too long": {**good, "zz": 1},
+    }
+    return scheme, Row.of(good), {label: Row.of(row) for label, row in bad.items()}
+
+
+class TestRowConformance:
+    def test_verdicts_match_the_name_by_name_check(self):
+        seed = stable_seed("row conformance")
+        rng = random.Random(seed)
+        rejected = set()
+        with replay_hint(seed):
+            for _ in range(500):
+                scheme, good, bad = rnd_conformance_case(rng)
+                assert _row_conforms(scheme, good) and reference_row_conforms(scheme, good)
+                for label, row in bad.items():
+                    verdict = _row_conforms(scheme, row)
+                    assert verdict == reference_row_conforms(scheme, row), (label, row)
+                    if not verdict:
+                        rejected.add(label)
+        assert rejected == {"wrong name", "wrong kind", "bool for int", "outside domain",
+                            "too short", "too long"}
 
 
 class TestRankedTable:
