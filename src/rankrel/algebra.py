@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping
 from .chain import Score, abjunction, meet, min_score, residuum
 from .conditions import Condition
 from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
-from .table import RankedTable, Row, join_rows
+from .table import RankedTable, Row, gather, joiner
 
 
 def _require_same_chain(*tables: RankedTable) -> None:
@@ -35,24 +35,31 @@ def _require_same_scheme(*tables: RankedTable) -> None:
 
 
 def _matched_pairs(d1: RankedTable, d2: RankedTable) -> Iterator[tuple[Row, Score, Row, Score]]:
-    """Hash join: every d1 row and d2 row agreeing on the shared attributes."""
-    shared = d1.scheme.shared_names(d2.scheme)
+    """Hash join: every d1 row and d2 row agreeing on the shared attributes.
+
+    The hash key of a row is its shared pairs, in name order, read by one
+    gather plan per side.
+    """
+    shared = sorted(d1.scheme.name_set & d2.scheme.name_set)
+    key_of_d1, key_of_d2 = gather(d1.scheme, shared), gather(d2.scheme, shared)
     index: dict[tuple, list[tuple[Row, Score]]] = {}
     for row, score in d2:
-        index.setdefault(row.project(shared).key(), []).append((row, score))
+        index.setdefault(key_of_d2(row.items), []).append((row, score))
     for row, score in d1:
-        for other, other_score in index.get(row.project(shared).key(), ()):
+        for other, other_score in index.get(key_of_d1(row.items), ()):
             yield row, score, other, other_score
 
 
 def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     """Join on shared attributes; the joined tuple scores the minimum."""
     _require_same_chain(d1, d2)
+    scheme = d1.scheme.union(d2.scheme)
+    join = joiner(d1.scheme, d2.scheme)
     entries = {
-        join_rows(row, other): meet(score, other_score)
+        join(row.items, other.items): meet(score, other_score)
         for row, score, other, other_score in _matched_pairs(d1, d2)
     }
-    return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)
+    return RankedTable(scheme, d1.chain, entries)
 
 
 def restrict(d: RankedTable, theta: Condition) -> RankedTable:
@@ -70,13 +77,14 @@ def restrict(d: RankedTable, theta: Condition) -> RankedTable:
 def project(d: RankedTable, names: Iterable[str]) -> RankedTable:
     """Project onto a sub-scheme; a projected tuple takes the best extension."""
     scheme = d.scheme.project(names)
-    entries: dict[Row, Score] = {}
+    shorten = gather(d.scheme, scheme.sorted_names)
+    best: dict[tuple, Score] = {}  # projected row items -> best score so far
     for row, score in d:
-        shorter = row.project(scheme.names)
-        best = entries.get(shorter)
-        if best is None or score.value > best.value:
-            entries[shorter] = score
-    return RankedTable(scheme, d.chain, entries)
+        shorter = shorten(row.items)
+        current = best.get(shorter)
+        if current is None or score.value > current.value:
+            best[shorter] = score
+    return RankedTable(scheme, d.chain, {Row(items): score for items, score in best.items()})
 
 
 def union_tables(d1: RankedTable, d2: RankedTable) -> RankedTable:
@@ -123,12 +131,13 @@ def divide(dividend: RankedTable, mediator: RankedTable, divisor: RankedTable) -
         raise SchemeError("dividend and divisor schemes must be disjoint")
     if mediator.scheme != dividend.scheme.union(divisor.scheme):
         raise SchemeError("mediator scheme must be the union of dividend and divisor schemes")
+    join = joiner(dividend.scheme, divisor.scheme)
     entries: dict[Row, Score] = {}
     divisor_rows = list(divisor)
     for row, bound in dividend:
         value = bound
         for s_row, s_score in divisor_rows:
-            med = mediator.score_of(join_rows(row, s_row))
+            med = mediator.score_of(join(row.items, s_row.items))
             value = meet(value, residuum(s_score, med))
             if value.is_bottom:
                 break
@@ -169,17 +178,31 @@ def similarity(d1: RankedTable, d2: RankedTable) -> Score:
 
 
 def semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
-    """Join then project back onto the first scheme."""
+    """Join then project back onto the first scheme.
+
+    Evaluated without building joined rows: each d1 row keeps the best
+    minimum over the d2 rows it matches.
+    """
     _require_same_chain(d1, d2)
-    return project(natural_join(d1, d2), d1.scheme.names)
+    d1.scheme.union(d2.scheme)  # conflicting shared types fail as in the join
+    entries: dict[Row, Score] = {}
+    for row, score, _, other_score in _matched_pairs(d1, d2):
+        value = meet(score, other_score)
+        best = entries.get(row)
+        if best is None or value.value > best.value:
+            entries[row] = value
+    return RankedTable(d1.scheme, d1.chain, entries)
 
 
 def rename(d: RankedTable, mapping: Mapping[str, str]) -> RankedTable:
     """Rename attributes (injective, collision-free); entries are unchanged."""
     scheme = d.scheme.rename(mapping)
     lowered = {old.lower(): new.lower() for old, new in mapping.items()}
+    old_name = {lowered.get(name, name): name for name in d.scheme.sorted_names}
+    reorder = gather(d.scheme, [old_name[name] for name in scheme.sorted_names])
+    names = scheme.sorted_names
     entries = {
-        Row.of({lowered.get(name, name): value for name, value in row.items}): score
+        Row(tuple(zip(names, [value for _, value in reorder(row.items)]))): score
         for row, score in d
     }
     return RankedTable(scheme, d.chain, entries)
@@ -195,9 +218,11 @@ def product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     _require_same_chain(d1, d2)
     if not d1.chain.is_rational:
         raise UnsupportedOperationError("product-scored join needs the rational carrier")
+    scheme = d1.scheme.union(d2.scheme)
+    join = joiner(d1.scheme, d2.scheme)
     entries: dict[Row, Score] = {}
     for row, score, other, other_score in _matched_pairs(d1, d2):
         value = d1.chain.score(score.value * other_score.value)
         if not value.is_bottom:
-            entries[join_rows(row, other)] = value
-    return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)
+            entries[join(row.items, other.items)] = value
+    return RankedTable(scheme, d1.chain, entries)

@@ -195,14 +195,14 @@ class Score:
 
 
 def _require_chain(chain: ScoreChain, s: Score) -> None:
-    if s.chain != chain:
+    if s.chain is not chain and s.chain != chain:
         raise IncompatibleChainError(
             f"score on {s.chain} used with chain {chain}; carriers must match"
         )
 
 
 def _pair(a: Score, b: Score) -> None:
-    if a.chain != b.chain:
+    if a.chain is not b.chain and a.chain != b.chain:
         raise IncompatibleChainError(
             f"cannot combine scores from different chains: {a!r} and {b!r}"
         )

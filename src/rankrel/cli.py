@@ -26,7 +26,14 @@ from . import calculus, checks, demo, ordinal, planner, topk
 from .catalog import Catalog, parse_config
 from .errors import RankrelError
 from .maps import compose_table
-from .table import RankedTable, format_value, read_table_csv, render_table, write_table_csv
+from .table import (
+    RankedTable,
+    column_plan,
+    ranked_cells,
+    read_table_csv,
+    render_table,
+    write_table_csv,
+)
 
 
 def _load_catalog(path: str | None) -> Catalog:
@@ -95,14 +102,13 @@ def cmd_topk(args) -> int:
         topk.SortedSource.from_table(planner.evaluate(leaf, catalog)) for leaf in leaves
     ]
     result = topk.top_k(sources, args.k)
-    names: list[str] = []
-    for source in sources:
-        names.extend(n for n in source.table.scheme.names if n not in names)
-    chain = sources[0].table.chain
+    scheme = sources[0].table.scheme
+    for source in sources[1:]:
+        scheme = scheme.union(source.table.scheme)  # the result's scheme, names in source order
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["#", *names])
-    for row, score in result.items:
-        writer.writerow([chain.format(score)] + [format_value(row.value(n)) for n in names])
+    writer.writerow(["#", *scheme.names])
+    plan = column_plan(scheme, scheme.names)
+    writer.writerows(ranked_cells(result.items, sources[0].table.chain, plan))
     print(
         f"-- {len(sources)} sources, {result.sorted_accesses} sorted / "
         f"{result.random_accesses} random accesses"

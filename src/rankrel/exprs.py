@@ -299,8 +299,6 @@ def _compile(expr):
                     raise EvalError("strings only support = and != comparisons")
                 outcome = (a == b) if op == "==" else (a != b)
             else:
-                if isinstance(a, complex) or isinstance(b, complex):
-                    operator.le(a, b)  # a complex power is unordered: the TypeError of <=, any op
                 outcome = _COMPARISONS[op](a, b)
             return _ONE if outcome else _ZERO
         return compare
@@ -340,7 +338,10 @@ def _divide(left, right):
 def _power(left, right):
     if isinstance(right, Fraction) and right.denominator == 1:
         return left ** right.numerator
-    return float(left) ** float(right)
+    base, exponent = float(left), float(right)
+    if base < 0 and not exponent.is_integer():
+        raise EvalError("power of a negative value with a non-integer exponent")
+    return base ** exponent
 
 
 def _one(func: str, args: list):

@@ -17,7 +17,8 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .chain import RATIONAL, Score, ScoreChain, exact_decimal_str
 from .errors import (
@@ -29,6 +30,8 @@ from .errors import (
 )
 
 _KINDS = ("str", "int", "dec")
+#: The exact carrier type of each kind: the common case of a conformance check.
+_EXACT_TYPES = {"str": str, "int": int, "dec": Fraction}
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,13 @@ class Scheme:
     """A finite set of typed attributes.  The empty scheme is legal.
 
     Declaration order is remembered for display; equality and all relational
-    semantics treat the scheme as a set.  Its name views are computed once.
+    semantics treat the scheme as a set.  Its name views are computed once;
+    ``positions`` maps each name to its index in ``sorted_names``, which is
+    where a conforming row stores that attribute's pair.
     """
 
-    __slots__ = ("attrs", "names", "name_set", "sorted_names", "_conformance", "_by_name", "_key")
+    __slots__ = ("attrs", "names", "name_set", "sorted_names", "positions", "_conformance",
+                 "_by_name", "_key")
 
     def __init__(self, attrs: Iterable[tuple[str, AttrType] | Attribute]):
         normalized = []
@@ -102,10 +108,11 @@ class Scheme:
         object.__setattr__(self, "names", tuple(by_name))
         object.__setattr__(self, "name_set", frozenset(by_name))
         object.__setattr__(self, "sorted_names", tuple(sorted(by_name)))  # as Row.names
-        # (name, kind, domain) per attribute in Row order, for _row_conforms
+        object.__setattr__(self, "positions", {n: i for i, n in enumerate(self.sorted_names)})
+        # (name, kind, exact type, domain) per attribute in Row order, for _row_conforms
         object.__setattr__(self, "_conformance", tuple(
-            (name, by_name[name].atype.kind, by_name[name].atype.domain)
-            for name in self.sorted_names
+            (name, atype.kind, _EXACT_TYPES[atype.kind], atype.domain)
+            for name, atype in ((n, by_name[n].atype) for n in self.sorted_names)
         ))
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_key", frozenset(normalized))
@@ -257,6 +264,70 @@ def join_rows(r: Row, s: Row) -> Row:
     return Row.of(merged)
 
 
+# --- per-call row plans -----------------------------------------------------
+#
+# A conforming row stores its pairs in name order, so on one scheme each
+# attribute sits at a fixed index of ``row.items``.  An operator builds these
+# plans once per call and then assembles every result row by indexing.
+
+
+def _selector(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """Map a sequence to the tuple of its elements at ``indexes``."""
+    if not indexes:
+        return lambda seq: ()
+    if len(indexes) == 1:
+        (index,) = indexes
+        return lambda seq: (seq[index],)
+    return itemgetter(*indexes)
+
+
+def gather(scheme: Scheme, names: Iterable[str]) -> Callable[[tuple], tuple]:
+    """Plan mapping the ``items`` of a row on ``scheme`` to the pairs of ``names``.
+
+    The pairs come out in the order of ``names``; given them in name order,
+    the result is the ``items`` of the row's projection.
+    """
+    return _selector([scheme.positions[name.lower()] for name in names])
+
+
+def joiner(left: Scheme, right: Scheme) -> Callable[[tuple, tuple], Row]:
+    """Plan mapping the ``items`` of a left and a right row to their joined ``Row``.
+
+    Each pair of the joined row, in name order, is picked from the two rows'
+    concatenated items; a shared attribute is read from the right row, as in
+    :func:`join_rows`.  The plan does not compare shared values: callers pair
+    only rows that agree on them.
+    """
+    offset = len(left.sorted_names)
+    select = _selector([
+        offset + right.positions[name] if name in right.positions else left.positions[name]
+        for name in sorted(left.name_set | right.name_set)
+    ])
+    return lambda left_items, right_items: Row(select(left_items + right_items))
+
+
+def _row_items(pair: tuple[Row, Score]) -> tuple:
+    return pair[0].items
+
+
+def _score_float_first(pair: tuple[Row, Score]) -> tuple:
+    value = pair[1].value
+    return (float(value), value)
+
+
+def rank_sorted(pairs: Iterable[tuple[Row, Score]]) -> list[tuple[Row, Score]]:
+    """(row, score) pairs of one scheme in display order, exactly as ``rank_key``.
+
+    Two stable sorts: first by ``row.items``, which orders rows of one scheme
+    as ``row.key()`` does, since every row has the same names at the same
+    places; then descending by ``(float(value), value)``, which orders scores
+    exactly (see ``rank_key``) and keeps equal scores in row order.
+    """
+    ordered = sorted(pairs, key=_row_items)
+    ordered.sort(key=_score_float_first, reverse=True)
+    return ordered
+
+
 def make_row(scheme: Scheme, values: Mapping[str, object]) -> Row:
     """Build a row conforming to ``scheme``, coercing ints into dec attributes."""
     assignment = {}
@@ -280,8 +351,8 @@ def make_row(scheme: Scheme, values: Mapping[str, object]) -> Row:
 def _row_conforms(scheme: Scheme, row: Row) -> bool:
     if len(row.items) != len(scheme._conformance):
         return False
-    for (name, value), (want, kind, domain) in zip(row.items, scheme._conformance):
-        if name != want or not _conforms(value, kind):
+    for (name, value), (want, kind, exact, domain) in zip(row.items, scheme._conformance):
+        if name != want or (type(value) is not exact and not _conforms(value, kind)):
             return False
         if domain is not None and value not in domain:
             return False
@@ -297,7 +368,7 @@ class RankedTable:
         for row, score in entries.items():
             if not _row_conforms(scheme, row):
                 raise SchemeError(f"row {row!r} does not conform to scheme {scheme!r}")
-            if score.chain != chain:
+            if score.chain is not chain and score.chain != chain:
                 raise IncompatibleChainError(f"score {score!r} is not on the table's chain")
             if score.is_bottom:
                 raise ChainError("stored scores must be nonzero; absence encodes bottom")
@@ -356,7 +427,7 @@ class RankedTable:
 
     def rows_by_rank(self) -> list[tuple[Row, Score]]:
         """Answer set in display order: descending score, canonical row ties."""
-        return sorted(self._entries.items(), key=rank_key)
+        return rank_sorted(self._entries.items())
 
     def range_of(self) -> list[Score]:
         """All scores appearing in the table, ascending.
@@ -420,15 +491,19 @@ def parse_header(header: Sequence[str]) -> Scheme:
     return Scheme(attrs)
 
 
-def _parse_value(text: str, kind: str):
-    if kind == "str":
-        return text
-    try:
-        if kind == "int":
-            return int(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SchemeError(f"cannot parse {text!r} as {kind}") from None
+def _number_parser(number_type, kind: str) -> Callable[[str], object]:
+    def parse(text: str):
+        text = text.strip()
+        try:
+            return number_type(text)
+        except (ValueError, ZeroDivisionError):
+            raise SchemeError(f"cannot parse {text!r} as {kind}") from None
+    return parse
+
+
+#: Cell text -> attribute value, per kind.
+_PARSERS = {"str": str.strip, "int": _number_parser(int, "int"),
+            "dec": _number_parser(Fraction, "dec")}
 
 
 def read_table_csv(source, chain: ScoreChain = RATIONAL) -> RankedTable:
@@ -442,34 +517,72 @@ def read_table_csv(source, chain: ScoreChain = RATIONAL) -> RankedTable:
 
 
 def _read_rows(reader, chain: ScoreChain) -> RankedTable:
+    """Parse cells in header order, then place them in name order by one plan.
+
+    Each distinct score text is parsed once; a text that fails to parse is
+    not remembered, so its error is raised where it occurs.
+    """
     try:
         header = next(reader)
     except StopIteration:
         raise SchemeError("empty CSV: missing header") from None
     scheme = parse_header(header)
+    width = len(scheme) + 1
+    parsers = [_PARSERS[attr.atype.kind] for attr in scheme.attrs]
+    in_name_order = _selector([scheme.names.index(name) for name in scheme.sorted_names])
+    names = scheme.sorted_names
+    scores: dict[str, Score] = {}
     entries: dict[Row, Score] = {}
     for lineno, cells in enumerate(reader, start=2):
-        if not cells or all(not cell.strip() for cell in cells):
+        if not cells or not any(map(str.strip, cells)):
             continue
-        if len(cells) != len(scheme) + 1:
-            raise SchemeError(f"line {lineno}: expected {len(scheme) + 1} cells, got {len(cells)}")
-        score = chain.parse(cells[0])
+        if len(cells) != width:
+            raise SchemeError(f"line {lineno}: expected {width} cells, got {len(cells)}")
+        score = scores.get(cells[0])
+        if score is None:
+            score = scores[cells[0]] = chain.parse(cells[0])
         if score.is_bottom:
             raise ChainError(f"line {lineno}: rows with score 0 are not stored; omit the row")
-        row = Row.of({
-            attr.name: _parse_value(cell.strip(), attr.atype.kind)
-            for attr, cell in zip(scheme.attrs, cells[1:])
-        })
+        values = [parse(cell) for parse, cell in zip(parsers, cells[1:])]
+        row = Row(tuple(zip(names, in_name_order(values))))
         if row in entries:
             raise SchemeError(f"line {lineno}: duplicate tuple {row!r}")
         entries[row] = score
     return RankedTable(scheme, chain, entries)
 
 
-def format_value(value) -> str:
-    if isinstance(value, Fraction):
-        return exact_decimal_str(value)
-    return str(value)
+#: Attribute value -> cell text, per kind: exact decimal (or ``p/q``) for dec.
+_FORMATTERS = {"str": str, "int": str, "dec": exact_decimal_str}
+
+
+def column_plan(scheme: Scheme, names: Iterable[str]) -> list[tuple[int, Callable]]:
+    """(position in ``row.items``, formatter) for each of ``names``, built once per call."""
+    return [
+        (scheme.positions[attr.name], _FORMATTERS[attr.atype.kind])
+        for attr in map(scheme.attr, names)
+    ]
+
+
+def ranked_cells(
+    pairs: Iterable[tuple[Row, Score]],
+    chain: ScoreChain,
+    plan: Sequence[tuple[int, Callable]],
+    places: Optional[int] = 3,
+) -> Iterator[list[str]]:
+    """Display cells of (row, score) pairs in rank order: the score, then the plan's columns.
+
+    Equal scores are adjacent in rank order, so each distinct score is
+    formatted once per run of rows that share it.
+    """
+    last: Optional[Score] = None
+    text = ""
+    for row, score in pairs:
+        if score is not last:
+            if last is None or score.value != last.value:
+                text = chain.format(score, places)
+            last = score
+        items = row.items
+        yield [text] + [fmt(items[position][1]) for position, fmt in plan]
 
 
 def write_table_csv(table: RankedTable, target=None) -> str:
@@ -477,10 +590,8 @@ def write_table_csv(table: RankedTable, target=None) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["#"] + [f"{a.name}:{a.atype.kind}" for a in table.scheme.attrs])
-    for row, score in table.rows_by_rank():
-        cells = [table.chain.format(score, places=None)]
-        cells += [format_value(row.value(a.name)) for a in table.scheme.attrs]
-        writer.writerow(cells)
+    plan = column_plan(table.scheme, table.scheme.names)
+    writer.writerows(ranked_cells(table.rows_by_rank(), table.chain, plan, places=None))
     text = buffer.getvalue()
     if target is not None:
         if hasattr(target, "write"):
@@ -494,11 +605,8 @@ def write_table_csv(table: RankedTable, target=None) -> str:
 def render_table(table: RankedTable) -> str:
     """Human-readable table: score column first (three decimals), descending by score."""
     header = ["#"] + list(table.scheme.names)
-    rows = [
-        [table.chain.format(score)]
-        + [format_value(row.value(name)) for name in table.scheme.names]
-        for row, score in table.rows_by_rank()
-    ]
+    plan = column_plan(table.scheme, table.scheme.names)
+    rows = list(ranked_cells(table.rows_by_rank(), table.chain, plan))
     widths = [max(len(line[i]) for line in [header] + rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
              for line in [header] + rows]

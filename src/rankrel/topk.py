@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 from . import algebra
 from .chain import Score
 from .errors import IncompatibleChainError, RankrelError
-from .table import RankedTable, Row, join_rows, rank_key
+from .table import RankedTable, Row, Scheme, gather, joiner, rank_sorted
 
 
 class TopKError(RankrelError):
@@ -56,12 +56,17 @@ class SortedSource:
         return self.table.scheme.name_set
 
     def lookup(self, key_names: tuple[str, ...], key: tuple) -> list[tuple[Row, Score]]:
-        """Random access: all tuples whose projection onto key_names matches."""
+        """Random access: all tuples whose projection onto key_names matches.
+
+        ``key_names`` are in name order and ``key`` holds their
+        ``(name, value)`` pairs, as ``gather`` reads them from a row.
+        """
         index = self._indexes.get(key_names)
         if index is None:
             index = {}
+            key_of = gather(self.table.scheme, key_names)
             for row, score in self.ranked:
-                index.setdefault(row.project(key_names).key(), []).append((row, score))
+                index.setdefault(key_of(row.items), []).append((row, score))
             self._indexes[key_names] = index
         return index.get(key, [])
 
@@ -74,7 +79,7 @@ class TopKResult:
 
 
 def _rank_order(items: Iterable[tuple[Row, Score]]) -> list[tuple[Row, Score]]:
-    return sorted(items, key=rank_key)
+    return rank_sorted(items)
 
 
 def brute_force_top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
@@ -89,22 +94,24 @@ def brute_force_top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     return TopKResult(tuple(_rank_order(list(joined))[:k]))
 
 
-def _completion_plan(
-    sources: Sequence[SortedSource], start: int
-) -> list[tuple[int, tuple[str, ...]]]:
-    """Keyed completion order from ``start``: (source index, join-key names) steps.
+def _completion_plan(sources: Sequence[SortedSource], start: int) -> list[tuple]:
+    """Keyed completion order from ``start``: one step per other source.
 
     Greedy: the next source is the remaining one sharing the most attributes
-    with the names bound so far, ties going to the lower index.
+    with the names bound so far, ties going to the lower index.  A step is
+    (source index, join-key names, key plan, join plan); its plans read the
+    key from a partial join's items and join the partial with a match.
     """
-    bound = set(sources[start].names)
+    bound: Scheme = sources[start].table.scheme
     remaining = [i for i in range(len(sources)) if i != start]
     plan = []
     while remaining:
-        other = max(remaining, key=lambda i: len(bound & sources[i].names))
+        other = max(remaining, key=lambda i: len(bound.name_set & sources[i].names))
         remaining.remove(other)
-        plan.append((other, tuple(sorted(bound & sources[other].names))))
-        bound |= sources[other].names
+        scheme = sources[other].table.scheme
+        key_names = tuple(sorted(bound.name_set & scheme.name_set))
+        plan.append((other, key_names, gather(bound, key_names), joiner(bound, scheme)))
+        bound = bound.union(scheme)
     return plan
 
 
@@ -140,14 +147,14 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
 
     def complete(start: int, row: Row, score: Score) -> None:
         partial = [(row, score)]
-        for other, key_names in plans[start]:
+        for other, key_names, key_of, join in plans[start]:
             counters["random"] += len(partial)
             extended = []
             for accumulated, acc_score in partial:
-                key = accumulated.project(key_names).key()
+                key = key_of(accumulated.items)
                 for match, match_score in sources[other].lookup(key_names, key):
                     merged_score = match_score if match_score.value < acc_score.value else acc_score
-                    extended.append((join_rows(accumulated, match), merged_score))
+                    extended.append((join(accumulated.items, match.items), merged_score))
             partial = extended
             if not partial:
                 return

@@ -8,6 +8,8 @@ or top).
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -18,12 +20,14 @@ from fractions import Fraction
 from rankrel.calculus import (
     And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure, free_vars,
 )
-from rankrel.chain import RATIONAL, Score, ScoreChain, meet, residuum
+from rankrel.chain import RATIONAL, Score, ScoreChain, exact_decimal_str, meet, residuum
 from rankrel.conditions import TableCondition
 from rankrel.errors import EvalError, UnsupportedOperationError
 from rankrel.exprs import Binary, Call, Compare, Num, Ref, Ternary, Unary
 from rankrel.maps import Piece, PiecewiseConstantMap
-from rankrel.table import INT, STR, RankedTable, Row, Scheme, _conforms
+from rankrel.table import (
+    INT, STR, RankedTable, Row, Scheme, _conforms, join_rows, parse_header, rank_key,
+)
 
 #: Score grid: multiples of 1/24 (contains halves, quarters, sixths...).
 GRID_DENOM = 24
@@ -335,7 +339,10 @@ def _reference_eval(expr, env):
         if expr.op == "^":
             if isinstance(right, Fraction) and right.denominator == 1:
                 return left ** right.numerator
-            return float(left) ** float(right)
+            base, exponent = float(left), float(right)
+            if base < 0 and not exponent.is_integer():
+                raise EvalError("power of a negative value with a non-integer exponent")
+            return base ** exponent
         raise EvalError(f"unknown operator {expr.op!r}")
     if isinstance(expr, Compare):
         left = _reference_eval(expr.left, env)
@@ -389,7 +396,7 @@ def _reference_one(expr, args: list):
     return args
 
 
-# --- table oracle ---------------------------------------------------------------
+# --- table oracles --------------------------------------------------------------
 
 
 def reference_row_conforms(scheme: Scheme, row: Row) -> bool:
@@ -403,3 +410,107 @@ def reference_row_conforms(scheme: Scheme, row: Row) -> bool:
         if attr.atype.domain is not None and value not in attr.atype.domain:
             return False
     return True
+
+
+# --- row-building oracles: the per-row forms the gather plans replace -----------
+
+
+def _reference_matched_pairs(d1: RankedTable, d2: RankedTable):
+    shared = d1.scheme.shared_names(d2.scheme)
+    index: dict = {}
+    for row, score in d2:
+        index.setdefault(row.project(shared).key(), []).append((row, score))
+    for row, score in d1:
+        for other, other_score in index.get(row.project(shared).key(), ()):
+            yield row, score, other, other_score
+
+
+def reference_natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
+    entries = {
+        join_rows(row, other): meet(score, other_score)
+        for row, score, other, other_score in _reference_matched_pairs(d1, d2)
+    }
+    return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)
+
+
+def reference_product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
+    entries = {}
+    for row, score, other, other_score in _reference_matched_pairs(d1, d2):
+        value = d1.chain.score(score.value * other_score.value)
+        if not value.is_bottom:
+            entries[join_rows(row, other)] = value
+    return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)
+
+
+def reference_project(d: RankedTable, names) -> RankedTable:
+    scheme = d.scheme.project(names)
+    entries: dict = {}
+    for row, score in d:
+        shorter = row.project(scheme.names)
+        best = entries.get(shorter)
+        if best is None or score.value > best.value:
+            entries[shorter] = score
+    return RankedTable(scheme, d.chain, entries)
+
+
+def reference_semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
+    return reference_project(reference_natural_join(d1, d2), d1.scheme.names)
+
+
+def reference_rename(d: RankedTable, mapping) -> RankedTable:
+    lowered = {old.lower(): new.lower() for old, new in mapping.items()}
+    entries = {
+        Row.of({lowered.get(name, name): value for name, value in row.items}): score
+        for row, score in d
+    }
+    return RankedTable(d.scheme.rename(mapping), d.chain, entries)
+
+
+def reference_divide(dividend: RankedTable, mediator: RankedTable,
+                     divisor: RankedTable) -> RankedTable:
+    entries = {}
+    for row, bound in dividend:
+        value = bound
+        for s_row, s_score in divisor:
+            value = meet(value, residuum(s_score, mediator.score_of(join_rows(row, s_row))))
+        if not value.is_bottom:
+            entries[row] = value
+    return RankedTable(dividend.scheme, dividend.chain, entries)
+
+
+def reference_rank_order(pairs) -> list:
+    return sorted(pairs, key=rank_key)
+
+
+def format_value(value) -> str:
+    if isinstance(value, Fraction):
+        return exact_decimal_str(value)
+    return str(value)
+
+
+def reference_write_table_csv(table: RankedTable) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["#"] + [f"{a.name}:{a.atype.kind}" for a in table.scheme.attrs])
+    for row, score in reference_rank_order(table):
+        cells = [table.chain.format(score, places=None)]
+        cells += [format_value(row.value(a.name)) for a in table.scheme.attrs]
+        writer.writerow(cells)
+    return buffer.getvalue()
+
+
+def reference_read_table_csv(text: str, chain: ScoreChain = RATIONAL) -> RankedTable:
+    reader = csv.reader(io.StringIO(text))
+    scheme = parse_header(next(reader))
+    parse = {"str": str, "int": int, "dec": Fraction}
+    entries = {}
+    for cells in reader:
+        if not cells or all(not cell.strip() for cell in cells):
+            continue
+        row = Row.of({
+            attr.name: parse[attr.atype.kind](cell.strip())
+            for attr, cell in zip(scheme.attrs, cells[1:])
+        })
+        assert row not in entries, f"duplicate tuple {row!r}"
+        entries[row] = chain.parse(cells[0])
+    return RankedTable(scheme, chain, entries)

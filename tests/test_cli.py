@@ -91,6 +91,17 @@ class TestEval:
         assert code == 1
         assert err.strip() == "error: unknown condition 'nosuch' at query.right"
 
+    @pytest.mark.parametrize("query", [
+        "restrict(houses, (0-bdrm)^0.5)",
+        "restrict(houses, (0-bdrm)^0.5 < 1)",
+    ])
+    def test_negative_base_fractional_power_is_a_user_error(self, capsys, query):
+        code, out, err = run(capsys, "eval", query)  # over the demo catalog
+        assert code == 1 and out == ""
+        assert err.strip() == (
+            "error: power of a negative value with a non-integer exponent at query"
+        )
+
     def test_corrupt_catalog_file_named_in_error(self, capsys, catalog_dir):
         (catalog_dir / "stray.csv").write_text("", encoding="utf-8")
         code, _, err = run(capsys, "eval", "houses", "--catalog", str(catalog_dir))

@@ -1,0 +1,259 @@
+"""The per-call gather plans against the per-row forms they replace.
+
+Every operator that builds rows through a plan (join, project, rename,
+semijoin, divide, the rank sort, CSV write and read) is checked on seeded
+random table pairs against the oracles in ``helpers``: equal tables,
+identical order, byte-identical CSV.  A guard test then makes the per-row
+forms raise and runs the operators on 2,000-row tables.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from helpers import (
+    reference_divide,
+    reference_natural_join,
+    reference_product_join,
+    reference_project,
+    reference_rank_order,
+    reference_read_table_csv,
+    reference_rename,
+    reference_semijoin,
+    reference_write_table_csv,
+    replay_hint,
+    stable_seed,
+)
+
+import rankrel
+from rankrel import algebra, table as table_module, topk
+from rankrel.chain import RATIONAL, ScoreChain
+from rankrel.errors import RankrelError, SchemeError
+from rankrel.table import (
+    DEC,
+    INT,
+    STR,
+    RankedTable,
+    Row,
+    Scheme,
+    read_table_csv,
+    write_table_csv,
+)
+
+TINY = Fraction(1, 10**30)
+
+#: Scores with heavy ties, including distinct values that share a float.
+SCORES = (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(1, 3) - TINY, Fraction(1, 2),
+          Fraction(1, 2) + TINY, Fraction(1), Fraction(1, 7), Fraction(3, 4), Fraction(1, 10))
+
+VALUES = {
+    "str": ("x", "y", "", "a,b", 'q"t'),
+    "int": (-1, 0, 1, 2),
+    "dec": (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(-2), Fraction(5, 2)),
+}
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+def rnd_kinds(rng: random.Random) -> dict:
+    return {name: rng.choice((STR, INT, DEC)) for name in NAMES}
+
+
+def rnd_scheme_on(rng: random.Random, names, kinds: dict) -> Scheme:
+    names = list(names)
+    rng.shuffle(names)  # declaration order differs from name order
+    return Scheme((name, kinds[name]) for name in names)
+
+
+def rnd_table_on(rng: random.Random, scheme: Scheme, max_rows: int = 14) -> RankedTable:
+    scores = rng.sample(SCORES, rng.randint(1, 3))  # few levels: heavy ties
+    entries = {}
+    for _ in range(rng.randint(0, max_rows)):
+        row = Row.of({a.name: rng.choice(VALUES[a.atype.kind]) for a in scheme.attrs})
+        entries[row] = RATIONAL.score(rng.choice(scores))
+    return RankedTable(scheme, RATIONAL, entries)
+
+
+def rnd_pair(rng: random.Random):
+    """Two tables whose schemes are equal, overlapping, disjoint or nested."""
+    kinds = rnd_kinds(rng)
+    shape = rng.choice(("equal", "shared", "disjoint", "nested"))
+    first = rng.sample(NAMES, rng.randint(1, 3))
+    rest = [n for n in NAMES if n not in first]
+    if shape == "equal":
+        second = list(first)
+    elif shape == "shared":
+        second = rng.sample(first, rng.randint(1, len(first))) + rng.sample(rest, rng.randint(1, 2))
+    elif shape == "disjoint":
+        second = rng.sample(rest, rng.randint(1, 2))
+    else:
+        second = rng.sample(first, rng.randint(0, len(first)))
+    s1, s2 = rnd_scheme_on(rng, first, kinds), rnd_scheme_on(rng, second, kinds)
+    return shape, rnd_table_on(rng, s1), rnd_table_on(rng, s2)
+
+
+def rnd_rename(rng: random.Random, scheme: Scheme) -> dict:
+    """Rename some attributes, onto fresh names or by permuting existing ones."""
+    olds = rng.sample(scheme.names, rng.randint(0, len(scheme)))
+    if rng.random() < 0.5:
+        news = list(olds)
+        rng.shuffle(news)
+    else:
+        news = [f"z{name}" for name in olds]
+    return {old.upper() if rng.random() < 0.3 else old: new for old, new in zip(olds, news)}
+
+
+def assert_same(actual: RankedTable, expected: RankedTable) -> None:
+    assert actual == expected
+    assert actual.rows_by_rank() == reference_rank_order(expected)
+
+
+class TestAgainstPerRowForms:
+    def test_random_pairs(self):
+        seed = stable_seed("gather plans")
+        rng = random.Random(seed)
+        shapes = Counter()
+        float_ties = 0
+        with replay_hint(seed):
+            for _ in range(300):
+                shape, d1, d2 = rnd_pair(rng)
+                shapes[shape] += 1
+                joined = algebra.natural_join(d1, d2)
+                assert_same(joined, reference_natural_join(d1, d2))
+                assert_same(algebra.product_join(d1, d2), reference_product_join(d1, d2))
+                assert_same(algebra.semijoin(d1, d2), reference_semijoin(d1, d2))
+                for d in (d1, d2, joined):
+                    keep = rng.sample(d.scheme.names, rng.randint(0, len(d.scheme)))
+                    assert_same(algebra.project(d, keep), reference_project(d, keep))
+                    mapping = rnd_rename(rng, d.scheme)
+                    assert_same(algebra.rename(d, mapping), reference_rename(d, mapping))
+                    self.check_order_and_csv(rng, d)
+                    values = {score.value for _, score in d}
+                    float_ties += len(values) > len({float(v) for v in values})
+                if shape == "disjoint":
+                    mediator = rnd_table_on(rng, joined.scheme, max_rows=30)
+                    assert_same(algebra.divide(d1, mediator, d2),
+                                reference_divide(d1, mediator, d2))
+                    self.check_top_k(rng, d1, d2)
+                elif shape == "shared":
+                    self.check_top_k(rng, d1, d2)
+        assert min(shapes.values()) >= 50
+        assert float_ties >= 50  # exact values sharing a float were sorted often
+
+    @staticmethod
+    def check_order_and_csv(rng: random.Random, d: RankedTable) -> None:
+        expected = reference_rank_order(d)
+        assert d.rows_by_rank() == expected
+        shuffled = list(d)
+        rng.shuffle(shuffled)
+        assert topk._rank_order(shuffled) == expected
+        text = write_table_csv(d)
+        assert text == reference_write_table_csv(d)
+        assert read_table_csv(text) == reference_read_table_csv(text) == d
+        assert write_table_csv(read_table_csv(text)) == text
+
+    @staticmethod
+    def check_top_k(rng: random.Random, d1: RankedTable, d2: RankedTable) -> None:
+        expected = reference_rank_order(reference_natural_join(d1, d2))
+        if not expected:
+            return
+        k = rng.randint(1, len(expected))
+        sources = [topk.SortedSource.from_table(d) for d in (d1, d2)]
+        assert list(topk.top_k(sources, k).items) == expected[:k]
+
+
+def test_symbolic_chain_csv_round_trip():
+    chain = ScoreChain(("none", "low", "mid", "high"))
+    rng = random.Random(stable_seed("gather plans, symbolic"))
+    scheme = Scheme((("b", INT), ("a", STR)))
+    entries = {
+        Row.of({"a": rng.choice(VALUES["str"]), "b": rng.choice(VALUES["int"])}):
+            chain.score(rng.randint(1, 3))
+        for _ in range(15)
+    }
+    d = RankedTable(scheme, chain, entries)
+    text = write_table_csv(d)
+    assert text == reference_write_table_csv(d)
+    assert read_table_csv(text, chain) == reference_read_table_csv(text, chain) == d
+
+
+# --- the per-row forms are not on the operators' paths -------------------------------
+
+
+def big_tables(rows: int = 2000):
+    rng = random.Random(stable_seed("guard tables"))
+    houses = Scheme((("id", INT), ("bdrm", INT), ("w", DEC)))
+    offers = Scheme((("id", INT), ("agent", STR)))
+    levels = [RATIONAL.score(Fraction(i, 40)) for i in range(1, 41)]
+    left = {
+        Row.of({"id": i, "bdrm": rng.randint(1, 8), "w": Fraction(rng.randint(1, 9), 4)}):
+            rng.choice(levels)
+        for i in range(rows)
+    }
+    right = {Row.of({"id": i, "agent": f"agent{i % 12}"}): rng.choice(levels)
+             for i in range(rows)}
+    return RankedTable(houses, RATIONAL, left), RankedTable(offers, RATIONAL, right)
+
+
+def test_operators_never_build_rows_row_by_row(monkeypatch):
+    d1, d2 = big_tables()
+    expected_join = reference_natural_join(d1, d2)
+    expected_csv = reference_write_table_csv(expected_join)
+    distinct_texts = {line.split(",", 1)[0] for line in expected_csv.splitlines()[1:]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-row form called")
+
+    monkeypatch.setattr(Row, "of", classmethod(refuse))
+    for name in ("project", "value"):
+        monkeypatch.setattr(Row, name, refuse)
+    for module in (table_module, rankrel):
+        monkeypatch.setattr(module, "join_rows", refuse)
+    monkeypatch.setattr(table_module, "rank_key", refuse)
+    parsed = Counter()
+    parse = ScoreChain.parse
+
+    def counting_parse(chain, text):
+        parsed[text] += 1
+        return parse(chain, text)
+
+    monkeypatch.setattr(ScoreChain, "parse", counting_parse)
+
+    joined = algebra.natural_join(d1, d2)
+    projected = algebra.project(joined, ["agent", "bdrm"])
+    renamed = algebra.rename(joined, {"agent": "who"})
+    ranked = joined.rows_by_rank()
+    text = write_table_csv(joined)
+    reread = read_table_csv(text)
+    assert set(parsed) == distinct_texts and set(parsed.values()) == {1}
+
+    monkeypatch.undo()
+    assert joined == expected_join and len(joined) == len(d1)
+    assert projected == reference_project(expected_join, ["agent", "bdrm"])
+    assert renamed == reference_rename(expected_join, {"agent": "who"})
+    assert ranked == reference_rank_order(expected_join)
+    assert text == expected_csv and reread == expected_join
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#,a:int\n0.5,1\nnope,2\n", "cannot parse rational score from 'nope'"),
+    ("#,a:int\n0.5,1\n0,2\n", "line 3: rows with score 0 are not stored; omit the row"),
+    ("#,a:int\n0.5,1\n0.5,1\n", "line 3: duplicate tuple Row(a=1)"),
+    ("#,a:int,b:dec\n0.5,x,1/0\n", "cannot parse 'x' as int"),
+    ("#,a:int,b:dec\n0.5,1,1/0\n", "cannot parse '1/0' as dec"),
+    ("#,a:int\n0.5,1,2\n", "line 2: expected 2 cells, got 3"),
+])
+def test_read_errors_unchanged(text, message):
+    with pytest.raises(RankrelError) as err:
+        read_table_csv(text)
+    assert str(err.value) == message
+
+
+def test_conflicting_shared_types_fail_as_in_the_join():
+    ints = RankedTable.from_entries(Scheme((("a", INT),)), [({"a": 1}, Fraction(1, 2))])
+    decs = RankedTable.from_entries(Scheme((("a", DEC),)), [({"a": 1}, Fraction(1, 2))])
+    for operator in (algebra.natural_join, algebra.semijoin, algebra.product_join):
+        with pytest.raises(SchemeError, match="attribute 'a' has conflicting types"):
+            operator(ints, decs)
