@@ -125,14 +125,26 @@ class ScoreChain:
         raise ChainError(f"symbolic scores take a level name, got {raw!r}")
 
     def parse(self, text: str) -> "Score":
-        """Parse score text: exact decimal or ``p/q`` (rational), or a level name."""
+        """Parse score text: exact decimal or ``p/q`` (rational), or a level name.
+
+        Plain ASCII ``digits`` or ``digits.digits`` is read with two ``int``
+        calls, as ``Fraction(text)`` reads it, but without its regex; every
+        other text goes through ``Fraction(text)``.
+        """
         text = text.strip()
-        if self.is_rational:
-            try:
-                return self.score(Fraction(text))
-            except (ValueError, ZeroDivisionError):
-                raise ChainError(f"cannot parse rational score from {text!r}") from None
-        return self.score(text)
+        if not self.is_rational:
+            return self.score(text)
+        head, dot, tail = text.partition(".")
+        try:
+            if text.isascii() and head.isdigit() and (tail.isdigit() or not dot):
+                scale = 10 ** len(tail)
+                num = int(head) * scale + int(tail or "0")
+                if num <= scale:
+                    return Score(self, Fraction(num, scale))
+                return self.score(Fraction(num, scale))  # raises the range error
+            return self.score(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise ChainError(f"cannot parse rational score from {text!r}") from None
 
     def format(self, s: "Score", places: Optional[int] = 3) -> str:
         """Render a score: fixed decimals, exact text (``places=None``), or level name."""

@@ -336,12 +336,17 @@ def _divide(left, right):
 
 
 def _power(left, right):
-    if isinstance(right, Fraction) and right.denominator == 1:
-        return left ** right.numerator
-    base, exponent = float(left), float(right)
-    if base < 0 and not exponent.is_integer():
-        raise EvalError("power of a negative value with a non-integer exponent")
-    return base ** exponent
+    try:
+        if isinstance(right, Fraction) and right.denominator == 1:
+            return left ** right.numerator
+        base, exponent = float(left), float(right)
+        if base < 0 and not exponent.is_integer():
+            raise EvalError("power of a negative value with a non-integer exponent")
+        return base ** exponent
+    except ZeroDivisionError:
+        raise EvalError("power of zero with a negative exponent") from None
+    except OverflowError:
+        raise EvalError("power out of the float range") from None
 
 
 def _one(func: str, args: list):

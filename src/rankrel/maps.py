@@ -285,9 +285,18 @@ def compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
 
     The map is checked by :func:`apply_checked` on the table's range; rows
     whose image is bottom drop out.
+
+    Each distinct ``Score`` object is looked up once; rows then go through
+    an ``id`` table of the images that are not bottom, so no score is hashed
+    per row.  The table keeps the objects alive for the whole call, so their
+    ids are stable.
     """
-    images = apply_checked(f, {score for _, score in table}, table.chain)
-    entries = {row: images[score] for row, score in table if not images[score].is_bottom}
+    scores = {id(score): score for _, score in table}
+    images = apply_checked(f, set(scores.values()), table.chain)
+    kept = {key: image for key, score in scores.items()
+            if not (image := images[score]).is_bottom}
+    entries = {row: image for row, score in table
+               if (image := kept.get(id(score))) is not None}
     return RankedTable(table.scheme, table.chain, entries)
 
 

@@ -10,12 +10,15 @@ Cones over unbounded attribute types are infinite as soon as score-0 tuples
 enter.  Every tuple outside both answer sets scores bottom in both tables,
 so one stand-in represents all of them: inclusion, its evidence and the
 canonical map's images are read off a single sort of the answer-set union
-(plus that stand-in), exactly for finite and unbounded schemes alike.
+(plus that stand-in), exactly for finite and unbounded schemes alike.  That
+sort runs on integer rank codes, one per distinct score: by the invariance
+theorem, only the order of the scores decides inclusion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import IncompatibleChainError, SchemeError
@@ -82,24 +85,37 @@ def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
     The floor of a level is the least d2 value among tuples whose d1 value
     reaches it; a row escapes exactly when its d2 value exceeds the floor of
     its d1 value (so the stand-in never does).
+
+    Only the order of the scores matters, so the work runs on dense integer
+    codes: each distinct ``Score`` object is coded once, by the rank of its
+    value among all values of both tables (bottom is 0).  The objects stay
+    referenced by the tables for the whole call, so their ids are stable.
     """
     _check_comparable(d1, d2)
-    bottom = d1.chain.bottom.value
-    first = {row: score.value for row, score in d1}
-    second = {row: score.value for row, score in d2}
-    union = first.keys() | second.keys()
-    pairs = [(first.get(row, bottom), second.get(row, bottom), row) for row in union]
+    e1, e2 = d1.entries(), d2.entries()
+    objects = {id(s): s for s in (*e1.values(), *e2.values())}
+    decode = [d1.chain.bottom.value]
+    code = {}
+    for key, s in sorted(objects.items(), key=lambda kv: (float(kv[1].value), kv[1].value)):
+        if s.value != decode[-1]:
+            decode.append(s.value)
+        code[key] = len(decode) - 1
+    pairs = []
+    for row, s in e1.items():
+        t = e2.get(row)
+        pairs.append((code[id(s)], 0 if t is None else code[id(t)], row))
+    pairs += [(0, code[id(t)], row) for row, t in e2.items() if row not in e1]
     size = d1.scheme.domain_size()
-    if size is None or size > len(union):
-        pairs.append((bottom, bottom, None))
-    pairs.sort(key=lambda pair: pair[0], reverse=True)
-    floors = {}
-    least = d2.chain.top.value
+    if size is None or size > len(pairs):
+        pairs.append((0, 0, None))
+    pairs.sort(key=itemgetter(0), reverse=True)
+    floor = {}
+    least = len(decode)
     for level, image, _ in pairs:
         least = min(least, image)
-        floors[level] = least  # ties run consecutively; the last one sets it
-    escaping = [row for level, image, row in pairs if image > floors[level]]
-    return floors, escaping
+        floor[level] = least  # ties run consecutively; the last one sets it
+    escaping = [row for level, image, row in pairs if image > floor[level]]
+    return {decode[level]: decode[least] for level, least in floor.items()}, escaping
 
 
 def ordinally_included(d1: RankedTable, d2: RankedTable) -> bool:

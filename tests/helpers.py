@@ -22,9 +22,9 @@ from rankrel.calculus import (
 )
 from rankrel.chain import RATIONAL, Score, ScoreChain, exact_decimal_str, meet, residuum
 from rankrel.conditions import TableCondition
-from rankrel.errors import EvalError, UnsupportedOperationError
+from rankrel.errors import ChainError, EvalError, UnsupportedOperationError
 from rankrel.exprs import Binary, Call, Compare, Num, Ref, Ternary, Unary
-from rankrel.maps import Piece, PiecewiseConstantMap
+from rankrel.maps import OrderMap, Piece, PiecewiseConstantMap, apply_checked
 from rankrel.table import (
     INT, STR, RankedTable, Row, Scheme, _conforms, join_rows, parse_header, rank_key,
 )
@@ -337,12 +337,17 @@ def _reference_eval(expr, env):
                 raise EvalError("division by zero")
             return left / right
         if expr.op == "^":
-            if isinstance(right, Fraction) and right.denominator == 1:
-                return left ** right.numerator
-            base, exponent = float(left), float(right)
-            if base < 0 and not exponent.is_integer():
-                raise EvalError("power of a negative value with a non-integer exponent")
-            return base ** exponent
+            try:
+                if isinstance(right, Fraction) and right.denominator == 1:
+                    return left ** right.numerator
+                base, exponent = float(left), float(right)
+                if base < 0 and not exponent.is_integer():
+                    raise EvalError("power of a negative value with a non-integer exponent")
+                return base ** exponent
+            except ZeroDivisionError:
+                raise EvalError("power of zero with a negative exponent") from None
+            except OverflowError:
+                raise EvalError("power out of the float range") from None
         raise EvalError(f"unknown operator {expr.op!r}")
     if isinstance(expr, Compare):
         left = _reference_eval(expr.left, env)
@@ -514,3 +519,44 @@ def reference_read_table_csv(text: str, chain: ScoreChain = RATIONAL) -> RankedT
         assert row not in entries, f"duplicate tuple {row!r}"
         entries[row] = chain.parse(cells[0])
     return RankedTable(scheme, chain, entries)
+
+
+# --- score-coding oracles: the per-row forms the rank codes replace ---------------
+
+
+def reference_parse(chain: ScoreChain, text: str) -> Score:
+    """Every rational text through ``Fraction(text)``: the oracle for ``ScoreChain.parse``."""
+    text = text.strip()
+    if chain.is_rational:
+        try:
+            return chain.score(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            raise ChainError(f"cannot parse rational score from {text!r}") from None
+    return chain.score(text)
+
+
+def reference_rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
+    """One sort on the raw score values: the oracle for ``ordinal._rank_profile``."""
+    bottom = d1.chain.bottom.value
+    first = {row: score.value for row, score in d1}
+    second = {row: score.value for row, score in d2}
+    union = first.keys() | second.keys()
+    pairs = [(first.get(row, bottom), second.get(row, bottom), row) for row in union]
+    size = d1.scheme.domain_size()
+    if size is None or size > len(union):
+        pairs.append((bottom, bottom, None))
+    pairs.sort(key=lambda pair: pair[0], reverse=True)
+    floors = {}
+    least = d2.chain.top.value
+    for level, image, _ in pairs:
+        least = min(least, image)
+        floors[level] = least  # ties run consecutively; the last one sets it
+    escaping = [row for level, image, row in pairs if image > floors[level]]
+    return floors, escaping
+
+
+def reference_compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
+    """Scores hashed per row: the oracle for ``maps.compose_table``."""
+    images = apply_checked(f, {score for _, score in table}, table.chain)
+    entries = {row: images[score] for row, score in table if not images[score].is_bottom}
+    return RankedTable(table.scheme, table.chain, entries)

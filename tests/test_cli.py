@@ -1,12 +1,18 @@
 """End-to-end command-line behaviour."""
 
 import csv
+import random
+from fractions import Fraction
 
 import pytest
 
+from helpers import reference_compose_table, reference_rank_profile, replay_hint, stable_seed
+
 from rankrel import algebra, demo, ordinal
+from rankrel.catalog import parse_config
+from rankrel.chain import RATIONAL, exact_decimal_str
 from rankrel.cli import main
-from rankrel.table import read_table_csv, write_table_csv
+from rankrel.table import INT, RankedTable, Row, Scheme, read_table_csv, write_table_csv
 
 
 @pytest.fixture
@@ -102,6 +108,15 @@ class TestEval:
             "error: power of a negative value with a non-integer exponent at query"
         )
 
+    @pytest.mark.parametrize("query, message", [
+        ("restrict(houses, (bdrm-bdrm)^(0-1))", "power of zero with a negative exponent"),
+        ("restrict(houses, (bdrm^0.5)^100000)", "power out of the float range"),
+    ])
+    def test_power_arithmetic_errors_are_user_errors(self, capsys, query, message):
+        code, out, err = run(capsys, "eval", query)  # over the demo catalog
+        assert code == 1 and out == ""
+        assert err.strip() == f"error: {message} at query"
+
     def test_corrupt_catalog_file_named_in_error(self, capsys, catalog_dir):
         (catalog_dir / "stray.csv").write_text("", encoding="utf-8")
         code, _, err = run(capsys, "eval", "houses", "--catalog", str(catalog_dir))
@@ -187,6 +202,61 @@ class TestTransform:
         assert code == 0
         assert out.splitlines()[2].startswith("0.882")
         assert out.splitlines()[-1].startswith("0.272")
+
+
+class TestRescaleRoundTrip:
+    """``transform`` through analytic, piecewise and graph maps, then ``equiv``."""
+
+    def test_outputs_match_the_per_row_oracles(self, capsys, tmp_path):
+        seed = stable_seed("cli rescale round trip")
+        rng = random.Random(seed)
+        levels = [Fraction(k, 100) for k in range(1, 101)]
+        scheme = Scheme((("id", INT), ("bdrm", INT)))
+        original = RankedTable(scheme, RATIONAL, {
+            Row.of({"id": ident, "bdrm": rng.randint(1, 8)}): RATIONAL.score(rng.choice(levels))
+            for ident in rng.sample(range(3000), 300)
+        })
+        images = sorted(rng.sample(range(1, 10**6), len(levels) - 1)) + [10**6]
+        text = exact_decimal_str
+        graph = ", ".join(f"{text(level)} -> {text(Fraction(image, 10**6))}"
+                          for level, image in zip(levels, images))
+        config = (
+            "chain rational01\n"
+            "map f = expr{ x <= 0.5 ? sqrt(x)/sqrt(2) : 2*(x-0.5)^2 + 0.5 }\n"
+            "map g = piecewise{ 0 -> 0, (0, 0.5] -> 0.25, (0.5, 1] -> 1 }\n"
+            f"map h = graph{{ 0 -> 0, {graph} }}\n"
+        )
+        catalog = tmp_path / "catalog"
+        catalog.mkdir()
+        write_table_csv(original, catalog / "houses.csv")
+        (catalog / "catalog.cfg").write_text(config, encoding="utf-8")
+        houses = read_table_csv(catalog / "houses.csv")
+        maps = parse_config(config).maps
+        with replay_hint(seed):
+            for name, verdict in (("f", "EQUIVALENT"), ("g", "INCLUDED"), ("h", "EQUIVALENT")):
+                code, out, _ = run(capsys, "transform", "--map", name, "--catalog",
+                                   str(catalog), "houses")
+                expected = reference_compose_table(houses, maps[name])
+                assert code == 0 and read_table_csv(out) == expected
+                result = tmp_path / f"result_{name}.csv"
+                result.write_text(out, encoding="utf-8")
+                assert not reference_rank_profile(houses, expected)[1]
+                assert bool(reference_rank_profile(expected, houses)[1]) == (verdict == "INCLUDED")
+                code, out, _ = run(capsys, "equiv", str(catalog / "houses.csv"), str(result))
+                assert code == 0 and out == f"{verdict}\n"
+
+            raised = dict(houses.entries())
+            for row in rng.sample(sorted(raised, key=Row.key), 5):
+                raised[row] = RATIONAL.top
+            perturbed = RankedTable(scheme, RATIONAL, raised)
+            write_table_csv(perturbed, tmp_path / "raised.csv")
+            first = min(reference_rank_profile(houses, perturbed)[1], key=Row.key)
+            code, out, _ = run(capsys, "equiv", str(catalog / "houses.csv"),
+                               str(tmp_path / "raised.csv"))
+            pairs = ", ".join(f"{k}={v}" for k, v in first.items)
+            assert code == 0 and out.splitlines()[:2] == [
+                "NEITHER", f"evidence: first table's cone fails at ({pairs})"
+            ]
 
 
 class TestTopkPlanCalc:

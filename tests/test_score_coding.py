@@ -1,0 +1,288 @@
+"""Per-distinct score coding against the per-row forms it replaces.
+
+``ScoreChain.parse`` reads plain decimals without ``Fraction``'s regex,
+``ordinal._rank_profile`` runs on dense integer rank codes, and
+``maps.compose_table`` maps each distinct score once.  Each is checked on
+seeded inputs against its oracle in ``helpers``: equal scores or identical
+errors, equal floors and escaping rows, equal tables or identical errors.
+A guard test counts the score hashes of both kernels on a 2,000-row table.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+from helpers import (
+    GRID,
+    reference_compose_table,
+    reference_parse,
+    reference_rank_profile,
+    replay_hint,
+    rnd_grid_isomorphism,
+    rnd_monotone_map,
+    stable_seed,
+)
+
+from rankrel import ordinal
+from rankrel.chain import RATIONAL, Score, exact_decimal_str, symbolic_chain
+from rankrel.errors import MapDomainError, MapPropertyError, QuantizationError
+from rankrel.maps import (
+    IDENTITY,
+    PROPERTIES,
+    AnalyticMap,
+    GraphMap,
+    Piece,
+    PiecewiseConstantMap,
+    compose_table,
+)
+from rankrel.table import INT, AttrType, RankedTable, Row, Scheme, read_table_csv
+
+TINY = Fraction(1, 10**30)
+
+#: Rational score values; 1/3 and 1/3 + 10**-30 share a float.
+VALUES = (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(1, 2), Fraction(1, 2) + TINY,
+          Fraction(1, 7), Fraction(3, 4), Fraction(1, 10), Fraction(1))
+
+LEVELS = symbolic_chain("none < low < mid < high < full")
+
+
+def outcome(func, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        result = func(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("error", type(exc), str(exc))
+    if isinstance(result, Score):
+        return ("score", result, type(result.value))
+    return ("ok", result)
+
+
+# --- parse ----------------------------------------------------------------------
+
+PARSE_TEXTS = (
+    "0.5", " 0.5 ", "\t1\n", "0", "1", "0.", ".5", "1.000", "00.50", "1.0001", "-0",
+    "+0.5", "3/4", "1e-3", "1_0", "0.1_0", "1.5", "12", "", " ", ".", "..5", "0..5",
+    "1/0", "abc", "0.5x", "1 0", "１", "０.５", "²", "0.²",
+    "7" * 5000, "0." + "0" * 5000 + "1", "9" * 4000 + "." + "1" * 500,
+)
+
+PARSE_TOKENS = ("0", "1", "5", "9", "00", "10", ".", ".", "/", "-", "+", "e", "E", "_",
+                " ", "５", "²", "x")
+
+
+def test_parse_matches_the_fraction_reference():
+    seed = stable_seed("score parse")
+    rng = random.Random(seed)
+    texts = list(PARSE_TEXTS)
+    texts += ["".join(rng.choice(PARSE_TOKENS) for _ in range(rng.randint(1, 6)))
+              for _ in range(3000)]
+    kinds = Counter()
+    with replay_hint(seed):
+        for text in texts:
+            expected = outcome(reference_parse, RATIONAL, text)
+            assert outcome(RATIONAL.parse, text) == expected, text
+            kinds["value" if expected[0] == "score" else expected[2].split(" ")[0]] += 1
+    assert {"value", "cannot", "score"} <= set(kinds), kinds
+
+
+def test_parse_range_errors_match_the_reference():
+    for text in ("1.5", "12", "1.0001", "2/1", "9" * 40 + ".5"):
+        expected = outcome(reference_parse, RATIONAL, text)
+        assert expected[0] == "error" and "outside [0, 1]" in expected[2]
+        assert outcome(RATIONAL.parse, text) == expected
+
+
+def test_parse_symbolic_levels_match_the_reference():
+    for text in ("low", " mid ", "full\n", "none", "0", "1", "0.5", "LOW", "nope", ""):
+        assert outcome(LEVELS.parse, text) == outcome(reference_parse, LEVELS, text), text
+
+
+# --- rank profile ----------------------------------------------------------------
+
+
+def csv_text(value: Fraction, rng: random.Random) -> str:
+    """One of several texts of ``value``: ``0.5``, ``0.50`` or ``1/2``."""
+    exact = exact_decimal_str(value)
+    forms = [exact, f"{value.numerator}/{value.denominator}"]
+    if "." in exact:
+        forms.append(exact + "0")
+    return rng.choice(forms)
+
+
+def rnd_profile_pair(rng: random.Random):
+    """Two tables on one scheme and chain, often related by a monotone map."""
+    domain = AttrType("int", (0, 1)) if rng.random() < 0.3 else INT
+    scheme = Scheme((("a", domain), ("b", AttrType("int", (0, 1, 2)))))
+    rows = [Row.of({"a": a, "b": b}) for a in (0, 1) for b in (0, 1, 2)]
+    chain = LEVELS if rng.random() < 0.2 else RATIONAL
+    pool = list(range(1, 5)) if chain is LEVELS else rng.sample(VALUES, rng.randint(1, 5))
+    first = {row: rng.choice(pool) for row in rng.sample(rows, rng.randint(0, len(rows)))}
+    if rng.random() < 0.5:
+        ranked = sorted(set(first.values()))
+        images = sorted(rng.choice(pool) for _ in ranked)
+        second = {row: dict(zip(ranked, images))[raw] for row, raw in first.items()}
+        for row in rng.sample(rows, rng.randint(0, 2)):  # a few perturbations
+            if rng.random() < 0.5:
+                second[row] = rng.choice(pool)
+            else:
+                second.pop(row, None)
+    else:
+        second = {row: rng.choice(pool) for row in rng.sample(rows, rng.randint(0, len(rows)))}
+    return tuple(build(chain, scheme, raw, rng) for raw in (first, second))
+
+
+def build(chain, scheme: Scheme, raw: dict, rng: random.Random) -> RankedTable:
+    """A table of raw scores, through the CSV reader or with one object per row."""
+    if chain is RATIONAL and rng.random() < 0.4:
+        lines = ["#,a:int,b:int"]
+        lines += [f"{csv_text(v, rng)},{row.value('a')},{row.value('b')}" for row, v in raw.items()]
+        return RankedTable(scheme, chain, read_table_csv("\n".join(lines) + "\n").entries())
+    return RankedTable(scheme, chain, {row: chain.score(v) for row, v in raw.items()})
+
+
+def test_rank_profile_matches_the_sort_reference():
+    seed = stable_seed("rank profile")
+    rng = random.Random(seed)
+    seen = Counter()
+    with replay_hint(seed):
+        for _ in range(1500):
+            d1, d2 = rnd_profile_pair(rng)
+            floors, escaping = ordinal._rank_profile(d1, d2)
+            expected_floors, expected_escaping = reference_rank_profile(d1, d2)
+            assert list(floors.items()) == list(expected_floors.items())
+            assert Counter(escaping) == Counter(expected_escaping)
+            first = min(expected_escaping, key=Row.key, default=None)
+            assert ordinal.first_inclusion_violation(d1, d2) == first
+            assert ordinal.ordinally_included(d1, d2) == (not expected_escaping)
+            values = [s.value for _, s in (*d1, *d2)]
+            objects = {id(s) for _, s in (*d1, *d2)}
+            seen["symbolic"] += d1.chain is LEVELS
+            seen["empty"] += not len(d1) or not len(d2)
+            seen["covered"] += len(d1.answer_set | d2.answer_set) == d1.scheme.domain_size()
+            seen["shared float"] += len({float(v) for v in values}) < len(set(values))
+            seen["equal objects"] += len(objects) > len(set(values))
+            seen["escaping"] += bool(escaping)
+            seen["included"] += not escaping
+    assert all(seen[key] for key in ("symbolic", "empty", "covered", "shared float",
+                                     "equal objects", "escaping", "included")), seen
+
+
+# --- compose_table ---------------------------------------------------------------
+
+
+def rnd_compose_table(rng: random.Random) -> RankedTable:
+    scheme = Scheme((("a", INT), ("b", INT)))
+    pool = rng.sample(GRID[1:], rng.randint(1, 6))
+    if rng.random() < 0.3:
+        pool.append(Fraction(1, 3) + TINY)  # shares a float with the grid's 1/3
+    rows = {Row.of({"a": a, "b": b}): rng.choice(pool)
+            for a in range(rng.randint(0, 4)) for b in range(rng.randint(1, 4))}
+    return build(RATIONAL, scheme, rows, rng)
+
+
+def rnd_declared(rng: random.Random) -> frozenset:
+    return frozenset(rng.sample(PROPERTIES, rng.randint(0, 2)))
+
+
+def rnd_graph_map(rng: random.Random) -> GraphMap:
+    """A graph over part of the grid; images in any order, some at bottom."""
+    inputs = rng.sample(GRID[1:], rng.randint(10, len(GRID) - 1))
+    pairs = {RATIONAL.score(v): RATIONAL.score(rng.choice(GRID)) for v in inputs}
+    pairs[RATIONAL.bottom] = RATIONAL.bottom
+    if rng.random() < 0.5:
+        ordered = sorted(pairs, key=lambda s: s.value)
+        images = sorted(pairs.values(), key=lambda s: s.value)
+        pairs = dict(zip(ordered, images))
+    return GraphMap.of(pairs, declared=rnd_declared(rng))
+
+
+def rnd_gapped_piecewise(rng: random.Random) -> PiecewiseConstantMap:
+    """Pieces over part of the grid, so that some scores fall in a gap."""
+    bounds = sorted(rng.sample(GRID, 5))
+    pieces = tuple(Piece(RATIONAL.score(lo), RATIONAL.score(hi), RATIONAL.score(rng.choice(GRID)))
+                   for lo, hi in zip(bounds[::2], bounds[1::2]))
+    return PiecewiseConstantMap(RATIONAL, RATIONAL.bottom, pieces, declared=rnd_declared(rng))
+
+
+ANALYTIC = ("x^2", "sqrt(x)", "x/2", "x*0", "1 - x", "x - 1/2", "x + 10^(0-9)",
+            "x <= 1/2 ? sqrt(x)/sqrt(2) : 2*(x-1/2)^2 + 1/2")
+
+
+def rnd_map(rng: random.Random):
+    kind = rng.choice(("identity", "grid", "monotone", "gapped", "graph", "analytic"))
+    if kind == "identity":
+        return kind, IDENTITY
+    if kind == "grid":
+        return kind, rnd_grid_isomorphism(rng)
+    if kind == "monotone":
+        return kind, rnd_monotone_map(rng)
+    if kind == "gapped":
+        return kind, rnd_gapped_piecewise(rng)
+    if kind == "graph":
+        return kind, rnd_graph_map(rng)
+    return kind, AnalyticMap.parse(rng.choice(ANALYTIC), declared=rnd_declared(rng))
+
+
+def test_compose_table_matches_the_per_row_reference():
+    seed = stable_seed("compose table")
+    rng = random.Random(seed)
+    seen = Counter()
+    with replay_hint(seed):
+        for _ in range(1500):
+            table = rnd_compose_table(rng)
+            kind, f = rnd_map(rng)
+            expected = outcome(reference_compose_table, table, f)
+            assert outcome(compose_table, table, f) == expected, (kind, f)
+            seen[kind] += 1
+            seen[expected[1] if expected[0] == "error" else "ok"] += 1
+            seen["empty"] += not len(table)
+            seen["dropped"] += expected[0] == "ok" and len(expected[1]) < len(table)
+        symbolic = RankedTable(Scheme((("a", INT),)), LEVELS,
+                               {Row.of({"a": i}): LEVELS.score(1 + i % 4) for i in range(9)})
+        levels = [LEVELS.score(i) for i in range(5)]
+        for images in ((0, 1, 1, 3, 4), (0, 2, 1, 3, 4), (0, 0, 2, 3, 4), (1, 1, 2, 3, 4)):
+            for declared in ((), ("reflecting",)):
+                f = GraphMap.of(zip(levels, (levels[i] for i in images)), declared=declared)
+                expected = outcome(reference_compose_table, symbolic, f)
+                assert outcome(compose_table, symbolic, f) == expected
+                seen[f"symbolic {expected[0]}"] += 1
+    assert all(seen[key] for key in ("identity", "grid", "monotone", "gapped", "graph",
+                                     "analytic", "ok", "empty", "dropped", MapDomainError,
+                                     QuantizationError, MapPropertyError,
+                                     "symbolic ok", "symbolic error")), seen
+
+
+# --- guard: hashes per distinct score, not per row -------------------------------
+
+
+def test_kernels_hash_each_distinct_score_not_each_row(monkeypatch):
+    scheme = Scheme((("id", INT), ("k", INT)))
+    levels = [RATIONAL.score(Fraction(i, 10)) for i in range(1, 11)]
+    d1 = RankedTable(scheme, RATIONAL,
+                     {Row.of({"id": i, "k": i % 7}): levels[i % 10] for i in range(2000)})
+    d2 = RankedTable(scheme, RATIONAL,
+                     {Row.of({"id": i, "k": i % 7}): levels[i * 3 % 10] for i in range(2000)})
+    graph = GraphMap.of({RATIONAL.bottom: RATIONAL.bottom,
+                         **{s: levels[min(i + 1, 9)] for i, s in enumerate(levels)}},
+                        declared=("preserving",))
+    maps = (graph, rnd_grid_isomorphism(random.Random(3)), AnalyticMap.parse("x^2"), IDENTITY)
+    hashes = Counter()
+
+    def counting(cls):
+        original = cls.__hash__
+
+        def hash_(self):
+            hashes[cls.__name__] += 1
+            return original(self)
+        monkeypatch.setattr(cls, "__hash__", hash_)
+
+    counting(Score)
+    counting(Fraction)
+    for pair in ((d1, d2), (d2, d1)):
+        hashes.clear()
+        ordinal._rank_profile(*pair)
+        assert max(hashes.values(), default=0) < 100, hashes
+    for f in maps:
+        hashes.clear()
+        compose_table(d1, f)
+        assert max(hashes.values(), default=0) < 100, (f, hashes)
