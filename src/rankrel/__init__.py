@@ -62,7 +62,6 @@ from .table import (
     Row,
     Scheme,
     from_classic,
-    join_rows,
     read_table_csv,
     to_classic,
     write_table_csv,

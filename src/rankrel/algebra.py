@@ -7,6 +7,10 @@ score of a tuple absent from every operand is bottom throughout.
 
 Restricted to tables and conditions with scores in {0, 1}, each operation
 coincides with its classic counterpart.
+
+Result rows are operand rows or gathered from them by plans, so results are
+built by ``RankedTable._trusted`` with no per-row check; bottom is filtered
+wherever a connective can yield it.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ def _matched_pairs(d1: RankedTable, d2: RankedTable) -> Iterator[tuple[Row, Scor
     key_of_d1, key_of_d2 = gather(d1.scheme, shared), gather(d2.scheme, shared)
     index: dict[tuple, list[tuple[Row, Score]]] = {}
     for row, score in d2:
-        index.setdefault(key_of_d2(row.items), []).append((row, score))
+        index.setdefault(key_of_d2(row), []).append((row, score))
     for row, score in d1:
-        for other, other_score in index.get(key_of_d1(row.items), ()):
+        for other, other_score in index.get(key_of_d1(row), ()):
             yield row, score, other, other_score
 
 
@@ -56,10 +60,10 @@ def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     scheme = d1.scheme.union(d2.scheme)
     join = joiner(d1.scheme, d2.scheme)
     entries = {
-        join(row.items, other.items): meet(score, other_score)
+        join(row, other): meet(score, other_score)
         for row, score, other, other_score in _matched_pairs(d1, d2)
     }
-    return RankedTable(scheme, d1.chain, entries)
+    return RankedTable._trusted(scheme, d1.chain, entries)
 
 
 def restrict(d: RankedTable, theta: Condition) -> RankedTable:
@@ -71,20 +75,20 @@ def restrict(d: RankedTable, theta: Condition) -> RankedTable:
         value = meet(score, score_of(row))
         if not value.is_bottom:
             entries[row] = value
-    return RankedTable(d.scheme, d.chain, entries)
+    return RankedTable._trusted(d.scheme, d.chain, entries)
 
 
 def project(d: RankedTable, names: Iterable[str]) -> RankedTable:
     """Project onto a sub-scheme; a projected tuple takes the best extension."""
     scheme = d.scheme.project(names)
     shorten = gather(d.scheme, scheme.sorted_names)
-    best: dict[tuple, Score] = {}  # projected row items -> best score so far
+    best: dict[tuple, Score] = {}  # projected row pairs -> best score so far
     for row, score in d:
-        shorter = shorten(row.items)
+        shorter = shorten(row)
         current = best.get(shorter)
         if current is None or score.value > current.value:
             best[shorter] = score
-    return RankedTable(scheme, d.chain, {Row(items): score for items, score in best.items()})
+    return RankedTable._trusted(scheme, d.chain, {Row(p): s for p, s in best.items()})
 
 
 def union_tables(d1: RankedTable, d2: RankedTable) -> RankedTable:
@@ -95,7 +99,7 @@ def union_tables(d1: RankedTable, d2: RankedTable) -> RankedTable:
         current = entries.get(row)
         if current is None or score.value > current.value:
             entries[row] = score
-    return RankedTable(d1.scheme, d1.chain, entries)
+    return RankedTable._trusted(d1.scheme, d1.chain, entries)
 
 
 def difference(d1: RankedTable, d2: RankedTable) -> RankedTable:
@@ -103,10 +107,10 @@ def difference(d1: RankedTable, d2: RankedTable) -> RankedTable:
     _require_same_scheme(d1, d2)
     entries: dict[Row, Score] = {}
     for row, score in d1:
-        value = abjunction(score, d2.score_of(row))
+        value = abjunction(score, d2._entries.get(row, d2.chain.bottom))
         if not value.is_bottom:
             entries[row] = value
-    return RankedTable(d1.scheme, d1.chain, entries)
+    return RankedTable._trusted(d1.scheme, d1.chain, entries)
 
 
 def intersection(d1: RankedTable, d2: RankedTable) -> RankedTable:
@@ -137,24 +141,25 @@ def divide(dividend: RankedTable, mediator: RankedTable, divisor: RankedTable) -
     for row, bound in dividend:
         value = bound
         for s_row, s_score in divisor_rows:
-            med = mediator.score_of(join(row.items, s_row.items))
+            med = mediator._entries.get(join(row, s_row), mediator.chain.bottom)
             value = meet(value, residuum(s_score, med))
             if value.is_bottom:
                 break
         if not value.is_bottom:
             entries[row] = value
-    return RankedTable(dividend.scheme, dividend.chain, entries)
+    return RankedTable._trusted(dividend.scheme, dividend.chain, entries)
 
 
 def residuum_tables(d3: RankedTable, d1: RankedTable, d2: RankedTable) -> RankedTable:
     """Pointwise ``min(d3(r), d1(r) -> d2(r))`` over one shared scheme."""
     _require_same_scheme(d3, d1, d2)
+    bottom = d1.chain.bottom
     entries: dict[Row, Score] = {}
     for row, bound in d3:
-        value = meet(bound, residuum(d1.score_of(row), d2.score_of(row)))
+        value = meet(bound, residuum(d1._entries.get(row, bottom), d2._entries.get(row, bottom)))
         if not value.is_bottom:
             entries[row] = value
-    return RankedTable(d3.scheme, d3.chain, entries)
+    return RankedTable._trusted(d3.scheme, d3.chain, entries)
 
 
 def subsethood(d1: RankedTable, d2: RankedTable) -> Score:
@@ -166,7 +171,7 @@ def subsethood(d1: RankedTable, d2: RankedTable) -> Score:
     _require_same_scheme(d1, d2)
     violations = []
     for row, score in d1:
-        other = d2.score_of(row)
+        other = d2._entries.get(row, d2.chain.bottom)
         if score.value > other.value:
             violations.append(other)
     return min_score(violations, d1.chain.top)
@@ -191,7 +196,7 @@ def semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
         best = entries.get(row)
         if best is None or value.value > best.value:
             entries[row] = value
-    return RankedTable(d1.scheme, d1.chain, entries)
+    return RankedTable._trusted(d1.scheme, d1.chain, entries)
 
 
 def rename(d: RankedTable, mapping: Mapping[str, str]) -> RankedTable:
@@ -201,11 +206,8 @@ def rename(d: RankedTable, mapping: Mapping[str, str]) -> RankedTable:
     old_name = {lowered.get(name, name): name for name in d.scheme.sorted_names}
     reorder = gather(d.scheme, [old_name[name] for name in scheme.sorted_names])
     names = scheme.sorted_names
-    entries = {
-        Row(tuple(zip(names, [value for _, value in reorder(row.items)]))): score
-        for row, score in d
-    }
-    return RankedTable(scheme, d.chain, entries)
+    entries = {Row(zip(names, [value for _, value in reorder(row)])): score for row, score in d}
+    return RankedTable._trusted(scheme, d.chain, entries)
 
 
 def product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
@@ -224,5 +226,5 @@ def product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     for row, score, other, other_score in _matched_pairs(d1, d2):
         value = d1.chain.score(score.value * other_score.value)
         if not value.is_bottom:
-            entries[join(row.items, other.items)] = value
-    return RankedTable(scheme, d1.chain, entries)
+            entries[join(row, other)] = value
+    return RankedTable._trusted(scheme, d1.chain, entries)

@@ -141,7 +141,8 @@ class Structure:
 
     Interpretations are finite-support (absent vectors score bottom), hence
     the structure is safe: quantifier infima and suprema always exist.
-    Universe elements are plain strings.
+    Universe elements and vector entries are plain strings, checked here, so
+    the tables built from a structure conform by construction.
     """
 
     chain: ScoreChain
@@ -152,10 +153,14 @@ class Structure:
     def __post_init__(self) -> None:
         if not self.universe:
             raise EvalError("structure universe must be non-empty")
+        if not all(isinstance(element, str) for element in self.universe):
+            raise EvalError("structure universe elements must be strings")
         for symbol, interp in self.interps.items():
             arity = self.arities.get(symbol)
             if arity is None:
                 raise EvalError(f"interpretation for undeclared symbol {symbol!r}")
+            if not all(isinstance(element, str) for vector in interp for element in vector):
+                raise EvalError(f"the vectors of {symbol!r} must hold strings only")
             for vector, score in interp.items():
                 if len(vector) != arity:
                     raise EvalError(f"vector {vector!r} does not match arity of {symbol!r}")
@@ -335,7 +340,7 @@ def table_of(m: Structure, phi: Formula) -> RankedTable:
         score = evaluate(phi, m, valuation)
         if not score.is_bottom:
             entries[Row.of(valuation)] = score
-    return RankedTable(Scheme((var, STR) for var in variables), m.chain, entries)
+    return RankedTable._trusted(Scheme((var, STR) for var in variables), m.chain, entries)
 
 
 # --- formula -> relational expression ---------------------------------------
@@ -418,8 +423,9 @@ def formula_to_algebra(phi: Formula, m: Structure):
 def _atom_table(m: Structure, atom: Atom) -> RankedTable:
     """Interpretation of a relation symbol as a table on the atom's variables.
 
-    Repeated variables keep only the diagonal vectors whose positions agree.
-    The atom is checked as :func:`table_of` checks it, stored vectors or not.
+    Repeated variables keep only the diagonal vectors whose positions agree;
+    a stored bottom is left out, as absence encodes it.  The atom is checked
+    as :func:`table_of` checks it, stored vectors or not.
     """
     m.check_atom(atom.symbol, len(atom.args))
     distinct = list(dict.fromkeys(atom.args))
@@ -432,9 +438,9 @@ def _atom_table(m: Structure, atom: Atom) -> RankedTable:
             if assignment.setdefault(var, value) != value:
                 consistent = False
                 break
-        if consistent:
+        if consistent and not score.is_bottom:
             entries[Row.of(assignment)] = score
-    return RankedTable(scheme, m.chain, entries)
+    return RankedTable._trusted(scheme, m.chain, entries)
 
 
 # --- relational expression -> formula ---------------------------------------
@@ -587,11 +593,8 @@ def structure_from_tables(tables: Mapping[str, RankedTable]) -> Structure:
 def stringified(table: RankedTable) -> RankedTable:
     """The same table with every value replaced by its string form."""
     scheme = Scheme((name, STR) for name in table.scheme.names)
-    entries = {
-        Row.of({name: str(row.value(name)) for name in table.scheme.names}): score
-        for row, score in table
-    }
-    return RankedTable(scheme, table.chain, entries)
+    entries = {Row((name, str(value)) for name, value in row): score for row, score in table}
+    return RankedTable._trusted(scheme, table.chain, entries)
 
 
 # --- formula parser ---------------------------------------------------------

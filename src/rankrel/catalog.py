@@ -16,6 +16,7 @@ named restriction conditions::
 from __future__ import annotations
 
 import re
+from collections import UserDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -27,18 +28,35 @@ from .maps import AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, Piecewise
 from .table import RankedTable, read_table_csv
 
 
+class OrderMaps(UserDict):
+    """Order maps by name; a map declared by a config line is parsed at first lookup.
+
+    The parsed map is kept.  A body that fails to parse is not, so every
+    lookup of it raises its ``ParseError``, with its config line number.
+    """
+
+    def declare(self, name: str, body: str, chain: ScoreChain, lineno: int) -> None:
+        self.data[name] = (body, chain, lineno)
+
+    def __getitem__(self, name: str) -> OrderMap:
+        found = self.data[name]
+        if isinstance(found, tuple):
+            found = self.data[name] = _parse_map(*found)
+        return found
+
+
 @dataclass
 class Catalog:
     chain: ScoreChain = RATIONAL
     tables: dict[str, RankedTable] = field(default_factory=dict)
     conditions: dict[str, Condition] = field(default_factory=dict)
-    maps: dict[str, OrderMap] = field(default_factory=dict)
+    maps: OrderMaps = field(default_factory=OrderMaps)
 
     @classmethod
     def from_tables(cls, tables: Mapping[str, RankedTable],
                     conditions: Optional[Mapping[str, Condition]] = None,
                     chain: ScoreChain = RATIONAL) -> "Catalog":
-        return cls(chain, dict(tables), dict(conditions or {}), {})
+        return cls(chain, dict(tables), dict(conditions or {}))
 
     def table(self, name: str) -> RankedTable:
         try:
@@ -93,6 +111,7 @@ _PIECE_RE = re.compile(r"\(\s*(?P<lo>[^,]+?)\s*,\s*(?P<hi>[^\]]+?)\s*\]\s*->\s*(
 
 
 def parse_config(text: str) -> Catalog:
+    """Read a config; each ``map`` body is parsed when first looked up."""
     catalog = Catalog()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,9 +126,8 @@ def parse_config(text: str) -> Catalog:
             continue
         match = _MAP_RE.match(line)
         if match:
-            catalog.maps[match.group("name").lower()] = _parse_map(
-                match.group("body").strip(), catalog.chain, lineno
-            )
+            catalog.maps.declare(match.group("name").lower(), match.group("body").strip(),
+                                 catalog.chain, lineno)
             continue
         match = _COND_RE.match(line)
         if match:

@@ -189,11 +189,11 @@ class Score:
     def __ge__(self, other: "Score") -> bool:
         return not self < other
 
-    # Compared on the raw carrier value, without building chain.bottom or
+    # Read off the raw carrier value, without building chain.bottom or
     # chain.top: bottom is 0 on both carriers, top is 1 or the last level.
     @property
     def is_bottom(self) -> bool:
-        return self.value == 0
+        return not self.value
 
     @property
     def is_top(self) -> bool:

@@ -162,8 +162,7 @@ def _memoised(scheme: Scheme, names, score: Callable[[Row], Score]) -> Callable[
     memo: dict[tuple, Score] = {}
 
     def memoised(row: Row) -> Score:
-        items = row.items
-        key = tuple([items[i][1] for i in positions])
+        key = tuple([row[i][1] for i in positions])
         try:
             return memo[key]
         except KeyError:

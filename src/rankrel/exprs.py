@@ -335,9 +335,19 @@ def _divide(left, right):
     return left / right
 
 
+#: Most bits of an exact power, estimated as ``|n|`` times one less than the
+#: base's larger numerator or denominator bit length: never above the result's
+#: size, at least half of it, and 0 for bases 0, 1 and -1.  A bound on ``n``
+#: alone would let nested powers grow.
+POWER_BITS_CAP = 10_000
+
+
 def _power(left, right):
     try:
         if isinstance(right, Fraction) and right.denominator == 1:
+            if not isinstance(left, float) and abs(right.numerator) * (max(
+                    left.numerator.bit_length(), left.denominator.bit_length()) - 1) > POWER_BITS_CAP:
+                raise EvalError(f"exact power above the cap of {POWER_BITS_CAP:,} bits")
             return left ** right.numerator
         base, exponent = float(left), float(right)
         if base < 0 and not exponent.is_integer():

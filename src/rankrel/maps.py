@@ -286,18 +286,20 @@ def compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
     The map is checked by :func:`apply_checked` on the table's range; rows
     whose image is bottom drop out.
 
-    Each distinct ``Score`` object is looked up once; rows then go through
-    an ``id`` table of the images that are not bottom, so no score is hashed
-    per row.  The table keeps the objects alive for the whole call, so their
-    ids are stable.
+    Each distinct ``Score`` object is looked up, and its image checked to be
+    on the table's chain, once; rows then go through an ``id`` table of the
+    images that are not bottom, so no score is hashed per row.  The table
+    keeps the objects alive for the whole call, so their ids are stable.
     """
+    chain = table.chain
     scores = {id(score): score for _, score in table}
-    images = apply_checked(f, set(scores.values()), table.chain)
-    kept = {key: image for key, score in scores.items()
-            if not (image := images[score]).is_bottom}
+    images = apply_checked(f, set(scores.values()), chain)
+    kept = {key: image for key, score in scores.items() if not (image := images[score]).is_bottom}
+    if any(image.chain != chain for image in kept.values()):
+        raise IncompatibleChainError("the map sends scores off the table's chain")
     entries = {row: image for row, score in table
                if (image := kept.get(id(score))) is not None}
-    return RankedTable(table.scheme, table.chain, entries)
+    return RankedTable._trusted(table.scheme, chain, entries)
 
 
 def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .chain import RATIONAL, Score, ScoreChain, exact_decimal_str
 from .errors import (
     ChainError,
-    DisjointTupleError,
     IncompatibleChainError,
     NotCrispError,
     SchemeError,
@@ -196,78 +195,55 @@ class Scheme:
         return size
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(tuple):
     """A tuple on some scheme: a total attribute -> value assignment.
 
-    Stored as name-sorted pairs, so equal assignments are equal rows and the
-    value tuple doubles as the canonical sort key among rows of one scheme.
+    A tuple of its name-sorted ``(name, value)`` pairs, so equal assignments
+    are equal rows, hashing and equality run in C, and the pairs double as
+    the canonical sort key among rows of one scheme.
     """
 
-    items: tuple[tuple[str, object], ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, mapping: Mapping[str, object]) -> "Row":
-        return cls(tuple(sorted((name.lower(), value) for name, value in mapping.items())))
+        return cls(sorted((name.lower(), value) for name, value in mapping.items()))
+
+    @property
+    def items(self) -> tuple[tuple[str, object], ...]:
+        return self  # the pairs themselves, not a copy
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.items)
+        return tuple(name for name, _ in self)
 
     def value(self, name: str):
         name = name.lower()
-        for key, val in self.items:
+        for key, val in self:
             if key == name:
                 return val
         raise SchemeError(f"row has no attribute {name!r}")
 
     def as_dict(self) -> dict[str, object]:
-        return dict(self.items)
+        return dict(self)
 
     def project(self, names: Iterable[str]) -> "Row":
         wanted = {n.lower() for n in names}
-        return Row(tuple(pair for pair in self.items if pair[0] in wanted))
+        return Row(pair for pair in self if pair[0] in wanted)
 
     def key(self) -> tuple:
         """Canonical comparison key: values in attribute-name order."""
-        return tuple(value for _, value in self.items)
+        return tuple(value for _, value in self)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.items)
+        inner = ", ".join(f"{k}={v!r}" for k, v in self)
         return f"Row({inner})"
-
-
-def rank_key(item: tuple[Row, Score]) -> tuple:
-    """Display-order key for a (row, score) pair: descending score, then row.
-
-    The float of the score is compared first and the exact value only where
-    two floats tie.  This gives exactly the order of ``(-value, row.key())``:
-    ``float()`` of a rational (and of a level index) is correctly rounded and
-    hence monotone, so ``a <= b`` implies ``float(a) <= float(b)``.  Unequal
-    floats therefore order the exact values the same way, and equal floats
-    fall through to the exact comparison.
-    """
-    row, score = item
-    value = score.value
-    return (-float(value), -value, row.key())
-
-
-def join_rows(r: Row, s: Row) -> Row:
-    """Join two tuples agreeing on shared attributes (the empty row is neutral)."""
-    merged = dict(r.items)
-    for name, value in s.items:
-        if name in merged and merged[name] != value:
-            raise DisjointTupleError(
-                f"tuples disagree on {name!r}: {merged[name]!r} vs {value!r}"
-            )
-        merged[name] = value
-    return Row.of(merged)
 
 
 # --- per-call row plans -----------------------------------------------------
 #
-# A conforming row stores its pairs in name order, so on one scheme each
-# attribute sits at a fixed index of ``row.items``.  An operator builds these
+# A conforming row is its pairs in name order, so on one scheme each
+# attribute sits at a fixed index of the row.  An operator builds these
 # plans once per call and then assembles every result row by indexing.
 
 
@@ -282,32 +258,28 @@ def _selector(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 
 def gather(scheme: Scheme, names: Iterable[str]) -> Callable[[tuple], tuple]:
-    """Plan mapping the ``items`` of a row on ``scheme`` to the pairs of ``names``.
+    """Plan mapping a row on ``scheme`` to its pairs of ``names``.
 
     The pairs come out in the order of ``names``; given them in name order,
-    the result is the ``items`` of the row's projection.
+    the result holds the pairs of the row's projection.
     """
     return _selector([scheme.positions[name.lower()] for name in names])
 
 
 def joiner(left: Scheme, right: Scheme) -> Callable[[tuple, tuple], Row]:
-    """Plan mapping the ``items`` of a left and a right row to their joined ``Row``.
+    """Plan mapping a left and a right row to their joined ``Row``.
 
     Each pair of the joined row, in name order, is picked from the two rows'
-    concatenated items; a shared attribute is read from the right row, as in
-    :func:`join_rows`.  The plan does not compare shared values: callers pair
-    only rows that agree on them.
+    concatenated pairs; a shared attribute is read from the right row.  The
+    plan does not compare shared values: callers pair only rows that agree
+    on them.
     """
     offset = len(left.sorted_names)
     select = _selector([
         offset + right.positions[name] if name in right.positions else left.positions[name]
         for name in sorted(left.name_set | right.name_set)
     ])
-    return lambda left_items, right_items: Row(select(left_items + right_items))
-
-
-def _row_items(pair: tuple[Row, Score]) -> tuple:
-    return pair[0].items
+    return lambda left_row, right_row: Row(select(left_row + right_row))
 
 
 def _score_float_first(pair: tuple[Row, Score]) -> tuple:
@@ -316,14 +288,15 @@ def _score_float_first(pair: tuple[Row, Score]) -> tuple:
 
 
 def rank_sorted(pairs: Iterable[tuple[Row, Score]]) -> list[tuple[Row, Score]]:
-    """(row, score) pairs of one scheme in display order, exactly as ``rank_key``.
+    """(row, score) pairs of one scheme by descending score, ties by ``row.key()``.
 
-    Two stable sorts: first by ``row.items``, which orders rows of one scheme
-    as ``row.key()`` does, since every row has the same names at the same
-    places; then descending by ``(float(value), value)``, which orders scores
-    exactly (see ``rank_key``) and keeps equal scores in row order.
+    Two stable sorts: first by the row's pairs, which orders rows of one
+    scheme as ``row.key()`` does, since every row has the same names at the
+    same places; then descending by ``(float(value), value)``: ``float()`` is
+    correctly rounded, hence monotone, and equal floats fall through to the
+    exact value.
     """
-    ordered = sorted(pairs, key=_row_items)
+    ordered = sorted(pairs, key=itemgetter(0))
     ordered.sort(key=_score_float_first, reverse=True)
     return ordered
 
@@ -349,9 +322,9 @@ def make_row(scheme: Scheme, values: Mapping[str, object]) -> Row:
 
 
 def _row_conforms(scheme: Scheme, row: Row) -> bool:
-    if len(row.items) != len(scheme._conformance):
+    if len(row) != len(scheme._conformance):
         return False
-    for (name, value), (want, kind, exact, domain) in zip(row.items, scheme._conformance):
+    for (name, value), (want, kind, exact, domain) in zip(row, scheme._conformance):
         if name != want or (type(value) is not exact and not _conforms(value, kind)):
             return False
         if domain is not None and value not in domain:
@@ -360,7 +333,11 @@ def _row_conforms(scheme: Scheme, row: Row) -> bool:
 
 
 class RankedTable:
-    """Immutable finite map from rows to nonzero scores over one scheme."""
+    """Immutable finite map from rows to nonzero scores over one scheme.
+
+    The constructor checks every row and score; results that conform by
+    construction are built by :meth:`_trusted`.
+    """
 
     __slots__ = ("scheme", "chain", "_entries")
 
@@ -375,6 +352,19 @@ class RankedTable:
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "_entries", dict(entries))
+
+    @classmethod
+    def _trusted(cls, scheme: Scheme, chain: ScoreChain, entries: dict) -> "RankedTable":
+        """Adopt ``entries`` as they are, with no copy and no per-row check.
+
+        Only for rows conforming to ``scheme`` by construction and nonzero
+        scores on ``chain``; the caller must not change ``entries`` afterwards.
+        """
+        table = object.__new__(cls)
+        object.__setattr__(table, "scheme", scheme)
+        object.__setattr__(table, "chain", chain)
+        object.__setattr__(table, "_entries", entries)
+        return table
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("RankedTable is immutable")
@@ -519,8 +509,10 @@ def read_table_csv(source, chain: ScoreChain = RATIONAL) -> RankedTable:
 def _read_rows(reader, chain: ScoreChain) -> RankedTable:
     """Parse cells in header order, then place them in name order by one plan.
 
-    Each distinct score text is parsed once; a text that fails to parse is
-    not remembered, so its error is raised where it occurs.
+    The parsers type every cell, so rows conform by construction; rows are
+    checked for duplicates here.  Each distinct score text is parsed, and
+    checked to be nonzero, once: at its first line, where an error is raised
+    as a per-row check would.  A text that fails to parse is not remembered.
     """
     try:
         header = next(reader)
@@ -541,14 +533,14 @@ def _read_rows(reader, chain: ScoreChain) -> RankedTable:
         score = scores.get(cells[0])
         if score is None:
             score = scores[cells[0]] = chain.parse(cells[0])
-        if score.is_bottom:
-            raise ChainError(f"line {lineno}: rows with score 0 are not stored; omit the row")
+            if score.is_bottom:
+                raise ChainError(f"line {lineno}: rows with score 0 are not stored; omit the row")
         values = [parse(cell) for parse, cell in zip(parsers, cells[1:])]
-        row = Row(tuple(zip(names, in_name_order(values))))
+        row = Row(zip(names, in_name_order(values)))
         if row in entries:
             raise SchemeError(f"line {lineno}: duplicate tuple {row!r}")
         entries[row] = score
-    return RankedTable(scheme, chain, entries)
+    return RankedTable._trusted(scheme, chain, entries)
 
 
 #: Attribute value -> cell text, per kind: exact decimal (or ``p/q``) for dec.
@@ -556,7 +548,7 @@ _FORMATTERS = {"str": str, "int": str, "dec": exact_decimal_str}
 
 
 def column_plan(scheme: Scheme, names: Iterable[str]) -> list[tuple[int, Callable]]:
-    """(position in ``row.items``, formatter) for each of ``names``, built once per call."""
+    """(position in a row, formatter) for each of ``names``, built once per call."""
     return [
         (scheme.positions[attr.name], _FORMATTERS[attr.atype.kind])
         for attr in map(scheme.attr, names)
@@ -581,8 +573,7 @@ def ranked_cells(
             if last is None or score.value != last.value:
                 text = chain.format(score, places)
             last = score
-        items = row.items
-        yield [text] + [fmt(items[position][1]) for position, fmt in plan]
+        yield [text] + [fmt(row[position][1]) for position, fmt in plan]
 
 
 def write_table_csv(table: RankedTable, target=None) -> str:

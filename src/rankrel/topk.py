@@ -66,7 +66,7 @@ class SortedSource:
             index = {}
             key_of = gather(self.table.scheme, key_names)
             for row, score in self.ranked:
-                index.setdefault(key_of(row.items), []).append((row, score))
+                index.setdefault(key_of(row), []).append((row, score))
             self._indexes[key_names] = index
         return index.get(key, [])
 
@@ -151,10 +151,10 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
             counters["random"] += len(partial)
             extended = []
             for accumulated, acc_score in partial:
-                key = key_of(accumulated.items)
+                key = key_of(accumulated)
                 for match, match_score in sources[other].lookup(key_names, key):
                     merged_score = match_score if match_score.value < acc_score.value else acc_score
-                    extended.append((join(accumulated.items, match.items), merged_score))
+                    extended.append((join(accumulated, match), merged_score))
             partial = extended
             if not partial:
                 return

@@ -22,12 +22,10 @@ from rankrel.calculus import (
 )
 from rankrel.chain import RATIONAL, Score, ScoreChain, exact_decimal_str, meet, residuum
 from rankrel.conditions import TableCondition
-from rankrel.errors import ChainError, EvalError, UnsupportedOperationError
-from rankrel.exprs import Binary, Call, Compare, Num, Ref, Ternary, Unary
+from rankrel.errors import ChainError, DisjointTupleError, EvalError, UnsupportedOperationError
+from rankrel.exprs import POWER_BITS_CAP, Binary, Call, Compare, Num, Ref, Ternary, Unary
 from rankrel.maps import OrderMap, Piece, PiecewiseConstantMap, apply_checked
-from rankrel.table import (
-    INT, STR, RankedTable, Row, Scheme, _conforms, join_rows, parse_header, rank_key,
-)
+from rankrel.table import INT, STR, RankedTable, Row, Scheme, _conforms, parse_header
 
 #: Score grid: multiples of 1/24 (contains halves, quarters, sixths...).
 GRID_DENOM = 24
@@ -66,12 +64,17 @@ def rnd_scheme(rng: random.Random, names=None, max_attrs: int = 4) -> Scheme:
     return Scheme((name, INT) for name in names)
 
 
-def rnd_table(rng: random.Random, scheme: Scheme, max_rows: int = 12) -> RankedTable:
+def rnd_table(rng: random.Random, scheme: Scheme, max_rows: int = 12,
+              chain: ScoreChain = RATIONAL) -> RankedTable:
+    """Random rows scored on the grid, or on any nonzero level of a symbolic chain."""
     rows = {}
     for _ in range(rng.randint(0, max_rows)):
         row = Row.of({name: rng.choice(VALUE_POOL) for name in scheme.names})
-        rows[row] = grid_score(rng)
-    return RankedTable(scheme, RATIONAL, rows)
+        if chain.is_rational:
+            rows[row] = grid_score(rng)
+        else:
+            rows[row] = chain.score(rng.randrange(1, len(chain.levels)))
+    return RankedTable(scheme, chain, rows)
 
 
 def rnd_condition(rng: random.Random, scheme: Scheme) -> TableCondition:
@@ -339,6 +342,10 @@ def _reference_eval(expr, env):
         if expr.op == "^":
             try:
                 if isinstance(right, Fraction) and right.denominator == 1:
+                    if not isinstance(left, float) and abs(right.numerator) * (max(
+                            left.numerator.bit_length(),
+                            left.denominator.bit_length()) - 1) > POWER_BITS_CAP:
+                        raise EvalError(f"exact power above the cap of {POWER_BITS_CAP:,} bits")
                     return left ** right.numerator
                 base, exponent = float(left), float(right)
                 if base < 0 and not exponent.is_integer():
@@ -418,6 +425,24 @@ def reference_row_conforms(scheme: Scheme, row: Row) -> bool:
 
 
 # --- row-building oracles: the per-row forms the gather plans replace -----------
+
+
+def join_rows(r: Row, s: Row) -> Row:
+    """Join two tuples agreeing on shared attributes (the empty row is neutral)."""
+    merged = dict(r.items)
+    for name, value in s.items:
+        if name in merged and merged[name] != value:
+            raise DisjointTupleError(
+                f"tuples disagree on {name!r}: {merged[name]!r} vs {value!r}"
+            )
+        merged[name] = value
+    return Row.of(merged)
+
+
+def rank_key(item: tuple[Row, Score]) -> tuple:
+    """Display-order key for a (row, score) pair: descending score, then row."""
+    row, score = item
+    return (-score.value, row.key())
 
 
 def _reference_matched_pairs(d1: RankedTable, d2: RankedTable):

@@ -143,7 +143,7 @@ def divide_oracle(dividend, mediator, divisor):
     for row, bound in dividend:
         values = [bound]
         for s_row, s_score in divisor:
-            from rankrel.table import join_rows
+            from helpers import join_rows
 
             values.append(residuum(s_score, mediator.score_of(join_rows(row, s_row))))
         result = min(values, key=lambda s: s.value)
@@ -331,7 +331,7 @@ def classic_join(r1, r2, shared):
     for a in r1:
         for b in r2:
             if all(a.value(n) == b.value(n) for n in shared):
-                from rankrel.table import join_rows
+                from helpers import join_rows
 
                 out.add(join_rows(a, b))
     return out
@@ -392,7 +392,7 @@ class TestCrispDegeneration:
                 from_classic(mediator_rows, med_scheme),
                 from_classic(divisor_rows, s_scheme),
             )
-            from rankrel.table import join_rows
+            from helpers import join_rows
 
             expected = {
                 row

@@ -83,6 +83,26 @@ class TestConfig:
             compose_table(demo.houses(), lifted)
 
 
+class TestMapsParsedAtFirstUse:
+    TEXT = "chain rational01\nmap same = identity\nmap bad = graph{ 0 -> 0, 1 }\n"
+
+    def test_a_malformed_map_fails_where_it_is_looked_up(self):
+        catalog = parse_config(self.TEXT)
+        assert set(catalog.maps) == {"same", "bad"} and len(catalog.maps) == 2
+        assert catalog.maps["same"] is catalog.maps["same"]  # parsed once, then kept
+        for lookup in (lambda: catalog.maps["bad"], lambda: catalog.order_map("BAD")):
+            with pytest.raises(ParseError) as err:
+                lookup()
+            assert str(err.value) == "graph entry '1' needs '->' (line 3, column 0)"
+
+    def test_compose_resolves_its_map_while_parsing(self):
+        with pytest.raises(ParseError) as err:
+            parse_config(self.TEXT + "cond theta = expr{ 1 }\ncond c = compose(theta, bad)\n")
+        assert err.value.line == 3
+        catalog = parse_config(self.TEXT + "cond theta = expr{ 1 }\ncond c = compose(theta, same)\n")
+        assert isinstance(catalog.maps["same"], IdentityMap) and "c" in catalog.conditions
+
+
 class TestCatalogDir:
     def test_load_and_query(self, tmp_path):
         from rankrel import demo

@@ -2,6 +2,7 @@
 
 import csv
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from rankrel import algebra, demo, ordinal
 from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL, exact_decimal_str
 from rankrel.cli import main
+from rankrel.maps import compose_table
 from rankrel.table import INT, RankedTable, Row, Scheme, read_table_csv, write_table_csv
 
 
@@ -108,6 +110,17 @@ class TestEval:
             "error: power of a negative value with a non-integer exponent at query"
         )
 
+    @pytest.mark.parametrize("query", [
+        "restrict(houses, (1+bdrm)^(10^7))",
+        "restrict(houses, 3^(10^7))",
+    ])
+    def test_huge_exact_powers_fail_fast(self, capsys, query):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", query)  # over the demo catalog
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.strip() == "error: exact power above the cap of 10,000 bits at query"
+
     @pytest.mark.parametrize("query, message", [
         ("restrict(houses, (bdrm-bdrm)^(0-1))", "power of zero with a negative exponent"),
         ("restrict(houses, (bdrm^0.5)^100000)", "power out of the float range"),
@@ -184,6 +197,18 @@ class TestTransform:
         from rankrel.maps import compose_table
 
         assert table == compose_table(demo.houses(), demo.demo_map())
+
+    def test_a_malformed_map_fails_only_the_command_using_it(self, capsys, catalog_dir):
+        config = catalog_dir / "catalog.cfg"
+        config.write_text(config.read_text(encoding="utf-8") + "map bad = piecewise{ 1 }\n",
+                          encoding="utf-8")
+        code, out, _ = run(capsys, "transform", "--map", "f", "--catalog", str(catalog_dir),
+                           "houses")
+        assert code == 0 and read_table_csv(out) == compose_table(demo.houses(), demo.demo_map())
+        code, out, err = run(capsys, "transform", "--map", "bad", "--catalog", str(catalog_dir),
+                             "houses")
+        assert code == 1 and out == ""
+        assert err.strip() == "error: malformed piecewise entry '1' (line 5, column 0)"
 
     def test_eval_over_transformed_tables_matches_library(self, capsys, catalog_dir, tmp_path):
         for name in ("houses", "offers"):

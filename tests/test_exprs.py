@@ -129,5 +129,32 @@ class TestCompileExpr:
         assert {"division", "sqrt", "string", "strings", "unknown", "expression",
                 "power"} <= messages
 
+    @pytest.mark.parametrize("text, env, value", [
+        ("x ^ 2", {"x": Fraction(3, 7)}, Fraction(9, 49)),
+        ("(1/2) ^ 10", {}, Fraction(1, 1024)),
+        ("x ^ (0 - 3)", {"x": Fraction(2, 3)}, Fraction(27, 8)),
+        ("2 ^ 10000", {}, Fraction(2) ** 10000),  # 1 bit times 10,000: at the cap
+        ("1 ^ 20000", {}, Fraction(1)),  # bases 0, 1 and -1 cost nothing
+        ("0 ^ 20000", {}, Fraction(0)),
+        ("(0 - 1) ^ 20001", {}, Fraction(-1)),
+        ("(1/2) ^ (0 - 10000)", {}, Fraction(2) ** 10000),
+    ])
+    def test_exact_powers_under_the_cap(self, text, env, value):
+        expr = exprs.parse_expr(text)
+        assert compiled(expr, env) == reference_evaluate_expr(expr, env) == value
+
+    @pytest.mark.parametrize("text", [
+        "3 ^ (10 ^ 7)", "(1 + x) ^ (10 ^ 7)", "2 ^ 10001", "(1/2) ^ (0 - 10001)", "x ^ (0 - 10 ^ 7)",
+        "((10 ^ 9) ^ 300) ^ 300",  # each step is under the cap, the nested one is not
+    ])
+    def test_exact_powers_over_the_cap(self, text):
+        expr = exprs.parse_expr(text)
+        for evaluate in (compiled, reference_evaluate_expr):
+            with pytest.raises(EvalError) as err:
+                evaluate(expr, {"x": Fraction(3, 7)})
+            assert str(err.value) == (
+                f"exact power above the cap of {exprs.POWER_BITS_CAP:,} bits"
+            )
+
     def test_compiling_does_not_evaluate(self):
         exprs.compile_expr(exprs.parse_expr("1/0 + sqrt(0 - 1) + nope"))

@@ -4,7 +4,9 @@ Every operator that builds rows through a plan (join, project, rename,
 semijoin, divide, the rank sort, CSV write and read) is checked on seeded
 random table pairs against the oracles in ``helpers``: equal tables,
 identical order, byte-identical CSV.  A guard test then makes the per-row
-forms raise and runs the operators on 2,000-row tables.
+forms raise and runs the operators on 2,000-row tables.  Every producer that
+builds its result without the per-row check is checked against the
+validating constructor, on both carriers.
 """
 
 import random
@@ -14,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    ANY_ARITIES,
     reference_divide,
     reference_natural_join,
     reference_product_join,
@@ -24,13 +27,21 @@ from helpers import (
     reference_semijoin,
     reference_write_table_csv,
     replay_hint,
+    rnd_any_structure,
+    rnd_formula,
+    rnd_grid_isomorphism,
+    rnd_monotone_map,
+    rnd_scheme,
+    rnd_table,
     stable_seed,
 )
 
 import rankrel
-from rankrel import algebra, table as table_module, topk
+from rankrel import algebra, calculus, planner, table as table_module, topk
 from rankrel.chain import RATIONAL, ScoreChain
-from rankrel.errors import RankrelError, SchemeError
+from rankrel.conditions import TableCondition
+from rankrel.errors import EvalError, IncompatibleChainError, RankrelError, SchemeError
+from rankrel.maps import GraphMap, compose_table
 from rankrel.table import (
     DEC,
     INT,
@@ -209,9 +220,8 @@ def test_operators_never_build_rows_row_by_row(monkeypatch):
     monkeypatch.setattr(Row, "of", classmethod(refuse))
     for name in ("project", "value"):
         monkeypatch.setattr(Row, name, refuse)
-    for module in (table_module, rankrel):
-        monkeypatch.setattr(module, "join_rows", refuse)
-    monkeypatch.setattr(table_module, "rank_key", refuse)
+    for module in (table_module, rankrel):  # the per-row oracles live in the tests only
+        assert not hasattr(module, "join_rows") and not hasattr(module, "rank_key")
     parsed = Counter()
     parse = ScoreChain.parse
 
@@ -257,3 +267,119 @@ def test_conflicting_shared_types_fail_as_in_the_join():
     for operator in (algebra.natural_join, algebra.semijoin, algebra.product_join):
         with pytest.raises(SchemeError, match="attribute 'a' has conflicting types"):
             operator(ints, decs)
+
+
+# --- results built without the per-row check --------------------------------------
+
+LEVELS = ScoreChain(("none", "low", "mid", "high", "full"))
+
+
+def revalidated(table: RankedTable) -> RankedTable:
+    """The same entries through the validating constructor, which checks every row."""
+    return RankedTable(table.scheme, table.chain, table.entries())
+
+
+def rnd_level_map(rng: random.Random) -> GraphMap:
+    """A random monotone map of the symbolic levels fixing bottom."""
+    images = sorted(rng.randrange(len(LEVELS.levels)) for _ in LEVELS.levels[1:])
+    return GraphMap.of({LEVELS.score(0): LEVELS.bottom,
+                        **{LEVELS.score(i + 1): LEVELS.score(v) for i, v in enumerate(images)}})
+
+
+def trusted_results(rng: random.Random, chain: ScoreChain):
+    """(producer, result) for every producer that builds its result unchecked."""
+    names = rng.sample(("a", "b", "c", "d"), rng.randint(1, 3))
+    scheme = rnd_scheme(rng, names)
+    d1, d2, d3 = (rnd_table(rng, scheme, chain=chain) for _ in range(3))
+    other = rnd_table(rng, rnd_scheme(rng, max_attrs=3), chain=chain)
+    if other.scheme.name_set & scheme.name_set:
+        yield "natural_join", algebra.natural_join(d1, other)
+        yield "semijoin", algebra.semijoin(d1, other)
+        if chain.is_rational:
+            yield "product_join", algebra.product_join(d1, other)
+    yield "restrict", algebra.restrict(d1, TableCondition(rnd_table(rng, scheme, chain=chain)))
+    yield "project", algebra.project(d1, rng.sample(names, rng.randint(0, len(names))))
+    yield "union_tables", algebra.union_tables(d1, d2)
+    yield "difference", algebra.difference(d1, d2)
+    yield "intersection", algebra.intersection(d1, d2)
+    yield "residuum_tables", algebra.residuum_tables(d3, d1, d2)
+    yield "rename", algebra.rename(d1, {name: f"z{name}" for name in names[:1]})
+    divisor = rnd_table(rng, rnd_scheme(rng, ["e"]), chain=chain)
+    mediator = rnd_table(rng, scheme.union(divisor.scheme), max_rows=30, chain=chain)
+    yield "divide", algebra.divide(d1, mediator, divisor)
+    order_map = (rng.choice((rnd_grid_isomorphism, rnd_monotone_map)) if chain.is_rational
+                 else rnd_level_map)(rng)
+    yield "compose_table", compose_table(d1, order_map)
+    yield "read_table_csv", read_table_csv(write_table_csv(d1), chain)
+    yield "stringified", calculus.stringified(d1)
+    m = rnd_any_structure(rng, chain)
+    phi = rnd_formula(rng, depth=2, arities=ANY_ARITIES)
+    yield "table_of", calculus.table_of(m, phi)
+    expr, tables = calculus.formula_to_algebra(phi, m)
+    for name, table in tables.items():
+        if name.startswith("__atom_"):
+            yield "_atom_table", table
+    yield "formula_to_algebra", planner.evaluate_over(expr, tables)
+
+
+class TestTrustedResults:
+    def test_every_producer_passes_the_validating_constructor(self):
+        seed = stable_seed("trusted results")
+        rng = random.Random(seed)
+        produced = Counter()
+        with replay_hint(seed):
+            for _ in range(300):
+                chain = rng.choice((RATIONAL, LEVELS))
+                for producer, result in trusted_results(rng, chain):
+                    assert result == revalidated(result), producer
+                    produced[producer, chain.is_rational] += 1
+        assert {producer for producer, _ in produced} == {
+            "natural_join", "semijoin", "product_join", "restrict", "project", "union_tables",
+            "difference", "intersection", "residuum_tables", "rename", "divide",
+            "compose_table", "read_table_csv", "stringified", "table_of", "_atom_table",
+            "formula_to_algebra",
+        }
+        assert all(count >= 20 for count in produced.values())
+
+    def test_formula_to_algebra_leaves_stored_bottoms_out(self):
+        m = calculus.Structure(LEVELS, ("m1", "m2"), {"p": 1},
+                               {"p": {("m1",): LEVELS.bottom, ("m2",): LEVELS.top}})
+        phi = calculus.parse_formula("p(x)")
+        expr, tables = calculus.formula_to_algebra(phi, m)
+        assert planner.evaluate_over(expr, tables) == calculus.table_of(m, phi)
+
+    def test_compose_table_refuses_images_off_the_chain(self):
+        half = RATIONAL.score(Fraction(1, 2))
+        d = RankedTable.from_entries(Scheme((("a", INT),)), [({"a": 1}, half)])
+        off_chain = GraphMap.of({RATIONAL.bottom: RATIONAL.bottom, half: LEVELS.top})
+        with pytest.raises(IncompatibleChainError):
+            compose_table(d, off_chain)
+
+    @pytest.mark.parametrize("universe, interps", [
+        (("m1", 2), {}),
+        (("m1",), {"p": {(2,): RATIONAL.top}}),
+    ])
+    def test_structures_hold_strings_only(self, universe, interps):
+        with pytest.raises(EvalError, match="string"):
+            calculus.Structure(RATIONAL, universe, {"p": 1}, interps)
+
+    def test_public_lookups_still_check_rows(self):
+        d1, d2 = big_tables(rows=20)
+        joined = algebra.natural_join(d1, d2)
+        row, score = next(iter(joined))
+        values = row.as_dict()
+        bad = [
+            Row.of({**values, "id": True}),  # bool for int
+            Row.of({**values, "id": "1"}),  # wrong kind
+            Row.of({**values, "w": 1}),  # int for dec
+            Row.of({name: value for name, value in values.items() if name != "agent"}),
+            Row.of({**values, "zz": 1}),
+        ]
+        for table in (joined, algebra.project(joined, joined.scheme.names),
+                      read_table_csv(write_table_csv(joined))):
+            assert table.score_of(row) == score
+            for wrong in bad:
+                with pytest.raises(SchemeError, match="does not conform"):
+                    table.score_of(wrong)
+                with pytest.raises(SchemeError, match="does not conform"):
+                    RankedTable(table.scheme, table.chain, {wrong: score})

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import enumerate_rows, reference_row_conforms, replay_hint, stable_seed
+from helpers import enumerate_rows, join_rows, reference_row_conforms, replay_hint, stable_seed
 
 from rankrel.chain import RATIONAL
 from rankrel.errors import (
@@ -26,7 +26,6 @@ from rankrel.table import (
     Scheme,
     _row_conforms,
     from_classic,
-    join_rows,
     make_row,
     read_table_csv,
     to_classic,
@@ -102,6 +101,19 @@ class TestRows:
     def test_disagreement_rejected(self):
         with pytest.raises(DisjointTupleError):
             join_rows(Row.of({"id": 71}), Row.of({"id": 85}))
+
+    def test_a_row_is_the_tuple_of_its_pairs(self):
+        row = Row.of({"B": 2, "a": "x"})
+        pairs = (("a", "x"), ("b", 2))
+        assert row.items is row and row == pairs and hash(row) == hash(pairs)
+        assert {row.items: 1} == {pairs: 1}  # an oracle keyed on plain pairs reads it back
+        assert row.names == ("a", "b") and row.key() == ("x", 2)
+        assert row.value("B") == 2 and row.as_dict() == {"a": "x", "b": 2}
+        assert row.project(["b"]) == Row.of({"b": 2}) and repr(row) == "Row(a='x', b=2)"
+        for again in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
+            assert type(again) is Row and again == row
+        with pytest.raises(AttributeError):
+            row.extra = 1
 
     def test_make_row_type_checked(self):
         scheme = Scheme((("id", INT), ("w", DEC)))
