@@ -11,6 +11,11 @@ coincides with its classic counterpart.
 Result rows are operand rows or gathered from them by plans, so results are
 built by ``RankedTable._trusted`` with no per-row check; bottom is filtered
 wherever a connective can yield it.
+
+Each operation computes its result scheme by one rule over the operand
+schemes and its parameter (``Scheme.union``, ``project``, ``rename`` or a
+rule below), before any chain check.  The planner's operator table points at
+the same rules, so scheme inference rejects what evaluation rejects.
 """
 
 from __future__ import annotations
@@ -20,7 +25,38 @@ from typing import Iterable, Iterator, Mapping
 from .chain import Score, abjunction, meet, min_score, residuum
 from .conditions import Condition
 from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
-from .table import RankedTable, Row, gather, joiner
+from .table import RankedTable, Row, Scheme, gather, joiner
+
+
+# --- scheme rules ---------------------------------------------------------------
+
+
+def same_scheme(scheme: Scheme, *others: Scheme) -> Scheme:
+    """Union, difference and residuum: every operand on one shared scheme."""
+    for other in others:
+        if other != scheme:
+            raise SchemeError(f"schemes differ: {scheme!r} vs {other!r}")
+    return scheme
+
+
+def restrict_scheme(scheme: Scheme, theta: Condition) -> Scheme:
+    theta.check_scheme(scheme)
+    return scheme
+
+
+def divide_scheme(dividend: Scheme, mediator: Scheme, divisor: Scheme) -> Scheme:
+    """Division: dividend R and divisor S disjoint, mediator on R+S."""
+    if dividend.name_set & divisor.name_set:
+        raise SchemeError("dividend and divisor schemes must be disjoint")
+    if mediator != dividend.union(divisor):
+        raise SchemeError("mediator scheme must be the union of dividend and divisor schemes")
+    return dividend
+
+
+def semijoin_scheme(left: Scheme, right: Scheme) -> Scheme:
+    """The left scheme; conflicting shared types fail as in the join."""
+    left.union(right)
+    return left
 
 
 def _require_same_chain(*tables: RankedTable) -> None:
@@ -28,14 +64,6 @@ def _require_same_chain(*tables: RankedTable) -> None:
     for t in tables[1:]:
         if t.chain != chain:
             raise IncompatibleChainError("tables live on different score chains")
-
-
-def _require_same_scheme(*tables: RankedTable) -> None:
-    _require_same_chain(*tables)
-    scheme = tables[0].scheme
-    for t in tables[1:]:
-        if t.scheme != scheme:
-            raise SchemeError(f"schemes differ: {scheme!r} vs {t.scheme!r}")
 
 
 def _matched_pairs(d1: RankedTable, d2: RankedTable) -> Iterator[tuple[Row, Score, Row, Score]]:
@@ -56,8 +84,8 @@ def _matched_pairs(d1: RankedTable, d2: RankedTable) -> Iterator[tuple[Row, Scor
 
 def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     """Join on shared attributes; the joined tuple scores the minimum."""
-    _require_same_chain(d1, d2)
     scheme = d1.scheme.union(d2.scheme)
+    _require_same_chain(d1, d2)
     join = joiner(d1.scheme, d2.scheme)
     entries = {
         join(row, other): meet(score, other_score)
@@ -68,7 +96,7 @@ def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
 
 def restrict(d: RankedTable, theta: Condition) -> RankedTable:
     """Pointwise minimum of the table with a restriction condition."""
-    theta.check_scheme(d.scheme)
+    restrict_scheme(d.scheme, theta)
     score_of = theta.scorer(d.scheme, d.chain)
     entries: dict[Row, Score] = {}
     for row, score in d:
@@ -93,7 +121,8 @@ def project(d: RankedTable, names: Iterable[str]) -> RankedTable:
 
 def union_tables(d1: RankedTable, d2: RankedTable) -> RankedTable:
     """Pointwise supremum of two tables on the same scheme."""
-    _require_same_scheme(d1, d2)
+    same_scheme(d1.scheme, d2.scheme)
+    _require_same_chain(d1, d2)
     entries = d1.entries()
     for row, score in d2:
         current = entries.get(row)
@@ -104,7 +133,8 @@ def union_tables(d1: RankedTable, d2: RankedTable) -> RankedTable:
 
 def difference(d1: RankedTable, d2: RankedTable) -> RankedTable:
     """Pointwise abjunction: keep d1's score where it exceeds d2's, else drop."""
-    _require_same_scheme(d1, d2)
+    same_scheme(d1.scheme, d2.scheme)
+    _require_same_chain(d1, d2)
     entries: dict[Row, Score] = {}
     for row, score in d1:
         value = abjunction(score, d2._entries.get(row, d2.chain.bottom))
@@ -115,7 +145,7 @@ def difference(d1: RankedTable, d2: RankedTable) -> RankedTable:
 
 def intersection(d1: RankedTable, d2: RankedTable) -> RankedTable:
     """Pointwise minimum; the equal-scheme special case of the join."""
-    _require_same_scheme(d1, d2)
+    same_scheme(d1.scheme, d2.scheme)
     return natural_join(d1, d2)
 
 
@@ -128,13 +158,8 @@ def divide(dividend: RankedTable, mediator: RankedTable, divisor: RankedTable) -
     score bottom, and divisor tuples outside its answer set contribute a
     vacuous top, so both scans are finite.
     """
+    divide_scheme(dividend.scheme, mediator.scheme, divisor.scheme)
     _require_same_chain(dividend, mediator, divisor)
-    r_names = dividend.scheme.name_set
-    s_names = divisor.scheme.name_set
-    if r_names & s_names:
-        raise SchemeError("dividend and divisor schemes must be disjoint")
-    if mediator.scheme != dividend.scheme.union(divisor.scheme):
-        raise SchemeError("mediator scheme must be the union of dividend and divisor schemes")
     join = joiner(dividend.scheme, divisor.scheme)
     entries: dict[Row, Score] = {}
     divisor_rows = list(divisor)
@@ -152,7 +177,8 @@ def divide(dividend: RankedTable, mediator: RankedTable, divisor: RankedTable) -
 
 def residuum_tables(d3: RankedTable, d1: RankedTable, d2: RankedTable) -> RankedTable:
     """Pointwise ``min(d3(r), d1(r) -> d2(r))`` over one shared scheme."""
-    _require_same_scheme(d3, d1, d2)
+    same_scheme(d3.scheme, d1.scheme, d2.scheme)
+    _require_same_chain(d3, d1, d2)
     bottom = d1.chain.bottom
     entries: dict[Row, Score] = {}
     for row, bound in d3:
@@ -168,7 +194,8 @@ def subsethood(d1: RankedTable, d2: RankedTable) -> Score:
     A row violates when its d1-score exceeds its d2-score; with no violation
     the empty infimum is top, so equal tables are fully contained either way.
     """
-    _require_same_scheme(d1, d2)
+    same_scheme(d1.scheme, d2.scheme)
+    _require_same_chain(d1, d2)
     violations = []
     for row, score in d1:
         other = d2._entries.get(row, d2.chain.bottom)
@@ -188,8 +215,8 @@ def semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
     Evaluated without building joined rows: each d1 row keeps the best
     minimum over the d2 rows it matches.
     """
+    semijoin_scheme(d1.scheme, d2.scheme)
     _require_same_chain(d1, d2)
-    d1.scheme.union(d2.scheme)  # conflicting shared types fail as in the join
     entries: dict[Row, Score] = {}
     for row, score, _, other_score in _matched_pairs(d1, d2):
         value = meet(score, other_score)
@@ -217,10 +244,10 @@ def product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     invariant under order-preserving transformations of the scores.
     Rational carrier only.
     """
+    scheme = d1.scheme.union(d2.scheme)
     _require_same_chain(d1, d2)
     if not d1.chain.is_rational:
         raise UnsupportedOperationError("product-scored join needs the rational carrier")
-    scheme = d1.scheme.union(d2.scheme)
     join = joiner(d1.scheme, d2.scheme)
     entries: dict[Row, Score] = {}
     for row, score, other, other_score in _matched_pairs(d1, d2):

@@ -483,11 +483,12 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
                 f"{type(node).__name__} has no formula counterpart in this fragment"
             )
         formulas, schemes = zip(*kids)
-        scheme = planner.OPERATORS[type(node)].scheme(node, conditions, *schemes)
+        args = planner.with_param(node, list(schemes), conditions)
+        scheme = planner.OPERATORS[type(node)].scheme(*args)
         if isinstance(node, planner.Join):
             return And(*formulas), scheme
         if isinstance(node, planner.Restrict):
-            cond = planner.resolve_condition(node.condition, conditions)
+            cond = args[-1]
             deps = cond.free_attrs()
             scored = scheme if deps is None else scheme.project(deps)
             symbol = f"__cond_{len(pending) + 1}"
@@ -504,7 +505,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
                 body = ForAll(var, body)
             return And(dividend, body), scheme
         if isinstance(node, planner.Rename):
-            return _rename_free(formulas[0], dict(node.mapping)), scheme
+            return _rename_free(formulas[0], args[-1]), scheme
         # Semijoin: the projection of the join onto the left scheme.
         return exists_out(And(*formulas), schemes[0].union(schemes[1]), scheme), scheme
 

@@ -170,7 +170,7 @@ class Param:
     field: str
     read: Callable  # parser -> value, after the last subquery's comma
     show: Callable  # value -> the text between the plan label's brackets
-    resolve: Callable  # (value, conditions) -> the algebra function's last argument
+    resolve: Callable  # (value, conditions) -> last argument of the algebra and scheme rule
 
 
 _CONDITION = Param("condition", _read_condition, str, resolve_condition)
@@ -182,46 +182,15 @@ _MAPPING = Param("mapping", lambda parser: _read_list(parser, _read_rename, Fals
 
 
 # --- operator table -------------------------------------------------------------
-#
-# Scheme rules take (node, conditions, *child schemes), the children in the
-# entry's field order.  They raise without a location; the walker below
-# appends the failing node's path.
-
-
-def _joined_scheme(node, conditions, left, right) -> Scheme:
-    return left.union(right)
-
-
-def _equal_operands(node, conditions, left, right) -> Scheme:
-    if left != right:
-        raise SchemeError(f"operands of {OPERATORS[type(node)].keyword} differ")
-    return left
-
-
-def _restrict_scheme(node, conditions, scheme) -> Scheme:
-    deps = _condition_attrs(node.condition, conditions)
-    if deps is not None and not deps <= scheme.name_set:
-        raise SchemeError(f"condition needs {sorted(deps - scheme.name_set)} absent")
-    return scheme
-
-
-def _divide_scheme(node, conditions, dividend, mediator, divisor) -> Scheme:
-    if dividend.name_set & divisor.name_set:
-        raise SchemeError("dividend and divisor schemes overlap")
-    if mediator != dividend.union(divisor):
-        raise SchemeError("mediator scheme must unite dividend and divisor")
-    return dividend
-
-
-def _residuum_scheme(node, conditions, bound, antecedent, consequent) -> Scheme:
-    if bound != antecedent or antecedent != consequent:
-        raise SchemeError("residuum operands need one shared scheme")
-    return bound
 
 
 @dataclass(frozen=True)
 class Operator:
-    """One operator node class: its text form, its scheme rule and its algebra."""
+    """One operator node class: its text form, its scheme rule and its algebra.
+
+    Both take the children's schemes or tables in field order, then the
+    resolved parameter; the rule is the one the algebra function calls.
+    """
 
     keyword: str
     kids: tuple[str, ...]  # subquery fields, in argument order
@@ -238,23 +207,18 @@ _PAIR = ("left", "right")
 
 #: Every operator node class; Base, the table reference, is the only leaf.
 OPERATORS: dict[type, Operator] = {
-    Join: Operator("join", _PAIR, _joined_scheme, "natural_join"),
-    Restrict: Operator("restrict", ("child",), _restrict_scheme, "restrict", _CONDITION),
-    Project: Operator("project", ("child",),
-                      lambda node, conditions, scheme: scheme.project(node.attrs),
-                      "project", _ATTRS),
-    Union: Operator("union", _PAIR, _equal_operands, "union_tables", blocked=True),
-    Difference: Operator("difference", _PAIR, _equal_operands, "difference", blocked=True),
-    Divide: Operator("divide", ("dividend", "mediator", "divisor"), _divide_scheme,
+    Join: Operator("join", _PAIR, Scheme.union, "natural_join"),
+    Restrict: Operator("restrict", ("child",), algebra.restrict_scheme, "restrict", _CONDITION),
+    Project: Operator("project", ("child",), Scheme.project, "project", _ATTRS),
+    Union: Operator("union", _PAIR, algebra.same_scheme, "union_tables", blocked=True),
+    Difference: Operator("difference", _PAIR, algebra.same_scheme, "difference", blocked=True),
+    Divide: Operator("divide", ("dividend", "mediator", "divisor"), algebra.divide_scheme,
                      "divide", blocked=True),
-    Residuum: Operator("residuum", ("bound", "antecedent", "consequent"), _residuum_scheme,
+    Residuum: Operator("residuum", ("bound", "antecedent", "consequent"), algebra.same_scheme,
                        "residuum_tables", blocked=True),
-    Semijoin: Operator("semijoin", _PAIR, lambda node, conditions, left, right: left,
-                       "semijoin"),
-    Rename: Operator("rename", ("child",),
-                     lambda node, conditions, scheme: scheme.rename(dict(node.mapping)),
-                     "rename", _MAPPING),
-    ProductJoin: Operator("product", _PAIR, _joined_scheme, "product_join", blocked=True),
+    Semijoin: Operator("semijoin", _PAIR, algebra.semijoin_scheme, "semijoin"),
+    Rename: Operator("rename", ("child",), Scheme.rename, "rename", _MAPPING),
+    ProductJoin: Operator("product", _PAIR, Scheme.union, "product_join", blocked=True),
 }
 
 _KEYWORDS = {op.keyword: node_type for node_type, op in OPERATORS.items()}
@@ -326,12 +290,9 @@ def _walk(expr, tables, conditions, evaluating: bool):
     @located
     def visit(node, kids, path):
         op = OPERATORS.get(type(node))
-        if op is not None and evaluating:
-            if op.param is not None:
-                kids.append(op.param.resolve(getattr(node, op.param.field), conditions))
-            return getattr(algebra, op.algebra)(*kids)
         if op is not None:
-            return op.scheme(node, conditions, *kids)
+            args = with_param(node, kids, conditions)
+            return getattr(algebra, op.algebra)(*args) if evaluating else op.scheme(*args)
         if not isinstance(node, Base):
             raise SchemeError(f"unknown expression node {node!r}")
         table = tables.get(node.name)
@@ -340,6 +301,14 @@ def _walk(expr, tables, conditions, evaluating: bool):
         return table if evaluating else table.scheme
 
     return fold(expr, visit)
+
+
+def with_param(node, kids: list, conditions: Mapping[str, Condition]) -> list:
+    """``kids`` followed by the node's resolved parameter, if it has one."""
+    param = OPERATORS[type(node)].param
+    if param is not None:
+        kids.append(param.resolve(getattr(node, param.field), conditions))
+    return kids
 
 
 def located(visit: Callable) -> Callable:

@@ -29,8 +29,6 @@ from .errors import (
 )
 
 _KINDS = ("str", "int", "dec")
-#: The exact carrier type of each kind: the common case of a conformance check.
-_EXACT_TYPES = {"str": str, "int": int, "dec": Fraction}
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,7 @@ class Scheme:
     where a conforming row stores that attribute's pair.
     """
 
-    __slots__ = ("attrs", "names", "name_set", "sorted_names", "positions", "_conformance",
-                 "_by_name", "_key")
+    __slots__ = ("attrs", "names", "name_set", "sorted_names", "positions", "_by_name", "_key")
 
     def __init__(self, attrs: Iterable[tuple[str, AttrType] | Attribute]):
         normalized = []
@@ -108,11 +105,6 @@ class Scheme:
         object.__setattr__(self, "name_set", frozenset(by_name))
         object.__setattr__(self, "sorted_names", tuple(sorted(by_name)))  # as Row.names
         object.__setattr__(self, "positions", {n: i for i, n in enumerate(self.sorted_names)})
-        # (name, kind, exact type, domain) per attribute in Row order, for _row_conforms
-        object.__setattr__(self, "_conformance", tuple(
-            (name, atype.kind, _EXACT_TYPES[atype.kind], atype.domain)
-            for name, atype in ((n, by_name[n].atype) for n in self.sorted_names)
-        ))
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_key", frozenset(normalized))
 
@@ -322,12 +314,14 @@ def make_row(scheme: Scheme, values: Mapping[str, object]) -> Row:
 
 
 def _row_conforms(scheme: Scheme, row: Row) -> bool:
-    if len(row) != len(scheme._conformance):
+    """Each pair checked as ``make_row`` checks a value: name, kind and domain."""
+    if len(row) != len(scheme):
         return False
-    for (name, value), (want, kind, exact, domain) in zip(row, scheme._conformance):
-        if name != want or (type(value) is not exact and not _conforms(value, kind)):
+    for (name, value), want in zip(row, scheme.sorted_names):
+        atype = scheme._by_name[want].atype
+        if name != want or not _conforms(value, atype.kind):
             return False
-        if domain is not None and value not in domain:
+        if atype.domain is not None and value not in atype.domain:
             return False
     return True
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import algebra
 from .chain import Score
@@ -44,12 +44,15 @@ class SortedSource:
     """A materialized table wrapped with sorted and random access paths."""
 
     table: RankedTable
-    ranked: list[tuple[Row, Score]] = field(default_factory=list)
-    _indexes: dict = field(default_factory=dict)
+    ranked: list[tuple[Row, Score]] = field(init=False)  # the table's rows by rank
+    _indexes: dict = field(default_factory=dict, init=False)
+
+    def __post_init__(self) -> None:
+        self.ranked = self.table.rows_by_rank()
 
     @classmethod
     def from_table(cls, table: RankedTable) -> "SortedSource":
-        return cls(table, table.rows_by_rank())
+        return cls(table)
 
     @property
     def names(self) -> frozenset[str]:
@@ -78,10 +81,6 @@ class TopKResult:
     random_accesses: int = 0
 
 
-def _rank_order(items: Iterable[tuple[Row, Score]]) -> list[tuple[Row, Score]]:
-    return rank_sorted(items)
-
-
 def brute_force_top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     """Oracle: materialize the whole join, sort, truncate."""
     if k < 1:
@@ -91,7 +90,7 @@ def brute_force_top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
         joined = source.table if joined is None else algebra.natural_join(joined, source.table)
     if joined is None:
         raise TopKError("need at least one source")
-    return TopKResult(tuple(_rank_order(list(joined))[:k]))
+    return TopKResult(tuple(joined.rows_by_rank()[:k]))
 
 
 def _completion_plan(sources: Sequence[SortedSource], start: int) -> list[tuple]:
@@ -167,8 +166,9 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
             elif joined_score.value > best[0]:
                 heapq.heapreplace(best, joined_score.value)
 
-    while True:
-        progressed = False
+    running = True
+    while running:
+        running = False  # stays so once every source is exhausted: results hold the join
         for i in range(n):
             ranked = sources[i].ranked
             if positions[i] >= len(ranked):
@@ -180,13 +180,11 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
             positions[i] += 1
             last_seen[i] = score.value
             counters["sorted"] += 1
-            progressed = True
+            running = True
             complete(i, row, score)
             if len(best) == k and best[0] > min(last_seen):
-                ordered = _rank_order(results.items())[:k]
-                return TopKResult(tuple(ordered), counters["sorted"], counters["random"])
-        if not progressed:
-            break  # every source exhausted: results hold the entire join
+                running = False  # the k best are above everything unseen
+                break
 
-    ordered = _rank_order(results.items())[:k]
+    ordered = rank_sorted(results.items())[:k]
     return TopKResult(tuple(ordered), counters["sorted"], counters["random"])

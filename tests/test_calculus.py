@@ -350,10 +350,13 @@ class TestAlgebraToFormula:
         expr = planner.parse_query(text)
         with pytest.raises(SchemeError) as inferred:
             planner.infer_scheme(expr, catalog)
+        with pytest.raises(SchemeError) as evaluated:
+            planner.evaluate(expr, catalog)
         with pytest.raises(SchemeError) as translated:
             algebra_to_formula(expr, catalog.tables)
-        assert str(translated.value) == str(inferred.value) == (
-            f"operands of union differ at {where}"
+        assert str(translated.value) == str(inferred.value) == str(evaluated.value) == (
+            "schemes differ: Scheme(id:int, bdrm:int, sqft:int) vs "
+            f"Scheme(id:int, agent:str, price:int) at {where}"
         )
 
     def _tables(self, rng):

@@ -142,6 +142,32 @@ class TestEval:
         assert code == 1 and "error" in err
 
 
+#: Malformed queries over the demo catalog, one per kind of scheme error.
+SCHEME_ERROR_PROBES = (
+    "semijoin(houses, rename(offers, [agent->bdrm]))",
+    "restrict(houses, nosuch)",
+    "restrict(houses, price)",
+    "union(houses, offers)",
+    "difference(houses, offers)",
+    "residuum(houses, houses, offers)",
+    "divide(houses, offers, offers)",
+    "divide(project(houses,[id]), houses, project(houses,[bdrm]))",
+    "project(houses, [price])",
+    "rename(houses, [id->bdrm])",
+    "product(houses, rename(offers, [agent->bdrm]))",
+)
+
+
+@pytest.mark.parametrize("query", SCHEME_ERROR_PROBES)
+def test_plan_and_eval_reject_alike(capsys, query):
+    planned = run(capsys, "plan", query)
+    evaluated = run(capsys, "eval", query)
+    code, out, err = evaluated
+    assert planned == evaluated
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith(" at query\n") and err.count("\n") == 1
+
+
 class TestEquiv:
     def test_one_directional_pair(self, capsys, tmp_path):
         joined = algebra.natural_join(demo.houses(), demo.offers())

@@ -49,6 +49,7 @@ from rankrel.table import (
     RankedTable,
     Row,
     Scheme,
+    rank_sorted,
     read_table_csv,
     write_table_csv,
 )
@@ -159,7 +160,7 @@ class TestAgainstPerRowForms:
         assert d.rows_by_rank() == expected
         shuffled = list(d)
         rng.shuffle(shuffled)
-        assert topk._rank_order(shuffled) == expected
+        assert rank_sorted(shuffled) == expected
         text = write_table_csv(d)
         assert text == reference_write_table_csv(d)
         assert read_table_csv(text) == reference_read_table_csv(text) == d

@@ -2,15 +2,20 @@
 
 import inspect
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from helpers import rnd_scheme, rnd_table
+from helpers import ATTR_POOL, replay_hint, rnd_scheme, rnd_table, stable_seed
 
-from rankrel import demo, exprs, planner
+from rankrel import algebra, demo, exprs, planner
 from rankrel.catalog import Catalog
-from rankrel.conditions import Condition, ExprCondition
-from rankrel.errors import EvalError, ParseError, SchemeError, UnknownNameError
+from rankrel.conditions import Condition, ExprCondition, TableCondition
+from rankrel.errors import (
+    EvalError, ParseError, RankrelError, SchemeError, UnknownNameError,
+)
+from rankrel.table import INT, STR, RankedTable, Scheme
 
 
 @pytest.fixture
@@ -73,7 +78,74 @@ def sample_query(keyword: str) -> str:
     return f"{keyword}({', '.join(args)})"
 
 
+def differential_tables(rng) -> dict:
+    """Int tables over a-d, with dd, m and dv fit to divide; "s" holds a string ``a``."""
+    return {
+        "t1": rnd_table(rng, rnd_scheme(rng, names=("a", "b")), max_rows=6),
+        "t2": rnd_table(rng, rnd_scheme(rng, names=("b", "c")), max_rows=6),
+        "t3": rnd_table(rng, rnd_scheme(rng), max_rows=6),
+        "dd": rnd_table(rng, rnd_scheme(rng, names=("a",)), max_rows=4),
+        "m": rnd_table(rng, rnd_scheme(rng, names=("a", "c")), max_rows=6),
+        "dv": rnd_table(rng, rnd_scheme(rng, names=("c",)), max_rows=3),
+        "s": RankedTable.from_entries(Scheme((("a", STR),)), [({"a": "x"}, Fraction(1, 2))]),
+    }
+
+
+def differential_conditions(rng) -> dict:
+    # "==" compares strings too, so no condition fails on a value
+    return {
+        "theta": ExprCondition.parse("a == 1 ? 1 : 0.5"),
+        "tc": TableCondition(rnd_table(rng, Scheme((("a", INT), ("b", INT))), max_rows=4)),
+    }
+
+
+#: One valid query per operator over ``differential_tables``.
+VALID_QUERIES = {
+    planner.Join: "join(t1, t2)",
+    planner.Restrict: "restrict(t1, theta)",
+    planner.Project: "project(t1, [a])",
+    planner.Union: "union(t1, t1)",
+    planner.Difference: "difference(t1, t1)",
+    planner.Divide: "divide(dd, m, dv)",
+    planner.Residuum: "residuum(t1, t1, t1)",
+    planner.Semijoin: "semijoin(t1, t2)",
+    planner.Rename: "rename(t1, [a -> e])",
+    planner.ProductJoin: "product(t1, t2)",
+}
+
+
+def rule_owner(rule):
+    """``rankrel.algebra`` or ``Scheme``, whichever defines the scheme rule."""
+    if rule.__module__ == algebra.__name__ and getattr(algebra, rule.__name__, None) is rule:
+        return algebra
+    if getattr(Scheme, rule.__name__, None) is rule:
+        return Scheme
+    return None
+
+
 class TestOperatorTable:
+    @pytest.mark.parametrize("node_type", list(planner.OPERATORS), ids=lambda t: t.__name__)
+    def test_scheme_rules_are_algebra_rules(self, node_type):
+        assert rule_owner(planner.OPERATORS[node_type].scheme) is not None
+
+    @pytest.mark.parametrize("node_type", list(planner.OPERATORS), ids=lambda t: t.__name__)
+    def test_algebra_computes_its_scheme_by_the_rule(self, node_type, monkeypatch):
+        rule = planner.OPERATORS[node_type].scheme
+        returned = []
+
+        def recorded(*args):
+            returned.append(rule(*args))
+            return returned[-1]
+
+        rng = random.Random(5)
+        tables, conditions = differential_tables(rng), differential_conditions(rng)
+        expr = planner.parse_query(VALID_QUERIES[node_type])
+        monkeypatch.setattr(rule_owner(rule), rule.__name__, recorded)
+        result = planner.evaluate_over(expr, tables, conditions)
+        assert any(result.scheme is scheme for scheme in returned)
+        monkeypatch.undo()
+        assert planner.infer_scheme_over(expr, tables, conditions) == result.scheme
+
     @pytest.mark.parametrize("keyword", sorted(op.keyword for op in planner.OPERATORS.values()))
     def test_rendered_label_is_the_parser_keyword(self, keyword):
         expr = planner.parse_query(sample_query(keyword))
@@ -161,6 +233,104 @@ class TestEvaluationErrors:
         with pytest.raises(UnknownNameError) as evaluated:
             planner.evaluate(expr, catalog)
         assert str(inferred.value) == str(evaluated.value)
+
+
+#: Scheme errors by kind, each matched at the start of a message.
+ERROR_KINDS = {
+    "type conflict": r"attribute '\w+' has conflicting types",
+    "condition table": r"condition scheme .* differs from table scheme",
+    "unknown condition": r"unknown condition 'nosuch'",
+    "missing attribute": r"condition references \[",
+    "scheme mismatch": r"schemes differ: ",
+    "divide overlap": r"dividend and divisor schemes must be disjoint",
+    "divide mediator": r"mediator scheme must be the union",
+    "unknown attribute": r"attributes \[.*\] not in scheme",
+    "unknown rename": r"cannot rename unknown attribute",
+    "rename collision": r"renaming target collides",
+}
+
+
+def rnd_query(rng, tables, conditions, depth: int):
+    """A random query; each node may be invalid in any way its operator can be.
+
+    A node's parameters are drawn from its child's scheme when the child is
+    valid, so that both valid and invalid nodes are common at every depth.
+    """
+    if depth == 0 or rng.random() < 0.2:
+        return planner.Base(rng.choice(sorted(tables)))
+
+    def sub():
+        return rnd_query(rng, tables, conditions, depth - 1)
+
+    child = sub()
+    try:
+        names = sorted(planner.infer_scheme_over(child, tables, conditions).name_set)
+    except RankrelError:
+        names = list(ATTR_POOL)
+    node_type = rng.choice(list(planner.OPERATORS))
+    if node_type in (planner.Join, planner.Semijoin, planner.ProductJoin):
+        return node_type(child, sub())  # conflicts come from "s" and renames
+    if node_type is planner.Restrict:
+        attr = rng.choice(names + list(ATTR_POOL))
+        return planner.Restrict(child, rng.choice(
+            [ExprCondition.parse(f"{attr} == 1 ? 1 : 0.5"), "theta", "tc", "nosuch"]))
+    if node_type is planner.Project:
+        attrs = rng.sample(names, rng.randint(0, len(names)))
+        return planner.Project(child, tuple(attrs + ["e"] * (rng.random() < 0.3)))
+    if node_type is planner.Rename:
+        old = rng.choice(names) if names and rng.random() < 0.8 else "f"
+        return planner.Rename(child, ((old, rng.choice(names + ["e", "f"])),))
+    if node_type in (planner.Union, planner.Difference):
+        return node_type(child, child if rng.random() < 0.5 else sub())
+    if node_type is planner.Residuum:
+        return planner.Residuum(*(child if rng.random() < 0.6 else sub() for _ in range(3)))
+    operands = [planner.Base("dd"), planner.Base("m"), planner.Base("dv")]
+    operands[rng.randrange(3)] = child if rng.random() < 0.7 else planner.Base("m")
+    return planner.Divide(*operands)
+
+
+def outcome(run):
+    try:
+        return "ok", run()
+    except RankrelError as exc:
+        return type(exc), str(exc)
+
+
+class TestInferenceMatchesEvaluation:
+    def test_random_queries_fail_alike(self):
+        seed = stable_seed("inference matches evaluation")
+        rng = random.Random(seed)
+        seen, valid = set(), 0
+        with replay_hint(seed):
+            for _ in range(40):
+                tables, conditions = differential_tables(rng), differential_conditions(rng)
+                for _ in range(15):
+                    expr = rnd_query(rng, tables, conditions, depth=3)
+                    inferred = outcome(lambda: planner.infer_scheme_over(expr, tables, conditions))
+                    evaluated = outcome(lambda: planner.evaluate_over(expr, tables, conditions))
+                    if evaluated[0] == "ok":
+                        assert inferred == ("ok", evaluated[1].scheme), expr
+                        valid += 1
+                        continue
+                    assert inferred == evaluated, expr
+                    message, path = evaluated[1].rsplit(" at ", 1)
+                    node = expr
+                    for field in path.split(".")[1:]:
+                        node = getattr(node, field)
+                    seen |= {(type(node), kind) for kind, pattern in ERROR_KINDS.items()
+                             if re.match(pattern, message)}
+        assert valid >= 100
+        assert seen >= {
+            (planner.Join, "type conflict"), (planner.Semijoin, "type conflict"),
+            (planner.ProductJoin, "type conflict"),
+            (planner.Restrict, "condition table"), (planner.Restrict, "unknown condition"),
+            (planner.Restrict, "missing attribute"),
+            (planner.Union, "scheme mismatch"), (planner.Difference, "scheme mismatch"),
+            (planner.Residuum, "scheme mismatch"),
+            (planner.Divide, "divide overlap"), (planner.Divide, "divide mediator"),
+            (planner.Project, "unknown attribute"), (planner.Rename, "unknown rename"),
+            (planner.Rename, "rename collision"),
+        }
 
 
 class TestSchemeInference:

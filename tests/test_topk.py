@@ -53,6 +53,20 @@ class TestExamples:
         row, score = result.items[0]
         assert score == fr("0.997") and row.value("price") == 798000
 
+    def test_direct_construction_derives_the_ranked_rows(self):
+        rng = random.Random(23)
+        for table in [demo.houses(), demo.offers()] + [
+                rnd_table(rng, rnd_scheme(rng, names=names)) for names in OVERLAPPING]:
+            direct, built = SortedSource(table), SortedSource.from_table(table)
+            assert direct.ranked == built.ranked == table.rows_by_rank()
+        for pair in ((demo.houses(), demo.offers()), (demo.offers(), demo.houses())):
+            direct = [SortedSource(table) for table in pair]
+            built = [SortedSource.from_table(table) for table in pair]
+            for k in (1, 2, 6, 50):
+                assert top_k(direct, k) == top_k(built, k)
+                assert brute_force_top_k(direct, k) == brute_force_top_k(built, k)
+                assert len(top_k(direct, k).items) == min(k, 6)
+
     def test_invalid_k(self):
         source = SortedSource.from_table(demo.houses())
         with pytest.raises(TopKError):
