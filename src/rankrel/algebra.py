@@ -69,14 +69,11 @@ def _require_same_chain(*tables: RankedTable) -> None:
 def _matched_pairs(d1: RankedTable, d2: RankedTable) -> Iterator[tuple[Row, Score, Row, Score]]:
     """Hash join: every d1 row and d2 row agreeing on the shared attributes.
 
-    The hash key of a row is its shared pairs, in name order, read by one
-    gather plan per side.
+    The hash key of a row is its shared pairs, in name order; d1's are read
+    by a gather plan and looked up in d2's index, which d2 builds once.
     """
-    shared = sorted(d1.scheme.name_set & d2.scheme.name_set)
-    key_of_d1, key_of_d2 = gather(d1.scheme, shared), gather(d2.scheme, shared)
-    index: dict[tuple, list[tuple[Row, Score]]] = {}
-    for row, score in d2:
-        index.setdefault(key_of_d2(row), []).append((row, score))
+    shared = tuple(sorted(d1.scheme.name_set & d2.scheme.name_set))
+    key_of_d1, index = gather(d1.scheme, shared), d2.index(shared)
     for row, score in d1:
         for other, other_score in index.get(key_of_d1(row), ()):
             yield row, score, other, other_score

@@ -32,7 +32,8 @@ from typing import Mapping, Union
 from . import planner
 from .chain import RATIONAL, Score, ScoreChain
 from .errors import (
-    EvalError, IncompatibleChainError, ParseError, SchemeError, UnsupportedOperationError,
+    EvalError, IncompatibleChainError, ParseError, SchemeError, UnknownNameError,
+    UnsupportedOperationError,
 )
 from .exprs import TokenCursor
 from .maps import OrderMap, apply_checked
@@ -475,7 +476,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     def translate(node, kids, path) -> tuple[Formula, Scheme]:
         if isinstance(node, planner.Base):
             if node.name not in tables:
-                raise SchemeError(f"unknown base table {node.name!r}")
+                raise UnknownNameError(f"unknown table {node.name!r}")
             table = used[node.name] = tables[node.name]
             return Atom(node.name, table.scheme.names), table.scheme
         if not isinstance(node, translatable):

@@ -330,10 +330,12 @@ class RankedTable:
     """Immutable finite map from rows to nonzero scores over one scheme.
 
     The constructor checks every row and score; results that conform by
-    construction are built by :meth:`_trusted`.
+    construction are built by :meth:`_trusted`.  Each table builds its access
+    paths (the rank order and one hash index per key) at first use and keeps
+    them; copies and pickles start without them.
     """
 
-    __slots__ = ("scheme", "chain", "_entries")
+    __slots__ = ("scheme", "chain", "_entries", "_ranked", "_indexes")
 
     def __init__(self, scheme: Scheme, chain: ScoreChain, entries: Mapping[Row, Score]):
         for row, score in entries.items():
@@ -346,6 +348,8 @@ class RankedTable:
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "_entries", dict(entries))
+        object.__setattr__(self, "_ranked", None)
+        object.__setattr__(self, "_indexes", {})
 
     @classmethod
     def _trusted(cls, scheme: Scheme, chain: ScoreChain, entries: dict) -> "RankedTable":
@@ -358,12 +362,15 @@ class RankedTable:
         object.__setattr__(table, "scheme", scheme)
         object.__setattr__(table, "chain", chain)
         object.__setattr__(table, "_entries", entries)
+        object.__setattr__(table, "_ranked", None)
+        object.__setattr__(table, "_indexes", {})
         return table
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("RankedTable is immutable")
 
     def __reduce__(self):
+        # rebuilt through the validating constructor, without the access paths
         return RankedTable, (self.scheme, self.chain, self._entries)
 
     @classmethod
@@ -410,8 +417,31 @@ class RankedTable:
         return iter(self._entries.items())
 
     def rows_by_rank(self) -> list[tuple[Row, Score]]:
-        """Answer set in display order: descending score, canonical row ties."""
-        return rank_sorted(self._entries.items())
+        """Answer set in display order: descending score, canonical row ties.
+
+        Sorted at the first call and kept; each call returns a fresh list.
+        """
+        ranked = self._ranked
+        if ranked is None:
+            ranked = rank_sorted(self._entries.items())
+            object.__setattr__(self, "_ranked", ranked)
+        return list(ranked)
+
+    def index(self, key_names: tuple[str, ...]) -> dict[tuple, list[tuple[Row, Score]]]:
+        """Hash index on ``key_names``, given in name order: the table's random access.
+
+        A key holds a row's ``(name, value)`` pairs of ``key_names``, as
+        ``gather`` reads them; its bucket holds the ``(row, score)`` pairs
+        with that key, in table order.  Built at the first call per key and
+        kept, so callers must not change it.
+        """
+        index = self._indexes.get(key_names)
+        if index is None:
+            index = self._indexes[key_names] = {}
+            key_of = gather(self.scheme, key_names)
+            for pair in self._entries.items():
+                index.setdefault(key_of(pair[0]), []).append(pair)
+        return index
 
     def range_of(self) -> list[Score]:
         """All scores appearing in the table, ascending.

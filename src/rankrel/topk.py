@@ -21,6 +21,13 @@ most attributes with those bound so far (ties to the lower index).  Looking
 up keyed sources first keeps the partial joins small; a source sharing
 nothing with the bound attributes is crossed in only when no keyed one is
 left.
+
+Both access paths live on the immutable table: ``RankedTable.rows_by_rank``
+sorts once and ``RankedTable.index`` hashes once per join key, and every
+later source over the same table object reuses them.  Only a session that
+queries one catalog repeatedly gains from that; a one-shot run over freshly
+read tables still sorts and hashes each source once.  Once the heap holds
+k scores, only results scoring at least its least one enter the final sort.
 """
 
 from __future__ import annotations
@@ -41,11 +48,14 @@ class TopKError(RankrelError):
 
 @dataclass
 class SortedSource:
-    """A materialized table wrapped with sorted and random access paths."""
+    """A materialized table offering its sorted and random access paths.
+
+    Both paths live on the table, which builds each once and keeps it, so
+    sources over one table share them.
+    """
 
     table: RankedTable
     ranked: list[tuple[Row, Score]] = field(init=False)  # the table's rows by rank
-    _indexes: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         self.ranked = self.table.rows_by_rank()
@@ -57,21 +67,6 @@ class SortedSource:
     @property
     def names(self) -> frozenset[str]:
         return self.table.scheme.name_set
-
-    def lookup(self, key_names: tuple[str, ...], key: tuple) -> list[tuple[Row, Score]]:
-        """Random access: all tuples whose projection onto key_names matches.
-
-        ``key_names`` are in name order and ``key`` holds their
-        ``(name, value)`` pairs, as ``gather`` reads them from a row.
-        """
-        index = self._indexes.get(key_names)
-        if index is None:
-            index = {}
-            key_of = gather(self.table.scheme, key_names)
-            for row, score in self.ranked:
-                index.setdefault(key_of(row), []).append((row, score))
-            self._indexes[key_names] = index
-        return index.get(key, [])
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,9 @@ def _completion_plan(sources: Sequence[SortedSource], start: int) -> list[tuple]
 
     Greedy: the next source is the remaining one sharing the most attributes
     with the names bound so far, ties going to the lower index.  A step is
-    (source index, join-key names, key plan, join plan); its plans read the
-    key from a partial join's items and join the partial with a match.
+    (the source table's index on the join key, key plan, join plan); its
+    plans read the key from a partial join's items and join the partial
+    with a match, which random access finds in the index.
     """
     bound: Scheme = sources[start].table.scheme
     remaining = [i for i in range(len(sources)) if i != start]
@@ -109,7 +105,8 @@ def _completion_plan(sources: Sequence[SortedSource], start: int) -> list[tuple]
         remaining.remove(other)
         scheme = sources[other].table.scheme
         key_names = tuple(sorted(bound.name_set & scheme.name_set))
-        plan.append((other, key_names, gather(bound, key_names), joiner(bound, scheme)))
+        index = sources[other].table.index(key_names)
+        plan.append((index, gather(bound, key_names), joiner(bound, scheme)))
         bound = bound.union(scheme)
     return plan
 
@@ -140,18 +137,15 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     results: dict[Row, Score] = {}
     best: list = []  # min-heap of the k best result score values
     counters = {"sorted": 0, "random": 0}
-    # Completion orders and join-key attribute tuples are fixed per starting
-    # source, so random-access indexes can be reused across accesses.
     plans = [_completion_plan(sources, start) for start in range(n)]
 
     def complete(start: int, row: Row, score: Score) -> None:
         partial = [(row, score)]
-        for other, key_names, key_of, join in plans[start]:
+        for index, key_of, join in plans[start]:
             counters["random"] += len(partial)
             extended = []
             for accumulated, acc_score in partial:
-                key = key_of(accumulated)
-                for match, match_score in sources[other].lookup(key_names, key):
+                for match, match_score in index.get(key_of(accumulated), ()):
                     merged_score = match_score if match_score.value < acc_score.value else acc_score
                     extended.append((join(accumulated, match), merged_score))
             partial = extended
@@ -186,5 +180,9 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
                 running = False  # the k best are above everything unseen
                 break
 
-    ordered = rank_sorted(results.items())[:k]
+    candidates = results.items()
+    if len(best) == k:  # only results scoring at least the k-th best can rank
+        floor = best[0]
+        candidates = [pair for pair in candidates if pair[1].value >= floor]
+    ordered = rank_sorted(candidates)[:k]
     return TopKResult(tuple(ordered), counters["sorted"], counters["random"])

@@ -1,0 +1,136 @@
+"""Each table builds its rank order and key indexes once, and warm paths change no result."""
+
+import copy
+import pickle
+import random
+
+import pytest
+
+from helpers import (
+    reference_natural_join,
+    reference_product_join,
+    reference_semijoin,
+    replay_hint,
+    rnd_scheme,
+    rnd_table,
+    stable_seed,
+)
+
+from rankrel import algebra, demo, table as table_module
+from rankrel.chain import RATIONAL, ScoreChain
+from rankrel.table import RankedTable
+from rankrel.topk import SortedSource, brute_force_top_k, top_k
+
+LEVELS = ScoreChain(("none", "low", "mid", "high", "full"))
+
+
+def fresh(t: RankedTable) -> RankedTable:
+    """An equal table rebuilt from its entries, with no access path built."""
+    return RankedTable(t.scheme, t.chain, t.entries())
+
+
+def in_order(t: RankedTable, pairs) -> RankedTable:
+    """An equal table whose table order is ``pairs``' order."""
+    return RankedTable(t.scheme, t.chain, dict(pairs))
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """Count calls of a ``rankrel.table`` function, as ``counting(name) -> calls``."""
+
+    def install(name: str) -> list:
+        calls = []
+        original = getattr(table_module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(table_module, name, counted)
+        return calls
+
+    return install
+
+
+class TestBuiltOncePerTable:
+    def test_two_sources_over_one_table_sort_it_once(self, counting):
+        t = demo.offers()
+        sorts = counting("rank_sorted")
+        first, second = SortedSource.from_table(t), SortedSource.from_table(t)
+        assert len(sorts) == 1
+        assert first.ranked == second.ranked == fresh(t).rows_by_rank()
+
+    def test_joins_and_a_semijoin_on_one_key_index_the_table_once(self, counting):
+        rng = random.Random(stable_seed("index-once"))
+        t = rnd_table(rng, rnd_scheme(rng, names=("a", "b")), max_rows=9)
+        x = rnd_table(rng, rnd_scheme(rng, names=("a", "c")), max_rows=9)
+        y = rnd_table(rng, rnd_scheme(rng, names=("a", "d")), max_rows=9)
+        builds = counting("gather")  # index builds are the table module's only gathers
+        joins = [algebra.natural_join(x, t), algebra.natural_join(x, t)]
+        semi = algebra.semijoin(y, t)
+        assert [args[1] for args in builds] == [("a",)]
+        assert joins[0] == joins[1] == reference_natural_join(x, fresh(t))
+        assert semi == reference_semijoin(y, fresh(t))
+
+    def test_a_returned_rank_order_is_the_callers_own(self):
+        t = demo.houses()
+        expected = fresh(t).rows_by_rank()
+        ranked = t.rows_by_rank()
+        ranked.reverse()
+        ranked.pop()
+        source = SortedSource.from_table(t)
+        source.ranked.clear()
+        assert t.rows_by_rank() == expected
+        assert SortedSource.from_table(t).ranked == expected
+
+    @pytest.mark.parametrize("clone", [
+        lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_of_a_warm_table_start_without_access_paths(self, clone):
+        t = demo.offers()
+        t.rows_by_rank()
+        t.index(("id",))
+        copied = clone(t)
+        assert copied == t
+        assert copied._ranked is None and copied._indexes == {}
+        assert copied.rows_by_rank() == t.rows_by_rank()
+
+
+class TestWarmCachesChangeNothing:
+    """Cold, then twice warm, on the same table objects, against fresh copies."""
+
+    CHAINS = {"rational": RATIONAL, "levels": LEVELS}
+
+    @pytest.mark.parametrize("chain_name", sorted(CHAINS))
+    def test_top_k_and_joins_on_reused_tables(self, chain_name):
+        chain = self.CHAINS[chain_name]
+        seed = stable_seed(f"warm-access-paths-{chain_name}")
+        rng = random.Random(seed)
+        with replay_hint(seed):
+            for _ in range(40):
+                self._one_instance(rng, chain)
+
+    def _one_instance(self, rng, chain):
+        def table(names):
+            return rnd_table(rng, rnd_scheme(rng, names=names), max_rows=9, chain=chain)
+
+        # t is joined on {a} by x and on {b} by y: two indexes on one table.
+        t, x, y, z = table(("a", "b")), table(("a", "c")), table(("b", "d")), table(("c", "d"))
+        chains = [[t, x], [x, t, y], [t, x, y, z]]
+        for _ in range(3):
+            for tables in chains:
+                fresh_sources = [SortedSource.from_table(fresh(s)) for s in tables]
+                for k in (1, 10, 100):
+                    result = top_k([SortedSource.from_table(s) for s in tables], k)
+                    assert result.items == brute_force_top_k(fresh_sources, k).items
+                    # Buckets in rank order, as a table listed by rank has them,
+                    # or reversed: the access counts do not depend on bucket order.
+                    for order in (lambda s: s.rows_by_rank(), lambda s: s.rows_by_rank()[::-1]):
+                        ordered = [SortedSource.from_table(in_order(s, order(s))) for s in tables]
+                        assert top_k(ordered, k) == result
+            for left in (x, y):
+                assert algebra.natural_join(left, t) == reference_natural_join(left, fresh(t))
+                assert algebra.semijoin(left, t) == reference_semijoin(left, fresh(t))
+                if chain.is_rational:
+                    assert algebra.product_join(left, t) == reference_product_join(left, fresh(t))
+        assert sorted(t._indexes) == [("a",), ("b",)]

@@ -46,6 +46,7 @@ from rankrel.errors import (
     ParseError,
     QuantizationError,
     SchemeError,
+    UnknownNameError,
     UnsupportedOperationError,
 )
 from rankrel.maps import AnalyticMap, compose_table
@@ -358,6 +359,17 @@ class TestAlgebraToFormula:
             "schemes differ: Scheme(id:int, bdrm:int, sqft:int) vs "
             f"Scheme(id:int, agent:str, price:int) at {where}"
         )
+
+    def test_unknown_table_fails_as_in_the_planner(self):
+        catalog = demo.demo_catalog()
+        expr = planner.parse_query("join(houses, nosuch)")
+        runs = (lambda: planner.infer_scheme(expr, catalog),
+                lambda: planner.evaluate(expr, catalog),
+                lambda: algebra_to_formula(expr, catalog.tables))
+        for run in runs:
+            with pytest.raises(UnknownNameError) as err:
+                run()
+            assert str(err.value) == "unknown table 'nosuch' at query.right"
 
     def _tables(self, rng):
         from helpers import rnd_scheme, rnd_table
