@@ -47,12 +47,7 @@ from .maps import (
     extend_piecewise,
     witness_isomorphism,
 )
-from .ordinal import (
-    ordinally_equivalent,
-    ordinally_included,
-    rank_signature,
-    upper_cone,
-)
+from .ordinal import ordinally_equivalent, ordinally_included
 from .table import (
     DEC,
     INT,

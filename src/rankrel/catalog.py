@@ -155,7 +155,10 @@ def _parse_map(body: str, chain: ScoreChain, lineno: int) -> OrderMap:
             left, sep, right = entry.partition("->")
             if not sep:
                 raise ParseError(f"graph entry {entry!r} needs '->'", line=lineno)
-            pairs[chain.parse(left)] = chain.parse(right)
+            source = chain.parse(left)
+            if source in pairs:
+                raise ParseError(f"graph input {left.strip()!r} appears twice", line=lineno)
+            pairs[source] = chain.parse(right)
         return GraphMap.of(pairs)
     # piecewise: an optional bare `a -> b` entry fixes the value at bottom,
     # every other entry is `(lo, hi] -> value`.

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import calculus, checks, demo, ordinal, planner, topk
 from .catalog import Catalog, parse_config
+from .chain import RATIONAL
 from .errors import RankrelError
 from .maps import compose_table
 from .table import (
@@ -59,7 +60,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    chain = Catalog().chain
+    chain = RATIONAL
     if args.config:
         chain = parse_config(Path(args.config).read_text(encoding="utf-8")).chain
     first = read_table_csv(args.first, chain)

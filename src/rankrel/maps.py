@@ -7,8 +7,8 @@ every stored score pointwise.  Three representations are provided:
   explicit value at bottom (finitely checkable; also the shape produced by
   the canonical-map construction);
 * analytic expressions over the rational carrier, quantized onto a fixed
-  6-decimal grid (with an order-injectivity check on the values actually
-  produced, so the grid can never silently collapse distinct scores);
+  6-decimal grid (with an injectivity check on the exact images actually
+  produced, so the grid can never silently merge two of them);
 * explicit finite graphs of (input, output) pairs.
 
 Order-theoretic properties (preserving / reflecting / embedding /
@@ -33,7 +33,7 @@ from .errors import (
     QuantizationError,
     UnsupportedOperationError,
 )
-from .ordinal import _rank_profile, ordinally_equivalent
+from .ordinal import _rank_profile, ordinally_included
 from .table import RankedTable
 
 PROPERTIES = (
@@ -169,8 +169,9 @@ class AnalyticMap(OrderMap):
 
     Results are clamped into [0, 1] and quantized onto the 6-decimal grid
     before becoming chain elements.  Batch application refuses to proceed if
-    quantization collapses two distinct inputs, since that would silently
-    destroy the embedding property.
+    rounding merges two distinct exact images, since that would silently
+    destroy the embedding property; a map that merges scores by itself is
+    left to its declared properties.
     """
 
     expr: exprs.Expr
@@ -181,28 +182,31 @@ class AnalyticMap(OrderMap):
         return cls(exprs.parse_expr(text), declared=frozenset(declared))
 
     def apply(self, score: Score) -> Score:
-        return self._compiled()(score)
+        return score.chain.score(quantize(self._exact()(score), GRID_PLACES))
 
-    def _compiled(self) -> Callable[[Score], Score]:
-        """:meth:`apply` with the expression compiled once, for one batch.
+    def _exact(self) -> Callable[[Score], exprs.Number]:
+        """A score's image clamped into [0, 1], not rounded; compiled once, for one batch.
 
         Returned, never stored on the map, so the map still pickles.
         """
         run = exprs.compile_expr(self.expr)
 
-        def apply(score: Score) -> Score:
+        def exact(score: Score) -> exprs.Number:
             if not score.chain.is_rational:
                 raise UnsupportedOperationError("analytic maps require the rational carrier")
-            return score.chain.score(clamp01(quantize(run({"x": score.value}), GRID_PLACES)))
-        return apply
+            return clamp01(run({"x": score.value}))
+        return exact
 
     def apply_all(self, scores: Iterable[Score]) -> dict[Score, Score]:
-        apply = self._compiled()
-        out = {s: apply(s) for s in set(scores)}
-        if len({img.value for img in out.values()}) != len(out):
+        exact = self._exact()
+        unrounded = {s: exact(s) for s in set(scores)}
+        out = {s: s.chain.score(quantize(v, GRID_PLACES)) for s, v in unrounded.items()}
+        rounded = len({img.value for img in out.values()})
+        # Exact images are hashed only on a collision: big Fractions hash slowly.
+        if rounded < len(out) and rounded < len(set(unrounded.values())):
             raise QuantizationError(
-                f"quantization to {GRID_PLACES} decimals is not injective on "
-                f"the {len(out)} scores produced; refusing to transform"
+                f"quantization to {GRID_PLACES} decimals merges distinct images of "
+                f"the {len(out)} scores given; refusing to transform"
             )
         return out
 
@@ -328,17 +332,18 @@ def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
 def witness_isomorphism(d1: RankedTable, d2: RankedTable) -> GraphMap:
     """An order isomorphism between the two ranges carrying d1 onto d2.
 
-    Only exists when the tables are ordinally equivalent.  Both ranges are
-    finite chains of equal length then, so matching them rank by rank gives
-    the unique order isomorphism between them.
+    Only exists when the tables are ordinally equivalent.  Then each d1
+    level's floor is the d2 value at that level, and bottom is a level exactly
+    when some tuple lies outside d1, so the floors match the ranges rank by rank.
     """
-    if d1.scheme != d2.scheme or not ordinally_equivalent(d1, d2):
+    if d1.scheme != d2.scheme:
         raise NotEquivalentError("tables are not ordinally equivalent")
-    range1 = d1.range_of()
-    range2 = d2.range_of()
-    if len(range1) != len(range2):  # cannot happen under equivalence
-        raise NotEquivalentError("ranges have different sizes")
-    return GraphMap.of(zip(range1, range2), declared=frozenset(("embedding", "isomorphism")))
+    floors, escaping = _rank_profile(d1, d2)
+    if escaping or not ordinally_included(d2, d1):
+        raise NotEquivalentError("tables are not ordinally equivalent")
+    chain = d1.chain
+    graph = {Score(chain, level): Score(chain, floor) for level, floor in floors.items()}
+    return GraphMap.of(graph, declared=("embedding", "isomorphism"))
 
 
 def extend_piecewise(f: GraphMap, chain: ScoreChain) -> PiecewiseConstantMap:

@@ -1,80 +1,27 @@
-"""Ordinal inclusion and equivalence of ranked tables via score cones.
+"""Ordinal inclusion and equivalence of ranked tables, by one sort-based kernel.
 
-The upper cone of a row collects every tuple scoring at least as high; a
-table is ordinally included in another when every upper cone of the first
-is contained in the corresponding cone of the second, and two tables are
-ordinally equivalent when inclusion holds both ways (same tuple ordering by
-score, regardless of the actual score values).
+A table is ordinally included in another when every upper cone of the first
+(the tuples scoring at least as high as a given one) lies inside the
+second's cone of the same tuple; two tables are ordinally equivalent when
+inclusion holds both ways (same tuple ordering by score, regardless of the
+actual score values).
 
-Cones over unbounded attribute types are infinite as soon as score-0 tuples
-enter.  Every tuple outside both answer sets scores bottom in both tables,
-so one stand-in represents all of them: inclusion, its evidence and the
-canonical map's images are read off a single sort of the answer-set union
-(plus that stand-in), exactly for finite and unbounded schemes alike.  That
+Every tuple outside both answer sets scores bottom in both tables, so one
+stand-in represents all of them: inclusion, its evidence and the images of
+both witness maps (``maps.canonical_map`` and ``maps.witness_isomorphism``)
+are read off a single sort of the answer-set union (plus that stand-in) in
+:func:`_rank_profile`, exactly for finite and unbounded schemes alike.  That
 sort runs on integer rank codes, one per distinct score: by the invariance
 theorem, only the order of the scores decides inclusion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
 from .errors import IncompatibleChainError, SchemeError
 from .table import RankedTable, Row
-
-
-@dataclass(frozen=True)
-class Cone:
-    """A cone of tuples: a finite known part plus optionally everything else.
-
-    ``rest`` records whether every tuple outside the union of the two answer
-    sets also belongs (those tuples all score bottom, so lower cones always
-    have ``rest`` set and an upper cone has it exactly when the witness row
-    scores bottom).
-    """
-
-    known: frozenset[Row]
-    rest: bool
-
-    @property
-    def is_all_tuples(self) -> bool:
-        return self.rest
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    row: Row
-    upper: Cone
-    lower: Cone
-
-
-def upper_cone(d: RankedTable, row: Row) -> Cone:
-    """Rows of d scoring at least as high as ``row`` does."""
-    score = d.score_of(row)
-    if score.is_bottom:
-        return Cone(d.answer_set, rest=True)
-    known = frozenset(r for r, s in d if s.value >= score.value)
-    return Cone(known, rest=False)
-
-
-def lower_cone(d: RankedTable, row: Row) -> Cone:
-    """Rows of d scoring at most as high as ``row`` does (absent rows always do)."""
-    score = d.score_of(row)
-    known = frozenset(r for r, s in d if s.value <= score.value)
-    return Cone(known, rest=True)
-
-
-def cone_report(d: RankedTable, row: Row) -> ConeReport:
-    return ConeReport(row, upper_cone(d, row), lower_cone(d, row))
-
-
-def _check_comparable(d1: RankedTable, d2: RankedTable) -> None:
-    if d1.scheme != d2.scheme:
-        raise SchemeError("ordinal comparison needs equal schemes")
-    if d1.chain != d2.chain:
-        raise IncompatibleChainError("ordinal comparison needs one shared chain")
 
 
 def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
@@ -91,8 +38,11 @@ def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
     value among all values of both tables (bottom is 0).  The objects stay
     referenced by the tables for the whole call, so their ids are stable.
     """
-    _check_comparable(d1, d2)
-    e1, e2 = d1.entries(), d2.entries()
+    if d1.scheme != d2.scheme:
+        raise SchemeError(f"ordinal comparison needs equal schemes: {d1.scheme!r} vs {d2.scheme!r}")
+    if d1.chain != d2.chain:
+        raise IncompatibleChainError("ordinal comparison needs one shared chain")
+    e1, e2 = d1._entries, d2._entries
     objects = {id(s): s for s in (*e1.values(), *e2.values())}
     decode = [d1.chain.bottom.value]
     code = {}
@@ -125,19 +75,6 @@ def ordinally_included(d1: RankedTable, d2: RankedTable) -> bool:
 
 def ordinally_equivalent(d1: RankedTable, d2: RankedTable) -> bool:
     return ordinally_included(d1, d2) and ordinally_included(d2, d1)
-
-
-def rank_signature(d: RankedTable) -> tuple[frozenset[Row], ...]:
-    """Answer-set rows grouped by score, best group first.
-
-    Under the convention that some tuple scores bottom in every table (true
-    for unbounded attribute types), two tables are ordinally equivalent
-    exactly when their signatures are equal.
-    """
-    groups: dict = {}
-    for row, score in d:
-        groups.setdefault(score.value, set()).add(row)
-    return tuple(frozenset(groups[value]) for value in sorted(groups, reverse=True))
 
 
 def first_inclusion_violation(d1: RankedTable, d2: RankedTable) -> Optional[Row]:

@@ -22,9 +22,12 @@ from rankrel.calculus import (
 )
 from rankrel.chain import RATIONAL, Score, ScoreChain, exact_decimal_str, meet, residuum
 from rankrel.conditions import TableCondition
-from rankrel.errors import ChainError, DisjointTupleError, EvalError, UnsupportedOperationError
+from rankrel.errors import (
+    ChainError, DisjointTupleError, EvalError, NotEquivalentError, UnsupportedOperationError,
+)
 from rankrel.exprs import POWER_BITS_CAP, Binary, Call, Compare, Num, Ref, Ternary, Unary
-from rankrel.maps import OrderMap, Piece, PiecewiseConstantMap, apply_checked
+from rankrel.maps import GraphMap, OrderMap, Piece, PiecewiseConstantMap, apply_checked
+from rankrel.ordinal import ordinally_equivalent
 from rankrel.table import INT, STR, RankedTable, Row, Scheme, _conforms, parse_header
 
 #: Score grid: multiples of 1/24 (contains halves, quarters, sixths...).
@@ -221,8 +224,9 @@ def reference_table_of(m: Structure, phi) -> RankedTable:
 
 
 # --- ordinal oracles ----------------------------------------------------------
-# Quadratic decision procedures for ordinal inclusion, kept only to
-# cross-check the sort-based kernel in rankrel.ordinal.
+# Quadratic decision procedures for ordinal inclusion, the rank signature and
+# the range-zip witness, kept only to cross-check the sort-based kernel in
+# rankrel.ordinal and the witnesses that maps reads off it.
 
 
 def enumerate_rows(scheme: Scheme, cap: int = 100_000) -> list[Row]:
@@ -300,6 +304,28 @@ def first_violation_oracle(d1: RankedTable, d2: RankedTable):
         if any(o1 >= s1 and o2 < s2 for o1, o2 in pairs):
             return row
     return None
+
+
+def rank_signature(d: RankedTable) -> tuple[frozenset[Row], ...]:
+    """Answer-set rows grouped by score, best group first.
+
+    Under the convention that some tuple scores bottom in every table (true
+    for unbounded attribute types), two tables are ordinally equivalent
+    exactly when their signatures are equal.
+    """
+    groups: dict = {}
+    for row, score in d:
+        groups.setdefault(score.value, set()).add(row)
+    return tuple(frozenset(groups[value]) for value in sorted(groups, reverse=True))
+
+
+def reference_witness(d1: RankedTable, d2: RankedTable) -> GraphMap:
+    """The two ranges matched rank by rank: the oracle for ``maps.witness_isomorphism``."""
+    if d1.scheme != d2.scheme or not ordinally_equivalent(d1, d2):
+        raise NotEquivalentError("tables are not ordinally equivalent")
+    range1, range2 = d1.range_of(), d2.range_of()
+    assert len(range1) == len(range2), "equivalent tables with ranges of different sizes"
+    return GraphMap.of(zip(range1, range2), declared=frozenset(("embedding", "isomorphism")))
 
 
 # --- expression oracle --------------------------------------------------------

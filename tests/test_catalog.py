@@ -95,6 +95,13 @@ class TestMapsParsedAtFirstUse:
                 lookup()
             assert str(err.value) == "graph entry '1' needs '->' (line 3, column 0)"
 
+    def test_a_graph_with_a_repeated_input_is_refused(self):
+        # GraphMap keeps the first pair for an input, a dict the last: neither wins.
+        catalog = parse_config("chain rational01\n\nmap g = graph{ 0 -> 0, 0.5 -> 0.3, 1/2 -> 0.4 }\n")
+        with pytest.raises(ParseError) as err:
+            catalog.maps["g"]
+        assert str(err.value) == "graph input '1/2' appears twice (line 3, column 0)"
+
     def test_compose_resolves_its_map_while_parsing(self):
         with pytest.raises(ParseError) as err:
             parse_config(self.TEXT + "cond theta = expr{ 1 }\ncond c = compose(theta, bad)\n")

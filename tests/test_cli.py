@@ -205,6 +205,15 @@ class TestEquiv:
         assert "evidence: first table's cone fails at" in out
         assert len(calls) == 2
 
+    def test_scheme_mismatch_names_both_schemes(self, capsys, tmp_path):
+        write_table_csv(demo.houses(), tmp_path / "houses.csv")
+        write_table_csv(demo.offers(), tmp_path / "offers.csv")
+        code, out, err = run(capsys, "equiv", str(tmp_path / "houses.csv"),
+                             str(tmp_path / "offers.csv"))
+        assert code == 1 and out == ""
+        assert err == ("error: ordinal comparison needs equal schemes: "
+                       "Scheme(id:int, bdrm:int, sqft:int) vs Scheme(id:int, agent:str, price:int)\n")
+
     def test_equivalent_pair(self, capsys, tmp_path):
         first, second = demo.single_column_pair()
         write_table_csv(first, tmp_path / "a.csv")
@@ -235,6 +244,25 @@ class TestTransform:
                              "houses")
         assert code == 1 and out == ""
         assert err.strip() == "error: malformed piecewise entry '1' (line 5, column 0)"
+
+    def test_an_analytic_map_may_merge_scores_itself(self, capsys, catalog_dir):
+        config = catalog_dir / "catalog.cfg"
+        config.write_text(config.read_text(encoding="utf-8") + "map k = expr{ min(x, 0.5) }\n",
+                          encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--map", "k", "--catalog", str(catalog_dir),
+                             "houses")
+        assert code == 0 and err == ""
+        assert out == ("#,id:int,bdrm:int,sqft:int\n0.5,56,3,3400\n0.5,71,3,3280\n"
+                       "0.5,82,4,2350\n0.5,85,5,4580\n0.426,58,4,1760\n0.148,93,2,1130\n")
+
+    def test_a_graph_map_with_a_repeated_input_fails(self, capsys, catalog_dir):
+        config = catalog_dir / "catalog.cfg"
+        config.write_text(config.read_text(encoding="utf-8")
+                          + "map g = graph{ 0 -> 0, 0.5 -> 0.3, 0.5 -> 0.4 }\n", encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--map", "g", "--catalog", str(catalog_dir),
+                             "houses")
+        assert code == 1 and out == ""
+        assert err == "error: graph input '0.5' appears twice (line 5, column 0)\n"
 
     def test_eval_over_transformed_tables_matches_library(self, capsys, catalog_dir, tmp_path):
         for name in ("houses", "offers"):

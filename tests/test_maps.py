@@ -6,14 +6,26 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rnd_grid_isomorphism, rnd_monotone_map, rnd_scheme, rnd_table
+from helpers import (
+    enumerate_rows,
+    reference_witness,
+    replay_hint,
+    rnd_grid_isomorphism,
+    rnd_monotone_map,
+    rnd_scheme,
+    rnd_table,
+    stable_seed,
+)
 
+from rankrel import maps, ordinal
 from rankrel.chain import RATIONAL, symbolic_chain
 from rankrel.errors import (
     IncompatibleChainError,
     MapDomainError,
     MapPropertyError,
+    NotEquivalentError,
     QuantizationError,
+    RankrelError,
 )
 from rankrel.maps import (
     AnalyticMap,
@@ -90,6 +102,18 @@ class TestApply:
         squeeze = AnalyticMap.parse("0.5 + x/10000000")
         with pytest.raises(QuantizationError):
             squeeze.apply_all({fr("0.1"), fr("0.2")})
+
+    @pytest.mark.parametrize("text, images", [
+        ("min(x, 0.5)", {85: "0.5", 56: "0.5", 71: "0.5", 82: "0.5", 58: "0.426", 93: "0.148"}),
+        ("x - 1/2", {85: "0.5", 56: "0.471", 71: "0.437", 82: "0.143"}),
+    ])
+    def test_only_rounding_counts_as_a_quantization_collapse(self, text, images):
+        # These maps merge scores exactly, before any rounding, so nothing is refused.
+        houses = demo.houses()
+        expected = RankedTable(houses.scheme, RATIONAL, {
+            row: fr(images[row.value("id")]) for row, _ in houses if row.value("id") in images
+        })
+        assert compose_table(houses, AnalyticMap.parse(text)) == expected
 
 
 class TestPropertyVerification:
@@ -279,6 +303,112 @@ class TestWitnessIsomorphism:
         )
         with pytest.raises(NotEquivalentError):
             witness_isomorphism(one, two)
+
+
+LEVELS = symbolic_chain("none < l1 < l2 < l3 < l4 < l5 < l6 < full")
+SMALL = AttrType("int", (0, 1, 2))
+
+
+def rnd_relabelled(rng, table):
+    """The table under a random order isomorphism of its range that fixes bottom."""
+    chain = table.chain
+    if chain.is_rational:
+        return compose_table(table, rnd_grid_isomorphism(rng))
+    levels = sorted({score.value for _, score in table})
+    images = dict(zip(levels, sorted(rng.sample(range(1, len(chain.levels)), len(levels)))))
+    return RankedTable(table.scheme, chain,
+                       {row: chain.score(images[score.value]) for row, score in table})
+
+
+def rnd_finite_table(rng, scheme, chain):
+    """A table over an explicitly finite scheme, covering all of it a third of the time."""
+    if chain.is_rational:
+        scores = [chain.score(Fraction(i, 8)) for i in range(1, 9)]
+    else:
+        scores = [chain.score(level) for level in range(1, len(chain.levels))]
+    density = rng.choice((0.4, 0.8, 1.0))
+    return RankedTable(scheme, chain, {row: rng.choice(scores) for row in enumerate_rows(scheme)
+                                       if rng.random() < density})
+
+
+def without_lowest_level(table):
+    lowest = min(score.value for _, score in table)
+    return RankedTable(table.scheme, table.chain,
+                       {row: score for row, score in table if score.value != lowest})
+
+
+def witness_outcome(func, d1, d2):
+    try:
+        witness = func(d1, d2)
+    except RankrelError as exc:
+        return type(exc)
+    return witness.graph, witness.declared
+
+
+def test_witness_matches_the_range_zip_reference():
+    seed = stable_seed("witness isomorphism")
+    rng = random.Random(seed)
+    seen = Counter()
+    with replay_hint(seed):
+        for _ in range(400):
+            chain = rng.choice((RATIONAL, LEVELS))
+            finite = rng.random() < 0.4
+            if finite:
+                scheme = Scheme((("a", SMALL), ("b", SMALL)))
+                d1 = rnd_finite_table(rng, scheme, chain)
+            else:
+                scheme = rnd_scheme(rng)
+                d1 = rnd_table(rng, scheme, max_rows=8, chain=chain)
+            relation = rng.choice(("image", "image", "independent", "other scheme", "other chain"))
+            if relation == "image":
+                d2 = rnd_relabelled(rng, d1)
+                if finite and len(d2) == len(enumerate_rows(scheme)) and rng.random() < 0.5:
+                    d2 = without_lowest_level(d2)  # d1 covers the domain, d2 does not
+            elif relation == "independent":
+                d2 = (rnd_finite_table(rng, scheme, chain) if finite
+                      else rnd_table(rng, scheme, max_rows=8, chain=chain))
+            elif relation == "other scheme":
+                d2 = rnd_table(rng, Scheme((("z", INT),)), chain=chain)
+            else:
+                d2 = rnd_table(rng, scheme, chain=LEVELS if chain.is_rational else RATIONAL)
+            if rng.random() < 0.5:
+                d1, d2 = d2, d1
+            expected = witness_outcome(reference_witness, d1, d2)
+            assert witness_outcome(witness_isomorphism, d1, d2) == expected, (d1, d2)
+            seen["rational" if chain.is_rational else "symbolic"] += 1
+            seen[relation] += 1
+            covered = finite and len(enumerate_rows(scheme)) in (len(d1), len(d2))
+            seen["covered"] += covered
+            seen["covered equivalent"] += covered and not isinstance(expected, type)
+            seen[expected if isinstance(expected, type) else "equivalent"] += 1
+    assert all(seen[key] >= 10 for key in ("rational", "symbolic", "image", "independent",
+                                           "covered", "covered equivalent", "equivalent",
+                                           NotEquivalentError, IncompatibleChainError)), seen
+
+
+def test_witnesses_read_the_ranks_only_through_the_kernel(monkeypatch):
+    calls = Counter()
+
+    def counted(module):
+        profile = module._rank_profile
+
+        def wrapper(d1, d2):
+            calls[module.__name__] += 1
+            return profile(d1, d2)
+        monkeypatch.setattr(module, "_rank_profile", wrapper)
+
+    def forbidden(self):
+        raise AssertionError("a witness read a range outside the kernel")
+
+    counted(maps)
+    counted(ordinal)
+    monkeypatch.setattr(RankedTable, "range_of", forbidden)
+    first, second = demo.single_column_pair()
+    witness_isomorphism(first, second)
+    assert calls == {"rankrel.maps": 1, "rankrel.ordinal": 1}  # one profile each way
+    calls.clear()
+    canonical_map(first, second)
+    assert calls == {"rankrel.maps": 1}
 
 
 class TestExtension:

@@ -1,4 +1,9 @@
-"""Cones, ordinal inclusion/equivalence, and the rank signature."""
+"""Ordinal inclusion and equivalence, decided by the one sort-based kernel.
+
+``ordinal._rank_profile`` is checked against the quadratic oracles in
+``helpers``: cones enumerated over finite domains, the lower-cone dual, a
+brute-force first violator, and the rank signature.
+"""
 
 import random
 from fractions import Fraction
@@ -10,6 +15,7 @@ from helpers import (
     first_violation_oracle,
     included_enumerated_oracle,
     included_lower_oracle,
+    rank_signature,
     rnd_grid_isomorphism,
     rnd_monotone_map,
     rnd_scheme,
@@ -35,40 +41,32 @@ def similar():
     return demo.similar_join()
 
 
-class TestCones:
-    def test_upper_cone_of_price_798000(self, joined, similar):
-        row = Row.of(
-            {"id": 71, "bdrm": 3, "sqft": 3280, "agent": "Black", "price": 798000}
-        )
-        other = Row.of(
-            {"id": 71, "bdrm": 3, "sqft": 3280, "agent": "Adams", "price": 849000}
-        )
-        wide = ordinal.upper_cone(joined, row)
-        assert wide.known == {row, other} and not wide.is_all_tuples
-        narrow = ordinal.upper_cone(similar, row)
-        assert narrow.known == {row} and not narrow.is_all_tuples
-
-    def test_bottom_score_gives_all_tuples(self, joined):
-        absent = Row.of(
-            {"id": 1, "bdrm": 1, "sqft": 1, "agent": "Nobody", "price": 1}
-        )
-        assert ordinal.upper_cone(joined, absent).is_all_tuples
-
-    def test_report_reflexive(self, joined):
-        row = next(iter(joined.answer_set))
-        report = ordinal.cone_report(joined, row)
-        assert row in report.upper.known
-        assert row in report.lower.known
-        assert report.lower.rest  # absent tuples always sit below
-
-
 class TestInclusion:
     def test_demo_directions(self, joined, similar):
         assert ordinal.ordinally_included(similar, joined)
         assert not ordinal.ordinally_included(joined, similar)
 
+    def test_demo_profile_escapes_only_black_798000(self, joined, similar):
+        black = Row.of({"id": 71, "bdrm": 3, "sqft": 3280, "agent": "Black", "price": 798000})
+        adams = Row.of({"id": 71, "bdrm": 3, "sqft": 3280, "agent": "Adams", "price": 849000})
+        floors, escaping = ordinal._rank_profile(joined, similar)
+        assert escaping == [black]
+        # Black's joined level is shared with Adams only, and Adams scores
+        # strictly lower in similar: that level's floor is Adams's score.
+        level = joined.score_of(black)
+        assert {row for row, score in joined if score.value >= level.value} == {black, adams}
+        assert floors[level.value] == similar.score_of(adams).value
+        assert similar.score_of(adams).value < similar.score_of(black).value
+        # Absent tuples score bottom in both: their level is present (the
+        # cone of bottom is every tuple) and its floor is bottom.
+        absent = Row.of({"id": 1, "bdrm": 1, "sqft": 1, "agent": "Nobody", "price": 1})
+        assert joined.score_of(absent).is_bottom and absent not in escaping
+        assert floors[RATIONAL.bottom.value] == RATIONAL.bottom.value
+
     def test_reflexive(self, joined):
         assert ordinal.ordinally_included(joined, joined)
+        floors, escaping = ordinal._rank_profile(joined, joined)
+        assert escaping == [] and all(level == floor for level, floor in floors.items())
 
     def test_transitive(self):
         rng = random.Random(53)
@@ -186,13 +184,13 @@ class TestEquivalence:
 
 class TestRankSignature:
     def test_demo_grouping(self, joined):
-        signature = ordinal.rank_signature(joined)
+        signature = rank_signature(joined)
         assert [len(group) for group in signature] == [2, 1, 1, 1, 1]
         top = {row.value("agent") for row in signature[0]}
         assert top == {"Adams", "Black"}
 
     def test_empty_signature(self):
-        assert ordinal.rank_signature(RankedTable.empty(Scheme((("a", INT),)))) == ()
+        assert rank_signature(RankedTable.empty(Scheme((("a", INT),)))) == ()
 
     def test_signature_equality_is_equivalence(self):
         rng = random.Random(73)
@@ -202,7 +200,7 @@ class TestRankSignature:
             d1, d2 = rnd_table(rng, scheme, max_rows=5), rnd_table(rng, scheme, max_rows=5)
             if rng.random() < 0.5:
                 d2 = compose_table(d1, rnd_grid_isomorphism(rng))
-            same_signature = ordinal.rank_signature(d1) == ordinal.rank_signature(d2)
+            same_signature = rank_signature(d1) == rank_signature(d2)
             assert same_signature == ordinal.ordinally_equivalent(d1, d2)
             agreements += same_signature
         assert agreements > 50  # the biased half must actually exercise equality

@@ -204,7 +204,8 @@ def rnd_gapped_piecewise(rng: random.Random) -> PiecewiseConstantMap:
     return PiecewiseConstantMap(RATIONAL, RATIONAL.bottom, pieces, declared=rnd_declared(rng))
 
 
-ANALYTIC = ("x^2", "sqrt(x)", "x/2", "x*0", "1 - x", "x - 1/2", "x + 10^(0-9)",
+#: ``x/10^7`` is the one that merges distinct scores only when rounding onto the grid.
+ANALYTIC = ("x^2", "sqrt(x)", "x/2", "x*0", "1 - x", "x - 1/2", "x + 10^(0-9)", "x/10^7",
             "x <= 1/2 ? sqrt(x)/sqrt(2) : 2*(x-1/2)^2 + 1/2")
 
 
