@@ -44,7 +44,6 @@ from .maps import (
     PiecewiseConstantMap,
     canonical_map,
     compose_table,
-    extend_piecewise,
     witness_isomorphism,
 )
 from .ordinal import ordinally_equivalent, ordinally_included

@@ -1,8 +1,8 @@
 """Many-valued first-order evaluation over finite structures, and the two
 translations between formulas and relational expressions.
 
-Formulas are built from falsum, atoms, conjunction, implication, and the two
-quantifiers; disjunction, negation, and biconditional are expanded into that
+Formulas are built from falsum, atoms, conjunction, disjunction, implication,
+and the two quantifiers; negation and biconditional are expanded into that
 core at construction time.  A structure interprets every relation symbol as
 a finite score assignment over vectors of a finite universe, so quantifier
 infima and suprema always exist and every formula with free variables
@@ -10,7 +10,7 @@ denotes a ranked table (free variables double as attribute names; types are
 deliberately ignored, values travel as strings).
 
 Evaluation runs on rank codes: the distinct scores a structure stores, plus
-bottom and top, numbered in order from 0.  Every connective (min, the
+bottom and top, numbered in order from 0.  Every connective (min, max, the
 residuum, and the quantifiers' infima and suprema) only compares its
 arguments and returns one of them, bottom or top, so a formula's code
 decodes to exactly the score it has on the chain itself.
@@ -68,6 +68,15 @@ class And:
 
 
 @dataclass(frozen=True)
+class Or:
+    left: "Formula"
+    right: "Formula"
+
+    def __str__(self) -> str:
+        return f"({self.left} | {self.right})"
+
+
+@dataclass(frozen=True)
 class Implies:
     left: "Formula"
     right: "Formula"
@@ -94,7 +103,7 @@ class Exists:
         return f"exists {self.var}. {self.body}"
 
 
-Formula = Union[Falsum, Atom, And, Implies, ForAll, Exists]
+Formula = Union[Falsum, Atom, And, Or, Implies, ForAll, Exists]
 
 
 def Not(phi: Formula) -> Formula:
@@ -105,18 +114,12 @@ def Iff(phi: Formula, psi: Formula) -> Formula:
     return And(Implies(phi, psi), Implies(psi, phi))
 
 
-def Or(phi: Formula, psi: Formula) -> Formula:
-    # ((phi -> psi) -> psi) & ((psi -> phi) -> phi): evaluates to the
-    # supremum on any chain.
-    return And(Implies(Implies(phi, psi), psi), Implies(Implies(psi, phi), phi))
-
-
 def _variables(phi: Formula, bound: frozenset[str] = frozenset()):
     """Every variable occurrence with whether it is free; binders count as bound."""
     if isinstance(phi, Atom):
         for var in phi.args:
             yield var, var not in bound
-    elif isinstance(phi, (And, Implies)):
+    elif isinstance(phi, (And, Or, Implies)):
         yield from _variables(phi.left, bound)
         yield from _variables(phi.right, bound)
     elif isinstance(phi, (ForAll, Exists)):
@@ -131,6 +134,15 @@ def free_vars(phi: Formula) -> tuple[str, ...]:
 
 def _all_vars(phi: Formula) -> set[str]:
     return {var for var, _ in _variables(phi)}
+
+
+def _nesting(phi: Formula) -> int:
+    """Deepest chain of quantifiers, one inside the other."""
+    if isinstance(phi, (ForAll, Exists)):
+        return 1 + _nesting(phi.body)
+    if isinstance(phi, (And, Or, Implies)):
+        return max(_nesting(phi.left), _nesting(phi.right))
+    return 0
 
 
 # --- structures -------------------------------------------------------------
@@ -260,7 +272,7 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
                 return lambda env: get((env[slot],), 0)
             pick = itemgetter(*slots)
             return lambda env: get(pick(env), 0)
-        if isinstance(node, (And, Implies)):
+        if isinstance(node, (And, Or, Implies)):
             left, right = build(node.left, scope), build(node.right, scope)
             if isinstance(node, And):
                 def meet_codes(env):
@@ -270,6 +282,14 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
                     b = right(env)
                     return a if a <= b else b
                 return meet_codes
+            if isinstance(node, Or):
+                def join_codes(env):
+                    a = left(env)
+                    if a == top:
+                        return top
+                    b = right(env)
+                    return a if a >= b else b
+                return join_codes
 
             def residuum_codes(env):
                 a = left(env)
@@ -313,7 +333,8 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
 
 
 #: Most valuations ``table_of`` may visit (the universe size raised to the
-#: number of distinct variables, free and bound), and most value combinations
+#: number of free variables plus the deepest quantifier nesting, which bounds
+#: the work by formula size times the cap), and most value combinations
 #: ``algebra_to_formula`` may score for one restriction condition.
 VALUATION_CAP = 1_000_000
 
@@ -333,7 +354,7 @@ def table_of(m: Structure, phi: Formula) -> RankedTable:
     Raises ``UnsupportedOperationError`` before any work when the formula
     would visit more than ``VALUATION_CAP`` valuations.
     """
-    _check_valuations("formula", len(m.universe), len(_all_vars(phi)))
+    _check_valuations("formula", len(m.universe), len(free_vars(phi)) + _nesting(phi))
     variables = free_vars(phi)
     entries = {}
     for values in itertools.product(m.universe, repeat=len(variables)):
@@ -354,8 +375,9 @@ def formula_to_algebra(phi: Formula, m: Structure):
     exactly ``table_of(m, phi)``.  Universal quantification compiles to the
     division, with active-domain tables (every universe element at score
     top) supplying the dividend and divisor; implication compiles to the
-    bounded residuum after aligning both sides on a common scheme through
-    joins with those same active-domain tables.
+    bounded residuum, and disjunction to the union, after aligning both
+    sides on a common scheme through joins with those same active-domain
+    tables.
     """
     tables: dict[str, RankedTable] = {}
     counter = [0]
@@ -397,10 +419,12 @@ def formula_to_algebra(phi: Formula, m: Structure):
             return planner.Base(name)
         if isinstance(node, And):
             return planner.Join(compile_node(node.left), compile_node(node.right))
-        if isinstance(node, Implies):
+        if isinstance(node, (Or, Implies)):
             joint = free_vars(node)
             left = pad(compile_node(node.left), free_vars(node.left), joint)
             right = pad(compile_node(node.right), free_vars(node.right), joint)
+            if isinstance(node, Or):
+                return planner.Union(left, right)
             return planner.Residuum(all_of(joint), left, right)
         if isinstance(node, Exists):
             inner = compile_node(node.body)
@@ -547,10 +571,8 @@ def _rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
         return phi
     if isinstance(phi, Atom):
         return Atom(phi.symbol, tuple(mapping.get(a, a) for a in phi.args))
-    if isinstance(phi, And):
-        return And(_rename_free(phi.left, mapping), _rename_free(phi.right, mapping))
-    if isinstance(phi, Implies):
-        return Implies(_rename_free(phi.left, mapping), _rename_free(phi.right, mapping))
+    if isinstance(phi, (And, Or, Implies)):
+        return type(phi)(_rename_free(phi.left, mapping), _rename_free(phi.right, mapping))
     if isinstance(phi, (ForAll, Exists)):
         var, body = phi.var, phi.body
         inner = {old: new for old, new in mapping.items() if old != var}
@@ -590,13 +612,6 @@ def structure_from_tables(tables: Mapping[str, RankedTable]) -> Structure:
     if not universe:
         universe.add("__nil__")
     return Structure(chain, tuple(sorted(universe)), arities, interps)
-
-
-def stringified(table: RankedTable) -> RankedTable:
-    """The same table with every value replaced by its string form."""
-    scheme = Scheme((name, STR) for name in table.scheme.names)
-    entries = {Row((name, str(value)) for name, value in row): score for row, score in table}
-    return RankedTable._trusted(scheme, table.chain, entries)
 
 
 # --- formula parser ---------------------------------------------------------

@@ -19,7 +19,6 @@ import re
 from collections import UserDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
 
 from .chain import RATIONAL, ScoreChain, symbolic_chain
 from .conditions import Condition, ExprCondition
@@ -51,12 +50,6 @@ class Catalog:
     tables: dict[str, RankedTable] = field(default_factory=dict)
     conditions: dict[str, Condition] = field(default_factory=dict)
     maps: OrderMaps = field(default_factory=OrderMaps)
-
-    @classmethod
-    def from_tables(cls, tables: Mapping[str, RankedTable],
-                    conditions: Optional[Mapping[str, Condition]] = None,
-                    chain: ScoreChain = RATIONAL) -> "Catalog":
-        return cls(chain, dict(tables), dict(conditions or {}))
 
     def table(self, name: str) -> RankedTable:
         try:

@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ChainError, IncompatibleChainError
+from .errors import ChainError, EvalError, IncompatibleChainError
 
 Rational = Union[Fraction, int]
 
@@ -35,7 +35,10 @@ def quantize(value: Union[Fraction, float], places: int = 6) -> Fraction:
     return Fraction(round(value * grid), grid)
 
 
-def clamp01(value: Fraction) -> Fraction:
+def clamp01(value: Union[Fraction, float]) -> Union[Fraction, float]:
+    """Clamp an expression result into [0, 1]; an infinity clamps, a NaN is an ``EvalError``."""
+    if value != value:
+        raise EvalError("expression evaluates to NaN")
     if value < 0:
         return Fraction(0)
     if value > 1:

@@ -330,11 +330,12 @@ def check_canonical_map() -> CheckResult:
         return CheckResult("canonical-map", False, f"pieces differ: {pieces}")
     if compose_table(similar, witness) != joined:
         return CheckResult("canonical-map", False, "composing the witness missed the target")
-    return CheckResult("canonical-map", True, "all seven pieces match and compose correctly")
+    return CheckResult("canonical-map", True,
+                       f"all {len(expected)} pieces match and compose correctly")
 
 
-#: how far a good house match for an id implies a good offer for it; three
-#: variables keep it at 26**3 valuations of the demo universe
+#: how far a good house match for an id implies a good offer for it; one free
+#: variable and two nested binders keep it at 26**3 valuations of the demo universe
 CALCULUS_FORMULA = "(exists x. exists y. houses(i, x, y)) -> exists x. exists y. offers(i, x, y)"
 
 

@@ -24,7 +24,6 @@ still pickles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import exprs
@@ -91,10 +90,8 @@ class ExprCondition(Condition):
                     "expression conditions require the rational chain; "
                     "use an explicit score table on symbolic chains"
                 )
-            value = run(row.as_dict())
-            if isinstance(value, float):
-                value = quantize(value)
-            return chain.score(clamp01(Fraction(value)))
+            value = clamp01(run(row.as_dict()))
+            return chain.score(quantize(value) if isinstance(value, float) else value)
         return score
 
     def __repr__(self) -> str:
@@ -170,16 +167,3 @@ def _memoised(scheme: Scheme, names, score: Callable[[Row], Score]) -> Callable[
             return value
     return memoised
 
-
-def constant_condition(value) -> ExprCondition:
-    """theta(r) = value for every tuple (value given as text or Fraction)."""
-    if isinstance(value, Fraction):
-        value = f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value)
-    return ExprCondition.parse(str(value))
-
-
-#: theta(r) = 1 everywhere; neutral for restriction on the rational chain.
-ALWAYS = constant_condition(1)
-
-#: theta(r) = 0 everywhere; restriction by it empties any table.
-NEVER = constant_condition(0)

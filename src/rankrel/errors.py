@@ -17,10 +17,6 @@ class SchemeError(RankrelError):
     """Scheme mismatch, unknown attribute, or attribute collision."""
 
 
-class DisjointTupleError(RankrelError):
-    """Two tuples disagree on a shared attribute and cannot be joined."""
-
-
 class NotCrispError(RankrelError):
     """A table with intermediate scores was used where {0, 1} is required."""
 

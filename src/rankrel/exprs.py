@@ -234,22 +234,13 @@ def free_names(expr: Expr) -> frozenset[str]:
     return frozenset()
 
 
-def evaluate(expr: Expr, env: Mapping[str, object]) -> Number:
-    """Evaluate under an environment of lowercased names -> values.
-
-    Returns an exact ``Fraction`` unless ``sqrt`` forced a float somewhere in
-    the computation.  String-valued names may only appear in (in)equality
-    comparisons.
-    """
-    return compile_expr(expr)(env)
-
-
 def compile_expr(expr: Expr) -> Callable[[Mapping[str, object]], Number]:
-    """Compile once into nested closures; calling the result is :func:`evaluate`.
+    """Compile once into nested closures, run under lowercased names -> values.
 
-    The closures do the same exact arithmetic and raise the same errors at
-    the same point: nothing is checked while compiling, and an untaken
-    ternary branch is never evaluated.
+    A run returns an exact ``Fraction`` unless ``sqrt`` forced a float
+    somewhere in the computation.  String-valued names may only appear in
+    (in)equality comparisons.  Nothing is checked while compiling, and an
+    untaken ternary branch is never evaluated.
     """
     run = _compile(expr)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from . import exprs
 from .chain import Score, ScoreChain, clamp01, quantize
@@ -81,21 +81,6 @@ def _reflects(values: list) -> bool:
     # On a chain with a <= b already established, reflection fails exactly
     # when two distinct inputs collapse or swap.
     return all(a < b for a, b in zip(values, values[1:]))
-
-
-def is_order_preserving_on(f: OrderMap, scores: Sequence[Score]) -> bool:
-    """a <= b implies f(a) <= f(b), over every pair in ``scores``."""
-    return _preserves(_image_values({s: f.apply(s) for s in scores}))
-
-
-def is_order_reflecting_on(f: OrderMap, scores: Sequence[Score]) -> bool:
-    """f(a) <= f(b) implies a <= b, over every pair in ``scores``."""
-    return _reflects(_image_values({s: f.apply(s) for s in scores}))
-
-
-def is_order_embedding_on(f: OrderMap, scores: Sequence[Score]) -> bool:
-    values = _image_values({s: f.apply(s) for s in scores})
-    return _preserves(values) and _reflects(values)
 
 
 def verify_declared(f: OrderMap, images: Mapping[Score, Score], chain: ScoreChain) -> None:
@@ -239,12 +224,6 @@ class GraphMap(OrderMap):
         except KeyError:
             raise MapDomainError(f"score {score!r} outside the map's finite graph") from None
 
-    def inverse(self) -> "GraphMap":
-        images = [dst.value for _, dst in self.graph]
-        if len(set(images)) != len(images):
-            raise MapPropertyError("graph map is not injective; no inverse exists")
-        return GraphMap.of({dst: src for src, dst in self.graph}, declared=self.declared)
-
 
 @dataclass(frozen=True)
 class IdentityMap(OrderMap):
@@ -311,12 +290,13 @@ def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
 
     For d1 ordinally included in d2 it returns the map fixing bottom and
     sending each other score ``a`` to the least d2-score among rows whose
-    d1-score reaches ``a`` (empty set of such rows: top): the
-    :func:`extend_piecewise` of that map on d1's levels.  It agrees with d2
-    on d1's answer set, so ``compose_table(d1, f) == d2`` holds exactly when
-    every tuple d1 leaves out also scores bottom in d2.  That is always so
-    over an unbounded attribute type, but not on an explicitly finite domain
-    that d2 covers beyond d1.
+    d1-score reaches ``a`` (empty set of such rows: top).  Floors never
+    decrease with the level, so each piece ``(previous level, level]`` takes
+    that level's floor, and ``(last level, top]`` takes top.  It agrees with
+    d2 on d1's answer set, so ``compose_table(d1, f) == d2`` holds exactly
+    when every tuple d1 leaves out also scores bottom in d2.  That is always
+    so over an unbounded attribute type, but not on an explicitly finite
+    domain that d2 covers beyond d1.
     """
     if d1.scheme != d2.scheme:
         raise NotIncludedError("tables on different schemes are never ordinally included")
@@ -324,9 +304,19 @@ def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
     if escaping:
         raise NotIncludedError("first table is not ordinally included in the second")
     chain = d1.chain
-    graph = {Score(chain, level): Score(chain, floor) for level, floor in floors.items()}
-    graph[chain.bottom] = chain.bottom
-    return extend_piecewise(GraphMap.of(graph, declared=("preserving",)), chain)
+    ends = {level: floor for level, floor in floors.items() if level != chain.bottom.value}
+    ends.setdefault(chain.top.value, chain.top.value)  # past every level: top
+    pieces: list[Piece] = []
+    lo = chain.bottom
+    for level in sorted(ends):
+        hi, value = Score(chain, level), Score(chain, ends[level])
+        if pieces and pieces[-1].value == value:
+            pieces[-1] = Piece(pieces[-1].lo, hi, value)
+        else:
+            pieces.append(Piece(lo, hi, value))
+        lo = hi
+    return PiecewiseConstantMap(chain, chain.bottom, tuple(pieces),
+                                declared=frozenset(("preserving",)))
 
 
 def witness_isomorphism(d1: RankedTable, d2: RankedTable) -> GraphMap:
@@ -345,41 +335,3 @@ def witness_isomorphism(d1: RankedTable, d2: RankedTable) -> GraphMap:
     graph = {Score(chain, level): Score(chain, floor) for level, floor in floors.items()}
     return GraphMap.of(graph, declared=("embedding", "isomorphism"))
 
-
-def extend_piecewise(f: GraphMap, chain: ScoreChain) -> PiecewiseConstantMap:
-    """Total extension of a finite-graph map by upper infima.
-
-    Sends ``a`` to the least f-image over graph inputs >= a (top when no
-    input reaches ``a``); agrees with ``f`` on its domain and is order
-    preserving whenever ``f`` is.
-    """
-    graph = sorted(f.graph, key=lambda kv: kv[0].value)
-    if not graph:
-        raise MapPropertyError("cannot extend an empty graph")
-    suffix_min: list[Score] = [None] * len(graph)  # least image from i onward
-    best = None
-    for i in range(len(graph) - 1, -1, -1):
-        img = graph[i][1]
-        best = img if best is None or img.value < best.value else best
-        suffix_min[i] = best
-
-    bottom_value = suffix_min[0]
-    if graph[0][0].is_bottom:
-        bottom_value = graph[0][1]
-    pieces: list[Piece] = []
-    lo = chain.bottom
-    for i, (src, _) in enumerate(graph):
-        if src.is_bottom:
-            continue
-        pieces.append(Piece(lo, src, suffix_min[i]))
-        lo = src
-    if lo < chain.top:
-        pieces.append(Piece(lo, chain.top, chain.top))
-    merged: list[Piece] = []
-    for piece in pieces:
-        if merged and merged[-1].value == piece.value:
-            merged[-1] = Piece(merged[-1].lo, piece.hi, piece.value)
-        else:
-            merged.append(piece)
-    return PiecewiseConstantMap(chain, bottom_value, tuple(merged), declared=f.declared
-                                & frozenset(("preserving",)))

@@ -224,11 +224,6 @@ OPERATORS: dict[type, Operator] = {
 _KEYWORDS = {op.keyword: node_type for node_type, op in OPERATORS.items()}
 
 
-def children(expr: QueryExpr) -> tuple[QueryExpr, ...]:
-    op = OPERATORS.get(type(expr))
-    return tuple(getattr(expr, name) for name in op.kids) if op else ()
-
-
 def fold(expr: QueryExpr, visit: Callable, path: str = "query"):
     """The one recursion over a query tree, bottom-up.
 
@@ -263,11 +258,6 @@ def format_expr(expr: QueryExpr) -> str:
 def infer_scheme(expr: QueryExpr, catalog) -> Scheme:
     """Result scheme of an expression against a catalog; errors carry paths."""
     return _walk(expr, catalog.tables, catalog.conditions, evaluating=False)
-
-
-def infer_scheme_over(expr: QueryExpr, tables: Mapping[str, RankedTable],
-                      conditions: Optional[Mapping[str, Condition]] = None) -> Scheme:
-    return _walk(expr, tables, conditions or {}, evaluating=False)
 
 
 def evaluate(expr: QueryExpr, catalog) -> RankedTable:

@@ -147,9 +147,6 @@ class Scheme:
                 merged.append(attr)
         return Scheme(merged)
 
-    def shared_names(self, other: "Scheme") -> tuple[str, ...]:
-        return tuple(a.name for a in self.attrs if a.name in other._by_name)
-
     def project(self, names: Iterable[str]) -> "Scheme":
         """Sub-scheme on ``names`` (must all exist), in this scheme's order."""
         wanted = {n.lower() for n in names}
@@ -442,23 +439,6 @@ class RankedTable:
             for pair in self._entries.items():
                 index.setdefault(key_of(pair[0]), []).append(pair)
         return index
-
-    def range_of(self) -> list[Score]:
-        """All scores appearing in the table, ascending.
-
-        Bottom is included whenever some tuple over the scheme lies outside
-        the answer set; with unbounded attribute types that is always the
-        case.  Only a fully covered explicitly finite domain omits it.
-        """
-        values = {score.value for score in self._entries.values()}
-        size = self.scheme.domain_size()
-        if size is None or size > len(self._entries):
-            values.add(self.chain.bottom.value)
-        return [Score(self.chain, v) for v in sorted(values)]
-
-    @property
-    def is_crisp(self) -> bool:
-        return all(score.is_top for score in self._entries.values())
 
     def __eq__(self, other) -> bool:
         return (

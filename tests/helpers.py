@@ -20,10 +20,12 @@ from fractions import Fraction
 from rankrel.calculus import (
     And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure, free_vars,
 )
-from rankrel.chain import RATIONAL, Score, ScoreChain, exact_decimal_str, meet, residuum
+from rankrel.chain import (
+    RATIONAL, Score, ScoreChain, exact_decimal_str, join_sup, meet, residuum,
+)
 from rankrel.conditions import TableCondition
 from rankrel.errors import (
-    ChainError, DisjointTupleError, EvalError, NotEquivalentError, UnsupportedOperationError,
+    ChainError, EvalError, NotEquivalentError, UnsupportedOperationError,
 )
 from rankrel.exprs import POWER_BITS_CAP, Binary, Call, Compare, Num, Ref, Ternary, Unary
 from rankrel.maps import GraphMap, OrderMap, Piece, PiecewiseConstantMap, apply_checked
@@ -201,6 +203,9 @@ def reference_evaluate(phi, m: Structure, valuation) -> Score:
     if isinstance(phi, And):
         return meet(reference_evaluate(phi.left, m, valuation),
                     reference_evaluate(phi.right, m, valuation))
+    if isinstance(phi, Or):
+        return join_sup(reference_evaluate(phi.left, m, valuation),
+                        reference_evaluate(phi.right, m, valuation))
     if isinstance(phi, Implies):
         return residuum(reference_evaluate(phi.left, m, valuation),
                         reference_evaluate(phi.right, m, valuation))
@@ -221,6 +226,13 @@ def reference_table_of(m: Structure, phi) -> RankedTable:
         if not score.is_bottom:
             entries[Row.of(valuation)] = score
     return RankedTable(Scheme((var, STR) for var in variables), m.chain, entries)
+
+
+def stringified(table: RankedTable) -> RankedTable:
+    """The same table with every value replaced by its string form."""
+    scheme = Scheme((name, STR) for name in table.scheme.names)
+    return RankedTable(scheme, table.chain, {
+        Row((name, str(value)) for name, value in row): score for row, score in table})
 
 
 # --- ordinal oracles ----------------------------------------------------------
@@ -319,11 +331,19 @@ def rank_signature(d: RankedTable) -> tuple[frozenset[Row], ...]:
     return tuple(frozenset(groups[value]) for value in sorted(groups, reverse=True))
 
 
+def _range(d: RankedTable) -> list[Score]:
+    """Stored scores ascending, plus bottom when some tuple lies outside the answer set."""
+    values = {score.value for _, score in d}
+    if not _covers_whole_domain(d):
+        values.add(d.chain.bottom.value)
+    return [Score(d.chain, value) for value in sorted(values)]
+
+
 def reference_witness(d1: RankedTable, d2: RankedTable) -> GraphMap:
     """The two ranges matched rank by rank: the oracle for ``maps.witness_isomorphism``."""
     if d1.scheme != d2.scheme or not ordinally_equivalent(d1, d2):
         raise NotEquivalentError("tables are not ordinally equivalent")
-    range1, range2 = d1.range_of(), d2.range_of()
+    range1, range2 = _range(d1), _range(d2)
     assert len(range1) == len(range2), "equivalent tables with ranges of different sizes"
     return GraphMap.of(zip(range1, range2), declared=frozenset(("embedding", "isomorphism")))
 
@@ -458,7 +478,7 @@ def join_rows(r: Row, s: Row) -> Row:
     merged = dict(r.items)
     for name, value in s.items:
         if name in merged and merged[name] != value:
-            raise DisjointTupleError(
+            raise ValueError(
                 f"tuples disagree on {name!r}: {merged[name]!r} vs {value!r}"
             )
         merged[name] = value
@@ -472,7 +492,7 @@ def rank_key(item: tuple[Row, Score]) -> tuple:
 
 
 def _reference_matched_pairs(d1: RankedTable, d2: RankedTable):
-    shared = d1.scheme.shared_names(d2.scheme)
+    shared = [name for name in d1.scheme.names if name in d2.scheme.name_set]
     index: dict = {}
     for row, score in d2:
         index.setdefault(row.project(shared).key(), []).append((row, score))

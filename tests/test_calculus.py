@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,14 @@ import pytest
 from helpers import (
     ANY_ARITIES,
     reference_evaluate,
+    replay_hint,
     reference_table_of,
     rnd_any_structure,
     rnd_formula,
     rnd_grid_isomorphism,
     rnd_structure,
+    stable_seed,
+    stringified,
 )
 
 from rankrel import algebra, calculus, demo, planner
@@ -34,7 +38,6 @@ from rankrel.calculus import (
     formula_to_algebra,
     free_vars,
     parse_formula,
-    stringified,
     structure_from_tables,
     table_of,
 )
@@ -143,6 +146,8 @@ class TestEvaluate:
                     return tuple(val[a] for a in node.args) in interps[node.symbol]
                 if isinstance(node, And):
                     return classic(node.left, val) and classic(node.right, val)
+                if isinstance(node, Or):
+                    return classic(node.left, val) or classic(node.right, val)
                 if isinstance(node, Implies):
                     return (not classic(node.left, val)) or classic(node.right, val)
                 if isinstance(node, ForAll):
@@ -282,7 +287,7 @@ class TestTableOf:
 
 
     def test_valuation_cap_counts_free_and_bound_variables(self, structure, monkeypatch):
-        # three free or bound variables over three elements: 27 valuations
+        # two free variables and one binder deep over three elements: 27 valuations
         monkeypatch.setattr(calculus, "VALUATION_CAP", 27)
         table_of(structure, parse_formula("exists z. (s(x, y) & r(z))"))
         with pytest.raises(UnsupportedOperationError, match=r"81 valuations .* cap of 27$"):
@@ -315,6 +320,12 @@ class TestFormulaToAlgebra:
         phi = ForAll("x", Atom("s", ("x", "y")))
         expr, tables = formula_to_algebra(phi, structure)
         assert isinstance(expr, planner.Divide)
+        assert planner.evaluate_over(expr, tables) == table_of(structure, phi)
+
+    def test_disjunction_compiles_to_union(self, structure):
+        phi = Or(Atom("r", ("x",)), Atom("s", ("x", "y")))
+        expr, tables = formula_to_algebra(phi, structure)
+        assert isinstance(expr, planner.Union)
         assert planner.evaluate_over(expr, tables) == table_of(structure, phi)
 
     def test_random_round_trips(self):
@@ -450,7 +461,7 @@ class TestAlgebraToFormula:
         (planner.Restrict(planner.Base("t1"), ExprCondition.parse("a <= 1 ? 0.5 : 1")),
          "(t1(a, b) & __cond_1(a))"),
         (planner.Union(planner.Base("t1"), planner.Base("t1")),
-         "(((t1(a, b) -> t1(a, b)) -> t1(a, b)) & ((t1(a, b) -> t1(a, b)) -> t1(a, b)))"),
+         "(t1(a, b) | t1(a, b))"),
         (planner.Rename(planner.Base("t2"), (("c", "z"),)), "t2(b, z)"),
         (planner.Semijoin(planner.Base("t1"), planner.Base("t2")),
          "exists c. (t1(a, b) & t2(b, c))"),
@@ -465,8 +476,9 @@ class TestAlgebraToFormula:
         def refuse(*args, **kwargs):
             raise AssertionError("inferred a subtree's scheme in a second walk")
 
-        monkeypatch.setattr(planner, "infer_scheme_over", refuse)
+        monkeypatch.setattr(planner, "_walk", refuse)
         phi, m = algebra_to_formula(expr, tables)
+        monkeypatch.undo()
         assert str(phi) == text
         assert table_of(m, phi) == stringified(planner.evaluate_over(expr, tables))
 
@@ -526,6 +538,29 @@ class TestLogicalIdentities:
             phi = rnd_formula(rng, depth=2)
             f = rnd_grid_isomorphism(rng)
             assert compose_table(table_of(m, phi), f) == table_of(m.compose(f), phi)
+
+
+class TestDisjunction:
+    @pytest.mark.parametrize("chain", [RATIONAL, LEVELS], ids=["rational", "levels"])
+    def test_core_or_equals_the_derived_encoding(self, chain):
+        # ((phi -> psi) -> psi) & ((psi -> phi) -> phi) is the supremum on any chain
+        seed = stable_seed(f"core disjunction {chain.levels}")
+        rng = random.Random(seed)
+        with replay_hint(seed):
+            for _ in range(150):
+                m = rnd_any_structure(rng, chain)
+                phi, psi = (rnd_formula(rng, depth=2, arities=ANY_ARITIES) for _ in range(2))
+                derived = And(Implies(Implies(phi, psi), psi), Implies(Implies(psi, phi), phi))
+                assert table_of(m, Or(phi, psi)) == table_of(m, derived), (phi, psi)
+
+    def test_a_long_chain_runs_in_linear_time(self):
+        m = structure_from_tables(demo.demo_catalog().tables)
+        phi = parse_formula(" | ".join(["houses(a, b, c)"] * 40))
+        assert isinstance(phi, Or)
+        start = time.perf_counter()
+        table = table_of(m, phi)
+        assert time.perf_counter() - start < 2
+        assert table == table_of(m, Atom("houses", ("a", "b", "c")))
 
 
 class TestFormulaParser:

@@ -124,11 +124,18 @@ class TestEval:
     @pytest.mark.parametrize("query, message", [
         ("restrict(houses, (bdrm-bdrm)^(0-1))", "power of zero with a negative exponent"),
         ("restrict(houses, (bdrm^0.5)^100000)", "power out of the float range"),
+        ("restrict(houses, sqrt(bdrm)*10^308*10 - sqrt(bdrm)*10^308*10)",
+         "expression evaluates to NaN"),
     ])
     def test_power_arithmetic_errors_are_user_errors(self, capsys, query, message):
         code, out, err = run(capsys, "eval", query)  # over the demo catalog
         assert code == 1 and out == ""
         assert err.strip() == f"error: {message} at query"
+
+    def test_an_infinite_condition_clamps_like_any_large_value(self, capsys):
+        code, out, err = run(capsys, "eval", "restrict(houses, sqrt(bdrm)*10^308*10)", "--exact")
+        assert code == 0 and err == ""
+        assert out == run(capsys, "eval", "restrict(houses, 2)", "--exact")[1]
 
     def test_corrupt_catalog_file_named_in_error(self, capsys, catalog_dir):
         (catalog_dir / "stray.csv").write_text("", encoding="utf-8")
@@ -263,6 +270,16 @@ class TestTransform:
                              "houses")
         assert code == 1 and out == ""
         assert err == "error: graph input '0.5' appears twice (line 5, column 0)\n"
+
+    def test_a_nan_analytic_map_fails(self, capsys, catalog_dir):
+        config = catalog_dir / "catalog.cfg"
+        config.write_text(config.read_text(encoding="utf-8")
+                          + "map k = expr{ sqrt(x)*10^308*10 - sqrt(x)*10^308*10 }\n",
+                          encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--map", "k", "--catalog", str(catalog_dir),
+                             "houses")
+        assert code == 1 and out == ""
+        assert err == "error: expression evaluates to NaN\n"
 
     def test_eval_over_transformed_tables_matches_library(self, capsys, catalog_dir, tmp_path):
         for name in ("houses", "offers"):
@@ -420,9 +437,22 @@ class TestTopkPlanCalc:
         assert out == ""
         assert "11,881,376 valuations" in err and "cap of 1,000,000" in err
 
+    def test_calc_cap_counts_repeated_binders(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "calc", "exists x. exists x. exists x. houses(a, b, c)")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert "308,915,776 valuations" in err and "cap of 1,000,000" in err
+
 
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "10/10 checks passed" in out
     assert out.count("PASS") == 10
+
+
+def test_verify_counts_the_canonical_pieces(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert "PASS  canonical-map: all 6 pieces match and compose correctly\n" in out

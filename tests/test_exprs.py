@@ -75,7 +75,7 @@ class TestCompileExpr:
     ])
     def test_errors_match_the_reference(self, text, env, message):
         expr = exprs.parse_expr(text)
-        for evaluate in (exprs.evaluate, reference_evaluate_expr):
+        for evaluate in (lambda e, env: exprs.compile_expr(e)(env), reference_evaluate_expr):
             with pytest.raises(EvalError) as err:
                 evaluate(expr, env)
             assert str(err.value) == message

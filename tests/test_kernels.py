@@ -312,7 +312,6 @@ def trusted_results(rng: random.Random, chain: ScoreChain):
                  else rnd_level_map)(rng)
     yield "compose_table", compose_table(d1, order_map)
     yield "read_table_csv", read_table_csv(write_table_csv(d1), chain)
-    yield "stringified", calculus.stringified(d1)
     m = rnd_any_structure(rng, chain)
     phi = rnd_formula(rng, depth=2, arities=ANY_ARITIES)
     yield "table_of", calculus.table_of(m, phi)
@@ -337,7 +336,7 @@ class TestTrustedResults:
         assert {producer for producer, _ in produced} == {
             "natural_join", "semijoin", "product_join", "restrict", "project", "union_tables",
             "difference", "intersection", "residuum_tables", "rename", "divide",
-            "compose_table", "read_table_csv", "stringified", "table_of", "_atom_table",
+            "compose_table", "read_table_csv", "table_of", "_atom_table",
             "formula_to_algebra",
         }
         assert all(count >= 20 for count in produced.values())

@@ -29,7 +29,7 @@ def rnd_catalog(rng) -> Catalog:
         "t2": rnd_table(rng, rnd_scheme(rng, names=("b", "c")), max_rows=8),
         "t3": rnd_table(rng, rnd_scheme(rng, names=("a", "b")), max_rows=8),
     }
-    return Catalog.from_tables(tables)
+    return Catalog(tables=tables)
 
 
 class TestParser:
@@ -144,7 +144,8 @@ class TestOperatorTable:
         result = planner.evaluate_over(expr, tables, conditions)
         assert any(result.scheme is scheme for scheme in returned)
         monkeypatch.undo()
-        assert planner.infer_scheme_over(expr, tables, conditions) == result.scheme
+        catalog = Catalog(tables=tables, conditions=conditions)
+        assert planner.infer_scheme(expr, catalog) == result.scheme
 
     @pytest.mark.parametrize("keyword", sorted(op.keyword for op in planner.OPERATORS.values()))
     def test_rendered_label_is_the_parser_keyword(self, keyword):
@@ -174,7 +175,8 @@ class TestOperatorTable:
 
     def test_children_and_rebuild_follow_field_order(self):
         expr = planner.parse_query("divide(a, b, c)")
-        assert planner.children(expr) == (planner.Base("a"), planner.Base("b"), planner.Base("c"))
+        kids = tuple(getattr(expr, name) for name in planner.OPERATORS[type(expr)].kids)
+        assert kids == (planner.Base("a"), planner.Base("b"), planner.Base("c"))
         swapped = planner._rebuild(expr, (planner.Base("x"), planner.Base("b"), planner.Base("c")))
         assert swapped == planner.Divide(planner.Base("x"), planner.Base("b"), planner.Base("c"))
 
@@ -264,7 +266,8 @@ def rnd_query(rng, tables, conditions, depth: int):
 
     child = sub()
     try:
-        names = sorted(planner.infer_scheme_over(child, tables, conditions).name_set)
+        catalog = Catalog(tables=tables, conditions=conditions)
+        names = sorted(planner.infer_scheme(child, catalog).name_set)
     except RankrelError:
         names = list(ATTR_POOL)
     node_type = rng.choice(list(planner.OPERATORS))
@@ -304,9 +307,10 @@ class TestInferenceMatchesEvaluation:
         with replay_hint(seed):
             for _ in range(40):
                 tables, conditions = differential_tables(rng), differential_conditions(rng)
+                catalog = Catalog(tables=tables, conditions=conditions)
                 for _ in range(15):
                     expr = rnd_query(rng, tables, conditions, depth=3)
-                    inferred = outcome(lambda: planner.infer_scheme_over(expr, tables, conditions))
+                    inferred = outcome(lambda: planner.infer_scheme(expr, catalog))
                     evaluated = outcome(lambda: planner.evaluate_over(expr, tables, conditions))
                     if evaluated[0] == "ok":
                         assert inferred == ("ok", evaluated[1].scheme), expr
@@ -351,13 +355,11 @@ class TestSchemeInference:
 
     def test_divide_scheme(self, catalog):
         rng = random.Random(1)
-        cat = Catalog.from_tables(
-            {
-                "dd": rnd_table(rng, rnd_scheme(rng, names=("a",))),
-                "m": rnd_table(rng, rnd_scheme(rng, names=("a", "c"))),
-                "dv": rnd_table(rng, rnd_scheme(rng, names=("c",))),
-            }
-        )
+        cat = Catalog(tables={
+            "dd": rnd_table(rng, rnd_scheme(rng, names=("a",))),
+            "m": rnd_table(rng, rnd_scheme(rng, names=("a", "c"))),
+            "dv": rnd_table(rng, rnd_scheme(rng, names=("c",))),
+        })
         scheme = planner.infer_scheme(planner.parse_query("divide(dd, m, dv)"), cat)
         assert scheme.name_set == {"a"}
 
@@ -483,7 +485,7 @@ class TestRewriteLaws:
             from rankrel import algebra
 
             lhs = algebra.project(algebra.natural_join(t1, t2), t1.scheme.names)
-            shared = t1.scheme.shared_names(t2.scheme)
+            shared = [name for name in t1.scheme.names if name in t2.scheme.name_set]
             rhs = algebra.natural_join(t1, algebra.project(t2, shared))
             assert lhs == rhs == algebra.semijoin(t1, t2)
 
