@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from . import planner
 from .chain import RATIONAL, Score, ScoreChain
@@ -633,18 +633,26 @@ class _FormulaParser(TokenCursor):
         return left
 
     def disjunction(self) -> Formula:
-        phi = self.conjunction()
-        while self.peek().text == "|":
-            self.advance()
-            phi = Or(phi, self.conjunction())
-        return phi
+        return self.chain("|", Or, self.conjunction)
 
     def conjunction(self) -> Formula:
-        phi = self.unary()
-        while self.peek().text == "&":
+        return self.chain("&", And, self.unary)
+
+    def chain(self, symbol: str, node: type, operand: Callable[[], Formula]) -> Formula:
+        """A ``symbol`` chain as a balanced tree of ``node``, operands in reading order.
+
+        The operator is associative, so values, error order and free-variable
+        order are the left-deep chain's, and later passes recurse log(n) deep;
+        two or three operands give the left-deep tree itself.
+        """
+        operands = [operand()]
+        while self.peek().text == symbol:
             self.advance()
-            phi = And(phi, self.unary())
-        return phi
+            operands.append(operand())
+        while len(operands) > 1:  # join neighbours pairwise
+            operands = [node(*operands[i:i + 2]) if i + 1 < len(operands) else operands[i]
+                        for i in range(0, len(operands), 2)]
+        return operands[0]
 
     def unary(self) -> Formula:
         token = self.advance()

@@ -24,7 +24,7 @@ from .chain import RATIONAL, ScoreChain, symbolic_chain
 from .conditions import Condition, ExprCondition
 from .errors import IncompatibleChainError, ParseError, RankrelError, UnknownNameError
 from .maps import AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, PiecewiseConstantMap
-from .table import RankedTable, read_table_csv
+from .table import RankedTable, read_table_csv, read_text
 
 
 class OrderMaps(UserDict):
@@ -83,7 +83,7 @@ class Catalog:
             raise UnknownNameError(f"catalog directory {directory} does not exist")
         config_path = directory / "catalog.cfg"
         catalog = (
-            parse_config(config_path.read_text(encoding="utf-8"))
+            parse_config(read_text(config_path))
             if config_path.exists()
             else cls()
         )
@@ -91,7 +91,8 @@ class Catalog:
             try:
                 catalog.add_table(csv_path.stem, read_table_csv(csv_path, catalog.chain))
             except RankrelError as exc:
-                raise type(exc)(f"cannot load table from {csv_path}: {exc}") from None
+                exc.args = (f"cannot load table from {csv_path}: {exc}",)  # keeps line, column
+                raise
         return catalog
 
 

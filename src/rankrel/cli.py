@@ -12,7 +12,10 @@ Subcommands::
 
 ``eval`` prints the result sorted descending by score at three decimals;
 ``--exact`` switches to the CSV wire format with exact scores, which
-re-ingests to an equal table.  ``verify`` replays the bundled demo checks.
+re-ingests to an equal table.  ``verify`` replays the bundled demo checks;
+their golden tables are the worked example's queries, run through the same
+parser and planner as ``eval``.  Every input error, nesting too deep for the
+interpreter's recursion limit included, exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .table import (
     column_plan,
     ranked_cells,
     read_table_csv,
+    read_text,
     render_table,
     write_table_csv,
 )
@@ -62,7 +66,7 @@ def cmd_eval(args) -> int:
 def cmd_equiv(args) -> int:
     chain = RATIONAL
     if args.config:
-        chain = parse_config(Path(args.config).read_text(encoding="utf-8")).chain
+        chain = parse_config(read_text(args.config)).chain
     first = read_table_csv(args.first, chain)
     second = read_table_csv(args.second, chain)
     evidence = ordinal.first_inclusion_violation(first, second)
@@ -210,6 +214,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RankrelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests too deeply to evaluate", file=sys.stderr)
         return 1
 
 

@@ -240,12 +240,16 @@ def compile_expr(expr: Expr) -> Callable[[Mapping[str, object]], Number]:
     A run returns an exact ``Fraction`` unless ``sqrt`` forced a float
     somewhere in the computation.  String-valued names may only appear in
     (in)equality comparisons.  Nothing is checked while compiling, and an
-    untaken ternary branch is never evaluated.
+    untaken ternary branch is never evaluated.  A float overflow anywhere in
+    a run is an ``EvalError``.
     """
     run = _compile(expr)
 
     def evaluated(env):
-        result = run(env)
+        try:
+            result = run(env)
+        except OverflowError as exc:
+            raise EvalError(f"expression overflows: {exc}") from None
         if isinstance(result, str):
             raise EvalError("expression evaluates to a string, not a number")
         return result

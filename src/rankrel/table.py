@@ -18,6 +18,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .chain import RATIONAL, Score, ScoreChain, exact_decimal_str
@@ -25,6 +26,7 @@ from .errors import (
     ChainError,
     IncompatibleChainError,
     NotCrispError,
+    ParseError,
     SchemeError,
 )
 
@@ -506,8 +508,20 @@ def read_table_csv(source, chain: ScoreChain = RATIONAL) -> RankedTable:
         return _read_rows(csv.reader(io.StringIO(source)), chain)
     if hasattr(source, "read"):
         return _read_rows(csv.reader(source), chain)
-    with open(source, newline="", encoding="utf-8") as handle:
-        return _read_rows(csv.reader(handle), chain)
+    return _read_rows(csv.reader(io.StringIO(read_text(source), newline="")), chain)
+
+
+def read_text(path) -> str:
+    """A UTF-8 file's text, line ends as stored; other bytes are a ``ParseError``
+    that names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} is not UTF-8: cannot decode byte 0x{data[exc.start]:02x}",
+                         line=data.count(b"\n", 0, exc.start) + 1,
+                         column=exc.start - line_start) from None
 
 
 def _read_rows(reader, chain: ScoreChain) -> RankedTable:

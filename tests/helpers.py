@@ -353,7 +353,10 @@ def reference_witness(d1: RankedTable, d2: RankedTable) -> GraphMap:
 
 def reference_evaluate_expr(expr, env):
     """Recursive tree walk: the oracle for ``exprs.evaluate`` and ``exprs.compile_expr``."""
-    result = _reference_eval(expr, env)
+    try:
+        result = _reference_eval(expr, env)
+    except OverflowError as exc:
+        raise EvalError(f"expression overflows: {exc}") from None
     if isinstance(result, str):
         raise EvalError("expression evaluates to a string, not a number")
     return result

@@ -73,14 +73,30 @@ def test_criterion_02_transformation_reproduction():
     )
 
 
+def tuple_order(expected: checks.Expected) -> list[tuple]:
+    return [values for _, values in expected]
+
+
 def test_criterion_03_product_aggregation_contrast():
     require(checks.check_product_contrast())
+    # the checks match every golden table in display order, so the swap is a
+    # fact about the golden data: product scoring puts 58 above 82, min keeps 82 first
+    product = tuple_order(checks.PRODUCT_PROJECTION_EXPECTED)
+    minimum = tuple_order(checks.TRANSFORMED_PROJECTION_EXPECTED)
+    assert product.index((58, 829000)) < product.index((82, 648000))
+    assert minimum.index((82, 648000)) < minimum.index((58, 829000))
     report(3, "product-scored join hits 0.877/0.782 and swaps rows 82/58")
 
 
 def test_criterion_04_restriction_reproduction():
     require(checks.check_restriction())
     require(checks.check_untransformed_condition())
+    plain = tuple_order(checks.RESTRICTION_EXPECTED)
+    transformed = tuple_order(checks.RESTRICTION_TRANSFORMED_EXPECTED)
+    assert plain == transformed, "the transformed condition must keep the tuple order"
+    assert tuple_order(checks.UNTRANSFORMED_CONDITION_EXPECTED) != transformed, (
+        "the raw condition must change the tuple order"
+    )
     report(4, "restriction columns within 0.001; raw condition breaks the order")
 
 

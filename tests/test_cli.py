@@ -456,3 +456,74 @@ def test_verify_counts_the_canonical_pieces(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "PASS  canonical-map: all 6 pieces match and compose correctly\n" in out
+
+
+def _overflow_catalog(tmp_path):
+    write_table_csv(demo.houses(), tmp_path / "houses.csv")
+    (tmp_path / "catalog.cfg").write_text("map k = expr{ sqrt(x)*10^400 }\n", encoding="utf-8")
+    return ["transform", "--map", "k", "--catalog", str(tmp_path), "houses"]
+
+
+def _bad_byte_csv(tmp_path):
+    (tmp_path / "a.csv").write_bytes(b"#,name:str\n0.5,caf\xff\n")
+    return tmp_path / "a.csv"
+
+
+def _bad_byte_config(tmp_path):
+    write_table_csv(demo.houses(), tmp_path / "houses.csv")
+    (tmp_path / "catalog.cfg").write_bytes(b"# \xff\nchain rational01\n")
+    return ["eval", "houses", "--catalog", str(tmp_path)]
+
+
+def _restrict(condition: str) -> list[str]:
+    return ["eval", f"restrict(houses, {condition})"]
+
+
+#: (id, argv builder over a scratch directory, text the error line must hold)
+UNCAUGHT_BEFORE = [
+    ("nested-project", lambda tmp: ["eval", "project(" * 2000 + "houses" + ", [id])" * 2000],
+     "nests too deeply"),
+    ("nested-union", lambda tmp: ["eval", "union(" * 500 + "houses" + ", houses)" * 500],
+     "nests too deeply"),
+    ("parenthesised-condition", lambda tmp: _restrict("(" * 3000 + "1" + ")" * 3000),
+     "nests too deeply"),
+    ("long-sum", lambda tmp: _restrict("+".join(["0"] * 3000)), "nests too deeply"),
+    ("prefix-minus", lambda tmp: _restrict("-" * 2000 + "1"), "nests too deeply"),
+    ("chained-ternary", lambda tmp: _restrict("1 ? 1 : " * 1500 + "1"), "nests too deeply"),
+    ("negations", lambda tmp: ["calc", "~" * 2000 + "houses(a, b, c)"], "nests too deeply"),
+    ("implications", lambda tmp: ["calc", " -> ".join(["houses(a, b, c)"] * 2000)],
+     "nests too deeply"),
+    ("quantifiers", lambda tmp: ["calc", "exists x. " * 1500 + "houses(x, b, c)"],
+     "nests too deeply"),
+    ("sqrt-overflow", lambda tmp: _restrict("sqrt(10^400)"), "too large"),
+    ("product-overflow", lambda tmp: _restrict("sqrt(2)*10^400"), "too large"),
+    ("sum-overflow", lambda tmp: _restrict("sqrt(2)+10^400"), "too large"),
+    ("quotient-overflow", lambda tmp: _restrict("10^400/sqrt(2)"), "too large"),
+    ("map-overflow", _overflow_catalog, "too large"),
+    ("equiv-bad-byte", lambda tmp: ["equiv", str(_bad_byte_csv(tmp)), str(_bad_byte_csv(tmp))],
+     "a.csv"),
+    ("catalog-bad-byte", lambda tmp: ["eval", "a", "--catalog", str(_bad_byte_csv(tmp).parent)],
+     "a.csv"),
+    ("config-bad-byte", _bad_byte_config, "catalog.cfg"),
+]
+
+
+@pytest.mark.parametrize("build, needle", [case[1:] for case in UNCAUGHT_BEFORE],
+                         ids=[case[0] for case in UNCAUGHT_BEFORE])
+def test_input_errors_print_one_error_line(capsys, tmp_path, build, needle):
+    code, out, err = run(capsys, *build(tmp_path))
+    lines = err.splitlines()
+    assert code == 1 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:"), err[-500:]
+    assert needle in lines[0]
+
+
+def test_long_flat_chains_evaluate_like_one_atom(capsys, tmp_path):
+    atom = "houses(a, b, c)"
+    single = run(capsys, "calc", atom)
+    assert single[0] == 0
+    assert run(capsys, "calc", " & ".join([atom] * 5000)) == single
+    (tmp_path / "t.csv").write_text("#,a:int\n0.5,1\n", encoding="utf-8")
+    one_row = run(capsys, "calc", "t(a)", "--catalog", str(tmp_path))
+    assert one_row[0] == 0
+    assert run(capsys, "calc", " | ".join(["t(a)"] * 5000), "--catalog", str(tmp_path)) == one_row
