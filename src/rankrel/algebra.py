@@ -111,7 +111,7 @@ def project(d: RankedTable, names: Iterable[str]) -> RankedTable:
     for row, score in d:
         shorter = shorten(row)
         current = best.get(shorter)
-        if current is None or score.value > current.value:
+        if current is None or score.key > current.key:
             best[shorter] = score
     return RankedTable._trusted(scheme, d.chain, {Row(p): s for p, s in best.items()})
 
@@ -123,7 +123,7 @@ def union_tables(d1: RankedTable, d2: RankedTable) -> RankedTable:
     entries = d1.entries()
     for row, score in d2:
         current = entries.get(row)
-        if current is None or score.value > current.value:
+        if current is None or score.key > current.key:
             entries[row] = score
     return RankedTable._trusted(d1.scheme, d1.chain, entries)
 
@@ -196,7 +196,7 @@ def subsethood(d1: RankedTable, d2: RankedTable) -> Score:
     violations = []
     for row, score in d1:
         other = d2._entries.get(row, d2.chain.bottom)
-        if score.value > other.value:
+        if score.key > other.key:
             violations.append(other)
     return min_score(violations, d1.chain.top)
 
@@ -218,7 +218,7 @@ def semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
     for row, score, _, other_score in _matched_pairs(d1, d2):
         value = meet(score, other_score)
         best = entries.get(row)
-        if best is None or value.value > best.value:
+        if best is None or value.key > best.key:
             entries[row] = value
     return RankedTable._trusted(d1.scheme, d1.chain, entries)
 

@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Union
 
 from . import planner
-from .chain import RATIONAL, Score, ScoreChain
+from .chain import RATIONAL, Score, ScoreChain, rank_codes
 from .errors import (
     EvalError, IncompatibleChainError, ParseError, SchemeError, UnknownNameError,
     UnsupportedOperationError,
@@ -233,8 +233,8 @@ _last = None
 def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
     """Compile a formula against a structure into one closure over rank codes.
 
-    The codes number the sorted distinct scores of the interpretations, plus
-    bottom and top, from 0 to ``top``.  Returns ``(run, decode, binders)``:
+    The codes are :func:`chain.rank_codes` of the interpretations' scores,
+    plus bottom and top, from 0 to ``top``.  Returns ``(run, decode, binders)``:
     ``run(env)`` is the code of the formula's value, where ``env`` holds the
     values of ``names`` followed by one slot per binder (``binders`` gives
     their initial contents), and ``decode[code]`` is the score.  Atoms are
@@ -242,12 +242,10 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
     short-cut could skip its branch.
     """
     chain = m.chain
-    values = {chain.bottom.value, chain.top.value}
-    values.update(s.value for interp in m.interps.values() for s in interp.values())
-    decode = [Score(chain, value) for value in sorted(values)]
-    code = {score.value: index for index, score in enumerate(decode)}
+    stored = [s for interp in m.interps.values() for s in interp.values()]
+    code, decode = rank_codes((chain.bottom, chain.top, *stored))
     top = len(decode) - 1
-    coded = {symbol: {vector: code[s.value] for vector, s in interp.items()}
+    coded = {symbol: {vector: code[id(s)] for vector, s in interp.items()}
              for symbol, interp in m.interps.items()}
     universe = m.universe
     width = len(names)

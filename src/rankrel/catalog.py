@@ -24,7 +24,8 @@ from .chain import RATIONAL, ScoreChain, symbolic_chain
 from .conditions import Condition, ExprCondition
 from .errors import IncompatibleChainError, ParseError, RankrelError, UnknownNameError
 from .maps import AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, PiecewiseConstantMap
-from .table import RankedTable, read_table_csv, read_text
+from .table import RankedTable, read_table_csv_sharing, read_text
+from .table import read_table_csv  # noqa: F401 - still reached as catalog.read_table_csv
 
 
 class OrderMaps(UserDict):
@@ -87,9 +88,11 @@ class Catalog:
             if config_path.exists()
             else cls()
         )
+        scores: dict = {}  # one Score object per score text, across every table
         for csv_path in sorted(directory.glob("*.csv")):
             try:
-                catalog.add_table(csv_path.stem, read_table_csv(csv_path, catalog.chain))
+                catalog.add_table(csv_path.stem,
+                                  read_table_csv_sharing(csv_path, catalog.chain, scores))
             except RankrelError as exc:
                 exc.args = (f"cannot load table from {csv_path}: {exc}",)  # keeps line, column
                 raise
@@ -176,7 +179,7 @@ def _parse_map(body: str, chain: ScoreChain, lineno: int) -> OrderMap:
         if not sep or chain.parse(left) != chain.bottom:
             raise ParseError(f"malformed piecewise entry {entry!r}", line=lineno)
         bottom_value = chain.parse(right)
-    pieces.sort(key=lambda p: p.lo.value)
+    pieces.sort(key=lambda p: p.lo.key)
     return PiecewiseConstantMap(chain, bottom_value, tuple(pieces))
 
 

@@ -17,9 +17,10 @@ Restricted to {bottom, top} they reproduce the Boolean truth tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import ChainError, EvalError, IncompatibleChainError
@@ -173,18 +174,28 @@ def symbolic_chain(spec: str) -> ScoreChain:
 
 @dataclass(frozen=True)
 class Score:
-    """An element of a score chain.  Comparison is exact and total."""
+    """An element of a score chain.  Comparison is exact and total.
+
+    ``key`` is ``(float(value), value)``, set once and read by every order
+    decision.  ``float()`` is correctly rounded, hence monotone, so keys
+    order exactly as values do; the tuples compare in C, and reach the exact
+    value only when two distinct value objects share a float.
+    """
 
     chain: ScoreChain
     value: Union[Fraction, int]
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (float(self.value), self.value))
 
     def __lt__(self, other: "Score") -> bool:
         _require_chain(self.chain, other)
-        return self.value < other.value
+        return self.key < other.key
 
     def __le__(self, other: "Score") -> bool:
         _require_chain(self.chain, other)
-        return self.value <= other.value
+        return self.key <= other.key
 
     def __gt__(self, other: "Score") -> bool:
         return not self <= other
@@ -226,25 +237,25 @@ def _pair(a: Score, b: Score) -> None:
 def meet(a: Score, b: Score) -> Score:
     """Greatest lower bound; on a chain, the smaller score."""
     _pair(a, b)
-    return a if a.value <= b.value else b
+    return a if a.key <= b.key else b
 
 
 def join_sup(a: Score, b: Score) -> Score:
     """Least upper bound; on a chain, the larger score."""
     _pair(a, b)
-    return a if a.value >= b.value else b
+    return a if a.key >= b.key else b
 
 
 def residuum(a: Score, b: Score) -> Score:
     """Chain implication, adjoint to meet: meet(a,b) <= c iff a <= residuum(b,c)."""
     _pair(a, b)
-    return a.chain.top if a.value <= b.value else b
+    return a.chain.top if a.key <= b.key else b
 
 
 def abjunction(a: Score, b: Score) -> Score:
     """Chain non-implication, adjoint to join: abjunction(a,b) <= c iff a <= join(b,c)."""
     _pair(a, b)
-    return a.chain.bottom if a.value <= b.value else a
+    return a.chain.bottom if a.key <= b.key else a
 
 
 def negation(a: Score) -> Score:
@@ -253,7 +264,7 @@ def negation(a: Score) -> Score:
 
 def biresiduum(a: Score, b: Score) -> Score:
     _pair(a, b)
-    return a.chain.top if a.value == b.value else meet(a, b)
+    return a.chain.top if a.key == b.key else meet(a, b)
 
 
 def min_score(scores, default: Score) -> Score:
@@ -261,7 +272,16 @@ def min_score(scores, default: Score) -> Score:
     result = default
     for s in scores:
         _pair(result, s)
-        if s.value < result.value:
+        if s.key < result.key:
             result = s
     return result
 
+
+def rank_codes(scores) -> tuple[dict[int, int], list[Score]]:
+    """Dense codes in ``key`` order: each object's code by ``id``, each code's first score."""
+    code, decode = {}, []
+    for s in sorted({id(s): s for s in scores}.values(), key=attrgetter("key")):
+        if not decode or s.key != decode[-1].key:
+            decode.append(s)
+        code[id(s)] = len(decode) - 1
+    return code, decode

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from . import exprs
@@ -69,8 +70,8 @@ class OrderMap:
 
 
 def _image_values(images: Mapping[Score, Score]) -> list:
-    """Raw image values of a finite map graph, in ascending input order."""
-    return [images[s].value for s in sorted(images, key=lambda s: s.value)]
+    """Image order keys of a finite map graph, in ascending input order."""
+    return [images[s].key for s in sorted(images, key=attrgetter("key"))]
 
 
 def _preserves(values: list) -> bool:
@@ -117,7 +118,7 @@ class PiecewiseConstantMap(OrderMap):
     bottom_value: Score
     pieces: tuple[Piece, ...]
     declared: frozenset = frozenset()
-    #: the pieces' upper bounds as raw chain values, ascending, for bisection
+    #: the order keys of the pieces' upper bounds, ascending, for bisection
     _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -130,7 +131,7 @@ class PiecewiseConstantMap(OrderMap):
             if previous is not None and piece.lo < previous:
                 raise MapPropertyError("pieces overlap; they must be sorted and disjoint")
             previous = piece.hi
-        object.__setattr__(self, "_bounds", tuple(piece.hi.value for piece in self.pieces))
+        object.__setattr__(self, "_bounds", tuple(piece.hi.key for piece in self.pieces))
 
     def apply(self, score: Score) -> Score:
         if score.chain != self.chain:
@@ -138,8 +139,8 @@ class PiecewiseConstantMap(OrderMap):
         if score.is_bottom:
             return self.bottom_value
         # The only piece that can hold the score is the first one reaching it.
-        i = bisect_left(self._bounds, score.value)
-        if i < len(self.pieces) and self.pieces[i].lo.value < score.value:
+        i = bisect_left(self._bounds, score.key)
+        if i < len(self.pieces) and self.pieces[i].lo.key < score.key:
             return self.pieces[i].value
         raise MapDomainError(f"score {score!r} outside every declared piece")
 
@@ -215,7 +216,7 @@ class GraphMap(OrderMap):
     def of(cls, pairs: Mapping[Score, Score] | Iterable[tuple[Score, Score]],
            declared: Iterable[str] = ()) -> "GraphMap":
         items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        ordered = tuple(sorted(items, key=lambda kv: kv[0].value))
+        ordered = tuple(sorted(items, key=lambda kv: kv[0].key))
         return cls(ordered, declared=frozenset(declared))
 
     def apply(self, score: Score) -> Score:
@@ -300,16 +301,16 @@ def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
     """
     if d1.scheme != d2.scheme:
         raise NotIncludedError("tables on different schemes are never ordinally included")
-    floors, escaping = _rank_profile(d1, d2)
+    floors, decode, escaping = _rank_profile(d1, d2)
     if escaping:
         raise NotIncludedError("first table is not ordinally included in the second")
     chain = d1.chain
-    ends = {level: floor for level, floor in floors.items() if level != chain.bottom.value}
-    ends.setdefault(chain.top.value, chain.top.value)  # past every level: top
+    ends = [(decode[level], decode[floor]) for level, floor in sorted(floors.items()) if level]
+    if not ends or not ends[-1][0].is_top:
+        ends.append((chain.top, chain.top))  # past every level: top
     pieces: list[Piece] = []
     lo = chain.bottom
-    for level in sorted(ends):
-        hi, value = Score(chain, level), Score(chain, ends[level])
+    for hi, value in ends:
         if pieces and pieces[-1].value == value:
             pieces[-1] = Piece(pieces[-1].lo, hi, value)
         else:
@@ -328,10 +329,9 @@ def witness_isomorphism(d1: RankedTable, d2: RankedTable) -> GraphMap:
     """
     if d1.scheme != d2.scheme:
         raise NotEquivalentError("tables are not ordinally equivalent")
-    floors, escaping = _rank_profile(d1, d2)
+    floors, decode, escaping = _rank_profile(d1, d2)
     if escaping or not ordinally_included(d2, d1):
         raise NotEquivalentError("tables are not ordinally equivalent")
-    chain = d1.chain
-    graph = {Score(chain, level): Score(chain, floor) for level, floor in floors.items()}
+    graph = {decode[level]: decode[floor] for level, floor in floors.items()}
     return GraphMap.of(graph, declared=("embedding", "isomorphism"))
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Optional
 
+from .chain import Score, rank_codes
 from .errors import IncompatibleChainError, SchemeError
 from .table import RankedTable, Row
 
 
-def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
+def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Score], list[Row]]:
     """Floor of every d1 level, and the rows whose d1 upper cone escapes d2's.
 
     Ranges over the union of both answer sets, plus one stand-in for the
@@ -33,23 +34,17 @@ def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
     reaches it; a row escapes exactly when its d2 value exceeds the floor of
     its d1 value (so the stand-in never does).
 
-    Only the order of the scores matters, so the work runs on dense integer
-    codes: each distinct ``Score`` object is coded once, by the rank of its
-    value among all values of both tables (bottom is 0).  The objects stay
-    referenced by the tables for the whole call, so their ids are stable.
+    Only the order of the scores matters, so the work runs on the dense codes
+    of :func:`chain.rank_codes` (bottom is 0): floors map level codes to floor
+    codes, and ``decode`` maps a code to its score.  The tables keep their
+    score objects alive for the whole call, so their ids are stable.
     """
     if d1.scheme != d2.scheme:
         raise SchemeError(f"ordinal comparison needs equal schemes: {d1.scheme!r} vs {d2.scheme!r}")
     if d1.chain != d2.chain:
         raise IncompatibleChainError("ordinal comparison needs one shared chain")
     e1, e2 = d1._entries, d2._entries
-    objects = {id(s): s for s in (*e1.values(), *e2.values())}
-    decode = [d1.chain.bottom.value]
-    code = {}
-    for key, s in sorted(objects.items(), key=lambda kv: (float(kv[1].value), kv[1].value)):
-        if s.value != decode[-1]:
-            decode.append(s.value)
-        code[key] = len(decode) - 1
+    code, decode = rank_codes((d1.chain.bottom, *e1.values(), *e2.values()))
     pairs = []
     for row, s in e1.items():
         t = e2.get(row)
@@ -65,12 +60,12 @@ def _rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
         least = min(least, image)
         floor[level] = least  # ties run consecutively; the last one sets it
     escaping = [row for level, image, row in pairs if image > floor[level]]
-    return {decode[level]: decode[least] for level, least in floor.items()}, escaping
+    return floor, decode, escaping
 
 
 def ordinally_included(d1: RankedTable, d2: RankedTable) -> bool:
     """Whether every upper cone of d1 is contained in d2's cone of the same row."""
-    return not _rank_profile(d1, d2)[1]
+    return not _rank_profile(d1, d2)[2]
 
 
 def ordinally_equivalent(d1: RankedTable, d2: RankedTable) -> bool:
@@ -82,4 +77,4 @@ def first_inclusion_violation(d1: RankedTable, d2: RankedTable) -> Optional[Row]
 
     Returns None when d1 is ordinally included in d2.  Used as CLI evidence.
     """
-    return min(_rank_profile(d1, d2)[1], key=Row.key, default=None)
+    return min(_rank_profile(d1, d2)[2], key=Row.key, default=None)

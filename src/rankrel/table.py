@@ -273,22 +273,16 @@ def joiner(left: Scheme, right: Scheme) -> Callable[[tuple, tuple], Row]:
     return lambda left_row, right_row: Row(select(left_row + right_row))
 
 
-def _score_float_first(pair: tuple[Row, Score]) -> tuple:
-    value = pair[1].value
-    return (float(value), value)
-
-
 def rank_sorted(pairs: Iterable[tuple[Row, Score]]) -> list[tuple[Row, Score]]:
     """(row, score) pairs of one scheme by descending score, ties by ``row.key()``.
 
     Two stable sorts: first by the row's pairs, which orders rows of one
     scheme as ``row.key()`` does, since every row has the same names at the
-    same places; then descending by ``(float(value), value)``: ``float()`` is
-    correctly rounded, hence monotone, and equal floats fall through to the
-    exact value.
+    same places; then descending by the score's exact order key,
+    ``Score.key``.
     """
     ordered = sorted(pairs, key=itemgetter(0))
-    ordered.sort(key=_score_float_first, reverse=True)
+    ordered.sort(key=lambda pair: pair[1].key, reverse=True)
     return ordered
 
 
@@ -504,11 +498,21 @@ _PARSERS = {"str": str.strip, "int": _number_parser(int, "int"),
 
 def read_table_csv(source, chain: ScoreChain = RATIONAL) -> RankedTable:
     """Read a ranked table from a CSV file object, path, or text."""
+    return read_table_csv_sharing(source, chain, {})
+
+
+def read_table_csv_sharing(source, chain: ScoreChain, scores: dict[str, Score]) -> RankedTable:
+    """:func:`read_table_csv`, parsing score texts through the caller's ``scores``.
+
+    ``scores`` maps each score text parsed so far on ``chain`` to its
+    ``Score``, so tables read through one dict hold one object per score
+    text.  A text that fails to parse, or that scores 0, is never added.
+    """
     if isinstance(source, str) and "\n" in source:
-        return _read_rows(csv.reader(io.StringIO(source)), chain)
+        return _read_rows(csv.reader(io.StringIO(source)), chain, scores)
     if hasattr(source, "read"):
-        return _read_rows(csv.reader(source), chain)
-    return _read_rows(csv.reader(io.StringIO(read_text(source), newline="")), chain)
+        return _read_rows(csv.reader(source), chain, scores)
+    return _read_rows(csv.reader(io.StringIO(read_text(source), newline="")), chain, scores)
 
 
 def read_text(path) -> str:
@@ -524,13 +528,14 @@ def read_text(path) -> str:
                          column=exc.start - line_start) from None
 
 
-def _read_rows(reader, chain: ScoreChain) -> RankedTable:
+def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTable:
     """Parse cells in header order, then place them in name order by one plan.
 
     The parsers type every cell, so rows conform by construction; rows are
     checked for duplicates here.  Each distinct score text is parsed, and
-    checked to be nonzero, once: at its first line, where an error is raised
-    as a per-row check would.  A text that fails to parse is not remembered.
+    checked to be nonzero, once per ``scores`` dict: at its first line, where
+    an error is raised as a per-row check would.  A text that fails to parse
+    or scores 0 is not remembered.
     """
     try:
         header = next(reader)
@@ -541,7 +546,6 @@ def _read_rows(reader, chain: ScoreChain) -> RankedTable:
     parsers = [_PARSERS[attr.atype.kind] for attr in scheme.attrs]
     in_name_order = _selector([scheme.names.index(name) for name in scheme.sorted_names])
     names = scheme.sorted_names
-    scores: dict[str, Score] = {}
     entries: dict[Row, Score] = {}
     for lineno, cells in enumerate(reader, start=2):
         if not cells or not any(map(str.strip, cells)):
@@ -550,9 +554,10 @@ def _read_rows(reader, chain: ScoreChain) -> RankedTable:
             raise SchemeError(f"line {lineno}: expected {width} cells, got {len(cells)}")
         score = scores.get(cells[0])
         if score is None:
-            score = scores[cells[0]] = chain.parse(cells[0])
+            score = chain.parse(cells[0])
             if score.is_bottom:
                 raise ChainError(f"line {lineno}: rows with score 0 are not stored; omit the row")
+            scores[cells[0]] = score
         values = [parse(cell) for parse, cell in zip(parsers, cells[1:])]
         row = Row(zip(names, in_name_order(values)))
         if row in entries:
@@ -588,7 +593,7 @@ def ranked_cells(
     text = ""
     for row, score in pairs:
         if score is not last:
-            if last is None or score.value != last.value:
+            if last is None or score.key != last.key:
                 text = chain.format(score, places)
             last = score
         yield [text] + [fmt(row[position][1]) for position, fmt in plan]

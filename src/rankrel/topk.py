@@ -133,9 +133,9 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
 
     n = len(sources)
     positions = [0] * n
-    last_seen = [chain.top.value] * n
+    last_seen = [chain.top.key] * n
     results: dict[Row, Score] = {}
-    best: list = []  # min-heap of the k best result score values
+    best: list = []  # min-heap of the order keys of the k best results
     counters = {"sorted": 0, "random": 0}
     plans = [_completion_plan(sources, start) for start in range(n)]
 
@@ -146,7 +146,7 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
             extended = []
             for accumulated, acc_score in partial:
                 for match, match_score in index.get(key_of(accumulated), ()):
-                    merged_score = match_score if match_score.value < acc_score.value else acc_score
+                    merged_score = match_score if match_score.key < acc_score.key else acc_score
                     extended.append((join(accumulated, match), merged_score))
             partial = extended
             if not partial:
@@ -156,9 +156,9 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
                 continue  # already completed from another starting source
             results[joined] = joined_score
             if len(best) < k:
-                heapq.heappush(best, joined_score.value)
-            elif joined_score.value > best[0]:
-                heapq.heapreplace(best, joined_score.value)
+                heapq.heappush(best, joined_score.key)
+            elif joined_score.key > best[0]:
+                heapq.heapreplace(best, joined_score.key)
 
     running = True
     while running:
@@ -168,11 +168,11 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
             if positions[i] >= len(ranked):
                 if positions[i] == len(ranked):
                     positions[i] += 1
-                    last_seen[i] = chain.bottom.value  # exhausted: no unseen tuple remains
+                    last_seen[i] = chain.bottom.key  # exhausted: no unseen tuple remains
                 continue
             row, score = ranked[positions[i]]
             positions[i] += 1
-            last_seen[i] = score.value
+            last_seen[i] = score.key
             counters["sorted"] += 1
             running = True
             complete(i, row, score)
@@ -183,6 +183,6 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     candidates = results.items()
     if len(best) == k:  # only results scoring at least the k-th best can rank
         floor = best[0]
-        candidates = [pair for pair in candidates if pair[1].value >= floor]
+        candidates = [pair for pair in candidates if pair[1].key >= floor]
     ordered = rank_sorted(candidates)[:k]
     return TopKResult(tuple(ordered), counters["sorted"], counters["random"])

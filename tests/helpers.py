@@ -29,7 +29,7 @@ from rankrel.errors import (
 )
 from rankrel.exprs import POWER_BITS_CAP, Binary, Call, Compare, Num, Ref, Ternary, Unary
 from rankrel.maps import GraphMap, OrderMap, Piece, PiecewiseConstantMap, apply_checked
-from rankrel.ordinal import ordinally_equivalent
+from rankrel.ordinal import _rank_profile, ordinally_equivalent
 from rankrel.table import INT, STR, RankedTable, Row, Scheme, _conforms, parse_header
 
 #: Score grid: multiples of 1/24 (contains halves, quarters, sixths...).
@@ -488,6 +488,29 @@ def join_rows(r: Row, s: Row) -> Row:
     return Row.of(merged)
 
 
+# Connectives on the raw values, never on ``Score.key``: the oracle for the key.
+
+
+def value_meet(a: Score, b: Score) -> Score:
+    return a if a.value <= b.value else b
+
+
+def value_join(a: Score, b: Score) -> Score:
+    return a if a.value >= b.value else b
+
+
+def value_residuum(a: Score, b: Score) -> Score:
+    return a.chain.top if a.value <= b.value else b
+
+
+def value_abjunction(a: Score, b: Score) -> Score:
+    return a.chain.bottom if a.value <= b.value else a
+
+
+def value_min(scores, default: Score) -> Score:
+    return min([default, *scores], key=lambda s: s.value)
+
+
 def rank_key(item: tuple[Row, Score]) -> tuple:
     """Display-order key for a (row, score) pair: descending score, then row."""
     row, score = item
@@ -506,7 +529,7 @@ def _reference_matched_pairs(d1: RankedTable, d2: RankedTable):
 
 def reference_natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     entries = {
-        join_rows(row, other): meet(score, other_score)
+        join_rows(row, other): value_meet(score, other_score)
         for row, score, other, other_score in _reference_matched_pairs(d1, d2)
     }
     return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)
@@ -627,6 +650,12 @@ def reference_rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list
         floors[level] = least  # ties run consecutively; the last one sets it
     escaping = [row for level, image, row in pairs if image > floors[level]]
     return floors, escaping
+
+
+def rank_profile_values(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
+    """``ordinal._rank_profile`` with its floor codes decoded to raw score values."""
+    floors, decode, escaping = _rank_profile(d1, d2)
+    return {decode[level].value: decode[floor].value for level, floor in floors.items()}, escaping
 
 
 def reference_compose_table(table: RankedTable, f: OrderMap) -> RankedTable:

@@ -6,13 +6,14 @@ from rankrel import algebra, ordinal, planner
 from rankrel.catalog import Catalog, parse_config
 from rankrel.chain import RATIONAL
 from rankrel.errors import (
+    ChainError,
     IncompatibleChainError,
     MapPropertyError,
     ParseError,
     UnknownNameError,
 )
 from rankrel.maps import AnalyticMap, GraphMap, IdentityMap, PiecewiseConstantMap
-from rankrel.table import Row, read_table_csv, write_table_csv
+from rankrel.table import Row, read_table_csv, read_table_csv_sharing, write_table_csv
 
 fr = RATIONAL.parse
 
@@ -120,6 +121,59 @@ class TestCatalogDir:
         assert len(catalog.table("houses")) == 6
         with pytest.raises(UnknownNameError):
             catalog.table("missing")
+
+
+class TestSharedScores:
+    """A catalog reads all of its CSVs through one score-text dict."""
+
+    HOUSES = "#,id:int\n0.5,1\n0.25,2\n1/2,3\n"
+    OFFERS = "#,id:int,agent:str\n0.25,1,ann\n0.5,2,bob\n0.75,3,cy\n"
+
+    def write(self, directory, **files):
+        for name, text in files.items():
+            (directory / f"{name}.csv").write_text(text, encoding="utf-8")
+
+    def test_equal_score_texts_share_one_object(self, tmp_path):
+        self.write(tmp_path, houses=self.HOUSES, offers=self.OFFERS)
+        catalog = Catalog.from_dir(tmp_path)
+        houses, offers = catalog.table("houses"), catalog.table("offers")
+        half = houses.score_of(Row.of({"id": 1}))
+        assert offers.score_of(Row.of({"id": 2, "agent": "bob"})) is half
+        quarter = houses.score_of(Row.of({"id": 2}))
+        assert offers.score_of(Row.of({"id": 1, "agent": "ann"})) is quarter
+        # another text of an equal value is another object, with an equal key
+        other = houses.score_of(Row.of({"id": 3}))
+        assert other == half and other is not half and other.key == half.key
+        for name in ("houses", "offers"):
+            assert catalog.table(name) == read_table_csv(tmp_path / f"{name}.csv")
+
+    @pytest.mark.parametrize("bad", ["0", "0.0", "abc", "1.5"])
+    def test_a_bad_score_text_fails_as_in_a_lone_read(self, tmp_path, bad):
+        # houses is read first, so its texts are in the shared dict already
+        self.write(tmp_path, houses=self.HOUSES,
+                   offers=self.OFFERS + f"{bad},4,dee\n0.5,5,eve\n")
+        with pytest.raises(ChainError) as alone:
+            read_table_csv(tmp_path / "offers.csv")
+        with pytest.raises(ChainError) as err:
+            Catalog.from_dir(tmp_path)
+        assert str(err.value) == f"cannot load table from {tmp_path / 'offers.csv'}: {alone.value}"
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0", "line 4: rows with score 0 are not stored; omit the row"),
+        ("abc", "cannot parse rational score from 'abc'"),
+    ])
+    def test_a_failed_text_never_enters_the_shared_dict(self, bad, message):
+        scores = {}
+        with pytest.raises(ChainError):
+            read_table_csv_sharing(f"#,id:int\n0.5,1\n{bad},2\n", RATIONAL, scores)
+        assert list(scores) == ["0.5"]
+        second = f"#,id:int\n0.5,1\n0.25,2\n{bad},3\n"
+        with pytest.raises(ChainError) as again:
+            read_table_csv_sharing(second, RATIONAL, scores)
+        with pytest.raises(ChainError) as alone:
+            read_table_csv(second)
+        assert str(again.value) == str(alone.value) == message
+        assert list(scores) == ["0.5", "0.25"]
 
 
 SYMBOLIC_CFG = "chain symbolic(none < low < high < full)\n"

@@ -15,6 +15,7 @@ from helpers import (
     first_violation_oracle,
     included_enumerated_oracle,
     included_lower_oracle,
+    rank_profile_values,
     rank_signature,
     rnd_grid_isomorphism,
     rnd_monotone_map,
@@ -49,7 +50,7 @@ class TestInclusion:
     def test_demo_profile_escapes_only_black_798000(self, joined, similar):
         black = Row.of({"id": 71, "bdrm": 3, "sqft": 3280, "agent": "Black", "price": 798000})
         adams = Row.of({"id": 71, "bdrm": 3, "sqft": 3280, "agent": "Adams", "price": 849000})
-        floors, escaping = ordinal._rank_profile(joined, similar)
+        floors, escaping = rank_profile_values(joined, similar)
         assert escaping == [black]
         # Black's joined level is shared with Adams only, and Adams scores
         # strictly lower in similar: that level's floor is Adams's score.
@@ -65,7 +66,7 @@ class TestInclusion:
 
     def test_reflexive(self, joined):
         assert ordinal.ordinally_included(joined, joined)
-        floors, escaping = ordinal._rank_profile(joined, joined)
+        floors, escaping = rank_profile_values(joined, joined)
         assert escaping == [] and all(level == floor for level, floor in floors.items())
 
     def test_transitive(self):

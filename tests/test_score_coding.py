@@ -1,30 +1,58 @@
 """Per-distinct score coding against the per-row forms it replaces.
 
-``ScoreChain.parse`` reads plain decimals without ``Fraction``'s regex,
-``ordinal._rank_profile`` runs on dense integer rank codes, and
-``maps.compose_table`` maps each distinct score once.  Each is checked on
-seeded inputs against its oracle in ``helpers``: equal scores or identical
-errors, equal floors and escaping rows, equal tables or identical errors.
-A guard test counts the score hashes of both kernels on a 2,000-row table.
+``Score.key`` decides every order comparison, ``ScoreChain.parse`` reads
+plain decimals without ``Fraction``'s regex, ``ordinal._rank_profile`` runs
+on dense integer rank codes, and ``maps.compose_table`` maps each distinct
+score once.  Each is checked on seeded inputs against its oracle in
+``helpers``, which compares raw values only: equal order and equal
+connectives, equal scores or identical errors, equal floors and escaping
+rows, equal tables or identical errors.  A guard test counts the score
+hashes of both kernels on a 2,000-row table.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 
 from helpers import (
     GRID,
+    VALUE_POOL,
+    rank_profile_values,
     reference_compose_table,
+    reference_natural_join,
     reference_parse,
+    reference_project,
+    reference_rank_order,
     reference_rank_profile,
+    reference_semijoin,
     replay_hint,
     rnd_grid_isomorphism,
     rnd_monotone_map,
+    rnd_scheme,
     stable_seed,
+    value_abjunction,
+    value_join,
+    value_meet,
+    value_min,
+    value_residuum,
 )
 
 from rankrel import ordinal
-from rankrel.chain import RATIONAL, Score, exact_decimal_str, symbolic_chain
+from rankrel.algebra import natural_join, project, semijoin
+from rankrel.chain import (
+    RATIONAL,
+    Score,
+    abjunction,
+    exact_decimal_str,
+    join_sup,
+    meet,
+    min_score,
+    residuum,
+    symbolic_chain,
+)
 from rankrel.errors import MapDomainError, MapPropertyError, QuantizationError
 from rankrel.maps import (
     IDENTITY,
@@ -35,7 +63,8 @@ from rankrel.maps import (
     PiecewiseConstantMap,
     compose_table,
 )
-from rankrel.table import INT, AttrType, RankedTable, Row, Scheme, read_table_csv
+from rankrel.table import INT, AttrType, RankedTable, Row, Scheme, rank_sorted, read_table_csv
+from rankrel.topk import SortedSource, brute_force_top_k, top_k
 
 TINY = Fraction(1, 10**30)
 
@@ -44,6 +73,22 @@ VALUES = (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(1, 2), Fraction(1, 2) 
           Fraction(1, 7), Fraction(3, 4), Fraction(1, 10), Fraction(1))
 
 LEVELS = symbolic_chain("none < low < mid < high < full")
+
+
+#: ``VALUES`` plus a nonzero value whose float is 0.0, the float of bottom.
+KEYED = VALUES + (Fraction(1, 10**400),)
+
+
+def fresh(value: Fraction) -> Fraction:
+    """An equal value in a new object, so that comparisons cannot short-cut on identity."""
+    return Fraction(value.numerator, value.denominator)
+
+
+def fresh_scores(chain) -> list[Score]:
+    """Every level of ``chain`` under test, bottom included, each a new object."""
+    if chain is LEVELS:
+        return [Score(LEVELS, i) for i in range(len(LEVELS.levels))]
+    return [Score(RATIONAL, fresh(v)) for v in (Fraction(0), *KEYED)]
 
 
 def outcome(func, *args):
@@ -55,6 +100,94 @@ def outcome(func, *args):
     if isinstance(result, Score):
         return ("score", result, type(result.value))
     return ("ok", result)
+
+
+# --- order key --------------------------------------------------------------------
+
+
+def test_key_order_is_value_order_and_connectives_match_the_value_reference():
+    assert float(KEYED[-1]) == 0.0 and float(VALUES[0]) == float(VALUES[1])
+    for chain in (RATIONAL, LEVELS):
+        left, right = fresh_scores(chain), fresh_scores(chain)
+        for a in left:
+            for b in left + right:  # ``right`` holds equal values in other objects
+                assert (a.key < b.key) == (a.value < b.value), (a, b)
+                assert (a.key == b.key) == (a.value == b.value), (a, b)
+                assert (a < b, a <= b, a > b, a >= b) == (
+                    a.value < b.value, a.value <= b.value, a.value > b.value, a.value >= b.value)
+                assert meet(a, b) == value_meet(a, b)
+                assert join_sup(a, b) == value_join(a, b)
+                assert residuum(a, b) == value_residuum(a, b)
+                assert abjunction(a, b) == value_abjunction(a, b)
+        rng = random.Random(stable_seed(f"min score {chain.levels}"))
+        for _ in range(200):
+            scores = rng.sample(left + right, rng.randint(0, 6))
+            default = rng.choice(right)
+            assert min_score(scores, default) == value_min(scores, default)
+
+
+def test_copies_keep_the_key():
+    for s in fresh_scores(RATIONAL) + fresh_scores(LEVELS):
+        built = Score(s.chain, s.value)
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s),
+                       dataclasses.replace(s)):
+            assert copied == s and copied.key == built.key and hash(copied) == hash(s)
+        other = fresh_scores(s.chain)[-1].value
+        assert dataclasses.replace(s, value=other).key == Score(s.chain, other).key
+        assert "key" not in repr(s)
+
+
+def rnd_keyed_table(rng: random.Random, scheme: Scheme, chain) -> RankedTable:
+    """Rows scored on ``KEYED`` (or the nonzero levels), equal values often in new objects."""
+    pool = fresh_scores(chain)[1:]
+    rows = {}
+    for _ in range(rng.randint(0, 12)):
+        row = Row.of({name: rng.choice(VALUE_POOL) for name in scheme.names})
+        score = rng.choice(pool)
+        if rng.random() < 0.5:
+            score = fresh_scores(chain)[pool.index(score) + 1]
+        rows[row] = score
+    return RankedTable(scheme, chain, rows)
+
+
+def test_key_ordered_operators_match_the_value_reference():
+    seed = stable_seed("order key operators")
+    rng = random.Random(seed)
+    seen = Counter()
+    with replay_hint(seed):
+        for _ in range(400):
+            chain = LEVELS if rng.random() < 0.2 else RATIONAL
+            d1 = rnd_keyed_table(rng, rnd_scheme(rng), chain)
+            d2 = rnd_keyed_table(rng, rnd_scheme(rng), chain)
+            d3 = rnd_keyed_table(rng, d1.scheme, chain)
+            for d in (d1, d2):
+                assert rank_sorted(d) == reference_rank_order(d)
+            assert natural_join(d1, d2) == reference_natural_join(d1, d2)
+            names = rng.sample(d1.scheme.names, rng.randint(0, len(d1.scheme)))
+            assert project(d1, names) == reference_project(d1, names)
+            assert semijoin(d1, d2) == reference_semijoin(d1, d2)
+            floors, escaping = rank_profile_values(d1, d3)
+            expected_floors, expected_escaping = reference_rank_profile(d1, d3)
+            assert list(floors.items()) == list(expected_floors.items())
+            assert Counter(escaping) == Counter(expected_escaping)
+            chain_tables = [d1, d2, d3][:rng.randint(1, 3)]
+            joined = chain_tables[0]
+            for other in chain_tables[1:]:
+                joined = reference_natural_join(joined, other)
+            sources = [SortedSource(t) for t in chain_tables]
+            for k in (1, 3, 10):
+                result = top_k(sources, k)
+                assert result.items == brute_force_top_k(sources, k).items
+                assert list(result.items) == reference_rank_order(joined)[:k]
+            values = [s.value for _, s in (*d1, *d2, *d3)]
+            seen["symbolic"] += chain is LEVELS
+            seen["shared float"] += len({float(v) for v in values}) < len(set(values))
+            seen["float zero"] += KEYED[-1] in values
+            seen["equal objects"] += len({id(v) for v in values}) > len(set(values))
+            seen["escaping"] += bool(escaping)
+            seen["joined"] += len(joined) > 3
+    assert all(seen[key] for key in ("symbolic", "shared float", "float zero", "equal objects",
+                                     "escaping", "joined")), seen
 
 
 # --- parse ----------------------------------------------------------------------
@@ -147,7 +280,7 @@ def test_rank_profile_matches_the_sort_reference():
     with replay_hint(seed):
         for _ in range(1500):
             d1, d2 = rnd_profile_pair(rng)
-            floors, escaping = ordinal._rank_profile(d1, d2)
+            floors, escaping = rank_profile_values(d1, d2)
             expected_floors, expected_escaping = reference_rank_profile(d1, d2)
             assert list(floors.items()) == list(expected_floors.items())
             assert Counter(escaping) == Counter(expected_escaping)

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import enumerate_rows, join_rows, reference_row_conforms, replay_hint, stable_seed
+from helpers import (
+    enumerate_rows,
+    join_rows,
+    rank_profile_values,
+    reference_row_conforms,
+    replay_hint,
+    stable_seed,
+)
 
 from rankrel.chain import RATIONAL
 from rankrel.errors import (
@@ -15,7 +22,6 @@ from rankrel.errors import (
     NotCrispError,
     SchemeError,
 )
-from rankrel.ordinal import _rank_profile
 from rankrel.table import (
     DEC,
     INT,
@@ -188,7 +194,7 @@ class TestRankedTable:
 
     # A table's levels, as the ordinal kernel reads them, are its range.
     def test_range_includes_bottom_for_unbounded_types(self, people):
-        values = sorted(_rank_profile(people, people)[0])
+        values = sorted(rank_profile_values(people, people)[0])
         assert values == [0, Fraction(4, 10), Fraction(9, 10)]
 
     def test_range_excludes_bottom_when_finite_domain_covered(self):
@@ -196,11 +202,11 @@ class TestRankedTable:
         table = RankedTable.from_entries(
             scheme, [({"a": 0}, RATIONAL.top), ({"a": 1}, RATIONAL.top)]
         )
-        assert sorted(_rank_profile(table, table)[0]) == [1]
+        assert sorted(rank_profile_values(table, table)[0]) == [1]
 
     def test_range_of_empty_table(self):
         table = RankedTable.empty(Scheme((("a", INT),)))
-        assert sorted(_rank_profile(table, table)[0]) == [0]
+        assert sorted(rank_profile_values(table, table)[0]) == [0]
 
     def test_equality_is_pointwise(self, people):
         clone = RankedTable.from_entries(people.scheme, people.entries())
@@ -228,7 +234,7 @@ class TestDemoTables:
     def test_range_lists_every_score_plus_bottom(self):
         from rankrel import demo
 
-        values = sorted(_rank_profile(demo.houses(), demo.houses())[0])
+        values = sorted(rank_profile_values(demo.houses(), demo.houses())[0])
         expected = ["0", "0.148", "0.426", "0.643", "0.937", "0.971", "1.000"]
         assert values == [Fraction(text) for text in expected]
 
