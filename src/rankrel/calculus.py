@@ -195,14 +195,16 @@ class Structure:
         """Transform every interpretation pointwise; entries sent to bottom drop.
 
         The map is checked as :func:`maps.compose_table` checks it, on every
-        score the interpretations hold.
+        score the interpretations hold, and each entry reads its image by
+        the ``id`` of its score.
         """
         images = apply_checked(
-            f, {score for interp in self.interps.values() for score in interp.values()},
+            f, (score for interp in self.interps.values() for score in interp.values()),
             self.chain,
         )
         interps = {
-            symbol: {v: images[s] for v, s in interp.items() if not images[s].is_bottom}
+            symbol: {v: image for v, s in interp.items()
+                     if not (image := images[id(s)]).is_bottom}
             for symbol, interp in self.interps.items()
         }
         return Structure(self.chain, self.universe, dict(self.arities), interps)

@@ -24,8 +24,7 @@ from .chain import RATIONAL, ScoreChain, symbolic_chain
 from .conditions import Condition, ExprCondition
 from .errors import IncompatibleChainError, ParseError, RankrelError, UnknownNameError
 from .maps import AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, PiecewiseConstantMap
-from .table import RankedTable, read_table_csv_sharing, read_text
-from .table import read_table_csv  # noqa: F401 - still reached as catalog.read_table_csv
+from .table import RankedTable, read_table_csv, read_text
 
 
 class OrderMaps(UserDict):
@@ -89,10 +88,15 @@ class Catalog:
             else cls()
         )
         scores: dict = {}  # one Score object per score text, across every table
+        paths: dict = {}
         for csv_path in sorted(directory.glob("*.csv")):
+            name = csv_path.stem.lower()
+            first = paths.setdefault(name, csv_path)
+            if first is not csv_path:
+                raise RankrelError(f"{first} and {csv_path} both hold table {name!r}; "
+                                   "table names ignore case")
             try:
-                catalog.add_table(csv_path.stem,
-                                  read_table_csv_sharing(csv_path, catalog.chain, scores))
+                catalog.add_table(name, read_table_csv(csv_path, catalog.chain, scores))
             except RankrelError as exc:
                 exc.args = (f"cannot load table from {csv_path}: {exc}",)  # keeps line, column
                 raise

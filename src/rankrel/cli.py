@@ -67,8 +67,9 @@ def cmd_equiv(args) -> int:
     chain = RATIONAL
     if args.config:
         chain = parse_config(read_text(args.config)).chain
-    first = read_table_csv(args.first, chain)
-    second = read_table_csv(args.second, chain)
+    scores: dict = {}  # equal score texts in both files are one Score object
+    first = read_table_csv(args.first, chain, scores)
+    second = read_table_csv(args.second, chain, scores)
     evidence = ordinal.first_inclusion_violation(first, second)
     backward = ordinal.ordinally_included(second, first)
     if evidence is None and backward:

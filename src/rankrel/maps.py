@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
 from . import exprs
@@ -52,42 +52,30 @@ class OrderMap:
     def apply(self, score: Score) -> Score:
         raise NotImplementedError
 
-    def apply_all(self, scores: Iterable[Score]) -> dict[Score, Score]:
-        """Apply to a batch; single hook for per-batch consistency checks."""
-        return {s: self.apply(s) for s in scores}
-
-    def fixes_bottom(self, chain: ScoreChain) -> bool:
-        try:
-            return self.apply(chain.bottom).is_bottom
-        except MapDomainError:
-            return False
-
-    def fixes_top(self, chain: ScoreChain) -> bool:
-        try:
-            return self.apply(chain.top).is_top
-        except MapDomainError:
-            return False
+    def apply_all(self, scores: Iterable[Score]) -> list[Score]:
+        """Images of a batch, in its order; single hook for per-batch consistency checks."""
+        return [self.apply(s) for s in scores]
 
 
-def _image_values(images: Mapping[Score, Score]) -> list:
-    """Image order keys of a finite map graph, in ascending input order."""
-    return [images[s].key for s in sorted(images, key=attrgetter("key"))]
+def _input_key(pair: tuple[Score, Score]) -> tuple:
+    return pair[0].key
 
 
-def _preserves(values: list) -> bool:
-    return all(a <= b for a, b in zip(values, values[1:]))
+def verify_declared(f: OrderMap, graph: Iterable[tuple[Score, Score]]) -> None:
+    """Check every declared property of ``f`` on a finite graph of (input, image) pairs.
 
-
-def _reflects(values: list) -> bool:
+    Pairs with equal inputs collapse to one first, so distinct objects of one
+    score never fail reflection.  ``fixed-top`` holds when the greatest input
+    is top and its image is top; ``fixed-bottom`` always holds, since
+    :func:`apply_checked` refuses a map that moves bottom before it gets here.
+    """
+    pairs = [next(equal) for _, equal in groupby(sorted(graph, key=_input_key), _input_key)]
+    values = [image.key for _, image in pairs]
+    preserving = all(a <= b for a, b in zip(values, values[1:]))
     # On a chain with a <= b already established, reflection fails exactly
     # when two distinct inputs collapse or swap.
-    return all(a < b for a, b in zip(values, values[1:]))
-
-
-def verify_declared(f: OrderMap, images: Mapping[Score, Score], chain: ScoreChain) -> None:
-    """Check every declared property of ``f`` on a finite set, given its images there."""
-    values = _image_values(images)
-    preserving, reflecting = _preserves(values), _reflects(values)
+    reflecting = all(a < b for a, b in zip(values, values[1:]))
+    greatest, image = pairs[-1]
     for name in f.declared:
         if name == "preserving" and not preserving:
             raise MapPropertyError("map declared order preserving but is not on these scores")
@@ -95,9 +83,7 @@ def verify_declared(f: OrderMap, images: Mapping[Score, Score], chain: ScoreChai
             raise MapPropertyError("map declared order reflecting but is not on these scores")
         if name in ("embedding", "isomorphism") and not (preserving and reflecting):
             raise MapPropertyError(f"map declared {name} but does not embed these scores")
-        if name == "fixed-bottom" and not f.fixes_bottom(chain):
-            raise MapPropertyError("map declared fixed-bottom but moves bottom")
-        if name == "fixed-top" and not f.fixes_top(chain):
+        if name == "fixed-top" and not (greatest.is_top and image.is_top):
             raise MapPropertyError("map declared fixed-top but moves top")
 
 
@@ -183,16 +169,17 @@ class AnalyticMap(OrderMap):
             return clamp01(run({"x": score.value}))
         return exact
 
-    def apply_all(self, scores: Iterable[Score]) -> dict[Score, Score]:
+    def apply_all(self, scores: Iterable[Score]) -> list[Score]:
+        scores = list(scores)
         exact = self._exact()
-        unrounded = {s: exact(s) for s in set(scores)}
-        out = {s: s.chain.score(quantize(v, GRID_PLACES)) for s, v in unrounded.items()}
-        rounded = len({img.value for img in out.values()})
+        unrounded = [exact(s) for s in scores]
+        out = [s.chain.score(quantize(v, GRID_PLACES)) for s, v in zip(scores, unrounded)]
+        rounded = len({img.value for img in out})
         # Exact images are hashed only on a collision: big Fractions hash slowly.
-        if rounded < len(out) and rounded < len(set(unrounded.values())):
+        if rounded < len(out) and rounded < len(set(unrounded)):
             raise QuantizationError(
                 f"quantization to {GRID_PLACES} decimals merges distinct images of "
-                f"the {len(out)} scores given; refusing to transform"
+                f"the {len({s.value for s in scores})} scores given; refusing to transform"
             )
         return out
 
@@ -240,50 +227,51 @@ IDENTITY = IdentityMap()
 
 
 def apply_checked(f: OrderMap, scores: Iterable[Score],
-                  chain: ScoreChain) -> dict[Score, Score]:
-    """Images of a finite set of stored scores under f, after checking f there.
+                  chain: ScoreChain) -> dict[int, Score]:
+    """Images of stored scores under f, keyed by the ``id`` of each score object.
 
     Requires f(bottom) = bottom, otherwise every absent tuple (possibly
-    infinitely many) would move off bottom.  Batch application runs the
-    map's own consistency checks, and declared map properties are verified
-    on the scores given, plus bottom and top.
+    infinitely many) would move off bottom.  The distinct objects given go
+    through one batch application, which runs the map's own consistency
+    checks; every image must lie on ``chain``; declared map properties are
+    verified on the graph of the scores given, plus bottom and top.  No
+    score is hashed here.  The ids stay valid while the objects live: the
+    caller's table or interpretations hold them while it reads the images.
     """
-    if not f.fixes_bottom(chain):
+    try:
+        keeps_bottom = f.apply(chain.bottom).is_bottom
+    except MapDomainError:
+        keeps_bottom = False
+    if not keeps_bottom:
         raise MapPropertyError(
             "order map does not send bottom to bottom; absent tuples would "
             "stop scoring bottom"
         )
-    images = f.apply_all(scores)
+    distinct = {id(score): score for score in scores}
+    images = f.apply_all(distinct.values())
+    if any(image.chain != chain for image in images):
+        raise IncompatibleChainError("the map sends scores off the table's chain")
     if f.declared:
-        graph = {**images, chain.bottom: chain.bottom}  # f fixes bottom, checked above
+        graph = [*zip(distinct.values(), images), (chain.bottom, chain.bottom)]
         try:
-            graph[chain.top] = f.apply(chain.top)
+            graph.append((chain.top, f.apply(chain.top)))
         except MapDomainError:
             pass
-        verify_declared(f, graph, chain)
-    return images
+        verify_declared(f, graph)
+    return dict(zip(distinct, images))
 
 
 def compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
     """Pointwise transform of a table's scores: row r scores f(old score).
 
-    The map is checked by :func:`apply_checked` on the table's range; rows
-    whose image is bottom drop out.
-
-    Each distinct ``Score`` object is looked up, and its image checked to be
-    on the table's chain, once; rows then go through an ``id`` table of the
-    images that are not bottom, so no score is hashed per row.  The table
-    keeps the objects alive for the whole call, so their ids are stable.
+    The map is checked by :func:`apply_checked` on the table's range, and
+    rows whose image is bottom drop out.  Each row reads its image by the
+    ``id`` of its score, so no score is hashed per row.
     """
-    chain = table.chain
-    scores = {id(score): score for _, score in table}
-    images = apply_checked(f, set(scores.values()), chain)
-    kept = {key: image for key, score in scores.items() if not (image := images[score]).is_bottom}
-    if any(image.chain != chain for image in kept.values()):
-        raise IncompatibleChainError("the map sends scores off the table's chain")
+    images = apply_checked(f, (score for _, score in table), table.chain)
     entries = {row: image for row, score in table
-               if (image := kept.get(id(score))) is not None}
-    return RankedTable._trusted(table.scheme, chain, entries)
+               if not (image := images[id(score)]).is_bottom}
+    return RankedTable._trusted(table.scheme, table.chain, entries)
 
 
 def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:

@@ -496,18 +496,17 @@ _PARSERS = {"str": str.strip, "int": _number_parser(int, "int"),
             "dec": _number_parser(Fraction, "dec")}
 
 
-def read_table_csv(source, chain: ScoreChain = RATIONAL) -> RankedTable:
-    """Read a ranked table from a CSV file object, path, or text."""
-    return read_table_csv_sharing(source, chain, {})
-
-
-def read_table_csv_sharing(source, chain: ScoreChain, scores: dict[str, Score]) -> RankedTable:
-    """:func:`read_table_csv`, parsing score texts through the caller's ``scores``.
+def read_table_csv(source, chain: ScoreChain = RATIONAL,
+                   scores: Optional[dict[str, Score]] = None) -> RankedTable:
+    """Read a ranked table from a CSV file object, path, or text.
 
     ``scores`` maps each score text parsed so far on ``chain`` to its
-    ``Score``, so tables read through one dict hold one object per score
-    text.  A text that fails to parse, or that scores 0, is never added.
+    ``Score`` (a fresh dict when ``None``), so tables read through one dict
+    hold one object per score text.  A text that fails to parse, or that
+    scores 0, is never added.
     """
+    if scores is None:
+        scores = {}
     if isinstance(source, str) and "\n" in source:
         return _read_rows(csv.reader(io.StringIO(source)), chain, scores)
     if hasattr(source, "read"):

@@ -659,7 +659,12 @@ def rank_profile_values(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Ro
 
 
 def reference_compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
-    """Scores hashed per row: the oracle for ``maps.compose_table``."""
-    images = apply_checked(f, {score for _, score in table}, table.chain)
+    """Scores hashed per row: the oracle for ``maps.compose_table``.
+
+    ``apply_checked`` runs only for its checks; the images come from
+    ``f.apply`` on the table's scores, looked up by value for every row.
+    """
+    apply_checked(f, (score for _, score in table), table.chain)
+    images = {score: f.apply(score) for score in {score for _, score in table}}
     entries = {row: images[score] for row, score in table if not images[score].is_bottom}
     return RankedTable(table.scheme, table.chain, entries)

@@ -10,10 +10,11 @@ from rankrel.errors import (
     IncompatibleChainError,
     MapPropertyError,
     ParseError,
+    RankrelError,
     UnknownNameError,
 )
 from rankrel.maps import AnalyticMap, GraphMap, IdentityMap, PiecewiseConstantMap
-from rankrel.table import Row, read_table_csv, read_table_csv_sharing, write_table_csv
+from rankrel.table import Row, read_table_csv, write_table_csv
 
 fr = RATIONAL.parse
 
@@ -133,6 +134,29 @@ class TestSharedScores:
         for name, text in files.items():
             (directory / f"{name}.csv").write_text(text, encoding="utf-8")
 
+    def test_each_csv_is_read_through_the_catalog_binding(self, tmp_path, monkeypatch):
+        # a wrapper at catalog.read_table_csv, as the per-layer tracer installs, sees every read
+        from rankrel import catalog as catalog_module
+
+        self.write(tmp_path, houses=self.HOUSES, offers=self.OFFERS)
+        read, calls = catalog_module.read_table_csv, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "read_table_csv", counted)
+        catalog = Catalog.from_dir(tmp_path)
+        assert calls == ["houses.csv", "offers.csv"]
+        assert sorted(catalog.tables) == ["houses", "offers"]
+
+    def test_names_differing_in_case_only_are_refused(self, tmp_path):
+        self.write(tmp_path, Houses=self.HOUSES, houses=self.HOUSES.replace("0.25", "0.75"))
+        with pytest.raises(RankrelError) as err:
+            Catalog.from_dir(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'Houses.csv'} and {tmp_path / 'houses.csv'} "
+                                  "both hold table 'houses'; table names ignore case")
+
     def test_equal_score_texts_share_one_object(self, tmp_path):
         self.write(tmp_path, houses=self.HOUSES, offers=self.OFFERS)
         catalog = Catalog.from_dir(tmp_path)
@@ -165,11 +189,11 @@ class TestSharedScores:
     def test_a_failed_text_never_enters_the_shared_dict(self, bad, message):
         scores = {}
         with pytest.raises(ChainError):
-            read_table_csv_sharing(f"#,id:int\n0.5,1\n{bad},2\n", RATIONAL, scores)
+            read_table_csv(f"#,id:int\n0.5,1\n{bad},2\n", RATIONAL, scores)
         assert list(scores) == ["0.5"]
         second = f"#,id:int\n0.5,1\n0.25,2\n{bad},3\n"
         with pytest.raises(ChainError) as again:
-            read_table_csv_sharing(second, RATIONAL, scores)
+            read_table_csv(second, RATIONAL, scores)
         with pytest.raises(ChainError) as alone:
             read_table_csv(second)
         assert str(again.value) == str(alone.value) == message

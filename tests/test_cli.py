@@ -142,6 +142,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "houses", "--catalog", str(catalog_dir))
         assert code == 1 and "stray.csv" in err
 
+    def test_table_names_differing_in_case_only_fail(self, capsys, tmp_path):
+        write_table_csv(demo.houses(), tmp_path / "Houses.csv")
+        write_table_csv(demo.offers(), tmp_path / "houses.csv")
+        code, out, err = run(capsys, "eval", "houses", "--catalog", str(tmp_path))
+        lines = err.splitlines()
+        assert code == 1 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Houses.csv" in lines[0] and "houses.csv" in lines[0]
+
     def test_missing_input_file_reported_cleanly(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "equiv", str(tmp_path / "no.csv"), str(tmp_path / "nope.csv")
@@ -220,6 +229,24 @@ class TestEquiv:
         assert code == 1 and out == ""
         assert err == ("error: ordinal comparison needs equal schemes: "
                        "Scheme(id:int, bdrm:int, sqft:int) vs Scheme(id:int, agent:str, price:int)\n")
+
+    def test_both_files_share_one_score_per_text(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "a.csv").write_text("#,id:int\n0.5,1\n0.25,2\n", encoding="utf-8")
+        (tmp_path / "b.csv").write_text("#,id:int\n0.5,1\n0.75,2\n", encoding="utf-8")
+        seen = []
+        violation = ordinal.first_inclusion_violation
+
+        def captured(d1, d2):
+            seen.append((d1, d2))
+            return violation(d1, d2)
+
+        monkeypatch.setattr(ordinal, "first_inclusion_violation", captured)
+        code, out, err = run(capsys, "equiv", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
+        assert (code, out, err) == (
+            0, "NEITHER\nevidence: first table's cone fails at (id=2)\n", "")
+        [(first, second)] = seen
+        one = Row.of({"id": 1})
+        assert first.score_of(one) is second.score_of(one)
 
     def test_equivalent_pair(self, capsys, tmp_path):
         first, second = demo.single_column_pair()

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     enumerate_rows,
+    reference_compose_table,
     reference_rank_profile,
     reference_witness,
     replay_hint,
@@ -196,6 +197,22 @@ class TestComposeTable:
     def test_identity_is_neutral(self):
         table = demo.houses()
         assert compose_table(table, IDENTITY) == table
+
+    def test_distinct_objects_of_one_score_map_alike(self):
+        # Each text is parsed twice, so each score is two objects.  Equal inputs
+        # collapse before the strict reflection test: no MapPropertyError.
+        texts = ("0.5", "0.25", "1", "0.5", "0.25", "1")
+        table = RankedTable(Scheme((("a", INT),)), RATIONAL,
+                            {Row.of({"a": i}): fr(text) for i, text in enumerate(texts)})
+        assert table.score_of(Row.of({"a": 0})) is not table.score_of(Row.of({"a": 3}))
+        for f in (AnalyticMap.parse("x/2 + x^2/2", declared=("embedding", "fixed-top")),
+                  rnd_grid_isomorphism(random.Random(11)), IDENTITY):
+            assert "embedding" in f.declared
+            image = compose_table(table, f)
+            for i in range(3):
+                assert image.score_of(Row.of({"a": i})) == image.score_of(Row.of({"a": i + 3}))
+                assert image.score_of(Row.of({"a": i})) == f.apply(fr(texts[i]))
+            assert image == reference_compose_table(table, f)
 
     def test_empty_table(self):
         empty = RankedTable.empty(Scheme((("a", INT),)))

@@ -7,7 +7,8 @@ score once.  Each is checked on seeded inputs against its oracle in
 ``helpers``, which compares raw values only: equal order and equal
 connectives, equal scores or identical errors, equal floors and escaping
 rows, equal tables or identical errors.  A guard test counts the score
-hashes of both kernels on a 2,000-row table.
+hashes of both kernels on a 2,000-row table, and another makes map
+application run with ``Score.__hash__`` raising.
 """
 
 import copy
@@ -40,8 +41,9 @@ from helpers import (
     value_residuum,
 )
 
-from rankrel import ordinal
+from rankrel import demo, ordinal
 from rankrel.algebra import natural_join, project, semijoin
+from rankrel.calculus import structure_from_tables
 from rankrel.chain import (
     RATIONAL,
     Score,
@@ -420,3 +422,31 @@ def test_kernels_hash_each_distinct_score_not_each_row(monkeypatch):
         hashes.clear()
         compose_table(d1, f)
         assert max(hashes.values(), default=0) < 100, (f, hashes)
+
+
+def test_map_application_hashes_no_score(monkeypatch):
+    """``maps.apply_checked`` keys the stored scores by ``id``, so composing a
+    table or a structure with an analytic, a piecewise or the identity map
+    hashes no ``Score``.  Graph maps are left out: ``GraphMap.apply`` looks a
+    score up in a ``Score``-keyed dict by design."""
+    houses = demo.houses()
+    m = structure_from_tables({"houses": houses, "offers": demo.offers()})
+    f = demo.demo_map()
+    half = RATIONAL.score(Fraction(1, 2))
+    steps = PiecewiseConstantMap(RATIONAL, RATIONAL.bottom, (
+        Piece(RATIONAL.bottom, half, RATIONAL.score(Fraction(1, 4))),
+        Piece(half, RATIONAL.top, RATIONAL.top),
+    ), declared=frozenset(("preserving", "fixed-top")))
+    maps = (f, steps, IDENTITY)
+    expected = [reference_compose_table(houses, g) for g in maps]
+
+    def unhashable(score):
+        raise AssertionError(f"{score!r} was hashed")
+
+    monkeypatch.setattr(Score, "__hash__", unhashable)
+    composed = [compose_table(houses, g) for g in maps]
+    transformed = m.compose(f)
+    monkeypatch.undo()
+    assert composed == expected
+    assert transformed.interps == structure_from_tables(
+        {"houses": expected[0], "offers": compose_table(demo.offers(), f)}).interps
