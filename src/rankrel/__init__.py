@@ -42,11 +42,9 @@ from .maps import (
     GraphMap,
     IdentityMap,
     PiecewiseConstantMap,
-    canonical_map,
     compose_table,
-    witness_isomorphism,
 )
-from .ordinal import ordinally_equivalent, ordinally_included
+from .ordinal import canonical_map, ordinally_equivalent, ordinally_included, witness_isomorphism
 from .table import (
     DEC,
     INT,

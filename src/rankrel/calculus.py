@@ -7,7 +7,7 @@ core at construction time.  A structure interprets every relation symbol as
 a finite score assignment over vectors of a finite universe, so quantifier
 infima and suprema always exist and every formula with free variables
 denotes a ranked table (free variables double as attribute names; types are
-deliberately ignored, values travel as strings).
+deliberately ignored, values travel as their CSV text).
 
 Evaluation runs on rank codes: the distinct scores a structure stores, plus
 bottom and top, numbered in order from 0.  Every connective (min, max, the
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exprs import TokenCursor
 from .maps import OrderMap, apply_checked
-from .table import STR, RankedTable, Row, Scheme, from_classic
+from .table import STR, RankedTable, Row, Scheme, column_plan, from_classic
 
 
 # --- formulas ---------------------------------------------------------------
@@ -479,7 +479,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     and the residuum have no counterpart in this fragment and are rejected.
 
     Attribute names become variables.  The structure's universe collects
-    every value appearing in the referenced base tables, as strings; the
+    every value appearing in the referenced base tables, as its CSV text; the
     returned formula then satisfies
     ``table_of(structure, formula) == evaluate(expr over stringified tables)``.
     Each restriction condition becomes a relation symbol tabulated over the
@@ -537,29 +537,31 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     formula, _ = planner.fold(expr, translate)
     base = structure_from_tables(used)
     # Condition symbols are scored on typed values, so no two values may
-    # share a string form; the placeholder of an empty universe stays a string.
+    # share a text; the placeholder of an empty universe stays a string.
     typed: dict[str, object] = {}
     for table in used.values():
+        plan = column_plan(table.scheme, table.scheme.names)
         for row, _ in table:
-            for _, value in row.items:
-                if typed.setdefault(str(value), value) != value:
+            for position, text_of in plan:
+                value = row[position][1]
+                if typed.setdefault(text := text_of(value), value) != value:
                     raise UnsupportedOperationError(
-                        f"values {typed[str(value)]!r} and {value!r} collide as {str(value)!r}"
+                        f"values {typed[text]!r} and {value!r} collide as {text!r}"
                     )
-    values = [typed.get(text, text) for text in base.universe]
     arities, interps = dict(base.arities), dict(base.interps)
     for symbol, cond, scored in pending:
         variables = scored.names
-        _check_valuations("condition", len(values), len(variables))
+        _check_valuations("condition", len(base.universe), len(variables))
         score_of = cond.scorer(scored, base.chain)
         entries: dict[tuple[str, ...], Score] = {}
-        for combo in itertools.product(values, repeat=len(variables)):
+        for vector in itertools.product(base.universe, repeat=len(variables)):
             try:
-                score = score_of(Row.of(dict(zip(variables, combo))))
+                score = score_of(Row.of({var: typed.get(text, text)
+                                         for var, text in zip(variables, vector)}))
             except (EvalError, SchemeError):
                 continue  # type-mismatched combination: only reachable at score 0
             if not score.is_bottom:
-                entries[tuple(str(v) for v in combo)] = score
+                entries[vector] = score
         arities[symbol] = len(variables)
         interps[symbol] = entries
     return formula, Structure(base.chain, base.universe, arities, interps)
@@ -589,7 +591,7 @@ def _rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
 
 
 def structure_from_tables(tables: Mapping[str, RankedTable]) -> Structure:
-    """Treat each named table as a relation symbol; vectors follow column order."""
+    """Each named table as a relation symbol; vectors hold CSV texts in column order."""
     chain = None
     universe: set[str] = set()
     arities: dict[str, int] = {}
@@ -599,11 +601,11 @@ def structure_from_tables(tables: Mapping[str, RankedTable]) -> Structure:
             chain = table.chain
         elif chain != table.chain:
             raise IncompatibleChainError("structure tables must share one chain")
-        columns = table.scheme.names
-        arities[name] = len(columns)
+        plan = column_plan(table.scheme, table.scheme.names)
+        arities[name] = len(plan)
         entries = {}
         for row, score in table:
-            vector = tuple(str(row.value(c)) for c in columns)
+            vector = tuple([text_of(row[position][1]) for position, text_of in plan])
             universe.update(vector)
             entries[vector] = score
         interps[name] = entries

@@ -28,9 +28,13 @@ from .errors import ChainError, EvalError, IncompatibleChainError
 Rational = Union[Fraction, int]
 
 
-def quantize(value: Union[Fraction, float], places: int = 6) -> Fraction:
-    """Round a numeric value onto the 10**-places decimal grid (half-even)."""
-    grid = 10**places
+#: Decimal places of the one score grid that float results are rounded onto.
+GRID_PLACES = 6
+
+
+def quantize(value: Union[Fraction, float]) -> Fraction:
+    """Round a numeric value onto the 10**-GRID_PLACES decimal grid (half-even)."""
+    grid = 10**GRID_PLACES
     if isinstance(value, float):
         value = Fraction(value)  # exact binary expansion
     return Fraction(round(value * grid), grid)

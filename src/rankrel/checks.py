@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import algebra, calculus, demo, ordinal, planner
-from .maps import canonical_map, compose_table
+from .maps import compose_table
 from .table import RankedTable
 
 Expected = Sequence[tuple[str, tuple]]
@@ -245,7 +245,7 @@ def check_ordinal_relations() -> CheckResult:
 def check_canonical_map() -> CheckResult:
     joined = run_query(JOIN)
     similar = demo.similar_join()
-    witness = canonical_map(similar, joined)
+    witness = ordinal.canonical_map(similar, joined)
     pieces = [(piece.lo.value, piece.hi.value, piece.value.value) for piece in witness.pieces]
     expected = [tuple(Fraction(part) for part in triple) for triple in CANONICAL_PIECES_EXPECTED]
     if not witness.bottom_value.is_bottom:

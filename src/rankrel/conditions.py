@@ -29,6 +29,7 @@ from typing import Callable
 from . import exprs
 from .chain import Score, ScoreChain, clamp01, quantize
 from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
+from .maps import OrderMap
 from .table import RankedTable, Row, Scheme
 
 
@@ -53,7 +54,7 @@ class Condition:
     def check_scheme(self, scheme: Scheme) -> None:
         raise NotImplementedError
 
-    def compose(self, order_map) -> "ComposedCondition":
+    def compose(self, order_map: OrderMap) -> "ComposedCondition":
         return ComposedCondition(self, order_map)
 
 
@@ -132,7 +133,7 @@ class ComposedCondition(Condition):
     """Pointwise composition f(theta(r)) of a condition with an order map."""
 
     base: Condition
-    order_map: object  # OrderMap; typed loosely to avoid an import cycle
+    order_map: OrderMap
 
     def free_attrs(self):
         return self.base.free_attrs()

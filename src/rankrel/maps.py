@@ -4,11 +4,11 @@ An :class:`OrderMap` transforms scores; composing a table with one transforms
 every stored score pointwise.  Three representations are provided:
 
 * piecewise-constant over half-open pieces ``(lo, hi] -> value`` plus an
-  explicit value at bottom (finitely checkable; also the shape produced by
-  the canonical-map construction);
-* analytic expressions over the rational carrier, quantized onto a fixed
-  6-decimal grid (with an injectivity check on the exact images actually
-  produced, so the grid can never silently merge two of them);
+  explicit value at bottom (finitely checkable; also the shape of
+  :func:`ordinal.canonical_map`);
+* analytic expressions over the rational carrier, quantized onto the
+  ``chain.GRID_PLACES``-decimal grid (with an injectivity check on the exact
+  images actually produced, so the grid can never silently merge two of them);
 * explicit finite graphs of (input, output) pairs.
 
 Order-theoretic properties (preserving / reflecting / embedding /
@@ -24,17 +24,14 @@ from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
 from . import exprs
-from .chain import Score, ScoreChain, clamp01, quantize
+from .chain import GRID_PLACES, Score, ScoreChain, clamp01, quantize
 from .errors import (
     IncompatibleChainError,
     MapDomainError,
     MapPropertyError,
-    NotEquivalentError,
-    NotIncludedError,
     QuantizationError,
     UnsupportedOperationError,
 )
-from .ordinal import _rank_profile, ordinally_included
 from .table import RankedTable
 
 PROPERTIES = (
@@ -46,8 +43,12 @@ PROPERTIES = (
 class OrderMap:
     """Base interface; concrete maps implement :meth:`apply`."""
 
-    #: properties the map claims; verified on the scores it is applied to
+    #: properties the map claims, each in PROPERTIES; verified on the scores it is applied to
     declared: frozenset = frozenset()
+
+    def __post_init__(self) -> None:
+        if unknown := sorted(set(self.declared) - set(PROPERTIES)):
+            raise MapPropertyError(f"unknown map property {unknown[0]!r}; known: {PROPERTIES}")
 
     def apply(self, score: Score) -> Score:
         raise NotImplementedError
@@ -108,6 +109,7 @@ class PiecewiseConstantMap(OrderMap):
     _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         previous = None
         for piece in self.pieces:
             if piece.hi.chain != self.chain:
@@ -131,19 +133,15 @@ class PiecewiseConstantMap(OrderMap):
         raise MapDomainError(f"score {score!r} outside every declared piece")
 
 
-#: Decimal places of the grid that analytic map outputs are quantized onto.
-GRID_PLACES = 6
-
-
 @dataclass(frozen=True)
 class AnalyticMap(OrderMap):
     """Map given by an expression in ``x`` over the rational carrier.
 
-    Results are clamped into [0, 1] and quantized onto the 6-decimal grid
-    before becoming chain elements.  Batch application refuses to proceed if
-    rounding merges two distinct exact images, since that would silently
-    destroy the embedding property; a map that merges scores by itself is
-    left to its declared properties.
+    Results are clamped into [0, 1] and quantized onto the score grid
+    (``chain.GRID_PLACES`` decimals) before becoming chain elements.  Batch
+    application refuses to proceed if rounding merges two distinct exact
+    images, since that would silently destroy the embedding property; a map
+    that merges scores by itself is left to its declared properties.
     """
 
     expr: exprs.Expr
@@ -154,7 +152,7 @@ class AnalyticMap(OrderMap):
         return cls(exprs.parse_expr(text), declared=frozenset(declared))
 
     def apply(self, score: Score) -> Score:
-        return score.chain.score(quantize(self._exact()(score), GRID_PLACES))
+        return score.chain.score(quantize(self._exact()(score)))
 
     def _exact(self) -> Callable[[Score], exprs.Number]:
         """A score's image clamped into [0, 1], not rounded; compiled once, for one batch.
@@ -173,7 +171,7 @@ class AnalyticMap(OrderMap):
         scores = list(scores)
         exact = self._exact()
         unrounded = [exact(s) for s in scores]
-        out = [s.chain.score(quantize(v, GRID_PLACES)) for s, v in zip(scores, unrounded)]
+        out = [s.chain.score(quantize(v)) for s, v in zip(scores, unrounded)]
         rounded = len({img.value for img in out})
         # Exact images are hashed only on a collision: big Fractions hash slowly.
         if rounded < len(out) and rounded < len(set(unrounded)):
@@ -196,6 +194,7 @@ class GraphMap(OrderMap):
     _images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # Reversed, so that the first pair for an input wins, as in a scan.
         object.__setattr__(self, "_images", dict(reversed(self.graph)))
 
@@ -272,54 +271,3 @@ def compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
     entries = {row: image for row, score in table
                if not (image := images[id(score)]).is_bottom}
     return RankedTable._trusted(table.scheme, table.chain, entries)
-
-
-def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
-    """The canonical order-preserving witness of ordinal inclusion.
-
-    For d1 ordinally included in d2 it returns the map fixing bottom and
-    sending each other score ``a`` to the least d2-score among rows whose
-    d1-score reaches ``a`` (empty set of such rows: top).  Floors never
-    decrease with the level, so each piece ``(previous level, level]`` takes
-    that level's floor, and ``(last level, top]`` takes top.  It agrees with
-    d2 on d1's answer set, so ``compose_table(d1, f) == d2`` holds exactly
-    when every tuple d1 leaves out also scores bottom in d2.  That is always
-    so over an unbounded attribute type, but not on an explicitly finite
-    domain that d2 covers beyond d1.
-    """
-    if d1.scheme != d2.scheme:
-        raise NotIncludedError("tables on different schemes are never ordinally included")
-    floors, decode, escaping = _rank_profile(d1, d2)
-    if escaping:
-        raise NotIncludedError("first table is not ordinally included in the second")
-    chain = d1.chain
-    ends = [(decode[level], decode[floor]) for level, floor in sorted(floors.items()) if level]
-    if not ends or not ends[-1][0].is_top:
-        ends.append((chain.top, chain.top))  # past every level: top
-    pieces: list[Piece] = []
-    lo = chain.bottom
-    for hi, value in ends:
-        if pieces and pieces[-1].value == value:
-            pieces[-1] = Piece(pieces[-1].lo, hi, value)
-        else:
-            pieces.append(Piece(lo, hi, value))
-        lo = hi
-    return PiecewiseConstantMap(chain, chain.bottom, tuple(pieces),
-                                declared=frozenset(("preserving",)))
-
-
-def witness_isomorphism(d1: RankedTable, d2: RankedTable) -> GraphMap:
-    """An order isomorphism between the two ranges carrying d1 onto d2.
-
-    Only exists when the tables are ordinally equivalent.  Then each d1
-    level's floor is the d2 value at that level, and bottom is a level exactly
-    when some tuple lies outside d1, so the floors match the ranges rank by rank.
-    """
-    if d1.scheme != d2.scheme:
-        raise NotEquivalentError("tables are not ordinally equivalent")
-    floors, decode, escaping = _rank_profile(d1, d2)
-    if escaping or not ordinally_included(d2, d1):
-        raise NotEquivalentError("tables are not ordinally equivalent")
-    graph = {decode[level]: decode[floor] for level, floor in floors.items()}
-    return GraphMap.of(graph, declared=("embedding", "isomorphism"))
-

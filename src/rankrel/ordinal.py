@@ -8,7 +8,7 @@ actual score values).
 
 Every tuple outside both answer sets scores bottom in both tables, so one
 stand-in represents all of them: inclusion, its evidence and the images of
-both witness maps (``maps.canonical_map`` and ``maps.witness_isomorphism``)
+both witness maps (:func:`canonical_map` and :func:`witness_isomorphism`)
 are read off a single sort of the answer-set union (plus that stand-in) in
 :func:`_rank_profile`, exactly for finite and unbounded schemes alike.  That
 sort runs on integer rank codes, one per distinct score: by the invariance
@@ -21,7 +21,8 @@ from operator import itemgetter
 from typing import Optional
 
 from .chain import Score, rank_codes
-from .errors import IncompatibleChainError, SchemeError
+from .errors import IncompatibleChainError, NotEquivalentError, NotIncludedError, SchemeError
+from .maps import GraphMap, Piece, PiecewiseConstantMap
 from .table import RankedTable, Row
 
 
@@ -78,3 +79,54 @@ def first_inclusion_violation(d1: RankedTable, d2: RankedTable) -> Optional[Row]
     Returns None when d1 is ordinally included in d2.  Used as CLI evidence.
     """
     return min(_rank_profile(d1, d2)[2], key=Row.key, default=None)
+
+
+def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:
+    """The canonical order-preserving witness of ordinal inclusion.
+
+    For d1 ordinally included in d2 it returns the map fixing bottom and
+    sending each other score ``a`` to the least d2-score among rows whose
+    d1-score reaches ``a`` (empty set of such rows: top).  Floors never
+    decrease with the level, so each piece ``(previous level, level]`` takes
+    that level's floor, and ``(last level, top]`` takes top.  It agrees with
+    d2 on d1's answer set, so ``compose_table(d1, f) == d2`` holds exactly
+    when every tuple d1 leaves out also scores bottom in d2.  That is always
+    so over an unbounded attribute type, but not on an explicitly finite
+    domain that d2 covers beyond d1.
+    """
+    if d1.scheme != d2.scheme:
+        raise NotIncludedError("tables on different schemes are never ordinally included")
+    floors, decode, escaping = _rank_profile(d1, d2)
+    if escaping:
+        raise NotIncludedError("first table is not ordinally included in the second")
+    chain = d1.chain
+    ends = [(decode[level], decode[floor]) for level, floor in sorted(floors.items()) if level]
+    if not ends or not ends[-1][0].is_top:
+        ends.append((chain.top, chain.top))  # past every level: top
+    pieces: list[Piece] = []
+    lo = chain.bottom
+    for hi, value in ends:
+        if pieces and pieces[-1].value == value:
+            pieces[-1] = Piece(pieces[-1].lo, hi, value)
+        else:
+            pieces.append(Piece(lo, hi, value))
+        lo = hi
+    return PiecewiseConstantMap(chain, chain.bottom, tuple(pieces),
+                                declared=frozenset(("preserving",)))
+
+
+def witness_isomorphism(d1: RankedTable, d2: RankedTable) -> GraphMap:
+    """An order isomorphism between the two ranges carrying d1 onto d2.
+
+    Only exists when the tables are ordinally equivalent.  Then each d1
+    level's floor is the d2 value at that level, and bottom is a level exactly
+    when some tuple lies outside d1, so the floors match the ranges rank by rank.
+    """
+    if d1.scheme != d2.scheme:
+        raise NotEquivalentError("tables are not ordinally equivalent")
+    floors, decode, escaping = _rank_profile(d1, d2)
+    if escaping or not ordinally_included(d2, d1):
+        raise NotEquivalentError("tables are not ordinally equivalent")
+    graph = {decode[level]: decode[floor] for level, floor in floors.items()}
+    return GraphMap.of(graph, declared=("embedding", "isomorphism"))
+

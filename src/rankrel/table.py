@@ -498,7 +498,7 @@ _PARSERS = {"str": str.strip, "int": _number_parser(int, "int"),
 
 def read_table_csv(source, chain: ScoreChain = RATIONAL,
                    scores: Optional[dict[str, Score]] = None) -> RankedTable:
-    """Read a ranked table from a CSV file object, path, or text.
+    """Read a ranked table from CSV text (it holds a line break) or a file path.
 
     ``scores`` maps each score text parsed so far on ``chain`` to its
     ``Score`` (a fresh dict when ``None``), so tables read through one dict
@@ -509,8 +509,6 @@ def read_table_csv(source, chain: ScoreChain = RATIONAL,
         scores = {}
     if isinstance(source, str) and "\n" in source:
         return _read_rows(csv.reader(io.StringIO(source)), chain, scores)
-    if hasattr(source, "read"):
-        return _read_rows(csv.reader(source), chain, scores)
     return _read_rows(csv.reader(io.StringIO(read_text(source), newline="")), chain, scores)
 
 
@@ -599,7 +597,7 @@ def ranked_cells(
 
 
 def write_table_csv(table: RankedTable, target=None) -> str:
-    """Write a table as CSV with exact scores; returns the text."""
+    """A table as CSV text with exact scores, also written to the path ``target`` if given."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["#"] + [f"{a.name}:{a.atype.kind}" for a in table.scheme.attrs])
@@ -607,11 +605,7 @@ def write_table_csv(table: RankedTable, target=None) -> str:
     writer.writerows(ranked_cells(table.rows_by_rank(), table.chain, plan, places=None))
     text = buffer.getvalue()
     if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        Path(target).write_text(text, encoding="utf-8")
     return text
 
 

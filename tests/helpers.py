@@ -229,16 +229,16 @@ def reference_table_of(m: Structure, phi) -> RankedTable:
 
 
 def stringified(table: RankedTable) -> RankedTable:
-    """The same table with every value replaced by its string form."""
+    """The same table with every value replaced by its CSV text (:func:`format_value`)."""
     scheme = Scheme((name, STR) for name in table.scheme.names)
     return RankedTable(scheme, table.chain, {
-        Row((name, str(value)) for name, value in row): score for row, score in table})
+        Row((name, format_value(value)) for name, value in row): score for row, score in table})
 
 
 # --- ordinal oracles ----------------------------------------------------------
 # Quadratic decision procedures for ordinal inclusion, the rank signature and
 # the range-zip witness, kept only to cross-check the sort-based kernel in
-# rankrel.ordinal and the witnesses that maps reads off it.
+# rankrel.ordinal and the two witness maps built from it.
 
 
 def enumerate_rows(scheme: Scheme, cap: int = 100_000) -> list[Row]:
@@ -340,7 +340,7 @@ def _range(d: RankedTable) -> list[Score]:
 
 
 def reference_witness(d1: RankedTable, d2: RankedTable) -> GraphMap:
-    """The two ranges matched rank by rank: the oracle for ``maps.witness_isomorphism``."""
+    """The two ranges matched rank by rank: the oracle for ``ordinal.witness_isomorphism``."""
     if d1.scheme != d2.scheme or not ordinally_equivalent(d1, d2):
         raise NotEquivalentError("tables are not ordinally equivalent")
     range1, range2 = _range(d1), _range(d2)

@@ -53,7 +53,7 @@ from rankrel.errors import (
     UnsupportedOperationError,
 )
 from rankrel.maps import AnalyticMap, compose_table
-from rankrel.table import INT, RankedTable, Row, Scheme
+from rankrel.table import INT, RankedTable, Row, Scheme, read_table_csv
 
 fr = RATIONAL.parse
 
@@ -481,6 +481,17 @@ class TestAlgebraToFormula:
         monkeypatch.undo()
         assert str(phi) == text
         assert table_of(m, phi) == stringified(planner.evaluate_over(expr, tables))
+
+    def test_dec_restriction_scores_the_values_written_as_csv(self):
+        # The universe and the condition's vectors both write 2.25, not 9/4, so
+        # the condition finds each typed value and no row is skipped.
+        tables = {"t": read_table_csv("#,a:dec,b:str\n0.5,0.5,x\n1,2.25,y\n")}
+        expr = planner.Restrict(planner.Base("t"), ExprCondition.parse("2*a"))
+        phi, m = algebra_to_formula(expr, tables)
+        assert {"0.5", "2.25"} <= set(m.universe)
+        result = table_of(m, phi)
+        assert len(result) == 2
+        assert result == stringified(planner.evaluate_over(expr, tables))
 
     def test_semijoin_translates_as_its_defining_projection(self):
         tables = self._fixed_tables()

@@ -425,6 +425,19 @@ class TestTopkPlanCalc:
         assert code == 0
         assert out.splitlines()[2].startswith("1.000")
 
+    @pytest.mark.parametrize("exact", [(), ("--exact",)])
+    def test_calc_writes_values_as_eval_does(self, capsys, tmp_path, exact):
+        (tmp_path / "t.csv").write_text("#,a:dec,b:str\n0.5,0.5,x\n1,2.25,y\n", encoding="utf-8")
+        outputs = [run(capsys, *command, "--catalog", str(tmp_path), *exact)
+                   for command in (("eval", "t"), ("calc", "t(a, b)"))]
+        cells = []
+        for code, out, err in outputs:
+            assert code == 0 and not err
+            lines = out.splitlines()
+            rows = csv.reader(lines[1:]) if exact else (line.split() for line in lines[2:])
+            cells.append([row[1] for row in rows])
+        assert cells[0] == cells[1] == ["2.25", "0.5"]
+
     def test_calc_names_are_case_insensitive(self, capsys, catalog_dir):
         lower = run(capsys, "calc", "exists x. (houses(id, x, sqft))", "--catalog",
                     str(catalog_dir))

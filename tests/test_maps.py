@@ -1,5 +1,7 @@
 """Order maps: application, verified properties, witnesses, extension."""
 
+import ast
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -37,11 +39,9 @@ from rankrel.maps import (
     OrderMap,
     Piece,
     PiecewiseConstantMap,
-    canonical_map,
     compose_table,
-    witness_isomorphism,
 )
-from rankrel.ordinal import ordinally_included
+from rankrel.ordinal import canonical_map, ordinally_included, witness_isomorphism
 from rankrel.table import INT, AttrType, RankedTable, Row, Scheme
 from rankrel import demo
 
@@ -192,6 +192,19 @@ class TestComposeTable:
                 compose_table(two_level_table(), collapse)
         else:
             assert len(compose_table(two_level_table(), collapse)) == 2
+
+    def test_unknown_declared_property_is_refused(self):
+        # Declared correctly, this map fails verification on the demo scores;
+        # misspelled, it must not pass unchecked.
+        reverse = "x <= 0.5 ? x : 1.5 - x"
+        with pytest.raises(MapPropertyError, match="not on these scores"):
+            compose_table(demo.houses(), AnalyticMap.parse(reverse, declared=("preserving",)))
+        builds = (lambda names: AnalyticMap.parse(reverse, declared=names),
+                  lambda names: GraphMap.of({}, declared=names),
+                  lambda names: PiecewiseConstantMap(RATIONAL, RATIONAL.bottom, (), names))
+        for build in builds:
+            with pytest.raises(MapPropertyError, match="'order-preserving'.*'preserving'"):
+                compose_table(demo.houses(), build(frozenset(("order-preserving",))))
 
 
     def test_identity_is_neutral(self):
@@ -480,24 +493,26 @@ def test_canonical_map_matches_the_definition():
 
 
 def test_witnesses_read_the_ranks_only_through_the_kernel(monkeypatch):
-    calls = Counter()
+    calls = []
+    profile = ordinal._rank_profile
 
-    def counted(module):
-        profile = module._rank_profile
-
-        def wrapper(d1, d2):
-            calls[module.__name__] += 1
-            return profile(d1, d2)
-        monkeypatch.setattr(module, "_rank_profile", wrapper)
-
-    counted(maps)
-    counted(ordinal)
+    def counted(d1, d2):
+        calls.append((d1, d2))
+        return profile(d1, d2)
+    monkeypatch.setattr(ordinal, "_rank_profile", counted)
     first, second = demo.single_column_pair()
     witness_isomorphism(first, second)
-    assert calls == {"rankrel.maps": 1, "rankrel.ordinal": 1}  # one profile each way
+    assert calls == [(first, second), (second, first)]  # one profile each way
     calls.clear()
     canonical_map(first, second)
-    assert calls == {"rankrel.maps": 1}
+    assert calls == [(first, second)]
+
+
+def test_maps_imports_nothing_from_ordinal():
+    tree = ast.parse(inspect.getsource(maps))
+    imported = {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for name in (node.module, *(alias.name for alias in node.names))}
+    assert "ordinal" not in imported and "_rank_profile" not in imported
 
 
 class TestExtension:
