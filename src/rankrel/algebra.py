@@ -94,10 +94,11 @@ def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
 def restrict(d: RankedTable, theta: Condition) -> RankedTable:
     """Pointwise minimum of the table with a restriction condition."""
     restrict_scheme(d.scheme, theta)
-    score_of = theta.scorer(d.scheme, d.chain)
+    score_of = theta.innermost().scorer(d.scheme, d.chain)
+    conds = theta.mapped([score_of(row) for row, _ in d], d.chain)
     entries: dict[Row, Score] = {}
-    for row, score in d:
-        value = meet(score, score_of(row))
+    for (row, score), cond in zip(d, conds):
+        value = meet(score, cond)
         if not value.is_bottom:
             entries[row] = value
     return RankedTable._trusted(d.scheme, d.chain, entries)

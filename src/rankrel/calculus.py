@@ -552,7 +552,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     for symbol, cond, scored in pending:
         variables = scored.names
         _check_valuations("condition", len(base.universe), len(variables))
-        score_of = cond.scorer(scored, base.chain)
+        score_of = cond.innermost().scorer(scored, base.chain)
         entries: dict[tuple[str, ...], Score] = {}
         for vector in itertools.product(base.universe, repeat=len(variables)):
             try:
@@ -563,7 +563,9 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
             if not score.is_bottom:
                 entries[vector] = score
         arities[symbol] = len(variables)
-        interps[symbol] = entries
+        images = cond.mapped(list(entries.values()), base.chain)  # each map fixes bottom
+        interps[symbol] = {vector: image for vector, image in zip(entries, images)
+                           if not image.is_bottom}
     return formula, Structure(base.chain, base.universe, arities, interps)
 
 

@@ -23,7 +23,9 @@ from pathlib import Path
 from .chain import RATIONAL, ScoreChain, symbolic_chain
 from .conditions import Condition, ExprCondition
 from .errors import IncompatibleChainError, ParseError, RankrelError, UnknownNameError
-from .maps import AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, PiecewiseConstantMap
+from .maps import (
+    AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, PiecewiseConstantMap, apply_checked,
+)
 from .table import RankedTable, read_table_csv, read_text
 
 
@@ -114,6 +116,7 @@ _PIECE_RE = re.compile(r"\(\s*(?P<lo>[^,]+?)\s*,\s*(?P<hi>[^\]]+?)\s*\]\s*->\s*(
 def parse_config(text: str) -> Catalog:
     """Read a config; each ``map`` body is parsed when first looked up."""
     catalog = Catalog()
+    declared: dict[tuple[str, str], int] = {}  # (map or cond, name) -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,16 +128,18 @@ def parse_config(text: str) -> Catalog:
             else:
                 catalog.chain = RATIONAL
             continue
-        match = _MAP_RE.match(line)
+        match = _MAP_RE.match(line) or _COND_RE.match(line)
         if match:
-            catalog.maps.declare(match.group("name").lower(), match.group("body").strip(),
-                                 catalog.chain, lineno)
-            continue
-        match = _COND_RE.match(line)
-        if match:
-            catalog.conditions[match.group("name").lower()] = _parse_condition(
-                match.group("body").strip(), catalog, lineno
-            )
+            kind, name = line.split()[0], match.group("name").lower()
+            body = match.group("body").strip()
+            first = declared.setdefault((kind, name), lineno)
+            if first != lineno:
+                raise ParseError(f"{kind} {name!r} is declared on line {first} and again on "
+                                 f"line {lineno}; names ignore case", line=lineno)
+            if kind == "map":
+                catalog.maps.declare(name, body, catalog.chain, lineno)
+            else:
+                catalog.conditions[name] = _parse_condition(body, catalog, lineno)
             continue
         raise ParseError(f"unrecognized config line {raw.strip()!r}", line=lineno)
     return catalog
@@ -214,6 +219,11 @@ def _parse_condition(body: str, catalog: Catalog, lineno: int) -> Condition:
             order_map = catalog.order_map(match.group("map"))
         except UnknownNameError as exc:
             raise ParseError(str(exc), line=lineno) from None
+        try:
+            apply_checked(order_map, (), catalog.chain)  # f(bottom) = bottom, before any score
+        except RankrelError as exc:
+            raise ParseError(f"compose({match.group('base')}, {match.group('map')}): {exc}",
+                             line=lineno) from None
         return base.compose(order_map)
     match = _BRACED_RE.match(body)
     if not match or match.group("kind") != "expr":

@@ -37,6 +37,7 @@ from .table import (
     read_table_csv,
     read_text,
     render_table,
+    row_cells,
     write_table_csv,
 )
 
@@ -78,7 +79,9 @@ def cmd_equiv(args) -> int:
         print("INCLUDED")
     else:
         print("NEITHER")
-        pairs = ", ".join(f"{k}={v}" for k, v in evidence.items)
+        names = first.scheme.sorted_names
+        cells = row_cells(evidence, column_plan(first.scheme, names))
+        pairs = ", ".join(f"{name}={cell}" for name, cell in zip(names, cells))
         print(f"evidence: first table's cone fails at ({pairs})")
         if backward:
             print("note: inclusion holds in the reverse direction")

@@ -11,14 +11,16 @@ Two concrete flavors:
 Either flavor can be composed with an order map, giving the transformed
 condition used by the invariance laws.
 
-An operator scores a whole table through :meth:`Condition.scorer`, set up
-once per call.  A condition's score is a function of the values of its free
-attributes alone, so the expression and composed scorers memoise it on those
-values and run once per distinct value tuple.  The memo is exact: stored
-values are never floats or bools, and an int scores as the ``Fraction`` equal
-to it, so values equal as keys score alike.  It lives only as long as the
-operator call, and nothing compiled is kept on a condition, which therefore
-still pickles.
+An operator scores a table's rows through the :meth:`Condition.scorer` of
+the condition under every composed map (:meth:`Condition.innermost`), set up
+once per call, then passes the list of scores to :meth:`Condition.mapped`,
+which makes one ``maps.apply_checked`` call per composed map, innermost first.
+The expression scorer memoises a score on the values of the free attributes,
+which alone decide it, and runs once per distinct value tuple.  The memo is
+exact: stored values are never floats or bools, and an int scores as the
+``Fraction`` equal to it, so values equal as keys score alike.  It lives only
+as long as the operator call, and nothing compiled is kept on a condition,
+which therefore still pickles.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 from . import exprs
 from .chain import Score, ScoreChain, clamp01, quantize
 from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
-from .maps import OrderMap
+from .maps import OrderMap, apply_checked
 from .table import RankedTable, Row, Scheme
 
 
@@ -45,7 +47,15 @@ class Condition:
         It raises what ``score_of`` raises, on the same row, so a condition
         that cannot score on ``chain`` still restricts an empty table.
         """
-        return lambda row: self.score_of(row, chain)
+        raise NotImplementedError
+
+    def innermost(self) -> "Condition":
+        """The condition under every composed map: the one that scores rows."""
+        return self
+
+    def mapped(self, scores: list[Score], chain: ScoreChain) -> list[Score]:
+        """This condition's scores, in order, from its innermost condition's ``scores``."""
+        return scores
 
     def free_attrs(self):
         """Attribute names the condition depends on, or None when unknown."""
@@ -80,7 +90,18 @@ class ExprCondition(Condition):
         return self._compiled(chain)(row)
 
     def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
-        return _memoised(scheme, self.free_attrs(), self._compiled(chain))
+        score, names = self._compiled(chain), self.free_attrs()
+        positions = [i for i, name in enumerate(scheme.sorted_names) if name in names]
+        memo: dict[tuple, Score] = {}
+
+        def memoised(row: Row) -> Score:
+            key = tuple([row[i][1] for i in positions])
+            try:
+                return memo[key]
+            except KeyError:
+                value = memo[key] = score(row)
+                return value
+        return memoised
 
     def _compiled(self, chain: ScoreChain) -> Callable[[Row], Score]:
         run = exprs.compile_expr(self.expr)
@@ -124,7 +145,7 @@ class TableCondition(Condition):
 
     def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
         if chain != self.table.chain:
-            return super().scorer(scheme, chain)  # score_of raises on the first row
+            return lambda row: self.score_of(row, chain)  # raises on the first row
         return self.table.score_of
 
 
@@ -142,29 +163,13 @@ class ComposedCondition(Condition):
         self.base.check_scheme(scheme)
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
-        return self.order_map.apply(self.base.score_of(row, chain))
+        return self.mapped([self.innermost().score_of(row, chain)], chain)[0]
 
-    def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
-        base = self.base.scorer(scheme, chain)
-        return _memoised(scheme, self.free_attrs(),
-                         lambda row: self.order_map.apply(base(row)))
+    def innermost(self) -> Condition:
+        return self.base.innermost()
 
-
-def _memoised(scheme: Scheme, names, score: Callable[[Row], Score]) -> Callable[[Row], Score]:
-    """``score`` run once per distinct values of ``names`` (every attribute when None).
-
-    Rows must be over ``scheme``.  Errors are not memoised: each row that
-    raises, raises as ``score`` would.
-    """
-    positions = [i for i, name in enumerate(scheme.sorted_names) if names is None or name in names]
-    memo: dict[tuple, Score] = {}
-
-    def memoised(row: Row) -> Score:
-        key = tuple([row[i][1] for i in positions])
-        try:
-            return memo[key]
-        except KeyError:
-            value = memo[key] = score(row)
-            return value
-    return memoised
+    def mapped(self, scores: list[Score], chain: ScoreChain) -> list[Score]:
+        scores = self.base.mapped(scores, chain)
+        images = apply_checked(self.order_map, scores, chain) if scores else {}  # no rows, no map
+        return [images[id(score)] for score in scores]
 

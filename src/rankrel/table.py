@@ -575,6 +575,11 @@ def column_plan(scheme: Scheme, names: Iterable[str]) -> list[tuple[int, Callabl
     ]
 
 
+def row_cells(row: Row, plan: Sequence[tuple[int, Callable]]) -> list[str]:
+    """A row's cell texts, one per column of ``plan``."""
+    return [fmt(row[position][1]) for position, fmt in plan]
+
+
 def ranked_cells(
     pairs: Iterable[tuple[Row, Score]],
     chain: ScoreChain,
@@ -593,7 +598,7 @@ def ranked_cells(
             if last is None or score.key != last.key:
                 text = chain.format(score, places)
             last = score
-        yield [text] + [fmt(row[position][1]) for position, fmt in plan]
+        yield [text] + [fmt(row[position][1]) for position, fmt in plan]  # row_cells, inlined
 
 
 def write_table_csv(table: RankedTable, target=None) -> str:

@@ -23,7 +23,7 @@ from rankrel.calculus import (
 from rankrel.chain import (
     RATIONAL, Score, ScoreChain, exact_decimal_str, join_sup, meet, residuum,
 )
-from rankrel.conditions import TableCondition
+from rankrel.conditions import ComposedCondition, Condition, TableCondition
 from rankrel.errors import (
     ChainError, EvalError, NotEquivalentError, UnsupportedOperationError,
 )
@@ -668,3 +668,13 @@ def reference_compose_table(table: RankedTable, f: OrderMap) -> RankedTable:
     images = {score: f.apply(score) for score in {score for _, score in table}}
     entries = {row: images[score] for row, score in table if not images[score].is_bottom}
     return RankedTable(table.scheme, table.chain, entries)
+
+
+def reference_condition_score(theta: Condition, row: Row, chain: ScoreChain) -> Score:
+    """A condition's score of one row, each composed map applied bare to the base's score.
+
+    Unchecked: the oracle for the scores of lawful compositions only.
+    """
+    if isinstance(theta, ComposedCondition):
+        return theta.order_map.apply(reference_condition_score(theta.base, row, chain))
+    return theta.score_of(row, chain)

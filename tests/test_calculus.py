@@ -437,6 +437,15 @@ class TestAlgebraToFormula:
                     planner.evaluate_over(expr, tables)
                 )
 
+    def test_a_lawful_composed_condition_round_trips(self):
+        tables = {"houses": demo.houses()}
+        theta_f = demo.bedrooms_condition().compose(demo.demo_map())
+        expr = planner.Restrict(planner.Base("houses"), theta_f)
+        phi, m = algebra_to_formula(expr, tables)
+        expected = stringified(planner.evaluate_over(expr, tables))
+        assert table_of(m, phi) == expected and len(expected) == len(tables["houses"])
+        assert expected != stringified(algebra.restrict(tables["houses"], theta_f.base))
+
     def test_difference_rejected(self):
         rng = random.Random(29)
         tables = self._tables(rng)

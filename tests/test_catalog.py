@@ -84,6 +84,28 @@ class TestConfig:
         with pytest.raises(MapPropertyError):
             compose_table(demo.houses(), lifted)
 
+    def test_compose_with_a_map_moving_bottom_fails_on_its_line(self):
+        text = ("map up = expr{ 0.5 + x/2 }\ncond big = expr{ bdrm > 100 ? 1 : 0 }\n"
+                "\ncond big_up = compose(big, up)\n")
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        assert err.value.line == 4
+        assert "compose(big, up)" in str(err.value) and "bottom to bottom" in str(err.value)
+
+    @pytest.mark.parametrize("kind, first, second", [
+        ("map", "map up = identity", "map UP = expr{ x^2 }"),
+        ("cond", "cond big = expr{ 1 }", "cond BIG = expr{ 1/2 }"),
+    ])
+    def test_a_name_declared_twice_fails_naming_both_lines(self, kind, first, second):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"chain rational01\n{first}\nmap other = identity\n{second}\n")
+        assert str(err.value) == (f"{kind} {'up' if kind == 'map' else 'big'!r} is declared on "
+                                  "line 2 and again on line 4; names ignore case (line 4, column 0)")
+
+    def test_a_map_and_a_condition_may_share_a_name(self):
+        catalog = parse_config("map f = identity\ncond f = expr{ 1 }\ncond g = compose(f, f)\n")
+        assert set(catalog.maps) == {"f"} and set(catalog.conditions) == {"f", "g"}
+
 
 class TestMapsParsedAtFirstUse:
     TEXT = "chain rational01\nmap same = identity\nmap bad = graph{ 0 -> 0, 1 }\n"

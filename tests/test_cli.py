@@ -92,6 +92,17 @@ class TestEval:
         assert code == 1
         assert err.strip() == "error: unknown table 'nosuch' at query.child.right"
 
+    def test_a_compose_whose_map_moves_bottom_fails_when_the_catalog_loads(self, capsys,
+                                                                            catalog_dir):
+        (catalog_dir / "catalog.cfg").write_text(
+            "map up = expr{ 0.5 + x/2 }\ncond big = expr{ bdrm > 100 ? 1 : 0 }\n"
+            "cond big_up = compose(big, up)\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "restrict(houses, big_up)",
+                             "--catalog", str(catalog_dir))
+        assert code == 1 and out == ""
+        assert err.startswith("error: compose(big, up): order map does not send bottom to bottom")
+        assert err.endswith("(line 3, column 0)\n") and err.count("\n") == 1
+
     def test_unknown_condition_error_names_query_path(self, capsys, catalog_dir):
         code, _, err = run(
             capsys, "eval", "join(offers, restrict(houses, nosuch))", "--catalog", str(catalog_dir)
@@ -247,6 +258,13 @@ class TestEquiv:
         [(first, second)] = seen
         one = Row.of({"id": 1})
         assert first.score_of(one) is second.score_of(one)
+
+    def test_evidence_writes_dec_values_as_eval_does(self, capsys, tmp_path):
+        (tmp_path / "a.csv").write_text("#,b:str,a:dec\n0.5,x,1\n0.25,y,2.25\n", encoding="utf-8")
+        (tmp_path / "b.csv").write_text("#,b:str,a:dec\n0.5,x,1\n0.75,y,2.25\n", encoding="utf-8")
+        code, out, err = run(capsys, "equiv", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
+        assert (code, out, err) == (
+            0, "NEITHER\nevidence: first table's cone fails at (a=2.25, b=y)\n", "")
 
     def test_equivalent_pair(self, capsys, tmp_path):
         first, second = demo.single_column_pair()

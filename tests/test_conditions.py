@@ -9,18 +9,20 @@ import pytest
 
 from helpers import (
     grid_score,
+    reference_condition_score,
     replay_hint,
     rnd_condition,
     rnd_grid_isomorphism,
+    rnd_monotone_map,
     rnd_scheme,
     rnd_table,
     stable_seed,
 )
 
-from rankrel import algebra, exprs, maps
+from rankrel import algebra, demo, exprs, maps
 from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.conditions import ComposedCondition, ExprCondition, TableCondition
-from rankrel.errors import IncompatibleChainError, UnsupportedOperationError
+from rankrel.errors import IncompatibleChainError, MapPropertyError, UnsupportedOperationError
 from rankrel.maps import AnalyticMap, compose_table
 from rankrel.table import INT, RankedTable, Row, Scheme
 
@@ -77,14 +79,43 @@ class TestScorer:
                 usable = [text for text in EXPRESSIONS
                           if exprs.free_names(exprs.parse_expr(text)) <= scheme.name_set]
                 conditions = [ExprCondition.parse(rng.choice(usable)), rnd_condition(rng, scheme)]
-                conditions += [c.compose(rnd_grid_isomorphism(rng)) for c in conditions]
                 for theta in conditions:
                     score_of = theta.scorer(scheme, RATIONAL)
                     for row, _ in table:
                         assert score_of(row) == theta.score_of(row, RATIONAL), theta
-                    expected = {row: min(s, theta.score_of(row, RATIONAL)) for row, s in table}
+                conditions += [c.compose(rnd_grid_isomorphism(rng)) for c in conditions]
+                conditions.append(
+                    conditions[0].compose(rnd_monotone_map(rng)).compose(rnd_grid_isomorphism(rng)))
+                for theta in conditions:
+                    expected = {row: reference_condition_score(theta, row, RATIONAL)
+                                for row, _ in table}
+                    for row, _ in table:
+                        assert theta.score_of(row, RATIONAL) == expected[row], theta
                     assert algebra.restrict(table, theta) == RankedTable.from_entries(
-                        scheme, expected)
+                        scheme, {row: min(s, expected[row]) for row, s in table})
+
+    def test_a_composed_condition_checks_its_map_on_the_scores_it_meets(self):
+        reversing = AnalyticMap.parse("x > 0 ? 1 - x/2 : 0", declared=("preserving",))
+        theta = demo.bedrooms_condition().compose(reversing)
+        with pytest.raises(MapPropertyError):
+            algebra.restrict(demo.houses(), theta)
+        with pytest.raises(MapPropertyError):
+            compose_table(demo.houses(), reversing)
+
+    def test_restrict_maps_each_distinct_base_score_once(self, monkeypatch):
+        table = houses(2000, random.Random(stable_seed("restrict maps once")))
+        theta = ExprCondition.parse("0.1*(4+bdrm)").compose(maps.IDENTITY)
+        calls = []
+
+        def counted(self, score):
+            calls.append(score)
+            return score
+
+        monkeypatch.setattr(maps.IdentityMap, "apply", counted)
+        restricted = algebra.restrict(table, theta)
+        distinct = {row.value("bdrm") for row, _ in table}
+        assert len(calls) == len(distinct) + 2  # each distinct score, then bottom and top
+        assert restricted == algebra.restrict(table, theta.base)
 
     @pytest.mark.parametrize("theta, error", [
         (ExprCondition.parse("1/2"), UnsupportedOperationError),

@@ -5,6 +5,7 @@ import inspect
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -513,6 +514,17 @@ def test_maps_imports_nothing_from_ordinal():
     imported = {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for name in (node.module, *(alias.name for alias in node.names))}
     assert "ordinal" not in imported and "_rank_profile" not in imported
+
+
+def test_only_maps_applies_an_order_map():
+    package = Path(maps.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "maps.py":
+            continue
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("apply", "apply_all")]
+        assert not calls, f"{path.name} applies an order map at lines {calls}"
 
 
 class TestExtension:
