@@ -20,7 +20,7 @@ from collections import UserDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chain import RATIONAL, ScoreChain, symbolic_chain
+from .chain import RATIONAL, Score, ScoreChain, symbolic_chain
 from .conditions import Condition, ExprCondition
 from .errors import IncompatibleChainError, ParseError, RankrelError, UnknownNameError
 from .maps import (
@@ -36,8 +36,9 @@ class OrderMaps(UserDict):
     lookup of it raises its ``ParseError``, with its config line number.
     """
 
-    def declare(self, name: str, body: str, chain: ScoreChain, lineno: int) -> None:
-        self.data[name] = (body, chain, lineno)
+    def declare(self, name: str, body: str, chain: ScoreChain, scores: dict[str, Score],
+                lineno: int) -> None:
+        self.data[name] = (body, chain, scores, lineno)
 
     def __getitem__(self, name: str) -> OrderMap:
         found = self.data[name]
@@ -48,10 +49,19 @@ class OrderMaps(UserDict):
 
 @dataclass
 class Catalog:
+    """Tables, conditions and maps on one chain.
+
+    ``scores`` maps each score text parsed so far to its ``Score``: every CSV
+    and every ``graph`` or ``piecewise`` map body is parsed through it, so one
+    text is one object across the catalog.  It holds nonzero scores on
+    ``chain`` only; a ``chain`` line in the config starts a new one.
+    """
+
     chain: ScoreChain = RATIONAL
     tables: dict[str, RankedTable] = field(default_factory=dict)
     conditions: dict[str, Condition] = field(default_factory=dict)
     maps: OrderMaps = field(default_factory=OrderMaps)
+    scores: dict[str, Score] = field(default_factory=dict, repr=False, compare=False)
 
     def table(self, name: str) -> RankedTable:
         try:
@@ -89,7 +99,6 @@ class Catalog:
             if config_path.exists()
             else cls()
         )
-        scores: dict = {}  # one Score object per score text, across every table
         paths: dict = {}
         for csv_path in sorted(directory.glob("*.csv")):
             name = csv_path.stem.lower()
@@ -98,7 +107,7 @@ class Catalog:
                 raise RankrelError(f"{first} and {csv_path} both hold table {name!r}; "
                                    "table names ignore case")
             try:
-                catalog.add_table(name, read_table_csv(csv_path, catalog.chain, scores))
+                catalog.add_table(name, read_table_csv(csv_path, catalog.chain, catalog.scores))
             except RankrelError as exc:
                 exc.args = (f"cannot load table from {csv_path}: {exc}",)  # keeps line, column
                 raise
@@ -127,6 +136,7 @@ def parse_config(text: str) -> Catalog:
                 catalog.chain = symbolic_chain(match.group("levels"))
             else:
                 catalog.chain = RATIONAL
+            catalog.scores = {}  # maps declared so far keep theirs, on their chain
             continue
         match = _MAP_RE.match(line) or _COND_RE.match(line)
         if match:
@@ -137,7 +147,7 @@ def parse_config(text: str) -> Catalog:
                 raise ParseError(f"{kind} {name!r} is declared on line {first} and again on "
                                  f"line {lineno}; names ignore case", line=lineno)
             if kind == "map":
-                catalog.maps.declare(name, body, catalog.chain, lineno)
+                catalog.maps.declare(name, body, catalog.chain, catalog.scores, lineno)
             else:
                 catalog.conditions[name] = _parse_condition(body, catalog, lineno)
             continue
@@ -145,7 +155,18 @@ def parse_config(text: str) -> Catalog:
     return catalog
 
 
-def _parse_map(body: str, chain: ScoreChain, lineno: int) -> OrderMap:
+def _parse_map(body: str, chain: ScoreChain, scores: dict[str, Score], lineno: int) -> OrderMap:
+    """Parse a map body; its score texts go through ``scores``, which never keeps bottom."""
+
+    def parse(text: str) -> Score:
+        text = text.strip()
+        score = scores.get(text)
+        if score is None:
+            score = chain.parse(text)
+            if not score.is_bottom:
+                scores[text] = score
+        return score
+
     if body == "identity":
         return IdentityMap()
     match = _BRACED_RE.match(body)
@@ -161,10 +182,10 @@ def _parse_map(body: str, chain: ScoreChain, lineno: int) -> OrderMap:
             left, sep, right = entry.partition("->")
             if not sep:
                 raise ParseError(f"graph entry {entry!r} needs '->'", line=lineno)
-            source = chain.parse(left)
+            source = parse(left)
             if source in pairs:
                 raise ParseError(f"graph input {left.strip()!r} appears twice", line=lineno)
-            pairs[source] = chain.parse(right)
+            pairs[source] = parse(right)
         return GraphMap.of(pairs)
     # piecewise: an optional bare `a -> b` entry fixes the value at bottom,
     # every other entry is `(lo, hi] -> value`.
@@ -178,16 +199,16 @@ def _parse_map(body: str, chain: ScoreChain, lineno: int) -> OrderMap:
         if piece:
             pieces.append(
                 Piece(
-                    chain.parse(piece.group("lo")),
-                    chain.parse(piece.group("hi")),
-                    chain.parse(piece.group("val")),
+                    parse(piece.group("lo")),
+                    parse(piece.group("hi")),
+                    parse(piece.group("val")),
                 )
             )
             continue
         left, sep, right = entry.partition("->")
-        if not sep or chain.parse(left) != chain.bottom:
+        if not sep or parse(left) != chain.bottom:
             raise ParseError(f"malformed piecewise entry {entry!r}", line=lineno)
-        bottom_value = chain.parse(right)
+        bottom_value = parse(right)
     pieces.sort(key=lambda p: p.lo.key)
     return PiecewiseConstantMap(chain, bottom_value, tuple(pieces))
 

@@ -137,10 +137,12 @@ class ScoreChain:
 
         Plain ASCII ``digits`` or ``digits.digits`` is read with two ``int``
         calls, as ``Fraction(text)`` reads it, but without its regex; every
-        other text goes through ``Fraction(text)``.
+        other text goes through ``Fraction(text)``.  A plain text already in
+        exact form (``0.5`` or ``1``, not ``0.50``, ``00.5`` or ``1.0``) is
+        kept as the score's ``text``.
         """
         text = text.strip()
-        if not self.is_rational:
+        if self.levels is not None:
             return self.score(text)
         head, dot, tail = text.partition(".")
         try:
@@ -148,19 +150,27 @@ class ScoreChain:
                 scale = 10 ** len(tail)
                 num = int(head) * scale + int(tail or "0")
                 if num <= scale:
-                    return Score(self, Fraction(num, scale))
+                    exact = (head == "0" and tail[-1] != "0") if dot else len(head) == 1
+                    return Score(self, Fraction(num, scale), text if exact else None)
                 return self.score(Fraction(num, scale))  # raises the range error
             return self.score(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise ChainError(f"cannot parse rational score from {text!r}") from None
 
     def format(self, s: "Score", places: Optional[int] = 3) -> str:
-        """Render a score: fixed decimals, exact text (``places=None``), or level name."""
+        """Render a score: fixed decimals, exact text (``places=None``), or level name.
+
+        The exact text is kept on the score at its first rendering.
+        """
         _require_chain(self, s)
+        if places is None:
+            text = s.text
+            if text is None:
+                text = exact_decimal_str(s.value) if self.is_rational else self.levels[s.value]
+                object.__setattr__(s, "text", text)
+            return text
         if not self.is_rational:
             return self.levels[s.value]
-        if places is None:
-            return exact_decimal_str(s.value)
         return fixed_decimal_str(s.value, places)
 
 
@@ -176,22 +186,36 @@ def symbolic_chain(spec: str) -> ScoreChain:
     return ScoreChain(levels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Score:
     """An element of a score chain.  Comparison is exact and total.
 
     ``key`` is ``(float(value), value)``, set once and read by every order
     decision.  ``float()`` is correctly rounded, hence monotone, so keys
     order exactly as values do; the tuples compare in C, and reach the exact
-    value only when two distinct value objects share a float.
+    value only when two distinct value objects share a float.  ``text`` is
+    the exact text that ``chain.format(s, None)`` writes, or ``None`` until
+    its first call.  Both are derived from ``value``, so they take no part in
+    equality, and ``dataclasses.replace`` recomputes them.  A score hashes
+    by its key's float: equal scores have equal values, hence equal floats.
+    Slots keep a score free of an instance ``__dict__``, so reading ``key``
+    stays a slot read.
     """
 
     chain: ScoreChain
     value: Union[Fraction, int]
     key: tuple = field(init=False, repr=False, compare=False)
+    text: Optional[str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (float(self.value), self.value))
+    def __init__(self, chain: ScoreChain, value: Union[Fraction, int],
+                 text: Optional[str] = None) -> None:
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "key", (float(value), value))
+        object.__setattr__(self, "text", text)
+
+    def __hash__(self) -> int:
+        return hash(self.key[0])
 
     def __lt__(self, other: "Score") -> bool:
         _require_chain(self.chain, other)
@@ -219,9 +243,8 @@ class Score:
         return self.value == (1 if levels is None else len(levels) - 1)
 
     def __repr__(self) -> str:
-        if self.chain.is_rational:
-            return f"Score({exact_decimal_str(self.value)})"
-        return f"Score({self.chain.levels[self.value]!r})"
+        text = self.chain.format(self, None)
+        return f"Score({text})" if self.chain.is_rational else f"Score({text!r})"
 
 
 def _require_chain(chain: ScoreChain, s: Score) -> None:

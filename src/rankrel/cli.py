@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -161,6 +162,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache  # built once: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankrel",

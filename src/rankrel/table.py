@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import call, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -481,19 +481,9 @@ def parse_header(header: Sequence[str]) -> Scheme:
     return Scheme(attrs)
 
 
-def _number_parser(number_type, kind: str) -> Callable[[str], object]:
-    def parse(text: str):
-        text = text.strip()
-        try:
-            return number_type(text)
-        except (ValueError, ZeroDivisionError):
-            raise SchemeError(f"cannot parse {text!r} as {kind}") from None
-    return parse
-
-
-#: Cell text -> attribute value, per kind.
-_PARSERS = {"str": str.strip, "int": _number_parser(int, "int"),
-            "dec": _number_parser(Fraction, "dec")}
+#: Cell text -> attribute value, per kind.  Each strips blanks itself, and a
+#: text it cannot read raises ``ValueError`` (``ZeroDivisionError`` for ``1/0``).
+_PARSERS = {"str": str.strip, "int": int, "dec": Fraction}
 
 
 def read_table_csv(source, chain: ScoreChain = RATIONAL,
@@ -526,13 +516,14 @@ def read_text(path) -> str:
 
 
 def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTable:
-    """Parse cells in header order, then place them in name order by one plan.
+    """Pick each line's value cells in name order by one plan, then parse them.
 
     The parsers type every cell, so rows conform by construction; rows are
     checked for duplicates here.  Each distinct score text is parsed, and
     checked to be nonzero, once per ``scores`` dict: at its first line, where
     an error is raised as a per-row check would.  A text that fails to parse
-    or scores 0 is not remembered.
+    or scores 0 is not remembered.  Only a line whose cells fail is parsed
+    again, cell by cell, to name the cell in its error.
     """
     try:
         header = next(reader)
@@ -540,27 +531,44 @@ def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTab
         raise SchemeError("empty CSV: missing header") from None
     scheme = parse_header(header)
     width = len(scheme) + 1
-    parsers = [_PARSERS[attr.atype.kind] for attr in scheme.attrs]
-    in_name_order = _selector([scheme.names.index(name) for name in scheme.sorted_names])
     names = scheme.sorted_names
+    parsers = [_PARSERS[scheme.attr(name).atype.kind] for name in names]
+    value_cells = _selector([scheme.names.index(name) + 1 for name in names])  # in name order
     entries: dict[Row, Score] = {}
     for lineno, cells in enumerate(reader, start=2):
-        if not cells or not any(map(str.strip, cells)):
-            continue
-        if len(cells) != width:
-            raise SchemeError(f"line {lineno}: expected {width} cells, got {len(cells)}")
-        score = scores.get(cells[0])
+        # a blank score cell never enters ``scores``, so a hit is a line of full width
+        score = scores.get(cells[0]) if len(cells) == width else None
         if score is None:
-            score = chain.parse(cells[0])
+            if not any(map(str.strip, cells)):
+                continue
+            if len(cells) != width:
+                raise SchemeError(f"line {lineno}: expected {width} cells, got {len(cells)}")
+            try:
+                score = chain.parse(cells[0])
+            except ChainError as exc:
+                raise ChainError(f"line {lineno}: {exc}") from None
             if score.is_bottom:
                 raise ChainError(f"line {lineno}: rows with score 0 are not stored; omit the row")
             scores[cells[0]] = score
-        values = [parse(cell) for parse, cell in zip(parsers, cells[1:])]
-        row = Row(zip(names, in_name_order(values)))
+        try:
+            row = Row(zip(names, map(call, parsers, value_cells(cells))))
+        except (ValueError, ZeroDivisionError):
+            raise _cell_error(scheme, cells[1:], lineno) from None
         if row in entries:
             raise SchemeError(f"line {lineno}: duplicate tuple {row!r}")
         entries[row] = score
     return RankedTable._trusted(scheme, chain, entries)
+
+
+def _cell_error(scheme: Scheme, cells: Sequence[str], lineno: int) -> SchemeError:
+    """The error of a line's first value cell that its kind's parser refuses."""
+    for attr, cell in zip(scheme.attrs, cells):
+        try:
+            _PARSERS[attr.atype.kind](cell)
+        except (ValueError, ZeroDivisionError):
+            return SchemeError(f"line {lineno}: cannot parse {cell.strip()!r} as "
+                               f"{attr.atype.kind} (attribute {attr.name})")
+    raise AssertionError("no cell of the line fails to parse")
 
 
 #: Attribute value -> cell text, per kind: exact decimal (or ``p/q``) for dec.

@@ -206,7 +206,9 @@ class TestSharedScores:
 
     @pytest.mark.parametrize("bad, message", [
         ("0", "line 4: rows with score 0 are not stored; omit the row"),
-        ("abc", "cannot parse rational score from 'abc'"),
+        # the id predates the line number in the message
+        pytest.param("abc", "line 4: cannot parse rational score from 'abc'",
+                     id="abc-cannot parse rational score from 'abc'"),
     ])
     def test_a_failed_text_never_enters_the_shared_dict(self, bad, message):
         scores = {}
@@ -220,6 +222,50 @@ class TestSharedScores:
             read_table_csv(second)
         assert str(again.value) == str(alone.value) == message
         assert list(scores) == ["0.5", "0.25"]
+
+
+class TestCatalogScoreDict:
+    """The catalog's score-text dict holds nonzero scores on the catalog's final chain."""
+
+    COMPOSED = "cond one = expr{ 1 }\ncond mapped = compose(one, h)\n"
+
+    def test_a_graph_parsed_while_reading_the_config_keeps_bottom_out(self, tmp_path):
+        cfg = "map h = graph{ 0 -> 0, 0.5 -> 0.25, 1 -> 1 }\n" + self.COMPOSED
+        catalog = parse_config(cfg)
+        assert sorted(catalog.scores) == ["0.25", "0.5", "1"]
+        (tmp_path / "catalog.cfg").write_text(cfg, encoding="utf-8")
+        (tmp_path / "t.csv").write_text("#,id:int\n0.5,1\n0,2\n", encoding="utf-8")
+        with pytest.raises(ChainError) as err:
+            Catalog.from_dir(tmp_path)
+        assert str(err.value) == (f"cannot load table from {tmp_path / 't.csv'}: "
+                                  "line 3: rows with score 0 are not stored; omit the row")
+
+    def test_a_map_read_before_a_chain_line_leaks_no_score_into_the_new_chain(self, tmp_path):
+        cfg = "map h = graph{ 0 -> 0, 1 -> 1 }\n" + self.COMPOSED + "chain symbolic(0 < 1)\n"
+        (tmp_path / "catalog.cfg").write_text(cfg, encoding="utf-8")
+        (tmp_path / "t.csv").write_text("#,item:str\n1,apple\n", encoding="utf-8")
+        catalog = Catalog.from_dir(tmp_path)
+        score = catalog.table("t").score_of(Row.of({"item": "apple"}))
+        assert score.chain == catalog.chain and score == catalog.chain.top
+        assert all(s.chain == catalog.chain for s in catalog.scores.values())
+
+    def test_map_bodies_share_the_objects_of_the_tables(self, tmp_path):
+        cfg = ("map h = graph{ 0 -> 0, 0.5 -> 0.25, 1 -> 1 }\n"
+               "map g = piecewise{ (0, 0.5] -> 0.25 }\n")
+        (tmp_path / "catalog.cfg").write_text(cfg, encoding="utf-8")
+        (tmp_path / "t.csv").write_text("#,id:int\n0.5,1\n0.25,2\n", encoding="utf-8")
+        catalog = Catalog.from_dir(tmp_path)
+        half = catalog.table("t").score_of(Row.of({"id": 1}))
+        assert catalog.scores["0.5"] is half
+        assert catalog.order_map("h").apply(half) is catalog.scores["0.25"]
+        assert catalog.order_map("g").apply(half) is catalog.scores["0.25"]
+
+    @pytest.mark.parametrize("second", ["0.50", "0.5"])
+    def test_graph_inputs_of_one_value_are_refused(self, second):
+        catalog = parse_config(f"map g = graph{{ 0 -> 0, 0.5 -> 0.3, {second} -> 0.4 }}\n")
+        with pytest.raises(ParseError) as err:
+            catalog.maps["g"]
+        assert str(err.value) == f"graph input '{second}' appears twice (line 1, column 0)"
 
 
 SYMBOLIC_CFG = "chain symbolic(none < low < high < full)\n"

@@ -195,6 +195,22 @@ def test_plan_and_eval_reject_alike(capsys, query):
     assert err.startswith("error: ") and err.endswith(" at query\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("#,id:int,name:str\n0.4,x,b\n", "line 2: cannot parse 'x' as int (attribute id)"),
+    ("#,id:int,name:str\n0.4,1,a\nabc,2,b\n", "line 3: cannot parse rational score from 'abc'"),
+    ("#,name:str,w:dec\n0.4,a,1/2\n0.5,b,1/0\n", "line 3: cannot parse '1/0' as dec (attribute w)"),
+], ids=["int-cell", "score-cell", "dec-cell"])
+def test_a_cell_that_fails_to_parse_names_its_line(capsys, tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    loaded = f"cannot load table from {path}: "
+    for argv, prefix in ((["eval", "t", "--catalog", str(tmp_path)], loaded),
+                         (["equiv", str(path), str(path)], "")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {prefix}{message}\n"
+
+
 class TestEquiv:
     def test_one_directional_pair(self, capsys, tmp_path):
         joined = algebra.natural_join(demo.houses(), demo.offers())

@@ -248,12 +248,20 @@ def test_operators_never_build_rows_row_by_row(monkeypatch):
     assert text == expected_csv and reread == expected_join
 
 
+def named_cell(text: str, old: str, message: str):
+    """A case whose message now names its line (and cell); its id keeps the older message."""
+    return pytest.param(text, message, id=f"{text}-{old}")
+
+
 @pytest.mark.parametrize("text, message", [
-    ("#,a:int\n0.5,1\nnope,2\n", "cannot parse rational score from 'nope'"),
+    named_cell("#,a:int\n0.5,1\nnope,2\n", "cannot parse rational score from 'nope'",
+               "line 3: cannot parse rational score from 'nope'"),
     ("#,a:int\n0.5,1\n0,2\n", "line 3: rows with score 0 are not stored; omit the row"),
     ("#,a:int\n0.5,1\n0.5,1\n", "line 3: duplicate tuple Row(a=1)"),
-    ("#,a:int,b:dec\n0.5,x,1/0\n", "cannot parse 'x' as int"),
-    ("#,a:int,b:dec\n0.5,1,1/0\n", "cannot parse '1/0' as dec"),
+    named_cell("#,a:int,b:dec\n0.5,x,1/0\n", "cannot parse 'x' as int",
+               "line 2: cannot parse 'x' as int (attribute a)"),
+    named_cell("#,a:int,b:dec\n0.5,1,1/0\n", "cannot parse '1/0' as dec",
+               "line 2: cannot parse '1/0' as dec (attribute b)"),
     ("#,a:int\n0.5,1,2\n", "line 2: expected 2 cells, got 3"),
 ])
 def test_read_errors_unchanged(text, message):

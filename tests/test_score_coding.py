@@ -8,7 +8,9 @@ score once.  Each is checked on seeded inputs against its oracle in
 connectives, equal scores or identical errors, equal floors and escaping
 rows, equal tables or identical errors.  A guard test counts the score
 hashes of both kernels on a 2,000-row table, and another makes map
-application run with ``Score.__hash__`` raising.
+application run with ``Score.__hash__`` raising.  A score is slotted, with no
+instance ``__dict__``; it keeps its exact text through copies, and the text
+``parse`` keeps is the one ``format`` writes.
 """
 
 import copy
@@ -17,6 +19,10 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     GRID,
@@ -137,6 +143,94 @@ def test_copies_keep_the_key():
         other = fresh_scores(s.chain)[-1].value
         assert dataclasses.replace(s, value=other).key == Score(s.chain, other).key
         assert "key" not in repr(s)
+
+
+# --- layout: slots, the kept text, the hash ------------------------------------------
+
+
+def layout_scores() -> list[Score]:
+    """Scores from every construction site, texts kept by ``parse`` and not."""
+    return [RATIONAL.parse("0.5"), RATIONAL.parse(" 0.50 "), RATIONAL.parse("1/3"),
+            RATIONAL.parse("1"), RATIONAL.top, RATIONAL.bottom, RATIONAL.score(Fraction(1, 7)),
+            Score(RATIONAL, Fraction(3, 4)), LEVELS.parse("low"), LEVELS.top,
+            *fresh_scores(RATIONAL), *fresh_scores(LEVELS)]
+
+
+def test_scores_have_no_instance_dict():
+    for s in layout_scores():
+        assert not hasattr(s, "__dict__"), s
+        with pytest.raises(AttributeError):
+            object.__setattr__(s, "extra", 1)  # no slot, and no dict to fall back on
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.text = "0"
+
+
+def test_copies_keep_key_and_text_and_replace_recomputes_both():
+    for s in layout_scores():
+        kept = s.text
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert copied == s and copied.key == s.key and copied.text == kept
+        text = s.chain.format(s, None)
+        assert s.text == text
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert copied.key == s.key and copied.text == text
+        replaced = dataclasses.replace(s)
+        assert replaced == s and replaced.key == s.key and replaced.text is None
+        assert s.chain.format(replaced, None) == text
+        other = fresh_scores(s.chain)[-2].value
+        moved = dataclasses.replace(s, value=other)
+        assert moved.key == Score(s.chain, other).key and moved.text is None
+        assert s.chain.format(moved, None) == s.chain.format(Score(s.chain, other), None)
+        assert repr(moved) == repr(Score(s.chain, other))
+
+
+def test_every_form_of_top_is_one_key_for_a_dict():
+    forms = [RATIONAL.parse("1"), RATIONAL.parse("1.0"), RATIONAL.parse("01"), RATIONAL.top,
+             Score(RATIONAL, 1), Score(RATIONAL, Fraction(1)), RATIONAL.score(1)]
+    for s in forms:
+        assert s == RATIONAL.top and hash(s) == hash(RATIONAL.top) and s.key == (1.0, 1)
+    assert len(set(forms)) == 1 and {RATIONAL.top: "top"}[forms[0]] == "top"
+    assert [s.text for s in forms[:3]] == ["1", None, None]
+    # unequal scores may share a hash (one float), never a key
+    tiny = Score(RATIONAL, KEYED[-1])
+    assert hash(tiny) == hash(RATIONAL.bottom) and tiny != RATIONAL.bottom
+    assert len({tiny, RATIONAL.bottom}) == 2
+
+
+@st.composite
+def decimal_texts(draw) -> str:
+    """A plain decimal text of a value in [0, 1], in exact form or padded with zeros or blanks."""
+    if draw(st.booleans()):
+        head = "0" * draw(st.integers(0, 2)) + "1"
+        tail = "0" * draw(st.integers(0, 3))
+    else:
+        head = "0" * draw(st.integers(1, 3))
+        tail = draw(st.text("0123456789", max_size=8))
+    dot = "." if tail or draw(st.booleans()) else ""
+    blank = st.sampled_from(["", " ", "\t", "  "])
+    return draw(blank) + head + dot + tail + draw(blank)
+
+
+def check_kept_text(text: str) -> None:
+    """``parse`` keeps a text exactly when it is the exact text, which ``format`` then writes."""
+    s = RATIONAL.parse(text)
+    exact = exact_decimal_str(s.value)
+    assert s.value == Fraction(text.strip()) and s.key == (float(s.value), s.value)
+    assert s.text == (exact if text.strip() == exact else None)
+    assert RATIONAL.format(s, None) == exact and s.text == exact
+    assert repr(s) == f"Score({exact})"
+
+
+@pytest.mark.parametrize("text", ["0.5", "1", "0", " 0.25\t", "0.125",
+                                  "0.50", "00.5", "1.0", "01", "0.", "0.0", "1/2", ".5"])
+def test_parse_keeps_only_exact_texts(text):
+    check_kept_text(text)
+
+
+@settings(derandomize=True, max_examples=300, database=None)
+@given(decimal_texts())
+def test_parse_keeps_only_exact_texts_and_format_writes_the_exact_text(text):
+    check_kept_text(text)
 
 
 def rnd_keyed_table(rng: random.Random, scheme: Scheme, chain) -> RankedTable:
