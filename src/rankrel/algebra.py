@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping
 from .chain import Score, abjunction, meet, min_score, residuum
 from .conditions import Condition
 from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
-from .table import RankedTable, Row, Scheme, gather, joiner
+from .table import RankedTable, Row, Scheme, gather, joiner, renamer
 
 
 # --- scheme rules ---------------------------------------------------------------
@@ -227,12 +227,8 @@ def semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
 def rename(d: RankedTable, mapping: Mapping[str, str]) -> RankedTable:
     """Rename attributes (injective, collision-free); entries are unchanged."""
     scheme = d.scheme.rename(mapping)
-    lowered = {old.lower(): new.lower() for old, new in mapping.items()}
-    old_name = {lowered.get(name, name): name for name in d.scheme.sorted_names}
-    reorder = gather(d.scheme, [old_name[name] for name in scheme.sorted_names])
-    names = scheme.sorted_names
-    entries = {Row(zip(names, [value for _, value in reorder(row)])): score for row, score in d}
-    return RankedTable._trusted(scheme, d.chain, entries)
+    renamed = renamer(d.scheme, scheme)
+    return RankedTable._trusted(scheme, d.chain, {renamed(row): score for row, score in d})
 
 
 def product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exprs import TokenCursor
 from .maps import OrderMap, apply_checked
-from .table import STR, RankedTable, Row, Scheme, column_plan, from_classic
+from .table import STR, RankedTable, Row, Scheme, column_plan, from_classic, row_cells, values_of
 
 
 # --- formulas ---------------------------------------------------------------
@@ -541,10 +541,10 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     typed: dict[str, object] = {}
     for table in used.values():
         plan = column_plan(table.scheme, table.scheme.names)
+        values = values_of(table.scheme, table.scheme.names)
         for row, _ in table:
-            for position, text_of in plan:
-                value = row[position][1]
-                if typed.setdefault(text := text_of(value), value) != value:
+            for value, text in zip(values(row), row_cells(row, plan)):
+                if typed.setdefault(text, value) != value:
                     raise UnsupportedOperationError(
                         f"values {typed[text]!r} and {value!r} collide as {text!r}"
                     )
@@ -607,7 +607,7 @@ def structure_from_tables(tables: Mapping[str, RankedTable]) -> Structure:
         arities[name] = len(plan)
         entries = {}
         for row, score in table:
-            vector = tuple([text_of(row[position][1]) for position, text_of in plan])
+            vector = tuple(row_cells(row, plan))
             universe.update(vector)
             entries[vector] = score
         interps[name] = entries

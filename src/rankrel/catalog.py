@@ -1,8 +1,8 @@
 """Catalogs: named tables, conditions, and order maps sharing one chain.
 
 A catalog directory holds one CSV per table (the file stem is the table
-name) and an optional ``catalog.cfg`` declaring the chain, order maps, and
-named restriction conditions::
+name) and an optional ``catalog.cfg`` declaring the chain (first, if at
+all), order maps, and named restriction conditions::
 
     chain rational01
     # chain symbolic(none < low < high < full)
@@ -26,24 +26,23 @@ from .errors import IncompatibleChainError, ParseError, RankrelError, UnknownNam
 from .maps import (
     AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, PiecewiseConstantMap, apply_checked,
 )
-from .table import RankedTable, read_table_csv, read_text
+from .table import RankedTable, parse_score, read_table_csv, read_text
 
 
 class OrderMaps(UserDict):
     """Order maps by name; a map declared by a config line is parsed at first lookup.
 
-    The parsed map is kept.  A body that fails to parse is not, so every
-    lookup of it raises its ``ParseError``, with its config line number.
+    It parses on its catalog's ``chain``, through its ``scores``, and is kept.  A body
+    that fails to parse is not: every lookup raises its ``ParseError``, with its line.
     """
 
-    def declare(self, name: str, body: str, chain: ScoreChain, scores: dict[str, Score],
-                lineno: int) -> None:
-        self.data[name] = (body, chain, scores, lineno)
+    def declare(self, name: str, body: str, lineno: int) -> None:
+        self.data[name] = (body, lineno)
 
     def __getitem__(self, name: str) -> OrderMap:
         found = self.data[name]
         if isinstance(found, tuple):
-            found = self.data[name] = _parse_map(*found)
+            found = self.data[name] = _parse_map(*found, self.chain, self.scores)
         return found
 
 
@@ -52,9 +51,9 @@ class Catalog:
     """Tables, conditions and maps on one chain.
 
     ``scores`` maps each score text parsed so far to its ``Score``: every CSV
-    and every ``graph`` or ``piecewise`` map body is parsed through it, so one
-    text is one object across the catalog.  It holds nonzero scores on
-    ``chain`` only; a ``chain`` line in the config starts a new one.
+    and every ``graph`` or ``piecewise`` map body is parsed through it by
+    ``parse_score``, so one text is one object across the catalog.  It holds
+    nonzero scores on ``chain``, which a config fixes before any map.
     """
 
     chain: ScoreChain = RATIONAL
@@ -62,6 +61,10 @@ class Catalog:
     conditions: dict[str, Condition] = field(default_factory=dict)
     maps: OrderMaps = field(default_factory=OrderMaps)
     scores: dict[str, Score] = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # not the catalog itself: that cycle would keep its tables alive until a GC pass
+        self.maps.chain, self.maps.scores = self.chain, self.scores
 
     def table(self, name: str) -> RankedTable:
         try:
@@ -94,11 +97,7 @@ class Catalog:
         if not directory.is_dir():
             raise UnknownNameError(f"catalog directory {directory} does not exist")
         config_path = directory / "catalog.cfg"
-        catalog = (
-            parse_config(read_text(config_path))
-            if config_path.exists()
-            else cls()
-        )
+        catalog = parse_config(read_text(config_path)) if config_path.exists() else cls()
         paths: dict = {}
         for csv_path in sorted(directory.glob("*.csv")):
             name = csv_path.stem.lower()
@@ -106,11 +105,7 @@ class Catalog:
             if first is not csv_path:
                 raise RankrelError(f"{first} and {csv_path} both hold table {name!r}; "
                                    "table names ignore case")
-            try:
-                catalog.add_table(name, read_table_csv(csv_path, catalog.chain, catalog.scores))
-            except RankrelError as exc:
-                exc.args = (f"cannot load table from {csv_path}: {exc}",)  # keeps line, column
-                raise
+            catalog.add_table(name, read_table_csv(csv_path, catalog.chain, catalog.scores))
         return catalog
 
 
@@ -123,20 +118,23 @@ _PIECE_RE = re.compile(r"\(\s*(?P<lo>[^,]+?)\s*,\s*(?P<hi>[^\]]+?)\s*\]\s*->\s*(
 
 
 def parse_config(text: str) -> Catalog:
-    """Read a config; each ``map`` body is parsed when first looked up."""
+    """Read a config, whose one ``chain`` line comes first; each ``map`` body is
+    parsed when first looked up."""
     catalog = Catalog()
-    declared: dict[tuple[str, str], int] = {}  # (map or cond, name) -> its line
+    declared: dict[tuple[str, str], int] = {}  # (kind, name) -> line; a chain's name: its spec
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         match = _CHAIN_RE.match(line)
         if match:
-            if match.group("levels") is not None:
-                catalog.chain = symbolic_chain(match.group("levels"))
-            else:
-                catalog.chain = RATIONAL
-            catalog.scores = {}  # maps declared so far keep theirs, on their chain
+            if declared:
+                (kind, name), first = next(iter(declared.items()))
+                raise ParseError(f"chain on line {lineno} follows {kind} {name!r} on line "
+                                 f"{first}; the one chain line comes first", line=lineno)
+            declared["chain", match.group(1)] = lineno
+            if match.group("levels") is not None:  # nothing is declared yet
+                catalog = Catalog(symbolic_chain(match.group("levels")))
             continue
         match = _MAP_RE.match(line) or _COND_RE.match(line)
         if match:
@@ -147,7 +145,7 @@ def parse_config(text: str) -> Catalog:
                 raise ParseError(f"{kind} {name!r} is declared on line {first} and again on "
                                  f"line {lineno}; names ignore case", line=lineno)
             if kind == "map":
-                catalog.maps.declare(name, body, catalog.chain, catalog.scores, lineno)
+                catalog.maps.declare(name, body, lineno)
             else:
                 catalog.conditions[name] = _parse_condition(body, catalog, lineno)
             continue
@@ -155,17 +153,11 @@ def parse_config(text: str) -> Catalog:
     return catalog
 
 
-def _parse_map(body: str, chain: ScoreChain, scores: dict[str, Score], lineno: int) -> OrderMap:
-    """Parse a map body; its score texts go through ``scores``, which never keeps bottom."""
+def _parse_map(body: str, lineno: int, chain: ScoreChain, scores: dict[str, Score]) -> OrderMap:
+    """Parse a map body on ``chain``, its score texts through ``scores``."""
 
     def parse(text: str) -> Score:
-        text = text.strip()
-        score = scores.get(text)
-        if score is None:
-            score = chain.parse(text)
-            if not score.is_bottom:
-                scores[text] = score
-        return score
+        return parse_score(text.strip(), chain, scores)
 
     if body == "identity":
         return IdentityMap()

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from . import algebra, calculus, demo, ordinal, planner
 from .maps import compose_table
-from .table import RankedTable
+from .table import RankedTable, values_of
 
 Expected = Sequence[tuple[str, tuple]]
 
@@ -44,14 +44,13 @@ def run_query(text: str, transformed: bool = False) -> RankedTable:
 def match_table(table: RankedTable, expected: Expected, tolerance: str = "0") -> Optional[str]:
     """Compare a table's rows in display order (descending score, canonical
     ties) against (score, values) rows, values in scheme order; None means match."""
-    actual = table.rows_by_rank()
+    actual, values = table.rows_by_rank(), values_of(table.scheme, table.scheme.names)
     if len(actual) != len(expected):
         return f"expected {len(expected)} rows, found {len(actual)}"
     tol = Fraction(tolerance)
     for (row, score), (w_score, w_vals) in zip(actual, expected):
-        g_vals = tuple(row.value(a) for a in table.scheme.names)
-        if g_vals != w_vals:
-            return f"row mismatch: expected {w_vals}, found {g_vals}"
+        if values(row) != w_vals:
+            return f"row mismatch: expected {w_vals}, found {values(row)}"
         if abs(score.value - Fraction(w_score)) > tol:
             return (
                 f"score mismatch on {w_vals}: expected {w_score} "
@@ -227,7 +226,7 @@ def check_ordinal_relations() -> CheckResult:
     if ordinal.ordinally_included(joined, similar):
         return CheckResult("ordinal-relations", False, "join should not be included back")
     evidence = ordinal.first_inclusion_violation(joined, similar)
-    if evidence is None or evidence.value("price") != 798000:
+    if evidence is None or values_of(joined.scheme, ["price"])(evidence) != (798000,):
         return CheckResult(
             "ordinal-relations", False, f"expected evidence at price 798000, got {evidence!r}"
         )

@@ -66,9 +66,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    chain = RATIONAL
-    if args.config:
-        chain = parse_config(read_text(args.config)).chain
+    chain = parse_config(read_text(args.config)).chain if args.config else RATIONAL
     scores: dict = {}  # equal score texts in both files are one Score object
     first = read_table_csv(args.first, chain, scores)
     second = read_table_csv(args.second, chain, scores)
@@ -106,6 +104,7 @@ def cmd_transform(args) -> int:
 def cmd_topk(args) -> int:
     catalog = _load_catalog(args.catalog)
     expr = planner.parse_query(args.query)
+    planner.infer_scheme(expr, catalog)  # errors at their as-written paths
     normalized = planner.normalize_to_join_chain(expr, catalog)
     leaves = planner.join_chain_leaves(normalized.expr)
     sources = [

@@ -26,13 +26,13 @@ which therefore still pickles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import exprs
 from .chain import Score, ScoreChain, clamp01, quantize
 from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
 from .maps import OrderMap, apply_checked
-from .table import RankedTable, Row, Scheme
+from .table import RankedTable, Row, Scheme, values_of
 
 
 class Condition:
@@ -87,32 +87,31 @@ class ExprCondition(Condition):
             )
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
-        return self._compiled(chain)(row)
+        return self._compiled(chain)(row.as_dict())
 
     def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
-        score, names = self._compiled(chain), self.free_attrs()
-        positions = [i for i, name in enumerate(scheme.sorted_names) if name in names]
-        memo: dict[tuple, Score] = {}
+        score, free = self._compiled(chain), sorted(self.free_attrs() & scheme.name_set)
+        values, memo = values_of(scheme, free), {}  # free values -> their score
 
         def memoised(row: Row) -> Score:
-            key = tuple([row[i][1] for i in positions])
+            key = values(row)
             try:
                 return memo[key]
             except KeyError:
-                value = memo[key] = score(row)
+                value = memo[key] = score(dict(zip(free, key)))
                 return value
         return memoised
 
-    def _compiled(self, chain: ScoreChain) -> Callable[[Row], Score]:
+    def _compiled(self, chain: ScoreChain) -> Callable[[Mapping[str, object]], Score]:
         run = exprs.compile_expr(self.expr)
 
-        def score(row: Row) -> Score:
+        def score(env: Mapping[str, object]) -> Score:
             if not chain.is_rational:
                 raise UnsupportedOperationError(
                     "expression conditions require the rational chain; "
                     "use an explicit score table on symbolic chains"
                 )
-            value = clamp01(run(row.as_dict()))
+            value = clamp01(run(env))
             return chain.score(quantize(value) if isinstance(value, float) else value)
         return score
 

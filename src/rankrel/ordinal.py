@@ -78,7 +78,7 @@ def first_inclusion_violation(d1: RankedTable, d2: RankedTable) -> Optional[Row]
 
     Returns None when d1 is ordinally included in d2.  Used as CLI evidence.
     """
-    return min(_rank_profile(d1, d2)[2], key=Row.key, default=None)
+    return min(_rank_profile(d1, d2)[2], default=None)  # rows of one scheme order by values
 
 
 def canonical_map(d1: RankedTable, d2: RankedTable) -> PiecewiseConstantMap:

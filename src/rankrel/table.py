@@ -27,6 +27,7 @@ from .errors import (
     IncompatibleChainError,
     NotCrispError,
     ParseError,
+    RankrelError,
     SchemeError,
 )
 
@@ -255,6 +256,19 @@ def gather(scheme: Scheme, names: Iterable[str]) -> Callable[[tuple], tuple]:
     the result holds the pairs of the row's projection.
     """
     return _selector([scheme.positions[name.lower()] for name in names])
+
+
+def values_of(scheme: Scheme, names: Iterable[str]) -> Callable[[Row], tuple]:
+    """Plan mapping a row on ``scheme`` to its values of ``names``, in that order."""
+    positions = [scheme.positions[name.lower()] for name in names]
+    return lambda row: tuple([row[position][1] for position in positions])
+
+
+def renamer(scheme: Scheme, renamed: Scheme) -> Callable[[Row], Row]:
+    """Plan mapping a row on ``scheme`` to the row of its values on ``renamed``, a renaming."""
+    old_name = dict(zip(renamed.names, scheme.names))  # renaming keeps the attribute order
+    values = values_of(scheme, [old_name[name] for name in renamed.sorted_names])
+    return lambda row: Row(zip(renamed.sorted_names, values(row)))
 
 
 def joiner(left: Scheme, right: Scheme) -> Callable[[tuple, tuple], Row]:
@@ -490,16 +504,28 @@ def read_table_csv(source, chain: ScoreChain = RATIONAL,
                    scores: Optional[dict[str, Score]] = None) -> RankedTable:
     """Read a ranked table from CSV text (it holds a line break) or a file path.
 
-    ``scores`` maps each score text parsed so far on ``chain`` to its
-    ``Score`` (a fresh dict when ``None``), so tables read through one dict
-    hold one object per score text.  A text that fails to parse, or that
-    scores 0, is never added.
+    Score texts go through :func:`parse_score` and ``scores`` (a fresh dict
+    when ``None``).  An error reading a path names the path.
     """
     if scores is None:
         scores = {}
     if isinstance(source, str) and "\n" in source:
         return _read_rows(csv.reader(io.StringIO(source)), chain, scores)
-    return _read_rows(csv.reader(io.StringIO(read_text(source), newline="")), chain, scores)
+    try:
+        return _read_rows(csv.reader(io.StringIO(read_text(source), newline="")), chain, scores)
+    except RankrelError as exc:
+        exc.args = (f"cannot load table from {source}: {exc}",)  # keeps line, column
+        raise
+
+
+def parse_score(text: str, chain: ScoreChain, scores: dict[str, Score]) -> Score:
+    """``text`` on ``chain`` through ``scores``, which keeps one object per nonzero text."""
+    score = scores.get(text)
+    if score is None:
+        score = chain.parse(text)
+        if not score.is_bottom:
+            scores[text] = score
+    return score
 
 
 def read_text(path) -> str:
@@ -521,9 +547,8 @@ def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTab
     The parsers type every cell, so rows conform by construction; rows are
     checked for duplicates here.  Each distinct score text is parsed, and
     checked to be nonzero, once per ``scores`` dict: at its first line, where
-    an error is raised as a per-row check would.  A text that fails to parse
-    or scores 0 is not remembered.  Only a line whose cells fail is parsed
-    again, cell by cell, to name the cell in its error.
+    an error is raised as a per-row check would.  Only a line whose cells
+    fail is parsed again, cell by cell, to name the cell in its error.
     """
     try:
         header = next(reader)
@@ -544,12 +569,11 @@ def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTab
             if len(cells) != width:
                 raise SchemeError(f"line {lineno}: expected {width} cells, got {len(cells)}")
             try:
-                score = chain.parse(cells[0])
+                score = parse_score(cells[0], chain, scores)
             except ChainError as exc:
                 raise ChainError(f"line {lineno}: {exc}") from None
             if score.is_bottom:
                 raise ChainError(f"line {lineno}: rows with score 0 are not stored; omit the row")
-            scores[cells[0]] = score
         try:
             row = Row(zip(names, map(call, parsers, value_cells(cells))))
         except (ValueError, ZeroDivisionError):

@@ -203,12 +203,44 @@ def test_plan_and_eval_reject_alike(capsys, query):
 def test_a_cell_that_fails_to_parse_names_its_line(capsys, tmp_path, text, message):
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8")
-    loaded = f"cannot load table from {path}: "
-    for argv, prefix in ((["eval", "t", "--catalog", str(tmp_path)], loaded),
-                         (["equiv", str(path), str(path)], "")):
+    for argv in (["eval", "t", "--catalog", str(tmp_path)], ["equiv", str(path), str(path)]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == f"error: {prefix}{message}\n"
+        assert err == f"error: cannot load table from {path}: {message}\n"
+
+
+def test_equiv_names_the_file_whose_csv_fails(capsys, tmp_path):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("#,item:int\n0.5,1\n", encoding="utf-8")
+    bad.write_text("#,item:int\nx,2\n", encoding="utf-8")
+    code, out, err = run(capsys, "equiv", str(good), str(bad))
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot load table from {bad}: "
+                   "line 2: cannot parse rational score from 'x'\n")
+
+
+def test_a_chain_line_after_a_map_line_is_refused_by_name(capsys, tmp_path):
+    (tmp_path / "catalog.cfg").write_text(
+        "map h = graph{ 0 -> 0, 1 -> 1 }\nchain symbolic(0 < 1)\n", encoding="utf-8")
+    (tmp_path / "t.csv").write_text("#,item:str\n1,apple\n", encoding="utf-8")
+    code, out, err = run(capsys, "transform", "--map", "h", "--catalog", str(tmp_path), "t")
+    assert (code, out) == (1, "")
+    assert err == ("error: chain on line 2 follows map 'h' on line 1; the one chain line "
+                   "comes first (line 2, column 0)\n")
+
+
+@pytest.mark.parametrize("query, where", [
+    ("join(houses, nosuch)", "unknown table 'nosuch' at query.right"),
+    ("join(houses, restrict(offers, nocond))", "unknown condition 'nocond' at query.right"),
+    ("join(project(houses, [nosuch]), offers)", "at query.left"),
+], ids=["table", "condition", "projection"])
+def test_topk_plan_and_eval_name_a_nested_error_alike(capsys, query, where):
+    results = [run(capsys, "topk", "2", query), run(capsys, "plan", query),
+               run(capsys, "eval", query)]
+    assert results[0] == results[1] == results[2]
+    code, out, err = results[0]
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith(f"{where}\n")
 
 
 class TestEquiv:

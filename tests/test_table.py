@@ -1,9 +1,11 @@
 """Schemes, rows, tables, the classic embedding, and the CSV contract."""
 
+import ast
 import copy
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from helpers import (
     stable_seed,
 )
 
+from rankrel import table as table_module
 from rankrel.chain import RATIONAL
 from rankrel.errors import (
     ChainError,
@@ -314,3 +317,35 @@ class TestCsv:
         path = tmp_path / "people.csv"
         write_table_csv(people, path)
         assert read_table_csv(path) == people
+
+
+def _reads_a_rows_pairs(node) -> bool:
+    """``row[i][1]``, a ``value(...)`` or ``as_dict(...)`` call, or ``Row.key``."""
+    if isinstance(node, ast.Subscript):
+        return (isinstance(node.value, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and node.slice.value == 1)
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr in ("value", "as_dict")
+    return (isinstance(node, ast.Attribute) and node.attr == "key"
+            and isinstance(node.value, ast.Name) and node.value.id == "Row")
+
+
+def test_only_table_reads_a_rows_pairs():
+    """Outside ``table``, rows are read through its plans, so the row layout is
+    ``table.py``'s alone.  ``ExprCondition.score_of``, which asks a bare row
+    for its names, is the one exception."""
+    package = Path(table_module.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "table.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node)
+                  for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "ExprCondition"
+                  for method in cls.body
+                  if isinstance(method, ast.FunctionDef) and method.name == "score_of"
+                  for node in ast.walk(method)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in exempt and _reads_a_rows_pairs(node)]
+    assert not found, f"rows read outside table.py at {found}"
