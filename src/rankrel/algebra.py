@@ -10,7 +10,8 @@ coincides with its classic counterpart.
 
 Result rows are operand rows or gathered from them by plans, so results are
 built by ``RankedTable._trusted`` with no per-row check; bottom is filtered
-wherever a connective can yield it.
+wherever a connective can yield it.  A restriction's result is built only
+when read (``RankedTable._capped``).
 
 Each operation computes its result scheme by one rule over the operand
 schemes and its parameter (``Scheme.union``, ``project``, ``rename`` or a
@@ -92,16 +93,16 @@ def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
 
 
 def restrict(d: RankedTable, theta: Condition) -> RankedTable:
-    """Pointwise minimum of the table with a restriction condition."""
+    """Pointwise minimum of the table with a restriction condition.
+
+    The condition is scored here, once per value tuple of its free
+    attributes, so its errors are raised here.  The result caps each row of
+    ``d`` at its condition score as the result is read
+    (``RankedTable._capped``): top-k's sorted and random access reach only
+    the rows they read.
+    """
     restrict_scheme(d.scheme, theta)
-    score_of = theta.innermost().scorer(d.scheme, d.chain)
-    conds = theta.mapped([score_of(row) for row, _ in d], d.chain)
-    entries: dict[Row, Score] = {}
-    for (row, score), cond in zip(d, conds):
-        value = meet(score, cond)
-        if not value.is_bottom:
-            entries[row] = value
-    return RankedTable._trusted(d.scheme, d.chain, entries)
+    return RankedTable._capped(d, *theta.scores_by_key(d))
 
 
 def project(d: RankedTable, names: Iterable[str]) -> RankedTable:

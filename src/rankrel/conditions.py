@@ -11,12 +11,14 @@ Two concrete flavors:
 Either flavor can be composed with an order map, giving the transformed
 condition used by the invariance laws.
 
-An operator scores a table's rows through the :meth:`Condition.scorer` of
-the condition under every composed map (:meth:`Condition.innermost`), set up
-once per call, then passes the list of scores to :meth:`Condition.mapped`,
-which makes one ``maps.apply_checked`` call per composed map, innermost first.
-The expression scorer memoises a score on the values of the free attributes,
-which alone decide it, and runs once per distinct value tuple.  The memo is
+An operator scores rows through the :meth:`Condition.scorer` of the
+condition under every composed map (:meth:`Condition.innermost`), set up once
+per call, then passes the list of scores to :meth:`Condition.mapped`, which
+makes one ``maps.apply_checked`` call per composed map, innermost first.  A
+restriction scores a table by :meth:`Condition.scores_by_key`: one row per
+distinct value tuple of the free attributes, which alone decide the score.
+The expression scorer memoises a score on those values, so it also runs once
+per distinct tuple when the calculus scores every valuation.  The memo is
 exact: stored values are never floats or bools, and an int scores as the
 ``Fraction`` equal to it, so values equal as keys score alike.  It lives only
 as long as the operator call, and nothing compiled is kept on a condition,
@@ -56,6 +58,21 @@ class Condition:
     def mapped(self, scores: list[Score], chain: ScoreChain) -> list[Score]:
         """This condition's scores, in order, from its innermost condition's ``scores``."""
         return scores
+
+    def scores_by_key(self, table: RankedTable) -> tuple[tuple[str, ...], dict[tuple, Score]]:
+        """This condition's score of ``table``'s rows, once per value tuple of its free attributes.
+
+        Returns the free attribute names in name order, and each distinct
+        key of ``table.index(names)`` with its score, in first-occurrence
+        table order.  The innermost condition scores each key's first row,
+        so scorer calls and their errors come as a row-by-row scan in table
+        order would bring them; then :meth:`mapped` maps those scores.
+        """
+        names = tuple(sorted(self.free_attrs() & table.scheme.name_set))
+        index = table.index(names)
+        score_of = self.innermost().scorer(table.scheme, table.chain)
+        scores = self.mapped([score_of(bucket[0][0]) for bucket in index.values()], table.chain)
+        return names, dict(zip(index, scores))
 
     def free_attrs(self):
         """Attribute names the condition depends on, or None when unknown."""

@@ -21,7 +21,7 @@ from operator import call, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .chain import RATIONAL, Score, ScoreChain, exact_decimal_str
+from .chain import RATIONAL, Score, ScoreChain, exact_decimal_str, meet, rank_codes
 from .errors import (
     ChainError,
     IncompatibleChainError,
@@ -339,10 +339,12 @@ class RankedTable:
     The constructor checks every row and score; results that conform by
     construction are built by :meth:`_trusted`.  Each table builds its access
     paths (the rank order and one hash index per key) at first use and keeps
-    them; copies and pickles start without them.
+    them; copies and pickles start without them.  A table made by
+    :meth:`_capped` holds its input and the caps in ``_capping`` until its
+    entries are first read.
     """
 
-    __slots__ = ("scheme", "chain", "_entries", "_ranked", "_indexes")
+    __slots__ = ("scheme", "chain", "_entries", "_ranked", "_indexes", "_capping")
 
     def __init__(self, scheme: Scheme, chain: ScoreChain, entries: Mapping[Row, Score]):
         for row, score in entries.items():
@@ -357,6 +359,7 @@ class RankedTable:
         object.__setattr__(self, "_entries", dict(entries))
         object.__setattr__(self, "_ranked", None)
         object.__setattr__(self, "_indexes", {})
+        object.__setattr__(self, "_capping", None)
 
     @classmethod
     def _trusted(cls, scheme: Scheme, chain: ScoreChain, entries: dict) -> "RankedTable":
@@ -371,7 +374,39 @@ class RankedTable:
         object.__setattr__(table, "_entries", entries)
         object.__setattr__(table, "_ranked", None)
         object.__setattr__(table, "_indexes", {})
+        object.__setattr__(table, "_capping", None)
         return table
+
+    @classmethod
+    def _capped(cls, table: "RankedTable", names: tuple[str, ...],
+                caps: dict[tuple, Score]) -> "RankedTable":
+        """``table`` with each row's score capped at its cap; rows capped to bottom drop out.
+
+        A row's cap is ``caps`` of its pairs of ``names``, the key that
+        ``table.index(names)`` files it under; caps are on ``table``'s chain.
+        Nothing is computed here.  Sorted and random access
+        (:meth:`sorted_access`, :meth:`lookup`) cap the rows of ``table``'s
+        rank order and index buckets as they are read.  Any other read builds
+        the entries once, in ``table``'s order, and the table is then like
+        any other.
+        """
+        capped = object.__new__(cls)
+        object.__setattr__(capped, "scheme", table.scheme)
+        object.__setattr__(capped, "chain", table.chain)
+        object.__setattr__(capped, "_ranked", None)
+        object.__setattr__(capped, "_indexes", {})
+        object.__setattr__(capped, "_capping", (table, gather(table.scheme, names), caps))
+        return capped
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: the entries of a capped table, not yet built.
+        if name != "_entries" or self._capping is None:
+            raise AttributeError(name)
+        table, key_of, caps = self._capping
+        entries = dict(_capped_pairs(table._entries.items(), key_of, caps))
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_capping", None)
+        return entries
 
     def __setattr__(self, *args) -> None:
         raise AttributeError("RankedTable is immutable")
@@ -434,6 +469,33 @@ class RankedTable:
             object.__setattr__(self, "_ranked", ranked)
         return list(ranked)
 
+    def sorted_access(self) -> tuple[list[tuple[Row, Score]], Iterator[tuple[Row, Score]]]:
+        """The pairs of :meth:`rows_by_rank`: a fresh list of those known, and an iterator over the rest.
+
+        A built table knows them all.  A capped table not yet built knows
+        none, and ranks them as they are read from its input's rank order
+        (:func:`_capped_by_rank`), building nothing on itself.
+        """
+        if self._capping is None:
+            return self.rows_by_rank(), iter(())
+        return [], _capped_by_rank(*self._capping)
+
+    def lookup(self, key_names: tuple[str, ...]) -> Callable[[tuple, object], object]:
+        """Random access on ``key_names``: ``lookup(key, default)`` reads ``index(key_names)``.
+
+        A capped table not yet built caps the bucket of its input's index
+        instead, building nothing on itself: the same pairs, in the same order.
+        """
+        if self._capping is None:
+            return self.index(key_names).get
+        table, key_of, caps = self._capping
+        index = table.index(key_names)
+
+        def capped_bucket(key: tuple, default):
+            bucket = index.get(key)
+            return default if bucket is None else list(_capped_pairs(bucket, key_of, caps))
+        return capped_bucket
+
     def index(self, key_names: tuple[str, ...]) -> dict[tuple, list[tuple[Row, Score]]]:
         """Hash index on ``key_names``, given in name order: the table's random access.
 
@@ -463,6 +525,51 @@ class RankedTable:
 
     def __repr__(self) -> str:
         return f"RankedTable({self.scheme!r}, {len(self)} rows)"
+
+
+def _capped_pairs(pairs: Iterable[tuple[Row, Score]], key_of: Callable[[Row], tuple],
+                  caps: dict[tuple, Score]) -> Iterator[tuple[Row, Score]]:
+    """Each (row, score) pair with its score capped at the row's cap, bottoms dropped."""
+    for row, score in pairs:
+        value = meet(score, caps[key_of(row)])
+        if not value.is_bottom:
+            yield row, value
+
+
+def _capped_by_rank(table: RankedTable, key_of: Callable[[Row], tuple],
+                    caps: dict[tuple, Score]) -> Iterator[tuple[Row, Score]]:
+    """The capped pairs of ``table`` in rank order, ranked while walking ``table``'s.
+
+    Capping lowers a score, never raises it.  So once the walk reaches a
+    row scoring s, no row still unread scores above s, and every pair read
+    so far scoring above s is in its final place.  A row keeping its own
+    score joins the run of rows sharing that score, which ``table``'s rank
+    order already lists by row.  A capped row waits in the group of its
+    cap's level.  When the next score s starts a run, the finished run and
+    every group above s are released, ranked.
+    """
+    code, levels = rank_codes(caps.values())  # each cap's level; levels by ascending key
+    held: list[list] = [[] for _ in levels]
+    level = len(levels) - 1  # the highest level not yet released
+    run: list = []
+    run_key = None
+    for row, score in table.rows_by_rank():
+        if score.key != run_key:
+            run_key, ready, run = score.key, run, []
+            released = level
+            while level >= 0 and levels[level].key > run_key:
+                ready += held[level]
+                level -= 1
+            yield from rank_sorted(ready) if level != released else ready
+        cap = caps[key_of(row)]
+        value = meet(score, cap)
+        if value is score:
+            run.append((row, score))
+        elif not value.is_bottom:
+            held[code[id(cap)]].append((row, value))
+    for group in held[:level + 1]:
+        run += group
+    yield from rank_sorted(run)
 
 
 def from_classic(rows: Iterable[Row], scheme: Scheme, chain: ScoreChain = RATIONAL) -> RankedTable:
@@ -505,14 +612,17 @@ def read_table_csv(source, chain: ScoreChain = RATIONAL,
     """Read a ranked table from CSV text (it holds a line break) or a file path.
 
     Score texts go through :func:`parse_score` and ``scores`` (a fresh dict
-    when ``None``).  An error reading a path names the path.
+    when ``None``).  An error reading a path names the path once: a decoding
+    error from :func:`read_text` names it itself, and every later error is
+    prefixed with it.
     """
     if scores is None:
         scores = {}
     if isinstance(source, str) and "\n" in source:
         return _read_rows(csv.reader(io.StringIO(source)), chain, scores)
+    reader = csv.reader(io.StringIO(read_text(source), newline=""))
     try:
-        return _read_rows(csv.reader(io.StringIO(read_text(source), newline="")), chain, scores)
+        return _read_rows(reader, chain, scores)
     except RankrelError as exc:
         exc.args = (f"cannot load table from {source}: {exc}",)  # keeps line, column
         raise

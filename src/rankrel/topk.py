@@ -24,17 +24,21 @@ left.
 
 Both access paths live on the immutable table: ``RankedTable.rows_by_rank``
 sorts once and ``RankedTable.index`` hashes once per join key, and every
-later source over the same table object reuses them.  Only a session that
-queries one catalog repeatedly gains from that; a one-shot run over freshly
-read tables still sorts and hashes each source once.  Once the heap holds
-k scores, only results scoring at least its least one enter the final sort.
+later source over the same table object reuses them.  A restriction is not
+built for its source: its sorted access ranks the restricted rows while
+walking its input's kept rank order, and its random access restricts its
+input's kept index buckets (``RankedTable.sorted_access`` and ``lookup``).
+So a session that queries one catalog repeatedly sorts and hashes each
+catalog table once, restricted or not, and each request reads only the
+rows it reaches.  Once the heap holds k scores, only results scoring at
+least its least one enter the final sort.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import algebra
 from .chain import Score
@@ -48,21 +52,36 @@ class TopKError(RankrelError):
 
 @dataclass
 class SortedSource:
-    """A materialized table offering its sorted and random access paths.
+    """A table offering its sorted and random access paths.
 
     Both paths live on the table, which builds each once and keeps it, so
-    sources over one table share them.
+    sources over one table share them; a restriction not yet built serves
+    them from its input's (``RankedTable.sorted_access``).
     """
 
     table: RankedTable
-    ranked: list[tuple[Row, Score]] = field(init=False)  # the table's rows by rank
+    #: the table's rows by rank, as far as known: all of them once the table is built
+    ranked: list[tuple[Row, Score]] = field(init=False)
+    _rest: Iterator[tuple[Row, Score]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.ranked = self.table.rows_by_rank()
+        self.ranked, self._rest = self.table.sorted_access()
 
     @classmethod
     def from_table(cls, table: RankedTable) -> "SortedSource":
         return cls(table)
+
+    def pull(self, position: int) -> Optional[tuple[Row, Score]]:
+        """Sorted access: the row at ``position`` of the rank order, or None past its end.
+
+        Positions are pulled in order, so one past the rows known is the next.
+        """
+        if position < len(self.ranked):
+            return self.ranked[position]
+        pair = next(self._rest, None)
+        if pair is not None:
+            self.ranked.append(pair)
+        return pair
 
     @property
     def names(self) -> frozenset[str]:
@@ -93,9 +112,9 @@ def _completion_plan(sources: Sequence[SortedSource], start: int) -> list[tuple]
 
     Greedy: the next source is the remaining one sharing the most attributes
     with the names bound so far, ties going to the lower index.  A step is
-    (the source table's index on the join key, key plan, join plan); its
+    (the source table's lookup on the join key, key plan, join plan); its
     plans read the key from a partial join's items and join the partial
-    with a match, which random access finds in the index.
+    with a match, which random access finds by the lookup.
     """
     bound: Scheme = sources[start].table.scheme
     remaining = [i for i in range(len(sources)) if i != start]
@@ -105,8 +124,8 @@ def _completion_plan(sources: Sequence[SortedSource], start: int) -> list[tuple]
         remaining.remove(other)
         scheme = sources[other].table.scheme
         key_names = tuple(sorted(bound.name_set & scheme.name_set))
-        index = sources[other].table.index(key_names)
-        plan.append((index, gather(bound, key_names), joiner(bound, scheme)))
+        lookup = sources[other].table.lookup(key_names)
+        plan.append((lookup, gather(bound, key_names), joiner(bound, scheme)))
         bound = bound.union(scheme)
     return plan
 
@@ -141,11 +160,11 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
 
     def complete(start: int, row: Row, score: Score) -> None:
         partial = [(row, score)]
-        for index, key_of, join in plans[start]:
+        for lookup, key_of, join in plans[start]:
             counters["random"] += len(partial)
             extended = []
             for accumulated, acc_score in partial:
-                for match, match_score in index.get(key_of(accumulated), ()):
+                for match, match_score in lookup(key_of(accumulated), ()):
                     merged_score = match_score if match_score.key < acc_score.key else acc_score
                     extended.append((join(accumulated, match), merged_score))
             partial = extended
@@ -164,13 +183,11 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     while running:
         running = False  # stays so once every source is exhausted: results hold the join
         for i in range(n):
-            ranked = sources[i].ranked
-            if positions[i] >= len(ranked):
-                if positions[i] == len(ranked):
-                    positions[i] += 1
-                    last_seen[i] = chain.bottom.key  # exhausted: no unseen tuple remains
+            pair = sources[i].pull(positions[i])
+            if pair is None:
+                last_seen[i] = chain.bottom.key  # exhausted: no unseen tuple remains
                 continue
-            row, score = ranked[positions[i]]
+            row, score = pair
             positions[i] += 1
             last_seen[i] = score.key
             counters["sorted"] += 1

@@ -23,7 +23,7 @@ from rankrel.calculus import (
 from rankrel.chain import (
     RATIONAL, Score, ScoreChain, exact_decimal_str, join_sup, meet, residuum,
 )
-from rankrel.conditions import ComposedCondition, Condition, TableCondition
+from rankrel.conditions import ComposedCondition, Condition, ExprCondition, TableCondition
 from rankrel.errors import (
     ChainError, EvalError, NotEquivalentError, UnsupportedOperationError,
 )
@@ -85,6 +85,29 @@ def rnd_table(rng: random.Random, scheme: Scheme, max_rows: int = 12,
 def rnd_condition(rng: random.Random, scheme: Scheme) -> TableCondition:
     """A random condition given as an explicit score table on the scheme."""
     return TableCondition(rnd_table(rng, scheme))
+
+
+def rnd_restriction_condition(rng, scheme: Scheme, chain: ScoreChain):
+    """A condition on ``scheme``: an expression (rational chain only) or a score
+    table, composed with an order map half the time.  Each kind can score some
+    rows bottom: an expression branch may give 0, a table omits rows, and a map
+    may collapse scores to bottom."""
+    if chain.is_rational and rng.random() < 0.5:
+        name, cut = rng.choice(scheme.names), rng.choice((0, 1, 2))
+        branches = [rng.choice(("0", "1/4", "0.5", "1")) for _ in range(2)]
+        texts = [f"{name} <= {cut} ? {branches[0]} : {branches[1]}", f"{name}/2",
+                 branches[0]]  # the last one has no free attribute
+        theta = ExprCondition.parse(rng.choice(texts))
+    else:
+        theta = TableCondition(rnd_table(rng, scheme, max_rows=9, chain=chain))
+    if rng.random() < 0.5:
+        return theta
+    if chain.is_rational:
+        return theta.compose(rnd_monotone_map(rng))
+    images = sorted(rng.randrange(len(chain.levels)) for _ in chain.levels[1:])
+    return theta.compose(GraphMap.of({chain.score(0): chain.bottom} | {
+        chain.score(level): chain.score(image)
+        for level, image in enumerate(images, start=1)}))
 
 
 def rnd_grid_isomorphism(rng: random.Random) -> PiecewiseConstantMap:

@@ -3,22 +3,28 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    reference_condition_score,
     reference_natural_join,
     reference_product_join,
     reference_semijoin,
     replay_hint,
+    rnd_restriction_condition,
     rnd_scheme,
     rnd_table,
     stable_seed,
+    value_meet,
 )
 
-from rankrel import algebra, demo, table as table_module
+from rankrel import algebra, demo, planner, table as table_module
+from rankrel.catalog import Catalog
 from rankrel.chain import RATIONAL, ScoreChain
-from rankrel.table import RankedTable
+from rankrel.conditions import ExprCondition
+from rankrel.table import INT, RankedTable, Scheme
 from rankrel.topk import SortedSource, brute_force_top_k, top_k
 
 LEVELS = ScoreChain(("none", "low", "mid", "high", "full"))
@@ -134,3 +140,115 @@ class TestWarmCachesChangeNothing:
                 if chain.is_rational:
                     assert algebra.product_join(left, t) == reference_product_join(left, fresh(t))
         assert sorted(t._indexes) == [("a",), ("b",)]
+
+
+def is_built(t: RankedTable) -> bool:
+    """Whether ``t`` holds its entries, read from the slot without building them."""
+    try:
+        RankedTable.__dict__["_entries"].__get__(t, RankedTable)
+    except AttributeError:
+        return False
+    return True
+
+
+def pull_all(source: SortedSource) -> list:
+    pairs = []
+    while (pair := source.pull(len(pairs))) is not None:
+        pairs.append(pair)
+    return pairs
+
+
+class TestDeferredRestriction:
+    """A restriction builds nothing for top-k, and reads as the eager restriction."""
+
+    CHAINS = {"rational": RATIONAL, "levels": LEVELS}
+
+    @pytest.mark.parametrize("chain_name", sorted(CHAINS))
+    def test_lazy_access_equals_the_built_table(self, chain_name):
+        chain = self.CHAINS[chain_name]
+        seed = stable_seed(f"deferred-restriction-{chain_name}")
+        rng = random.Random(seed)
+        with replay_hint(seed):
+            for _ in range(150):
+                self._one_instance(rng, chain)
+
+    def _one_instance(self, rng, chain):
+        t = rnd_table(rng, rnd_scheme(rng, names=("a", "b")), max_rows=14, chain=chain)
+        other = rnd_table(rng, rnd_scheme(rng, names=rng.choice((("a", "c"), ("b",)))),
+                          max_rows=9, chain=chain)
+        theta = rnd_restriction_condition(rng, t.scheme, chain)
+        if rng.random() < 0.5:  # the input's table order need not be its rank order
+            t = in_order(t, rng.sample(list(t), len(t)))
+        eager = fresh(algebra.restrict(t, theta))
+        expected = {row: value for row, score in t if not (
+            value := value_meet(score, reference_condition_score(theta, row, chain))).is_bottom}
+        assert eager == RankedTable(t.scheme, chain, expected)
+
+        source = SortedSource.from_table(algebra.restrict(t, theta))
+        assert source.ranked == []
+        assert pull_all(source) == eager.rows_by_rank()
+        assert not is_built(source.table)
+        assert source.table._ranked is None and source.table._indexes == {}
+
+        for names in ((), ("a",), ("b",), ("a", "b")):
+            lookup = algebra.restrict(t, theta).lookup(names)
+            for key, _ in t.index(names).items():
+                assert lookup(key, ()) == eager.index(names).get(key, [])
+
+        for k in (1, 3, 100):
+            lazy = [SortedSource.from_table(algebra.restrict(t, theta)),
+                    SortedSource.from_table(other)]
+            built = [SortedSource.from_table(eager), SortedSource.from_table(other)]
+            result = top_k(lazy, k)
+            assert result == top_k(built, k)  # items and both access counts
+            assert result.items == brute_force_top_k(built, k).items
+            assert not is_built(lazy[0].table)
+
+        deferred = algebra.restrict(t, theta)
+        assert deferred == eager and eager == algebra.restrict(t, theta)
+        assert pickle.loads(pickle.dumps(algebra.restrict(t, theta))) == eager
+        assert len(deferred) == len(eager) and dict(deferred) == eager.entries()
+        assert algebra.restrict(t, theta).rows_by_rank() == eager.rows_by_rank()
+
+    def test_top_k_over_a_catalog_restriction_builds_nothing_and_scores_once_per_tuple(
+            self, counting, monkeypatch):
+        rng = random.Random(stable_seed("catalog-restriction"))
+        scheme = Scheme((("id", INT), ("bdrm", INT)))
+        catalog = Catalog()
+        catalog.tables["houses"] = RankedTable.from_entries(scheme, [
+            ({"id": i, "bdrm": rng.randint(1, 7)}, Fraction(rng.randint(1, 400), 400))
+            for i in range(300)])
+        catalog.tables["offers"] = RankedTable.from_entries(
+            Scheme((("id", INT), ("price", INT))),
+            [({"id": i, "price": i}, Fraction(rng.randint(1, 400), 400)) for i in range(300)])
+        catalog.conditions["theta"] = demo.bedrooms_condition()
+        distinct = len({row.value("bdrm") for row, _ in catalog.tables["houses"]})
+        scored = []
+        compiled = ExprCondition._compiled
+
+        def counted(self, chain):
+            score = compiled(self, chain)
+            return lambda env: scored.append(env) or score(env)
+
+        monkeypatch.setattr(ExprCondition, "_compiled", counted)
+        query = planner.parse_query("restrict(join(houses, offers), theta)")
+        leaves = planner.join_chain_leaves(planner.normalize_to_join_chain(query, catalog).expr)
+        sorts = counting("rank_sorted")
+        for warm in (False, True):  # then with the catalog tables' paths kept
+            scored.clear()
+            del sorts[:]
+            sources = [SortedSource.from_table(planner.evaluate(leaf, catalog))
+                       for leaf in leaves]
+            result = top_k(sources, 10)
+            restricted = sources[0].table
+            assert not is_built(restricted)
+            assert restricted._ranked is None and restricted._indexes == {}
+            assert len(scored) == distinct  # one theta call per distinct bdrm
+            assert len(sources[0].ranked) < 150  # of 300 houses
+            sorted_rows = sorted(len(args[0]) for args in sorts)
+            # cold, the two catalog tables sort once each; the restriction sorts
+            # only the few rows it releases
+            assert sum(sorted_rows) < 150 + (0 if warm else 600)
+            built = [SortedSource.from_table(fresh(planner.evaluate(leaf, catalog)))
+                     for leaf in leaves]
+            assert result == top_k(built, 10)

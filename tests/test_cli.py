@@ -243,6 +243,36 @@ def test_topk_plan_and_eval_name_a_nested_error_alike(capsys, query, where):
     assert err.startswith("error: ") and err.endswith(f"{where}\n")
 
 
+NEGATIVE_ROOT = "error: power of a negative value with a non-integer exponent"
+OVER_CAP = "error: exact power above the cap of 10,000 bits"
+
+
+@pytest.mark.parametrize("query, line", [
+    ("join(offers, restrict(houses, (0-1)^0.5))", f"{NEGATIVE_ROOT} at query.right"),
+    # bdrm - 3 is negative only for the worst house, which top-1 never reaches
+    ("join(offers, restrict(houses, (bdrm-3)^0.5))", f"{NEGATIVE_ROOT} at query.right"),
+    ("restrict(join(houses, offers), (bdrm-3)^0.5)", f"{NEGATIVE_ROOT} at query"),
+    ("project(restrict(project(join(offers, houses), [id, bdrm, price]), (bdrm-3)^0.5), "
+     "[id, bdrm])", f"{NEGATIVE_ROOT} at query.child"),
+    ("join(offers, restrict(join(houses, offers), (bdrm-3)^0.5))",
+     f"{NEGATIVE_ROOT} at query.right"),
+    ("join(offers, restrict(houses, bdrm >= 4 ? 2^(10^7) : 1))", f"{OVER_CAP} at query.right"),
+    ("restrict(join(houses, offers), bdrm <= 2 ? 2^(10^7) : 1)", f"{OVER_CAP} at query"),
+    # the first error in table order: the first house has 5 bedrooms, the last 2
+    ("restrict(houses, bdrm <= 2 ? (0-1)^0.5 : (bdrm >= 5 ? 2^(10^7) : 1))",
+     f"{OVER_CAP} at query"),
+], ids=["constant", "some-rows", "pushed", "pushed-through-projections", "pushed-below-a-join",
+        "over-cap", "over-cap-pushed", "first-in-table-order"])
+def test_an_erroring_condition_fails_in_topk_as_in_eval(capsys, query, line):
+    # The condition is scored whole when its restriction is evaluated, so top-k
+    # fails even where it would read no erroring row, and it names the
+    # restriction's path as written, also when normalization pushed it down.
+    # plan scores no condition.
+    assert run(capsys, "eval", query) == (1, "", line + "\n")
+    assert run(capsys, "topk", "1", query) == (1, "", line + "\n")
+    assert run(capsys, "plan", query)[0] == 0
+
+
 class TestEquiv:
     def test_one_directional_pair(self, capsys, tmp_path):
         joined = algebra.natural_join(demo.houses(), demo.offers())
@@ -612,6 +642,19 @@ UNCAUGHT_BEFORE = [
      "a.csv"),
     ("config-bad-byte", _bad_byte_config, "catalog.cfg"),
 ]
+
+
+def test_a_file_that_is_not_utf8_is_named_once(capsys, tmp_path):
+    bad = _bad_byte_csv(tmp_path)
+    message = f"{bad} is not UTF-8: cannot decode byte 0xff (line 2, column 7)"
+    assert run(capsys, "equiv", str(bad), str(bad)) == (1, "", f"error: {message}\n")
+    assert run(capsys, "eval", "a", "--catalog", str(tmp_path)) == (1, "", f"error: {message}\n")
+    config = tmp_path / "catalog.cfg"
+    config.write_bytes(b"# \xff\nchain rational01\n")
+    message = f"{config} is not UTF-8: cannot decode byte 0xff (line 1, column 2)"
+    assert run(capsys, *_bad_byte_config(tmp_path)) == (1, "", f"error: {message}\n")
+    assert run(capsys, "equiv", str(bad), str(bad), "--config", str(config)) == (
+        1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("build, needle", [case[1:] for case in UNCAUGHT_BEFORE],

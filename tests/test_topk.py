@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rnd_grid_isomorphism, rnd_scheme, rnd_table
+from helpers import (
+    replay_hint,
+    rnd_grid_isomorphism,
+    rnd_restriction_condition,
+    rnd_scheme,
+    rnd_table,
+    stable_seed,
+)
 
 from rankrel import algebra, demo
-from rankrel.chain import RATIONAL
+from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.errors import IncompatibleChainError
 from rankrel.maps import compose_table
 from rankrel.table import INT, STR, RankedTable, Row, Scheme
@@ -124,6 +131,32 @@ class TestOracleAgreement:
             sources = [SortedSource.from_table(t) for t in tables]
             k = rng.randint(1, 5)
             assert top_k(sources, k).items == brute_force_top_k(sources, k).items
+
+
+    @pytest.mark.parametrize("chain", [RATIONAL, ScoreChain(("no", "low", "mid", "high", "yes"))],
+                             ids=["rational", "levels"])
+    def test_restricted_sources(self, chain):
+        # Restrictions are served lazily from their inputs' access paths; the
+        # result and both access counts are those over the built tables.
+        seed = stable_seed(f"topk-restricted-{chain.levels}")
+        rng = random.Random(seed)
+        with replay_hint(seed):
+            for _ in range(80):
+                inputs = [rnd_table(rng, rnd_scheme(rng, names=names), chain=chain)
+                          for names in rng.sample(OVERLAPPING, rng.randint(1, 3))]
+                thetas = [rnd_restriction_condition(rng, t.scheme, chain)
+                          if rng.random() < 0.6 else None for t in inputs]
+
+                def leaves():
+                    return [t if theta is None else algebra.restrict(t, theta)
+                            for t, theta in zip(inputs, thetas)]
+
+                built = [SortedSource.from_table(RankedTable(t.scheme, t.chain, t.entries()))
+                         for t in leaves()]
+                k = rng.randint(1, 8)
+                result = top_k([SortedSource.from_table(t) for t in leaves()], k)
+                assert result == top_k(built, k)
+                assert result.items == brute_force_top_k(built, k).items
 
 
 class TestInvariance:
