@@ -16,13 +16,11 @@ condition under every composed map (:meth:`Condition.innermost`), set up once
 per call, then passes the list of scores to :meth:`Condition.mapped`, which
 makes one ``maps.apply_checked`` call per composed map, innermost first.  A
 restriction scores a table by :meth:`Condition.scores_by_key`: one row per
-distinct value tuple of the free attributes, which alone decide the score.
-The expression scorer memoises a score on those values, so it also runs once
-per distinct tuple when the calculus scores every valuation.  The memo is
-exact: stored values are never floats or bools, and an int scores as the
-``Fraction`` equal to it, so values equal as keys score alike.  It lives only
-as long as the operator call, and nothing compiled is kept on a condition,
-which therefore still pickles.
+distinct value tuple of the free attributes, which alone decide the score;
+the calculus scores each distinct valuation of them once.  So a scorer
+keeps no memo: the expression scorer runs its compiled closures once per
+row it is given.  Nothing compiled is kept on a condition, which therefore
+still pickles.
 """
 
 from __future__ import annotations
@@ -108,16 +106,8 @@ class ExprCondition(Condition):
 
     def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
         score, free = self._compiled(chain), sorted(self.free_attrs() & scheme.name_set)
-        values, memo = values_of(scheme, free), {}  # free values -> their score
-
-        def memoised(row: Row) -> Score:
-            key = values(row)
-            try:
-                return memo[key]
-            except KeyError:
-                value = memo[key] = score(dict(zip(free, key)))
-                return value
-        return memoised
+        values = values_of(scheme, free)
+        return lambda row: score(dict(zip(free, values(row))))
 
     def _compiled(self, chain: ScoreChain) -> Callable[[Mapping[str, object]], Score]:
         run = exprs.compile_expr(self.expr)

@@ -22,7 +22,7 @@ Text syntax (case-insensitive names)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import typing
 from typing import Callable, Mapping, Optional
 
@@ -50,9 +50,6 @@ class Join:
 class Restrict:
     child: "QueryExpr"
     condition: typing.Union[Condition, str]  # inline condition or a catalog name
-    #: its path in the query as written, which its errors name; set by
-    #: ``normalize_to_join_chain`` and kept when a rewrite moves the node
-    at: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -317,7 +314,7 @@ def located(visit: Callable) -> Callable:
         except RankrelError as exc:
             # Extended in place, not rebuilt: subclasses such as ParseError
             # take other constructor arguments than a message.
-            exc.args = (f"{exc} at {getattr(node, 'at', None) or path}",)
+            exc.args = (f"{exc} at {path}",)
             raise
 
     return visit_at
@@ -384,9 +381,9 @@ def rewrite_push_restriction(node, catalog):
     left = infer_scheme(node.child.left, catalog)
     right = infer_scheme(node.child.right, catalog)
     if deps <= left.name_set:
-        return Join(replace(node, child=node.child.left), node.child.right)
+        return Join(Restrict(node.child.left, node.condition), node.child.right)
     if deps <= right.name_set:
-        return Join(node.child.left, replace(node, child=node.child.right))
+        return Join(node.child.left, Restrict(node.child.right, node.condition))
     return "restriction not pushed: condition spans both join sides"
 
 
@@ -398,7 +395,7 @@ def rewrite_commute_project_restrict(node, catalog):
     if deps is None:
         return "projection not commuted: condition dependencies unknown"
     if deps <= {a.lower() for a in node.attrs}:
-        return replace(node.child, child=Project(node.child.child, node.attrs))
+        return Restrict(Project(node.child.child, node.attrs), node.child.condition)
     return "projection not commuted: condition uses dropped attributes"
 
 
@@ -451,8 +448,7 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
     monotone fragment (flagged ``blocked`` in ``OPERATORS``: union,
     difference, division, residuum, the product join) are left in place and
     reported in ``blocked`` by keyword; their own subtrees are still
-    normalized.  Each restriction keeps its path as written in ``at``, so
-    evaluating the result names that path in its errors.
+    normalized.
     """
 
     def scan(node, kids, path):
@@ -460,14 +456,10 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
         own = [f"{op.keyword} at {path}"] if op is not None and op.blocked else []
         return own + [entry for kid in kids for entry in kid]
 
-    def mark(node, kids, path):
-        node = _rebuild(node, kids)
-        return replace(node, at=path) if isinstance(node, Restrict) and node.at is None else node
-
     blocked = fold(expr, scan)
     notes: list[str] = []
 
-    current = fold(expr, mark)
+    current = expr
     for _ in range(64):  # fixpoint; the tree strictly shrinks or reorders
         changed = 0
         for rule in (rewrite_push_restriction, _rewrite_restrict_into_project,
@@ -492,7 +484,7 @@ def _rewrite_restrict_into_project(node, catalog):
     if deps is None:
         return "restriction kept above projection: dependencies unknown"
     if deps <= {a.lower() for a in node.child.attrs}:
-        return Project(replace(node, child=node.child.child), node.child.attrs)
+        return Project(Restrict(node.child.child, node.condition), node.child.attrs)
 
 
 def join_chain_leaves(expr: QueryExpr) -> list[QueryExpr]:

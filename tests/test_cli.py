@@ -265,12 +265,57 @@ OVER_CAP = "error: exact power above the cap of 10,000 bits"
         "over-cap", "over-cap-pushed", "first-in-table-order"])
 def test_an_erroring_condition_fails_in_topk_as_in_eval(capsys, query, line):
     # The condition is scored whole when its restriction is evaluated, so top-k
-    # fails even where it would read no erroring row, and it names the
+    # fails even where it would read no erroring row.  An error on the
+    # join-chain path sends top-k to the query as written, so it names the
     # restriction's path as written, also when normalization pushed it down.
     # plan scores no condition.
     assert run(capsys, "eval", query) == (1, "", line + "\n")
     assert run(capsys, "topk", "1", query) == (1, "", line + "\n")
     assert run(capsys, "plan", query)[0] == 0
+
+
+def _topk_as_eval(capsys, k: int, query: str, *catalog: str) -> str:
+    """Run topk, check that it prints eval's first k rows, and return its access line."""
+    code, out, err = run(capsys, "eval", query, *catalog)
+    assert (code, err) == (0, "")
+    expected = [line.split() for line in out.splitlines()[2:2 + k]]
+    code, out, err = run(capsys, "topk", str(k), query, *catalog)
+    assert (code, err) == (0, "")
+    *rows, accesses = out.splitlines()
+    assert list(csv.reader(rows[1:])) == expected
+    return accesses
+
+
+@pytest.mark.parametrize("query, by_k", [
+    ("join(houses, offers)", {1: "7 sorted / 7", 2: "7 sorted / 7"}),
+    ("restrict(join(houses, offers), theta)", {1: "3 sorted / 3", 2: "7 sorted / 7"}),
+    ("join(offers, restrict(houses, 0.1*(4+bdrm)))", {1: "4 sorted / 4", 2: "8 sorted / 8"}),
+], ids=["join", "pushed", "restricted-leaf"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_topk_ranks_a_join_chain_over_its_leaves(capsys, query, by_k, k):
+    # Pinned so that the query-as-written path cannot take over a chain query.
+    assert _topk_as_eval(capsys, k, query) == f"-- 2 sources, {by_k[k]} random accesses"
+
+
+def test_a_restriction_pushed_onto_rows_the_query_never_reaches_answers_as_eval(capsys,
+                                                                                tmp_path):
+    # House 2 divides by zero, but no offer joins it: pushed below the join,
+    # the restriction would score it; the query as written never does.
+    (tmp_path / "offers.csv").write_text("#,id:int,price:int\n0.5,1,100\n", encoding="utf-8")
+    (tmp_path / "houses.csv").write_text("#,id:int,bdrm:int\n1,1,3\n1,2,2\n", encoding="utf-8")
+    query = "restrict(join(offers, houses), 1/(bdrm-2))"
+    assert _topk_as_eval(capsys, 1, query, "--catalog", str(tmp_path)) == (
+        "-- 1 sources, 1 sorted / 0 random accesses")
+
+
+def test_a_blocked_leaf_names_its_error_at_its_path_in_the_query(capsys, tmp_path):
+    (tmp_path / "catalog.cfg").write_text("chain symbolic(no < mid < yes)\n", encoding="utf-8")
+    (tmp_path / "t.csv").write_text("#,a:int\nyes,1\n", encoding="utf-8")
+    (tmp_path / "u.csv").write_text("#,b:int\nmid,1\n", encoding="utf-8")
+    line = "error: product-scored join needs the rational carrier at query.left\n"
+    for command in (("eval",), ("topk", "1")):
+        assert run(capsys, *command, "join(product(t, t), u)", "--catalog", str(tmp_path)) == (
+            1, "", line)
 
 
 class TestEquiv:

@@ -1,5 +1,6 @@
 """Query parsing, scheme inference, rewrite laws, and normalization."""
 
+import dataclasses
 import inspect
 import random
 import re
@@ -179,6 +180,14 @@ class TestOperatorTable:
         assert kids == (planner.Base("a"), planner.Base("b"), planner.Base("c"))
         swapped = planner._rebuild(expr, (planner.Base("x"), planner.Base("b"), planner.Base("c")))
         assert swapped == planner.Divide(planner.Base("x"), planner.Base("b"), planner.Base("c"))
+
+    @pytest.mark.parametrize("node_type", list(planner.OPERATORS), ids=lambda t: t.__name__)
+    def test_a_node_holds_only_its_subqueries_and_parameter(self, node_type):
+        # The parser and format_expr see exactly these fields, so a node holds
+        # no data that only a plan or an evaluation reads.
+        op = planner.OPERATORS[node_type]
+        fields = tuple(field.name for field in dataclasses.fields(node_type))
+        assert fields == op.kids + ((op.param.field,) if op.param else ())
 
 
     def test_algebra_functions_looked_up_per_call(self, catalog, monkeypatch):
