@@ -105,6 +105,9 @@ def cmd_topk(args) -> int:
     catalog = _load_catalog(args.catalog)
     expr = planner.parse_query(args.query)
     try:
+        # The laws assume a well-typed query: the projection cascade drops an
+        # inner list unchecked, which would make an ill-typed query valid.
+        planner.infer_scheme(expr, catalog)
         leaves = planner.join_chain_leaves(planner.normalize_to_join_chain(expr, catalog).expr)
         tables = [planner.evaluate(leaf, catalog) for leaf in leaves]
     except RankrelError:

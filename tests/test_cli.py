@@ -233,7 +233,9 @@ def test_a_chain_line_after_a_map_line_is_refused_by_name(capsys, tmp_path):
     ("join(houses, nosuch)", "unknown table 'nosuch' at query.right"),
     ("join(houses, restrict(offers, nocond))", "unknown condition 'nocond' at query.right"),
     ("join(project(houses, [nosuch]), offers)", "at query.left"),
-], ids=["table", "condition", "projection"])
+    # the projection cascade would drop the inner list and make the query valid
+    ("project(project(houses, [id, nosuch]), [id])", "('id', 'bdrm', 'sqft') at query.child"),
+], ids=["table", "condition", "projection", "cascaded-projection"])
 def test_topk_plan_and_eval_name_a_nested_error_alike(capsys, query, where):
     results = [run(capsys, "topk", "2", query), run(capsys, "plan", query),
                run(capsys, "eval", query)]
@@ -272,6 +274,15 @@ def test_an_erroring_condition_fails_in_topk_as_in_eval(capsys, query, line):
     assert run(capsys, "eval", query) == (1, "", line + "\n")
     assert run(capsys, "topk", "1", query) == (1, "", line + "\n")
     assert run(capsys, "plan", query)[0] == 0
+
+
+def test_topk_names_eval_s_first_error_before_a_later_scheme_error(capsys):
+    # Typing the query as written is part of the join-chain path, so its
+    # scheme error falls back to eval too, which fails first on the left leaf.
+    query = "join(restrict(houses, (0-1)^0.5), project(offers, [nosuch]))"
+    line = f"{NEGATIVE_ROOT} at query.left\n"
+    assert run(capsys, "eval", query) == run(capsys, "topk", "1", query) == (1, "", line)
+    assert run(capsys, "plan", query)[2].endswith("('id', 'agent', 'price') at query.right\n")
 
 
 def _topk_as_eval(capsys, k: int, query: str, *catalog: str) -> str:
