@@ -103,19 +103,7 @@ def cmd_transform(args) -> int:
 
 def cmd_topk(args) -> int:
     catalog = _load_catalog(args.catalog)
-    expr = planner.parse_query(args.query)
-    try:
-        # The laws assume a well-typed query: the projection cascade drops an
-        # inner list unchecked, which would make an ill-typed query valid.
-        planner.infer_scheme(expr, catalog)
-        leaves = planner.join_chain_leaves(planner.normalize_to_join_chain(expr, catalog).expr)
-        tables = [planner.evaluate(leaf, catalog) for leaf in leaves]
-    except RankrelError:
-        # A rewrite may score a condition on rows the query never reaches, and
-        # a leaf's error names a path in the leaf: rank the query as written,
-        # so that top-k fails or answers exactly as eval does.
-        tables = [planner.evaluate(expr, catalog)]
-    sources = [topk.SortedSource.from_table(table) for table in tables]
+    sources = topk.sources(planner.parse_query(args.query), catalog)
     result = topk.top_k(sources, args.k)
     scheme = sources[0].table.scheme
     for source in sources[1:]:

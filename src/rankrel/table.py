@@ -395,15 +395,15 @@ class RankedTable:
         object.__setattr__(capped, "chain", table.chain)
         object.__setattr__(capped, "_ranked", None)
         object.__setattr__(capped, "_indexes", {})
-        object.__setattr__(capped, "_capping", (table, gather(table.scheme, names), caps))
+        object.__setattr__(capped, "_capping", (table, names, caps))
         return capped
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot: the entries of a capped table, not yet built.
         if name != "_entries" or self._capping is None:
             raise AttributeError(name)
-        table, key_of, caps = self._capping
-        entries = dict(_capped_pairs(table._entries.items(), key_of, caps))
+        table, names, caps = self._capping
+        entries = dict(_capped_pairs(table._entries.items(), gather(table.scheme, names), caps))
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_capping", None)
         return entries
@@ -453,7 +453,16 @@ class RankedTable:
         return frozenset(self._entries)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """The number of rows; a capped table not yet built counts them and builds nothing.
+
+        Its input's kept index files each row under its cap's key, and a row
+        drops out exactly when its cap is bottom: O(distinct keys).
+        """
+        if self._capping is None:
+            return len(self._entries)
+        table, names, caps = self._capping
+        return sum(len(bucket) for key, bucket in table.index(names).items()
+                   if not caps[key].is_bottom)
 
     def __iter__(self):
         return iter(self._entries.items())
@@ -478,7 +487,8 @@ class RankedTable:
         """
         if self._capping is None:
             return self.rows_by_rank(), iter(())
-        return [], _capped_by_rank(*self._capping)
+        table, names, caps = self._capping
+        return [], _capped_by_rank(table, gather(table.scheme, names), caps)
 
     def lookup(self, key_names: tuple[str, ...]) -> Callable[[tuple, object], object]:
         """Random access on ``key_names``: ``lookup(key, default)`` reads ``index(key_names)``.
@@ -488,8 +498,8 @@ class RankedTable:
         """
         if self._capping is None:
             return self.index(key_names).get
-        table, key_of, caps = self._capping
-        index = table.index(key_names)
+        table, names, caps = self._capping
+        index, key_of = table.index(key_names), gather(table.scheme, names)
 
         def capped_bucket(key: tuple, default):
             bucket = index.get(key)

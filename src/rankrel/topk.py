@@ -2,13 +2,22 @@
 
 Each source offers sorted access (its answer set in descending score order,
 ties broken canonically) and random access (tuples matching a partial join
-key).  Round-robin sorted access feeds a threshold equal to the minimum of
-the per-source last-seen scores; because every join involving a newly seen
+key).  Sorted access feeds a threshold equal to the minimum of the
+per-source last-seen scores; because every join involving a newly seen
 tuple is completed immediately through random access, any join still
 unmaterialized is built entirely from unseen tuples and therefore cannot
 score above the threshold.  We halt once k materialized results score
 strictly above it, which also pins the canonical tie order to match the
 brute-force oracle exactly.
+
+Only a pull from the source holding the threshold can lower it, so each
+step pulls the source with the lowest last-seen score (the adaptive
+pulling of HRJN, read for the meet); ties go to the smaller source, then
+to the lower index, so the smallest source is pulled first.  Once the
+pulled source is exhausted, every join tuple has been completed from one
+of its rows, and the loop stops.  Once the stop test's heap holds k
+scores, completion skips a pulled row or a match scoring strictly below
+the heap's least: a meet never rises, so no join through it can rank.
 
 The stop test is O(log k) per access: a min-heap holds the scores of the k
 best distinct results seen so far, so "k results above the threshold" is
@@ -40,7 +49,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from . import algebra
+from . import algebra, planner
+from .catalog import Catalog
 from .chain import Score
 from .errors import IncompatibleChainError, RankrelError
 from .table import RankedTable, Row, Scheme, gather, joiner, rank_sorted
@@ -95,6 +105,28 @@ class TopKResult:
     random_accesses: int = 0
 
 
+def sources(expr: planner.QueryExpr, catalog: Catalog) -> list[SortedSource]:
+    """The sources that ``rankrel topk`` ranks for the parsed query ``expr``.
+
+    The leaves of the normalized join chain, each evaluated on its own.  If
+    typing the query as written, normalizing it or evaluating a leaf raises a
+    ``RankrelError``, the query as written, evaluated as ``eval`` does, is
+    the one source.
+    """
+    try:
+        # The laws assume a well-typed query: the projection cascade drops an
+        # inner list unchecked, which would make an ill-typed query valid.
+        planner.infer_scheme(expr, catalog)
+        leaves = planner.join_chain_leaves(planner.normalize_to_join_chain(expr, catalog).expr)
+        tables = [planner.evaluate(leaf, catalog) for leaf in leaves]
+    except RankrelError:
+        # A rewrite may score a condition on rows the query never reaches, and
+        # a leaf's error names a path in the leaf: rank the query as written,
+        # so that top-k fails or answers exactly as eval does.
+        tables = [planner.evaluate(expr, catalog)]
+    return [SortedSource.from_table(table) for table in tables]
+
+
 def brute_force_top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     """Oracle: materialize the whole join, sort, truncate."""
     if k < 1:
@@ -134,12 +166,14 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     """The k best tuples of the full join, scored by the minimum.
 
     Exactly equals the brute-force oracle's list under the canonical tie
-    order, but typically touches only a prefix of each source.  After each
-    sorted access the new row is completed into every join tuple containing
-    it, visiting the other sources in keyed order (most shared attributes
-    with those already bound first); the loop stops as soon as the k best
-    distinct results, kept in a min-heap, all score strictly above the
-    threshold.
+    order, but typically touches only a prefix of each source.  Each step
+    pulls the source with the lowest last-seen score (ties to the smaller
+    source, then the lower index) and completes the new row into every join
+    tuple containing it that can still rank, visiting the other sources in
+    keyed order (most shared attributes with those already bound first).
+    The loop stops as soon as the k best distinct results, kept in a
+    min-heap, all score strictly above the threshold, or once the pulled
+    source is exhausted.
     """
     if k < 1:
         raise TopKError("k must be at least 1")
@@ -153,18 +187,28 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     n = len(sources)
     positions = [0] * n
     last_seen = [chain.top.key] * n
+    # pulling order among sources tied on last_seen: the smaller first, then the lower index
+    order = sorted(range(n), key=lambda i: (len(sources[i].table), i))
     results: dict[Row, Score] = {}
     best: list = []  # min-heap of the order keys of the k best results
     counters = {"sorted": 0, "random": 0}
     plans = [_completion_plan(sources, start) for start in range(n)]
 
     def complete(start: int, row: Row, score: Score) -> None:
+        # A meet never rises, and k distinct results already score at least
+        # the heap's least: a tuple scoring below it cannot rank, nor can a
+        # join through it.  Ties are built, as the canonical order may pick them.
+        floor = best[0] if len(best) == k else chain.bottom.key
+        if score.key < floor:
+            return
         partial = [(row, score)]
         for lookup, key_of, join in plans[start]:
             counters["random"] += len(partial)
             extended = []
             for accumulated, acc_score in partial:
                 for match, match_score in lookup(key_of(accumulated), ()):
+                    if match_score.key < floor:
+                        continue
                     merged_score = match_score if match_score.key < acc_score.key else acc_score
                     extended.append((join(accumulated, match), merged_score))
             partial = extended
@@ -179,23 +223,19 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
             elif joined_score.key > best[0]:
                 heapq.heapreplace(best, joined_score.key)
 
-    running = True
-    while running:
-        running = False  # stays so once every source is exhausted: results hold the join
-        for i in range(n):
-            pair = sources[i].pull(positions[i])
-            if pair is None:
-                last_seen[i] = chain.bottom.key  # exhausted: no unseen tuple remains
-                continue
-            row, score = pair
-            positions[i] += 1
-            last_seen[i] = score.key
-            counters["sorted"] += 1
-            running = True
-            complete(i, row, score)
-            if len(best) == k and best[0] > min(last_seen):
-                running = False  # the k best are above everything unseen
-                break
+    while True:
+        # Only a pull from the source holding the threshold can lower it.
+        i = min(order, key=last_seen.__getitem__)
+        pair = sources[i].pull(positions[i])
+        if pair is None:
+            break  # every row of source i is completed: results hold every join that can rank
+        row, score = pair
+        positions[i] += 1
+        last_seen[i] = score.key
+        counters["sorted"] += 1
+        complete(i, row, score)
+        if len(best) == k and best[0] > min(last_seen):
+            break  # the k best are above everything unseen
 
     candidates = results.items()
     if len(best) == k:  # only results scoring at least the k-th best can rank

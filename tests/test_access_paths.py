@@ -205,6 +205,8 @@ class TestDeferredRestriction:
             assert not is_built(lazy[0].table)
 
         deferred = algebra.restrict(t, theta)
+        assert len(deferred) == len(eager)  # counted from t's kept index
+        assert not is_built(deferred) and deferred._indexes == {}
         assert deferred == eager and eager == algebra.restrict(t, theta)
         assert pickle.loads(pickle.dumps(algebra.restrict(t, theta))) == eager
         assert len(deferred) == len(eager) and dict(deferred) == eager.entries()

@@ -59,3 +59,26 @@ def test_committed_bench_files_parse_and_name_their_protocol(path):
     assert report["protocol"]["command"] and report["protocol"]["seeds"]
     for result in report["workloads"].values():
         assert result["pairs"] and set(result["failed"]) == {"parent", "change"}
+
+
+PARENT_DIGESTS = (
+    "query\t1\t0\taaa\n"
+    "topk\t1\t0\tbbb\tsorted=7 random=7\n"
+    "topk\t1\t1\tccc\tsorted=3 random=3\n"
+)
+
+
+def test_digests_tell_items_from_access_counts():
+    fewer = PARENT_DIGESTS.replace("sorted=7 random=7", "sorted=4 random=3")
+    report = bench_pairs.compare_digests(PARENT_DIGESTS, fewer)
+    assert report == {
+        "items_identical": True,
+        "accesses": {"parent": {"sorted": 10, "random": 10},
+                     "change": {"sorted": 7, "random": 6}},
+        "requests_with_more_accesses": 0,
+    }
+    more = PARENT_DIGESTS.replace("sorted=3 random=3", "sorted=2 random=4")
+    assert bench_pairs.compare_digests(PARENT_DIGESTS, more)["requests_with_more_accesses"] == 1
+    other = PARENT_DIGESTS.replace("ccc", "ddd")
+    assert not bench_pairs.compare_digests(PARENT_DIGESTS, other)["items_identical"]
+    assert bench_pairs.parse_digests(PARENT_DIGESTS)["query", "1", "0"] == ("aaa", {})

@@ -298,9 +298,9 @@ def _topk_as_eval(capsys, k: int, query: str, *catalog: str) -> str:
 
 
 @pytest.mark.parametrize("query, by_k", [
-    ("join(houses, offers)", {1: "7 sorted / 7", 2: "7 sorted / 7"}),
-    ("restrict(join(houses, offers), theta)", {1: "3 sorted / 3", 2: "7 sorted / 7"}),
-    ("join(offers, restrict(houses, 0.1*(4+bdrm)))", {1: "4 sorted / 4", 2: "8 sorted / 8"}),
+    ("join(houses, offers)", {1: "4 sorted / 3", 2: "4 sorted / 3"}),
+    ("restrict(join(houses, offers), theta)", {1: "2 sorted / 1", 2: "4 sorted / 3"}),
+    ("join(offers, restrict(houses, 0.1*(4+bdrm)))", {1: "2 sorted / 1", 2: "4 sorted / 3"}),
 ], ids=["join", "pushed", "restricted-leaf"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_topk_ranks_a_join_chain_over_its_leaves(capsys, query, by_k, k):

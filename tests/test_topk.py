@@ -14,12 +14,13 @@ from helpers import (
     stable_seed,
 )
 
-from rankrel import algebra, demo
+from rankrel import algebra, demo, planner
+from rankrel.catalog import Catalog
 from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.errors import IncompatibleChainError
 from rankrel.maps import compose_table
 from rankrel.table import INT, STR, RankedTable, Row, Scheme
-from rankrel.topk import SortedSource, TopKError, brute_force_top_k, top_k
+from rankrel.topk import SortedSource, TopKError, brute_force_top_k, sources, top_k
 
 fr = RATIONAL.parse
 
@@ -133,6 +134,24 @@ class TestOracleAgreement:
             assert top_k(sources, k).items == brute_force_top_k(sources, k).items
 
 
+    def test_ties_at_the_kth_score_on_a_three_level_chain(self):
+        # With two nonzero levels, most results tie at the k-th score: the
+        # heap floor must build those ties, which the canonical order may pick.
+        chain = ScoreChain(("no", "mid", "yes"))
+        seed = stable_seed("topk-three-level-ties")
+        rng = random.Random(seed)
+        tied = 0
+        with replay_hint(seed):
+            for _ in range(150):
+                sources = [SortedSource.from_table(
+                    rnd_table(rng, rnd_scheme(rng, names=names), chain=chain))
+                    for names in (("a", "b"), ("b", "c"), ("c", "d"))]
+                k = rng.randint(1, 6)
+                joined = brute_force_top_k(sources, k + 1).items
+                tied += len(joined) > k and joined[k][1] == joined[k - 1][1]
+                assert top_k(sources, k).items == joined[:k]
+        assert tied >= 50
+
     @pytest.mark.parametrize("chain", [RATIONAL, ScoreChain(("no", "low", "mid", "high", "yes"))],
                              ids=["rational", "levels"])
     def test_restricted_sources(self, chain):
@@ -237,13 +256,72 @@ def test_completion_looks_up_keyed_sources_first():
     )
     sources = [SortedSource.from_table(t) for t in (houses, offers, regions)]
     result = top_k(sources, 1)
-    # Round 1 reads houses id=1 (2 random accesses), offers id=1 (2) and
-    # regions A (3); round 2 reads houses id=2 (2), after which the best
-    # result, 0.9, beats the threshold 0.8.
-    assert result.sorted_accesses == 4
-    assert result.random_accesses == 9
+    # regions, the smallest source, is pulled first: A (0.95) makes 1 + 2
+    # random accesses and the result 0.9.  regions still holds the threshold,
+    # so B (0.5) is pulled next; it scores below the heap's 0.9 and is not
+    # completed, and 0.9 beats the threshold 0.5.
+    assert result.sorted_accesses == 2
+    assert result.random_accesses == 3
     assert result.items == brute_force_top_k(sources, 1).items
     assert result.items[0][1] == fr("0.9")
+
+
+def test_an_exhausted_source_stops_the_loop():
+    # `single`, the smaller source, is pulled first and holds the threshold
+    # 0.5 after it.  Pulled again, it is exhausted: its one row is completed,
+    # so the join's one tuple is known and no row of `many` is read.
+    scheme = Scheme((("a", INT),))
+    many = RankedTable.from_entries(
+        scheme, [({"a": i}, fr(score)) for i, score in ((1, "0.9"), (2, "0.8"), (3, "0.7"))])
+    single = RankedTable.from_entries(scheme, [({"a": 1}, fr("0.5"))])
+    sources = [SortedSource.from_table(many), SortedSource.from_table(single)]
+    result = top_k(sources, 3)
+    assert result.sorted_accesses == 1 and result.random_accesses == 1
+    assert list(result.items) == algebra.natural_join(many, single).rows_by_rank()
+    assert result.items == brute_force_top_k(sources, 3).items
+
+
+def test_completion_skips_a_match_below_the_kth_best():
+    # r (2 rows) is pulled first; its a=1 row completes to 0.8, filling the
+    # heap.  Its a=2 row (0.9) matches s's b=2 (0.95) and b=3 (0.1); b=3 is
+    # below 0.8, so only b=2 is looked up in t: 1 + 1 random accesses for
+    # each r row, where building the b=3 partial too would make 1 + 2.
+    # r still holds the threshold, 0.9, and is exhausted when pulled again.
+    r = RankedTable.from_entries(Scheme((("a", INT),)),
+                                 [({"a": 1}, fr("1")), ({"a": 2}, fr("0.9"))])
+    s = RankedTable.from_entries(
+        Scheme((("a", INT), ("b", INT))),
+        [({"a": a, "b": b}, fr(score)) for a, b, score in
+         ((1, 1, "0.9"), (2, 2, "0.95"), (2, 3, "0.1"))])
+    t = RankedTable.from_entries(
+        Scheme((("b", INT),)),
+        [({"b": b}, fr(score)) for b, score in ((1, "0.8"), (2, "0.9"), (3, "0.9"), (4, "0.05"))])
+    sources = [SortedSource.from_table(table) for table in (t, s, r)]
+    result = top_k(sources, 1)
+    assert result.sorted_accesses == 2
+    assert result.random_accesses == 4
+    assert result.items == brute_force_top_k(sources, 1).items
+    assert result.items[0][1] == fr("0.9")
+
+
+def test_sources_rank_the_chain_leaves_or_else_the_query_as_written():
+    catalog = demo.demo_catalog()
+    query = planner.parse_query("restrict(join(houses, offers), theta)")
+    leaves = planner.join_chain_leaves(planner.normalize_to_join_chain(query, catalog).expr)
+    chain = sources(query, catalog)
+    assert len(chain) == 2
+    assert [s.table for s in chain] == [planner.evaluate(leaf, catalog) for leaf in leaves]
+    # pushed below the join, the restriction would divide by zero on house 2,
+    # which no offer joins
+    catalog = Catalog()
+    catalog.tables["offers"] = RankedTable.from_entries(
+        Scheme((("id", INT), ("price", INT))), [({"id": 1, "price": 100}, fr("0.5"))])
+    catalog.tables["houses"] = RankedTable.from_entries(
+        Scheme((("id", INT), ("bdrm", INT))),
+        [({"id": 1, "bdrm": 3}, fr("1")), ({"id": 2, "bdrm": 2}, fr("1"))])
+    query = planner.parse_query("restrict(join(offers, houses), 1/(bdrm-2))")
+    (written,) = sources(query, catalog)
+    assert written.table == planner.evaluate(query, catalog)
 
 
 def test_rank_order_exact_below_float_resolution():

@@ -18,8 +18,12 @@ the change's median is worse than the parent's by more than the bound,
 ``unresolved`` when the parent's interquartile range is wider than the
 bound and not every change run beats every parent run, and ``within``
 otherwise.  It also holds each side's failed and attempted request counts
-and the digest verdict.  The exit code is 0 only when no metric is
-``worse``, no request failed and the digests are identical.
+and the digest verdict: whether the two digest files are identical,
+whether they are identical apart from the access-count column of ``topk``
+requests (``items_identical``), each side's access totals, and how many
+requests made more accesses at the change than at the parent.  The exit
+code is 0 only when no metric is ``worse``, no request failed and the
+digests are identical.
 """
 
 from __future__ import annotations
@@ -113,9 +117,38 @@ def workload_summary(specs: list[dict], pairs: list[dict]) -> dict:
     }
 
 
+def parse_digests(text: str) -> dict[tuple[str, str, str], tuple[str, dict[str, int]]]:
+    """Each request's output digest and access counts, by (workload, seed, request number).
+
+    A line of ``tools/output_digests.py`` holds those three, the digest and,
+    for a top-k output only, a column such as ``sorted=4 random=3``.
+    """
+    found = {}
+    for line in text.splitlines():
+        workload, seed, number, digest, *counts = line.split("\t")
+        pairs = (count.split("=") for column in counts for count in column.split())
+        found[workload, seed, number] = digest, {name: int(value) for name, value in pairs}
+    return found
+
+
+def compare_digests(parent: str, change: str) -> dict:
+    """Whether two digest files hold the same outputs apart from access counts, and how the counts moved."""
+    sides = {"parent": parse_digests(parent), "change": parse_digests(change)}
+    items = {side: {key: digest for key, (digest, _) in lines.items()}
+             for side, lines in sides.items()}
+    accesses = {side: {name: sum(counts.get(name, 0) for _, counts in lines.values())
+                       for name in ("sorted", "random")}
+                for side, lines in sides.items()}
+    rose = sum(1 for key, (_, counts) in sides["change"].items() if key in sides["parent"]
+               and any(value > sides["parent"][key][1].get(name, 0)
+                       for name, value in counts.items()))
+    return {"items_identical": items["parent"] == items["change"], "accesses": accesses,
+            "requests_with_more_accesses": rose}
+
+
 def digest_verdict(checkouts: dict[str, Path]) -> dict:
     """Run the output-digest tool on both checkouts and compare the files."""
-    found = {}
+    found, texts = {}, {}
     with tempfile.TemporaryDirectory(prefix="bench-digests-") as directory:
         for side, checkout in checkouts.items():
             out = Path(directory) / f"{side}.digests"
@@ -124,7 +157,9 @@ def digest_verdict(checkouts: dict[str, Path]) -> dict:
             data = out.read_bytes()
             found[side] = {"sha256": hashlib.sha256(data).hexdigest(),
                            "lines": data.count(b"\n")}
-    return {**found, "identical": found["parent"] == found["change"]}
+            texts[side] = data.decode("utf-8")
+    return {**found, "identical": found["parent"] == found["change"],
+            **compare_digests(texts["parent"], texts["change"])}
 
 
 def revision(checkout: Path) -> str | None:
@@ -182,7 +217,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload:<8} {name:<16} {metric['parent_median']:>10.3f} -> "
                   f"{metric['change_median']:>10.3f}  wins {metric['wins']}/{metric['pairs']}  "
                   f"{metric['verdict']}")
-    print(f"failed {failed}, digests identical: {report['digests']['identical']}")
+    digests = report["digests"]
+    print(f"failed {failed}, digests identical: {digests['identical']}, items identical: "
+          f"{digests['items_identical']}, requests with more accesses: "
+          f"{digests['requests_with_more_accesses']}")
     return 0 if "worse" not in verdicts and not failed and report["digests"]["identical"] else 1
 
 

@@ -8,10 +8,13 @@ workload in ``WORKLOADS`` and each seed 1-20, at ``FULL`` sizes, it runs
 ``setup()`` in a fresh temporary directory, then every distinct request
 cold and then warm (a second pass on the same workload object), requires
 the two outputs of each request to be equal, and passes the first to the
-workload's ``check()``.  OUT gets one line per request: workload, seed,
-request number and the SHA-256 of the output.  A ``topk`` output is hashed
-as each item's ``repr(row)`` and exact score, then the sorted and random
-access counts; every other output is the text the request returned.
+workload's ``check()``.  OUT gets one tab-separated line per request:
+workload, seed, request number and the SHA-256 of the output.  A ``topk``
+output is hashed as each item's ``repr(row)`` and exact score, and its line
+has a fifth column holding its access counts as plain text,
+``sorted=S random=R``; every other output is the text the request returned.
+So a change that reads fewer or more rows but ranks the same items changes
+only that column.
 
 Run it at the parent commit and at the change, then compare the files::
 
@@ -44,12 +47,13 @@ def load_workloads(checkout: Path):
     return workloads
 
 
-def digest_material(output) -> bytes:
+def digest_columns(output) -> str:
+    """The output's SHA-256, then a top-k result's access counts as a column of their own."""
     if isinstance(output, str):
-        return output.encode()
-    lines = [f"{row!r}\t{score.value!r}" for row, score in output.items]
-    lines.append(f"sorted={output.sorted_accesses} random={output.random_accesses}")
-    return "\n".join(lines).encode()
+        return hashlib.sha256(output.encode()).hexdigest()
+    items = "\n".join(f"{row!r}\t{score.value!r}" for row, score in output.items)
+    return (f"{hashlib.sha256(items.encode()).hexdigest()}\t"
+            f"sorted={output.sorted_accesses} random={output.random_accesses}")
 
 
 def digests(workloads, name: str, seed: int) -> list[str]:
@@ -60,11 +64,11 @@ def digests(workloads, name: str, seed: int) -> list[str]:
         warm = [workload.run(request) for request in workload.requests]
         lines = []
         for number, (request, first, second) in enumerate(zip(workload.requests, cold, warm)):
-            material = digest_material(first)
-            if digest_material(second) != material:
+            columns = digest_columns(first)
+            if digest_columns(second) != columns:
                 raise AssertionError(f"{name} seed {seed}: {request!r} differs between runs")
             workload.check(request, first)
-            lines.append(f"{name}\t{seed}\t{number}\t{hashlib.sha256(material).hexdigest()}\n")
+            lines.append(f"{name}\t{seed}\t{number}\t{columns}\n")
         return lines
 
 
