@@ -254,34 +254,27 @@ def _require_chain(chain: ScoreChain, s: Score) -> None:
         )
 
 
-def _pair(a: Score, b: Score) -> None:
-    if a.chain is not b.chain and a.chain != b.chain:
-        raise IncompatibleChainError(
-            f"cannot combine scores from different chains: {a!r} and {b!r}"
-        )
-
-
 def meet(a: Score, b: Score) -> Score:
     """Greatest lower bound; on a chain, the smaller score."""
-    _pair(a, b)
+    _require_chain(a.chain, b)
     return a if a.key <= b.key else b
 
 
 def join_sup(a: Score, b: Score) -> Score:
     """Least upper bound; on a chain, the larger score."""
-    _pair(a, b)
+    _require_chain(a.chain, b)
     return a if a.key >= b.key else b
 
 
 def residuum(a: Score, b: Score) -> Score:
     """Chain implication, adjoint to meet: meet(a,b) <= c iff a <= residuum(b,c)."""
-    _pair(a, b)
+    _require_chain(a.chain, b)
     return a.chain.top if a.key <= b.key else b
 
 
 def abjunction(a: Score, b: Score) -> Score:
     """Chain non-implication, adjoint to join: abjunction(a,b) <= c iff a <= join(b,c)."""
-    _pair(a, b)
+    _require_chain(a.chain, b)
     return a.chain.bottom if a.key <= b.key else a
 
 
@@ -290,7 +283,7 @@ def negation(a: Score) -> Score:
 
 
 def biresiduum(a: Score, b: Score) -> Score:
-    _pair(a, b)
+    _require_chain(a.chain, b)
     return a.chain.top if a.key == b.key else meet(a, b)
 
 
@@ -298,7 +291,7 @@ def min_score(scores, default: Score) -> Score:
     """Minimum of finitely many scores; ``default`` is the empty-set infimum."""
     result = default
     for s in scores:
-        _pair(result, s)
+        _require_chain(result.chain, s)
         if s.key < result.key:
             result = s
     return result

@@ -433,6 +433,11 @@ REWRITE_RULES = (
 # --- join-chain normalization --------------------------------------------------
 
 
+#: Most passes of ``normalize_to_join_chain``.  A pass pushes a restriction one join
+#: down, so a fixpoint over n nested joins would take work quadratic in n.
+NORMALIZE_PASSES = 64
+
+
 @dataclass(frozen=True)
 class NormalizeResult:
     expr: QueryExpr
@@ -448,7 +453,8 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
     monotone fragment (flagged ``blocked`` in ``OPERATORS``: union,
     difference, division, residuum, the product join) are left in place and
     reported in ``blocked`` by keyword; their own subtrees are still
-    normalized.
+    normalized.  After ``NORMALIZE_PASSES`` passes it stops, with a note if
+    the last pass still rewrote the tree.
     """
 
     def scan(node, kids, path):
@@ -460,7 +466,7 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
     notes: list[str] = []
 
     current = expr
-    for _ in range(64):  # fixpoint; the tree strictly shrinks or reorders
+    for _ in range(NORMALIZE_PASSES):  # fixpoint; the tree strictly shrinks or reorders
         changed = 0
         for rule in (rewrite_push_restriction, _rewrite_restrict_into_project,
                      rewrite_project_cascade):
@@ -470,6 +476,9 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
             notes.extend(outcome.notes)
         if not changed:
             break
+    else:
+        notes.append(f"normalization stopped after NORMALIZE_PASSES ({NORMALIZE_PASSES}) "
+                     "passes, the last of which still rewrote the plan")
     return NormalizeResult(current, tuple(blocked), tuple(dict.fromkeys(notes)))
 
 

@@ -384,11 +384,11 @@ class RankedTable:
 
         A row's cap is ``caps`` of its pairs of ``names``, the key that
         ``table.index(names)`` files it under; caps are on ``table``'s chain.
-        Nothing is computed here.  Sorted and random access
-        (:meth:`sorted_access`, :meth:`lookup`) cap the rows of ``table``'s
-        rank order and index buckets as they are read.  Any other read builds
-        the entries once, in ``table``'s order, and the table is then like
-        any other.
+        Nothing is computed here.  Sorted access (:meth:`sorted_access`)
+        caps the rows of ``table``'s rank order as they are read, promising
+        non-increasing scores only, and random access (:meth:`lookup`) caps
+        its index buckets.  Any other read builds the entries once, in
+        ``table``'s order, and the table is then like any other.
         """
         capped = object.__new__(cls)
         object.__setattr__(capped, "scheme", table.scheme)
@@ -479,11 +479,11 @@ class RankedTable:
         return list(ranked)
 
     def sorted_access(self) -> tuple[list[tuple[Row, Score]], Iterator[tuple[Row, Score]]]:
-        """The pairs of :meth:`rows_by_rank`: a fresh list of those known, and an iterator over the rest.
+        """Pairs by non-increasing score: a fresh list of those known, an iterator over the rest.
 
-        A built table knows them all.  A capped table not yet built knows
-        none, and ranks them as they are read from its input's rank order
-        (:func:`_capped_by_rank`), building nothing on itself.
+        A built table knows them all, ties canonical (:meth:`rows_by_rank`).
+        A capped table not yet built knows none, and reads them from its
+        input's rank order (:func:`_capped_by_rank`), ties in no order.
         """
         if self._capping is None:
             return self.rows_by_rank(), iter(())
@@ -548,38 +548,30 @@ def _capped_pairs(pairs: Iterable[tuple[Row, Score]], key_of: Callable[[Row], tu
 
 def _capped_by_rank(table: RankedTable, key_of: Callable[[Row], tuple],
                     caps: dict[tuple, Score]) -> Iterator[tuple[Row, Score]]:
-    """The capped pairs of ``table`` in rank order, ranked while walking ``table``'s.
+    """The capped pairs of ``table`` by non-increasing score, read while walking its rank order.
 
     Capping lowers a score, never raises it.  So once the walk reaches a
-    row scoring s, no row still unread scores above s, and every pair read
-    so far scoring above s is in its final place.  A row keeping its own
-    score joins the run of rows sharing that score, which ``table``'s rank
-    order already lists by row.  A capped row waits in the group of its
-    cap's level.  When the next score s starts a run, the finished run and
-    every group above s are released, ranked.
+    row scoring s, no row still unread scores above s.  A row keeping its
+    own score goes out at once.  A capped row waits in the group of its
+    cap's level until the walk passes below that level, and the groups left
+    at the end go out from the highest level down.  Ties come out in no
+    particular order.
     """
     code, levels = rank_codes(caps.values())  # each cap's level; levels by ascending key
     held: list[list] = [[] for _ in levels]
     level = len(levels) - 1  # the highest level not yet released
-    run: list = []
-    run_key = None
     for row, score in table.rows_by_rank():
-        if score.key != run_key:
-            run_key, ready, run = score.key, run, []
-            released = level
-            while level >= 0 and levels[level].key > run_key:
-                ready += held[level]
-                level -= 1
-            yield from rank_sorted(ready) if level != released else ready
+        while level >= 0 and levels[level].key > score.key:
+            yield from held[level]
+            level -= 1
         cap = caps[key_of(row)]
         value = meet(score, cap)
         if value is score:
-            run.append((row, score))
+            yield row, score
         elif not value.is_bottom:
             held[code[id(cap)]].append((row, value))
-    for group in held[:level + 1]:
-        run += group
-    yield from rank_sorted(run)
+    for group in reversed(held[:level + 1]):
+        yield from group
 
 
 def from_classic(rows: Iterable[Row], scheme: Scheme, chain: ScoreChain = RATIONAL) -> RankedTable:
@@ -649,11 +641,11 @@ def parse_score(text: str, chain: ScoreChain, scores: dict[str, Score]) -> Score
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text, line ends as stored; other bytes are a ``ParseError``
-    that names the file."""
+    """A UTF-8 file's text, line ends as stored, without a leading byte-order mark;
+    other bytes are a ``ParseError`` that names the file."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line_start = data.rfind(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path} is not UTF-8: cannot decode byte 0x{data[exc.start]:02x}",

@@ -1,14 +1,15 @@
 """Threshold-style top-k evaluation of a minimum-scored join chain.
 
-Each source offers sorted access (its answer set in descending score order,
-ties broken canonically) and random access (tuples matching a partial join
+Each source offers sorted access (its answer set by non-increasing score;
+ties carry no order) and random access (tuples matching a partial join
 key).  Sorted access feeds a threshold equal to the minimum of the
 per-source last-seen scores; because every join involving a newly seen
 tuple is completed immediately through random access, any join still
 unmaterialized is built entirely from unseen tuples and therefore cannot
 score above the threshold.  We halt once k materialized results score
-strictly above it, which also pins the canonical tie order to match the
-brute-force oracle exactly.
+strictly above it; every result tying with the k-th best is then built,
+so the final sort (``table.rank_sorted``) matches the brute-force oracle's
+canonical order exactly, whatever the order of ties in each source.
 
 Only a pull from the source holding the threshold can lower it, so each
 step pulls the source with the lowest last-seen score (the adaptive
@@ -34,8 +35,8 @@ left.
 Both access paths live on the immutable table: ``RankedTable.rows_by_rank``
 sorts once and ``RankedTable.index`` hashes once per join key, and every
 later source over the same table object reuses them.  A restriction is not
-built for its source: its sorted access ranks the restricted rows while
-walking its input's kept rank order, and its random access restricts its
+built for its source: its sorted access walks its input's kept rank
+order, capping rows as it reads them, and its random access restricts its
 input's kept index buckets (``RankedTable.sorted_access`` and ``lookup``).
 So a session that queries one catalog repeatedly sorts and hashes each
 catalog table once, restricted or not, and each request reads only the
@@ -66,11 +67,12 @@ class SortedSource:
 
     Both paths live on the table, which builds each once and keeps it, so
     sources over one table share them; a restriction not yet built serves
-    them from its input's (``RankedTable.sorted_access``).
+    them from its input's (``RankedTable.sorted_access``).  Sorted access
+    promises non-increasing scores; only a built table's ties are canonical.
     """
 
     table: RankedTable
-    #: the table's rows by rank, as far as known: all of them once the table is built
+    #: the table's rows by non-increasing score, as far as known: all of them once it is built
     ranked: list[tuple[Row, Score]] = field(init=False)
     _rest: Iterator[tuple[Row, Score]] = field(init=False, repr=False, compare=False)
 

@@ -14,6 +14,7 @@ from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL, exact_decimal_str
 from rankrel.cli import main
 from rankrel.maps import compose_table
+from rankrel.planner import NORMALIZE_PASSES
 from rankrel.table import INT, RankedTable, Row, Scheme, read_table_csv, write_table_csv
 
 
@@ -306,6 +307,22 @@ def _topk_as_eval(capsys, k: int, query: str, *catalog: str) -> str:
 def test_topk_ranks_a_join_chain_over_its_leaves(capsys, query, by_k, k):
     # Pinned so that the query-as-written path cannot take over a chain query.
     assert _topk_as_eval(capsys, k, query) == f"-- 2 sources, {by_k[k]} random accesses"
+
+
+@pytest.mark.parametrize("joins, capped", [(70, True), (10, False)])
+def test_plan_notes_when_normalization_stops_at_its_pass_cap(capsys, joins, capped):
+    # Each pass pushes the restriction one join down, so 70 joins outrun the cap.
+    query = "houses"
+    for _ in range(joins):
+        query = f"join({query}, offers)"
+    query = f"restrict({query}, bdrm > 3)"
+    code, out, err = run(capsys, "plan", query)
+    assert (code, err) == (0, "")
+    note = (f"note: normalization stopped after NORMALIZE_PASSES ({NORMALIZE_PASSES}) "
+            "passes, the last of which still rewrote the plan")
+    assert (note in out.splitlines()) is capped
+    leaves = int(_topk_as_eval(capsys, 1, query).split()[1])
+    assert leaves < joins + 1 if capped else leaves == joins + 1
 
 
 def test_a_restriction_pushed_onto_rows_the_query_never_reaches_answers_as_eval(capsys,
@@ -698,6 +715,14 @@ UNCAUGHT_BEFORE = [
      "a.csv"),
     ("config-bad-byte", _bad_byte_config, "catalog.cfg"),
 ]
+
+
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path):
+    # Spreadsheet programs save UTF-8 with a byte-order mark.
+    (tmp_path / "t.csv").write_bytes(b"\xef\xbb\xbf#,id:int\nyes,5\n")
+    (tmp_path / "catalog.cfg").write_bytes(b"\xef\xbb\xbfchain symbolic(no < yes)\n")
+    assert run(capsys, "eval", "t", "--catalog", str(tmp_path)) == (
+        0, "#    id\n-------\nyes  5\n", "")
 
 
 def test_a_file_that_is_not_utf8_is_named_once(capsys, tmp_path):

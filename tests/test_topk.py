@@ -17,6 +17,7 @@ from helpers import (
 from rankrel import algebra, demo, planner
 from rankrel.catalog import Catalog
 from rankrel.chain import RATIONAL, ScoreChain
+from rankrel.conditions import TableCondition
 from rankrel.errors import IncompatibleChainError
 from rankrel.maps import compose_table
 from rankrel.table import INT, STR, RankedTable, Row, Scheme
@@ -156,7 +157,8 @@ class TestOracleAgreement:
                              ids=["rational", "levels"])
     def test_restricted_sources(self, chain):
         # Restrictions are served lazily from their inputs' access paths; the
-        # result and both access counts are those over the built tables.
+        # items are those over the built tables.  Ties may stream in another
+        # order than the built tables', so the access counts may differ.
         seed = stable_seed(f"topk-restricted-{chain.levels}")
         rng = random.Random(seed)
         with replay_hint(seed):
@@ -173,9 +175,40 @@ class TestOracleAgreement:
                 built = [SortedSource.from_table(RankedTable(t.scheme, t.chain, t.entries()))
                          for t in leaves()]
                 k = rng.randint(1, 8)
-                result = top_k([SortedSource.from_table(t) for t in leaves()], k)
-                assert result == top_k(built, k)
-                assert result.items == brute_force_top_k(built, k).items
+                items = top_k([SortedSource.from_table(t) for t in leaves()], k).items
+                assert items == top_k(built, k).items == brute_force_top_k(built, k).items
+
+    @pytest.mark.parametrize("chain", [RATIONAL, ScoreChain(("no", "low", "mid", "high", "yes"))],
+                             ids=["rational", "levels"])
+    def test_restricted_sources_tied_at_the_kth_score(self, chain):
+        # Three nonzero scores in every table and cap: the restricted sources
+        # tie at the k-th score, and their ties need not stream in canonical order.
+        # top_k's final sort must still give the oracle's canonical cut.
+        levels = [chain.score(Fraction(n, 4) if chain.is_rational else n) for n in (1, 2, 4)]
+        seed = stable_seed(f"topk-restricted-ties-{chain.levels}")
+        rng = random.Random(seed)
+        tied = 0
+
+        def scored(scheme, rows):
+            return RankedTable(scheme, chain, {
+                Row.of({name: rng.randint(0, 1) for name in scheme.names}): rng.choice(levels)
+                for _ in range(rows)})
+
+        with replay_hint(seed):
+            for _ in range(100):
+                inputs = [scored(rnd_scheme(rng, names=names), rng.randint(1, 12))
+                          for names in (("a", "b"), ("b", "c"))]
+                thetas = [TableCondition(scored(t.scheme, 8)) for t in inputs]
+                built = [SortedSource.from_table(
+                    RankedTable(t.scheme, chain, algebra.restrict(t, theta).entries()))
+                    for t, theta in zip(inputs, thetas)]
+                k = rng.randint(1, 4)
+                joined = brute_force_top_k(built, k + 1).items
+                tied += len(joined) > k and joined[k][1] == joined[k - 1][1]
+                lazy = [SortedSource.from_table(algebra.restrict(t, theta))
+                        for t, theta in zip(inputs, thetas)]
+                assert top_k(lazy, k).items == top_k(built, k).items == joined[:k]
+        assert tied >= 40
 
 
 class TestInvariance:
