@@ -191,7 +191,11 @@ class ExprParser(TokenCursor):
     def atom(self) -> Expr:
         token = self.advance()
         if token.kind == "num":
-            return Num(Fraction(token.text))
+            try:
+                return Num(Fraction(token.text))
+            except ValueError:  # past Python's cap on the digits of an integer text
+                raise ParseError(f"number of {len(token.text)} characters is too long",
+                                 column=token.pos) from None
         if token.kind == "name":
             name = token.text.lower()
             if self.peek().text == "(":

@@ -3,12 +3,12 @@
 Queries are trees over base-table references and the relational operations.
 ``OPERATORS`` holds one entry per operation node class (keyword, subquery
 fields, trailing parameter, scheme rule, algebra function); the parser reads
-it, and so does ``fold``, the one bottom-up pass over a tree behind the
-renderer, scheme inference, evaluation, the rewrite laws and normalization.
-The rewrite functions implement the semantics-preserving plan laws (pushing
-restrictions into joins, commuting restrictions with projections, splitting
-projections over unions, collapsing projection cascades, and folding a
-projection of a join into a semijoin).  Side conditions are checked
+it, and so does ``fold``, the bottom-up pass behind the renderer, scheme
+inference and evaluation.  The plan laws (pushing restrictions into joins,
+commuting restrictions with projections, splitting projections over unions,
+collapsing projection cascades, and folding a projection of a join into a
+semijoin) are node-level bodies run by one fold, ``_rewrite``, behind the
+whole-tree rewrite functions and normalization.  Side conditions are checked
 syntactically on the attributes a condition mentions, the conservative safe
 approximation; an inapplicable rule leaves the tree alone and records a note
 instead of raising.
@@ -163,6 +163,16 @@ def _read_list(parser, read_item, allow_empty: bool) -> tuple:
     return tuple(items)
 
 
+def _renaming(pairs, conditions) -> dict[str, str]:
+    """A renaming's pairs as a dict by lowercased name; a name given twice is an error."""
+    renaming = {}
+    for old, new in pairs:
+        if old.lower() in renaming:
+            raise SchemeError(f"attribute {old!r} is renamed twice")
+        renaming[old.lower()] = new
+    return renaming
+
+
 @dataclass(frozen=True)
 class Param:
     """An operator's trailing argument that is not a subquery."""
@@ -177,8 +187,7 @@ _CONDITION = Param("condition", _read_condition, str, resolve_condition)
 _ATTRS = Param("attrs", lambda parser: _read_list(parser, _read_name, True), ", ".join,
                lambda attrs, conditions: attrs)
 _MAPPING = Param("mapping", lambda parser: _read_list(parser, _read_rename, False),
-                 lambda pairs: ", ".join(f"{old}->{new}" for old, new in pairs),
-                 lambda pairs, conditions: dict(pairs))
+                 lambda pairs: ", ".join(f"{old}->{new}" for old, new in pairs), _renaming)
 
 
 # --- operator table -------------------------------------------------------------
@@ -225,7 +234,7 @@ _KEYWORDS = {op.keyword: node_type for node_type, op in OPERATORS.items()}
 
 
 def fold(expr: QueryExpr, visit: Callable, path: str = "query"):
-    """The one recursion over a query tree, bottom-up.
+    """The bottom-up recursion over a query tree that every walk but ``_rewrite`` shares.
 
     Children go first, in their ``OPERATORS`` field order; then
     ``visit(node, kid_results, path)`` gives the node its result from theirs.
@@ -276,21 +285,22 @@ def _walk(expr, tables, conditions, evaluating: bool):
     An error raised at a node itself gets that node's path from the root
     appended, e.g. ``at query.child.right``.
     """
+    return fold(expr, located(
+        lambda node, kids, path: _value(node, kids, tables, conditions, evaluating)))
 
-    @located
-    def visit(node, kids, path):
-        op = OPERATORS.get(type(node))
-        if op is not None:
-            args = with_param(node, kids, conditions)
-            return getattr(algebra, op.algebra)(*args) if evaluating else op.scheme(*args)
-        if not isinstance(node, Base):
-            raise SchemeError(f"unknown expression node {node!r}")
-        table = tables.get(node.name)
-        if table is None:
-            raise UnknownNameError(f"unknown table {node.name!r}")
-        return table if evaluating else table.scheme
 
-    return fold(expr, visit)
+def _value(node, kids: list, tables, conditions, evaluating: bool):
+    """A node's table (``evaluating``) or scheme, from its children's."""
+    op = OPERATORS.get(type(node))
+    if op is not None:
+        args = with_param(node, kids, conditions)
+        return getattr(algebra, op.algebra)(*args) if evaluating else op.scheme(*args)
+    if not isinstance(node, Base):
+        raise SchemeError(f"unknown expression node {node!r}")
+    table = tables.get(node.name)
+    if table is None:
+        raise UnknownNameError(f"unknown table {node.name!r}")
+    return table if evaluating else table.scheme
 
 
 def with_param(node, kids: list, conditions: Mapping[str, Condition]) -> list:
@@ -336,59 +346,81 @@ def _rebuild(node, kids):
     return replace(node, **dict(zip(OPERATORS[type(node)].kids, kids)))
 
 
-def _law(outer: type, inner: type):
-    """Make a plan law on ``outer(inner(...))`` nodes a whole-tree rewrite.
+def _rewrite(expr: QueryExpr, catalog, laws, settle: bool) -> RewriteOutcome:
+    """The one runner of the plan laws: a bottom-up fold trying ``laws`` at each node.
 
-    The law body takes (node, catalog) and returns the replacement node, a
-    note saying why the law does not apply, or None.  The rewrite is one
-    bottom-up fold: each node is rebuilt from its rewritten children and the
-    law is applied there when the node matches.
+    Each node is rebuilt from its rewritten children; each law ``(outer, inner,
+    body)`` it matches as ``outer(inner(...))`` is tried in order, and
+    ``body(node, catalog, scheme_of)`` returns the replacement, a note saying
+    why the law does not apply, or None.  With ``settle``, a replacement's new
+    children and then itself are rewritten too, so one fold reaches the fixpoint.
     """
+    applied, notes = 0, []
+    known, settled = {}, {}  # by id: (node, scheme), and settled nodes; held, so ids stay theirs
 
-    def wrap(body):
-        def rewrite(expr: QueryExpr, catalog) -> RewriteOutcome:
-            applied, notes = 0, []
+    def scheme_of(node):
+        if id(node) not in known:  # each node's scheme once, from its children's
+            op = OPERATORS.get(type(node))
+            kids = list(map(scheme_of, [getattr(node, name) for name in op.kids])) if op else []
+            known[id(node)] = node, _value(node, kids, catalog.tables, catalog.conditions, False)
+        _, scheme = known[id(node)]
+        return scheme
 
-            def visit(node, kids, path):
-                nonlocal applied
-                node = _rebuild(node, kids)
-                if not (isinstance(node, outer) and isinstance(node.child, inner)):
-                    return node
-                result = body(node, catalog)
+    def visit(node):
+        nonlocal applied
+        if id(node) in settled:
+            return node
+        op = OPERATORS.get(type(node))
+        if op is not None:
+            # map, not a comprehension: a comprehension's frame per level would
+            # cut the nesting that settling reaches by a third
+            node = _rebuild(node, list(map(visit, [getattr(node, name) for name in op.kids])))
+        for outer, inner, body in laws:
+            if isinstance(node, outer) and isinstance(node.child, inner):
+                result = body(node, catalog, scheme_of)
                 if isinstance(result, str):
                     notes.append(result)
                 elif result is not None:
                     applied += 1
-                    return result
-                return node
+                    return visit(result) if settle else result
+        if settle:
+            settled[id(node)] = node
+        return node
 
-            return RewriteOutcome(fold(expr, visit), applied, tuple(notes))
+    return RewriteOutcome(visit(expr), applied, tuple(notes))
+
+
+def _law(outer: type, inner: type):
+    """Make a plan law on ``outer(inner(...))`` nodes a whole-tree rewrite: the
+    ``_rewrite`` fold applying it once per node.  ``law`` holds it for normalization."""
+
+    def wrap(body):
+        def rewrite(expr: QueryExpr, catalog) -> RewriteOutcome:
+            return _rewrite(expr, catalog, (rewrite.law,), settle=False)
 
         rewrite.__name__, rewrite.__qualname__ = body.__name__, body.__qualname__
-        rewrite.__doc__ = body.__doc__
+        rewrite.__doc__, rewrite.law = body.__doc__, (outer, inner, body)
         return rewrite
 
     return wrap
 
 
 @_law(Restrict, Join)
-def rewrite_push_restriction(node, catalog):
+def rewrite_push_restriction(node, catalog, scheme_of):
     """restrict(join(A, B), theta) -> join(restrict(A, theta), B) when theta
     only mentions attributes of one side."""
     deps = _condition_attrs(node.condition, catalog.conditions)
     if deps is None:
         return "restriction not pushed: condition dependencies unknown"
-    left = infer_scheme(node.child.left, catalog)
-    right = infer_scheme(node.child.right, catalog)
-    if deps <= left.name_set:
+    if deps <= scheme_of(node.child.left).name_set:
         return Join(Restrict(node.child.left, node.condition), node.child.right)
-    if deps <= right.name_set:
+    if deps <= scheme_of(node.child.right).name_set:
         return Join(node.child.left, Restrict(node.child.right, node.condition))
     return "restriction not pushed: condition spans both join sides"
 
 
 @_law(Project, Restrict)
-def rewrite_commute_project_restrict(node, catalog):
+def rewrite_commute_project_restrict(node, catalog, scheme_of):
     """project(restrict(A, theta), S) -> restrict(project(A, S), theta) when
     theta ignores the projected-away attributes."""
     deps = _condition_attrs(node.child.condition, catalog.conditions)
@@ -400,13 +432,13 @@ def rewrite_commute_project_restrict(node, catalog):
 
 
 @_law(Project, Union)
-def rewrite_project_over_union(node, catalog):
+def rewrite_project_over_union(node, catalog, scheme_of):
     """project(union(A, B), S) -> union(project(A, S), project(B, S))."""
     return Union(Project(node.child.left, node.attrs), Project(node.child.right, node.attrs))
 
 
 @_law(Project, Project)
-def rewrite_project_cascade(node, catalog):
+def rewrite_project_cascade(node, catalog, scheme_of):
     """project(project(A, R), S) -> project(A, S); S is a subset of R by typing."""
     if {a.lower() for a in node.attrs} <= {a.lower() for a in node.child.attrs}:
         return Project(node.child.child, node.attrs)
@@ -414,9 +446,9 @@ def rewrite_project_cascade(node, catalog):
 
 
 @_law(Project, Join)
-def rewrite_semijoin(node, catalog):
+def rewrite_semijoin(node, catalog, scheme_of):
     """project(join(A, B), scheme-of-A) -> semijoin(A, B)."""
-    if {a.lower() for a in node.attrs} == infer_scheme(node.child.left, catalog).name_set:
+    if {a.lower() for a in node.attrs} == scheme_of(node.child.left).name_set:
         return Semijoin(node.child.left, node.child.right)
     return "semijoin not folded: projection keeps non-left attributes"
 
@@ -433,11 +465,6 @@ REWRITE_RULES = (
 # --- join-chain normalization --------------------------------------------------
 
 
-#: Most passes of ``normalize_to_join_chain``.  A pass pushes a restriction one join
-#: down, so a fixpoint over n nested joins would take work quadratic in n.
-NORMALIZE_PASSES = 64
-
-
 @dataclass(frozen=True)
 class NormalizeResult:
     expr: QueryExpr
@@ -448,13 +475,12 @@ class NormalizeResult:
 def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
     """Push restrictions and merge projections until a join chain emerges.
 
-    Deterministic bottom-up passes iterated to a fixpoint, restriction
-    pushdown running before the projection rules.  Operators outside the
-    monotone fragment (flagged ``blocked`` in ``OPERATORS``: union,
-    difference, division, residuum, the product join) are left in place and
-    reported in ``blocked`` by keyword; their own subtrees are still
-    normalized.  After ``NORMALIZE_PASSES`` passes it stops, with a note if
-    the last pass still rewrote the tree.
+    One settling ``_rewrite`` fold of restriction pushdown, restriction
+    into projection and the projection cascade, tried in that order at each
+    node.  Operators outside the monotone fragment (flagged ``blocked`` in
+    ``OPERATORS``: union, difference, division, residuum, the product join)
+    are left in place and reported in ``blocked`` by keyword; their own
+    subtrees are still normalized.
     """
 
     def scan(node, kids, path):
@@ -463,27 +489,14 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
         return own + [entry for kid in kids for entry in kid]
 
     blocked = fold(expr, scan)
-    notes: list[str] = []
-
-    current = expr
-    for _ in range(NORMALIZE_PASSES):  # fixpoint; the tree strictly shrinks or reorders
-        changed = 0
-        for rule in (rewrite_push_restriction, _rewrite_restrict_into_project,
-                     rewrite_project_cascade):
-            outcome = rule(current, catalog)
-            current = outcome.expr
-            changed += outcome.applied
-            notes.extend(outcome.notes)
-        if not changed:
-            break
-    else:
-        notes.append(f"normalization stopped after NORMALIZE_PASSES ({NORMALIZE_PASSES}) "
-                     "passes, the last of which still rewrote the plan")
-    return NormalizeResult(current, tuple(blocked), tuple(dict.fromkeys(notes)))
+    laws = (rewrite_push_restriction.law, _rewrite_restrict_into_project.law,
+            rewrite_project_cascade.law)
+    outcome = _rewrite(expr, catalog, laws, settle=True)
+    return NormalizeResult(outcome.expr, tuple(blocked), tuple(dict.fromkeys(outcome.notes)))
 
 
 @_law(Restrict, Project)
-def _rewrite_restrict_into_project(node, catalog):
+def _rewrite_restrict_into_project(node, catalog, scheme_of):
     """restrict(project(A, S), theta) -> project(restrict(A, theta), S).
 
     The leaf-direction reading of the commutation law: valid because the

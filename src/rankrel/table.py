@@ -621,8 +621,8 @@ def read_table_csv(source, chain: ScoreChain = RATIONAL,
     if scores is None:
         scores = {}
     if isinstance(source, str) and "\n" in source:
-        return _read_rows(csv.reader(io.StringIO(source)), chain, scores)
-    reader = csv.reader(io.StringIO(read_text(source), newline=""))
+        return _read_rows(csv.reader(io.StringIO(source), strict=True), chain, scores)
+    reader = csv.reader(io.StringIO(read_text(source), newline=""), strict=True)
     try:
         return _read_rows(reader, chain, scores)
     except RankrelError as exc:
@@ -662,8 +662,9 @@ def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTab
     an error is raised as a per-row check would.  Only a line whose cells
     fail is parsed again, cell by cell, to name the cell in its error.
     """
+    records = _records(reader)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise SchemeError("empty CSV: missing header") from None
     scheme = parse_header(header)
@@ -672,7 +673,7 @@ def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTab
     parsers = [_PARSERS[scheme.attr(name).atype.kind] for name in names]
     value_cells = _selector([scheme.names.index(name) + 1 for name in names])  # in name order
     entries: dict[Row, Score] = {}
-    for lineno, cells in enumerate(reader, start=2):
+    for lineno, cells in enumerate(records, start=2):
         # a blank score cell never enters ``scores``, so a hit is a line of full width
         score = scores.get(cells[0]) if len(cells) == width else None
         if score is None:
@@ -694,6 +695,15 @@ def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTab
             raise SchemeError(f"line {lineno}: duplicate tuple {row!r}")
         entries[row] = score
     return RankedTable._trusted(scheme, chain, entries)
+
+
+def _records(reader):
+    """``reader``'s records; a malformed one, such as a quote left open or an
+    overlong cell, is a ``ParseError`` at the line the reader reached."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
 
 
 def _cell_error(scheme: Scheme, cells: Sequence[str], lineno: int) -> SchemeError:

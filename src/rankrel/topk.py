@@ -26,11 +26,11 @@ just "the heap is full and its least score beats the threshold".  A join
 tuple reached again from another starting source is not pushed twice.
 
 Completion from a starting source visits the other sources in a keyed
-order, fixed once per start: next comes the remaining source sharing the
-most attributes with those bound so far (ties to the lower index).  Looking
-up keyed sources first keeps the partial joins small; a source sharing
-nothing with the bound attributes is crossed in only when no keyed one is
-left.
+order, fixed once per start when a row of it is first completed: next
+comes the remaining source sharing the most attributes with those bound so
+far (ties to the lower index).  Looking up keyed sources first keeps the
+partial joins small; a source sharing nothing with the bound attributes is
+crossed in only when no keyed one is left.
 
 Both access paths live on the immutable table: ``RankedTable.rows_by_rank``
 sorts once and ``RankedTable.index`` hashes once per join key, and every
@@ -194,7 +194,7 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     results: dict[Row, Score] = {}
     best: list = []  # min-heap of the order keys of the k best results
     counters = {"sorted": 0, "random": 0}
-    plans = [_completion_plan(sources, start) for start in range(n)]
+    plans: dict[int, list] = {}  # by starting source, made when a row of it is first completed
 
     def complete(start: int, row: Row, score: Score) -> None:
         # A meet never rises, and k distinct results already score at least
@@ -203,6 +203,8 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
         floor = best[0] if len(best) == k else chain.bottom.key
         if score.key < floor:
             return
+        if start not in plans:
+            plans[start] = _completion_plan(sources, start)
         partial = [(row, score)]
         for lookup, key_of, join in plans[start]:
             counters["random"] += len(partial)

@@ -17,6 +17,7 @@ import zlib
 from contextlib import contextmanager
 from fractions import Fraction
 
+from rankrel import planner
 from rankrel.calculus import (
     And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure, free_vars,
 )
@@ -701,3 +702,44 @@ def reference_condition_score(theta: Condition, row: Row, chain: ScoreChain) -> 
     if isinstance(theta, ComposedCondition):
         return theta.order_map.apply(reference_condition_score(theta.base, row, chain))
     return theta.score_of(row, chain)
+
+
+def reference_rewrite(rule, expr, catalog) -> planner.RewriteOutcome:
+    """Oracle for a whole-tree rewrite: one ``planner.fold`` trying ``rule``'s law
+    at each rebuilt node, its schemes typed afresh by ``infer_scheme``."""
+    outer, inner, body = rule.law
+    applied, notes = 0, []
+
+    def visit(node, kids, path):
+        nonlocal applied
+        node = planner._rebuild(node, kids)
+        if not (isinstance(node, outer) and isinstance(node.child, inner)):
+            return node
+        result = body(node, catalog, lambda sub: planner.infer_scheme(sub, catalog))
+        if isinstance(result, str):
+            notes.append(result)
+        elif result is not None:
+            applied += 1
+            return result
+        return node
+
+    return planner.RewriteOutcome(planner.fold(expr, visit), applied, tuple(notes))
+
+
+def reference_normalize(expr, catalog) -> tuple:
+    """Oracle for the tree and notes of ``planner.normalize_to_join_chain``.
+
+    Whole-tree passes of its three laws, in its order, repeated until a pass
+    rewrites nothing; notes deduplicated in first-occurrence order.
+    """
+    notes = []
+    while True:
+        changed = 0
+        for rule in (planner.rewrite_push_restriction, planner._rewrite_restrict_into_project,
+                     planner.rewrite_project_cascade):
+            outcome = reference_rewrite(rule, expr, catalog)
+            expr = outcome.expr
+            changed += outcome.applied
+            notes.extend(outcome.notes)
+        if not changed:
+            return expr, tuple(dict.fromkeys(notes))

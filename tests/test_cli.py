@@ -14,7 +14,6 @@ from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL, exact_decimal_str
 from rankrel.cli import main
 from rankrel.maps import compose_table
-from rankrel.planner import NORMALIZE_PASSES
 from rankrel.table import INT, RankedTable, Row, Scheme, read_table_csv, write_table_csv
 
 
@@ -309,20 +308,18 @@ def test_topk_ranks_a_join_chain_over_its_leaves(capsys, query, by_k, k):
     assert _topk_as_eval(capsys, k, query) == f"-- 2 sources, {by_k[k]} random accesses"
 
 
-@pytest.mark.parametrize("joins, capped", [(70, True), (10, False)])
-def test_plan_notes_when_normalization_stops_at_its_pass_cap(capsys, joins, capped):
-    # Each pass pushes the restriction one join down, so 70 joins outrun the cap.
+@pytest.mark.parametrize("joins", [10, 70, 400])
+def test_plan_normalizes_a_restriction_over_deeply_nested_joins(capsys, joins):
+    # Pushing the restriction down takes one step per join: the normal form
+    # is reached however deep the nesting, with no note.
     query = "houses"
     for _ in range(joins):
         query = f"join({query}, offers)"
     query = f"restrict({query}, bdrm > 3)"
     code, out, err = run(capsys, "plan", query)
     assert (code, err) == (0, "")
-    note = (f"note: normalization stopped after NORMALIZE_PASSES ({NORMALIZE_PASSES}) "
-            "passes, the last of which still rewrote the plan")
-    assert (note in out.splitlines()) is capped
-    leaves = int(_topk_as_eval(capsys, 1, query).split()[1])
-    assert leaves < joins + 1 if capped else leaves == joins + 1
+    assert not [line for line in out.splitlines() if line.startswith("note:")]
+    assert _topk_as_eval(capsys, 1, query).split()[1] == str(joins + 1)
 
 
 def test_a_restriction_pushed_onto_rows_the_query_never_reaches_answers_as_eval(capsys,
@@ -688,6 +685,29 @@ def _restrict(condition: str) -> list[str]:
     return ["eval", f"restrict(houses, {condition})"]
 
 
+def _long_number_config(tmp_path):
+    write_table_csv(demo.houses(), tmp_path / "houses.csv")
+    (tmp_path / "catalog.cfg").write_text("cond theta = expr{ " + "1" * 5000 + " }\n",
+                                          encoding="utf-8")
+    return ["eval", "houses", "--catalog", str(tmp_path)]
+
+
+#: CSV files the reader rejects: a cell over its field limit, a quote left open
+MALFORMED_CSV = {
+    "overlong-cell": "#,id:int,name:str\n0.5,1," + "x" * 140_000 + "\n",
+    "open-quote": '#,id:int,name:str\n0.5,1,"abc\n0.7,2,def\n',
+}
+
+
+def _malformed_csv(kind: str, command: str):
+    def build(tmp_path):
+        (tmp_path / "a.csv").write_text(MALFORMED_CSV[kind], encoding="utf-8")
+        if command == "eval":
+            return ["eval", "a", "--catalog", str(tmp_path)]
+        return ["equiv", str(tmp_path / "a.csv"), str(tmp_path / "a.csv")]
+    return build
+
+
 #: (id, argv builder over a scratch directory, text the error line must hold)
 UNCAUGHT_BEFORE = [
     ("nested-project", lambda tmp: ["eval", "project(" * 2000 + "houses" + ", [id])" * 2000],
@@ -714,6 +734,18 @@ UNCAUGHT_BEFORE = [
     ("catalog-bad-byte", lambda tmp: ["eval", "a", "--catalog", str(_bad_byte_csv(tmp).parent)],
      "a.csv"),
     ("config-bad-byte", _bad_byte_config, "catalog.cfg"),
+    ("long-number", lambda tmp: _restrict("1" * 5000),
+     "number of 5000 characters is too long (line 1, column 17)"),
+    ("config-long-number", _long_number_config, "number of 5000 characters is too long"),
+    ("rename-twice", lambda tmp: ["eval", "rename(houses, [id -> a, id -> b])"],
+     "attribute 'id' is renamed twice at query"),
+] + [
+    (f"{command}-{kind}", _malformed_csv(kind, command), needle)
+    for kind, needle in [
+        ("overlong-cell", "malformed CSV: field larger than field limit (131072) (line 2,"),
+        ("open-quote", "malformed CSV: unexpected end of data (line 3,"),
+    ]
+    for command in ("eval", "equiv")
 ]
 
 

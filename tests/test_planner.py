@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ATTR_POOL, replay_hint, rnd_scheme, rnd_table, stable_seed
+from helpers import (
+    ATTR_POOL, reference_normalize, reference_rewrite, replay_hint, rnd_scheme, rnd_table,
+    stable_seed,
+)
 
 from rankrel import algebra, demo, exprs, planner
 from rankrel.catalog import Catalog
@@ -31,6 +34,48 @@ def rnd_catalog(rng) -> Catalog:
         "t3": rnd_table(rng, rnd_scheme(rng, names=("a", "b")), max_rows=8),
     }
     return Catalog(tables=tables)
+
+
+@dataclasses.dataclass(frozen=True)
+class OpaqueCondition(Condition):
+    """A well-typed condition that declares no dependencies, so no law moves it."""
+
+    label: str = "opaque"
+
+    def free_attrs(self):
+        return None
+
+    def check_scheme(self, scheme: Scheme) -> None:
+        pass
+
+
+def random_plan(rng, cat, depth: int):
+    """A random well-typed query over ``rnd_catalog``: joins, semijoins,
+    restrictions on one or two attributes or on unknown dependencies,
+    projections (some onto a join's left scheme) and unions."""
+    if depth == 0 or rng.random() < 0.2:
+        return planner.Base(rng.choice(("t1", "t2", "t3")))
+    node = random_plan(rng, cat, depth - 1)
+    names = planner.infer_scheme(node, cat).names
+    roll = rng.random()
+    if roll < 0.4:
+        other = random_plan(rng, cat, depth - 1)
+        return planner.Semijoin(node, other) if roll < 0.05 else planner.Join(node, other)
+    if roll < 0.8:
+        pick = rng.random()
+        if pick < 0.3:
+            return planner.Restrict(node, OpaqueCondition())
+        x, y = rng.choice(names), rng.choice(names)
+        if isinstance(node, planner.Join):  # one attribute from each side
+            x = rng.choice(planner.infer_scheme(node.left, cat).names)
+            y = rng.choice(planner.infer_scheme(node.right, cat).names)
+        text = f"{x} <= 1 ? 0.5 : 1" if pick < 0.6 else f"{x} <= {y} ? 0.5 : 1"
+        return planner.Restrict(node, ExprCondition.parse(text))
+    if roll < 0.85:
+        return planner.Union(node, node)
+    if isinstance(node, planner.Join) and rng.random() < 0.3:
+        return planner.Project(node, planner.infer_scheme(node.left, cat).names)
+    return planner.Project(node, tuple(n for n in names if rng.random() < 0.6) or names[:1])
 
 
 class TestParser:
@@ -556,6 +601,55 @@ class TestNormalization:
             )
         kept = tuple(n for n in names if rng.random() < 0.6) or names[:1]
         return planner.Project(node, kept)
+
+    def test_one_fold_reaches_the_fixpoint_of_whole_tree_passes(self):
+        # Each whole-tree rewrite equals its own fold, and normalization the
+        # passes repeated to a fixpoint.  Notes are compared as sets: the fold
+        # lists them in node order, the passes pass by pass and law by law.
+        seed = stable_seed("normalize-differential")
+        rng = random.Random(seed)
+        rules = [rule for _, rule in planner.REWRITE_RULES]
+        rules.append(planner._rewrite_restrict_into_project)
+        noted = 0
+        with replay_hint(seed):
+            for _ in range(2000):
+                cat = rnd_catalog(rng)
+                expr = random_plan(rng, cat, depth=5)
+                for rule in rules:
+                    assert rule(expr, cat) == reference_rewrite(rule, expr, cat)
+                result = planner.normalize_to_join_chain(expr, cat)
+                tree, notes = reference_normalize(expr, cat)
+                assert result.expr == tree
+                assert sorted(result.notes) == sorted(notes)
+                noted += len(notes) >= 2
+        assert noted >= 10
+
+    def test_settling_work_grows_linearly_with_nesting(self, catalog, monkeypatch):
+        # Law-body and scheme-rule calls; repeated passes, or a scheme typed
+        # afresh per law, would make the work quadratic in the nesting.
+        calls = []
+        join = planner.OPERATORS[planner.Join]
+        outer, inner, body = planner.rewrite_push_restriction.law
+
+        def counted(call):
+            return lambda *args: calls.append(1) or call(*args)
+
+        monkeypatch.setitem(planner.OPERATORS, planner.Join,
+                            dataclasses.replace(join, scheme=counted(join.scheme)))
+        monkeypatch.setattr(planner.rewrite_push_restriction, "law",
+                            (outer, inner, counted(body)))
+
+        def work(joins):
+            expr = planner.Base("houses")
+            for _ in range(joins):
+                expr = planner.Join(expr, planner.Base("offers"))
+            calls.clear()
+            result = planner.normalize_to_join_chain(
+                planner.Restrict(expr, ExprCondition.parse("bdrm > 3")), catalog)
+            assert len(planner.join_chain_leaves(result.expr)) == joins + 1
+            return len(calls)
+
+        assert 0 < work(400) <= 2.1 * work(200)
 
     def test_join_chain_leaves(self):
         expr = planner.Join(
