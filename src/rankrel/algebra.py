@@ -225,8 +225,8 @@ def semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
     return RankedTable._trusted(d1.scheme, d1.chain, entries)
 
 
-def rename(d: RankedTable, mapping: Mapping[str, str]) -> RankedTable:
-    """Rename attributes (injective, collision-free); entries are unchanged."""
+def rename(d: RankedTable, mapping: Mapping[str, str] | Iterable[tuple[str, str]]) -> RankedTable:
+    """Rename attributes as ``Scheme.rename`` does; entries are unchanged."""
     scheme = d.scheme.rename(mapping)
     renamed = renamer(d.scheme, scheme)
     return RankedTable._trusted(scheme, d.chain, {renamed(row): score for row, score in d})

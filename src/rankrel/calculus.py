@@ -530,7 +530,9 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
                 body = ForAll(var, body)
             return And(dividend, body), scheme
         if isinstance(node, planner.Rename):
-            return _rename_free(formulas[0], args[-1]), scheme
+            # the scheme rule above has checked the pairs: no name is renamed twice
+            renaming = {old.lower(): new.lower() for old, new in args[-1]}
+            return _rename_free(formulas[0], renaming), scheme
         # Semijoin: the projection of the join onto the left scheme.
         return exists_out(And(*formulas), schemes[0].union(schemes[1]), scheme), scheme
 

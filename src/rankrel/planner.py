@@ -1,16 +1,15 @@
-"""Query expressions: AST, text syntax, scheme inference, and rewrite laws.
+"""Query expressions: AST, text syntax, scheme inference, and normalization.
 
 Queries are trees over base-table references and the relational operations.
 ``OPERATORS`` holds one entry per operation node class (keyword, subquery
 fields, trailing parameter, scheme rule, algebra function); the parser reads
 it, and so does ``fold``, the bottom-up pass behind the renderer, scheme
-inference and evaluation.  The plan laws (pushing restrictions into joins,
-commuting restrictions with projections, splitting projections over unions,
-collapsing projection cascades, and folding a projection of a join into a
-semijoin) are node-level bodies run by one fold, ``_rewrite``, behind the
-whole-tree rewrite functions and normalization.  Side conditions are checked
+inference and evaluation.  ``LAWS`` holds the plan laws that join-chain
+normalization runs (pushing restrictions into joins, moving restrictions
+below projections, collapsing projection cascades) as node-level bodies;
+one settling fold, ``_rewrite``, applies them.  Side conditions are checked
 syntactically on the attributes a condition mentions, the conservative safe
-approximation; an inapplicable rule leaves the tree alone and records a note
+approximation; an inapplicable law leaves the node alone and records a note
 instead of raising.
 
 Text syntax (case-insensitive names)::
@@ -163,16 +162,6 @@ def _read_list(parser, read_item, allow_empty: bool) -> tuple:
     return tuple(items)
 
 
-def _renaming(pairs, conditions) -> dict[str, str]:
-    """A renaming's pairs as a dict by lowercased name; a name given twice is an error."""
-    renaming = {}
-    for old, new in pairs:
-        if old.lower() in renaming:
-            raise SchemeError(f"attribute {old!r} is renamed twice")
-        renaming[old.lower()] = new
-    return renaming
-
-
 @dataclass(frozen=True)
 class Param:
     """An operator's trailing argument that is not a subquery."""
@@ -187,7 +176,8 @@ _CONDITION = Param("condition", _read_condition, str, resolve_condition)
 _ATTRS = Param("attrs", lambda parser: _read_list(parser, _read_name, True), ", ".join,
                lambda attrs, conditions: attrs)
 _MAPPING = Param("mapping", lambda parser: _read_list(parser, _read_rename, False),
-                 lambda pairs: ", ".join(f"{old}->{new}" for old, new in pairs), _renaming)
+                 lambda pairs: ", ".join(f"{old}->{new}" for old, new in pairs),
+                 lambda pairs, conditions: pairs)
 
 
 # --- operator table -------------------------------------------------------------
@@ -330,83 +320,10 @@ def located(visit: Callable) -> Callable:
     return visit_at
 
 
-# --- rewrite laws -------------------------------------------------------------
+# --- plan laws and join-chain normalization ------------------------------------
 
 
-@dataclass(frozen=True)
-class RewriteOutcome:
-    expr: QueryExpr
-    applied: int
-    notes: tuple[str, ...] = ()
-
-
-def _rebuild(node, kids):
-    if not kids:
-        return node
-    return replace(node, **dict(zip(OPERATORS[type(node)].kids, kids)))
-
-
-def _rewrite(expr: QueryExpr, catalog, laws, settle: bool) -> RewriteOutcome:
-    """The one runner of the plan laws: a bottom-up fold trying ``laws`` at each node.
-
-    Each node is rebuilt from its rewritten children; each law ``(outer, inner,
-    body)`` it matches as ``outer(inner(...))`` is tried in order, and
-    ``body(node, catalog, scheme_of)`` returns the replacement, a note saying
-    why the law does not apply, or None.  With ``settle``, a replacement's new
-    children and then itself are rewritten too, so one fold reaches the fixpoint.
-    """
-    applied, notes = 0, []
-    known, settled = {}, {}  # by id: (node, scheme), and settled nodes; held, so ids stay theirs
-
-    def scheme_of(node):
-        if id(node) not in known:  # each node's scheme once, from its children's
-            op = OPERATORS.get(type(node))
-            kids = list(map(scheme_of, [getattr(node, name) for name in op.kids])) if op else []
-            known[id(node)] = node, _value(node, kids, catalog.tables, catalog.conditions, False)
-        _, scheme = known[id(node)]
-        return scheme
-
-    def visit(node):
-        nonlocal applied
-        if id(node) in settled:
-            return node
-        op = OPERATORS.get(type(node))
-        if op is not None:
-            # map, not a comprehension: a comprehension's frame per level would
-            # cut the nesting that settling reaches by a third
-            node = _rebuild(node, list(map(visit, [getattr(node, name) for name in op.kids])))
-        for outer, inner, body in laws:
-            if isinstance(node, outer) and isinstance(node.child, inner):
-                result = body(node, catalog, scheme_of)
-                if isinstance(result, str):
-                    notes.append(result)
-                elif result is not None:
-                    applied += 1
-                    return visit(result) if settle else result
-        if settle:
-            settled[id(node)] = node
-        return node
-
-    return RewriteOutcome(visit(expr), applied, tuple(notes))
-
-
-def _law(outer: type, inner: type):
-    """Make a plan law on ``outer(inner(...))`` nodes a whole-tree rewrite: the
-    ``_rewrite`` fold applying it once per node.  ``law`` holds it for normalization."""
-
-    def wrap(body):
-        def rewrite(expr: QueryExpr, catalog) -> RewriteOutcome:
-            return _rewrite(expr, catalog, (rewrite.law,), settle=False)
-
-        rewrite.__name__, rewrite.__qualname__ = body.__name__, body.__qualname__
-        rewrite.__doc__, rewrite.law = body.__doc__, (outer, inner, body)
-        return rewrite
-
-    return wrap
-
-
-@_law(Restrict, Join)
-def rewrite_push_restriction(node, catalog, scheme_of):
+def _push_restriction(node, catalog, scheme_of):
     """restrict(join(A, B), theta) -> join(restrict(A, theta), B) when theta
     only mentions attributes of one side."""
     deps = _condition_attrs(node.condition, catalog.conditions)
@@ -419,50 +336,80 @@ def rewrite_push_restriction(node, catalog, scheme_of):
     return "restriction not pushed: condition spans both join sides"
 
 
-@_law(Project, Restrict)
-def rewrite_commute_project_restrict(node, catalog, scheme_of):
-    """project(restrict(A, theta), S) -> restrict(project(A, S), theta) when
-    theta ignores the projected-away attributes."""
-    deps = _condition_attrs(node.child.condition, catalog.conditions)
+def _restrict_into_project(node, catalog, scheme_of):
+    """restrict(project(A, S), theta) -> project(restrict(A, theta), S).
+
+    The leaf-direction reading of the commutation law: valid because the
+    condition can only mention attributes surviving the projection.
+    """
+    deps = _condition_attrs(node.condition, catalog.conditions)
     if deps is None:
-        return "projection not commuted: condition dependencies unknown"
-    if deps <= {a.lower() for a in node.attrs}:
-        return Restrict(Project(node.child.child, node.attrs), node.child.condition)
-    return "projection not commuted: condition uses dropped attributes"
+        return "restriction kept above projection: dependencies unknown"
+    if deps <= {a.lower() for a in node.child.attrs}:
+        return Project(Restrict(node.child.child, node.condition), node.child.attrs)
 
 
-@_law(Project, Union)
-def rewrite_project_over_union(node, catalog, scheme_of):
-    """project(union(A, B), S) -> union(project(A, S), project(B, S))."""
-    return Union(Project(node.child.left, node.attrs), Project(node.child.right, node.attrs))
-
-
-@_law(Project, Project)
-def rewrite_project_cascade(node, catalog, scheme_of):
+def _project_cascade(node, catalog, scheme_of):
     """project(project(A, R), S) -> project(A, S); S is a subset of R by typing."""
     if {a.lower() for a in node.attrs} <= {a.lower() for a in node.child.attrs}:
         return Project(node.child.child, node.attrs)
     return "projection cascade kept: outer attributes not nested in inner"
 
 
-@_law(Project, Join)
-def rewrite_semijoin(node, catalog, scheme_of):
-    """project(join(A, B), scheme-of-A) -> semijoin(A, B)."""
-    if {a.lower() for a in node.attrs} == scheme_of(node.child.left).name_set:
-        return Semijoin(node.child.left, node.child.right)
-    return "semijoin not folded: projection keeps non-left attributes"
-
-
-REWRITE_RULES = (
-    ("push-restriction", rewrite_push_restriction),
-    ("commute-project-restrict", rewrite_commute_project_restrict),
-    ("project-over-union", rewrite_project_over_union),
-    ("project-cascade", rewrite_project_cascade),
-    ("fold-semijoin", rewrite_semijoin),
+#: The plan laws normalization runs, in the order they are tried at a node:
+#: ``(outer, inner, body)`` matches ``outer(inner(...))``, and
+#: ``body(node, catalog, scheme_of)`` returns the replacement, a note saying
+#: why the law does not apply, or None.
+LAWS = (
+    (Restrict, Join, _push_restriction),
+    (Restrict, Project, _restrict_into_project),
+    (Project, Project, _project_cascade),
 )
 
 
-# --- join-chain normalization --------------------------------------------------
+def _rebuild(node, kids):
+    if not kids:
+        return node
+    return replace(node, **dict(zip(OPERATORS[type(node)].kids, kids)))
+
+
+def _rewrite(expr: QueryExpr, catalog) -> tuple[QueryExpr, list[str]]:
+    """The runner of ``LAWS``: a bottom-up fold trying them in order at each node.
+
+    Each node is rebuilt from its rewritten children.  When a law fires, the
+    replacement's new children and then the replacement itself are rewritten
+    too, so one fold reaches the fixpoint.  Returns the tree and the notes.
+    """
+    notes = []
+    known, settled = {}, {}  # by id: (node, scheme), and settled nodes; held, so ids stay theirs
+
+    def scheme_of(node):
+        if id(node) not in known:  # each node's scheme once, from its children's
+            op = OPERATORS.get(type(node))
+            kids = list(map(scheme_of, [getattr(node, name) for name in op.kids])) if op else []
+            known[id(node)] = node, _value(node, kids, catalog.tables, catalog.conditions, False)
+        _, scheme = known[id(node)]
+        return scheme
+
+    def visit(node):
+        if id(node) in settled:
+            return node
+        op = OPERATORS.get(type(node))
+        if op is not None:
+            # map, not a comprehension: a comprehension's frame per level would
+            # cut the nesting that settling reaches by a third
+            node = _rebuild(node, list(map(visit, [getattr(node, name) for name in op.kids])))
+        for outer, inner, body in LAWS:
+            if isinstance(node, outer) and isinstance(node.child, inner):
+                result = body(node, catalog, scheme_of)
+                if isinstance(result, str):
+                    notes.append(result)
+                elif result is not None:
+                    return visit(result)
+        settled[id(node)] = node
+        return node
+
+    return visit(expr), notes
 
 
 @dataclass(frozen=True)
@@ -475,12 +422,10 @@ class NormalizeResult:
 def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
     """Push restrictions and merge projections until a join chain emerges.
 
-    One settling ``_rewrite`` fold of restriction pushdown, restriction
-    into projection and the projection cascade, tried in that order at each
-    node.  Operators outside the monotone fragment (flagged ``blocked`` in
-    ``OPERATORS``: union, difference, division, residuum, the product join)
-    are left in place and reported in ``blocked`` by keyword; their own
-    subtrees are still normalized.
+    One ``_rewrite`` fold of ``LAWS``.  Operators outside the monotone
+    fragment (flagged ``blocked`` in ``OPERATORS``: union, difference,
+    division, residuum, the product join) are left in place and reported in
+    ``blocked`` by keyword; their own subtrees are still normalized.
     """
 
     def scan(node, kids, path):
@@ -489,24 +434,8 @@ def normalize_to_join_chain(expr: QueryExpr, catalog) -> NormalizeResult:
         return own + [entry for kid in kids for entry in kid]
 
     blocked = fold(expr, scan)
-    laws = (rewrite_push_restriction.law, _rewrite_restrict_into_project.law,
-            rewrite_project_cascade.law)
-    outcome = _rewrite(expr, catalog, laws, settle=True)
-    return NormalizeResult(outcome.expr, tuple(blocked), tuple(dict.fromkeys(outcome.notes)))
-
-
-@_law(Restrict, Project)
-def _rewrite_restrict_into_project(node, catalog, scheme_of):
-    """restrict(project(A, S), theta) -> project(restrict(A, theta), S).
-
-    The leaf-direction reading of the commutation law: valid because the
-    condition can only mention attributes surviving the projection.
-    """
-    deps = _condition_attrs(node.condition, catalog.conditions)
-    if deps is None:
-        return "restriction kept above projection: dependencies unknown"
-    if deps <= {a.lower() for a in node.child.attrs}:
-        return Project(Restrict(node.child.child, node.condition), node.child.attrs)
+    tree, notes = _rewrite(expr, catalog)
+    return NormalizeResult(tree, tuple(blocked), tuple(dict.fromkeys(notes)))
 
 
 def join_chain_leaves(expr: QueryExpr) -> list[QueryExpr]:

@@ -158,9 +158,14 @@ class Scheme:
             raise SchemeError(f"attributes {sorted(missing)} not in scheme {self.names}")
         return Scheme(a for a in self.attrs if a.name in wanted)
 
-    def rename(self, mapping: Mapping[str, str]) -> "Scheme":
-        """Rename attributes; injective, targets must not collide."""
-        lowered = {old.lower(): new.lower() for old, new in mapping.items()}
+    def rename(self, mapping: Mapping[str, str] | Iterable[tuple[str, str]]) -> "Scheme":
+        """Rename attributes by a mapping or its ``(old, new)`` pairs; injective,
+        targets must not collide, and no name may be renamed twice."""
+        lowered = {}
+        for old, new in mapping.items() if isinstance(mapping, Mapping) else mapping:
+            if old.lower() in lowered:
+                raise SchemeError(f"attribute {old.lower()!r} is renamed twice")
+            lowered[old.lower()] = new.lower()
         for old in lowered:
             if old not in self._by_name:
                 raise SchemeError(f"cannot rename unknown attribute {old!r}")
@@ -673,26 +678,28 @@ def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTab
     parsers = [_PARSERS[scheme.attr(name).atype.kind] for name in names]
     value_cells = _selector([scheme.names.index(name) + 1 for name in names])  # in name order
     entries: dict[Row, Score] = {}
-    for lineno, cells in enumerate(records, start=2):
+    for cells in records:
         # a blank score cell never enters ``scores``, so a hit is a line of full width
         score = scores.get(cells[0]) if len(cells) == width else None
         if score is None:
             if not any(map(str.strip, cells)):
                 continue
             if len(cells) != width:
-                raise SchemeError(f"line {lineno}: expected {width} cells, got {len(cells)}")
+                raise SchemeError(f"line {reader.line_num}: expected {width} cells, "
+                                  f"got {len(cells)}")
             try:
                 score = parse_score(cells[0], chain, scores)
             except ChainError as exc:
-                raise ChainError(f"line {lineno}: {exc}") from None
+                raise ChainError(f"line {reader.line_num}: {exc}") from None
             if score.is_bottom:
-                raise ChainError(f"line {lineno}: rows with score 0 are not stored; omit the row")
+                raise ChainError(f"line {reader.line_num}: rows with score 0 are not stored; "
+                                 "omit the row")
         try:
             row = Row(zip(names, map(call, parsers, value_cells(cells))))
         except (ValueError, ZeroDivisionError):
-            raise _cell_error(scheme, cells[1:], lineno) from None
+            raise _cell_error(scheme, cells[1:], reader.line_num) from None
         if row in entries:
-            raise SchemeError(f"line {lineno}: duplicate tuple {row!r}")
+            raise SchemeError(f"line {reader.line_num}: duplicate tuple {row!r}")
         entries[row] = score
     return RankedTable._trusted(scheme, chain, entries)
 

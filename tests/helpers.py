@@ -704,10 +704,13 @@ def reference_condition_score(theta: Condition, row: Row, chain: ScoreChain) -> 
     return theta.score_of(row, chain)
 
 
-def reference_rewrite(rule, expr, catalog) -> planner.RewriteOutcome:
-    """Oracle for a whole-tree rewrite: one ``planner.fold`` trying ``rule``'s law
-    at each rebuilt node, its schemes typed afresh by ``infer_scheme``."""
-    outer, inner, body = rule.law
+def reference_rewrite(law, expr, catalog) -> tuple:
+    """One whole-tree pass of a plan law ``(outer, inner, body)``: one ``planner.fold``
+    trying it at each rebuilt node, its schemes typed afresh by ``infer_scheme``.
+
+    Returns the tree, how many times the law fired, and its notes in node order.
+    """
+    outer, inner, body = law
     applied, notes = 0, []
 
     def visit(node, kids, path):
@@ -723,23 +726,21 @@ def reference_rewrite(rule, expr, catalog) -> planner.RewriteOutcome:
             return result
         return node
 
-    return planner.RewriteOutcome(planner.fold(expr, visit), applied, tuple(notes))
+    return planner.fold(expr, visit), applied, tuple(notes)
 
 
 def reference_normalize(expr, catalog) -> tuple:
     """Oracle for the tree and notes of ``planner.normalize_to_join_chain``.
 
-    Whole-tree passes of its three laws, in its order, repeated until a pass
-    rewrites nothing; notes deduplicated in first-occurrence order.
+    Whole-tree passes of ``planner.LAWS``, in their order, repeated until a
+    pass rewrites nothing; notes deduplicated in first-occurrence order.
     """
     notes = []
     while True:
         changed = 0
-        for rule in (planner.rewrite_push_restriction, planner._rewrite_restrict_into_project,
-                     planner.rewrite_project_cascade):
-            outcome = reference_rewrite(rule, expr, catalog)
-            expr = outcome.expr
-            changed += outcome.applied
-            notes.extend(outcome.notes)
+        for law in planner.LAWS:
+            expr, applied, law_notes = reference_rewrite(law, expr, catalog)
+            changed += applied
+            notes.extend(law_notes)
         if not changed:
             return expr, tuple(dict.fromkeys(notes))

@@ -187,46 +187,32 @@ def _law_catalog(rng) -> Catalog:
 
 
 def test_criterion_09_rewrites_and_calculus():
+    # Each plan law as an equality of two queries; normalization runs those of
+    # ``planner.LAWS`` and must rewrite the left query into the right one.
+    t1, t2, t3 = planner.Base("t1"), planner.Base("t2"), planner.Base("t3")
+    pushed_left = ExprCondition.parse("a <= 1 ? 0.5 : 1")
+    pushed_right, kept = ExprCondition.parse("c/4"), ExprCondition.parse("a/4")
+    normalized = (
+        (planner.Restrict(planner.Join(t1, t2), pushed_left),
+         planner.Join(planner.Restrict(t1, pushed_left), t2)),
+        (planner.Restrict(planner.Join(t1, t2), pushed_right),
+         planner.Join(t1, planner.Restrict(t2, pushed_right))),
+        (planner.Restrict(planner.Project(t1, ("a",)), kept),
+         planner.Project(planner.Restrict(t1, kept), ("a",))),
+        (planner.Project(planner.Project(t1, ("a", "b")), ("b",)), planner.Project(t1, ("b",))),
+    )
+    unrun = (
+        (planner.Project(planner.Union(t1, t3), ("a",)),
+         planner.Union(planner.Project(t1, ("a",)), planner.Project(t3, ("a",)))),
+        (planner.Project(planner.Join(t1, t2), ("a", "b")), planner.Semijoin(t1, t2)),
+    )
     rng = random.Random(909)
     for _ in range(200):
         cat = _law_catalog(rng)
-        shapes = (
-            (
-                planner.rewrite_push_restriction,
-                planner.Restrict(
-                    planner.Join(planner.Base("t1"), planner.Base("t2")),
-                    ExprCondition.parse(rng.choice(("a <= 1 ? 0.5 : 1", "c/4"))),
-                ),
-            ),
-            (
-                planner.rewrite_commute_project_restrict,
-                planner.Project(
-                    planner.Restrict(planner.Base("t1"), ExprCondition.parse("a/4")),
-                    ("a",),
-                ),
-            ),
-            (
-                planner.rewrite_project_over_union,
-                planner.Project(
-                    planner.Union(planner.Base("t1"), planner.Base("t3")), ("a",)
-                ),
-            ),
-            (
-                planner.rewrite_project_cascade,
-                planner.Project(
-                    planner.Project(planner.Base("t1"), ("a", "b")), ("b",)
-                ),
-            ),
-            (
-                planner.rewrite_semijoin,
-                planner.Project(
-                    planner.Join(planner.Base("t1"), planner.Base("t2")), ("a", "b")
-                ),
-            ),
-        )
-        for rule, expr in shapes:
-            outcome = rule(expr, cat)
-            assert planner.evaluate(outcome.expr, cat) == planner.evaluate(expr, cat)
+        for lhs, rhs in normalized + unrun:
+            assert planner.evaluate(lhs, cat) == planner.evaluate(rhs, cat)
+        for lhs, rhs in normalized:
+            assert planner.normalize_to_join_chain(lhs, cat).expr == rhs
 
     for seed in range(200):
         rng = random.Random(5000 + seed)

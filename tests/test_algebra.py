@@ -298,6 +298,16 @@ class TestSemijoinRename:
         with pytest.raises(SchemeError):
             algebra.rename(demo.houses(), {"id": "bdrm"})
 
+    def test_a_name_renamed_twice_in_any_case_is_rejected(self):
+        # Two keys equal after lowercasing would otherwise fold into one.
+        for mapping in ({"ID": "a", "id": "b"}, [("id", "a"), ("ID", "b")]):
+            with pytest.raises(SchemeError, match="attribute 'id' is renamed twice"):
+                algebra.rename(demo.houses(), mapping)
+
+    def test_rename_takes_pairs_as_a_mapping(self):
+        table = demo.houses()
+        assert algebra.rename(table, [("ID", "a")]) == algebra.rename(table, {"id": "a"})
+
     def test_rename_empty(self):
         empty = RankedTable.empty(Scheme((("a", INT),)))
         assert len(algebra.rename(empty, {"a": "b"})) == 0

@@ -708,6 +708,18 @@ def _malformed_csv(kind: str, command: str):
     return build
 
 
+HEADER = "#,id:int,name:str\n"
+#: A record whose quoted cell spans two lines
+TWO_LINE_RECORD = '0.5,1,"two\nlines"\n'
+
+
+def _catalog_csv(text: str):
+    def build(tmp_path):
+        (tmp_path / "a.csv").write_text(text, encoding="utf-8")
+        return ["eval", "a", "--catalog", str(tmp_path)]
+    return build
+
+
 #: (id, argv builder over a scratch directory, text the error line must hold)
 UNCAUGHT_BEFORE = [
     ("nested-project", lambda tmp: ["eval", "project(" * 2000 + "houses" + ", [id])" * 2000],
@@ -739,6 +751,11 @@ UNCAUGHT_BEFORE = [
     ("config-long-number", _long_number_config, "number of 5000 characters is too long"),
     ("rename-twice", lambda tmp: ["eval", "rename(houses, [id -> a, id -> b])"],
      "attribute 'id' is renamed twice at query"),
+    # errors after a record that spans lines name the line the reader reached
+    ("two-line-record-bad-int", _catalog_csv(HEADER + TWO_LINE_RECORD + "0.7,x,def\n"),
+     "line 4: cannot parse 'x' as int"),
+    ("two-line-record-duplicate", _catalog_csv(HEADER + TWO_LINE_RECORD * 2),
+     "line 5: duplicate tuple"),
 ] + [
     (f"{command}-{kind}", _malformed_csv(kind, command), needle)
     for kind, needle in [

@@ -1,7 +1,6 @@
 """Query parsing, scheme inference, rewrite laws, and normalization."""
 
 import dataclasses
-import inspect
 import random
 import re
 from fractions import Fraction
@@ -430,9 +429,17 @@ class TestSchemeInference:
                 ExprCondition.parse("a <= 1 ? 0.5 : 1"),
             )
             before = planner.infer_scheme(expr, cat)
-            for _, rule in planner.REWRITE_RULES:
-                outcome = rule(expr, cat)
-                assert planner.infer_scheme(outcome.expr, cat) == before
+            for law in planner.LAWS:
+                tree, _, _ = reference_rewrite(law, expr, cat)
+                assert planner.infer_scheme(tree, cat) == before
+
+
+#: Each ``planner.LAWS`` entry by its body's name.
+LAW = {body.__name__: (outer, inner, body) for outer, inner, body in planner.LAWS}
+
+
+def _same_result(lhs, rhs, cat) -> bool:
+    return planner.evaluate(lhs, cat) == planner.evaluate(rhs, cat)
 
 
 class TestRewriteLaws:
@@ -443,10 +450,10 @@ class TestRewriteLaws:
             planner.Join(planner.Base("t1"), planner.Base("t2")),
             ExprCondition.parse("a <= 1 ? 0.5 : 1"),
         )
-        outcome = planner.rewrite_push_restriction(expr, cat)
-        assert outcome.applied == 1
-        assert isinstance(outcome.expr, planner.Join)
-        assert isinstance(outcome.expr.left, planner.Restrict)
+        tree, applied, _ = reference_rewrite(LAW["_push_restriction"], expr, cat)
+        assert applied == 1
+        assert isinstance(tree, planner.Join)
+        assert isinstance(tree.left, planner.Restrict)
 
     def test_push_restriction_not_applicable(self):
         rng = random.Random(7)
@@ -455,45 +462,54 @@ class TestRewriteLaws:
         expr = planner.Restrict(
             planner.Join(planner.Base("t1"), planner.Base("t2")), spanning
         )
-        outcome = planner.rewrite_push_restriction(expr, cat)
-        assert outcome.applied == 0 and outcome.expr == expr
-        assert any("spans both" in note for note in outcome.notes)
+        tree, applied, notes = reference_rewrite(LAW["_push_restriction"], expr, cat)
+        assert applied == 0 and tree == expr
+        assert any("spans both" in note for note in notes)
 
     def test_commute_project_restrict(self):
+        # Normalization runs this law leafward only: restriction into projection.
         rng = random.Random(9)
-        cat = rnd_catalog(rng)
-        expr = planner.Project(
-            planner.Restrict(planner.Base("t1"), ExprCondition.parse("a/4")), ("a",)
-        )
-        outcome = planner.rewrite_commute_project_restrict(expr, cat)
-        assert outcome.applied == 1
-        assert isinstance(outcome.expr, planner.Restrict)
+        theta = ExprCondition.parse("a/4")
+        outside = planner.Project(planner.Restrict(planner.Base("t1"), theta), ("a",))
+        inside = planner.Restrict(planner.Project(planner.Base("t1"), ("a",)), theta)
+        tree, applied, _ = reference_rewrite(LAW["_restrict_into_project"], inside, Catalog())
+        assert applied == 1 and tree == outside
+        for _ in range(20):
+            assert _same_result(outside, inside, rnd_catalog(rng))
 
     def test_project_cascade(self):
         expr = planner.Project(planner.Project(planner.Base("t1"), ("a", "b")), ("a",))
-        outcome = planner.rewrite_project_cascade(expr, Catalog())
-        assert outcome.expr == planner.Project(planner.Base("t1"), ("a",))
+        tree, _, _ = reference_rewrite(LAW["_project_cascade"], expr, Catalog())
+        assert tree == planner.Project(planner.Base("t1"), ("a",))
 
     def test_fold_semijoin(self):
         rng = random.Random(11)
-        cat = rnd_catalog(rng)
-        expr = planner.Project(
-            planner.Join(planner.Base("t1"), planner.Base("t2")), ("a", "b")
-        )
-        outcome = planner.rewrite_semijoin(expr, cat)
-        assert outcome.expr == planner.Semijoin(planner.Base("t1"), planner.Base("t2"))
+        for _ in range(20):
+            assert _same_result(
+                planner.Project(planner.Join(planner.Base("t1"), planner.Base("t2")), ("a", "b")),
+                planner.Semijoin(planner.Base("t1"), planner.Base("t2")),
+                rnd_catalog(rng),
+            )
 
     def test_all_rules_preserve_results(self):
         rng = random.Random(13)
         shapes = self._law_shapes()
+        union = planner.Union(planner.Base("t1"), planner.Base("t3"))
         for _ in range(120):
             cat = rnd_catalog(rng)
             for build in shapes:
                 expr = build(rng)
                 base = planner.evaluate(expr, cat)
-                for _, rule in planner.REWRITE_RULES:
-                    rewritten = rule(expr, cat).expr
-                    assert planner.evaluate(rewritten, cat) == base
+                for law in planner.LAWS:
+                    tree, _, _ = reference_rewrite(law, expr, cat)
+                    assert planner.evaluate(tree, cat) == base
+            # projection splits over a union; no command runs this law
+            assert _same_result(
+                planner.Project(union, ("a",)),
+                planner.Union(planner.Project(planner.Base("t1"), ("a",)),
+                              planner.Project(planner.Base("t3"), ("a",))),
+                cat,
+            )
 
     @staticmethod
     def _law_shapes():
@@ -504,15 +520,10 @@ class TestRewriteLaws:
                 ExprCondition.parse(side),
             )
 
-        def project_of_restrict(rng):
-            return planner.Project(
-                planner.Restrict(planner.Base("t1"), ExprCondition.parse("a/4")),
-                ("a",) if rng.random() < 0.5 else ("a", "b"),
-            )
-
-        def project_over_union(rng):
-            return planner.Project(
-                planner.Union(planner.Base("t1"), planner.Base("t3")), ("a",)
+        def restrict_of_project(rng):
+            return planner.Restrict(
+                planner.Project(planner.Base("t1"), ("a",) if rng.random() < 0.5 else ("a", "b")),
+                ExprCondition.parse("a/4"),
             )
 
         def cascade(rng):
@@ -528,8 +539,7 @@ class TestRewriteLaws:
                 planner.Join(planner.Base("t1"), planner.Base("t2")), ("a", "b")
             )
 
-        return (restriction_over_join, project_of_restrict, project_over_union,
-                cascade, semijoin_shape)
+        return (restriction_over_join, restrict_of_project, cascade, semijoin_shape)
 
     def test_semijoin_law_both_forms(self):
         rng = random.Random(17)
@@ -603,20 +613,16 @@ class TestNormalization:
         return planner.Project(node, kept)
 
     def test_one_fold_reaches_the_fixpoint_of_whole_tree_passes(self):
-        # Each whole-tree rewrite equals its own fold, and normalization the
-        # passes repeated to a fixpoint.  Notes are compared as sets: the fold
-        # lists them in node order, the passes pass by pass and law by law.
+        # Normalization equals whole-tree passes of its laws repeated to a
+        # fixpoint.  Notes are compared as sets: the fold lists them in node
+        # order, the passes pass by pass and law by law.
         seed = stable_seed("normalize-differential")
         rng = random.Random(seed)
-        rules = [rule for _, rule in planner.REWRITE_RULES]
-        rules.append(planner._rewrite_restrict_into_project)
         noted = 0
         with replay_hint(seed):
             for _ in range(2000):
                 cat = rnd_catalog(rng)
                 expr = random_plan(rng, cat, depth=5)
-                for rule in rules:
-                    assert rule(expr, cat) == reference_rewrite(rule, expr, cat)
                 result = planner.normalize_to_join_chain(expr, cat)
                 tree, notes = reference_normalize(expr, cat)
                 assert result.expr == tree
@@ -629,15 +635,14 @@ class TestNormalization:
         # afresh per law, would make the work quadratic in the nesting.
         calls = []
         join = planner.OPERATORS[planner.Join]
-        outer, inner, body = planner.rewrite_push_restriction.law
+        (outer, inner, body), *others = planner.LAWS
 
         def counted(call):
             return lambda *args: calls.append(1) or call(*args)
 
         monkeypatch.setitem(planner.OPERATORS, planner.Join,
                             dataclasses.replace(join, scheme=counted(join.scheme)))
-        monkeypatch.setattr(planner.rewrite_push_restriction, "law",
-                            (outer, inner, counted(body)))
+        monkeypatch.setattr(planner, "LAWS", ((outer, inner, counted(body)), *others))
 
         def work(joins):
             expr = planner.Base("houses")
@@ -680,11 +685,3 @@ class TestFold:
             "union at query", "product at query.left", "difference at query.right",
             "divide at query.right.left",
         )
-
-    @pytest.mark.parametrize("rule", [rule for _, rule in planner.REWRITE_RULES]
-                             + [planner._rewrite_restrict_into_project])
-    def test_laws_keep_their_names_docstrings_and_signature(self, rule):
-        assert getattr(planner, rule.__name__) is rule and rule.__doc__
-        signature = inspect.signature(rule)
-        assert list(signature.parameters) == ["expr", "catalog"]
-        assert signature.return_annotation == "RewriteOutcome"
