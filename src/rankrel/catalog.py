@@ -95,7 +95,8 @@ class Catalog:
     def from_dir(cls, directory) -> "Catalog":
         directory = Path(directory)
         if not directory.is_dir():
-            raise UnknownNameError(f"catalog directory {directory} does not exist")
+            problem = "is not a directory" if directory.exists() else "does not exist"
+            raise UnknownNameError(f"catalog directory {directory} {problem}")
         config_path = directory / "catalog.cfg"
         catalog = parse_config(read_text(config_path)) if config_path.exists() else cls()
         paths: dict = {}

@@ -15,7 +15,9 @@ Subcommands::
 re-ingests to an equal table.  ``verify`` replays the bundled demo checks;
 their golden tables are the worked example's queries, run through the same
 parser and planner as ``eval``.  Every input error, nesting too deep for the
-interpreter's recursion limit included, exits 1 with one ``error:`` line.
+interpreter's recursion limit included, exits 1 with one ``error:`` line;
+a reader that closes the output pipe early (``| head``) makes it exit 1
+without one.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -211,6 +214,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed the pipe, as `| head` does: stop without a word.
+        # Output still buffered would fail again at the interpreter's exit
+        # flush, so stdout goes to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RankrelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

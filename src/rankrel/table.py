@@ -13,6 +13,7 @@ are rejected because absence already encodes 0.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass
@@ -616,7 +617,8 @@ _PARSERS = {"str": str.strip, "int": int, "dec": Fraction}
 
 def read_table_csv(source, chain: ScoreChain = RATIONAL,
                    scores: Optional[dict[str, Score]] = None) -> RankedTable:
-    """Read a ranked table from CSV text (it holds a line break) or a file path.
+    """Read a ranked table from CSV text (it holds a line break) or a file path,
+    without a leading byte-order mark.
 
     Score texts go through :func:`parse_score` and ``scores`` (a fresh dict
     when ``None``).  An error reading a path names the path once: a decoding
@@ -626,7 +628,8 @@ def read_table_csv(source, chain: ScoreChain = RATIONAL,
     if scores is None:
         scores = {}
     if isinstance(source, str) and "\n" in source:
-        return _read_rows(csv.reader(io.StringIO(source), strict=True), chain, scores)
+        text = source.removeprefix("\ufeff")
+        return _read_rows(csv.reader(io.StringIO(text), strict=True), chain, scores)
     reader = csv.reader(io.StringIO(read_text(source), newline=""), strict=True)
     try:
         return _read_rows(reader, chain, scores)
@@ -647,10 +650,11 @@ def parse_score(text: str, chain: ScoreChain, scores: dict[str, Score]) -> Score
 
 def read_text(path) -> str:
     """A UTF-8 file's text, line ends as stored, without a leading byte-order mark;
-    other bytes are a ``ParseError`` that names the file."""
-    data = Path(path).read_bytes()
+    other bytes are a ``ParseError`` that names the file, and a column counted
+    after the mark."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        return data.decode("utf-8").removeprefix("\ufeff")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_start = data.rfind(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path} is not UTF-8: cannot decode byte 0x{data[exc.start]:02x}",

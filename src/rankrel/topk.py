@@ -2,35 +2,22 @@
 
 Each source offers sorted access (its answer set by non-increasing score;
 ties carry no order) and random access (tuples matching a partial join
-key).  Sorted access feeds a threshold equal to the minimum of the
-per-source last-seen scores; because every join involving a newly seen
-tuple is completed immediately through random access, any join still
-unmaterialized is built entirely from unseen tuples and therefore cannot
-score above the threshold.  We halt once k materialized results score
-strictly above it; every result tying with the k-th best is then built,
-so the final sort (``table.rank_sorted``) matches the brute-force oracle's
-canonical order exactly, whatever the order of ties in each source.
+key).  ``top_k`` walks the smallest source by sorted access and completes
+each row it reads into every join tuple holding it, looking the other
+sources up in keyed order (``_completion_plan``): sources sharing the most
+attributes with those bound so far come first, which keeps the partial
+joins small.  A join tuple holds exactly one row of the walked source, so
+each is built once, and a tuple not yet built holds a row not yet read.
+That row scores at most the row just read, and a meet never rises, so the
+walk stops once k built results score strictly above the row just read.
+Every result tying with the k-th best is then built, so the final sort
+(``table.rank_sorted``) matches the brute-force oracle's canonical order
+exactly, whatever the order of ties in each source.
 
-Only a pull from the source holding the threshold can lower it, so each
-step pulls the source with the lowest last-seen score (the adaptive
-pulling of HRJN, read for the meet); ties go to the smaller source, then
-to the lower index, so the smallest source is pulled first.  Once the
-pulled source is exhausted, every join tuple has been completed from one
-of its rows, and the loop stops.  Once the stop test's heap holds k
-scores, completion skips a pulled row or a match scoring strictly below
-the heap's least: a meet never rises, so no join through it can rank.
-
-The stop test is O(log k) per access: a min-heap holds the scores of the k
-best distinct results seen so far, so "k results above the threshold" is
-just "the heap is full and its least score beats the threshold".  A join
-tuple reached again from another starting source is not pushed twice.
-
-Completion from a starting source visits the other sources in a keyed
-order, fixed once per start when a row of it is first completed: next
-comes the remaining source sharing the most attributes with those bound so
-far (ties to the lower index).  Looking up keyed sources first keeps the
-partial joins small; a source sharing nothing with the bound attributes is
-crossed in only when no keyed one is left.
+The stop test is O(log k) per row: a min-heap holds the scores of the k
+best results built so far.  Once it is full, a row or a match scoring
+strictly below its least is not completed, as no join through it can
+rank, and only results scoring at least its least enter the final sort.
 
 Both access paths live on the immutable table: ``RankedTable.rows_by_rank``
 sorts once and ``RankedTable.index`` hashes once per join key, and every
@@ -40,8 +27,7 @@ order, capping rows as it reads them, and its random access restricts its
 input's kept index buckets (``RankedTable.sorted_access`` and ``lookup``).
 So a session that queries one catalog repeatedly sorts and hashes each
 catalog table once, restricted or not, and each request reads only the
-rows it reaches.  Once the heap holds k scores, only results scoring at
-least its least one enter the final sort.
+rows it reaches.
 """
 
 from __future__ import annotations
@@ -168,14 +154,11 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
     """The k best tuples of the full join, scored by the minimum.
 
     Exactly equals the brute-force oracle's list under the canonical tie
-    order, but typically touches only a prefix of each source.  Each step
-    pulls the source with the lowest last-seen score (ties to the smaller
-    source, then the lower index) and completes the new row into every join
-    tuple containing it that can still rank, visiting the other sources in
-    keyed order (most shared attributes with those already bound first).
-    The loop stops as soon as the k best distinct results, kept in a
-    min-heap, all score strictly above the threshold, or once the pulled
-    source is exhausted.
+    order, but typically reads only a prefix of one source: the smallest
+    (ties to the lower index), walked in rank order.  Each row is completed
+    into every join tuple holding it that can still rank.  The walk stops
+    once the k best results, kept in a min-heap, all score strictly above
+    the row just read, or once the walked source is exhausted.
     """
     if k < 1:
         raise TopKError("k must be at least 1")
@@ -186,28 +169,26 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
         if source.table.chain != chain:
             raise IncompatibleChainError("sources live on different score chains")
 
-    n = len(sources)
-    positions = [0] * n
-    last_seen = [chain.top.key] * n
-    # pulling order among sources tied on last_seen: the smaller first, then the lower index
-    order = sorted(range(n), key=lambda i: (len(sources[i].table), i))
-    results: dict[Row, Score] = {}
+    start = min(range(len(sources)), key=lambda i: (len(sources[i].table), i))
+    plan: Optional[list] = None  # made at the first row: an empty walk builds no index
+    results: list[tuple[Row, Score]] = []
     best: list = []  # min-heap of the order keys of the k best results
-    counters = {"sorted": 0, "random": 0}
-    plans: dict[int, list] = {}  # by starting source, made when a row of it is first completed
-
-    def complete(start: int, row: Row, score: Score) -> None:
-        # A meet never rises, and k distinct results already score at least
-        # the heap's least: a tuple scoring below it cannot rank, nor can a
-        # join through it.  Ties are built, as the canonical order may pick them.
+    sorted_accesses = random_accesses = 0
+    # the walk's next position is the number of rows read
+    while (pair := sources[start].pull(sorted_accesses)) is not None:
+        sorted_accesses += 1
+        bound = pair[1].key  # no tuple not yet built scores above the row just read
+        # A meet never rises, and k results already score at least the heap's
+        # least: a tuple below it cannot rank, nor can a join through it.
+        # Ties are built, as the canonical order may pick them.
         floor = best[0] if len(best) == k else chain.bottom.key
-        if score.key < floor:
-            return
-        if start not in plans:
-            plans[start] = _completion_plan(sources, start)
-        partial = [(row, score)]
-        for lookup, key_of, join in plans[start]:
-            counters["random"] += len(partial)
+        if bound < floor:
+            break  # nor can a later row
+        if plan is None:
+            plan = _completion_plan(sources, start)
+        partial = [pair]
+        for lookup, key_of, join in plan:
+            random_accesses += len(partial)
             extended = []
             for accumulated, acc_score in partial:
                 for match, match_score in lookup(key_of(accumulated), ()):
@@ -217,33 +198,16 @@ def top_k(sources: Sequence[SortedSource], k: int) -> TopKResult:
                     extended.append((join(accumulated, match), merged_score))
             partial = extended
             if not partial:
-                return
-        for joined, joined_score in partial:
-            if joined in results:
-                continue  # already completed from another starting source
-            results[joined] = joined_score
+                break
+        for _, joined_score in partial:
             if len(best) < k:
                 heapq.heappush(best, joined_score.key)
             elif joined_score.key > best[0]:
                 heapq.heapreplace(best, joined_score.key)
+        results += partial
+        if len(best) == k and best[0] > bound:
+            break  # the k best are above every tuple not yet built
 
-    while True:
-        # Only a pull from the source holding the threshold can lower it.
-        i = min(order, key=last_seen.__getitem__)
-        pair = sources[i].pull(positions[i])
-        if pair is None:
-            break  # every row of source i is completed: results hold every join that can rank
-        row, score = pair
-        positions[i] += 1
-        last_seen[i] = score.key
-        counters["sorted"] += 1
-        complete(i, row, score)
-        if len(best) == k and best[0] > min(last_seen):
-            break  # the k best are above everything unseen
-
-    candidates = results.items()
     if len(best) == k:  # only results scoring at least the k-th best can rank
-        floor = best[0]
-        candidates = [pair for pair in candidates if pair[1].key >= floor]
-    ordered = rank_sorted(candidates)[:k]
-    return TopKResult(tuple(ordered), counters["sorted"], counters["random"])
+        results = [pair for pair in results if pair[1].key >= best[0]]
+    return TopKResult(tuple(rank_sorted(results)[:k]), sorted_accesses, random_accesses)

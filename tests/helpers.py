@@ -9,6 +9,7 @@ or top).
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import itertools
 import math
@@ -31,7 +32,10 @@ from rankrel.errors import (
 from rankrel.exprs import POWER_BITS_CAP, Binary, Call, Compare, Num, Ref, Ternary, Unary
 from rankrel.maps import GraphMap, OrderMap, Piece, PiecewiseConstantMap, apply_checked
 from rankrel.ordinal import _rank_profile, ordinally_equivalent
-from rankrel.table import INT, STR, RankedTable, Row, Scheme, _conforms, parse_header
+from rankrel.table import (
+    INT, STR, RankedTable, Row, Scheme, _conforms, parse_header, rank_sorted,
+)
+from rankrel.topk import TopKResult, _completion_plan
 
 #: Score grid: multiples of 1/24 (contains halves, quarters, sixths...).
 GRID_DENOM = 24
@@ -744,3 +748,80 @@ def reference_normalize(expr, catalog) -> tuple:
             notes.extend(law_notes)
         if not changed:
             return expr, tuple(dict.fromkeys(notes))
+
+
+def reference_top_k(sources, k: int):
+    """Oracle for ``topk.top_k``'s items and access counts: TA/HRJN-style
+    threshold pulling over every source.
+
+    Each step pulls the source with the lowest last-seen score, ties to the
+    smaller source and then the lower index, and completes the new row from
+    that starting source; a tuple completed from two starts is kept once.
+    The loop stops once the k best score strictly above the least last-seen
+    score, or once the pulled source is exhausted.  Since an unpulled source
+    keeps the top score, the first source pulled wins every step, so this
+    reads the same rows as ``top_k``'s one walk.  Arguments are those of a
+    valid call: ``k >= 1`` and sources on one chain.
+    """
+    chain = sources[0].table.chain
+    n = len(sources)
+    positions = [0] * n
+    last_seen = [chain.top.key] * n
+    # pulling order among sources tied on last_seen: the smaller first, then the lower index
+    order = sorted(range(n), key=lambda i: (len(sources[i].table), i))
+    results: dict[Row, Score] = {}
+    best: list = []  # min-heap of the order keys of the k best results
+    counters = {"sorted": 0, "random": 0}
+    plans: dict[int, list] = {}  # by starting source, made when a row of it is first completed
+
+    def complete(start: int, row: Row, score: Score) -> None:
+        # A meet never rises, and k distinct results already score at least
+        # the heap's least: a tuple scoring below it cannot rank, nor can a
+        # join through it.  Ties are built, as the canonical order may pick them.
+        floor = best[0] if len(best) == k else chain.bottom.key
+        if score.key < floor:
+            return
+        if start not in plans:
+            plans[start] = _completion_plan(sources, start)
+        partial = [(row, score)]
+        for lookup, key_of, join in plans[start]:
+            counters["random"] += len(partial)
+            extended = []
+            for accumulated, acc_score in partial:
+                for match, match_score in lookup(key_of(accumulated), ()):
+                    if match_score.key < floor:
+                        continue
+                    merged_score = match_score if match_score.key < acc_score.key else acc_score
+                    extended.append((join(accumulated, match), merged_score))
+            partial = extended
+            if not partial:
+                return
+        for joined, joined_score in partial:
+            if joined in results:
+                continue  # already completed from another starting source
+            results[joined] = joined_score
+            if len(best) < k:
+                heapq.heappush(best, joined_score.key)
+            elif joined_score.key > best[0]:
+                heapq.heapreplace(best, joined_score.key)
+
+    while True:
+        # Only a pull from the source holding the threshold can lower it.
+        i = min(order, key=last_seen.__getitem__)
+        pair = sources[i].pull(positions[i])
+        if pair is None:
+            break  # every row of source i is completed: results hold every join that can rank
+        row, score = pair
+        positions[i] += 1
+        last_seen[i] = score.key
+        counters["sorted"] += 1
+        complete(i, row, score)
+        if len(best) == k and best[0] > min(last_seen):
+            break  # the k best are above everything unseen
+
+    candidates = results.items()
+    if len(best) == k:  # only results scoring at least the k-th best can rank
+        floor = best[0]
+        candidates = [pair for pair in candidates if pair[1].key >= floor]
+    ordered = rank_sorted(candidates)[:k]
+    return TopKResult(tuple(ordered), counters["sorted"], counters["random"])

@@ -1,14 +1,19 @@
 """End-to-end command-line behaviour."""
 
 import csv
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import reference_compose_table, reference_rank_profile, replay_hint, stable_seed
 
+import rankrel
 from rankrel import algebra, demo, ordinal
 from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL, exact_decimal_str
@@ -746,6 +751,8 @@ UNCAUGHT_BEFORE = [
     ("catalog-bad-byte", lambda tmp: ["eval", "a", "--catalog", str(_bad_byte_csv(tmp).parent)],
      "a.csv"),
     ("config-bad-byte", _bad_byte_config, "catalog.cfg"),
+    ("catalog-is-a-file", lambda tmp: ["eval", "a", "--catalog", str(_bad_byte_csv(tmp))],
+     "a.csv is not a directory"),
     ("long-number", lambda tmp: _restrict("1" * 5000),
      "number of 5000 characters is too long (line 1, column 17)"),
     ("config-long-number", _long_number_config, "number of 5000 characters is too long"),
@@ -772,6 +779,7 @@ def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path):
     (tmp_path / "catalog.cfg").write_bytes(b"\xef\xbb\xbfchain symbolic(no < yes)\n")
     assert run(capsys, "eval", "t", "--catalog", str(tmp_path)) == (
         0, "#    id\n-------\nyes  5\n", "")
+    assert read_table_csv("\ufeff#,id:int\n0.5,1\n") == read_table_csv("#,id:int\n0.5,1\n")
 
 
 def test_a_file_that_is_not_utf8_is_named_once(capsys, tmp_path):
@@ -785,6 +793,31 @@ def test_a_file_that_is_not_utf8_is_named_once(capsys, tmp_path):
     assert run(capsys, *_bad_byte_config(tmp_path)) == (1, "", f"error: {message}\n")
     assert run(capsys, "equiv", str(bad), str(bad), "--config", str(config)) == (
         1, "", f"error: {message}\n")
+    # a column counts characters after the byte-order mark
+    bad.write_bytes(b"\xef\xbb\xbf#,id:int\xff\n")
+    message = f"{bad} is not UTF-8: cannot decode byte 0xff (line 1, column 8)"
+    assert run(capsys, "equiv", str(bad), str(bad)) == (1, "", f"error: {message}\n")
+
+
+def test_a_closed_output_pipe_ends_eval_quietly(tmp_path):
+    # 20,000 rows print far more than a pipe holds, so eval is still writing
+    # when the reader closes the pipe after one line, as `| head -1` does.
+    write_table_csv(RankedTable.from_entries(
+        Scheme((("id", INT),)),
+        [({"id": i}, RATIONAL.score(Fraction(i, 20_000))) for i in range(1, 20_001)]),
+        tmp_path / "t.csv")
+    env = dict(os.environ, PYTHONPATH=str(Path(rankrel.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rankrel.cli", "eval", "t", "--catalog", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 @pytest.mark.parametrize("build, needle", [case[1:] for case in UNCAUGHT_BEFORE],

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    reference_top_k,
     replay_hint,
     rnd_grid_isomorphism,
     rnd_restriction_condition,
@@ -211,6 +212,34 @@ class TestOracleAgreement:
         assert tied >= 40
 
 
+    def test_the_walk_reads_what_threshold_pulling_reads(self):
+        # reference_top_k pulls whichever source holds the threshold; top_k
+        # walks the smallest one.  Items and both access counts must agree on
+        # plain chains of 1-4 sources, deferred restrictions on two chains and
+        # tie-heavy three-level chains.
+        levels = ScoreChain(("no", "low", "mid", "high", "yes"))
+        three_level = ScoreChain(("no", "mid", "yes"))
+        seed = stable_seed("topk-walk-vs-threshold-pulling")
+        rng = random.Random(seed)
+        with replay_hint(seed):
+            for case in range(2400):
+                kind, chain = case % 3, (RATIONAL, levels)[case // 3 % 2]
+                if kind == 0:
+                    sources = rnd_sources(rng, rng.randint(1, 4))
+                elif kind == 1:
+                    inputs = [rnd_table(rng, rnd_scheme(rng, names=names), chain=chain)
+                              for names in rng.sample(OVERLAPPING, rng.randint(1, 3))]
+                    sources = [SortedSource.from_table(
+                        algebra.restrict(t, rnd_restriction_condition(rng, t.scheme, chain))
+                        if rng.random() < 0.6 else t) for t in inputs]
+                else:
+                    sources = [SortedSource.from_table(
+                        rnd_table(rng, rnd_scheme(rng, names=names), chain=three_level))
+                        for names in (("a", "b"), ("b", "c"), ("c", "d"))]
+                k = rng.randint(1, 8)
+                assert top_k(sources, k) == reference_top_k(sources, k)
+
+
 class TestInvariance:
     def test_tuple_sequence_survives_transformation(self):
         rng = random.Random(101)
@@ -248,8 +277,9 @@ def test_early_termination_on_clear_gap():
 
 
 def test_tuple_completed_from_two_sources_counts_once():
-    # a=1 is completed from both sources.  Counted twice among the k best it
-    # would stop the scan after a=2 (0.2) and miss a=3 (0.45).
+    # `left` is walked, and each join tuple is built once, from its row of
+    # `left`.  Counted twice among the k best, a=1 would fill the heap at 1
+    # and stop the walk at a=2, missing a=3 (0.45).
     scheme = Scheme((("a", INT),))
     left = RankedTable.from_entries(
         scheme, [({"a": 1}, fr("1")), ({"a": 2}, fr("0.5")), ({"a": 3}, fr("0.45"))]
@@ -289,10 +319,9 @@ def test_completion_looks_up_keyed_sources_first():
     )
     sources = [SortedSource.from_table(t) for t in (houses, offers, regions)]
     result = top_k(sources, 1)
-    # regions, the smallest source, is pulled first: A (0.95) makes 1 + 2
-    # random accesses and the result 0.9.  regions still holds the threshold,
-    # so B (0.5) is pulled next; it scores below the heap's 0.9 and is not
-    # completed, and 0.9 beats the threshold 0.5.
+    # regions, the smallest source, is walked: A (0.95) makes 1 + 2 random
+    # accesses and the result 0.9.  B (0.5) is read next; it scores below the
+    # heap's 0.9, so it is not completed and the walk stops.
     assert result.sorted_accesses == 2
     assert result.random_accesses == 3
     assert result.items == brute_force_top_k(sources, 1).items
@@ -300,9 +329,9 @@ def test_completion_looks_up_keyed_sources_first():
 
 
 def test_an_exhausted_source_stops_the_loop():
-    # `single`, the smaller source, is pulled first and holds the threshold
-    # 0.5 after it.  Pulled again, it is exhausted: its one row is completed,
-    # so the join's one tuple is known and no row of `many` is read.
+    # `single`, the smaller source, is walked: its one row is completed by one
+    # lookup in `many`, and then the walk finds `single` exhausted.  The
+    # join's one tuple is known, and no row of `many` is read in rank order.
     scheme = Scheme((("a", INT),))
     many = RankedTable.from_entries(
         scheme, [({"a": i}, fr(score)) for i, score in ((1, "0.9"), (2, "0.8"), (3, "0.7"))])
@@ -315,11 +344,11 @@ def test_an_exhausted_source_stops_the_loop():
 
 
 def test_completion_skips_a_match_below_the_kth_best():
-    # r (2 rows) is pulled first; its a=1 row completes to 0.8, filling the
-    # heap.  Its a=2 row (0.9) matches s's b=2 (0.95) and b=3 (0.1); b=3 is
-    # below 0.8, so only b=2 is looked up in t: 1 + 1 random accesses for
-    # each r row, where building the b=3 partial too would make 1 + 2.
-    # r still holds the threshold, 0.9, and is exhausted when pulled again.
+    # r (2 rows) is walked; its a=1 row completes to 0.8, filling the heap.
+    # Its a=2 row (0.9) matches s's b=2 (0.95) and b=3 (0.1); b=3 is below
+    # 0.8, so only b=2 is looked up in t: 1 + 1 random accesses for each r
+    # row, where building the b=3 partial too would make 1 + 2.  The heap's
+    # 0.9 then does not beat the row just read, 0.9, and r is exhausted.
     r = RankedTable.from_entries(Scheme((("a", INT),)),
                                  [({"a": 1}, fr("1")), ({"a": 2}, fr("0.9"))])
     s = RankedTable.from_entries(
