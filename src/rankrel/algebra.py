@@ -10,8 +10,8 @@ coincides with its classic counterpart.
 
 Result rows are operand rows or gathered from them by plans, so results are
 built by ``RankedTable._trusted`` with no per-row check; bottom is filtered
-wherever a connective can yield it.  A restriction's result is built only
-when read (``RankedTable._capped``).
+wherever a connective can yield it.  A restriction's and a semijoin's
+results are built only when read (``RankedTable._capped``).
 
 Each operation computes its result scheme by one rule over the operand
 schemes and its parameter (``Scheme.union``, ``project``, ``rename`` or a
@@ -209,20 +209,16 @@ def similarity(d1: RankedTable, d2: RankedTable) -> Score:
 
 
 def semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
-    """Join then project back onto the first scheme.
+    """Join then project back onto the first scheme: d1 restricted by d2's projection.
 
-    Evaluated without building joined rows: each d1 row keeps the best
-    minimum over the d2 rows it matches.
+    On a chain min distributes over max, so a d1 row's best minimum with the d2 rows
+    it matches is its score capped at the best d2 score on its shared attributes,
+    which ``project(d2, shared)`` keeps.  Rows with no match drop (``RankedTable._capped``).
     """
     semijoin_scheme(d1.scheme, d2.scheme)
     _require_same_chain(d1, d2)
-    entries: dict[Row, Score] = {}
-    for row, score, _, other_score in _matched_pairs(d1, d2):
-        value = meet(score, other_score)
-        best = entries.get(row)
-        if best is None or value.key > best.key:
-            entries[row] = value
-    return RankedTable._trusted(d1.scheme, d1.chain, entries)
+    shared = tuple(sorted(d1.scheme.name_set & d2.scheme.name_set))
+    return RankedTable._capped(d1, shared, project(d2, shared)._entries)
 
 
 def rename(d: RankedTable, mapping: Mapping[str, str] | Iterable[tuple[str, str]]) -> RankedTable:

@@ -62,15 +62,15 @@ class Condition:
 
         Returns the free attribute names in name order, and each distinct
         key of ``table.index(names)`` with its score, in first-occurrence
-        table order.  The innermost condition scores each key's first row,
-        so scorer calls and their errors come as a row-by-row scan in table
-        order would bring them; then :meth:`mapped` maps those scores.
+        table order; keys scoring bottom are left out.  The innermost
+        condition scores each key's first row, so scorer calls and their
+        errors come as a row-by-row scan in table order would bring them.
         """
         names = tuple(sorted(self.free_attrs() & table.scheme.name_set))
         index = table.index(names)
         score_of = self.innermost().scorer(table.scheme, table.chain)
         scores = self.mapped([score_of(bucket[0][0]) for bucket in index.values()], table.chain)
-        return names, dict(zip(index, scores))
+        return names, {key: score for key, score in zip(index, scores) if not score.is_bottom}
 
     def free_attrs(self):
         """Attribute names the condition depends on, or None when unknown."""

@@ -116,6 +116,10 @@ def resolve_condition(spec: typing.Union[Condition, str], conditions: Mapping[st
     return spec
 
 
+def _as_parsed(value, conditions: Mapping[str, Condition]):  # a parameter needing no catalog
+    return value
+
+
 def _condition_attrs(spec: typing.Union[Condition, str], conditions: Mapping[str, Condition]):
     """Attributes a restriction depends on, or None when not statically known."""
     if isinstance(spec, str):
@@ -173,11 +177,9 @@ class Param:
 
 
 _CONDITION = Param("condition", _read_condition, str, resolve_condition)
-_ATTRS = Param("attrs", lambda parser: _read_list(parser, _read_name, True), ", ".join,
-               lambda attrs, conditions: attrs)
+_ATTRS = Param("attrs", lambda parser: _read_list(parser, _read_name, True), ", ".join, _as_parsed)
 _MAPPING = Param("mapping", lambda parser: _read_list(parser, _read_rename, False),
-                 lambda pairs: ", ".join(f"{old}->{new}" for old, new in pairs),
-                 lambda pairs, conditions: pairs)
+                 lambda pairs: ", ".join(f"{old}->{new}" for old, new in pairs), _as_parsed)
 
 
 # --- operator table -------------------------------------------------------------

@@ -386,10 +386,11 @@ class RankedTable:
     @classmethod
     def _capped(cls, table: "RankedTable", names: tuple[str, ...],
                 caps: dict[tuple, Score]) -> "RankedTable":
-        """``table`` with each row's score capped at its cap; rows capped to bottom drop out.
+        """``table`` with each row's score capped at its cap; rows with no cap drop out.
 
         A row's cap is ``caps`` of its pairs of ``names``, the key that
-        ``table.index(names)`` files it under; caps are on ``table``'s chain.
+        ``table.index(names)`` files it under; a key with no entry in ``caps``
+        drops its rows, and every stored cap is nonzero, on ``table``'s chain.
         Nothing is computed here.  Sorted access (:meth:`sorted_access`)
         caps the rows of ``table``'s rank order as they are read, promising
         non-increasing scores only, and random access (:meth:`lookup`) caps
@@ -462,13 +463,12 @@ class RankedTable:
         """The number of rows; a capped table not yet built counts them and builds nothing.
 
         Its input's kept index files each row under its cap's key, and a row
-        drops out exactly when its cap is bottom: O(distinct keys).
+        drops out exactly when its key has no cap: O(distinct keys).
         """
         if self._capping is None:
             return len(self._entries)
         table, names, caps = self._capping
-        return sum(len(bucket) for key, bucket in table.index(names).items()
-                   if not caps[key].is_bottom)
+        return sum(len(bucket) for key, bucket in table.index(names).items() if key in caps)
 
     def __iter__(self):
         return iter(self._entries.items())
@@ -545,23 +545,23 @@ class RankedTable:
 
 def _capped_pairs(pairs: Iterable[tuple[Row, Score]], key_of: Callable[[Row], tuple],
                   caps: dict[tuple, Score]) -> Iterator[tuple[Row, Score]]:
-    """Each (row, score) pair with its score capped at the row's cap, bottoms dropped."""
+    """Each (row, score) pair with its score capped at the row's cap; rows with no cap dropped."""
     for row, score in pairs:
-        value = meet(score, caps[key_of(row)])
-        if not value.is_bottom:
-            yield row, value
+        cap = caps.get(key_of(row))
+        if cap is not None:
+            yield row, meet(score, cap)
 
 
 def _capped_by_rank(table: RankedTable, key_of: Callable[[Row], tuple],
                     caps: dict[tuple, Score]) -> Iterator[tuple[Row, Score]]:
     """The capped pairs of ``table`` by non-increasing score, read while walking its rank order.
 
-    Capping lowers a score, never raises it.  So once the walk reaches a
-    row scoring s, no row still unread scores above s.  A row keeping its
-    own score goes out at once.  A capped row waits in the group of its
-    cap's level until the walk passes below that level, and the groups left
-    at the end go out from the highest level down.  Ties come out in no
-    particular order.
+    A row with no cap drops out, and capping lowers a score, never raises
+    it.  So once the walk reaches a row scoring s, no row still unread
+    scores above s.  A row keeping its own score goes out at once.  A capped
+    row waits in the group of its cap's level until the walk passes below
+    that level, and the groups left at the end go out from the highest
+    level down.  Ties come out in no particular order.
     """
     code, levels = rank_codes(caps.values())  # each cap's level; levels by ascending key
     held: list[list] = [[] for _ in levels]
@@ -570,11 +570,13 @@ def _capped_by_rank(table: RankedTable, key_of: Callable[[Row], tuple],
         while level >= 0 and levels[level].key > score.key:
             yield from held[level]
             level -= 1
-        cap = caps[key_of(row)]
+        cap = caps.get(key_of(row))
+        if cap is None:
+            continue
         value = meet(score, cap)
         if value is score:
             yield row, score
-        elif not value.is_bottom:
+        else:
             held[code[id(cap)]].append((row, value))
     for group in reversed(held[:level + 1]):
         yield from group

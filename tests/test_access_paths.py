@@ -20,11 +20,11 @@ from helpers import (
     value_meet,
 )
 
-from rankrel import algebra, demo, planner, table as table_module
+from rankrel import algebra, demo, planner, table as table_module, topk
 from rankrel.catalog import Catalog
 from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.conditions import ExprCondition
-from rankrel.table import INT, RankedTable, Scheme, rank_sorted
+from rankrel.table import INT, STR, RankedTable, Scheme, rank_sorted
 from rankrel.topk import SortedSource, brute_force_top_k, top_k
 
 LEVELS = ScoreChain(("none", "low", "mid", "high", "full"))
@@ -140,6 +140,92 @@ class TestWarmCachesChangeNothing:
                 if chain.is_rational:
                     assert algebra.product_join(left, t) == reference_product_join(left, fresh(t))
         assert sorted(t._indexes) == [("a",), ("b",)]
+
+
+class TestDeferredSemijoin:
+    """A semijoin caps its left side as a restriction does, and reads as the eager semijoin.
+
+    The right side shares a three-value key with the left, or shares no
+    attribute, or has the left's own scheme.
+    """
+
+    CHAINS = {"rational": RATIONAL, "levels": LEVELS}
+    RIGHT_NAMES = (("b", "c"), ("c", "d"), ("a", "b"))
+
+    @pytest.mark.parametrize("chain_name", sorted(CHAINS))
+    def test_lazy_access_equals_the_built_table(self, chain_name):
+        chain = self.CHAINS[chain_name]
+        seed = stable_seed(f"deferred-semijoin-{chain_name}")
+        rng = random.Random(seed)
+        with replay_hint(seed):
+            for _ in range(150):
+                self._one_instance(rng, chain)
+
+    def _one_instance(self, rng, chain):
+        def table(names, max_rows):
+            return rnd_table(rng, rnd_scheme(rng, names=names), max_rows=max_rows, chain=chain)
+
+        t = table(("a", "b"), 14)
+        right = table(rng.choice(self.RIGHT_NAMES), 9)
+        other = table(rng.choice((("a", "c"), ("b",))), 9)
+        if rng.random() < 0.5:  # the input's table order need not be its rank order
+            t = in_order(t, rng.sample(list(t), len(t)))
+        eager = fresh(algebra.semijoin(t, right))
+        assert eager == reference_semijoin(t, right)
+
+        source = SortedSource.from_table(algebra.semijoin(t, right))
+        assert source.ranked == []
+        streamed = pull_all(source)
+        assert rank_sorted(streamed) == eager.rows_by_rank()  # the same pairs
+        assert all(a[1].key >= b[1].key for a, b in zip(streamed, streamed[1:]))
+        assert not is_built(source.table)
+        assert source.table._ranked is None and source.table._indexes == {}
+
+        for names in ((), ("a",), ("b",), ("a", "b")):
+            deferred = algebra.semijoin(t, right)
+            lookup = deferred.lookup(names)
+            for key, _ in t.index(names).items():
+                assert lookup(key, ()) == eager.index(names).get(key, [])
+            assert not is_built(deferred) and deferred._indexes == {}
+
+        for k in (1, 3, 100):
+            lazy = [SortedSource.from_table(algebra.semijoin(t, right)),
+                    SortedSource.from_table(other)]
+            built = [SortedSource.from_table(eager), SortedSource.from_table(other)]
+            # ties may stream in another order, so only the items must agree
+            items = top_k(lazy, k).items
+            assert items == top_k(built, k).items == brute_force_top_k(built, k).items
+            assert not is_built(lazy[0].table)
+
+        deferred = algebra.semijoin(t, right)
+        assert len(deferred) == len(eager)  # counted from t's kept index
+        assert not is_built(deferred) and deferred._indexes == {}
+        assert deferred == eager and eager == algebra.semijoin(t, right)
+        assert pickle.loads(pickle.dumps(algebra.semijoin(t, right))) == eager
+        assert len(deferred) == len(eager) and dict(deferred) == eager.entries()
+        assert algebra.semijoin(t, right).rows_by_rank() == eager.rows_by_rank()
+
+    def test_top_k_over_a_catalog_semijoin_builds_nothing(self):
+        rng = random.Random(stable_seed("catalog-semijoin"))
+        agents = [f"agent{i}" for i in range(12)]
+        catalog = Catalog()
+        catalog.tables["offers"] = RankedTable.from_entries(
+            Scheme((("id", INT), ("agent", STR), ("price", INT))),
+            [({"id": i, "agent": rng.choice(agents), "price": i},
+              Fraction(rng.randint(1, 400), 400)) for i in range(300)])
+        catalog.tables["agents"] = RankedTable.from_entries(  # 3 of 12 agents unlisted
+            Scheme((("agent", STR), ("region", STR))),
+            [({"agent": agent, "region": rng.choice("NS")}, Fraction(rng.randint(1, 4), 4))
+             for agent in agents[:9]])
+        query = planner.parse_query("semijoin(offers, agents)")
+        for k in (1, 10, 100):
+            sources = topk.sources(query, catalog)
+            assert len(sources) == 1
+            result = top_k(sources, k)
+            semi = sources[0].table
+            assert not is_built(semi)
+            assert semi._ranked is None and semi._indexes == {}
+            assert result.items == tuple(planner.evaluate(query, catalog).rows_by_rank()[:k])
 
 
 def is_built(t: RankedTable) -> bool:
