@@ -240,9 +240,9 @@ def product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     if not d1.chain.is_rational:
         raise UnsupportedOperationError("product-scored join needs the rational carrier")
     join = joiner(d1.scheme, d2.scheme)
-    entries: dict[Row, Score] = {}
-    for row, score, other, other_score in _matched_pairs(d1, d2):
-        value = d1.chain.score(score.value * other_score.value)
-        if not value.is_bottom:
-            entries[join(row, other)] = value
+    # stored scores are nonzero, so each product lies in (0, 1]
+    entries = {
+        join(row, other): d1.chain.score(score.value * other_score.value)
+        for row, score, other, other_score in _matched_pairs(d1, d2)
+    }
     return RankedTable._trusted(scheme, d1.chain, entries)

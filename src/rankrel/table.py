@@ -347,7 +347,8 @@ class RankedTable:
     paths (the rank order and one hash index per key) at first use and keeps
     them; copies and pickles start without them.  A table made by
     :meth:`_capped` holds its input and the caps in ``_capping`` until its
-    entries are first read.
+    entries are first read; only ``len()`` and :meth:`sorted_access` read
+    it without building them.
     """
 
     __slots__ = ("scheme", "chain", "_entries", "_ranked", "_indexes", "_capping")
@@ -391,11 +392,12 @@ class RankedTable:
         A row's cap is ``caps`` of its pairs of ``names``, the key that
         ``table.index(names)`` files it under; a key with no entry in ``caps``
         drops its rows, and every stored cap is nonzero, on ``table``'s chain.
-        Nothing is computed here.  Sorted access (:meth:`sorted_access`)
-        caps the rows of ``table``'s rank order as they are read, promising
-        non-increasing scores only, and random access (:meth:`lookup`) caps
-        its index buckets.  Any other read builds the entries once, in
-        ``table``'s order, and the table is then like any other.
+        Nothing is computed here.  Two reads build nothing: ``len()`` counts
+        ``table``'s kept index buckets, and :meth:`sorted_access` caps the
+        rows of ``table``'s rank order as they are read, promising
+        non-increasing scores only.  Any other read, a lookup in
+        :meth:`index` too, builds the entries once, in ``table``'s order, and
+        the table is then like any other.
         """
         capped = object.__new__(cls)
         object.__setattr__(capped, "scheme", table.scheme)
@@ -410,7 +412,9 @@ class RankedTable:
         if name != "_entries" or self._capping is None:
             raise AttributeError(name)
         table, names, caps = self._capping
-        entries = dict(_capped_pairs(table._entries.items(), gather(table.scheme, names), caps))
+        key_of = gather(table.scheme, names)
+        entries = {row: meet(score, cap) for row, score in table._entries.items()
+                   if (cap := caps.get(key_of(row))) is not None}
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_capping", None)
         return entries
@@ -484,33 +488,19 @@ class RankedTable:
             object.__setattr__(self, "_ranked", ranked)
         return list(ranked)
 
-    def sorted_access(self) -> tuple[list[tuple[Row, Score]], Iterator[tuple[Row, Score]]]:
-        """Pairs by non-increasing score: a fresh list of those known, an iterator over the rest.
+    def sorted_access(self) -> Iterator[tuple[Row, Score]]:
+        """Pairs by non-increasing score, each read only when the caller asks for it.
 
-        A built table knows them all, ties canonical (:meth:`rows_by_rank`).
-        A capped table not yet built knows none, and reads them from its
-        input's rank order (:func:`_capped_by_rank`), ties in no order.
+        A built table yields its rank order, ties canonical
+        (:meth:`rows_by_rank`), sorting it at the first pull.  A capped table
+        not yet built yields its pairs from its input's rank order
+        (:func:`_capped_by_rank`), ties in no order, and builds nothing.
         """
         if self._capping is None:
-            return self.rows_by_rank(), iter(())
-        table, names, caps = self._capping
-        return [], _capped_by_rank(table, gather(table.scheme, names), caps)
-
-    def lookup(self, key_names: tuple[str, ...]) -> Callable[[tuple, object], object]:
-        """Random access on ``key_names``: ``lookup(key, default)`` reads ``index(key_names)``.
-
-        A capped table not yet built caps the bucket of its input's index
-        instead, building nothing on itself: the same pairs, in the same order.
-        """
-        if self._capping is None:
-            return self.index(key_names).get
-        table, names, caps = self._capping
-        index, key_of = table.index(key_names), gather(table.scheme, names)
-
-        def capped_bucket(key: tuple, default):
-            bucket = index.get(key)
-            return default if bucket is None else list(_capped_pairs(bucket, key_of, caps))
-        return capped_bucket
+            yield from self.rows_by_rank()
+        else:
+            table, names, caps = self._capping
+            yield from _capped_by_rank(table, gather(table.scheme, names), caps)
 
     def index(self, key_names: tuple[str, ...]) -> dict[tuple, list[tuple[Row, Score]]]:
         """Hash index on ``key_names``, given in name order: the table's random access.
@@ -541,15 +531,6 @@ class RankedTable:
 
     def __repr__(self) -> str:
         return f"RankedTable({self.scheme!r}, {len(self)} rows)"
-
-
-def _capped_pairs(pairs: Iterable[tuple[Row, Score]], key_of: Callable[[Row], tuple],
-                  caps: dict[tuple, Score]) -> Iterator[tuple[Row, Score]]:
-    """Each (row, score) pair with its score capped at the row's cap; rows with no cap dropped."""
-    for row, score in pairs:
-        cap = caps.get(key_of(row))
-        if cap is not None:
-            yield row, meet(score, cap)
 
 
 def _capped_by_rank(table: RankedTable, key_of: Callable[[Row], tuple],

@@ -21,13 +21,14 @@ rank, and only results scoring at least its least enter the final sort.
 
 Both access paths live on the immutable table: ``RankedTable.rows_by_rank``
 sorts once and ``RankedTable.index`` hashes once per join key, and every
-later source over the same table object reuses them.  A restriction is not
-built for its source: its sorted access walks its input's kept rank
-order, capping rows as it reads them, and its random access restricts its
-input's kept index buckets (``RankedTable.sorted_access`` and ``lookup``).
-So a session that queries one catalog repeatedly sorts and hashes each
-catalog table once, restricted or not, and each request reads only the
-rows it reaches.
+later source over the same table object reuses them.  Building a source
+reads nothing, and only the walked source is read in order, so only its
+table is ever sorted.  A restriction or semijoin that is walked is not
+built: its sorted access walks its input's kept rank order, capping rows
+as they are read (``RankedTable.sorted_access``).  One that is looked up
+is built once, at its first lookup, through its own index.  So a session
+that queries one catalog repeatedly sorts and hashes each catalog table at
+most once, and each request reads only the rows it reaches.
 """
 
 from __future__ import annotations
@@ -52,18 +53,19 @@ class SortedSource:
     """A table offering its sorted and random access paths.
 
     Both paths live on the table, which builds each once and keeps it, so
-    sources over one table share them; a restriction not yet built serves
-    them from its input's (``RankedTable.sorted_access``).  Sorted access
+    sources over one table share them; a restriction not yet built streams
+    its input's rank order (``RankedTable.sorted_access``).  Sorted access
     promises non-increasing scores; only a built table's ties are canonical.
+    Nothing is read until the first pull.
     """
 
     table: RankedTable
-    #: the table's rows by non-increasing score, as far as known: all of them once it is built
-    ranked: list[tuple[Row, Score]] = field(init=False)
+    #: the rows pulled so far, by non-increasing score
+    ranked: list[tuple[Row, Score]] = field(init=False, default_factory=list)
     _rest: Iterator[tuple[Row, Score]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.ranked, self._rest = self.table.sorted_access()
+        self._rest = self.table.sorted_access()
 
     @classmethod
     def from_table(cls, table: RankedTable) -> "SortedSource":
@@ -72,7 +74,7 @@ class SortedSource:
     def pull(self, position: int) -> Optional[tuple[Row, Score]]:
         """Sorted access: the row at ``position`` of the rank order, or None past its end.
 
-        Positions are pulled in order, so one past the rows known is the next.
+        Positions are pulled in order, so one past the rows pulled is the next.
         """
         if position < len(self.ranked):
             return self.ranked[position]
@@ -80,10 +82,6 @@ class SortedSource:
         if pair is not None:
             self.ranked.append(pair)
         return pair
-
-    @property
-    def names(self) -> frozenset[str]:
-        return self.table.scheme.name_set
 
 
 @dataclass(frozen=True)
@@ -132,19 +130,20 @@ def _completion_plan(sources: Sequence[SortedSource], start: int) -> list[tuple]
 
     Greedy: the next source is the remaining one sharing the most attributes
     with the names bound so far, ties going to the lower index.  A step is
-    (the source table's lookup on the join key, key plan, join plan); its
-    plans read the key from a partial join's items and join the partial
-    with a match, which random access finds by the lookup.
+    (the lookup in the source table's index on the join key, key plan, join
+    plan); its plans read the key from a partial join's items and join the
+    partial with a match, which random access finds by the lookup.
     """
     bound: Scheme = sources[start].table.scheme
     remaining = [i for i in range(len(sources)) if i != start]
     plan = []
     while remaining:
-        other = max(remaining, key=lambda i: len(bound.name_set & sources[i].names))
+        other = max(remaining,
+                    key=lambda i: len(bound.name_set & sources[i].table.scheme.name_set))
         remaining.remove(other)
         scheme = sources[other].table.scheme
         key_names = tuple(sorted(bound.name_set & scheme.name_set))
-        lookup = sources[other].table.lookup(key_names)
+        lookup = sources[other].table.index(key_names).get
         plan.append((lookup, gather(bound, key_names), joiner(bound, scheme)))
         bound = bound.union(scheme)
     return plan

@@ -61,22 +61,27 @@ def counting(monkeypatch):
 class TestBuiltOncePerTable:
     def test_two_sources_over_one_table_sort_it_once(self, counting):
         t = demo.offers()
+        expected = fresh(t).rows_by_rank()
         sorts = counting("rank_sorted")
         first, second = SortedSource.from_table(t), SortedSource.from_table(t)
+        assert sorts == []  # a source sorts its table at its first pull
+        assert pull_all(first) == pull_all(second) == expected
         assert len(sorts) == 1
-        assert first.ranked == second.ranked == fresh(t).rows_by_rank()
+        assert first.ranked == second.ranked == expected
 
-    def test_joins_and_a_semijoin_on_one_key_index_the_table_once(self, counting):
+    def test_joins_index_t_once_and_a_semijoin_neither_side(self):
         rng = random.Random(stable_seed("index-once"))
         t = rnd_table(rng, rnd_scheme(rng, names=("a", "b")), max_rows=9)
         x = rnd_table(rng, rnd_scheme(rng, names=("a", "c")), max_rows=9)
         y = rnd_table(rng, rnd_scheme(rng, names=("a", "d")), max_rows=9)
-        builds = counting("gather")  # index builds are the table module's only gathers
-        joins = [algebra.natural_join(x, t), algebra.natural_join(x, t)]
+        joins = [algebra.natural_join(x, t)]
+        index = t._indexes[("a",)]
+        joins.append(algebra.natural_join(x, t))
         semi = algebra.semijoin(y, t)
-        assert [args[1] for args in builds] == [("a",)]
+        assert semi == reference_semijoin(y, fresh(t))  # built before the indexes are pinned
         assert joins[0] == joins[1] == reference_natural_join(x, fresh(t))
-        assert semi == reference_semijoin(y, fresh(t))
+        assert list(t._indexes) == [("a",)] and t._indexes[("a",)] is index
+        assert x._indexes == y._indexes == semi._indexes == {}
 
     def test_a_returned_rank_order_is_the_callers_own(self):
         t = demo.houses()
@@ -85,9 +90,10 @@ class TestBuiltOncePerTable:
         ranked.reverse()
         ranked.pop()
         source = SortedSource.from_table(t)
+        assert pull_all(source) == expected
         source.ranked.clear()
         assert t.rows_by_rank() == expected
-        assert SortedSource.from_table(t).ranked == expected
+        assert pull_all(SortedSource.from_table(t)) == expected
 
     @pytest.mark.parametrize("clone", [
         lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy,
@@ -100,6 +106,61 @@ class TestBuiltOncePerTable:
         assert copied == t
         assert copied._ranked is None and copied._indexes == {}
         assert copied.rows_by_rank() == t.rows_by_rank()
+
+
+def keyed_table(rng, names: tuple[str, ...], size: int) -> RankedTable:
+    """``size`` rows on int attributes ``names``: the first counts the rows, the rest take 0-3."""
+    return RankedTable.from_entries(Scheme((name, INT) for name in names), [
+        ({names[0]: i, **{name: rng.randint(0, 3) for name in names[1:]}},
+         Fraction(rng.randint(1, 8), 8)) for i in range(size)])
+
+
+class TestOnlyTheWalkedSourceIsRead:
+    def test_building_sources_sorts_nothing_and_top_k_sorts_the_walked_table(self, counting):
+        rng = random.Random(stable_seed("walked-sort"))
+        tables = [keyed_table(rng, ("a", "b"), 30), keyed_table(rng, ("b", "c"), 20),
+                  keyed_table(rng, ("c", "d"), 10)]  # the last is the smallest, so walked
+        expected = brute_force_top_k([SortedSource.from_table(fresh(t)) for t in tables], 10)
+        sorts = counting("rank_sorted")
+        sources = [SortedSource.from_table(t) for t in tables]
+        assert sorts == []
+        assert top_k(sources, 10).items == expected.items
+        assert len(sorts) == 1
+        assert [t._ranked is not None for t in tables] == [False, False, True]
+        assert [len(source.ranked) for source in sources[:2]] == [0, 0]
+
+    @pytest.mark.parametrize("operator", ["restrict", "semijoin"])
+    def test_a_deferred_table_looked_up_is_built_once_at_its_first_lookup(
+            self, operator, monkeypatch):
+        rng = random.Random(stable_seed(f"looked-up-{operator}"))
+        big, small = keyed_table(rng, ("a", "b"), 40), keyed_table(rng, ("b", "c"), 6)
+        right = keyed_table(rng, ("a", "d"), 30)
+        theta = ExprCondition.parse("a < 30 ? b/4 + 1/4 : 0")
+
+        def deferred() -> RankedTable:  # 30 of big's 40 rows, each capped
+            if operator == "restrict":
+                return algebra.restrict(big, theta)
+            return algebra.semijoin(big, right)
+
+        eager = fresh(deferred())
+        builds = []
+        build = RankedTable.__getattr__  # reached only to build a deferred table's entries
+
+        def counted(self, name):
+            builds.append(self)
+            return build(self, name)
+
+        monkeypatch.setattr(RankedTable, "__getattr__", counted)
+        table = deferred()
+        sources = [SortedSource.from_table(table), SortedSource.from_table(small)]
+        assert len(table) == 30 > len(small)  # so the walk starts from small
+        result = top_k(sources, 10)
+        assert result.random_accesses > 1 and len(result.items) == 10
+        assert [built is table for built in builds] == [True]
+        assert table.index(("b",)) == eager.index(("b",))
+        assert len(builds) == 1
+        oracle = brute_force_top_k([SortedSource.from_table(t) for t in (eager, small)], 10)
+        assert result.items == oracle.items
 
 
 class TestWarmCachesChangeNothing:
@@ -182,11 +243,7 @@ class TestDeferredSemijoin:
         assert source.table._ranked is None and source.table._indexes == {}
 
         for names in ((), ("a",), ("b",), ("a", "b")):
-            deferred = algebra.semijoin(t, right)
-            lookup = deferred.lookup(names)
-            for key, _ in t.index(names).items():
-                assert lookup(key, ()) == eager.index(names).get(key, [])
-            assert not is_built(deferred) and deferred._indexes == {}
+            assert algebra.semijoin(t, right).index(names) == eager.index(names)
 
         for k in (1, 3, 100):
             lazy = [SortedSource.from_table(algebra.semijoin(t, right)),
@@ -195,7 +252,9 @@ class TestDeferredSemijoin:
             # ties may stream in another order, so only the items must agree
             items = top_k(lazy, k).items
             assert items == top_k(built, k).items == brute_force_top_k(built, k).items
-            assert not is_built(lazy[0].table)
+            # walked, the deferred table is not built; else it is, at its first lookup
+            walked = len(lazy[0].table) <= len(other)
+            assert is_built(lazy[0].table) == (not walked and len(other) > 0)
 
         deferred = algebra.semijoin(t, right)
         assert len(deferred) == len(eager)  # counted from t's kept index
@@ -283,9 +342,7 @@ class TestDeferredRestriction:
         assert source.table._ranked is None and source.table._indexes == {}
 
         for names in ((), ("a",), ("b",), ("a", "b")):
-            lookup = algebra.restrict(t, theta).lookup(names)
-            for key, _ in t.index(names).items():
-                assert lookup(key, ()) == eager.index(names).get(key, [])
+            assert algebra.restrict(t, theta).index(names) == eager.index(names)
 
         for k in (1, 3, 100):
             lazy = [SortedSource.from_table(algebra.restrict(t, theta)),
@@ -294,7 +351,9 @@ class TestDeferredRestriction:
             # ties may stream in another order, so only the items must agree
             items = top_k(lazy, k).items
             assert items == top_k(built, k).items == brute_force_top_k(built, k).items
-            assert not is_built(lazy[0].table)
+            # walked, the deferred table is not built; else it is, at its first lookup
+            walked = len(lazy[0].table) <= len(other)
+            assert is_built(lazy[0].table) == (not walked and len(other) > 0)
 
         deferred = algebra.restrict(t, theta)
         assert len(deferred) == len(eager)  # counted from t's kept index
@@ -340,8 +399,8 @@ class TestDeferredRestriction:
             assert len(scored) == distinct  # one theta call per distinct bdrm
             assert len(sources[0].ranked) < 150  # of 300 houses
             sorted_rows = sorted(len(args[0]) for args in sorts)
-            # cold, the two catalog tables sort once each; the restriction sorts nothing
-            assert sorted_rows == ([] if warm else [300, 300])
+            # cold, the walked restriction sorts its input; offers is only looked up
+            assert sorted_rows == ([] if warm else [300])
             built = [SortedSource.from_table(fresh(planner.evaluate(leaf, catalog)))
                      for leaf in leaves]
             assert result == top_k(built, 10)

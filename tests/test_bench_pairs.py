@@ -82,3 +82,16 @@ def test_digests_tell_items_from_access_counts():
     other = PARENT_DIGESTS.replace("ccc", "ddd")
     assert not bench_pairs.compare_digests(PARENT_DIGESTS, other)["items_identical"]
     assert bench_pairs.parse_digests(PARENT_DIGESTS)["query", "1", "0"] == ("aaa", {})
+
+
+def test_src_digest_names_the_source_tree(tmp_path):
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree in trees:
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "a.py").write_bytes(b"A = 1\n")
+        (tree / "src" / "pkg" / "b.py").write_bytes(b"B = 2\n")
+        (tree / "src" / "notes.txt").write_text(tree.name)  # not a .py file, so not read
+    parent, change = (bench_pairs.src_sha256(tree) for tree in trees)
+    assert parent == change and len(parent) == 64
+    (trees[1] / "src" / "pkg" / "b.py").write_bytes(b"B = 3\n")
+    assert bench_pairs.src_sha256(trees[1]) != parent

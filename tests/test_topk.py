@@ -68,6 +68,9 @@ class TestExamples:
         for table in [demo.houses(), demo.offers()] + [
                 rnd_table(rng, rnd_scheme(rng, names=names)) for names in OVERLAPPING]:
             direct, built = SortedSource(table), SortedSource.from_table(table)
+            assert direct.ranked == built.ranked == []  # the rows pulled so far
+            for position, pair in enumerate(table.rows_by_rank()):
+                assert direct.pull(position) == built.pull(position) == pair
             assert direct.ranked == built.ranked == table.rows_by_rank()
         for pair in ((demo.houses(), demo.offers()), (demo.offers(), demo.houses())):
             direct = [SortedSource(table) for table in pair]

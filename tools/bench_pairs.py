@@ -10,8 +10,9 @@ checkout, one after the other; which side goes first alternates from pair
 to pair.  Then ``tools/output_digests.py`` (the copy next to this file) runs
 on both checkouts, and the two digest files are compared.
 
-The JSON written to ``--out`` holds the protocol, every pair's numbers,
-and per workload and end-to-end metric: both medians, the parent's
+The JSON written to ``--out`` holds the protocol (with each side's commit,
+if it is a git checkout, and the SHA-256 of its ``src/``), every pair's
+numbers, and per workload and end-to-end metric: both medians, the parent's
 quartiles, the change's wins (ties count for neither side), and a verdict
 against the metric's BENCHMARK.json bound.  The verdict is ``worse`` when
 the change's median is worse than the parent's by more than the bound,
@@ -169,6 +170,20 @@ def revision(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
+def src_sha256(checkout: Path) -> str:
+    """SHA-256 over the checkout's ``src/**/*.py``: each file's relative path, then its bytes.
+
+    Files go in path order, so the digest names the source a side ran even
+    when the checkout is no repository (``revision`` is then ``None``).
+    """
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(checkout).as_posix()
+                       for path in checkout.glob("src/**/*.py")):
+        digest.update(name.encode("utf-8"))
+        digest.update((checkout / name).read_bytes())
+    return digest.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -202,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": seconds, "seeds": args.seeds, "workloads": workloads,
             "order": "alternating: the parent runs first in pairs 0, 2, 4, ... over all workloads",
             "revisions": {side: revision(path) for side, path in checkouts.items()},
+            "src_sha256": {side: src_sha256(path) for side, path in checkouts.items()},
             "python": platform.python_version(), "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
