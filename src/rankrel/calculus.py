@@ -187,10 +187,6 @@ class Structure:
         if arity != self.arities[symbol]:
             raise EvalError(f"arity mismatch for {symbol!r}")
 
-    def lookup(self, symbol: str, vector: tuple[str, ...]) -> Score:
-        self.check_atom(symbol, len(vector))
-        return self.interps.get(symbol, {}).get(vector, self.chain.bottom)
-
     def compose(self, f: OrderMap) -> "Structure":
         """Transform every interpretation pointwise; entries sent to bottom drop.
 

@@ -225,12 +225,6 @@ class Score:
         _require_chain(self.chain, other)
         return self.key <= other.key
 
-    def __gt__(self, other: "Score") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "Score") -> bool:
-        return not self < other
-
     # Read off the raw carrier value, without building chain.bottom or
     # chain.top: bottom is 0 on both carriers, top is 1 or the last level.
     @property

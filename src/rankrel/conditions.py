@@ -102,7 +102,7 @@ class ExprCondition(Condition):
             )
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
-        return self._compiled(chain)(row.as_dict())
+        return self._compiled(chain)(dict(row))
 
     def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
         score, free = self._compiled(chain), sorted(self.free_attrs() & scheme.name_set)

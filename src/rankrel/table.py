@@ -107,7 +107,7 @@ class Scheme:
         object.__setattr__(self, "attrs", tuple(normalized))
         object.__setattr__(self, "names", tuple(by_name))
         object.__setattr__(self, "name_set", frozenset(by_name))
-        object.__setattr__(self, "sorted_names", tuple(sorted(by_name)))  # as Row.names
+        object.__setattr__(self, "sorted_names", tuple(sorted(by_name)))  # a row's pair order
         object.__setattr__(self, "positions", {n: i for i, n in enumerate(self.sorted_names)})
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_key", frozenset(normalized))
@@ -197,8 +197,9 @@ class Row(tuple):
     """A tuple on some scheme: a total attribute -> value assignment.
 
     A tuple of its name-sorted ``(name, value)`` pairs, so equal assignments
-    are equal rows, hashing and equality run in C, and the pairs double as
-    the canonical sort key among rows of one scheme.
+    are equal rows, hashing and equality run in C, and rows of one scheme
+    order by their values in name order.  Names belong to the scheme: a
+    caller reads values through the scheme's plans (:func:`values_of`).
     """
 
     __slots__ = ()
@@ -210,28 +211,6 @@ class Row(tuple):
     @property
     def items(self) -> tuple[tuple[str, object], ...]:
         return self  # the pairs themselves, not a copy
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self)
-
-    def value(self, name: str):
-        name = name.lower()
-        for key, val in self:
-            if key == name:
-                return val
-        raise SchemeError(f"row has no attribute {name!r}")
-
-    def as_dict(self) -> dict[str, object]:
-        return dict(self)
-
-    def project(self, names: Iterable[str]) -> "Row":
-        wanted = {n.lower() for n in names}
-        return Row(pair for pair in self if pair[0] in wanted)
-
-    def key(self) -> tuple:
-        """Canonical comparison key: values in attribute-name order."""
-        return tuple(value for _, value in self)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self)
@@ -261,12 +240,12 @@ def gather(scheme: Scheme, names: Iterable[str]) -> Callable[[tuple], tuple]:
     The pairs come out in the order of ``names``; given them in name order,
     the result holds the pairs of the row's projection.
     """
-    return _selector([scheme.positions[name.lower()] for name in names])
+    return _selector([scheme.positions[scheme.attr(name).name] for name in names])
 
 
 def values_of(scheme: Scheme, names: Iterable[str]) -> Callable[[Row], tuple]:
     """Plan mapping a row on ``scheme`` to its values of ``names``, in that order."""
-    positions = [scheme.positions[name.lower()] for name in names]
+    positions = [scheme.positions[scheme.attr(name).name] for name in names]
     return lambda row: tuple([row[position][1] for position in positions])
 
 
@@ -294,11 +273,11 @@ def joiner(left: Scheme, right: Scheme) -> Callable[[tuple, tuple], Row]:
 
 
 def rank_sorted(pairs: Iterable[tuple[Row, Score]]) -> list[tuple[Row, Score]]:
-    """(row, score) pairs of one scheme by descending score, ties by ``row.key()``.
+    """(row, score) pairs of one scheme by descending score, ties by the row.
 
     Two stable sorts: first by the row's pairs, which orders rows of one
-    scheme as ``row.key()`` does, since every row has the same names at the
-    same places; then descending by the score's exact order key,
+    scheme by their values in name order, since every row has the same names
+    at the same places; then descending by the score's exact order key,
     ``Score.key``.
     """
     ordered = sorted(pairs, key=itemgetter(0))
@@ -525,9 +504,6 @@ class RankedTable:
             and self.chain == other.chain
             and self._entries == other._entries
         )
-
-    def __hash__(self):
-        raise TypeError("RankedTable is not hashable")
 
     def __repr__(self) -> str:
         return f"RankedTable({self.scheme!r}, {len(self)} rows)"

@@ -33,7 +33,7 @@ from rankrel.exprs import POWER_BITS_CAP, Binary, Call, Compare, Num, Ref, Terna
 from rankrel.maps import GraphMap, OrderMap, Piece, PiecewiseConstantMap, apply_checked
 from rankrel.ordinal import _rank_profile, ordinally_equivalent
 from rankrel.table import (
-    INT, STR, RankedTable, Row, Scheme, _conforms, parse_header, rank_sorted,
+    INT, STR, RankedTable, Row, Scheme, _conforms, parse_header, rank_sorted, values_of,
 )
 from rankrel.topk import TopKResult, _completion_plan
 
@@ -227,7 +227,8 @@ def reference_evaluate(phi, m: Structure, valuation) -> Score:
             if var not in valuation:
                 raise EvalError(f"unbound variable {var!r}")
             vector.append(valuation[var])
-        return m.lookup(phi.symbol, tuple(vector))
+        m.check_atom(phi.symbol, len(vector))
+        return m.interps.get(phi.symbol, {}).get(tuple(vector), m.chain.bottom)
     if isinstance(phi, And):
         return meet(reference_evaluate(phi.left, m, valuation),
                     reference_evaluate(phi.right, m, valuation))
@@ -339,7 +340,7 @@ def first_violation_oracle(d1: RankedTable, d2: RankedTable):
         rows = list(d1.answer_set | d2.answer_set)
         pairs = [(d1.chain.bottom.value, d2.chain.bottom.value)]
     pairs += [(d1.score_of(row).value, d2.score_of(row).value) for row in rows]
-    for row in sorted(rows, key=Row.key):
+    for row in sorted(rows):
         s1, s2 = d1.score_of(row).value, d2.score_of(row).value
         if any(o1 >= s1 and o2 < s2 for o1, o2 in pairs):
             return row
@@ -490,7 +491,7 @@ def _reference_one(expr, args: list):
 
 def reference_row_conforms(scheme: Scheme, row: Row) -> bool:
     """Name-by-name conformance check: the oracle for ``table._row_conforms``."""
-    if row.names != scheme.sorted_names:
+    if tuple(name for name, _ in row.items) != scheme.sorted_names:
         return False
     for name, value in row.items:
         attr = scheme.attr(name)
@@ -499,6 +500,11 @@ def reference_row_conforms(scheme: Scheme, row: Row) -> bool:
         if attr.atype.domain is not None and value not in attr.atype.domain:
             return False
     return True
+
+
+def row_value(scheme: Scheme, row: Row, name: str):
+    """``row``'s value of ``name``, read through ``values_of`` as every operator reads it."""
+    return values_of(scheme, [name])(row)[0]
 
 
 # --- row-building oracles: the per-row forms the gather plans replace -----------
@@ -542,16 +548,21 @@ def value_min(scores, default: Score) -> Score:
 def rank_key(item: tuple[Row, Score]) -> tuple:
     """Display-order key for a (row, score) pair: descending score, then row."""
     row, score = item
-    return (-score.value, row.key())
+    return (-score.value, row)
 
 
 def _reference_matched_pairs(d1: RankedTable, d2: RankedTable):
     shared = [name for name in d1.scheme.names if name in d2.scheme.name_set]
+
+    def key(row: Row) -> tuple:
+        values = dict(row.items)
+        return tuple(values[name] for name in shared)
+
     index: dict = {}
     for row, score in d2:
-        index.setdefault(row.project(shared).key(), []).append((row, score))
+        index.setdefault(key(row), []).append((row, score))
     for row, score in d1:
-        for other, other_score in index.get(row.project(shared).key(), ()):
+        for other, other_score in index.get(key(row), ()):
             yield row, score, other, other_score
 
 
@@ -576,7 +587,7 @@ def reference_project(d: RankedTable, names) -> RankedTable:
     scheme = d.scheme.project(names)
     entries: dict = {}
     for row, score in d:
-        shorter = row.project(scheme.names)
+        shorter = Row(pair for pair in row.items if pair[0] in scheme.name_set)
         best = entries.get(shorter)
         if best is None or score.value > best.value:
             entries[shorter] = score
@@ -624,7 +635,8 @@ def reference_write_table_csv(table: RankedTable) -> str:
     writer.writerow(["#"] + [f"{a.name}:{a.atype.kind}" for a in table.scheme.attrs])
     for row, score in reference_rank_order(table):
         cells = [table.chain.format(score, places=None)]
-        cells += [format_value(row.value(a.name)) for a in table.scheme.attrs]
+        values = dict(row.items)
+        cells += [format_value(values[a.name]) for a in table.scheme.attrs]
         writer.writerow(cells)
     return buffer.getvalue()
 

@@ -16,6 +16,7 @@ from helpers import (
     rnd_restriction_condition,
     rnd_scheme,
     rnd_table,
+    row_value,
     stable_seed,
     value_meet,
 )
@@ -375,7 +376,7 @@ class TestDeferredRestriction:
             Scheme((("id", INT), ("price", INT))),
             [({"id": i, "price": i}, Fraction(rng.randint(1, 400), 400)) for i in range(300)])
         catalog.conditions["theta"] = demo.bedrooms_condition()
-        distinct = len({row.value("bdrm") for row, _ in catalog.tables["houses"]})
+        distinct = len({row_value(scheme, row, "bdrm") for row, _ in catalog.tables["houses"]})
         scored = []
         compiled = ExprCondition._compiled
 

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from helpers import rnd_condition, rnd_scheme, rnd_table
+from helpers import join_rows, rnd_condition, rnd_scheme, rnd_table, row_value
 
 from rankrel import algebra, demo
 from rankrel.chain import RATIONAL, meet
 from rankrel.conditions import ExprCondition
 from rankrel.errors import SchemeError, UnsupportedOperationError
-from rankrel.table import INT, RankedTable, Row, Scheme, from_classic
+from rankrel.table import INT, RankedTable, Row, Scheme, from_classic, values_of
 
 fr = RATIONAL.parse
 
@@ -336,15 +336,9 @@ class TestProductJoin:
 # --- classic degeneration ----------------------------------------------------
 
 
-def classic_join(r1, r2, shared):
-    out = set()
-    for a in r1:
-        for b in r2:
-            if all(a.value(n) == b.value(n) for n in shared):
-                from helpers import join_rows
-
-                out.add(join_rows(a, b))
-    return out
+def classic_join(r1, scheme1, r2, scheme2, shared):
+    key1, key2 = values_of(scheme1, shared), values_of(scheme2, shared)
+    return {join_rows(a, b) for a in r1 for b in r2 if key1(a) == key2(b)}
 
 
 class TestCrispDegeneration:
@@ -364,10 +358,11 @@ class TestCrispDegeneration:
             d1, d2 = from_classic(rel1, sch1), from_classic(rel2, sch2)
 
             joined = algebra.natural_join(d1, d2)
-            assert joined.answer_set == classic_join(rel1, rel2, ("b",))
+            assert joined.answer_set == classic_join(rel1, sch1, rel2, sch2, ("b",))
 
             projected = algebra.project(d1, ("a",))
-            assert projected.answer_set == {row.project(("a",)) for row in rel1}
+            expected = {Row.of({"a": row_value(sch1, row, "a")}) for row in rel1}
+            assert projected.answer_set == expected
 
             other, _ = self._crisp_pair(rng, sch1)
             d3 = from_classic(other, sch1)
@@ -384,7 +379,7 @@ class TestCrispDegeneration:
             theta = ExprCondition.parse("a = b ? 1 : 0")
             restricted = algebra.restrict(table, theta)
             assert restricted.answer_set == {
-                row for row in rel if row.value("a") == row.value("b")
+                row for row in rel if row_value(scheme, row, "a") == row_value(scheme, row, "b")
             }
             assert all(score.is_top for _, score in restricted)
 

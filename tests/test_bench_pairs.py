@@ -95,3 +95,35 @@ def test_src_digest_names_the_source_tree(tmp_path):
     assert parent == change and len(parent) == 64
     (trees[1] / "src" / "pkg" / "b.py").write_bytes(b"B = 3\n")
     assert bench_pairs.src_sha256(trees[1]) != parent
+
+
+def _checkout(root: Path, test_body: str) -> Path:
+    """A checkout with one benchmark workload and a tier-1 suite of one test."""
+    (root / "src").mkdir(parents=True)
+    (root / "tests").mkdir()
+    (root / "tests" / "test_one.py").write_text(f"def test_one():\n    {test_body}\n")
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [HIGHER]}))
+    return root
+
+
+@pytest.mark.parametrize("change_body, code, summary", [
+    ("assert True", 0, "1 passed"),
+    ("assert False", 1, "1 failed"),
+])
+def test_tier1_runs_once_per_side_and_gates_the_exit(tmp_path, monkeypatch,
+                                                     change_body, code, summary):
+    parent = _checkout(tmp_path / "parent", "assert True")
+    change = _checkout(tmp_path / "change", change_body)
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")  # the one-test suites need none
+    run = {"metrics": {"req_per_s": 100.0}, "failed": 0, "attempted": 10}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: run)
+    monkeypatch.setattr(bench_pairs, "digest_verdict", lambda checkouts: {
+        "identical": True, "items_identical": True, "requests_with_more_accesses": 0})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out), "--seeds", "1"]) == code
+    tier1 = json.loads(out.read_text())["protocol"]["tier1"]
+    assert tier1["parent"]["returncode"] == 0 and "1 passed" in tier1["parent"]["summary"]
+    assert tier1["change"]["returncode"] == code and summary in tier1["change"]["summary"]
+    assert all(side["seconds"] > 0 for side in tier1.values())
+    assert not list(tmp_path.rglob("__pycache__")) and not list(tmp_path.rglob(".pytest_cache"))

@@ -221,12 +221,8 @@ class TestRankCodes:
             evaluated.append(args)
             return evaluate_(*args)
 
-        def refuse(*args):
-            raise AssertionError("looked up a score outside the compiled closure")
-
         monkeypatch.setattr(calculus, "_compile", counting_compile)
         monkeypatch.setattr(calculus, "evaluate", counting_evaluate)
-        monkeypatch.setattr(Structure, "lookup", refuse)
         table = table_of(m, phi)
         assert len(evaluated) == 900 and len(compiled) == 1
         monkeypatch.undo()
@@ -622,4 +618,4 @@ def test_structure_from_tables_uses_column_order():
     scheme = Scheme((("b", INT), ("a", INT)))
     table = RankedTable.from_entries(scheme, [({"b": 1, "a": 2}, fr("0.5"))])
     m = structure_from_tables({"t": table})
-    assert m.lookup("t", ("1", "2")) == fr("0.5")  # declared order: b then a
+    assert m.interps["t"] == {("1", "2"): fr("0.5")}  # declared order: b then a

@@ -1,14 +1,20 @@
 """Score chain connectives: unit values, algebraic laws, Boolean degeneration."""
 
+import importlib.util
+import operator
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rankrel.cli  # noqa: F401 - the tracer patches every rankrel module it names
 from rankrel import calculus, ordinal
 from rankrel.chain import (
     RATIONAL,
+    Score,
     ScoreChain,
     abjunction,
     biresiduum,
@@ -152,6 +158,54 @@ class TestSymbolicChain:
     def test_duplicate_levels_rejected(self):
         with pytest.raises(ChainError):
             symbolic_chain("no < no")
+
+
+def _tracer():
+    """A fresh ``perfbench`` tracer: it counts each ``Score.__lt__`` or ``__le__`` call
+    as ``chain.score_cmp``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+class TestReflectedOrder:
+    """``>`` and ``>=`` are Python's reflections of ``Score.__lt__`` and ``__le__``."""
+
+    CHAINS = [(RATIONAL, ("0", "1/3", "0.5", "1")),
+              (symbolic_chain("none < low < full"), ("none", "low", "full"))]
+
+    @pytest.mark.parametrize("chain, texts", CHAINS, ids=["rational", "levels"])
+    def test_answers_follow_the_values(self, chain, texts):
+        assert "__gt__" not in vars(Score) and "__ge__" not in vars(Score)
+        scores = [chain.parse(text) for text in texts]
+        for a in scores:
+            for b in scores:
+                assert (a > b) == (a.value > b.value) and (a >= b) == (a.value >= b.value)
+        assert max(scores) == max(reversed(scores)) == chain.top
+        with pytest.raises(TypeError):
+            scores[0] > 0  # neither side orders a score against a number
+
+    @pytest.mark.parametrize("compare", [operator.gt, operator.ge])
+    def test_mixed_chains_raise(self, compare):
+        symbolic = symbolic_chain("no < yes").score("yes")
+        # the reflected call checks the right operand's chain first
+        message = f"score on {RATIONAL} used with chain {symbolic.chain}"
+        with pytest.raises(IncompatibleChainError, match=re.escape(message)):
+            compare(RATIONAL.top, symbolic)
+
+    def test_each_comparison_is_one_counted_call(self):
+        a, b = fr("0.25"), fr("0.5")
+        tracer = _tracer()
+        tracer.install()
+        try:
+            answers = [a > b, a >= b, b > a, b >= a, a >= a]
+            best = max([a, b, fr("1"), fr("0")])  # three comparisons
+        finally:
+            tracer.uninstall()
+        assert answers == [False, False, True, True, True] and best == RATIONAL.top
+        assert tracer.counts["chain.score_cmp"] == 5 + 3
 
 
 class TestParsingAndFormat:

@@ -16,6 +16,7 @@ from helpers import (
     rnd_monotone_map,
     rnd_scheme,
     rnd_table,
+    row_value,
     stable_seed,
 )
 
@@ -63,11 +64,11 @@ class TestScorer:
         theta = ExprCondition.parse("0.1*(4+bdrm)")
         counts = counting_compiler(monkeypatch)
         restricted = algebra.restrict(table, theta)
-        distinct = {row.value("bdrm") for row, _ in table}
+        distinct = {row_value(table.scheme, row, "bdrm") for row, _ in table}
         assert counts == {"compiled": 1, "runs": len(distinct)} and len(distinct) == 6
         for row, score in table:
             assert restricted.score_of(row).value == min(
-                score.value, Fraction(4 + row.value("bdrm"), 10))
+                score.value, Fraction(4 + row_value(table.scheme, row, "bdrm"), 10))
 
     def test_scorer_agrees_with_score_of(self):
         seed = stable_seed("scorer")
@@ -113,7 +114,7 @@ class TestScorer:
 
         monkeypatch.setattr(maps.IdentityMap, "apply", counted)
         restricted = algebra.restrict(table, theta)
-        distinct = {row.value("bdrm") for row, _ in table}
+        distinct = {row_value(table.scheme, row, "bdrm") for row, _ in table}
         assert len(calls) == len(distinct) + 2  # each distinct score, then bottom and top
         assert restricted == algebra.restrict(table, theta.base)
 

@@ -19,6 +19,7 @@ from helpers import (
     rnd_monotone_map,
     rnd_scheme,
     rnd_table,
+    row_value,
     stable_seed,
 )
 
@@ -116,8 +117,9 @@ class TestApply:
     def test_only_rounding_counts_as_a_quantization_collapse(self, text, images):
         # These maps merge scores exactly, before any rounding, so nothing is refused.
         houses = demo.houses()
+        ids = {row: row_value(houses.scheme, row, "id") for row, _ in houses}
         expected = RankedTable(houses.scheme, RATIONAL, {
-            row: fr(images[row.value("id")]) for row, _ in houses if row.value("id") in images
+            row: fr(images[ident]) for row, ident in ids.items() if ident in images
         })
         assert compose_table(houses, AnalyticMap.parse(text)) == expected
 

@@ -21,6 +21,7 @@ from helpers import (
     rnd_monotone_map,
     rnd_scheme,
     rnd_table,
+    row_value,
 )
 
 from rankrel import algebra, demo, ordinal
@@ -187,7 +188,7 @@ class TestRankSignature:
     def test_demo_grouping(self, joined):
         signature = rank_signature(joined)
         assert [len(group) for group in signature] == [2, 1, 1, 1, 1]
-        top = {row.value("agent") for row in signature[0]}
+        top = {row_value(joined.scheme, row, "agent") for row in signature[0]}
         assert top == {"Adams", "Black"}
 
     def test_empty_signature(self):
@@ -209,7 +210,7 @@ class TestRankSignature:
 
 def test_first_violation_evidence(joined, similar):
     evidence = ordinal.first_inclusion_violation(joined, similar)
-    assert evidence is not None and evidence.value("price") == 798000
+    assert evidence is not None and row_value(joined.scheme, evidence, "price") == 798000
     assert ordinal.first_inclusion_violation(similar, joined) is None
     # a=9 escapes inside d1's answer set, but a=1, held only by d2, escapes
     # too (its d1 cone is every tuple) and comes first in canonical order.

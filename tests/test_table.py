@@ -15,6 +15,7 @@ from helpers import (
     rank_profile_values,
     reference_row_conforms,
     replay_hint,
+    row_value,
     stable_seed,
 )
 
@@ -35,9 +36,11 @@ from rankrel.table import (
     Scheme,
     _row_conforms,
     from_classic,
+    gather,
     make_row,
     read_table_csv,
     to_classic,
+    values_of,
     write_table_csv,
 )
 
@@ -64,7 +67,7 @@ class TestScheme:
         scheme = Scheme((("B", INT), ("a", STR)))
         assert scheme.names is scheme.names and scheme.names == ("b", "a")
         assert scheme.name_set is scheme.name_set and scheme.name_set == {"a", "b"}
-        assert scheme.sorted_names == ("a", "b") == Row.of({"b": 1, "a": "x"}).names
+        assert scheme.sorted_names == ("a", "b") == tuple(n for n, _ in Row.of({"b": 1, "a": "x"}))
         assert hash(scheme) == hash(Scheme((("a", STR), ("b", INT))))
         assert scheme != Scheme((("a", INT), ("b", INT)))
 
@@ -116,18 +119,32 @@ class TestRows:
         pairs = (("a", "x"), ("b", 2))
         assert row.items is row and row == pairs and hash(row) == hash(pairs)
         assert {row.items: 1} == {pairs: 1}  # an oracle keyed on plain pairs reads it back
-        assert row.names == ("a", "b") and row.key() == ("x", 2)
-        assert row.value("B") == 2 and row.as_dict() == {"a": "x", "b": 2}
-        assert row.project(["b"]) == Row.of({"b": 2}) and repr(row) == "Row(a='x', b=2)"
+        assert repr(row) == "Row(a='x', b=2)"
         for again in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
             assert type(again) is Row and again == row
         with pytest.raises(AttributeError):
             row.extra = 1
 
+    def test_names_belong_to_the_scheme(self):
+        # a row has no name readers: its values are read through the scheme's plans
+        for member in ("names", "value", "as_dict", "project", "key"):
+            assert not hasattr(Row, member)
+        scheme = Scheme((("id", INT), ("w", DEC)))
+        row = make_row(scheme, {"id": 3, "w": 2})
+        assert values_of(scheme, ["W", "id"])(row) == (Fraction(2), 3)
+        assert gather(scheme, ["W"])(row) == (("w", Fraction(2)),)
+
+    @pytest.mark.parametrize("plan", [gather, values_of])
+    def test_a_plan_names_an_unknown_attribute(self, plan):
+        scheme = Scheme((("id", INT), ("w", DEC)))
+        message = r"unknown attribute 'nosuch'; scheme has \('id', 'w'\)"
+        with pytest.raises(SchemeError, match=message):
+            plan(scheme, ["id", "nosuch"])
+
     def test_make_row_type_checked(self):
         scheme = Scheme((("id", INT), ("w", DEC)))
         row = make_row(scheme, {"id": 3, "w": 2})
-        assert row.value("w") == Fraction(2)
+        assert row_value(scheme, row, "w") == Fraction(2)
         with pytest.raises(SchemeError):
             make_row(scheme, {"id": "three", "w": 2})
         with pytest.raises(SchemeError):
@@ -181,6 +198,10 @@ class TestRankedTable:
         assert people.score_of(Row.of({"id": 1, "name": "ann"})) == RATIONAL.parse("0.9")
         assert people.score_of(Row.of({"id": 9, "name": "zed"})).is_bottom
 
+    def test_a_table_is_unhashable(self, people):
+        with pytest.raises(TypeError, match="unhashable type: 'RankedTable'"):
+            hash(people)
+
     def test_score_of_scheme_mismatch(self, people):
         with pytest.raises(SchemeError):
             people.score_of(Row.of({"id": 1}))
@@ -221,7 +242,7 @@ class TestRankedTable:
         assert other != people
 
     def test_rows_by_rank_orders_desc_then_canonically(self, people):
-        rows = [row.value("name") for row, _ in people.rows_by_rank()]
+        rows = [row_value(people.scheme, row, "name") for row, _ in people.rows_by_rank()]
         assert rows == ["ann", "bob"]
 
 
@@ -320,14 +341,13 @@ class TestCsv:
 
 
 def _reads_a_rows_pairs(node) -> bool:
-    """``row[i][1]``, a ``value(...)`` or ``as_dict(...)`` call, or ``Row.key``."""
+    """``row[i][1]``, or ``dict(x)`` of a bare name ``x``."""
     if isinstance(node, ast.Subscript):
         return (isinstance(node.value, ast.Subscript) and isinstance(node.slice, ast.Constant)
                 and node.slice.value == 1)
-    if isinstance(node, ast.Call):
-        return isinstance(node.func, ast.Attribute) and node.func.attr in ("value", "as_dict")
-    return (isinstance(node, ast.Attribute) and node.attr == "key"
-            and isinstance(node.value, ast.Name) and node.value.id == "Row")
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Name))
 
 
 def test_only_table_reads_a_rows_pairs():

@@ -12,6 +12,7 @@ from helpers import (
     rnd_restriction_condition,
     rnd_scheme,
     rnd_table,
+    row_value,
     stable_seed,
 )
 
@@ -45,7 +46,8 @@ class TestExamples:
             SortedSource.from_table(demo.offers()),
         ]
         result = top_k(sources, 2)
-        assert [row.value("agent") for row, _ in result.items] == ["Adams", "Black"]
+        scheme = demo.houses().scheme.union(demo.offers().scheme)
+        assert [row_value(scheme, row, "agent") for row, _ in result.items] == ["Adams", "Black"]
         assert all(score == fr("0.937") for _, score in result.items)
 
     def test_k_at_least_join_size_returns_whole_join_sorted(self):
@@ -61,7 +63,7 @@ class TestExamples:
         source = SortedSource.from_table(demo.offers())
         result = top_k([source], 1)
         row, score = result.items[0]
-        assert score == fr("0.997") and row.value("price") == 798000
+        assert score == fr("0.997") and row_value(source.table.scheme, row, "price") == 798000
 
     def test_direct_construction_derives_the_ranked_rows(self):
         rng = random.Random(23)
@@ -292,7 +294,7 @@ def test_tuple_completed_from_two_sources_counts_once():
     )
     sources = [SortedSource.from_table(left), SortedSource.from_table(right)]
     result = top_k(sources, 2)
-    assert [(row.value("a"), score) for row, score in result.items] == [
+    assert [(row_value(scheme, row, "a"), score) for row, score in result.items] == [
         (1, fr("1")), (3, fr("0.45"))
     ]
     assert result.items == brute_force_top_k(sources, 2).items
@@ -396,6 +398,6 @@ def test_rank_order_exact_below_float_resolution():
     table = RankedTable.from_entries(
         Scheme((("a", INT),)), [({"a": 1}, RATIONAL.score(x)), ({"a": 2}, RATIONAL.score(y))]
     )
-    assert [row.value("a") for row, _ in table.rows_by_rank()] == [2, 1]
+    assert [row_value(table.scheme, row, "a") for row, _ in table.rows_by_rank()] == [2, 1]
     result = top_k([SortedSource.from_table(table)], 2)
-    assert [row.value("a") for row, _ in result.items] == [2, 1]
+    assert [row_value(table.scheme, row, "a") for row, _ in result.items] == [2, 1]

@@ -7,11 +7,15 @@ PARENT and CHANGE are two checkouts of the repository.  For every workload
 (default: all of BENCHMARK.json's) and every seed, one pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each
 checkout, one after the other; which side goes first alternates from pair
-to pair.  Then ``tools/output_digests.py`` (the copy next to this file) runs
-on both checkouts, and the two digest files are compared.
+to pair.  After the pairs, the tier-1 suite runs once in each checkout
+(``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+-p no:cacheprovider``, with ``PYTHONDONTWRITEBYTECODE=1``).  Then
+``tools/output_digests.py`` (the copy next to this file) runs on both
+checkouts, and the two digest files are compared.
 
 The JSON written to ``--out`` holds the protocol (with each side's commit,
-if it is a git checkout, and the SHA-256 of its ``src/``), every pair's
+if it is a git checkout, the SHA-256 of its ``src/``, and its tier-1 run's
+wall seconds, exit code and pytest summary line), every pair's
 numbers, and per workload and end-to-end metric: both medians, the parent's
 quartiles, the change's wins (ties count for neither side), and a verdict
 against the metric's BENCHMARK.json bound.  The verdict is ``worse`` when
@@ -23,8 +27,8 @@ and the digest verdict: whether the two digest files are identical,
 whether they are identical apart from the access-count column of ``topk``
 requests (``items_identical``), each side's access totals, and how many
 requests made more accesses at the change than at the parent.  The exit
-code is 0 only when no metric is ``worse``, no request failed and the
-digests are identical.
+code is 0 only when no metric is ``worse``, no request failed, the digests
+are identical and both tier-1 runs pass.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -184,6 +190,18 @@ def src_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 run in ``checkout``: wall seconds, exit code and pytest's summary line."""
+    paths = [str(checkout / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": round(time.perf_counter() - start, 2), "returncode": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -221,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(), "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "tier1": {side: run_tier1(path) for side, path in checkouts.items()},
         },
         "workloads": results,
         "digests": digest_verdict(checkouts),
@@ -233,11 +252,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload:<8} {name:<16} {metric['parent_median']:>10.3f} -> "
                   f"{metric['change_median']:>10.3f}  wins {metric['wins']}/{metric['pairs']}  "
                   f"{metric['verdict']}")
-    digests = report["digests"]
+    digests, tier1 = report["digests"], report["protocol"]["tier1"]
     print(f"failed {failed}, digests identical: {digests['identical']}, items identical: "
           f"{digests['items_identical']}, requests with more accesses: "
           f"{digests['requests_with_more_accesses']}")
-    return 0 if "worse" not in verdicts and not failed and report["digests"]["identical"] else 1
+    for side, run in tier1.items():
+        print(f"tier-1 {side}: {run['summary']} (exit {run['returncode']}, {run['seconds']} s)")
+    passed = all(run["returncode"] == 0 for run in tier1.values())
+    return 0 if "worse" not in verdicts and not failed and digests["identical"] and passed else 1
 
 
 if __name__ == "__main__":
