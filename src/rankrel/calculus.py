@@ -154,8 +154,10 @@ class Structure:
 
     Interpretations are finite-support (absent vectors score bottom), hence
     the structure is safe: quantifier infima and suprema always exist.
-    Universe elements and vector entries are plain strings, checked here, so
-    the tables built from a structure conform by construction.
+    Universe elements and vector entries are plain strings, and every vector
+    entry is a universe element, checked here, so the tables built from a
+    structure conform by construction and a quantifier may range over the
+    vectors an atom stores.
     """
 
     chain: ScoreChain
@@ -168,12 +170,17 @@ class Structure:
             raise EvalError("structure universe must be non-empty")
         if not all(isinstance(element, str) for element in self.universe):
             raise EvalError("structure universe elements must be strings")
+        universe = set(self.universe)
         for symbol, interp in self.interps.items():
             arity = self.arities.get(symbol)
             if arity is None:
                 raise EvalError(f"interpretation for undeclared symbol {symbol!r}")
-            if not all(isinstance(element, str) for vector in interp for element in vector):
-                raise EvalError(f"the vectors of {symbol!r} must hold strings only")
+            for element in itertools.chain.from_iterable(interp):
+                if not isinstance(element, str):
+                    raise EvalError(f"the vectors of {symbol!r} must hold strings only")
+                if element not in universe:
+                    raise EvalError(f"the vectors of {symbol!r} hold {element!r}, "
+                                    "outside the universe")
             for vector, score in interp.items():
                 if len(vector) != arity:
                     raise EvalError(f"vector {vector!r} does not match arity of {symbol!r}")
@@ -238,6 +245,16 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
     their initial contents), and ``decode[code]`` is the score.  Atoms are
     checked here, in evaluation order, so every error is raised before any
     short-cut could skip its branch.
+
+    A quantifier over ``v`` ranges only over its guard's support when it has
+    a guard: the first atom holding ``v``, left to right, among the ``&``
+    conjuncts of an ``exists`` body, or of the antecedent of a ``forall``
+    body ``a -> b`` (``~a`` included).  The atom's other arguments are bound
+    outside the quantifier, so its support is indexed here, once, by their
+    values; a repeated ``v`` keeps only vectors that agree on it.  That is
+    exact: where the guard is bottom, so is the conjunction, which cannot
+    raise a supremum, and ``a -> b`` is top, which cannot lower an infimum.
+    A quantifier with no guard ranges over the universe.
     """
     chain = m.chain
     stored = [s for interp in m.interps.values() for s in interp.values()]
@@ -247,6 +264,21 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
              for symbol, interp in m.interps.items()}
     universe = m.universe
     width = len(names)
+
+    def support(guard: Atom, var: str, scope: dict[str, int]):
+        """``elements(env)``: the values of ``var`` where ``guard`` is above bottom."""
+        at = [i for i, arg in enumerate(guard.args) if arg == var]
+        others = [i for i, arg in enumerate(guard.args) if arg != var]
+        key = bound = lambda seq: ()
+        if others:
+            key = itemgetter(*others)
+            bound = itemgetter(*(scope[guard.args[i]] for i in others))
+        index: dict[object, list[str]] = {}
+        for vector, c in coded.get(guard.symbol, {}).items():
+            if c and all(vector[i] == vector[at[0]] for i in at):
+                index.setdefault(key(vector), []).append(vector[at[0]])
+        get = index.get
+        return lambda env: get(bound(env), ())
 
     def build(node: Formula, scope: dict[str, int]):
         nonlocal width
@@ -298,10 +330,15 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
             slot = width
             width += 1
             body = build(node.body, {**scope, node.var: slot})
+            if isinstance(node, Exists):
+                guard = _guard(node.body, node.var)
+            else:
+                guard = _guard(node.body.left, node.var) if isinstance(node.body, Implies) else None
+            elements = support(guard, node.var, scope) if guard else lambda env: universe
             if isinstance(node, ForAll):
                 def infimum(env):
                     low = top
-                    for element in universe:
+                    for element in elements(env):
                         env[slot] = element
                         value = body(env)
                         if value < low:
@@ -313,7 +350,7 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
 
             def supremum(env):
                 high = 0
-                for element in universe:
+                for element in elements(env):
                     env[slot] = element
                     value = body(env)
                     if value > high:
@@ -328,10 +365,19 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
     return run, decode, (None,) * (width - len(names))
 
 
+def _guard(phi: Formula, var: str) -> Atom | None:
+    """The first atom holding ``var`` among the ``&`` conjuncts of ``phi``, left to right."""
+    if isinstance(phi, And):
+        return _guard(phi.left, var) or _guard(phi.right, var)
+    return phi if isinstance(phi, Atom) and var in phi.args else None
+
+
 #: Most valuations ``table_of`` may visit (the universe size raised to the
 #: number of free variables plus the deepest quantifier nesting, which bounds
 #: the work by formula size times the cap), and most value combinations
-#: ``algebra_to_formula`` may score for one restriction condition.
+#: ``algebra_to_formula`` may score for one restriction condition.  The count
+#: is the worst case, a quantifier with no guard at every level: a guarded
+#: quantifier visits fewer, but ``calc`` refuses the same formulas either way.
 VALUATION_CAP = 1_000_000
 
 
@@ -352,12 +398,13 @@ def table_of(m: Structure, phi: Formula) -> RankedTable:
     """
     _check_valuations("formula", len(m.universe), len(free_vars(phi)) + _nesting(phi))
     variables = free_vars(phi)
+    order = sorted(range(len(variables)), key=lambda i: variables[i].lower())
+    names = [variables[i].lower() for i in order]  # a row's pairs in name order
     entries = {}
     for values in itertools.product(m.universe, repeat=len(variables)):
-        valuation = dict(zip(variables, values))
-        score = evaluate(phi, m, valuation)
+        score = evaluate(phi, m, dict(zip(variables, values)))
         if not score.is_bottom:
-            entries[Row.of(valuation)] = score
+            entries[Row(zip(names, map(values.__getitem__, order)))] = score
     return RankedTable._trusted(Scheme((var, STR) for var in variables), m.chain, entries)
 
 

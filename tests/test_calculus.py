@@ -172,6 +172,17 @@ class TestRankCodes:
         "o -> false",
         "false | q(x, x)",
         "forall z. (false & p(z))",
+        # guarded quantifiers: each ranges over its guard atom's support
+        "exists z. (q(x, z) & p(z))",  # guard on the left
+        "exists z. (p(y) & q(z, x))",  # guard on the right, after a conjunct without z
+        "exists z. (p(x) & (o & (q(z, y) & p(z))))",  # guard inside a nested conjunction
+        "forall z. (q(x, z) -> p(z))",
+        "forall z. ((p(z) & q(x, z)) -> r(z, x))",  # a conjunction as antecedent
+        "forall z. ~q(z, z)",  # repeated variable
+        "exists z. q(z, z)",
+        "exists x. exists z. (q(x, z) & r(z, x))",  # x bound by an outer quantifier
+        "exists z. (q(x, z) & exists z. r(z, x))",  # inner binder shadows the guard's variable
+        "forall z. (q(z, x) -> exists x. q(x, z))",  # and the guard's other argument
     ])
     def test_fixed_formulas(self, chain, text):
         rng = random.Random(41)

@@ -369,6 +369,10 @@ class TestTrustedResults:
         with pytest.raises(EvalError, match="string"):
             calculus.Structure(RATIONAL, universe, {"p": 1}, interps)
 
+    def test_structure_vectors_hold_universe_elements_only(self):
+        with pytest.raises(EvalError, match="'p' hold 'm2', outside the universe"):
+            calculus.Structure(RATIONAL, ("m1",), {"p": 1}, {"p": {("m2",): RATIONAL.top}})
+
     def test_public_lookups_still_check_rows(self):
         d1, d2 = big_tables(rows=20)
         joined = algebra.natural_join(d1, d2)

@@ -2,7 +2,10 @@
 
 Each case counts the Python-level calls (``call`` and ``c_call`` profile
 events) of building an operator's result at 200, 400 and 800 rows: every
-algebra operator, a map applied to a table, and the CSV reader.  For a
+algebra operator, a map applied to a table, and the CSV reader.  The
+``table_of`` cases count a guarded quantifier's formula over 200, 400 and 800
+universe elements of out-degree 3: it ranges over the guard's 3 successors,
+where a quantifier over the whole universe nears 4x.  For a
 fixed input the count is deterministic, so the bound needs no timing margin:
 a linear operator stays near 2x per doubling, a per-pair loop nears 4x.
 ``natural_join`` on a one-to-one key and ``restrict`` are the linear
@@ -18,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from rankrel import algebra
+from rankrel.calculus import Structure, parse_formula, table_of
 from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL
 from rankrel.conditions import ExprCondition
@@ -44,6 +48,19 @@ def left(n: int) -> RankedTable:
 def shifted(n: int) -> RankedTable:
     """n rows on left's scheme, half of them left(n)'s rows."""
     return ranked(("id", "key"), ((i, i % 12) for i in range(n // 2, n + n // 2)))
+
+
+#: One ``Score`` object per level, so ranking the stored scores meets no tie between two objects.
+LEVELS = [RATIONAL.score(Fraction(level, 4)) for level in range(1, 5)]
+
+
+def out_degree_3(n: int) -> Structure:
+    """n elements; q links each to its next 3, p holds every other one."""
+    universe = tuple(f"e{i}" for i in range(n))
+    q = {(universe[i], universe[(i + step) % n]): LEVELS[(i + step) % 4]
+         for i in range(n) for step in (1, 2, 3)}
+    p = {(universe[i],): LEVELS[i % 4] for i in range(0, n, 2)}
+    return Structure(RATIONAL, universe, {"p": 1, "q": 2}, {"p": p, "q": q})
 
 
 MAPS = parse_config(
@@ -74,6 +91,10 @@ CASES = {
     "compose_table-piecewise": lambda n: (compose_table, left(n), MAPS["g"]),
     "compose_table-expr": lambda n: (compose_table, left(n), MAPS["f"]),
     "read_table_csv": lambda n: (read_table_csv, write_table_csv(left(n))),
+    "table_of-exists-guarded": lambda n: (table_of, out_degree_3(n),
+                                          parse_formula("exists z. (q(x, z) & p(z))")),
+    "table_of-forall-guarded": lambda n: (table_of, out_degree_3(n),
+                                          parse_formula("forall z. (q(x, z) -> p(z))")),
 }
 
 
