@@ -20,20 +20,20 @@ from collections import UserDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chain import RATIONAL, Score, ScoreChain, symbolic_chain
+from .chain import RATIONAL, ScoreChain, symbolic_chain
 from .conditions import Condition, ExprCondition
 from .errors import IncompatibleChainError, ParseError, RankrelError, UnknownNameError
 from .maps import (
     AnalyticMap, GraphMap, IdentityMap, OrderMap, Piece, PiecewiseConstantMap, apply_checked,
 )
-from .table import RankedTable, parse_score, read_table_csv, read_text
+from .table import RankedTable, read_table_csv, read_text
 
 
 class OrderMaps(UserDict):
     """Order maps by name; a map declared by a config line is parsed at first lookup.
 
-    It parses on its catalog's ``chain``, through its ``scores``, and is kept.  A body
-    that fails to parse is not: every lookup raises its ``ParseError``, with its line.
+    It parses on its catalog's ``chain`` and is kept.  A body that fails to parse is
+    not: every lookup raises its ``ParseError``, with its line.
     """
 
     def declare(self, name: str, body: str, lineno: int) -> None:
@@ -42,7 +42,7 @@ class OrderMaps(UserDict):
     def __getitem__(self, name: str) -> OrderMap:
         found = self.data[name]
         if isinstance(found, tuple):
-            found = self.data[name] = _parse_map(*found, self.chain, self.scores)
+            found = self.data[name] = _parse_map(*found, self.chain)
         return found
 
 
@@ -50,21 +50,19 @@ class OrderMaps(UserDict):
 class Catalog:
     """Tables, conditions and maps on one chain.
 
-    ``scores`` maps each score text parsed so far to its ``Score``: every CSV
-    and every ``graph`` or ``piecewise`` map body is parsed through it by
-    ``parse_score``, so one text is one object across the catalog.  It holds
-    nonzero scores on ``chain``, which a config fixes before any map.
+    Every CSV and every ``graph`` or ``piecewise`` map body is parsed by
+    ``chain.parse``, which a config fixes before any map, so one value is one
+    ``Score`` object across the catalog.
     """
 
     chain: ScoreChain = RATIONAL
     tables: dict[str, RankedTable] = field(default_factory=dict)
     conditions: dict[str, Condition] = field(default_factory=dict)
     maps: OrderMaps = field(default_factory=OrderMaps)
-    scores: dict[str, Score] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # not the catalog itself: that cycle would keep its tables alive until a GC pass
-        self.maps.chain, self.maps.scores = self.chain, self.scores
+        self.maps.chain = self.chain
 
     def table(self, name: str) -> RankedTable:
         try:
@@ -106,7 +104,7 @@ class Catalog:
             if first is not csv_path:
                 raise RankrelError(f"{first} and {csv_path} both hold table {name!r}; "
                                    "table names ignore case")
-            catalog.add_table(name, read_table_csv(csv_path, catalog.chain, catalog.scores))
+            catalog.add_table(name, read_table_csv(csv_path, catalog.chain))
         return catalog
 
 
@@ -154,12 +152,8 @@ def parse_config(text: str) -> Catalog:
     return catalog
 
 
-def _parse_map(body: str, lineno: int, chain: ScoreChain, scores: dict[str, Score]) -> OrderMap:
-    """Parse a map body on ``chain``, its score texts through ``scores``."""
-
-    def parse(text: str) -> Score:
-        return parse_score(text.strip(), chain, scores)
-
+def _parse_map(body: str, lineno: int, chain: ScoreChain) -> OrderMap:
+    """Parse a map body on ``chain``."""
     if body == "identity":
         return IdentityMap()
     match = _BRACED_RE.match(body)
@@ -175,10 +169,10 @@ def _parse_map(body: str, lineno: int, chain: ScoreChain, scores: dict[str, Scor
             left, sep, right = entry.partition("->")
             if not sep:
                 raise ParseError(f"graph entry {entry!r} needs '->'", line=lineno)
-            source = parse(left)
+            source = chain.parse(left)
             if source in pairs:
                 raise ParseError(f"graph input {left.strip()!r} appears twice", line=lineno)
-            pairs[source] = parse(right)
+            pairs[source] = chain.parse(right)
         return GraphMap.of(pairs)
     # piecewise: an optional bare `a -> b` entry fixes the value at bottom,
     # every other entry is `(lo, hi] -> value`.
@@ -190,18 +184,12 @@ def _parse_map(body: str, lineno: int, chain: ScoreChain, scores: dict[str, Scor
             continue
         piece = _PIECE_RE.match(entry)
         if piece:
-            pieces.append(
-                Piece(
-                    parse(piece.group("lo")),
-                    parse(piece.group("hi")),
-                    parse(piece.group("val")),
-                )
-            )
+            pieces.append(Piece(*map(chain.parse, piece.group("lo", "hi", "val"))))
             continue
         left, sep, right = entry.partition("->")
-        if not sep or parse(left) != chain.bottom:
+        if not sep or chain.parse(left) != chain.bottom:
             raise ParseError(f"malformed piecewise entry {entry!r}", line=lineno)
-        bottom_value = parse(right)
+        bottom_value = chain.parse(right)
     pieces.sort(key=lambda p: p.lo.key)
     return PiecewiseConstantMap(chain, bottom_value, tuple(pieces))
 

@@ -86,6 +86,13 @@ class ScoreChain:
     ``levels`` is ``None`` for the exact-rational carrier; otherwise it lists
     the level names from bottom to top.  Chains are compatible (and their
     scores interoperate) exactly when their descriptors are equal.
+
+    A chain keeps one ``Score`` per value it has built and per text it has
+    parsed, which ``score``, ``parse``, ``bottom`` and ``top`` return, so the
+    kernels that de-duplicate scores by ``id`` meet each value once; scores
+    compare and hash by value, so no answer depends on the sharing.  The memo
+    is a plain dict as long-lived as the chain (``RATIONAL``: the process),
+    about 370 B per distinct score text; a pickle or copy starts it empty.
     """
 
     levels: Optional[tuple[str, ...]] = None
@@ -96,6 +103,10 @@ class ScoreChain:
                 raise ChainError("a symbolic chain needs at least two levels")
             if len(set(self.levels)) != len(self.levels):
                 raise ChainError(f"duplicate level names in {self.levels}")
+        object.__setattr__(self, "_memo", {})  # value or text -> its one Score
+
+    def __reduce__(self):
+        return ScoreChain, (self.levels,)  # an equal chain, with an empty memo
 
     @property
     def is_rational(self) -> bool:
@@ -103,45 +114,56 @@ class ScoreChain:
 
     @cached_property
     def bottom(self) -> "Score":
-        return Score(self, Fraction(0) if self.is_rational else 0)
+        return self.score(0)
 
     @cached_property
     def top(self) -> "Score":
-        if self.is_rational:
-            return Score(self, Fraction(1))
-        return Score(self, len(self.levels) - 1)
+        return self.score(1 if self.is_rational else len(self.levels) - 1)
 
     def score(self, raw) -> "Score":
-        """Build a score on this chain, validating the carrier bounds."""
+        """The score of ``raw`` on this chain, validating the carrier bounds."""
         if self.is_rational:
             if isinstance(raw, bool) or not isinstance(raw, (int, Fraction)):
                 raise ChainError(f"rational scores take Fraction or int, got {raw!r}")
             value = Fraction(raw)
             if not 0 <= value <= 1:
                 raise ChainError(f"score {value} outside [0, 1]")
-            return Score(self, value)
+            return self._keep(value)
         if isinstance(raw, str):
             try:
-                return Score(self, self.levels.index(raw))
+                return self._keep(self.levels.index(raw))
             except ValueError:
                 raise ChainError(
                     f"unknown level {raw!r}; chain levels are {self.levels}"
                 ) from None
         if isinstance(raw, int) and not isinstance(raw, bool):
             if 0 <= raw < len(self.levels):
-                return Score(self, raw)
+                return self._keep(raw)
         raise ChainError(f"symbolic scores take a level name, got {raw!r}")
+
+    def _keep(self, value, text: Optional[str] = None) -> "Score":
+        """The one score of a valid carrier ``value``, built with ``text`` at its first call."""
+        score = self._memo.get(value)
+        if score is None:
+            score = self._memo.setdefault(value, Score(self, value, text))
+        return score
 
     def parse(self, text: str) -> "Score":
         """Parse score text: exact decimal or ``p/q`` (rational), or a level name.
 
-        Plain ASCII ``digits`` or ``digits.digits`` is read with two ``int``
-        calls, as ``Fraction(text)`` reads it, but without its regex; every
-        other text goes through ``Fraction(text)``.  A plain text already in
-        exact form (``0.5`` or ``1``, not ``0.50``, ``00.5`` or ``1.0``) is
-        kept as the score's ``text``.
+        A text parsed before is looked up, not read again; a text that fails
+        is not kept.  Plain ASCII ``digits`` or ``digits.digits`` is read with
+        two ``int`` calls, as ``Fraction(text)`` reads it, but without its
+        regex; every other text goes through ``Fraction(text)``.  A plain text
+        already in exact form (``0.5`` or ``1``, not ``0.50``, ``00.5`` or
+        ``1.0``) is kept as the ``text`` of a score it builds.
         """
-        text = text.strip()
+        score = self._memo.get(text)
+        if score is None:
+            score = self._memo.setdefault(text, self._read(text.strip()))
+        return score
+
+    def _read(self, text: str) -> "Score":
         if self.levels is not None:
             return self.score(text)
         head, dot, tail = text.partition(".")
@@ -151,7 +173,7 @@ class ScoreChain:
                 num = int(head) * scale + int(tail or "0")
                 if num <= scale:
                     exact = (head == "0" and tail[-1] != "0") if dot else len(head) == 1
-                    return Score(self, Fraction(num, scale), text if exact else None)
+                    return self._keep(Fraction(num, scale), text if exact else None)
                 return self.score(Fraction(num, scale))  # raises the range error
             return self.score(Fraction(text))
         except (ValueError, ZeroDivisionError):

@@ -70,9 +70,8 @@ def cmd_eval(args) -> int:
 
 def cmd_equiv(args) -> int:
     chain = parse_config(read_text(args.config)).chain if args.config else RATIONAL
-    scores: dict = {}  # equal score texts in both files are one Score object
-    first = read_table_csv(args.first, chain, scores)
-    second = read_table_csv(args.second, chain, scores)
+    first = read_table_csv(args.first, chain)
+    second = read_table_csv(args.second, chain)
     evidence = ordinal.first_inclusion_violation(first, second)
     backward = ordinal.ordinally_included(second, first)
     if evidence is None and backward:

@@ -171,8 +171,10 @@ class AnalyticMap(OrderMap):
         scores = list(scores)
         exact = self._exact()
         unrounded = [exact(s) for s in scores]
-        out = [s.chain.score(quantize(v)) for s, v in zip(scores, unrounded)]
-        rounded = len({img.value for img in out})
+        # one chain builds every image, one object per value: merged images share an id
+        chain = scores[0].chain if scores else None
+        out = [chain.score(quantize(v)) for v in unrounded]
+        rounded = len(set(map(id, out)))
         # Exact images are hashed only on a collision: big Fractions hash slowly.
         if rounded < len(out) and rounded < len(set(unrounded)):
             raise QuantizationError(
@@ -234,8 +236,11 @@ def apply_checked(f: OrderMap, scores: Iterable[Score],
     through one batch application, which runs the map's own consistency
     checks; every image must lie on ``chain``; declared map properties are
     verified on the graph of the scores given, plus bottom and top.  No
-    score is hashed here.  The ids stay valid while the objects live: the
-    caller's table or interpretations hold them while it reads the images.
+    score is hashed here.  A chain keeps one object per value, so scores
+    built by chain methods reach the map once per value; distinct objects
+    of one value, built by ``Score`` itself, are each mapped, to equal
+    images.  The ids stay valid while the objects live: the caller's table
+    or interpretations hold them while it reads the images.
     """
     try:
         keeps_bottom = f.apply(chain.bottom).is_bottom

@@ -574,37 +574,24 @@ def parse_header(header: Sequence[str]) -> Scheme:
 _PARSERS = {"str": str.strip, "int": int, "dec": Fraction}
 
 
-def read_table_csv(source, chain: ScoreChain = RATIONAL,
-                   scores: Optional[dict[str, Score]] = None) -> RankedTable:
+def read_table_csv(source, chain: ScoreChain = RATIONAL) -> RankedTable:
     """Read a ranked table from CSV text (it holds a line break) or a file path,
     without a leading byte-order mark.
 
-    Score texts go through :func:`parse_score` and ``scores`` (a fresh dict
-    when ``None``).  An error reading a path names the path once: a decoding
-    error from :func:`read_text` names it itself, and every later error is
-    prefixed with it.
+    Score texts are parsed by ``chain.parse``, so equal values in any file
+    read on one chain are one ``Score`` object.  An error reading a path
+    names the path once: a decoding error from :func:`read_text` names it
+    itself, and every later error is prefixed with it.
     """
-    if scores is None:
-        scores = {}
     if isinstance(source, str) and "\n" in source:
         text = source.removeprefix("\ufeff")
-        return _read_rows(csv.reader(io.StringIO(text), strict=True), chain, scores)
+        return _read_rows(csv.reader(io.StringIO(text), strict=True), chain)
     reader = csv.reader(io.StringIO(read_text(source), newline=""), strict=True)
     try:
-        return _read_rows(reader, chain, scores)
+        return _read_rows(reader, chain)
     except RankrelError as exc:
         exc.args = (f"cannot load table from {source}: {exc}",)  # keeps line, column
         raise
-
-
-def parse_score(text: str, chain: ScoreChain, scores: dict[str, Score]) -> Score:
-    """``text`` on ``chain`` through ``scores``, which keeps one object per nonzero text."""
-    score = scores.get(text)
-    if score is None:
-        score = chain.parse(text)
-        if not score.is_bottom:
-            scores[text] = score
-    return score
 
 
 def read_text(path) -> str:
@@ -621,14 +608,14 @@ def read_text(path) -> str:
                          column=exc.start - line_start) from None
 
 
-def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTable:
+def _read_rows(reader, chain: ScoreChain) -> RankedTable:
     """Pick each line's value cells in name order by one plan, then parse them.
 
     The parsers type every cell, so rows conform by construction; rows are
-    checked for duplicates here.  Each distinct score text is parsed, and
-    checked to be nonzero, once per ``scores`` dict: at its first line, where
-    an error is raised as a per-row check would.  Only a line whose cells
-    fail is parsed again, cell by cell, to name the cell in its error.
+    checked for duplicates here.  A score text the chain has parsed before
+    is a lookup in its memo, and a score 0 is the chain's one bottom object.
+    Only a line whose cells fail is parsed again, cell by cell, to name the
+    cell in its error.
     """
     records = _records(reader)
     try:
@@ -641,22 +628,21 @@ def _read_rows(reader, chain: ScoreChain, scores: dict[str, Score]) -> RankedTab
     parsers = [_PARSERS[scheme.attr(name).atype.kind] for name in names]
     value_cells = _selector([scheme.names.index(name) + 1 for name in names])  # in name order
     entries: dict[Row, Score] = {}
+    parse, bottom = chain.parse, chain.bottom
     for cells in records:
-        # a blank score cell never enters ``scores``, so a hit is a line of full width
-        score = scores.get(cells[0]) if len(cells) == width else None
-        if score is None:
+        if len(cells) != width or not cells[0].strip():
             if not any(map(str.strip, cells)):
                 continue
             if len(cells) != width:
                 raise SchemeError(f"line {reader.line_num}: expected {width} cells, "
                                   f"got {len(cells)}")
-            try:
-                score = parse_score(cells[0], chain, scores)
-            except ChainError as exc:
-                raise ChainError(f"line {reader.line_num}: {exc}") from None
-            if score.is_bottom:
-                raise ChainError(f"line {reader.line_num}: rows with score 0 are not stored; "
-                                 "omit the row")
+        try:
+            score = parse(cells[0])
+        except ChainError as exc:
+            raise ChainError(f"line {reader.line_num}: {exc}") from None
+        if score is bottom:
+            raise ChainError(f"line {reader.line_num}: rows with score 0 are not stored; "
+                             "omit the row")
         try:
             row = Row(zip(names, map(call, parsers, value_cells(cells))))
         except (ValueError, ZeroDivisionError):
@@ -712,15 +698,14 @@ def ranked_cells(
 ) -> Iterator[list[str]]:
     """Display cells of (row, score) pairs in rank order: the score, then the plan's columns.
 
-    Equal scores are adjacent in rank order, so each distinct score is
+    Equal scores are adjacent in rank order, so each score object is
     formatted once per run of rows that share it.
     """
     last: Optional[Score] = None
     text = ""
     for row, score in pairs:
         if score is not last:
-            if last is None or score.key != last.key:
-                text = chain.format(score, places)
+            text = chain.format(score, places)
             last = score
         yield [text] + [fmt(row[position][1]) for position, fmt in plan]  # row_cells, inlined
 

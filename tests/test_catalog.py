@@ -2,12 +2,13 @@
 
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from rankrel import algebra, ordinal, planner
 from rankrel.catalog import Catalog, parse_config
-from rankrel.chain import RATIONAL
+from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.errors import (
     ChainError,
     IncompatibleChainError,
@@ -16,8 +17,8 @@ from rankrel.errors import (
     RankrelError,
     UnknownNameError,
 )
-from rankrel.maps import AnalyticMap, GraphMap, IdentityMap, PiecewiseConstantMap
-from rankrel.table import Row, read_table_csv, write_table_csv
+from rankrel.maps import AnalyticMap, GraphMap, IdentityMap, PiecewiseConstantMap, compose_table
+from rankrel.table import RankedTable, Row, read_table_csv, write_table_csv
 
 fr = RATIONAL.parse
 
@@ -150,7 +151,7 @@ class TestCatalogDir:
 
 
 class TestSharedScores:
-    """A catalog reads all of its CSVs through one score-text dict."""
+    """A catalog reads all of its CSVs on one chain, which keeps one score per value."""
 
     HOUSES = "#,id:int\n0.5,1\n0.25,2\n1/2,3\n"
     OFFERS = "#,id:int,agent:str\n0.25,1,ann\n0.5,2,bob\n0.75,3,cy\n"
@@ -190,15 +191,14 @@ class TestSharedScores:
         assert offers.score_of(Row.of({"id": 2, "agent": "bob"})) is half
         quarter = houses.score_of(Row.of({"id": 2}))
         assert offers.score_of(Row.of({"id": 1, "agent": "ann"})) is quarter
-        # another text of an equal value is another object, with an equal key
-        other = houses.score_of(Row.of({"id": 3}))
-        assert other == half and other is not half and other.key == half.key
+        # another text of an equal value is the same object
+        assert houses.score_of(Row.of({"id": 3})) is half
         for name in ("houses", "offers"):
             assert catalog.table(name) == read_table_csv(tmp_path / f"{name}.csv")
 
     @pytest.mark.parametrize("bad", ["0", "0.0", "abc", "1.5"])
     def test_a_bad_score_text_fails_as_in_a_lone_read(self, tmp_path, bad):
-        # houses is read first, so its texts are in the shared dict already
+        # houses is read first, so its texts are in the chain's memo already
         self.write(tmp_path, houses=self.HOUSES,
                    offers=self.OFFERS + f"{bad},4,dee\n0.5,5,eve\n")
         with pytest.raises(ChainError) as alone:
@@ -214,29 +214,28 @@ class TestSharedScores:
         pytest.param("abc", "line 4: cannot parse rational score from 'abc'",
                      id="abc-cannot parse rational score from 'abc'"),
     ])
-    def test_a_failed_text_never_enters_the_shared_dict(self, bad, message):
-        scores = {}
+    def test_a_failed_text_fails_alike_on_a_chain_that_read_it(self, bad, message):
+        chain = ScoreChain()  # an empty memo
         with pytest.raises(ChainError):
-            read_table_csv(f"#,id:int\n0.5,1\n{bad},2\n", RATIONAL, scores)
-        assert list(scores) == ["0.5"]
+            read_table_csv(f"#,id:int\n0.5,1\n{bad},2\n", chain)
         second = f"#,id:int\n0.5,1\n0.25,2\n{bad},3\n"
         with pytest.raises(ChainError) as again:
-            read_table_csv(second, RATIONAL, scores)
+            read_table_csv(second, chain)
         with pytest.raises(ChainError) as alone:
-            read_table_csv(second)
+            read_table_csv(second, ScoreChain())
         assert str(again.value) == str(alone.value) == message
-        assert list(scores) == ["0.5", "0.25"]
 
 
 class TestCatalogScoreDict:
-    """The catalog's score-text dict holds nonzero scores on the catalog's final chain."""
+    """Config and CSV texts are parsed on the catalog's final chain, one score per value."""
 
     COMPOSED = "cond one = expr{ 1 }\ncond mapped = compose(one, h)\n"
 
     def test_a_graph_parsed_while_reading_the_config_keeps_bottom_out(self, tmp_path):
         cfg = "map h = graph{ 0 -> 0, 0.5 -> 0.25, 1 -> 1 }\n" + self.COMPOSED
         catalog = parse_config(cfg)
-        assert sorted(catalog.scores) == ["0.25", "0.5", "1"]
+        zero = catalog.chain.parse("0")  # the graph read this text first
+        assert catalog.order_map("h").apply(zero) is zero is catalog.chain.bottom
         (tmp_path / "catalog.cfg").write_text(cfg, encoding="utf-8")
         (tmp_path / "t.csv").write_text("#,id:int\n0.5,1\n0,2\n", encoding="utf-8")
         with pytest.raises(ChainError) as err:
@@ -257,8 +256,9 @@ class TestCatalogScoreDict:
 
     def test_maps_parse_on_the_chain_of_a_leading_chain_line(self):
         catalog = parse_config("chain symbolic(0 < 1)\nmap h = graph{ 0 -> 0, 1 -> 1 }\n")
-        assert catalog.maps["h"].apply(catalog.chain.top) is catalog.scores["1"]
-        assert list(catalog.scores) == ["1"] and catalog.scores["1"] == catalog.chain.top
+        assert catalog.chain.levels == ("0", "1")
+        assert catalog.maps["h"].apply(catalog.chain.top) is catalog.chain.parse("1")
+        assert catalog.chain.parse("1") is catalog.chain.top
 
     def test_map_bodies_share_the_objects_of_the_tables(self, tmp_path):
         cfg = ("map h = graph{ 0 -> 0, 0.5 -> 0.25, 1 -> 1 }\n"
@@ -267,9 +267,10 @@ class TestCatalogScoreDict:
         (tmp_path / "t.csv").write_text("#,id:int\n0.5,1\n0.25,2\n", encoding="utf-8")
         catalog = Catalog.from_dir(tmp_path)
         half = catalog.table("t").score_of(Row.of({"id": 1}))
-        assert catalog.scores["0.5"] is half
-        assert catalog.order_map("h").apply(half) is catalog.scores["0.25"]
-        assert catalog.order_map("g").apply(half) is catalog.scores["0.25"]
+        assert catalog.chain.parse("0.5") is half
+        quarter = catalog.table("t").score_of(Row.of({"id": 2}))
+        assert catalog.order_map("h").apply(half) is quarter
+        assert catalog.order_map("g").apply(half) is quarter
 
     def test_a_catalog_is_freed_without_the_cycle_collector(self, tmp_path):
         # a reference cycle would keep every table of a loaded catalog until a GC pass
@@ -291,6 +292,54 @@ class TestCatalogScoreDict:
         with pytest.raises(ParseError) as err:
             catalog.maps["g"]
         assert str(err.value) == f"graph input '{second}' appears twice (line 1, column 0)"
+
+
+class TestOneScorePerValue:
+    """Every route to one value on one chain gives one ``Score`` object."""
+
+    def load(self, directory, cfg: str, first: str, second: str) -> Catalog:
+        (directory / "catalog.cfg").write_text(cfg, encoding="utf-8")
+        (directory / "first.csv").write_text(f"#,id:int\n{first},1\n", encoding="utf-8")
+        (directory / "second.csv").write_text(second, encoding="utf-8")
+        return Catalog.from_dir(directory)
+
+    def test_every_route_to_one_half_gives_one_object(self, tmp_path):
+        cfg = ("map g = graph{ 0 -> 0, 0.25 -> 0.5, 1 -> 1 }\n"
+               "map p = piecewise{ (0, 1] -> 1/2 }\n"
+               "map f = expr{ x/2 }\n"
+               "cond c = expr{ id <= 1 ? 0.5 : 1 }\n")
+        catalog = self.load(tmp_path, cfg, "0.5", "#,id:int\n0.50,1\n1/2,2\n")
+        chain = catalog.chain
+        second = catalog.table("second")
+        tops = RankedTable(second.scheme, chain, {Row.of({"id": 1}): chain.top})
+        routes = [
+            catalog.table("first").score_of(Row.of({"id": 1})),
+            second.score_of(Row.of({"id": 1})),
+            second.score_of(Row.of({"id": 2})),
+            RATIONAL.score(Fraction(1, 2)),
+            catalog.order_map("g").apply(chain.parse("0.25")),
+            catalog.order_map("p").apply(chain.top),
+            catalog.condition("c").score_of(Row.of({"id": 1}), chain),
+            catalog.order_map("f").apply(chain.top),
+            compose_table(tops, catalog.order_map("f")).score_of(Row.of({"id": 1})),
+        ]
+        assert chain is RATIONAL and len({id(s) for s in routes}) == 1, routes
+
+    def test_every_route_to_one_level_gives_one_object(self, tmp_path):
+        cfg = (SYMBOLIC_CFG + "map g = graph{ none -> none, high -> low, full -> full }\n"
+               "map p = piecewise{ (none, full] -> low }\n")
+        catalog = self.load(tmp_path, cfg, "low", "#,id:int\n low ,1\nlow,2\n")
+        chain, second = catalog.chain, catalog.table("second")
+        routes = [
+            catalog.table("first").score_of(Row.of({"id": 1})),
+            second.score_of(Row.of({"id": 1})),
+            second.score_of(Row.of({"id": 2})),
+            chain.score("low"),
+            chain.score(1),
+            catalog.order_map("g").apply(chain.parse("high")),
+            catalog.order_map("p").apply(chain.top),
+        ]
+        assert chain.levels[1] == "low" and len({id(s) for s in routes}) == 1, routes
 
 
 SYMBOLIC_CFG = "chain symbolic(none < low < high < full)\n"

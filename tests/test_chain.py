@@ -1,7 +1,9 @@
 """Score chain connectives: unit values, algebraic laws, Boolean degeneration."""
 
+import copy
 import importlib.util
 import operator
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -230,6 +232,44 @@ class TestParsingAndFormat:
             assert RATIONAL.parse(RATIONAL.format(fr(text), places=None)) == fr(text)
         assert exact_decimal_str(Fraction(1, 3)) == "1/3"
         assert fixed_decimal_str(Fraction(7, 10), 3) == "0.700"
+
+
+class TestOneScorePerValue:
+    """A chain keeps one ``Score`` per value and per parsed text, and copies none of them."""
+
+    @pytest.mark.parametrize("chain, texts, raws", [
+        (ScoreChain(), ("0.5", " 0.50", "1/2", "0.500"), (Fraction(1, 2), Fraction(2, 4))),
+        (ScoreChain(("no", "low", "yes")), ("low", " low\t"), ("low", 1)),
+    ], ids=["rational", "symbolic"])
+    def test_every_chain_route_to_one_value_gives_one_object(self, chain, texts, raws):
+        routes = [*map(chain.parse, texts), *map(chain.score, raws)]
+        assert len({id(s) for s in routes}) == 1
+        assert chain.parse("0" if chain.is_rational else "no") is chain.bottom
+        assert chain.score(1 if chain.is_rational else "yes") is chain.top
+        assert Score(chain, routes[0].value) == routes[0]
+        assert Score(chain, routes[0].value) is not routes[0]
+
+    @pytest.mark.parametrize("text", ["abc", "1.5", "", "0.5x"])
+    def test_a_text_that_fails_is_not_kept(self, text):
+        chain = ScoreChain()
+        with pytest.raises(ChainError) as first:
+            chain.parse(text)
+        with pytest.raises(ChainError) as again:
+            chain.parse(text)
+        assert str(first.value) == str(again.value) and chain._memo == {}
+
+    def test_copies_are_equal_chains_with_an_empty_memo(self):
+        chain = symbolic_chain("no < low < yes")
+        table = RankedTable(Scheme((("a", INT),)), chain,
+                            {Row.of({"a": 1}): chain.parse("low"), Row.of({"a": 2}): chain.top})
+        for copier in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            other = copier(chain)
+            assert other == chain and hash(other) == hash(chain) and other._memo == {}
+            assert other.parse("low") == chain.parse("low")
+            assert copier(table) == table and copier(chain.top) == chain.top
+        assert list(chain._memo) == [1, "low", 2]  # each level once, each parsed text once
+        for chain in (RATIONAL, ScoreChain()):
+            assert pickle.loads(pickle.dumps(chain))._memo == {}
 
 
 def _structure_with(score):

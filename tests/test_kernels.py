@@ -222,20 +222,20 @@ def test_operators_never_build_rows_row_by_row(monkeypatch):
     for module in (table_module, rankrel):  # the per-row oracles live in the tests only
         assert not hasattr(module, "join_rows") and not hasattr(module, "rank_key")
     parsed = Counter()
-    parse = ScoreChain.parse
+    read = ScoreChain._read
 
-    def counting_parse(chain, text):
+    def counting_read(chain, text):
         parsed[text] += 1
-        return parse(chain, text)
+        return read(chain, text)
 
-    monkeypatch.setattr(ScoreChain, "parse", counting_parse)
+    monkeypatch.setattr(ScoreChain, "_read", counting_read)
 
     joined = algebra.natural_join(d1, d2)
     projected = algebra.project(joined, ["agent", "bdrm"])
     renamed = algebra.rename(joined, {"agent": "who"})
     ranked = joined.rows_by_rank()
     text = write_table_csv(joined)
-    reread = read_table_csv(text)
+    reread = read_table_csv(text, ScoreChain())  # a new chain, which has read no text
     assert set(parsed) == distinct_texts and set(parsed.values()) == {1}
 
     monkeypatch.undo()

@@ -215,11 +215,11 @@ class TestComposeTable:
         assert compose_table(table, IDENTITY) == table
 
     def test_distinct_objects_of_one_score_map_alike(self):
-        # Each text is parsed twice, so each score is two objects.  Equal inputs
+        # Each row builds its own score, so each value is two objects.  Equal inputs
         # collapse before the strict reflection test: no MapPropertyError.
         texts = ("0.5", "0.25", "1", "0.5", "0.25", "1")
-        table = RankedTable(Scheme((("a", INT),)), RATIONAL,
-                            {Row.of({"a": i}): fr(text) for i, text in enumerate(texts)})
+        table = RankedTable(Scheme((("a", INT),)), RATIONAL, {
+            Row.of({"a": i}): Score(RATIONAL, Fraction(text)) for i, text in enumerate(texts)})
         assert table.score_of(Row.of({"a": 0})) is not table.score_of(Row.of({"a": 3}))
         for f in (AnalyticMap.parse("x/2 + x^2/2", declared=("embedding", "fixed-top")),
                   rnd_grid_isomorphism(random.Random(11)), IDENTITY):

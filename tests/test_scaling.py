@@ -2,17 +2,16 @@
 
 Each case counts the Python-level calls (``call`` and ``c_call`` profile
 events) of building an operator's result at 200, 400 and 800 rows: every
-algebra operator, a map applied to a table, and the CSV reader.  The
-``table_of`` cases count a guarded quantifier's formula over 200, 400 and 800
-universe elements of out-degree 3: it ranges over the guard's 3 successors,
-where a quantifier over the whole universe nears 4x.  For a
-fixed input the count is deterministic, so the bound needs no timing margin:
-a linear operator stays near 2x per doubling, a per-pair loop nears 4x.
+algebra operator, a map applied to a table, the CSV reader and writer,
+ordinal inclusion and top-k.  The ``table_of`` cases count a guarded
+quantifier's formula over 200, 400 and 800 universe elements of out-degree
+3: it ranges over the guard's 3 successors, where a quantifier over the whole
+universe nears 4x.  For a fixed input the count is deterministic, so the
+bound needs no timing margin: a linear operator stays near 2x per doubling, a
+per-pair loop nears 4x.  (``RATIONAL`` builds each value's one score once per
+process, so the first case to meet a value also counts that build.)
 ``natural_join`` on a one-to-one key and ``restrict`` are the linear
-baselines.  The rank sort's readers (``write_table_csv``,
-``ordinally_included``, ``top_k``) are not cases yet: on these tables, where
-every row holds its own ``Score`` object, ties in the sort compare exact
-``Fraction`` values and grow by up to 2.5x per doubling.
+baselines.
 """
 
 import sys
@@ -25,8 +24,10 @@ from rankrel.calculus import Structure, parse_formula, table_of
 from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL
 from rankrel.conditions import ExprCondition
-from rankrel.maps import compose_table
+from rankrel.maps import AnalyticMap, compose_table
+from rankrel.ordinal import ordinally_included
 from rankrel.table import INT, RankedTable, Row, Scheme, read_table_csv, write_table_csv
+from rankrel.topk import SortedSource, top_k
 
 SIZES = (200, 400, 800)
 MAX_GROWTH = 2.3  # per doubling of the input rows
@@ -91,6 +92,9 @@ CASES = {
     "compose_table-piecewise": lambda n: (compose_table, left(n), MAPS["g"]),
     "compose_table-expr": lambda n: (compose_table, left(n), MAPS["f"]),
     "read_table_csv": lambda n: (read_table_csv, write_table_csv(left(n))),
+    "write_table_csv": lambda n: (write_table_csv, left(n)),
+    "ordinally_included": lambda n: (ordinally_included, left(n), shifted(n)),
+    "top_k-10": lambda n: (top_k, [SortedSource(left(n)), SortedSource(shifted(n))], 10),
     "table_of-exists-guarded": lambda n: (table_of, out_degree_3(n),
                                           parse_formula("exists z. (q(x, z) & p(z))")),
     "table_of-forall-guarded": lambda n: (table_of, out_degree_3(n),
@@ -99,7 +103,7 @@ CASES = {
 
 
 def counted_calls(operator, *args) -> int:
-    """Python-level calls made by ``operator(*args).entries()``."""
+    """Python-level calls made by ``operator(*args)``, building a table result's entries."""
     count = 0
 
     def profile(frame, event, arg):
@@ -109,7 +113,9 @@ def counted_calls(operator, *args) -> int:
 
     sys.setprofile(profile)
     try:
-        operator(*args).entries()
+        result = operator(*args)
+        if isinstance(result, RankedTable):
+            result.entries()
     finally:
         sys.setprofile(None)
     return count
@@ -120,3 +126,17 @@ def test_counted_work_grows_linearly(case):
     counts = [counted_calls(*CASES[case](n)) for n in SIZES]
     growth = [larger / smaller for smaller, larger in zip(counts, counts[1:])]
     assert max(growth) <= MAX_GROWTH, f"{case}: calls {counts} at {SIZES} rows"
+
+
+def test_an_expr_map_runs_once_per_value(monkeypatch):
+    batches = []
+    apply_all = AnalyticMap.apply_all
+
+    def counted(f, scores):
+        scores = list(scores)
+        batches.append(len(scores))
+        return apply_all(f, scores)
+
+    monkeypatch.setattr(AnalyticMap, "apply_all", counted)
+    compose_table(left(800), MAPS["f"]).entries()
+    assert batches == [97]

@@ -8,9 +8,11 @@ score once.  Each is checked on seeded inputs against its oracle in
 connectives, equal scores or identical errors, equal floors and escaping
 rows, equal tables or identical errors.  A guard test counts the score
 hashes of both kernels on a 2,000-row table, and another makes map
-application run with ``Score.__hash__`` raising.  A score is slotted, with no
-instance ``__dict__``; it keeps its exact text through copies, and the text
-``parse`` keeps is the one ``format`` writes.
+application run with ``Score.__hash__`` raising.  Tables holding one
+``Score`` object per row give the answers of tables holding the chain's one
+object per value.  A score is slotted, with no instance ``__dict__``; it
+keeps its exact text through copies, and the text ``parse`` keeps is the one
+``format`` writes.
 """
 
 import copy
@@ -53,6 +55,7 @@ from rankrel.calculus import structure_from_tables
 from rankrel.chain import (
     RATIONAL,
     Score,
+    ScoreChain,
     abjunction,
     exact_decimal_str,
     join_sup,
@@ -70,6 +73,7 @@ from rankrel.maps import (
     Piece,
     PiecewiseConstantMap,
     compose_table,
+    verify_declared,
 )
 from rankrel.table import (
     INT, AttrType, RankedTable, Row, Scheme, rank_sorted, read_table_csv, values_of,
@@ -192,7 +196,9 @@ def test_every_form_of_top_is_one_key_for_a_dict():
     for s in forms:
         assert s == RATIONAL.top and hash(s) == hash(RATIONAL.top) and s.key == (1.0, 1)
     assert len(set(forms)) == 1 and {RATIONAL.top: "top"}[forms[0]] == "top"
-    assert [s.text for s in forms[:3]] == ["1", None, None]
+    # the chain's routes give its one top; ``Score`` itself builds new objects
+    assert len({id(s) for s in forms}) == 3 and forms[6] is forms[0]
+    assert {RATIONAL.format(s, None) for s in forms} == {"1"}
     # unequal scores may share a hash (one float), never a key
     tiny = Score(RATIONAL, KEYED[-1])
     assert hash(tiny) == hash(RATIONAL.bottom) and tiny != RATIONAL.bottom
@@ -214,13 +220,16 @@ def decimal_texts(draw) -> str:
 
 
 def check_kept_text(text: str) -> None:
-    """``parse`` keeps a text exactly when it is the exact text, which ``format`` then writes."""
-    s = RATIONAL.parse(text)
+    """A score ``parse`` builds keeps its text exactly when it is the exact text, and
+    ``format`` writes the exact text of a parsed score whatever was parsed before."""
+    s = ScoreChain().parse(text)  # a new chain, so the score is built here
     exact = exact_decimal_str(s.value)
     assert s.value == Fraction(text.strip()) and s.key == (float(s.value), s.value)
     assert s.text == (exact if text.strip() == exact else None)
-    assert RATIONAL.format(s, None) == exact and s.text == exact
-    assert repr(s) == f"Score({exact})"
+    assert s.chain.format(s, None) == exact and s.text == exact
+    kept = RATIONAL.parse(text)
+    assert kept is RATIONAL.score(s.value) and RATIONAL.format(kept, None) == exact
+    assert repr(kept) == f"Score({exact})"
 
 
 @pytest.mark.parametrize("text", ["0.5", "1", "0", " 0.25\t", "0.125",
@@ -363,13 +372,13 @@ def rnd_profile_pair(rng: random.Random):
 
 
 def build(chain, scheme: Scheme, raw: dict, rng: random.Random) -> RankedTable:
-    """A table of raw scores, through the CSV reader or with one object per row."""
+    """A table of raw scores, through the CSV reader or with one ``Score`` object per row."""
     if chain is RATIONAL and rng.random() < 0.4:
         lines = ["#,a:int,b:int"]
         values = values_of(scheme, ["a", "b"])
         lines += [",".join((csv_text(v, rng), *map(str, values(row)))) for row, v in raw.items()]
         return RankedTable(scheme, chain, read_table_csv("\n".join(lines) + "\n").entries())
-    return RankedTable(scheme, chain, {row: chain.score(v) for row, v in raw.items()})
+    return RankedTable(scheme, chain, {row: Score(chain, v) for row, v in raw.items()})
 
 
 def test_rank_profile_matches_the_sort_reference():
@@ -483,6 +492,44 @@ def test_compose_table_matches_the_per_row_reference():
                                      "analytic", "ok", "empty", "dropped", MapDomainError,
                                      QuantizationError, MapPropertyError,
                                      "symbolic ok", "symbolic error")), seen
+
+
+# --- sharing: one object per value is a speed-up, never an answer ----------------
+
+
+def shared(table: RankedTable) -> RankedTable:
+    """``table`` with each score swapped for its chain's one object of that value."""
+    return RankedTable(table.scheme, table.chain,
+                       {row: table.chain.score(s.value) for row, s in table})
+
+
+def test_answers_do_not_depend_on_sharing():
+    seed = stable_seed("sharing")
+    rng = random.Random(seed)
+    seen = Counter()
+    with replay_hint(seed):
+        for _ in range(400):
+            d1, d2 = rnd_profile_pair(rng)
+            floors, escaping = rank_profile_values(d1, d2)
+            one_floors, one_escaping = rank_profile_values(shared(d1), shared(d2))
+            assert floors == one_floors and Counter(escaping) == Counter(one_escaping)
+            table = rnd_compose_table(rng)
+            kind, f = rnd_map(rng)
+            assert outcome(compose_table, table, f) == outcome(compose_table, shared(table), f)
+            scores = [s for _, s in table]
+            seen["equal objects"] += len({id(s) for s in scores}) > len(set(scores))
+            seen["escaping"] += bool(escaping)
+            try:
+                images = [f.apply(s) for s in scores]
+            except MapDomainError:
+                continue
+            if f.declared and scores:
+                graph = [(s, Score(RATIONAL, image.value)) for s, image in zip(scores, images)]
+                one_graph = [(RATIONAL.score(s.value), image) for s, image in zip(scores, images)]
+                verdict = outcome(verify_declared, f, graph)
+                assert verdict == outcome(verify_declared, f, one_graph)
+                seen[verdict[0]] += 1
+    assert all(seen[key] for key in ("equal objects", "escaping", "ok", "error")), seen
 
 
 # --- guard: hashes per distinct score, not per row -------------------------------
