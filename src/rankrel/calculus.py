@@ -1,5 +1,5 @@
-"""Many-valued first-order evaluation over finite structures, and the two
-translations between formulas and relational expressions.
+"""Many-valued first-order evaluation over finite structures, and the
+translation of a formula into a relational expression.
 
 Formulas are built from falsum, atoms, conjunction, disjunction, implication,
 and the two quantifiers; negation and biconditional are expanded into that
@@ -31,13 +31,10 @@ from typing import Callable, Mapping, Union
 
 from . import planner
 from .chain import RATIONAL, Score, ScoreChain, rank_codes
-from .errors import (
-    EvalError, IncompatibleChainError, ParseError, SchemeError, UnknownNameError,
-    UnsupportedOperationError,
-)
+from .errors import EvalError, IncompatibleChainError, ParseError, UnsupportedOperationError
 from .exprs import TokenCursor
 from .maps import OrderMap, apply_checked
-from .table import STR, RankedTable, Row, Scheme, column_plan, from_classic, row_cells, values_of
+from .table import STR, RankedTable, Row, Scheme, column_plan, from_classic, row_cells
 
 
 # --- formulas ---------------------------------------------------------------
@@ -130,10 +127,6 @@ def _variables(phi: Formula, bound: frozenset[str] = frozenset()):
 def free_vars(phi: Formula) -> tuple[str, ...]:
     """Free variables in order of first appearance."""
     return tuple(dict.fromkeys(var for var, free in _variables(phi) if free))
-
-
-def _all_vars(phi: Formula) -> set[str]:
-    return {var for var, _ in _variables(phi)}
 
 
 def _nesting(phi: Formula) -> int:
@@ -374,10 +367,9 @@ def _guard(phi: Formula, var: str) -> Atom | None:
 
 #: Most valuations ``table_of`` may visit (the universe size raised to the
 #: number of free variables plus the deepest quantifier nesting, which bounds
-#: the work by formula size times the cap), and most value combinations
-#: ``algebra_to_formula`` may score for one restriction condition.  The count
-#: is the worst case, a quantifier with no guard at every level: a guarded
-#: quantifier visits fewer, but ``calc`` refuses the same formulas either way.
+#: the work by formula size times the cap).  The count is the worst case, a
+#: quantifier with no guard at every level: a guarded quantifier visits
+#: fewer, but ``calc`` refuses the same formulas either way.
 VALUATION_CAP = 1_000_000
 
 
@@ -396,8 +388,8 @@ def table_of(m: Structure, phi: Formula) -> RankedTable:
     Raises ``UnsupportedOperationError`` before any work when the formula
     would visit more than ``VALUATION_CAP`` valuations.
     """
-    _check_valuations("formula", len(m.universe), len(free_vars(phi)) + _nesting(phi))
     variables = free_vars(phi)
+    _check_valuations("formula", len(m.universe), len(variables) + _nesting(phi))
     order = sorted(range(len(variables)), key=lambda i: variables[i].lower())
     names = [variables[i].lower() for i in order]  # a row's pairs in name order
     entries = {}
@@ -509,132 +501,6 @@ def _atom_table(m: Structure, atom: Atom) -> RankedTable:
         if consistent and not score.is_bottom:
             entries[Row.of(assignment)] = score
     return RankedTable._trusted(scheme, m.chain, entries)
-
-
-# --- relational expression -> formula ---------------------------------------
-
-
-def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None):
-    """Translate a query over named base tables into a formula and structure.
-
-    Supports join, restriction, projection, union, division, and renaming
-    (semijoin unfolds into its defining projection of a join); difference
-    and the residuum have no counterpart in this fragment and are rejected.
-
-    Attribute names become variables.  The structure's universe collects
-    every value appearing in the referenced base tables, as its CSV text; the
-    returned formula then satisfies
-    ``table_of(structure, formula) == evaluate(expr over stringified tables)``.
-    Each restriction condition becomes a relation symbol tabulated over the
-    universe; one needing more than ``VALUATION_CAP`` combinations is refused.
-    """
-    conditions = conditions or {}
-    translatable = (planner.Join, planner.Restrict, planner.Project, planner.Union,
-                    planner.Divide, planner.Rename, planner.Semijoin)
-    used: dict[str, RankedTable] = {}
-    pending: list[tuple] = []  # (symbol, condition, scheme scored), tabulated after the fold
-
-    def exists_out(phi: Formula, scheme: Scheme, kept: Scheme) -> Formula:
-        for var in sorted(scheme.name_set - kept.name_set):
-            phi = Exists(var, phi)
-        return phi
-
-    @planner.located
-    def translate(node, kids, path) -> tuple[Formula, Scheme]:
-        if isinstance(node, planner.Base):
-            if node.name not in tables:
-                raise UnknownNameError(f"unknown table {node.name!r}")
-            table = used[node.name] = tables[node.name]
-            return Atom(node.name, table.scheme.names), table.scheme
-        if not isinstance(node, translatable):
-            raise UnsupportedOperationError(
-                f"{type(node).__name__} has no formula counterpart in this fragment"
-            )
-        formulas, schemes = zip(*kids)
-        args = planner.with_param(node, list(schemes), conditions)
-        scheme = planner.OPERATORS[type(node)].scheme(*args)
-        if isinstance(node, planner.Join):
-            return And(*formulas), scheme
-        if isinstance(node, planner.Restrict):
-            cond = args[-1]
-            deps = cond.free_attrs()
-            scored = scheme if deps is None else scheme.project(deps)
-            symbol = f"__cond_{len(pending) + 1}"
-            pending.append((symbol, cond, scored))
-            return And(formulas[0], Atom(symbol, scored.names)), scheme
-        if isinstance(node, planner.Project):
-            return exists_out(formulas[0], schemes[0], scheme), scheme
-        if isinstance(node, planner.Union):
-            return Or(*formulas), scheme
-        if isinstance(node, planner.Divide):
-            dividend, mediator, divisor = formulas
-            body: Formula = Implies(divisor, mediator)
-            for var in sorted(schemes[2].name_set, reverse=True):
-                body = ForAll(var, body)
-            return And(dividend, body), scheme
-        if isinstance(node, planner.Rename):
-            # the scheme rule above has checked the pairs: no name is renamed twice
-            renaming = {old.lower(): new.lower() for old, new in args[-1]}
-            return _rename_free(formulas[0], renaming), scheme
-        # Semijoin: the projection of the join onto the left scheme.
-        return exists_out(And(*formulas), schemes[0].union(schemes[1]), scheme), scheme
-
-    formula, _ = planner.fold(expr, translate)
-    base = structure_from_tables(used)
-    # Condition symbols are scored on typed values, so no two values may
-    # share a text; the placeholder of an empty universe stays a string.
-    typed: dict[str, object] = {}
-    for table in used.values():
-        plan = column_plan(table.scheme, table.scheme.names)
-        values = values_of(table.scheme, table.scheme.names)
-        for row, _ in table:
-            for value, text in zip(values(row), row_cells(row, plan)):
-                if typed.setdefault(text, value) != value:
-                    raise UnsupportedOperationError(
-                        f"values {typed[text]!r} and {value!r} collide as {text!r}"
-                    )
-    arities, interps = dict(base.arities), dict(base.interps)
-    for symbol, cond, scored in pending:
-        variables = scored.names
-        _check_valuations("condition", len(base.universe), len(variables))
-        score_of = cond.innermost().scorer(scored, base.chain)
-        entries: dict[tuple[str, ...], Score] = {}
-        for vector in itertools.product(base.universe, repeat=len(variables)):
-            try:
-                score = score_of(Row.of({var: typed.get(text, text)
-                                         for var, text in zip(variables, vector)}))
-            except (EvalError, SchemeError):
-                continue  # type-mismatched combination: only reachable at score 0
-            if not score.is_bottom:
-                entries[vector] = score
-        arities[symbol] = len(variables)
-        images = cond.mapped(list(entries.values()), base.chain)  # each map fixes bottom
-        interps[symbol] = {vector: image for vector, image in zip(entries, images)
-                           if not image.is_bottom}
-    return formula, Structure(base.chain, base.universe, arities, interps)
-
-
-def _rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Rename free variables, alpha-renaming binders to avoid capture."""
-    if not mapping or isinstance(phi, Falsum):
-        return phi
-    if isinstance(phi, Atom):
-        return Atom(phi.symbol, tuple(mapping.get(a, a) for a in phi.args))
-    if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(_rename_free(phi.left, mapping), _rename_free(phi.right, mapping))
-    if isinstance(phi, (ForAll, Exists)):
-        var, body = phi.var, phi.body
-        inner = {old: new for old, new in mapping.items() if old != var}
-        if var in inner.values():
-            taken = _all_vars(body) | set(inner) | set(inner.values())
-            fresh = var
-            while fresh in taken:
-                fresh += "_"
-            body = _rename_free(body, {var: fresh})
-            var = fresh
-        rebuilt = _rename_free(body, inner)
-        return ForAll(var, rebuilt) if isinstance(phi, ForAll) else Exists(var, rebuilt)
-    raise EvalError(f"unknown formula node {phi!r}")
 
 
 def structure_from_tables(tables: Mapping[str, RankedTable]) -> Structure:

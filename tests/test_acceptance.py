@@ -13,6 +13,7 @@ import pytest
 
 import test_invariance as invariance
 
+from codd import algebra_to_formula
 from helpers import (
     replay_hint,
     rnd_formula,
@@ -239,7 +240,7 @@ def test_criterion_09_rewrites_and_calculus():
                 planner.Rename(planner.Base("t2"), (("c", "z"),)),
             )
         )
-        phi, m = calculus.algebra_to_formula(expr, tables)
+        phi, m = algebra_to_formula(expr, tables)
         assert calculus.table_of(m, phi) == stringified(
             planner.evaluate_over(expr, tables)
         )

@@ -1,4 +1,5 @@
-"""Formula evaluation, induced tables, and the two translation directions."""
+"""Formula evaluation, induced tables, and the two translation directions
+(the reverse one is the oracle in ``codd``)."""
 
 import itertools
 import pickle
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from codd import algebra_to_formula
 from helpers import (
     ANY_ARITIES,
     reference_evaluate,
@@ -33,7 +35,6 @@ from rankrel.calculus import (
     Not,
     Or,
     Structure,
-    algebra_to_formula,
     evaluate,
     formula_to_algebra,
     free_vars,
@@ -526,7 +527,8 @@ class TestAlgebraToFormula:
         def refuse(*args):
             raise AssertionError("scored a condition over the valuation cap")
 
-        monkeypatch.setattr(ExprCondition, "score_of", refuse)
+        # every way of scoring an expression condition compiles it first
+        monkeypatch.setattr(ExprCondition, "_compiled", refuse)
         expr = planner.Restrict(planner.Base("t"), ExprCondition.parse("a + b + c + d + e + f"))
         with pytest.raises(UnsupportedOperationError,
                            match=r"^condition needs 1,771,561 valuations over a 11-element "

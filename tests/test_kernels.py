@@ -9,9 +9,11 @@ builds its result without the per-row check is checked against the
 validating constructor, on both carriers.
 """
 
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,8 +221,9 @@ def test_operators_never_build_rows_row_by_row(monkeypatch):
         raise AssertionError("per-row form called")
 
     monkeypatch.setattr(Row, "of", classmethod(refuse))
-    for module in (table_module, rankrel):  # the per-row oracles live in the tests only
-        assert not hasattr(module, "join_rows") and not hasattr(module, "rank_key")
+    oracles = ("join_rows", "rank_key", "algebra_to_formula", "_rename_free", "_all_vars")
+    for module in (table_module, calculus, rankrel):  # the oracles live in the tests only
+        assert not [name for name in oracles if hasattr(module, name)], module.__name__
     parsed = Counter()
     read = ScoreChain._read
 
@@ -244,6 +247,24 @@ def test_operators_never_build_rows_row_by_row(monkeypatch):
     assert renamed == reference_rename(expected_join, {"agent": "who"})
     assert ranked == reference_rank_order(expected_join)
     assert text == expected_csv and reread == expected_join
+
+
+def test_src_imports_nothing_from_the_tests():
+    """The oracles in ``tests/`` (``helpers``, the reverse translation in ``codd``)
+    check the package, so no module of the package may import them."""
+    test_modules = {"tests"} | {path.stem for path in Path(__file__).parent.glob("*.py")}
+    found = []
+    for path in sorted(Path(rankrel.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.partition(".")[0] in test_modules]
+    assert "codd" in test_modules and not found, f"tests imported at {found}"
 
 
 def named_cell(text: str, old: str, message: str):

@@ -3,12 +3,14 @@
 Each case counts the Python-level calls (``call`` and ``c_call`` profile
 events) of building an operator's result at 200, 400 and 800 rows: every
 algebra operator, a map applied to a table, the CSV reader and writer,
-ordinal inclusion and top-k.  The ``table_of`` cases count a guarded
-quantifier's formula over 200, 400 and 800 universe elements of out-degree
-3: it ranges over the guard's 3 successors, where a quantifier over the whole
-universe nears 4x.  For a fixed input the count is deterministic, so the
-bound needs no timing margin: a linear operator stays near 2x per doubling, a
-per-pair loop nears 4x.  (``RATIONAL`` builds each value's one score once per
+ordinal inclusion and the rank profile under it, and top-k; the formula and
+query parsers count texts of 200, 400 and 800 operands (an ``&`` chain of
+atoms, nested joins).  The ``table_of`` cases count a guarded quantifier's
+formula over 200, 400 and 800 universe elements of out-degree 3: it ranges
+over the guard's 3 successors, where a quantifier over the whole universe
+nears 4x.  For a fixed input the count is deterministic, so the bound needs
+no timing margin: a linear operator stays near 2x per doubling, a per-pair
+loop nears 4x.  (``RATIONAL`` builds each value's one score once per
 process, so the first case to meet a value also counts that build.)
 ``natural_join`` on a one-to-one key and ``restrict`` are the linear
 baselines.
@@ -25,7 +27,8 @@ from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL
 from rankrel.conditions import ExprCondition
 from rankrel.maps import AnalyticMap, compose_table
-from rankrel.ordinal import ordinally_included
+from rankrel.ordinal import _rank_profile, ordinally_included
+from rankrel.planner import parse_query
 from rankrel.table import INT, RankedTable, Row, Scheme, read_table_csv, write_table_csv
 from rankrel.topk import SortedSource, top_k
 
@@ -94,11 +97,15 @@ CASES = {
     "read_table_csv": lambda n: (read_table_csv, write_table_csv(left(n))),
     "write_table_csv": lambda n: (write_table_csv, left(n)),
     "ordinally_included": lambda n: (ordinally_included, left(n), shifted(n)),
+    "_rank_profile": lambda n: (_rank_profile, left(n), shifted(n)),
     "top_k-10": lambda n: (top_k, [SortedSource(left(n)), SortedSource(shifted(n))], 10),
     "table_of-exists-guarded": lambda n: (table_of, out_degree_3(n),
                                           parse_formula("exists z. (q(x, z) & p(z))")),
     "table_of-forall-guarded": lambda n: (table_of, out_degree_3(n),
                                           parse_formula("forall z. (q(x, z) -> p(z))")),
+    "parse_formula-and-chain": lambda n: (parse_formula, " & ".join(f"r{i}(x{i}, x{i + 1})"
+                                                                   for i in range(n))),
+    "parse_query-nested-joins": lambda n: (parse_query, "join(" * n + "t" + ", t)" * n),
 }
 
 
