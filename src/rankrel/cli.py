@@ -23,7 +23,6 @@ without one.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -37,7 +36,8 @@ from .maps import compose_table
 from .table import (
     RankedTable,
     column_plan,
-    ranked_cells,
+    csv_lines,
+    ranked_columns,
     read_table_csv,
     read_text,
     render_table,
@@ -110,10 +110,8 @@ def cmd_topk(args) -> int:
     scheme = sources[0].table.scheme
     for source in sources[1:]:
         scheme = scheme.union(source.table.scheme)  # the result's scheme, names in source order
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["#", *scheme.names])
-    plan = column_plan(scheme, scheme.names)
-    writer.writerows(ranked_cells(result.items, sources[0].table.chain, plan))
+    columns = ranked_columns(result.items, sources[0].table.chain, scheme, quoted=True)
+    sys.stdout.write(csv_lines(["#", *scheme.names], columns))
     print(
         f"-- {len(sources)} sources, {result.sorted_accesses} sorted / "
         f"{result.random_accesses} random accesses"

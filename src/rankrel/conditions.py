@@ -18,9 +18,10 @@ makes one ``maps.apply_checked`` call per composed map, innermost first.  A
 restriction scores a table by :meth:`Condition.scores_by_key`: one row per
 distinct value tuple of the free attributes, which alone decide the score;
 the calculus scores each distinct valuation of them once.  So a scorer
-keeps no memo: the expression scorer runs its compiled closures once per
-row it is given.  Nothing compiled is kept on a condition, which therefore
-still pickles.
+keeps no memo of rows: the expression scorer runs its compiled closures once
+per row it is given, and turns each distinct result object into a score
+once.  Nothing compiled is kept on a condition, which therefore still
+pickles.
 """
 
 from __future__ import annotations
@@ -110,7 +111,15 @@ class ExprCondition(Condition):
         return lambda row: score(dict(zip(free, values(row))))
 
     def _compiled(self, chain: ScoreChain) -> Callable[[Mapping[str, object]], Score]:
+        """The expression's scorer; each distinct result object becomes a score once.
+
+        ``scored`` keeps ``id(result) -> (result, score)``, the result pinned
+        so that its id is not reused.  A literal branch, or an argument passed
+        through ``min``/``max``, is one object on every row; arithmetic makes
+        a fresh one.  A result that fails is not kept, so it fails again.
+        """
         run = exprs.compile_expr(self.expr)
+        scored: dict[int, tuple[object, Score]] = {}
 
         def score(env: Mapping[str, object]) -> Score:
             if not chain.is_rational:
@@ -118,8 +127,14 @@ class ExprCondition(Condition):
                     "expression conditions require the rational chain; "
                     "use an explicit score table on symbolic chains"
                 )
-            value = clamp01(run(env))
-            return chain.score(quantize(value) if isinstance(value, float) else value)
+            raw = run(env)
+            hit = scored.get(id(raw))
+            if hit is not None:
+                return hit[1]
+            value = clamp01(raw)
+            result = chain.score(quantize(value) if isinstance(value, float) else value)
+            scored[id(raw)] = (raw, result)
+            return result
         return score
 
     def __repr__(self) -> str:

@@ -8,7 +8,8 @@ after construction and compare equal exactly when they are equal as maps
 CSV contract: the first header column is literally ``#`` (the score), every
 other header is ``name:str|int|dec``.  Scores are exact (decimal or ``p/q``
 on the rational chain, a level name on a symbolic chain); rows with score 0
-are rejected because absence already encodes 0.
+are rejected because absence already encodes 0.  A cell holding a comma,
+quote or line break is quoted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import call, itemgetter
@@ -690,34 +692,58 @@ def row_cells(row: Row, plan: Sequence[tuple[int, Callable]]) -> list[str]:
     return [fmt(row[position][1]) for position, fmt in plan]
 
 
-def ranked_cells(
-    pairs: Iterable[tuple[Row, Score]],
-    chain: ScoreChain,
-    plan: Sequence[tuple[int, Callable]],
-    places: Optional[int] = 3,
-) -> Iterator[list[str]]:
-    """Display cells of (row, score) pairs in rank order: the score, then the plan's columns.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
 
-    Equal scores are adjacent in rank order, so each score object is
-    formatted once per run of rows that share it.
+
+def csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: a text holding ``,``, ``"``, ``\\r`` or ``\\n`` is
+    wrapped in quotes, each ``"`` doubled; any other text is the cell itself."""
+    if _NEEDS_QUOTES(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def ranked_columns(
+    pairs: Sequence[tuple[Row, Score]],
+    chain: ScoreChain,
+    scheme: Scheme,
+    places: Optional[int] = 3,
+    quoted: bool = False,
+) -> list[Iterator[str]]:
+    """Display columns of (row, score) pairs: the score, then one per name of ``scheme.names``.
+
+    Each column is a lazy pass over ``pairs``, read in their order.  Each
+    distinct score object is formatted once, its text found by its ``id``
+    while the columns hold ``pairs``.  With ``quoted``, every cell is a CSV
+    cell (:func:`csv_cell`); only a ``str`` value or a symbolic chain's level
+    name can need quotes, so no other cell is checked.
     """
-    last: Optional[Score] = None
-    text = ""
-    for row, score in pairs:
-        if score is not last:
-            text = chain.format(score, places)
-            last = score
-        yield [text] + [fmt(row[position][1]) for position, fmt in plan]  # row_cells, inlined
+    scores = {id(score): score for score in map(itemgetter(1), pairs)}
+    texts = {key: chain.format(score, places) for key, score in scores.items()}
+    if quoted and not chain.is_rational:
+        texts = {key: csv_cell(text) for key, text in texts.items()}
+    columns = [map(texts.__getitem__, map(id, map(itemgetter(1), pairs)))]
+    for attr in map(scheme.attr, scheme.names):
+        values = map(itemgetter(1), map(itemgetter(scheme.positions[attr.name]),
+                                        map(itemgetter(0), pairs)))
+        if attr.atype.kind == "str":
+            columns.append(map(csv_cell, values) if quoted else values)
+        else:
+            columns.append(map(_FORMATTERS[attr.atype.kind], values))
+    return columns
+
+
+def csv_lines(header: Iterable[str], columns: Sequence[Iterable[str]]) -> str:
+    """CSV text: the ``header`` cells, quoted here, then one line per row of
+    ``columns``, whose cells come quoted; every line ends in ``\\n``."""
+    return "\n".join([",".join(map(csv_cell, header)), *map(",".join, zip(*columns)), ""])
 
 
 def write_table_csv(table: RankedTable, target=None) -> str:
     """A table as CSV text with exact scores, also written to the path ``target`` if given."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["#"] + [f"{a.name}:{a.atype.kind}" for a in table.scheme.attrs])
-    plan = column_plan(table.scheme, table.scheme.names)
-    writer.writerows(ranked_cells(table.rows_by_rank(), table.chain, plan, places=None))
-    text = buffer.getvalue()
+    header = ["#"] + [f"{a.name}:{a.atype.kind}" for a in table.scheme.attrs]
+    columns = ranked_columns(table.rows_by_rank(), table.chain, table.scheme, None, quoted=True)
+    text = csv_lines(header, columns)
     if target is not None:
         Path(target).write_text(text, encoding="utf-8")
     return text
@@ -726,8 +752,7 @@ def write_table_csv(table: RankedTable, target=None) -> str:
 def render_table(table: RankedTable) -> str:
     """Human-readable table: score column first (three decimals), descending by score."""
     header = ["#"] + list(table.scheme.names)
-    plan = column_plan(table.scheme, table.scheme.names)
-    rows = list(ranked_cells(table.rows_by_rank(), table.chain, plan))
+    rows = list(zip(*ranked_columns(table.rows_by_rank(), table.chain, table.scheme)))
     widths = [max(len(line[i]) for line in [header] + rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
              for line in [header] + rows]

@@ -630,15 +630,24 @@ def format_value(value) -> str:
 
 
 def reference_write_table_csv(table: RankedTable) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["#"] + [f"{a.name}:{a.atype.kind}" for a in table.scheme.attrs])
+    """One ``csv.writer`` line per row, ending in ``\\n``.
+
+    The writer quotes a cell holding a character of its line terminator, so
+    it writes each line with ``\\r\\n``, which quotes a ``\\r`` as well as a
+    ``\\n``, and the terminator is then cut back to ``\\n``.
+    """
+    def line(cells) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+        return buffer.getvalue().removesuffix("\r\n") + "\n"
+
+    lines = [line(["#"] + [f"{a.name}:{a.atype.kind}" for a in table.scheme.attrs])]
     for row, score in reference_rank_order(table):
         cells = [table.chain.format(score, places=None)]
         values = dict(row.items)
         cells += [format_value(values[a.name]) for a in table.scheme.attrs]
-        writer.writerow(cells)
-    return buffer.getvalue()
+        lines.append(line(cells))
+    return "".join(lines)
 
 
 def reference_read_table_csv(text: str, chain: ScoreChain = RATIONAL) -> RankedTable:
@@ -718,6 +727,14 @@ def reference_condition_score(theta: Condition, row: Row, chain: ScoreChain) -> 
     if isinstance(theta, ComposedCondition):
         return theta.order_map.apply(reference_condition_score(theta.base, row, chain))
     return theta.score_of(row, chain)
+
+
+def reference_restrict(table: RankedTable, theta: Condition) -> RankedTable:
+    """Each row's score met with its :func:`reference_condition_score`, one row at a time:
+    the oracle for ``algebra.restrict``."""
+    entries = {row: value for row, score in table if not (
+        value := value_meet(score, reference_condition_score(theta, row, table.chain))).is_bottom}
+    return RankedTable(table.scheme, table.chain, entries)
 
 
 def reference_rewrite(law, expr, catalog) -> tuple:

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    reference_condition_score,
     reference_natural_join,
     reference_product_join,
+    reference_restrict,
     reference_semijoin,
     replay_hint,
     rnd_restriction_condition,
@@ -18,7 +18,6 @@ from helpers import (
     rnd_table,
     row_value,
     stable_seed,
-    value_meet,
 )
 
 from rankrel import algebra, demo, planner, table as table_module, topk
@@ -330,9 +329,7 @@ class TestDeferredRestriction:
         if rng.random() < 0.5:  # the input's table order need not be its rank order
             t = in_order(t, rng.sample(list(t), len(t)))
         eager = fresh(algebra.restrict(t, theta))
-        expected = {row: value for row, score in t if not (
-            value := value_meet(score, reference_condition_score(theta, row, chain))).is_bottom}
-        assert eager == RankedTable(t.scheme, chain, expected)
+        assert eager == reference_restrict(t, theta)
 
         source = SortedSource.from_table(algebra.restrict(t, theta))
         assert source.ranked == []

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour."""
 
 import csv
+import io
 import os
 import random
 import subprocess
@@ -639,6 +640,21 @@ class TestTopkPlanCalc:
         assert run(capsys, "eval", "t", "--catalog", str(tmp_path))[1].splitlines()[2] == (
             "0.900  1   1.5"
         )
+
+    def test_topk_prints_eval_s_cells_of_text_values(self, capsys, tmp_path):
+        # Scores of three decimals read the same in eval --exact and in topk.
+        (tmp_path / "t.csv").write_bytes(
+            b'#,id:int,name:str\n0.875,1,"a,b"\n0.625,2,"q""t"\n0.375,3,"c\rr"\n0.125,4,x\n')
+        code, out, err = run(capsys, "eval", "t", "--exact", "--catalog", str(tmp_path))
+        assert (code, err) == (0, "")
+        expected = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[2] for row in expected] == ["a,b", 'q"t', "c\rr", "x"]
+        code, out, err = run(capsys, "topk", "4", "t", "--catalog", str(tmp_path))
+        assert (code, err) == (0, "")
+        rows, _ = out.rsplit("-- ", 1)
+        header, *cells = csv.reader(io.StringIO(rows))
+        assert header == ["#", "id", "name"]
+        assert cells == expected
 
     def test_calc_over_valuation_cap_fails_fast(self, capsys):
         code, out, err = run(

@@ -63,7 +63,7 @@ SCORES = (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(1, 3) - TINY, Fraction
           Fraction(1, 2) + TINY, Fraction(1), Fraction(1, 7), Fraction(3, 4), Fraction(1, 10))
 
 VALUES = {
-    "str": ("x", "y", "", "a,b", 'q"t'),
+    "str": ("x", "y", "", "a,b", 'q"t', "c\rr", "l\nf"),
     "int": (-1, 0, 1, 2),
     "dec": (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(-2), Fraction(5, 2)),
 }
@@ -179,7 +179,7 @@ class TestAgainstPerRowForms:
 
 
 def test_symbolic_chain_csv_round_trip():
-    chain = ScoreChain(("none", "low", "mid", "high"))
+    chain = ScoreChain(("none", "low", 'mid, "ok"', "high"))  # a level CSV must quote
     rng = random.Random(stable_seed("gather plans, symbolic"))
     scheme = Scheme((("b", INT), ("a", STR)))
     entries = {

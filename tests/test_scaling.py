@@ -21,10 +21,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_restrict
 from rankrel import algebra
 from rankrel.calculus import Structure, parse_formula, table_of
 from rankrel.catalog import parse_config
-from rankrel.chain import RATIONAL
+from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.conditions import ExprCondition
 from rankrel.maps import AnalyticMap, compose_table
 from rankrel.ordinal import _rank_profile, ordinally_included
@@ -133,6 +134,32 @@ def test_counted_work_grows_linearly(case):
     counts = [counted_calls(*CASES[case](n)) for n in SIZES]
     growth = [larger / smaller for smaller, larger in zip(counts, counts[1:])]
     assert max(growth) <= MAX_GROWTH, f"{case}: calls {counts} at {SIZES} rows"
+
+
+def _chain_scores(monkeypatch) -> list:
+    """The raw values given to ``ScoreChain.score`` from now on, in call order."""
+    calls = []
+    score = ScoreChain.score
+    monkeypatch.setattr(ScoreChain, "score",
+                        lambda chain, raw: calls.append(raw) or score(chain, raw))
+    return calls
+
+
+def test_a_literal_branch_is_scored_once(monkeypatch):
+    prices = ranked(("id", "price"), ((i, 899_600 + i) for i in range(800)))
+    calls = _chain_scores(monkeypatch)
+    algebra.restrict(prices, ExprCondition.parse("price <= 900000 ? 1 : 0.5")).entries()
+    assert calls == [1, Fraction(1, 2)]
+
+
+def test_arithmetic_results_are_each_scored(monkeypatch):
+    prices = ranked(("id", "price"), ((i, 400 + i) for i in range(800)))
+    theta = ExprCondition.parse("0.001*price")
+    calls = _chain_scores(monkeypatch)
+    restricted = algebra.restrict(prices, theta)
+    restricted.entries()
+    assert len(calls) == 800  # a fresh Fraction per price
+    assert restricted == reference_restrict(prices, theta)
 
 
 def test_an_expr_map_runs_once_per_value(monkeypatch):

@@ -334,6 +334,10 @@ class TestCsv:
         table = RankedTable.from_entries(scheme, [({"a": 1}, Fraction(1, 3))])
         assert read_table_csv(write_table_csv(table)) == table
 
+    def test_a_header_name_holding_a_comma_round_trips(self):
+        text = '#,"a,b:int"\n0.5,1\n'
+        assert write_table_csv(read_table_csv(text)) == text
+
     def test_file_round_trip(self, people, tmp_path):
         path = tmp_path / "people.csv"
         write_table_csv(people, path)
