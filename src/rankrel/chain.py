@@ -56,6 +56,8 @@ def exact_decimal_str(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
+    if num < 0:
+        return f"-{exact_decimal_str(-value)}"  # the sign goes before the digits
     twos = fives = 0
     d = den
     while d % 2 == 0:

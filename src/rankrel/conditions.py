@@ -11,17 +11,15 @@ Two concrete flavors:
 Either flavor can be composed with an order map, giving the transformed
 condition used by the invariance laws.
 
-An operator scores rows through the :meth:`Condition.scorer` of the
-condition under every composed map (:meth:`Condition.innermost`), set up once
-per call, then passes the list of scores to :meth:`Condition.mapped`, which
-makes one ``maps.apply_checked`` call per composed map, innermost first.  A
-restriction scores a table by :meth:`Condition.scores_by_key`: one row per
-distinct value tuple of the free attributes, which alone decide the score;
-the calculus scores each distinct valuation of them once.  So a scorer
-keeps no memo of rows: the expression scorer runs its compiled closures once
-per row it is given, and turns each distinct result object into a score
-once.  Nothing compiled is kept on a condition, which therefore still
-pickles.
+A restriction scores a table by :meth:`Condition.scores_by_key`: one row per
+distinct value tuple of the free attributes, which alone decide the score,
+through the condition's :meth:`Condition.scorer`, set up once per call.  A
+composed condition maps its base's key scores as ``maps.compose_table`` maps
+a table's: one ``maps.apply_checked`` batch of the distinct nonzero scores,
+keys whose image is bottom dropped.  So a scorer keeps no memo of rows: the
+expression scorer runs its compiled closures once per row it is given, and
+turns each distinct result object into a score once.  Nothing compiled is
+kept on a condition, which therefore still pickles.
 """
 
 from __future__ import annotations
@@ -50,31 +48,23 @@ class Condition:
         """
         raise NotImplementedError
 
-    def innermost(self) -> "Condition":
-        """The condition under every composed map: the one that scores rows."""
-        return self
-
-    def mapped(self, scores: list[Score], chain: ScoreChain) -> list[Score]:
-        """This condition's scores, in order, from its innermost condition's ``scores``."""
-        return scores
-
     def scores_by_key(self, table: RankedTable) -> tuple[tuple[str, ...], dict[tuple, Score]]:
         """This condition's score of ``table``'s rows, once per value tuple of its free attributes.
 
         Returns the free attribute names in name order, and each distinct
         key of ``table.index(names)`` with its score, in first-occurrence
-        table order; keys scoring bottom are left out.  The innermost
-        condition scores each key's first row, so scorer calls and their
-        errors come as a row-by-row scan in table order would bring them.
+        table order; keys scoring bottom are left out.  The scorer scores
+        each key's first row, so scorer calls and their errors come as a
+        row-by-row scan in table order would bring them.
         """
         names = tuple(sorted(self.free_attrs() & table.scheme.name_set))
         index = table.index(names)
-        score_of = self.innermost().scorer(table.scheme, table.chain)
-        scores = self.mapped([score_of(bucket[0][0]) for bucket in index.values()], table.chain)
-        return names, {key: score for key, score in zip(index, scores) if not score.is_bottom}
+        score_of = self.scorer(table.scheme, table.chain)
+        return names, {key: score for key, bucket in index.items()
+                       if not (score := score_of(bucket[0][0])).is_bottom}
 
-    def free_attrs(self):
-        """Attribute names the condition depends on, or None when unknown."""
+    def free_attrs(self) -> frozenset[str]:
+        """Attribute names the condition depends on."""
         raise NotImplementedError
 
     def check_scheme(self, scheme: Scheme) -> None:
@@ -177,20 +167,22 @@ class ComposedCondition(Condition):
     base: Condition
     order_map: OrderMap
 
-    def free_attrs(self):
+    def free_attrs(self) -> frozenset[str]:
         return self.base.free_attrs()
 
     def check_scheme(self, scheme: Scheme) -> None:
         self.base.check_scheme(scheme)
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
-        return self.mapped([self.innermost().score_of(row, chain)], chain)[0]
+        score = self.base.score_of(row, chain)
+        images = apply_checked(self.order_map, () if score.is_bottom else (score,), chain)
+        return images.get(id(score), chain.bottom)
 
-    def innermost(self) -> Condition:
-        return self.base.innermost()
-
-    def mapped(self, scores: list[Score], chain: ScoreChain) -> list[Score]:
-        scores = self.base.mapped(scores, chain)
-        images = apply_checked(self.order_map, scores, chain) if scores else {}  # no rows, no map
-        return [images[id(score)] for score in scores]
-
+    def scores_by_key(self, table: RankedTable) -> tuple[tuple[str, ...], dict[tuple, Score]]:
+        """The base's key scores through one checked batch of the map; keys sent to bottom drop."""
+        names, scores = self.base.scores_by_key(table)
+        if not len(table):  # no rows, no map: one that moves bottom restricts an empty table
+            return names, scores
+        images = apply_checked(self.order_map, scores.values(), table.chain)
+        return names, {key: image for key, score in scores.items()
+                       if not (image := images[id(score)]).is_bottom}

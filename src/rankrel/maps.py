@@ -140,8 +140,9 @@ class AnalyticMap(OrderMap):
     Results are clamped into [0, 1] and quantized onto the score grid
     (``chain.GRID_PLACES`` decimals) before becoming chain elements.  Batch
     application refuses to proceed if rounding merges two distinct exact
-    images, since that would silently destroy the embedding property; a map
-    that merges scores by itself is left to its declared properties.
+    images, bottom among them, since that would silently destroy the
+    embedding property; a map that merges scores by itself is left to its
+    declared properties.
     """
 
     expr: exprs.Expr
@@ -169,17 +170,20 @@ class AnalyticMap(OrderMap):
 
     def apply_all(self, scores: Iterable[Score]) -> list[Score]:
         scores = list(scores)
+        if not scores:
+            return []
         exact = self._exact()
         unrounded = [exact(s) for s in scores]
         # one chain builds every image, one object per value: merged images share an id
-        chain = scores[0].chain if scores else None
+        chain = scores[0].chain
         out = [chain.score(quantize(v)) for v in unrounded]
-        rounded = len(set(map(id, out)))
+        rounded = set(map(id, out))
+        rounded.add(id(chain.bottom))  # bottom is an image too: the scores given are nonzero
         # Exact images are hashed only on a collision: big Fractions hash slowly.
-        if rounded < len(out) and rounded < len(set(unrounded)):
+        if len(rounded) <= len(out) and len(rounded) < len({0, *unrounded}):
             raise QuantizationError(
-                f"quantization to {GRID_PLACES} decimals merges distinct images of "
-                f"the {len({s.value for s in scores})} scores given; refusing to transform"
+                f"quantization to {GRID_PLACES} decimals merges distinct images of the "
+                f"{len({s.value for s in scores})} scores given and bottom; refusing to transform"
             )
         return out
 
@@ -235,12 +239,13 @@ def apply_checked(f: OrderMap, scores: Iterable[Score],
     infinitely many) would move off bottom.  The distinct objects given go
     through one batch application, which runs the map's own consistency
     checks; every image must lie on ``chain``; declared map properties are
-    verified on the graph of the scores given, plus bottom and top.  No
-    score is hashed here.  A chain keeps one object per value, so scores
-    built by chain methods reach the map once per value; distinct objects
-    of one value, built by ``Score`` itself, are each mapped, to equal
-    images.  The ids stay valid while the objects live: the caller's table
-    or interpretations hold them while it reads the images.
+    verified on the graph of the scores given, plus bottom and top.  The
+    scores are stored ones, never bottom.  No score is hashed here.  A chain
+    keeps one object per value, so scores built by chain methods reach the
+    map once per value; distinct objects of one value, built by ``Score``
+    itself, each go through the map, to equal images.  The ids stay valid
+    while the objects live: the caller's table or interpretations hold them
+    while it reads the images.
     """
     try:
         keeps_bottom = f.apply(chain.bottom).is_bottom

@@ -564,7 +564,7 @@ def parse_header(header: Sequence[str]) -> Scheme:
         raise SchemeError("first CSV column must be the score column '#'")
     attrs = []
     for cell in header[1:]:
-        name, sep, kind = cell.strip().partition(":")
+        name, sep, kind = (part.strip() for part in cell.partition(":"))
         if not sep or kind not in _KINDS:
             raise SchemeError(f"malformed attribute header {cell!r}; expected name:str|int|dec")
         attrs.append((name, AttrType(kind)))

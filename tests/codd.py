@@ -19,7 +19,9 @@ from rankrel.calculus import (
     _check_valuations, _variables, structure_from_tables,
 )
 from rankrel.chain import Score
+from rankrel.conditions import ComposedCondition
 from rankrel.errors import EvalError, SchemeError, UnknownNameError, UnsupportedOperationError
+from rankrel.maps import apply_checked
 from rankrel.table import RankedTable, Row, Scheme, column_plan, row_cells, values_of
 
 
@@ -110,7 +112,11 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     for symbol, cond, scored in pending:
         variables = scored.names
         _check_valuations("condition", len(base.universe), len(variables))
-        score_of = cond.innermost().scorer(scored, base.chain)
+        order_maps = []  # outermost first
+        while isinstance(cond, ComposedCondition):
+            order_maps.append(cond.order_map)
+            cond = cond.base
+        score_of = cond.scorer(scored, base.chain)
         entries: dict[tuple[str, ...], Score] = {}
         for vector in itertools.product(base.universe, repeat=len(variables)):
             try:
@@ -121,9 +127,11 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
             if not score.is_bottom:
                 entries[vector] = score
         arities[symbol] = len(variables)
-        images = cond.mapped(list(entries.values()), base.chain)  # each map fixes bottom
-        interps[symbol] = {vector: image for vector, image in zip(entries, images)
-                           if not image.is_bottom}
+        for order_map in reversed(order_maps):  # innermost first; each map fixes bottom
+            images = apply_checked(order_map, entries.values(), base.chain)
+            entries = {vector: image for vector, score in entries.items()
+                       if not (image := images[id(score)]).is_bottom}
+        interps[symbol] = entries
     return formula, Structure(base.chain, base.universe, arities, interps)
 
 

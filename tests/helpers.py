@@ -23,7 +23,7 @@ from rankrel.calculus import (
     And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure, free_vars,
 )
 from rankrel.chain import (
-    RATIONAL, Score, ScoreChain, exact_decimal_str, join_sup, meet, residuum,
+    RATIONAL, Score, ScoreChain, join_sup, meet, residuum,
 )
 from rankrel.conditions import ComposedCondition, Condition, ExprCondition, TableCondition
 from rankrel.errors import (
@@ -624,9 +624,22 @@ def reference_rank_order(pairs) -> list:
 
 
 def format_value(value) -> str:
-    if isinstance(value, Fraction):
-        return exact_decimal_str(value)
-    return str(value)
+    """A value's CSV text, written without ``chain.exact_decimal_str``.
+
+    A ``dec`` value is the shortest decimal that equals it, its sign first,
+    or ``p/q`` when no decimal does; an integral one has no point.
+    """
+    if not isinstance(value, Fraction):
+        return str(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    # a terminating decimal needs at most log2(denominator) places
+    for places in range(1, value.denominator.bit_length() + 1):
+        scaled = value * 10**places
+        if scaled.denominator == 1:
+            whole, part = divmod(abs(scaled.numerator), 10**places)
+            return f"{'-' * (value < 0)}{whole}.{part:0{places}d}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def reference_write_table_csv(table: RankedTable) -> str:

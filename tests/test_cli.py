@@ -71,6 +71,26 @@ class TestEval:
         joined = algebra.natural_join(demo.houses(), demo.offers())
         assert read_table_csv(out_path) == joined
 
+    def test_negative_decs_and_a_spaced_header_round_trip(self, capsys, tmp_path):
+        catalog = tmp_path / "catalog"
+        catalog.mkdir()
+        (catalog / "t.csv").write_text(
+            "#,id :int,w:dec\n1,1,-0.0075\n0.5,2,-1/20\n0.25,3,-0.25\n", encoding="utf-8")
+        (catalog / "u.csv").write_text("#,id:int\n1,1\n1,3\n", encoding="utf-8")
+        out_path = tmp_path / "out.csv"
+        code, _, err = run(capsys, "eval", "t", "--catalog", str(catalog), "--exact",
+                           "-o", str(out_path))
+        assert (code, err) == (0, "")
+        assert out_path.read_text(encoding="utf-8") == (
+            "#,id:int,w:dec\n1,1,-0.0075\n0.5,2,-0.05\n0.25,3,-0.25\n")
+        code, out, _ = run(capsys, "equiv", str(out_path), str(catalog / "t.csv"))
+        assert (code, out) == (0, "EQUIVALENT\n")
+        code, out, _ = run(capsys, "eval", "join(t, u)", "--catalog", str(catalog), "--exact")
+        assert (code, out) == (0, "#,id:int,w:dec\n1,1,-0.0075\n0.25,3,-0.25\n")
+        code, out, _ = run(capsys, "eval", "project(t, [id])", "--catalog", str(catalog),
+                           "--exact")
+        assert (code, out) == (0, "#,id:int\n1,1\n0.5,2\n0.25,3\n")
+
     def test_named_condition_from_config(self, capsys, catalog_dir):
         code, out, _ = run(
             capsys,

@@ -65,7 +65,8 @@ SCORES = (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(1, 3) - TINY, Fraction
 VALUES = {
     "str": ("x", "y", "", "a,b", 'q"t', "c\rr", "l\nf"),
     "int": (-1, 0, 1, 2),
-    "dec": (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(-2), Fraction(5, 2)),
+    "dec": (Fraction(1, 3), Fraction(1, 3) + TINY, Fraction(-2), Fraction(5, 2),
+            Fraction(-3, 400), Fraction(-1, 20), Fraction(-1, 4)),
 }
 
 NAMES = ("a", "b", "c", "d", "e", "f")

@@ -23,8 +23,10 @@ from helpers import (
     stable_seed,
 )
 
-from rankrel import maps, ordinal
+from rankrel import algebra, maps, ordinal
+from rankrel.calculus import structure_from_tables
 from rankrel.chain import RATIONAL, Score, symbolic_chain
+from rankrel.conditions import ExprCondition
 from rankrel.errors import (
     IncompatibleChainError,
     MapDomainError,
@@ -122,6 +124,30 @@ class TestApply:
             row: fr(images[ident]) for row, ident in ids.items() if ident in images
         })
         assert compose_table(houses, AnalyticMap.parse(text)) == expected
+
+
+    TINY = AnalyticMap.parse("x * 0.000001")
+
+    @pytest.mark.parametrize("text", ["bdrm >= 3 ? 0.4 : 0", "bdrm >= 3 ? 0.4 : 1"])
+    def test_a_restriction_refuses_rounding_a_score_onto_bottom(self, text):
+        # Whether another key scores bottom, or 1, must not decide the refusal.
+        theta = ExprCondition.parse(text).compose(self.TINY)
+        with pytest.raises(QuantizationError):
+            algebra.restrict(demo.houses(), theta)
+
+    def test_a_table_and_a_structure_refuse_rounding_a_score_onto_bottom(self):
+        table = RankedTable.from_entries(
+            Scheme((("a", INT),)), [({"a": 1}, Fraction(2, 5)), ({"a": 2}, Fraction(9, 10))])
+        low_to_tiny = AnalyticMap.parse("x <= 0.5 ? x * 0.000001 : x")
+        with pytest.raises(QuantizationError):
+            compose_table(table, low_to_tiny)
+        with pytest.raises(QuantizationError):
+            structure_from_tables({"t": table}).compose(low_to_tiny)
+
+    def test_no_rows_apply_no_map(self):
+        empty = RankedTable.empty(demo.houses().scheme)
+        theta = ExprCondition.parse("bdrm").compose(AnalyticMap.parse("x/2 + 1/4"))
+        assert len(algebra.restrict(empty, theta)) == 0
 
 
 class TestPropertyVerification:

@@ -2,18 +2,18 @@
 
 Each case counts the Python-level calls (``call`` and ``c_call`` profile
 events) of building an operator's result at 200, 400 and 800 rows: every
-algebra operator, a map applied to a table, the CSV reader and writer,
-ordinal inclusion and the rank profile under it, and top-k; the formula and
-query parsers count texts of 200, 400 and 800 operands (an ``&`` chain of
-atoms, nested joins).  The ``table_of`` cases count a guarded quantifier's
-formula over 200, 400 and 800 universe elements of out-degree 3: it ranges
-over the guard's 3 successors, where a quantifier over the whole universe
-nears 4x.  For a fixed input the count is deterministic, so the bound needs
-no timing margin: a linear operator stays near 2x per doubling, a per-pair
-loop nears 4x.  (``RATIONAL`` builds each value's one score once per
-process, so the first case to meet a value also counts that build.)
-``natural_join`` on a one-to-one key and ``restrict`` are the linear
-baselines.
+algebra operator, a map applied to a table or to a restriction's condition,
+the CSV reader and writer, ordinal inclusion and the rank profile under it,
+and top-k; the formula and query parsers count texts of 200, 400 and 800
+operands (an ``&`` chain of atoms, nested joins).  The ``table_of`` cases
+count a guarded quantifier's formula over 200, 400 and 800 universe
+elements of out-degree 3: it ranges over the guard's 3 successors, where a
+quantifier over the whole universe nears 4x.  For a fixed input the count
+is deterministic, so the bound needs no timing margin: a linear operator
+stays near 2x per doubling, a per-pair loop nears 4x.  (``RATIONAL`` builds
+each value's one score once per process, so the first case to meet a value
+also counts that build.)  ``natural_join`` on a one-to-one key and
+``restrict`` are the linear baselines.
 """
 
 import sys
@@ -68,6 +68,14 @@ def out_degree_3(n: int) -> Structure:
     return Structure(RATIONAL, universe, {"p": 1, "q": 2}, {"p": p, "q": q})
 
 
+def prices(n: int) -> RankedTable:
+    """n rows on (id, price), prices 400 up: ``PRICED`` scores them 0.4 up, 1 from 1000."""
+    return ranked(("id", "price"), ((i, 400 + i) for i in range(n)))
+
+
+PRICED = ExprCondition.parse("0.001*price")
+
+
 MAPS = parse_config(
     "map g = piecewise{ 0 -> 0, (0, 0.5] -> 0.25, (0.5, 1] -> 1 }\n"
     "map f = expr{ x <= 0.5 ? sqrt(x)/sqrt(2) : 2*(x-0.5)^2 + 0.5 }\n"
@@ -84,6 +92,7 @@ CASES = {
     "natural_join-1-to-1-key": lambda n: (algebra.natural_join, left(n),
                                           ranked(("id", "z"), ((i, -i) for i in range(n)))),
     "restrict": lambda n: (algebra.restrict, left(n), ExprCondition.parse("id <= 100 ? 0.5 : 1")),
+    "restrict-composed-expr": lambda n: (algebra.restrict, prices(n), PRICED.compose(MAPS["f"])),
     "project-12-value-key": lambda n: (algebra.project, left(n), ["key"]),
     "union_tables": lambda n: (algebra.union_tables, left(n), shifted(n)),
     "difference": lambda n: (algebra.difference, left(n), shifted(n)),
@@ -162,15 +171,30 @@ def test_arithmetic_results_are_each_scored(monkeypatch):
     assert restricted == reference_restrict(prices, theta)
 
 
-def test_an_expr_map_runs_once_per_value(monkeypatch):
+def _batches(monkeypatch) -> list:
+    """The batches given to ``AnalyticMap.apply_all`` from now on, each as a list."""
     batches = []
     apply_all = AnalyticMap.apply_all
 
     def counted(f, scores):
         scores = list(scores)
-        batches.append(len(scores))
+        batches.append(scores)
         return apply_all(f, scores)
 
     monkeypatch.setattr(AnalyticMap, "apply_all", counted)
+    return batches
+
+
+def test_an_expr_map_runs_once_per_value(monkeypatch):
+    batches = _batches(monkeypatch)
     compose_table(left(800), MAPS["f"]).entries()
-    assert batches == [97]
+    assert [len(batch) for batch in batches] == [97]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_composed_condition_maps_its_key_scores_in_one_batch(monkeypatch, n):
+    batches = _batches(monkeypatch)
+    algebra.restrict(prices(n), PRICED.compose(MAPS["f"])).entries()
+    [batch] = batches  # each distinct nonzero key score once
+    assert sorted(s.value for s in batch) == sorted({min(Fraction(400 + i, 1000), 1)
+                                                     for i in range(n)})

@@ -329,6 +329,11 @@ class TestCsv:
         with pytest.raises(SchemeError):
             read_table_csv("#,a\n0.5,1\n")
 
+    def test_blanks_around_a_header_colon_are_not_part_of_the_name_or_kind(self):
+        table = read_table_csv("#,id :int, w: dec \n0.5,1,-0.0075\n")
+        assert table.scheme == Scheme((("id", INT), ("w", DEC)))
+        assert write_table_csv(table) == "#,id:int,w:dec\n0.5,1,-0.0075\n"
+
     def test_fraction_scores_round_trip(self):
         scheme = Scheme((("a", INT),))
         table = RankedTable.from_entries(scheme, [({"a": 1}, Fraction(1, 3))])
