@@ -538,12 +538,9 @@ class _FormulaParser(TokenCursor):
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        op = self.peek().text
-        if op == "->":
-            self.advance()
+        if self.accept("->"):
             return Implies(left, self.implication())
-        if op == "<->":
-            self.advance()
+        if self.accept("<->"):
             return Iff(left, self.implication())
         return left
 
@@ -561,8 +558,7 @@ class _FormulaParser(TokenCursor):
         two or three operands give the left-deep tree itself.
         """
         operands = [operand()]
-        while self.peek().text == symbol:
-            self.advance()
+        while self.accept(symbol):
             operands.append(operand())
         while len(operands) > 1:  # join neighbours pairwise
             operands = [node(*operands[i:i + 2]) if i + 1 < len(operands) else operands[i]
@@ -582,7 +578,7 @@ class _FormulaParser(TokenCursor):
                              column=token.pos)
         name = token.text.lower()
         if name in ("forall", "exists"):
-            var = self.variable("quantifier needs a variable")
+            var = self.name("quantifier needs a variable")
             self.expect(".")
             body = self.implication()
             return ForAll(var, body) if name == "forall" else Exists(var, body)
@@ -590,21 +586,8 @@ class _FormulaParser(TokenCursor):
             return Falsum()
         if self.peek().text != "(":
             return Atom(name, ())
-        self.advance()
-        args = []
-        if self.peek().text != ")":
-            args.append(self.variable("atom arguments must be variables"))
-            while self.peek().text == ",":
-                self.advance()
-                args.append(self.variable("atom arguments must be variables"))
-        self.expect(")")
-        return Atom(name, tuple(args))
-
-    def variable(self, message: str) -> str:
-        token = self.advance()
-        if token.kind != "name":
-            raise ParseError(message, column=token.pos)
-        return token.text.lower()
+        return Atom(name, self.items(lambda: self.name("atom arguments must be variables"),
+                                     "(", ")", allow_empty=True))
 
 
 def parse_formula(text: str) -> Formula:

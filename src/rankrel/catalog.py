@@ -36,13 +36,15 @@ class OrderMaps(UserDict):
     not: every lookup raises its ``ParseError``, with its line.
     """
 
-    def declare(self, name: str, body: str, lineno: int) -> None:
-        self.data[name] = (body, lineno)
+    def declare(self, name: str, body: str, lineno: int, column: int) -> None:
+        self.data[name] = (body, lineno, column)
 
     def __getitem__(self, name: str) -> OrderMap:
         found = self.data[name]
         if isinstance(found, tuple):
-            found = self.data[name] = _parse_map(*found, self.chain)
+            body, lineno, column = found
+            found = _on_line(lineno, 0, _parse_map, body, lineno, column, self.chain)
+            self.data[name] = found
         return found
 
 
@@ -133,27 +135,38 @@ def parse_config(text: str) -> Catalog:
                                  f"{first}; the one chain line comes first", line=lineno)
             declared["chain", match.group(1)] = lineno
             if match.group("levels") is not None:  # nothing is declared yet
-                catalog = Catalog(symbolic_chain(match.group("levels")))
+                catalog = Catalog(_on_line(lineno, 0, symbolic_chain, match.group("levels")))
             continue
         match = _MAP_RE.match(line) or _COND_RE.match(line)
         if match:
-            kind, name = line.split()[0], match.group("name").lower()
-            body = match.group("body").strip()
+            kind, name, body = line.split()[0], match.group("name").lower(), match.group("body")
+            column = len(raw) - len(raw.lstrip()) + match.start("body")  # on the config line
             first = declared.setdefault((kind, name), lineno)
             if first != lineno:
                 raise ParseError(f"{kind} {name!r} is declared on line {first} and again on "
                                  f"line {lineno}; names ignore case", line=lineno)
             if kind == "map":
-                catalog.maps.declare(name, body, lineno)
+                catalog.maps.declare(name, body, lineno, column)
             else:
-                catalog.conditions[name] = _parse_condition(body, catalog, lineno)
+                catalog.conditions[name] = _parse_condition(body, catalog, lineno, column)
             continue
         raise ParseError(f"unrecognized config line {raw.strip()!r}", line=lineno)
     return catalog
 
 
-def _parse_map(body: str, lineno: int, chain: ScoreChain) -> OrderMap:
-    """Parse a map body on ``chain``."""
+def _on_line(lineno: int, column: int, parse, *args):
+    """``parse(*args)``, raising its errors as a ``ParseError`` on config line ``lineno``;
+    a ``ParseError``'s column counts on from ``column``, where its text starts."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        raise ParseError(exc.message, line=lineno, column=column + exc.column) from None
+    except RankrelError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+
+
+def _parse_map(body: str, lineno: int, column: int, chain: ScoreChain) -> OrderMap:
+    """Parse a map body on ``chain``; the body starts at ``column`` of config line ``lineno``."""
     if body == "identity":
         return IdentityMap()
     match = _BRACED_RE.match(body)
@@ -161,7 +174,7 @@ def _parse_map(body: str, lineno: int, chain: ScoreChain) -> OrderMap:
         raise ParseError(f"malformed map body {body!r}", line=lineno)
     kind, inner = match.group("kind"), match.group("inner").strip()
     if kind == "expr":
-        return AnalyticMap.parse(inner)
+        return _on_line(lineno, column + match.start("inner"), AnalyticMap.parse, match["inner"])
     entries = [piece.strip() for piece in inner.split(",") if piece.strip()] if inner else []
     if kind == "graph":
         pairs = {}
@@ -213,7 +226,7 @@ def _split_pieces(inner: str) -> list[str]:
     return parts
 
 
-def _parse_condition(body: str, catalog: Catalog, lineno: int) -> Condition:
+def _parse_condition(body: str, catalog: Catalog, lineno: int, column: int) -> Condition:
     match = _COMPOSE_RE.match(body)
     if match:
         try:
@@ -230,4 +243,4 @@ def _parse_condition(body: str, catalog: Catalog, lineno: int) -> Condition:
     match = _BRACED_RE.match(body)
     if not match or match.group("kind") != "expr":
         raise ParseError(f"malformed condition body {body!r}", line=lineno)
-    return ExprCondition.parse(match.group("inner").strip())
+    return _on_line(lineno, column + match.start("inner"), ExprCondition.parse, match["inner"])

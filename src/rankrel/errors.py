@@ -50,6 +50,7 @@ class ParseError(RankrelError):
 
     def __init__(self, message: str, line: int = 1, column: int = 0):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message  # without the position, to raise again at another one
         self.line = line
         self.column = column
 

@@ -9,7 +9,8 @@ Arithmetic stays exact (``Fraction``) until an irrational function such as
 grid.  Comparisons yield 0/1.  Names are case-insensitive.
 
 The tokenizer and :class:`TokenCursor` here also serve the query parser in
-``planner`` and the formula parser in ``calculus``.
+``planner`` and the formula parser in ``calculus``; the cursor's ``accept``,
+``name`` and ``items`` read optional tokens, names and lists for all three.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ Expr = Union[Num, Ref, Unary, Binary, Compare, Ternary, Call]
 
 
 class TokenCursor:
-    """A parser's position in the tokens of one text.
+    """A parser's position in the tokens of one text, and the readers every grammar shares.
 
     Subclasses supply the grammar: ``phrase`` reads one phrase from the
     current token on, and ``parse`` requires it to span the whole text.
@@ -113,19 +114,44 @@ class TokenCursor:
         self.tokens = tokenize(text)
         self.index = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
+    def peek(self, offset: int = 0) -> Token:
+        return self.tokens[self.index + offset]
 
     def advance(self) -> Token:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
+    def accept(self, text: str) -> bool:
+        """Step past the next token if it reads ``text``."""
+        if self.tokens[self.index].text != text:
+            return False
+        self.index += 1
+        return True
+
     def expect(self, text: str) -> Token:
         token = self.advance()
         if token.text != text:
             raise ParseError(f"expected {text!r}, found {token.text or 'end'!r}", column=token.pos)
         return token
+
+    def name(self, message: str) -> str:
+        """The next token as a lowercased name, or ``message`` at its column."""
+        token = self.advance()
+        if token.kind != "name":
+            raise ParseError(message, column=token.pos)
+        return token.text.lower()
+
+    def items(self, read: Callable, open: str, close: str, allow_empty: bool = False) -> tuple:
+        """``open``, then ``read()`` results separated by commas, then ``close``."""
+        self.expect(open)
+        if allow_empty and self.accept(close):
+            return ()
+        items = [read()]
+        while self.accept(","):
+            items.append(read())
+        self.expect(close)
+        return tuple(items)
 
     def parse(self):
         result = self.phrase()
@@ -144,8 +170,7 @@ class ExprParser(TokenCursor):
 
     def ternary(self) -> Expr:
         test = self.comparison()
-        if self.peek().text == "?":
-            self.advance()
+        if self.accept("?"):
             then = self.ternary()
             self.expect(":")
             otherwise = self.ternary()
@@ -176,15 +201,13 @@ class ExprParser(TokenCursor):
         return expr
 
     def unary(self) -> Expr:
-        if self.peek().text == "-":
-            self.advance()
+        if self.accept("-"):
             return Unary("-", self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek().text == "^":
-            self.advance()
+        if self.accept("^"):
             return Binary("^", base, self.unary())
         return base
 
@@ -201,13 +224,7 @@ class ExprParser(TokenCursor):
             if self.peek().text == "(":
                 if name not in _CALLS:
                     raise ParseError(f"unknown function {token.text!r}", column=token.pos)
-                self.advance()
-                args = [self.ternary()]
-                while self.peek().text == ",":
-                    self.advance()
-                    args.append(self.ternary())
-                self.expect(")")
-                return Call(name, tuple(args))
+                return Call(name, self.items(self.ternary, "(", ")"))
             return Ref(name)
         if token.text == "(":
             inner = self.ternary()

@@ -133,37 +133,18 @@ def _condition_attrs(spec: typing.Union[Condition, str], conditions: Mapping[str
 def _read_condition(parser) -> typing.Union[Condition, str]:
     # A lone identifier names a catalog condition; anything else is an
     # inline expression over attribute values, read from the same tokens.
-    token = parser.peek()
-    if token.kind == "name" and parser.tokens[parser.index + 1].text in (",", ")"):
-        parser.advance()
-        return token.text.lower()
+    if parser.peek().kind == "name" and parser.peek(1).text in (",", ")"):
+        return parser.advance().text.lower()
     return ExprCondition(parser.ternary())
 
 
-def _read_name(parser) -> str:
-    token = parser.advance()
-    if token.kind != "name":
-        raise ParseError("expected an attribute name", column=token.pos)
-    return token.text.lower()
+_ATTRIBUTE = "expected an attribute name"
 
 
 def _read_rename(parser) -> tuple[str, str]:
-    old = _read_name(parser)
+    old = parser.name(_ATTRIBUTE)
     parser.expect("->")
-    return old, _read_name(parser)
-
-
-def _read_list(parser, read_item, allow_empty: bool) -> tuple:
-    """``[item, item, ...]``; only attribute lists may be empty."""
-    parser.expect("[")
-    items = []
-    if not (allow_empty and parser.peek().text == "]"):
-        items.append(read_item(parser))
-        while parser.peek().text == ",":
-            parser.advance()
-            items.append(read_item(parser))
-    parser.expect("]")
-    return tuple(items)
+    return old, parser.name(_ATTRIBUTE)
 
 
 @dataclass(frozen=True)
@@ -177,8 +158,9 @@ class Param:
 
 
 _CONDITION = Param("condition", _read_condition, str, resolve_condition)
-_ATTRS = Param("attrs", lambda parser: _read_list(parser, _read_name, True), ", ".join, _as_parsed)
-_MAPPING = Param("mapping", lambda parser: _read_list(parser, _read_rename, False),
+_ATTRS = Param("attrs", lambda parser: parser.items(lambda: parser.name(_ATTRIBUTE), "[", "]",
+                                                    allow_empty=True), ", ".join, _as_parsed)
+_MAPPING = Param("mapping", lambda parser: parser.items(lambda: _read_rename(parser), "[", "]"),
                  lambda pairs: ", ".join(f"{old}->{new}" for old, new in pairs), _as_parsed)
 
 
@@ -464,13 +446,12 @@ class _QueryParser(exprs.ExprParser):
             raise ParseError(f"expected a table name or operation, found "
                              f"{token.text or 'end'!r}", column=token.pos)
         name = token.text.lower()
-        if self.peek().text != "(":
+        if not self.accept("("):
             return Base(name)
         node_type = _KEYWORDS.get(name)
         if node_type is None:
             raise ParseError(f"unknown operation {name!r}", column=token.pos)
         op = OPERATORS[node_type]
-        self.expect("(")
         fields = {}
         for field in op.kids:
             if fields:

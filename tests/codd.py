@@ -72,8 +72,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
             return And(*formulas), scheme
         if isinstance(node, planner.Restrict):
             cond = args[-1]
-            deps = cond.free_attrs()
-            scored = scheme if deps is None else scheme.project(deps)
+            scored = scheme.project(cond.free_attrs())
             symbol = f"__cond_{len(pending) + 1}"
             pending.append((symbol, cond, scored))
             return And(formulas[0], Atom(symbol, scored.names)), scheme

@@ -106,6 +106,16 @@ class TestConfig:
         assert str(err.value) == (f"{kind} {'up' if kind == 'map' else 'big'!r} is declared on "
                                   "line 2 and again on line 4; names ignore case (line 4, column 0)")
 
+    @pytest.mark.parametrize("line, message", [
+        ("cond c = expr{ id <= }", "unexpected token 'end' (line 4, column 21)"),
+        # the column counts from the start of the line, indentation included
+        ("  cond c = expr{ id @ 1 }", "unexpected character '@' (line 4, column 20)"),
+    ])
+    def test_an_error_inside_a_condition_body_names_its_config_line(self, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"chain rational01\nmap f = identity\n\n{line}\n")
+        assert str(err.value) == message
+
     def test_a_map_and_a_condition_may_share_a_name(self):
         catalog = parse_config("map f = identity\ncond f = expr{ 1 }\ncond g = compose(f, f)\n")
         assert set(catalog.maps) == {"f"} and set(catalog.conditions) == {"f", "g"}
@@ -129,6 +139,19 @@ class TestMapsParsedAtFirstUse:
         with pytest.raises(ParseError) as err:
             catalog.maps["g"]
         assert str(err.value) == "graph input '1/2' appears twice (line 3, column 0)"
+
+    @pytest.mark.parametrize("body, message", [
+        ("expr{ x @ 2 }", "unexpected character '@' (line 3, column 16)"),
+        ("graph{ 0 -> 0, abc -> 1 }", "cannot parse rational score from 'abc' (line 3, column 0)"),
+        ("graph{ 0 -> 0, 2 -> 1 }", "score 2 outside [0, 1] (line 3, column 0)"),
+        ("piecewise{ (0, abc] -> 1 }", "cannot parse rational score from 'abc' (line 3, column 0)"),
+    ], ids=["expr", "graph-text", "graph-range", "piecewise-bound"])
+    def test_an_error_inside_a_map_body_names_its_config_line(self, body, message):
+        catalog = parse_config(f"chain rational01\n# maps\nmap f = {body}\n")
+        for lookup in (lambda: catalog.maps["f"], lambda: catalog.order_map("F")):
+            with pytest.raises(ParseError) as err:
+                lookup()
+            assert str(err.value) == message and err.value.message == message.rsplit(" (", 1)[0]
 
     def test_compose_resolves_its_map_while_parsing(self):
         with pytest.raises(ParseError) as err:
@@ -253,6 +276,15 @@ class TestCatalogScoreDict:
             parse_config(before + "\nchain symbolic(0 < 1)\n")
         assert str(err.value) == (f"chain on line 3 follows {follows}; the one chain line "
                                   "comes first (line 3, column 0)")
+
+    @pytest.mark.parametrize("levels, message", [
+        ("a < a", "duplicate level names in ('a', 'a')"),
+        ("a <  < b", "malformed chain levels: 'a <  < b'"),
+    ])
+    def test_a_malformed_chain_line_names_its_config_line(self, levels, message):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"# levels\nchain symbolic({levels})\n")
+        assert str(err.value) == f"{message} (line 2, column 0)"
 
     def test_maps_parse_on_the_chain_of_a_leading_chain_line(self):
         catalog = parse_config("chain symbolic(0 < 1)\nmap h = graph{ 0 -> 0, 1 -> 1 }\n")

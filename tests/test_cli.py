@@ -471,6 +471,15 @@ class TestTransform:
         assert code == 1 and out == ""
         assert err.strip() == "error: malformed piecewise entry '1' (line 5, column 0)"
 
+    def test_an_error_inside_a_map_body_names_its_config_line(self, capsys, catalog_dir):
+        config = catalog_dir / "catalog.cfg"
+        config.write_text(config.read_text(encoding="utf-8") + "map bad = expr{ x @ 2 }\n",
+                          encoding="utf-8")
+        code, out, err = run(capsys, "transform", "--map", "bad", "--catalog", str(catalog_dir),
+                             "houses")
+        assert code == 1 and out == ""
+        assert err == "error: unexpected character '@' (line 5, column 18)\n"
+
     def test_an_analytic_map_may_merge_scores_itself(self, capsys, catalog_dir):
         config = catalog_dir / "catalog.cfg"
         config.write_text(config.read_text(encoding="utf-8") + "map k = expr{ min(x, 0.5) }\n",

@@ -4,11 +4,12 @@ Each case counts the Python-level calls (``call`` and ``c_call`` profile
 events) of building an operator's result at 200, 400 and 800 rows: every
 algebra operator, a map applied to a table or to a restriction's condition,
 the CSV reader and writer, ordinal inclusion and the rank profile under it,
-and top-k; the formula and query parsers count texts of 200, 400 and 800
-operands (an ``&`` chain of atoms, nested joins).  The ``table_of`` cases
-count a guarded quantifier's formula over 200, 400 and 800 universe
-elements of out-degree 3: it ranges over the guard's 3 successors, where a
-quantifier over the whole universe nears 4x.  For a fixed input the count
+and top-k; the formula, query and expression parsers count texts of 200,
+400 and 800 operands (an ``&`` chain of atoms, nested joins) or list items
+(an attribute list, a rename list, atom arguments, call arguments).  The
+``table_of`` cases count a guarded quantifier's formula over 200, 400 and
+800 universe elements of out-degree 3: it ranges over the guard's 3
+successors, where a quantifier over the whole universe nears 4x.  For a fixed input the count
 is deterministic, so the bound needs no timing margin: a linear operator
 stays near 2x per doubling, a per-pair loop nears 4x.  (``RATIONAL`` builds
 each value's one score once per process, so the first case to meet a value
@@ -27,6 +28,7 @@ from rankrel.calculus import Structure, parse_formula, table_of
 from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.conditions import ExprCondition
+from rankrel.exprs import parse_expr
 from rankrel.maps import AnalyticMap, compose_table
 from rankrel.ordinal import _rank_profile, ordinally_included
 from rankrel.planner import parse_query
@@ -116,6 +118,14 @@ CASES = {
     "parse_formula-and-chain": lambda n: (parse_formula, " & ".join(f"r{i}(x{i}, x{i + 1})"
                                                                    for i in range(n))),
     "parse_query-nested-joins": lambda n: (parse_query, "join(" * n + "t" + ", t)" * n),
+    "parse_query-project-list": lambda n: (parse_query, "project(t, [" + ", ".join(
+        f"a{i}" for i in range(n)) + "])"),
+    "parse_query-rename-list": lambda n: (parse_query, "rename(t, [" + ", ".join(
+        f"a{i} -> b{i}" for i in range(n)) + "])"),
+    "parse_formula-atom-arguments": lambda n: (parse_formula, "r(" + ", ".join(
+        f"x{i}" for i in range(n)) + ")"),
+    "parse_expr-call-arguments": lambda n: (parse_expr, "max(" + ", ".join(
+        str(i) for i in range(1, n + 1)) + ")"),
 }
 
 

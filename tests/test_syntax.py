@@ -36,6 +36,17 @@ README = Path(__file__).resolve().parent.parent / "README.md"
         (calculus.parse_formula, "p(x) &  @", "unexpected character '@'", 8),
         # an inline condition's column counts from the start of the query
         (planner.parse_query, "restrict(houses, 1 + )", "unexpected token ')'", 21),
+        # names and comma-separated lists: only an attribute list or atom arguments may be empty
+        (planner.parse_query, "rename(houses, [])", "expected an attribute name", 16),
+        (planner.parse_query, "project(houses, [id,])", "expected an attribute name", 20),
+        (planner.parse_query, "project(houses, [id id])", "expected ']', found 'id'", 20),
+        (planner.parse_query, "rename(houses, [id x])", "expected '->', found 'x'", 19),
+        (exprs.parse_expr, "min()", "unexpected token ')'", 4),
+        (exprs.parse_expr, "min(1,)", "unexpected token ')'", 6),
+        (exprs.parse_expr, "min(1 2)", "expected ')', found '2'", 6),
+        (calculus.parse_formula, "p(x,)", "atom arguments must be variables", 4),
+        (calculus.parse_formula, "p(x y)", "expected ')', found 'y'", 4),
+        (calculus.parse_formula, "exists 1. p(x)", "quantifier needs a variable", 7),
     ],
 )
 def test_malformed_input_reports_column(parse, text, message, column):
@@ -43,6 +54,11 @@ def test_malformed_input_reports_column(parse, text, message, column):
         parse(text)
     assert str(err.value) == f"{message} (line 1, column {column})"
     assert err.value.column == column
+
+
+def test_an_attribute_list_and_atom_arguments_may_be_empty():
+    assert planner.parse_query("project(houses, [])") == planner.Project(planner.Base("houses"), ())
+    assert calculus.parse_formula("p()") == calculus.Atom("p", ())
 
 
 def _readme_block(heading: str, fence: str) -> str:
