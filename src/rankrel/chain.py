@@ -30,18 +30,17 @@ Rational = Union[Fraction, int]
 
 #: Decimal places of the one score grid that float results are rounded onto.
 GRID_PLACES = 6
-
-
-def quantize(value: Union[Fraction, float]) -> Fraction:
-    """Round a numeric value onto the 10**-GRID_PLACES decimal grid (half-even)."""
-    grid = 10**GRID_PLACES
-    if isinstance(value, float):
-        value = Fraction(value)  # exact binary expansion
-    return Fraction(round(value * grid), grid)
+_GRID = 10**GRID_PLACES
 
 
 def clamp01(value: Union[Fraction, float]) -> Union[Fraction, float]:
     """Clamp an expression result into [0, 1]; an infinity clamps, a NaN is an ``EvalError``."""
+    if isinstance(value, Fraction):  # compare its integers: the denominator is positive
+        if value.numerator < 0:
+            return Fraction(0)
+        if value.numerator > value.denominator:
+            return Fraction(1)
+        return value
     if value != value:
         raise EvalError("expression evaluates to NaN")
     if value < 0:
@@ -95,6 +94,9 @@ class ScoreChain:
     compare and hash by value, so no answer depends on the sharing.  The memo
     is a plain dict as long-lived as the chain (``RATIONAL``: the process),
     about 370 B per distinct score text; a pickle or copy starts it empty.
+    ``on_grid`` keeps a second dict, from each grid numerator it has rounded
+    onto to that value's score: about 60-85 B per grid value met, beside the
+    score's own memo entry.
     """
 
     levels: Optional[tuple[str, ...]] = None
@@ -106,6 +108,7 @@ class ScoreChain:
             if len(set(self.levels)) != len(self.levels):
                 raise ChainError(f"duplicate level names in {self.levels}")
         object.__setattr__(self, "_memo", {})  # value or text -> its one Score
+        object.__setattr__(self, "_grid", {})  # grid numerator -> its one Score
 
     def __reduce__(self):
         return ScoreChain, (self.levels,)  # an equal chain, with an empty memo
@@ -142,6 +145,26 @@ class ScoreChain:
             if 0 <= raw < len(self.levels):
                 return self._keep(raw)
         raise ChainError(f"symbolic scores take a level name, got {raw!r}")
+
+    def on_grid(self, value: Union[Fraction, float]) -> "Score":
+        """The score of a value in [0, 1] rounded half-even onto the ``GRID_PLACES`` grid.
+
+        Rounds with integer arithmetic on ``value.as_integer_ratio()``, exact
+        for floats and ``Fraction``s alike, and looks the grid numerator up
+        in its own dict; a numerator met first is kept through ``_keep``, so
+        each grid value is still one ``Score``.  A value that rounds off the
+        grid, or a symbolic chain, is a ``ChainError``.
+        """
+        num, den = value.as_integer_ratio()
+        step, rest = divmod(num * _GRID, den)
+        if 2 * rest > den or (2 * rest == den and step & 1):
+            step += 1
+        score = self._grid.get(step)
+        if score is None:
+            if self.levels is not None or not 0 <= step <= _GRID:
+                raise ChainError(f"cannot round {value!r} onto the grid of {self}")
+            score = self._grid[step] = self._keep(Fraction(step, _GRID))
+        return score
 
     def _keep(self, value, text: Optional[str] = None) -> "Score":
         """The one score of a valid carrier ``value``, built with ``text`` at its first call."""

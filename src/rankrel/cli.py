@@ -72,8 +72,7 @@ def cmd_equiv(args) -> int:
     chain = parse_config(read_text(args.config)).chain if args.config else RATIONAL
     first = read_table_csv(args.first, chain)
     second = read_table_csv(args.second, chain)
-    evidence = ordinal.first_inclusion_violation(first, second)
-    backward = ordinal.ordinally_included(second, first)
+    evidence, backward = ordinal.compare(first, second)
     if evidence is None and backward:
         print("EQUIVALENT")
     elif evidence is None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import exprs
-from .chain import Score, ScoreChain, clamp01, quantize
+from .chain import Score, ScoreChain, clamp01
 from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
 from .maps import OrderMap, apply_checked
 from .table import RankedTable, Row, Scheme, values_of
@@ -122,7 +122,7 @@ class ExprCondition(Condition):
             if hit is not None:
                 return hit[1]
             value = clamp01(raw)
-            result = chain.score(quantize(value) if isinstance(value, float) else value)
+            result = chain.on_grid(value) if isinstance(value, float) else chain.score(value)
             scored[id(raw)] = (raw, result)
             return result
         return score

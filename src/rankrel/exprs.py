@@ -5,8 +5,10 @@ Used both for restriction conditions (attribute references, e.g.
 variable ``x``, e.g. ``x <= 0.5 ? sqrt(x)/sqrt(2) : 2*(x-0.5)^2 + 0.5``).
 
 Arithmetic stays exact (``Fraction``) until an irrational function such as
-``sqrt`` forces a float; callers quantize float results onto a fixed decimal
-grid.  Comparisons yield 0/1.  Names are case-insensitive.
+``sqrt`` forces a float.  Callers clamp a result into [0, 1] with
+``chain.clamp01``; a condition rounds a float result onto the score grid with
+``ScoreChain.on_grid`` and keeps an exact one as it is, and an analytic map
+rounds every result.  Comparisons yield 0/1.  Names are case-insensitive.
 
 The tokenizer and :class:`TokenCursor` here also serve the query parser in
 ``planner`` and the formula parser in ``calculus``; the cursor's ``accept``,

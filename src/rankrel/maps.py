@@ -24,7 +24,7 @@ from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
 from . import exprs
-from .chain import GRID_PLACES, Score, ScoreChain, clamp01, quantize
+from .chain import GRID_PLACES, Score, ScoreChain, clamp01
 from .errors import (
     IncompatibleChainError,
     MapDomainError,
@@ -137,8 +137,8 @@ class PiecewiseConstantMap(OrderMap):
 class AnalyticMap(OrderMap):
     """Map given by an expression in ``x`` over the rational carrier.
 
-    Results are clamped into [0, 1] and quantized onto the score grid
-    (``chain.GRID_PLACES`` decimals) before becoming chain elements.  Batch
+    Results are clamped into [0, 1] and rounded onto the score grid
+    (``chain.GRID_PLACES`` decimals) by ``ScoreChain.on_grid``.  Batch
     application refuses to proceed if rounding merges two distinct exact
     images, bottom among them, since that would silently destroy the
     embedding property; a map that merges scores by itself is left to its
@@ -153,7 +153,7 @@ class AnalyticMap(OrderMap):
         return cls(exprs.parse_expr(text), declared=frozenset(declared))
 
     def apply(self, score: Score) -> Score:
-        return score.chain.score(quantize(self._exact()(score)))
+        return score.chain.on_grid(self._exact()(score))
 
     def _exact(self) -> Callable[[Score], exprs.Number]:
         """A score's image clamped into [0, 1], not rounded; compiled once, for one batch.
@@ -176,7 +176,7 @@ class AnalyticMap(OrderMap):
         unrounded = [exact(s) for s in scores]
         # one chain builds every image, one object per value: merged images share an id
         chain = scores[0].chain
-        out = [chain.score(quantize(v)) for v in unrounded]
+        out = [chain.on_grid(v) for v in unrounded]
         rounded = set(map(id, out))
         rounded.add(id(chain.bottom))  # bottom is an image too: the scores given are nonzero
         # Exact images are hashed only on a collision: big Fractions hash slowly.

@@ -23,7 +23,7 @@ from rankrel.calculus import (
     And, Atom, Exists, Falsum, ForAll, Implies, Not, Or, Structure, free_vars,
 )
 from rankrel.chain import (
-    RATIONAL, Score, ScoreChain, join_sup, meet, residuum,
+    GRID_PLACES, RATIONAL, Score, ScoreChain, join_sup, meet, residuum,
 )
 from rankrel.conditions import ComposedCondition, Condition, ExprCondition, TableCondition
 from rankrel.errors import (
@@ -694,6 +694,23 @@ def reference_parse(chain: ScoreChain, text: str) -> Score:
     return chain.score(text)
 
 
+def reference_quantize(value: Fraction | float) -> Fraction:
+    """``round(value * 10**GRID_PLACES)`` in ``Fraction``s: the oracle for ``ScoreChain.on_grid``."""
+    grid = 10**GRID_PLACES
+    return Fraction(round(Fraction(value) * grid), grid)  # a float's exact binary expansion
+
+
+def reference_clamp01(value: Fraction | float) -> Fraction | float:
+    """Three comparisons on the value itself: the oracle for ``chain.clamp01``."""
+    if value != value:
+        raise EvalError("expression evaluates to NaN")
+    if value < 0:
+        return Fraction(0)
+    if value > 1:
+        return Fraction(1)
+    return value
+
+
 def reference_rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
     """One sort on the raw score values: the oracle for ``ordinal._rank_profile``."""
     bottom = d1.chain.bottom.value
@@ -715,8 +732,16 @@ def reference_rank_profile(d1: RankedTable, d2: RankedTable) -> tuple[dict, list
 
 
 def rank_profile_values(d1: RankedTable, d2: RankedTable) -> tuple[dict, list[Row]]:
-    """``ordinal._rank_profile`` with its floor codes decoded to raw score values."""
-    floors, decode, escaping = _rank_profile(d1, d2)
+    """d1's profile from ``ordinal._rank_profile``, its floor codes decoded to raw score values."""
+    return _decoded(*next(_rank_profile(d1, d2)))
+
+
+def both_rank_profile_values(d1: RankedTable, d2: RankedTable) -> list[tuple[dict, list[Row]]]:
+    """Both profiles of ``ordinal._rank_profile(d1, d2)``, decoded as ``rank_profile_values``."""
+    return [_decoded(*profile) for profile in _rank_profile(d1, d2)]
+
+
+def _decoded(floors: dict, decode: list[Score], escaping: list[Row]) -> tuple[dict, list[Row]]:
     return {decode[level].value: decode[floor].value for level, floor in floors.items()}, escaping
 
 

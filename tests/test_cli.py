@@ -391,20 +391,22 @@ class TestEquiv:
         joined = algebra.natural_join(demo.houses(), demo.offers())
         write_table_csv(joined, tmp_path / "joined.csv")
         write_table_csv(demo.similar_join(), tmp_path / "similar.csv")
-        calls = []
-        profile = ordinal._rank_profile
-
-        def counted(d1, d2):
-            calls.append(1)
-            return profile(d1, d2)
-
-        monkeypatch.setattr(ordinal, "_rank_profile", counted)
-        code, out, _ = run(
-            capsys, "equiv", str(tmp_path / "joined.csv"), str(tmp_path / "similar.csv")
-        )
-        assert code == 0 and out.splitlines()[0] == "NEITHER"
-        assert "evidence: first table's cone fails at" in out
-        assert len(calls) == 2
+        codings, directions = [], []
+        rank_codes, floors = ordinal.rank_codes, ordinal._floors
+        monkeypatch.setattr(ordinal, "rank_codes",
+                            lambda scores: codings.append(1) or rank_codes(scores))
+        monkeypatch.setattr(ordinal, "_floors",
+                            lambda pairs, decode: directions.append(1) or floors(pairs, decode))
+        for first, second, verdict in (("joined", "similar", "NEITHER"),
+                                       ("similar", "joined", "INCLUDED")):
+            codings.clear()
+            directions.clear()
+            code, out, _ = run(
+                capsys, "equiv", str(tmp_path / f"{first}.csv"), str(tmp_path / f"{second}.csv")
+            )
+            assert code == 0 and out.splitlines()[0] == verdict
+            assert len(codings) == 1  # both tables coded once, for both directions
+            assert len(directions) == 2  # one sort and one floor scan each way
 
     def test_scheme_mismatch_names_both_schemes(self, capsys, tmp_path):
         write_table_csv(demo.houses(), tmp_path / "houses.csv")
@@ -419,13 +421,13 @@ class TestEquiv:
         (tmp_path / "a.csv").write_text("#,id:int\n0.5,1\n0.25,2\n", encoding="utf-8")
         (tmp_path / "b.csv").write_text("#,id:int\n0.5,1\n0.75,2\n", encoding="utf-8")
         seen = []
-        violation = ordinal.first_inclusion_violation
+        compare = ordinal.compare
 
         def captured(d1, d2):
             seen.append((d1, d2))
-            return violation(d1, d2)
+            return compare(d1, d2)
 
-        monkeypatch.setattr(ordinal, "first_inclusion_violation", captured)
+        monkeypatch.setattr(ordinal, "compare", captured)
         code, out, err = run(capsys, "equiv", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
         assert (code, out, err) == (
             0, "NEITHER\nevidence: first table's cone fails at (id=2)\n", "")

@@ -220,3 +220,28 @@ def test_first_violation_evidence(joined, similar):
         scheme, [({"a": 5}, fr("0.5")), ({"a": 9}, fr("0.75")), ({"a": 1}, fr("0.5"))]
     )
     assert ordinal.first_inclusion_violation(d1, d2) == Row.of({"a": 1})
+
+
+def test_each_caller_sorts_only_the_directions_it_reads(joined, similar, monkeypatch):
+    """One coding per call; one sort per direction asked for, the reverse one lazily."""
+    codings, directions = [], []
+    rank_codes, floors = ordinal.rank_codes, ordinal._floors
+    monkeypatch.setattr(ordinal, "rank_codes",
+                        lambda scores: codings.append(1) or rank_codes(scores))
+    monkeypatch.setattr(ordinal, "_floors",
+                        lambda pairs, decode: directions.append(1) or floors(pairs, decode))
+    first, second = demo.single_column_pair()
+    cases = (
+        (ordinal.ordinally_included, joined, similar, 1),
+        (ordinal.first_inclusion_violation, joined, similar, 1),
+        (ordinal.canonical_map, similar, joined, 1),
+        (ordinal.ordinally_equivalent, joined, similar, 1),  # the first direction fails
+        (ordinal.ordinally_equivalent, similar, joined, 2),
+        (ordinal.compare, joined, similar, 2),
+        (ordinal.witness_isomorphism, first, second, 2),
+    )
+    for function, d1, d2, sorts in cases:
+        codings.clear()
+        directions.clear()
+        function(d1, d2)
+        assert (len(codings), len(directions)) == (1, sorts), function.__name__

@@ -3,10 +3,11 @@
 Each case counts the Python-level calls (``call`` and ``c_call`` profile
 events) of building an operator's result at 200, 400 and 800 rows: every
 algebra operator, a map applied to a table or to a restriction's condition,
-the CSV reader and writer, ordinal inclusion and the rank profile under it,
-and top-k; the formula, query and expression parsers count texts of 200,
-400 and 800 operands (an ``&`` chain of atoms, nested joins) or list items
-(an attribute list, a rename list, atom arguments, call arguments).  The
+the CSV reader and writer, ordinal inclusion, the rank profile under it and
+``equiv``'s two-way comparison, and top-k; the formula, query and expression
+parsers count texts of 200, 400 and 800 operands (an ``&`` chain of atoms,
+nested joins) or list items (an attribute list, a rename list, atom
+arguments, call arguments).  The
 ``table_of`` cases count a guarded quantifier's formula over 200, 400 and
 800 universe elements of out-degree 3: it ranges over the guard's 3
 successors, where a quantifier over the whole universe nears 4x.  For a fixed input the count
@@ -30,7 +31,7 @@ from rankrel.chain import RATIONAL, ScoreChain
 from rankrel.conditions import ExprCondition
 from rankrel.exprs import parse_expr
 from rankrel.maps import AnalyticMap, compose_table
-from rankrel.ordinal import _rank_profile, ordinally_included
+from rankrel.ordinal import _rank_profile, compare, ordinally_included
 from rankrel.planner import parse_query
 from rankrel.table import INT, RankedTable, Row, Scheme, read_table_csv, write_table_csv
 from rankrel.topk import SortedSource, top_k
@@ -109,7 +110,8 @@ CASES = {
     "read_table_csv": lambda n: (read_table_csv, write_table_csv(left(n))),
     "write_table_csv": lambda n: (write_table_csv, left(n)),
     "ordinally_included": lambda n: (ordinally_included, left(n), shifted(n)),
-    "_rank_profile": lambda n: (_rank_profile, left(n), shifted(n)),
+    "_rank_profile": lambda n: (lambda d1, d2: next(_rank_profile(d1, d2)), left(n), shifted(n)),
+    "compare-both-ways": lambda n: (compare, left(n), shifted(n)),
     "top_k-10": lambda n: (top_k, [SortedSource(left(n)), SortedSource(shifted(n))], 10),
     "table_of-exists-guarded": lambda n: (table_of, out_degree_3(n),
                                           parse_formula("exists z. (q(x, z) & p(z))")),

@@ -1,11 +1,14 @@
 """Per-distinct score coding against the per-row forms it replaces.
 
 ``Score.key`` decides every order comparison, ``ScoreChain.parse`` reads
-plain decimals without ``Fraction``'s regex, ``ordinal._rank_profile`` runs
-on dense integer rank codes, and ``maps.compose_table`` maps each distinct
+plain decimals without ``Fraction``'s regex, ``ScoreChain.on_grid`` rounds
+with integer arithmetic, ``chain.clamp01`` compares a ``Fraction``'s
+integers, ``ordinal._rank_profile`` runs on dense integer rank codes, both
+directions from one coding, and ``maps.compose_table`` maps each distinct
 score once.  Each is checked on seeded inputs against its oracle in
 ``helpers``, which compares raw values only: equal order and equal
-connectives, equal scores or identical errors, equal floors and escaping
+connectives, equal scores or identical errors, the one score of the
+reference's grid value, equal clamped values, equal floors and escaping
 rows, equal tables or identical errors.  A guard test counts the score
 hashes of both kernels on a 2,000-row table, and another makes map
 application run with ``Score.__hash__`` raising.  Tables holding one
@@ -29,11 +32,14 @@ from hypothesis import strategies as st
 from helpers import (
     GRID,
     VALUE_POOL,
+    both_rank_profile_values,
     rank_profile_values,
+    reference_clamp01,
     reference_compose_table,
     reference_natural_join,
     reference_parse,
     reference_project,
+    reference_quantize,
     reference_rank_order,
     reference_rank_profile,
     reference_semijoin,
@@ -53,10 +59,12 @@ from rankrel import demo, ordinal
 from rankrel.algebra import natural_join, project, semijoin
 from rankrel.calculus import structure_from_tables
 from rankrel.chain import (
+    GRID_PLACES,
     RATIONAL,
     Score,
     ScoreChain,
     abjunction,
+    clamp01,
     exact_decimal_str,
     join_sup,
     meet,
@@ -64,7 +72,9 @@ from rankrel.chain import (
     residuum,
     symbolic_chain,
 )
-from rankrel.errors import MapDomainError, MapPropertyError, QuantizationError
+from rankrel.errors import (
+    ChainError, EvalError, MapDomainError, MapPropertyError, QuantizationError,
+)
 from rankrel.maps import (
     IDENTITY,
     PROPERTIES,
@@ -244,6 +254,106 @@ def test_parse_keeps_only_exact_texts_and_format_writes_the_exact_text(text):
     check_kept_text(text)
 
 
+HALF_STEP = Fraction(1, 2 * 10**GRID_PLACES)
+
+#: Values whose rounding onto the grid is easy to get wrong.
+GRID_EDGES = (
+    Fraction(0), Fraction(1), 0.0, 1.0,
+    HALF_STEP, 3 * HALF_STEP, 5 * HALF_STEP,  # ties: to 0, 2 and 2 steps
+    1 - HALF_STEP, 1 - 3 * HALF_STEP,  # ties: to 10**6 and 10**6 - 2 steps
+    1 / 128, 3 / 128,  # float ties, 7812.5 and 23437.5 steps: to 7812 and 23438
+    2.0**-1074, 1 - 2.0**-53, 0.1, 2.5e-6,
+    Fraction(1, 3), Fraction(2, 3), Fraction(1, 2**200), Fraction(2**200 - 1, 2**200),
+    Fraction(10**40 + 1, 3 * 10**40), Fraction(5 * 10**33 + 1, 10**40),
+)
+
+
+def check_on_grid(value) -> None:
+    """``on_grid`` gives the one score of the reference's grid value, first or second."""
+    cold, warm = ScoreChain(), ScoreChain()
+    expected = reference_quantize(value)
+    rounded = cold.on_grid(value)
+    assert rounded is cold.score(expected) and cold.on_grid(value) is rounded
+    assert warm.score(expected) is warm.on_grid(value)
+
+
+@pytest.mark.parametrize("value", GRID_EDGES, ids=repr)
+def test_on_grid_rounds_as_the_fraction_reference(value):
+    check_on_grid(value)
+
+
+def test_on_grid_matches_the_reference_on_seeded_values():
+    seed = stable_seed("on_grid")
+    rng = random.Random(seed)
+    with replay_hint(seed):
+        for _ in range(3000):
+            kind = rng.randrange(4)
+            if kind == 0:
+                value = rng.random()
+            elif kind == 1:
+                den = rng.randint(1, 10**rng.randint(1, 60))
+                value = Fraction(rng.randint(0, den), den)
+            elif kind == 2:
+                value = (2 * rng.randrange(10**GRID_PLACES) + 1) * HALF_STEP
+            else:
+                value = float((2 * rng.randrange(10**GRID_PLACES) + 1) * HALF_STEP)
+            check_on_grid(value)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.floats(min_value=0, max_value=1),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**40),
+    st.integers(0, 10**GRID_PLACES - 1).map(lambda k: (2 * k + 1) * HALF_STEP),
+))
+def test_on_grid_matches_the_reference(value):
+    check_on_grid(value)
+
+
+def test_on_grid_keeps_one_entry_per_grid_value():
+    chain = ScoreChain()
+    scores = [chain.on_grid(Fraction(k, 10**9)) for k in range(5000)]  # steps 0 to 5
+    assert len(chain._grid) == len({id(s) for s in scores}) == 6
+
+
+@pytest.mark.parametrize("chain, value", [
+    (ScoreChain(), -0.25), (ScoreChain(), Fraction(3, 2)), (symbolic_chain("no < yes"), 0.5),
+], ids=["below 0", "above 1", "symbolic"])
+def test_on_grid_refuses_a_value_off_the_rational_grid(chain, value):
+    with pytest.raises(ChainError, match="^cannot round .* onto the grid of "):
+        chain.on_grid(value)
+    assert not chain._grid
+
+
+CLAMPED = (
+    Fraction(-3, 2), Fraction(-1, 10**30), Fraction(0), Fraction(1, 3), Fraction(1),
+    Fraction(10**30 + 1, 10**30), Fraction(7, 2),
+    -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, float("inf"), float("-inf"),
+)
+
+
+def check_clamp01(value) -> None:
+    clamped, expected = clamp01(value), reference_clamp01(value)
+    assert clamped == expected and type(clamped) is type(expected)
+    if 0 <= value <= 1:
+        assert clamped is value
+
+
+@pytest.mark.parametrize("value", CLAMPED, ids=repr)
+def test_clamp01_gives_the_reference_values(value):
+    check_clamp01(value)
+
+
+@given(st.one_of(st.fractions(max_denominator=10**20), st.floats(allow_nan=False)))
+def test_clamp01_matches_the_reference(value):
+    check_clamp01(value)
+
+
+def test_clamp01_refuses_nan():
+    with pytest.raises(EvalError, match="^expression evaluates to NaN$"):
+        clamp01(float("nan"))
+
+
 def rnd_keyed_table(rng: random.Random, scheme: Scheme, chain) -> RankedTable:
     """Rows scored on ``KEYED`` (or the nonzero levels), equal values often in new objects."""
     pool = fresh_scores(chain)[1:]
@@ -388,13 +498,17 @@ def test_rank_profile_matches_the_sort_reference():
     with replay_hint(seed):
         for _ in range(1500):
             d1, d2 = rnd_profile_pair(rng)
-            floors, escaping = rank_profile_values(d1, d2)
-            expected_floors, expected_escaping = reference_rank_profile(d1, d2)
-            assert list(floors.items()) == list(expected_floors.items())
-            assert Counter(escaping) == Counter(expected_escaping)
-            first = min(expected_escaping, default=None)
+            profiles = both_rank_profile_values(d1, d2)
+            for (floors, escaping), (a, b) in zip(profiles, ((d1, d2), (d2, d1))):
+                expected_floors, expected_escaping = reference_rank_profile(a, b)
+                assert list(floors.items()) == list(expected_floors.items())
+                assert Counter(escaping) == Counter(expected_escaping)
+            escaping, backward = profiles[0][1], profiles[1][1]
+            first = min(escaping, default=None)
             assert ordinal.first_inclusion_violation(d1, d2) == first
-            assert ordinal.ordinally_included(d1, d2) == (not expected_escaping)
+            assert ordinal.ordinally_included(d1, d2) == (not escaping)
+            assert ordinal.compare(d1, d2) == (first, not backward)
+            assert ordinal.ordinally_equivalent(d1, d2) == (not escaping and not backward)
             values = [s.value for _, s in (*d1, *d2)]
             objects = {id(s) for _, s in (*d1, *d2)}
             seen["symbolic"] += d1.chain is LEVELS
@@ -560,7 +674,7 @@ def test_kernels_hash_each_distinct_score_not_each_row(monkeypatch):
     counting(Fraction)
     for pair in ((d1, d2), (d2, d1)):
         hashes.clear()
-        ordinal._rank_profile(*pair)
+        list(ordinal._rank_profile(*pair))  # both directions
         assert max(hashes.values(), default=0) < 100, hashes
     for f in maps:
         hashes.clear()
