@@ -25,8 +25,9 @@ case-insensitive, read in lower case as in queries)::
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, Union
 
 from . import planner
@@ -129,15 +130,6 @@ def free_vars(phi: Formula) -> tuple[str, ...]:
     return tuple(dict.fromkeys(var for var, free in _variables(phi) if free))
 
 
-def _nesting(phi: Formula) -> int:
-    """Deepest chain of quantifiers, one inside the other."""
-    if isinstance(phi, (ForAll, Exists)):
-        return 1 + _nesting(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return max(_nesting(phi.left), _nesting(phi.right))
-    return 0
-
-
 # --- structures -------------------------------------------------------------
 
 
@@ -168,6 +160,12 @@ class Structure:
             arity = self.arities.get(symbol)
             if arity is None:
                 raise EvalError(f"interpretation for undeclared symbol {symbol!r}")
+            # One set check per rule; the universe holds strings only, so the
+            # first covers two.  The loops run only to name what breaks a rule.
+            chains = set(map(id, map(attrgetter("chain"), interp.values())))
+            if (universe.issuperset(itertools.chain.from_iterable(interp))
+                    and set(map(len, interp)) <= {arity} and chains <= {id(self.chain)}):
+                continue
             for element in itertools.chain.from_iterable(interp):
                 if not isinstance(element, str):
                     raise EvalError(f"the vectors of {symbol!r} must hold strings only")
@@ -211,20 +209,20 @@ def evaluate(phi: Formula, m: Structure, valuation: Mapping[str, str]) -> Score:
 
     Compiles ``phi`` against ``m`` and runs it on rank codes.  The last
     compilation is kept, matched by identity on ``phi`` and ``m`` and by the
-    valuation's names, so the per-valuation calls of :func:`table_of` compile
-    once; a structure whose interpretations are changed in place after that
-    must be rebuilt to be seen.
+    valuation's names, so the per-valuation calls of :func:`table_of`, which
+    compiles first, compile nothing; a structure whose interpretations are
+    changed in place after that must be rebuilt to be seen.
     """
     global _last
     names = tuple(valuation)
     last = _last
     if last is None or last[0] is not phi or last[1] is not m or last[2] != names:
         last = _last = (phi, m, names, _compile(phi, m, names))
-    run, decode, binders = last[3]
+    run, decode, binders, _, _ = last[3]
     return decode[run([*valuation.values(), *binders])]
 
 
-#: ``(phi, m, names, compiled)`` of the last :func:`evaluate` call.
+#: ``(phi, m, names, compiled)`` of the last compilation for :func:`evaluate`.
 _last = None
 
 
@@ -232,51 +230,41 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
     """Compile a formula against a structure into one closure over rank codes.
 
     The codes are :func:`chain.rank_codes` of the interpretations' scores,
-    plus bottom and top, from 0 to ``top``.  Returns ``(run, decode, binders)``:
-    ``run(env)`` is the code of the formula's value, where ``env`` holds the
-    values of ``names`` followed by one slot per binder (``binders`` gives
-    their initial contents), and ``decode[code]`` is the score.  Atoms are
-    checked here, in evaluation order, so every error is raised before any
-    short-cut could skip its branch.
+    plus bottom and top, from 0 to ``top``.  Returns
+    ``(run, decode, binders, work, coded)``: ``run(env)`` is the code of the
+    formula's value, where ``env`` holds the values of ``names`` followed by
+    one slot per binder (``binders`` gives their initial contents), and
+    ``decode[code]`` is the score.  ``coded`` maps each symbol's vectors above
+    bottom to their codes.  ``work`` bounds the valuations one run visits:
+    the largest product of range sizes (below) along a chain of quantifiers,
+    one inside the other, and 1 with no quantifier.  Atoms are checked here,
+    in evaluation order, so every error is raised before any short-cut could
+    skip its branch.
 
-    A quantifier over ``v`` ranges only over its guard's support when it has
-    a guard: the first atom holding ``v``, left to right, among the ``&``
-    conjuncts of an ``exists`` body, or of the antecedent of a ``forall``
-    body ``a -> b`` (``~a`` included).  The atom's other arguments are bound
-    outside the quantifier, so its support is indexed here, once, by their
-    values; a repeated ``v`` keeps only vectors that agree on it.  That is
-    exact: where the guard is bottom, so is the conjunction, which cannot
-    raise a supremum, and ``a -> b`` is top, which cannot lower an infimum.
-    A quantifier with no guard ranges over the universe.
+    A quantifier over ``v`` ranges over the intersection of its guards'
+    supports (:func:`_range`).  A guard is an atom holding ``v`` among the
+    ``&`` conjuncts of an ``exists`` body, or of the antecedent of a
+    ``forall`` body ``a -> b`` (``~a`` included).  A guard's other arguments
+    are bound outside the quantifier, so its support is indexed here, once,
+    by their values.  That is exact: outside one guard's support that guard
+    is bottom, so the conjunction is too, which cannot raise a supremum, and
+    ``a -> b`` is top, which cannot lower an infimum.  A quantifier with no
+    guard ranges over the universe.
     """
     chain = m.chain
     stored = [s for interp in m.interps.values() for s in interp.values()]
     code, decode = rank_codes((chain.bottom, chain.top, *stored))
     top = len(decode) - 1
-    coded = {symbol: {vector: code[id(s)] for vector, s in interp.items()}
+    coded = {symbol: {vector: c for vector, s in interp.items() if (c := code[id(s)])}
              for symbol, interp in m.interps.items()}
     universe = m.universe
     width = len(names)
 
-    def support(guard: Atom, var: str, scope: dict[str, int]):
-        """``elements(env)``: the values of ``var`` where ``guard`` is above bottom."""
-        at = [i for i, arg in enumerate(guard.args) if arg == var]
-        others = [i for i, arg in enumerate(guard.args) if arg != var]
-        key = bound = lambda seq: ()
-        if others:
-            key = itemgetter(*others)
-            bound = itemgetter(*(scope[guard.args[i]] for i in others))
-        index: dict[object, list[str]] = {}
-        for vector, c in coded.get(guard.symbol, {}).items():
-            if c and all(vector[i] == vector[at[0]] for i in at):
-                index.setdefault(key(vector), []).append(vector[at[0]])
-        get = index.get
-        return lambda env: get(bound(env), ())
-
     def build(node: Formula, scope: dict[str, int]):
+        """``(closure, work)`` of ``node``, its variables read at ``scope``'s slots."""
         nonlocal width
         if isinstance(node, Falsum):
-            return lambda env: 0
+            return (lambda env: 0), 1
         if isinstance(node, Atom):
             slots = []
             for var in node.args:
@@ -287,14 +275,15 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
             get = coded.get(node.symbol, {}).get
             if not slots:
                 constant = get((), 0)
-                return lambda env: constant
+                return (lambda env: constant), 1
             if len(slots) == 1:
                 slot = slots[0]
-                return lambda env: get((env[slot],), 0)
+                return (lambda env: get((env[slot],), 0)), 1
             pick = itemgetter(*slots)
-            return lambda env: get(pick(env), 0)
+            return (lambda env: get(pick(env), 0)), 1
         if isinstance(node, (And, Or, Implies)):
-            left, right = build(node.left, scope), build(node.right, scope)
+            (left, work), (right, other) = build(node.left, scope), build(node.right, scope)
+            work = max(work, other)
             if isinstance(node, And):
                 def meet_codes(env):
                     a = left(env)
@@ -302,7 +291,7 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
                         return 0
                     b = right(env)
                     return a if a <= b else b
-                return meet_codes
+                return meet_codes, work
             if isinstance(node, Or):
                 def join_codes(env):
                     a = left(env)
@@ -310,7 +299,7 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
                         return top
                     b = right(env)
                     return a if a >= b else b
-                return join_codes
+                return join_codes, work
 
             def residuum_codes(env):
                 a = left(env)
@@ -318,16 +307,17 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
                     return top
                 b = right(env)
                 return top if a <= b else b
-            return residuum_codes
+            return residuum_codes, work
         if isinstance(node, (ForAll, Exists)):
             slot = width
             width += 1
-            body = build(node.body, {**scope, node.var: slot})
+            body, inner = build(node.body, {**scope, node.var: slot})
             if isinstance(node, Exists):
-                guard = _guard(node.body, node.var)
+                guards = _guards(node.body)
             else:
-                guard = _guard(node.body.left, node.var) if isinstance(node.body, Implies) else None
-            elements = support(guard, node.var, scope) if guard else lambda env: universe
+                guards = _guards(node.body.left) if isinstance(node.body, Implies) else {}
+            elements, size = _range(guards.get(node.var, []), node.var, scope, coded, universe)
+            work = max(1, size * inner)
             if isinstance(node, ForAll):
                 def infimum(env):
                     low = top
@@ -339,7 +329,7 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
                                 return 0
                             low = value
                     return low
-                return infimum
+                return infimum, work
 
             def supremum(env):
                 high = 0
@@ -351,30 +341,141 @@ def _compile(phi: Formula, m: Structure, names: tuple[str, ...]):
                             return top
                         high = value
                 return high
-            return supremum
+            return supremum, work
         raise EvalError(f"unknown formula node {node!r}")
 
-    run = build(phi, {name: slot for slot, name in enumerate(names)})
-    return run, decode, (None,) * (width - len(names))
+    run, work = build(phi, {name: slot for slot, name in enumerate(names)})
+    return run, decode, (None,) * (width - len(names)), work, coded
 
 
-def _guard(phi: Formula, var: str) -> Atom | None:
-    """The first atom holding ``var`` among the ``&`` conjuncts of ``phi``, left to right."""
+def _conjuncts(phi: Formula):
+    """The ``&`` conjuncts of ``phi``, left to right; ``phi`` itself if it is no conjunction."""
     if isinstance(phi, And):
-        return _guard(phi.left, var) or _guard(phi.right, var)
-    return phi if isinstance(phi, Atom) and var in phi.args else None
+        yield from _conjuncts(phi.left)
+        yield from _conjuncts(phi.right)
+    else:
+        yield phi
 
 
-#: Most valuations ``table_of`` may visit (the universe size raised to the
-#: number of free variables plus the deepest quantifier nesting, which bounds
-#: the work by formula size times the cap).  The count is the worst case, a
-#: quantifier with no guard at every level: a guarded quantifier visits
-#: fewer, but ``calc`` refuses the same formulas either way.
+def _guards(phi: Formula) -> dict[str, list[Atom]]:
+    """Per variable, the distinct atoms holding it among the ``&`` conjuncts of ``phi``,
+    left to right."""
+    guards: dict[str, dict[Atom, None]] = {}
+    for atom in _conjuncts(phi):
+        if isinstance(atom, Atom):
+            for var in atom.args:
+                guards.setdefault(var, {})[atom] = None
+    return {var: list(atoms) for var, atoms in guards.items()}
+
+
+def _range(guards: list[Atom], var: str, slots: Mapping[str, int], coded, universe):
+    """Where ``var`` ranges: ``(elements, size)``, ``elements(env)`` iterable.
+
+    A guard's support is indexed once by the values of its arguments that
+    ``slots`` holds, which ``env`` carries at those slots; its other
+    arguments are projected out, and a repeated ``var`` keeps only vectors
+    that agree on it.  ``elements(env)`` reads the first guard's bucket in
+    stored order and keeps the values that every other guard's bucket holds,
+    so the order never depends on hashing.  ``size`` bounds its length: the
+    largest bucket of the narrowest guard.  With no guard, ``elements`` gives
+    the universe and ``size`` is its size.
+    """
+    supports, sizes = [], []
+    for guard in guards:
+        at = [i for i, arg in enumerate(guard.args) if arg == var]
+        by = [i for i, arg in enumerate(guard.args) if arg != var and arg in slots]
+        vectors = coded.get(guard.symbol, {})
+        if len(at) > 1:
+            vectors = [vector for vector in vectors if len({vector[i] for i in at}) == 1]
+        key = itemgetter(*by) if by else lambda vector: ()
+        bound = itemgetter(*(slots[guard.args[i]] for i in by)) if by else lambda env: ()
+        value = itemgetter(at[0])
+        index: dict[object, dict[str, None]] = defaultdict(dict)  # ordered sets
+        for vector in vectors:
+            index[key(vector)][value(vector)] = None
+        supports.append((index.get, bound))
+        sizes.append(max(map(len, index.values()), default=0))
+    if not supports:
+        return (lambda env: universe), len(universe)
+    size = min(sizes)
+    (get, bound), *rest = supports
+    if not rest:
+        return (lambda env: get(bound(env), ())), size
+
+    def elements(env):
+        values = get(bound(env), ())
+        for other, key in rest:
+            values = filter(other(key(env), ()).__contains__, values)
+        return values
+    return elements, size
+
+
+def _free_ranges(phi: Formula, variables: tuple[str, ...], coded, universe):
+    """Where each free variable ranges, and a bound on the count of valuations.
+
+    Where ``phi`` is a conjunction (an atom alone included), or a chain of
+    leading ``exists`` over one, a free variable is guarded by the atom
+    conjuncts that hold it, each indexed on the free variables before it and
+    projected over its other arguments, the leading binders included
+    (:func:`_range`).  A level keyed
+    on no earlier variable is a list; a keyed one is ``elements(values)``,
+    read with the earlier values at their places in ``values``.  The count
+    is the product of the levels' sizes.
+    """
+    body = phi
+    while isinstance(body, Exists):
+        body = body.body
+    guards = _guards(body)
+    levels, count, earlier = [], 1, {}
+    for place, var in enumerate(variables):
+        mine = guards.get(var, [])
+        elements, size = _range(mine, var, earlier, coded, universe)
+        keyed = any(arg in earlier for atom in mine for arg in atom.args)
+        levels.append(elements if keyed else list(elements(())))
+        count *= size
+        earlier[var] = place
+    return levels, count
+
+
+def _valuations(levels: list):
+    """Value tuples of the free variables, one per candidate valuation.
+
+    One ``itertools.product`` runs over the listed levels; the keyed levels
+    nest inside it, each read with the values before it.
+    """
+    keyed = [place for place, level in enumerate(levels) if callable(level)]
+    listed = [place for place, level in enumerate(levels) if not callable(level)]
+    product = itertools.product(*(levels[place] for place in listed))
+    if not keyed:
+        return product
+    values = [None] * len(levels)
+
+    def nest(depth):
+        if depth == len(keyed):
+            yield tuple(values)
+            return
+        place = keyed[depth]
+        for value in levels[place](values):
+            values[place] = value
+            yield from nest(depth + 1)
+
+    def run():
+        for combination in product:
+            for place, value in zip(listed, combination):
+                values[place] = value
+            yield from nest(0)
+    return run()
+
+
+#: Most valuations ``table_of`` may visit, counted from the indexes it
+#: builds before it evaluates anything: per free variable, the largest
+#: bucket of its narrowest guard, or the universe size where it has none,
+#: times, over the deepest chain of quantifiers, the same product of each
+#: quantifier's range.  The work is bounded by formula size times the cap.
 VALUATION_CAP = 1_000_000
 
 
-def _check_valuations(what: str, size: int, variables: int) -> None:
-    count = size ** variables
+def _check_valuations(what: str, size: int, count: int) -> None:
     if count > VALUATION_CAP:
         raise UnsupportedOperationError(
             f"{what} needs {count:,} valuations over a {size}-element "
@@ -385,15 +486,27 @@ def _check_valuations(what: str, size: int, variables: int) -> None:
 def table_of(m: Structure, phi: Formula) -> RankedTable:
     """The ranked table a formula denotes: free variables become attributes.
 
-    Raises ``UnsupportedOperationError`` before any work when the formula
-    would visit more than ``VALUATION_CAP`` valuations.
+    Compiles ``phi`` once, then scores each candidate valuation with
+    :func:`evaluate`.  A free variable ranges over the intersected supports
+    of its atom conjuncts where ``phi`` is a conjunction, or a chain of
+    leading ``exists`` over one, and over the universe otherwise
+    (:func:`_free_ranges`).  That is exact: outside one atom conjunct's
+    support the conjunction is bottom for every value of the binders, and
+    ``exists`` over bottom is bottom.  Raises ``UnsupportedOperationError``
+    before evaluating anything when the count of valuations exceeds
+    ``VALUATION_CAP``.
     """
+    global _last
     variables = free_vars(phi)
-    _check_valuations("formula", len(m.universe), len(variables) + _nesting(phi))
+    compiled = _compile(phi, m, variables)
+    work, coded = compiled[3:]
+    levels, count = _free_ranges(phi, variables, coded, m.universe)
+    _check_valuations("formula", len(m.universe), count * work)
+    _last = (phi, m, variables, compiled)
     order = sorted(range(len(variables)), key=lambda i: variables[i].lower())
     names = [variables[i].lower() for i in order]  # a row's pairs in name order
     entries = {}
-    for values in itertools.product(m.universe, repeat=len(variables)):
+    for values in _valuations(levels):
         score = evaluate(phi, m, dict(zip(variables, values)))
         if not score.is_bottom:
             entries[Row(zip(names, map(values.__getitem__, order)))] = score

@@ -28,8 +28,11 @@ from .errors import EvalError, ParseError
 
 Number = Union[Fraction, float]
 
+#: A name as the query, formula and expression grammars read it.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>" + NAME_RE.pattern + r")"
     r"|(?P<op><->|<=|>=|==|!=|->|[-+*/^()<>=?:,\[\]&|~.]))"
 )
 

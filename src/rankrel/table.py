@@ -33,6 +33,7 @@ from .errors import (
     RankrelError,
     SchemeError,
 )
+from .exprs import NAME_RE
 
 _KINDS = ("str", "int", "dec")
 
@@ -559,7 +560,8 @@ def to_classic(table: RankedTable) -> frozenset[Row]:
 # --- CSV ------------------------------------------------------------------
 
 
-def parse_header(header: Sequence[str]) -> Scheme:
+def parse_header(header: Sequence[str], line: int = 1) -> Scheme:
+    """The scheme a CSV header names; ``line`` is the header's line, for errors."""
     if not header or header[0].strip() != "#":
         raise SchemeError("first CSV column must be the score column '#'")
     attrs = []
@@ -567,6 +569,9 @@ def parse_header(header: Sequence[str]) -> Scheme:
         name, sep, kind = (part.strip() for part in cell.partition(":"))
         if not sep or kind not in _KINDS:
             raise SchemeError(f"malformed attribute header {cell!r}; expected name:str|int|dec")
+        if not NAME_RE.fullmatch(name):
+            raise SchemeError(f"line {line}: attribute name {name!r} is not a name "
+                              "that queries can read")
         attrs.append((name, AttrType(kind)))
     return Scheme(attrs)
 
@@ -624,7 +629,7 @@ def _read_rows(reader, chain: ScoreChain) -> RankedTable:
         header = next(records)
     except StopIteration:
         raise SchemeError("empty CSV: missing header") from None
-    scheme = parse_header(header)
+    scheme = parse_header(header, reader.line_num)
     width = len(scheme) + 1
     names = scheme.sorted_names
     parsers = [_PARSERS[scheme.attr(name).atype.kind] for name in names]

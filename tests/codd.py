@@ -110,7 +110,7 @@ def algebra_to_formula(expr, tables: Mapping[str, RankedTable], conditions=None)
     arities, interps = dict(base.arities), dict(base.interps)
     for symbol, cond, scored in pending:
         variables = scored.names
-        _check_valuations("condition", len(base.universe), len(variables))
+        _check_valuations("condition", len(base.universe), len(base.universe) ** len(variables))
         order_maps = []  # outermost first
         while isinstance(cond, ComposedCondition):
             order_maps.append(cond.order_map)

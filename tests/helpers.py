@@ -200,21 +200,23 @@ def rnd_formula(rng: random.Random, depth: int = 2, variables=("x", "y", "z"),
 ANY_ARITIES = {"o": 0, "p": 1, "q": 2, "r": 2}
 
 
-def rnd_any_structure(rng: random.Random, chain: ScoreChain, universe_size: int = 3):
-    """A structure on either carrier whose interpretations may store bottom."""
+def rnd_any_structure(rng: random.Random, chain: ScoreChain, universe_size: int = 3,
+                      arities=ANY_ARITIES, density: float = 0.5):
+    """A structure on either carrier whose interpretations may store bottom;
+    each vector is stored with probability ``density``."""
     if chain.is_rational:
         scores = [chain.score(value) for value in GRID]
     else:
         scores = [chain.score(level) for level in chain.levels]
     universe = tuple(f"m{i}" for i in range(universe_size))
     interps = {}
-    for symbol, arity in ANY_ARITIES.items():
+    for symbol, arity in arities.items():
         interps[symbol] = {
             vector: rng.choice(scores)
             for vector in itertools.product(universe, repeat=arity)
-            if rng.random() < 0.5
+            if rng.random() < density
         }
-    return Structure(chain, universe, dict(ANY_ARITIES), interps)
+    return Structure(chain, universe, dict(arities), interps)
 
 
 def reference_evaluate(phi, m: Structure, valuation) -> Score:

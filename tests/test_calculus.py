@@ -4,7 +4,10 @@
 import itertools
 import pickle
 import random
+import re
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -161,6 +164,13 @@ class TestEvaluate:
 LEVELS = ScoreChain(("none", "low", "mid", "high", "full"))
 
 
+def with_ternary(m: Structure, rng: random.Random, density: float) -> Structure:
+    """``m`` plus a ternary symbol ``t``, each vector stored with probability ``density``."""
+    extra = rnd_any_structure(rng, m.chain, len(m.universe), {"t": 3}, density)
+    return Structure(m.chain, m.universe, {**m.arities, **extra.arities},
+                     {**m.interps, **extra.interps})
+
+
 class TestRankCodes:
     """``evaluate`` and ``table_of`` against the recursive evaluator on scores."""
 
@@ -184,12 +194,32 @@ class TestRankCodes:
         "exists x. exists z. (q(x, z) & r(z, x))",  # x bound by an outer quantifier
         "exists z. (q(x, z) & exists z. r(z, x))",  # inner binder shadows the guard's variable
         "forall z. (q(z, x) -> exists x. q(x, z))",  # and the guard's other argument
+        # a quantifier ranges over the intersection of all its guards
+        "exists z. (q(x, z) & r(z, y))",  # two guards, keyed on different free variables
+        "exists z. (q(x, z) & (p(z) & r(y, z)))",  # three, one in a nested conjunction
+        "forall z. ((q(x, z) & r(z, y)) -> p(z))",  # two in a forall antecedent
+        "forall z. ~(q(x, z) & r(y, z))",  # and in ~a
+        "exists z. (t(x, z, z) & r(z, x))",  # a repeated binder in one of them
+        # free variables range over their atom conjuncts' supports
+        "q(x, y) & p(y)",
+        "exists z. exists w. (q(x, z) & (r(z, w) & t(w, y, x)))",  # through leading binders
+        "q(x, x) & r(x, y)",  # a repeated free variable
+        "exists z. (t(z, z, x) & q(x, y))",  # a repeated binder beside a free variable
+        "p(x) & (q(x, y) | false)",  # y is guarded only inside |: it keeps the universe
+        "p(x) & (q(y, x) -> p(y))",  # and only inside ->
+        "exists x. (q(x, y) & exists y. r(y, x))",  # a binder shadows the free guard argument
+        "exists z. (q(z, x) & forall x. (r(x, z) -> p(x)))",  # and a forall's binder
+        "exists z. (t(x, z, y) & t(x, w, v))",  # the demo formula's shape
     ])
     def test_fixed_formulas(self, chain, text):
-        rng = random.Random(41)
+        rng, ternary = random.Random(41), random.Random(42)
         phi = parse_formula(text)
         for _ in range(20):
-            m = rnd_any_structure(rng, chain)
+            m = with_ternary(rnd_any_structure(rng, chain), ternary, 0.5)
+            assert table_of(m, phi) == reference_table_of(m, phi)
+        # sparse supports, so that guards leave values out
+        for _ in range(20):
+            m = with_ternary(rnd_any_structure(rng, chain, 4, density=0.3), ternary, 0.1)
             assert table_of(m, phi) == reference_table_of(m, phi)
 
     @pytest.mark.parametrize("chain", [RATIONAL, LEVELS], ids=["rational", "levels"])
@@ -236,9 +266,30 @@ class TestRankCodes:
         monkeypatch.setattr(calculus, "_compile", counting_compile)
         monkeypatch.setattr(calculus, "evaluate", counting_evaluate)
         table = table_of(m, phi)
-        assert len(evaluated) == 900 and len(compiled) == 1
+        # x ranges over r's first column and y over s's second, z projected out
+        candidates = len({x for x, _ in interps["r"]}) * len({y for _, y in interps["s"]})
+        assert len(evaluated) == candidates < 900 and len(compiled) == 1
         monkeypatch.undo()
         assert table == reference_table_of(m, phi)
+
+    def test_a_quantifier_visits_its_guards_intersection_in_stored_order(self):
+        universe = tuple(f"e{i}" for i in range(30))
+        rng = random.Random(59)
+        scores = [RATIONAL.score(Fraction(level, 4)) for level in range(1, 5)]
+        r, s = ({pair: rng.choice(scores) for pair in itertools.product(universe, repeat=2)
+                 if rng.random() < 0.1} for _ in range(2))
+        m = Structure(RATIONAL, universe, {"r": 2, "s": 2}, {"r": r, "s": s})
+        _, _, ran = counted_run(m, parse_formula("exists z. (r(x, z) & s(z, y))"))
+        # z runs over r's successors of x in stored order, kept where s(z, y)
+        # holds, up to the first top; any other order changes the early exits
+        expected = 0
+        xs, ys = dict.fromkeys(a for a, _ in r), dict.fromkeys(b for _, b in s)
+        for x, y in itertools.product(xs, ys):
+            for z in (b for a, b in r if a == x and (b, y) in s):
+                expected += 1
+                if min(r[x, z], s[z, y]).is_top:
+                    break
+        assert list(ran.values()) == [expected]
 
 
 class TestErrors:
@@ -295,23 +346,124 @@ class TestTableOf:
 
 
     def test_valuation_cap_counts_free_and_bound_variables(self, structure, monkeypatch):
-        # two free variables and one binder deep over three elements: 27 valuations
         monkeypatch.setattr(calculus, "VALUATION_CAP", 27)
-        table_of(structure, parse_formula("exists z. (s(x, y) & r(z))"))
+        # x ranges over s's 2 first values, y over 1 successor each, z over r's 3 values
+        assert valuation_count(structure, parse_formula("exists z. (s(x, y) & r(z))")) == 6
+        # 2 * 1 free valuations, z unguarded over 3, w over z's 1 successor: 6
+        assert valuation_count(structure, parse_formula(
+            "exists z. exists w. (s(x, y) & s(z, w))")) == 6
+        table_of(structure, parse_formula("exists z. exists w. (s(x, y) & s(z, w))"))
+        # no conjunction guards x or y, and no atom guards z or w: 3^4 valuations
         with pytest.raises(UnsupportedOperationError, match=r"81 valuations .* cap of 27$"):
-            table_of(structure, parse_formula("exists z. exists w. (s(x, y) & s(z, w))"))
+            table_of(structure, parse_formula("exists z. exists w. (s(x, y) | s(z, w))"))
 
-    def test_demo_join_formula_refused_before_evaluating(self, monkeypatch):
+    @pytest.mark.parametrize("text, count", [
+        # id over houses' 6 ids, sqft 1 per id, agent 2 at most, price 1 per agent; x 1
+        ("exists x. (houses(id, x, sqft) & offers(id, a, p))", 12),
+        # a, b, c through houses' 6 rows; three unguarded binders over 26 elements
+        ("exists x. exists x. exists x. houses(a, b, c)", 6 * 26 ** 3),
+        # an implication guards no free variable
+        ("houses(a, b, c) -> offers(d, e, f)", 26 ** 6),
+    ])
+    def test_cap_counts_what_runs(self, text, count):
         m = structure_from_tables(demo.demo_catalog().tables)
-        phi = parse_formula("exists x. (houses(id, x, sqft) & offers(id, a, p))")
+        phi = parse_formula(text)
+        assert valuation_count(m, phi) == count
+        if count > calculus.VALUATION_CAP:
+            with pytest.raises(UnsupportedOperationError,
+                               match=rf"^formula needs {count:,} valuations over a 26-element "
+                                     r"universe, above the cap of 1,000,000$"):
+                table_of(m, phi)
+        else:
+            table_of(m, phi)
+
+    def test_formula_over_the_cap_refused_before_evaluating(self, monkeypatch):
+        m = structure_from_tables(demo.demo_catalog().tables)
+        phi = parse_formula("houses(a, b, c) -> offers(d, e, f)")
 
         def refuse(*args):
             raise AssertionError("evaluated a formula over the valuation cap")
 
         monkeypatch.setattr(calculus, "evaluate", refuse)
         with pytest.raises(UnsupportedOperationError,
-                           match=r"11,881,376 valuations .* cap of 1,000,000$"):
+                           match=r"308,915,776 valuations .* cap of 1,000,000$"):
             table_of(m, phi)
+
+    def test_demo_join_formula_gives_the_algebras_six_rows(self):
+        m = structure_from_tables(demo.demo_catalog().tables)
+        phi = parse_formula("exists x. (houses(id, x, sqft) & offers(id, a, p))")
+        table = table_of(m, phi)
+        assert len(table) == 6
+        assert table == planner.evaluate_over(*formula_to_algebra(phi, m))
+
+    @pytest.mark.parametrize("chain", [RATIONAL, LEVELS], ids=["rational", "levels"])
+    def test_count_bounds_a_counted_run(self, chain):
+        rng = random.Random(53)
+        for trial in range(120):
+            if trial % 2:
+                m = rnd_any_structure(rng, chain)
+            else:
+                m = rnd_any_structure(rng, chain, 4, density=0.3)
+            phi = rnd_formula(rng, depth=3, arities=ANY_ARITIES)
+            count = valuation_count(m, phi)
+            evaluated, entered, ran = counted_run(m, phi)
+            assert evaluated <= count, str(phi)
+            for slot in entered:
+                assert entered[slot] <= count and ran[slot] <= count, str(phi)
+
+
+def valuation_count(m: Structure, phi) -> int:
+    """The count of valuations ``table_of`` caps, read from its refusal under a cap of -1."""
+    cap = calculus.VALUATION_CAP
+    calculus.VALUATION_CAP = -1
+    try:
+        table_of(m, phi)
+    except UnsupportedOperationError as exc:
+        return int(re.search(r"needs ([\d,]+) valuations", str(exc))[1].replace(",", ""))
+    finally:
+        calculus.VALUATION_CAP = cap
+    raise AssertionError("a formula was not refused under a cap of -1")
+
+
+def counted_run(m: Structure, phi):
+    """``(evaluated, entered, ran)`` of one ``table_of``: its ``evaluate`` calls,
+    and per quantifier (by its slot) the valuations that entered it and that
+    its body ran under.
+
+    Each entry calls ``elements`` once and then the body once per element,
+    and both are Python functions, so the body's runs are the calls made in
+    the quantifier's frame less its entries.
+    """
+    evaluated = 0
+    entered, called = Counter(), Counter()
+    quantifiers = {"infimum", "supremum"}
+
+    def is_quantifier(frame) -> bool:
+        return frame.f_code.co_name in quantifiers and frame.f_code.co_filename == calculus.__file__
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if is_quantifier(frame):
+            entered[frame.f_locals["slot"]] += 1
+        if frame.f_back is not None and is_quantifier(frame.f_back):
+            called[frame.f_back.f_locals["slot"]] += 1
+
+    evaluate_ = calculus.evaluate
+
+    def counting_evaluate(*args):
+        nonlocal evaluated
+        evaluated += 1
+        return evaluate_(*args)
+
+    calculus.evaluate = counting_evaluate
+    sys.setprofile(profile)
+    try:
+        table_of(m, phi)
+    finally:
+        sys.setprofile(None)
+        calculus.evaluate = evaluate_
+    return evaluated, entered, {slot: called[slot] - entered[slot] for slot in entered}
 
 
 class TestFormulaToAlgebra:

@@ -15,7 +15,7 @@ import pytest
 from helpers import reference_compose_table, reference_rank_profile, replay_hint, stable_seed
 
 import rankrel
-from rankrel import algebra, demo, ordinal
+from rankrel import algebra, calculus, demo, ordinal, planner
 from rankrel.catalog import parse_config
 from rankrel.chain import RATIONAL, exact_decimal_str
 from rankrel.cli import main
@@ -687,20 +687,27 @@ class TestTopkPlanCalc:
         assert header == ["#", "id", "name"]
         assert cells == expected
 
-    def test_calc_over_valuation_cap_fails_fast(self, capsys):
-        code, out, err = run(
-            capsys, "calc", "exists x. (houses(id, x, sqft) & offers(id, a, p))"
-        )
-        assert code == 1
-        assert out == ""
-        assert "11,881,376 valuations" in err and "cap of 1,000,000" in err
+    def test_calc_demo_join_formula_prints_the_algebras_six_rows(self, capsys):
+        text = "exists x. (houses(id, x, sqft) & offers(id, a, p))"
+        code, out, err = run(capsys, "calc", text, "--exact")
+        assert (code, err) == (0, "")
+        m = calculus.structure_from_tables(demo.demo_catalog().tables)
+        expected = planner.evaluate_over(*calculus.formula_to_algebra(
+            calculus.parse_formula(text), m))
+        assert len(expected) == 6 and read_table_csv(out) == expected
 
     def test_calc_cap_counts_repeated_binders(self, capsys):
+        # three binders over 26 elements for each of houses' 6 rows: 105,456
         start = time.perf_counter()
         code, out, err = run(capsys, "calc", "exists x. exists x. exists x. houses(a, b, c)")
+        assert (code, out, err) == run(capsys, "calc", "houses(a, b, c)")
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        code, out, err = run(capsys, "calc",
+                             "exists x. exists x. exists x. exists x. exists x. houses(a, b, c)")
         assert time.perf_counter() - start < 1
         assert code == 1 and out == ""
-        assert "308,915,776 valuations" in err and "cap of 1,000,000" in err
+        assert "71,288,256 valuations" in err and "cap of 1,000,000" in err
 
 
 def test_verify_passes(capsys):
@@ -805,6 +812,8 @@ UNCAUGHT_BEFORE = [
     ("config-long-number", _long_number_config, "number of 5000 characters is too long"),
     ("rename-twice", lambda tmp: ["eval", "rename(houses, [id -> a, id -> b])"],
      "attribute 'id' is renamed twice at query"),
+    ("header-name-no-query-reads", _catalog_csv("#,my id:int,w:int\n1,2,3\n"),
+     "a.csv: line 1: attribute name 'my id' is not a name that queries can read"),
     # errors after a record that spans lines name the line the reader reached
     ("two-line-record-bad-int", _catalog_csv(HEADER + TWO_LINE_RECORD + "0.7,x,def\n"),
      "line 4: cannot parse 'x' as int"),

@@ -8,9 +8,10 @@ the CSV reader and writer, ordinal inclusion, the rank profile under it and
 parsers count texts of 200, 400 and 800 operands (an ``&`` chain of atoms,
 nested joins) or list items (an attribute list, a rename list, atom
 arguments, call arguments).  The
-``table_of`` cases count a guarded quantifier's formula over 200, 400 and
-800 universe elements of out-degree 3: it ranges over the guard's 3
-successors, where a quantifier over the whole universe nears 4x.  For a fixed input the count
+``table_of`` cases count formulas over 200, 400 and 800 universe elements
+of out-degree 3: a guarded quantifier ranges over its guard's 3 successors,
+and the free variables of ``q(x, y) & p(y)`` over q's pairs, where a
+variable over the whole universe nears 4x.  For a fixed input the count
 is deterministic, so the bound needs no timing margin: a linear operator
 stays near 2x per doubling, a per-pair loop nears 4x.  (``RATIONAL`` builds
 each value's one score once per process, so the first case to meet a value
@@ -117,6 +118,7 @@ CASES = {
                                           parse_formula("exists z. (q(x, z) & p(z))")),
     "table_of-forall-guarded": lambda n: (table_of, out_degree_3(n),
                                           parse_formula("forall z. (q(x, z) -> p(z))")),
+    "table_of-free-guarded": lambda n: (table_of, out_degree_3(n), parse_formula("q(x, y) & p(y)")),
     "parse_formula-and-chain": lambda n: (parse_formula, " & ".join(f"r{i}(x{i}, x{i + 1})"
                                                                    for i in range(n))),
     "parse_query-nested-joins": lambda n: (parse_query, "join(" * n + "t" + ", t)" * n),

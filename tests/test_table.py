@@ -4,6 +4,7 @@ import ast
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -339,9 +340,20 @@ class TestCsv:
         table = RankedTable.from_entries(scheme, [({"a": 1}, Fraction(1, 3))])
         assert read_table_csv(write_table_csv(table)) == table
 
-    def test_a_header_name_holding_a_comma_round_trips(self):
-        text = '#,"a,b:int"\n0.5,1\n'
-        assert write_table_csv(read_table_csv(text)) == text
+    def test_a_header_name_holding_a_comma_is_quoted_and_refused_on_read(self):
+        table = RankedTable.from_entries(Scheme((("a,b", INT),)), [({"a,b": 1}, Fraction(1, 2))])
+        text = write_table_csv(table)
+        assert text.splitlines()[0] == '#,"a,b:int"'
+        # no query can name the column, so reading it back is refused
+        with pytest.raises(SchemeError, match=r"^line 1: attribute name 'a,b' is not a name "
+                                              r"that queries can read$"):
+            read_table_csv(text)
+
+    @pytest.mark.parametrize("name", ["my id", "a-b", "1st", "id.x", "naïve"])
+    def test_a_header_name_no_query_can_read_is_refused(self, name):
+        with pytest.raises(SchemeError, match=rf"^line 1: attribute name '{re.escape(name)}'"):
+            read_table_csv(f"#,{name}:int\n0.5,1\n")
+        assert read_table_csv("#, _My_id2 :int\n0.5,1\n").scheme.names == ("_my_id2",)
 
     def test_file_round_trip(self, people, tmp_path):
         path = tmp_path / "people.csv"
