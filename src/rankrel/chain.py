@@ -26,6 +26,8 @@ from typing import Optional, Union
 from .errors import ChainError, EvalError, IncompatibleChainError
 
 Rational = Union[Fraction, int]
+#: An exact expression value as integers ``(num, den)``, ``den > 0``, not necessarily reduced.
+Ratio = tuple[int, int]
 
 
 #: Decimal places of the one score grid that float results are rounded onto.
@@ -33,8 +35,18 @@ GRID_PLACES = 6
 _GRID = 10**GRID_PLACES
 
 
-def clamp01(value: Union[Fraction, float]) -> Union[Fraction, float]:
-    """Clamp an expression result into [0, 1]; an infinity clamps, a NaN is an ``EvalError``."""
+def clamp01(value: Union[Fraction, float, Ratio]) -> Union[Fraction, float, Ratio]:
+    """Clamp an expression result into [0, 1]; an infinity clamps, a NaN is an ``EvalError``.
+
+    An integer ratio ``(num, den)``, ``den > 0``, as ``exprs.compile_ratio``
+    gives, clamps to a ratio.
+    """
+    if isinstance(value, tuple):
+        if value[0] < 0:
+            return (0, 1)
+        if value[0] > value[1]:
+            return (1, 1)
+        return value
     if isinstance(value, Fraction):  # compare its integers: the denominator is positive
         if value.numerator < 0:
             return Fraction(0)
@@ -146,16 +158,17 @@ class ScoreChain:
                 return self._keep(raw)
         raise ChainError(f"symbolic scores take a level name, got {raw!r}")
 
-    def on_grid(self, value: Union[Fraction, float]) -> "Score":
+    def on_grid(self, value: Union[Fraction, float, Ratio]) -> "Score":
         """The score of a value in [0, 1] rounded half-even onto the ``GRID_PLACES`` grid.
 
         Rounds with integer arithmetic on ``value.as_integer_ratio()``, exact
-        for floats and ``Fraction``s alike, and looks the grid numerator up
+        for floats and ``Fraction``s alike, or on an integer ratio ``(num,
+        den)``, ``den > 0``, reduced or not; it looks the grid numerator up
         in its own dict; a numerator met first is kept through ``_keep``, so
         each grid value is still one ``Score``.  A value that rounds off the
         grid, or a symbolic chain, is a ``ChainError``.
         """
-        num, den = value.as_integer_ratio()
+        num, den = value if isinstance(value, tuple) else value.as_integer_ratio()
         step, rest = divmod(num * _GRID, den)
         if 2 * rest > den or (2 * rest == den and step & 1):
             step += 1

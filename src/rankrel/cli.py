@@ -28,7 +28,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import calculus, checks, demo, ordinal, planner, topk
+from . import ordinal, planner
 from .catalog import Catalog, parse_config
 from .chain import RATIONAL
 from .errors import RankrelError
@@ -46,8 +46,13 @@ from .table import (
 )
 
 
+# A command imports the modules only it uses when it runs: `calculus`,
+# `checks`, `demo` and `topk` cost every other command's start-up nothing.
+
+
 def _load_catalog(path: str | None) -> Catalog:
     if path is None:
+        from . import demo
         return demo.demo_catalog()
     return Catalog.from_dir(path)
 
@@ -103,6 +108,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_topk(args) -> int:
+    from . import topk
     catalog = _load_catalog(args.catalog)
     sources = topk.sources(planner.parse_query(args.query), catalog)
     result = topk.top_k(sources, args.k)
@@ -135,6 +141,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_calc(args) -> int:
+    from . import calculus
     catalog = _load_catalog(args.catalog)
     formula = calculus.parse_formula(args.formula)
     structure = calculus.structure_from_tables(catalog.tables)
@@ -144,6 +151,7 @@ def cmd_calc(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
     results = checks.run_all()
     failed = 0
     for result in results:

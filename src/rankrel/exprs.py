@@ -4,11 +4,16 @@ Used both for restriction conditions (attribute references, e.g.
 ``bdrm <= 6 ? 0.1*(4+bdrm) : 1``) and for analytic score maps (single
 variable ``x``, e.g. ``x <= 0.5 ? sqrt(x)/sqrt(2) : 2*(x-0.5)^2 + 0.5``).
 
-Arithmetic stays exact (``Fraction``) until an irrational function such as
-``sqrt`` forces a float.  Callers clamp a result into [0, 1] with
+Arithmetic stays exact until an irrational function such as ``sqrt``, or a
+float operand, forces a float.  The one evaluator computes exact values as
+integer ratios ``(num, den)``, not ``Fraction``s: :func:`compile_expr` turns
+an exact result into one ``Fraction`` at the end of a run, and
+:func:`compile_ratio` leaves it a ratio.  A subtree that names nothing is
+evaluated once, when compiling.  Callers clamp a result into [0, 1] with
 ``chain.clamp01``; a condition rounds a float result onto the score grid with
 ``ScoreChain.on_grid`` and keeps an exact one as it is, and an analytic map
-rounds every result.  Comparisons yield 0/1.  Names are case-insensitive.
+rounds every result, ratios as they are.  Comparisons yield 0/1.  Names are
+case-insensitive.
 
 The tokenizer and :class:`TokenCursor` here also serve the query parser in
 ``planner`` and the formula parser in ``calculus``; the cursor's ``accept``,
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
+from .chain import Ratio
 from .errors import EvalError, ParseError
 
 Number = Union[Fraction, float]
@@ -263,19 +269,35 @@ def free_names(expr: Expr) -> frozenset[str]:
 def compile_expr(expr: Expr) -> Callable[[Mapping[str, object]], Number]:
     """Compile once into nested closures, run under lowercased names -> values.
 
-    A run returns an exact ``Fraction`` unless ``sqrt`` forced a float
-    somewhere in the computation.  String-valued names may only appear in
-    (in)equality comparisons.  Nothing is checked while compiling, and an
-    untaken ternary branch is never evaluated.  A float overflow anywhere in
-    a run is an ``EvalError``.
+    A run returns an exact ``Fraction`` unless ``sqrt`` or a float operand
+    forced a float somewhere in the computation.  A literal, a referenced
+    ``Fraction`` or float, or an argument passed through ``min``/``max`` (or
+    a ternary) is returned as the same object on every run, and so is a
+    constant subtree's value; an exact result of arithmetic becomes one
+    fresh ``Fraction``.  String-valued names may only appear in
+    (in)equality comparisons.  The only evaluation while compiling is that
+    of constant subtrees, once each; one that fails is left to fail when a
+    run reaches it, so an untaken ternary branch never raises.  A float
+    overflow anywhere in a run is an ``EvalError``.
     """
-    run = _compile(expr)
+    return _runner(expr, _fraction)
+
+
+def compile_ratio(expr: Expr) -> Callable[[Mapping[str, object]], Union[Ratio, float]]:
+    """:func:`compile_expr` with an exact result left as a ``Ratio``, never reduced here."""
+    return _runner(expr, _ratio)
+
+
+def _runner(expr: Expr, exact: Callable[[tuple], object]):
+    run, _ = _compile(expr)
 
     def evaluated(env):
         try:
             result = run(env)
         except OverflowError as exc:
             raise EvalError(f"expression overflows: {exc}") from None
+        if result.__class__ is tuple:
+            return exact(result)
         if isinstance(result, str):
             raise EvalError("expression evaluates to a string, not a number")
         return result
@@ -283,10 +305,31 @@ def compile_expr(expr: Expr) -> Callable[[Mapping[str, object]], Number]:
     return evaluated
 
 
-def _compile(expr):
+def _fraction(value: tuple) -> Fraction:
+    return value[2] if len(value) > 2 else Fraction(value[0], value[1])
+
+
+_ratio = operator.itemgetter(0, 1)
+
+# The kernel.  A closure returns a float, a string, or an exact value as a
+# tuple ``(num, den, ...)`` with ``den > 0``, not necessarily reduced: ``+ -
+# * /`` cross-multiply, and only the power rules and ``compile_expr``'s
+# ``Fraction`` reduce.
+# A literal's or a referenced ``Fraction``'s tuple carries that ``Fraction``
+# third, so a value passed through unchanged ends the run as itself.  A
+# float meets an exact value as ``num / den``, which is ``float(Fraction)``
+# (correctly rounded, the same ``OverflowError``), and compares with it as
+# ``Fraction`` does: exactly, or as 0.0 against an infinity or a NaN.
+
+
+def _compile(expr) -> tuple[Callable, bool]:
+    """The node's closure, and whether its subtree names nothing (one call per tree level).
+
+    Such a subtree is run here once, through :func:`_folded`.
+    """
     if isinstance(expr, Num):
-        value = expr.value
-        return lambda env: value
+        value = _carrying(expr.value)
+        return (lambda env: value), True
     if isinstance(expr, Ref):
         name = expr.name
 
@@ -295,23 +338,37 @@ def _compile(expr):
                 value = env[name]
             except KeyError:
                 raise EvalError(f"unknown name {name!r}") from None
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction, float, str)):
+            if isinstance(value, Fraction):
+                return (value.numerator, value.denominator, value)
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 raise EvalError(f"unsupported value {value!r} for {name!r}")
-            return Fraction(value) if isinstance(value, int) else value
-        return ref
+            return (int(value), 1) if isinstance(value, int) else value
+        return ref, False
     if isinstance(expr, Unary):
-        operand = _compile(expr.operand)
-        return lambda env: -_numeric(operand(env))
+        operand, constant = _compile(expr.operand)
+
+        def negate(env):
+            value = _numeric(operand(env))
+            return (-value[0], value[1]) if value.__class__ is tuple else -value
+        return _folded(negate, constant)
     if isinstance(expr, Binary):
-        left, right = _compile(expr.left), _compile(expr.right)
-        arithmetic = _ARITHMETIC.get(expr.op) or _unknown(f"unknown operator {expr.op!r}")
+        (left, left_constant), (right, right_constant) = _compile(expr.left), _compile(expr.right)
+        exact, mixed = _ARITHMETIC.get(expr.op) or (_unknown(f"unknown operator {expr.op!r}"),) * 2
 
         def binary(env):
-            a = _numeric(left(env))
-            return arithmetic(a, _numeric(right(env)))
-        return binary
+            a = left(env)
+            if a.__class__ is tuple:
+                b = right(env)
+                if b.__class__ is tuple:
+                    return exact(a, b)
+            else:
+                _numeric(a)
+                b = right(env)
+            return mixed(a, _numeric(b))
+        return _folded(binary, left_constant and right_constant)
     if isinstance(expr, Compare):
-        left, right, op = _compile(expr.left), _compile(expr.right), expr.op
+        (left, left_constant), (right, right_constant) = _compile(expr.left), _compile(expr.right)
+        op = expr.op
 
         def compare(env):
             a, b = left(env), right(env)
@@ -319,22 +376,54 @@ def _compile(expr):
                 if op not in ("==", "!="):
                     raise EvalError("strings only support = and != comparisons")
                 outcome = (a == b) if op == "==" else (a != b)
+            elif a.__class__ is tuple and b.__class__ is tuple:
+                outcome = _COMPARISONS[op](a[0] * b[1], b[0] * a[1])
             else:
-                outcome = _COMPARISONS[op](a, b)
-            return _ONE if outcome else _ZERO
-        return compare
+                outcome = _COMPARISONS[op](*_comparable(a, b))
+            return _TRUE if outcome else _FALSE
+        return _folded(compare, left_constant and right_constant)
     if isinstance(expr, Ternary):
-        test, then, otherwise = map(_compile, (expr.test, expr.then, expr.otherwise))
+        (test, test_constant), (then, then_constant), (otherwise, otherwise_constant) = map(
+            _compile, (expr.test, expr.then, expr.otherwise))
 
         def ternary(env):
             value = test(env)
-            return then(env) if (not isinstance(value, str) and value != 0) else otherwise(env)
-        return ternary
+            if value.__class__ is tuple:
+                taken = value[0] != 0
+            else:
+                taken = not isinstance(value, str) and value != 0
+            return then(env) if taken else otherwise(env)
+        return _folded(ternary, test_constant and then_constant and otherwise_constant)
     if isinstance(expr, Call):
-        args = tuple(_compile(arg) for arg in expr.args)
+        compiled = [_compile(arg) for arg in expr.args]
+        args = tuple(run for run, _ in compiled)
         function = _CALLS.get(expr.func) or _unknown(f"unknown function {expr.func!r}")
-        return lambda env: function([arg(env) for arg in args])
-    return _unknown(f"unknown expression node {expr!r}")
+        return _folded(lambda env: function([arg(env) for arg in args]),
+                       all(constant for _, constant in compiled))
+    return _unknown(f"unknown expression node {expr!r}"), False
+
+
+def _folded(run: Callable, constant: bool) -> tuple[Callable, bool]:
+    """``run``, or for a subtree naming nothing a closure returning its one value.
+
+    The subtree's own subtrees are folded already, so running it here is
+    shallow.  One that raises is left to raise when, and only if, a run
+    reaches it.
+    """
+    if not constant:
+        return run, False
+    try:
+        value = run({})
+    except (EvalError, ArithmeticError, ValueError):
+        return run, False
+    if value.__class__ is tuple and len(value) == 2:
+        value = _carrying(Fraction(value[0], value[1]))
+    return (lambda env: value), True
+
+
+def _carrying(value: Fraction) -> tuple:
+    """``value`` as the kernel's tuple, carrying itself third."""
+    return (value.numerator, value.denominator, value)
 
 
 def _unknown(message: str):
@@ -344,33 +433,77 @@ def _unknown(message: str):
     return refuse
 
 
-def _numeric(value) -> Number:
+def _numeric(value):
     if isinstance(value, str):
         raise EvalError(f"string value {value!r} used in arithmetic")
     return value
 
 
-def _divide(left, right):
-    if right == 0:
+def _float(value) -> float:
+    return value[0] / value[1] if value.__class__ is tuple else value
+
+
+def _reduced(value: tuple) -> tuple[int, int]:
+    num, den = value[0], value[1]
+    common = math.gcd(num, den)
+    return num // common, den // common
+
+
+def _comparable(a, b) -> tuple:
+    """Two values that Python compares as ``Fraction`` compares ``a`` with ``b``."""
+    if a.__class__ is tuple:
+        if b.__class__ is tuple:
+            return a[0] * b[1], b[0] * a[1]
+        if not math.isfinite(b):
+            return 0.0, b
+        num, den = b.as_integer_ratio()
+        return a[0] * den, num * a[1]
+    if b.__class__ is tuple:
+        right, left = _comparable(b, a)
+        return left, right
+    return a, b
+
+
+def _divide(a, b):
+    num = b[0]
+    if not num:
         raise EvalError("division by zero")
-    return left / right
+    if num < 0:
+        return (-a[0] * b[1], -num * a[1])
+    return (a[0] * b[1], num * a[1])
+
+
+def _divide_mixed(a, b):
+    if (b[0] if b.__class__ is tuple else b) == 0:
+        raise EvalError("division by zero")
+    return _float(a) / _float(b)
 
 
 #: Most bits of an exact power, estimated as ``|n|`` times one less than the
-#: base's larger numerator or denominator bit length: never above the result's
-#: size, at least half of it, and 0 for bases 0, 1 and -1.  A bound on ``n``
-#: alone would let nested powers grow.
+#: base's larger numerator or denominator bit length, both reduced: never
+#: above the result's size, at least half of it, and 0 for bases 0, 1 and -1.
+#: A bound on ``n`` alone would let nested powers grow.
 POWER_BITS_CAP = 10_000
 
 
 def _power(left, right):
     try:
-        if isinstance(right, Fraction) and right.denominator == 1:
-            if not isinstance(left, float) and abs(right.numerator) * (max(
-                    left.numerator.bit_length(), left.denominator.bit_length()) - 1) > POWER_BITS_CAP:
-                raise EvalError(f"exact power above the cap of {POWER_BITS_CAP:,} bits")
-            return left ** right.numerator
-        base, exponent = float(left), float(right)
+        if right.__class__ is tuple:
+            exponent, den = _reduced(right)
+            if den == 1:
+                if left.__class__ is not tuple:
+                    return left ** exponent
+                num, den = _reduced(left)
+                if abs(exponent) * (max(num.bit_length(), den.bit_length()) - 1) > POWER_BITS_CAP:
+                    raise EvalError(f"exact power above the cap of {POWER_BITS_CAP:,} bits")
+                if exponent >= 0:
+                    return (num ** exponent, den ** exponent)
+                if not num:
+                    raise ZeroDivisionError
+                if num < 0:  # the sign moves to the numerator
+                    num, den = -num, -den
+                return (den ** -exponent, num ** -exponent)
+        base, exponent = _float(left), _float(right)
         if base < 0 and not exponent.is_integer():
             raise EvalError("power of a negative value with a non-integer exponent")
         return base ** exponent
@@ -383,31 +516,60 @@ def _power(left, right):
 def _one(func: str, args: list):
     if len(args) != 1:
         raise EvalError(f"{func} takes one argument")
-    return args[0]
+    return _numeric(args[0])
+
+
+def _abs(args: list):
+    value = _one("abs", args)
+    return (abs(value[0]), value[1]) if value.__class__ is tuple else abs(value)
 
 
 def _sqrt(args: list) -> float:
-    value = float(_numeric(_one("sqrt", args)))
+    value = _float(_one("sqrt", args))
     if value < 0:
         raise EvalError("sqrt of a negative value")
     return math.sqrt(value)
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": _divide, "^": _power}
+def _extreme(func: str, better: Callable):
+    """``min`` or ``max``: the first argument that no later one beats, itself."""
+    def pick(args: list):
+        values = [_numeric(a) for a in args]
+        if not values:
+            raise ValueError(f"{func}() arg is an empty sequence")
+        best = values[0]
+        for value in values[1:]:
+            if better(*_comparable(value, best)):
+                best = value
+        return best
+    return pick
+
+
+def _mixed(op: Callable) -> Callable:
+    return lambda a, b: op(_float(a), _float(b))
+
+
+#: Each operator's rule for two exact values, and for any other pair.
+_ARITHMETIC = {
+    "+": (lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1]), _mixed(operator.add)),
+    "-": (lambda a, b: (a[0] * b[1] - b[0] * a[1], a[1] * b[1]), _mixed(operator.sub)),
+    "*": (lambda a, b: (a[0] * b[0], a[1] * b[1]), _mixed(operator.mul)),
+    "/": (_divide, _divide_mixed),
+    "^": (_power, _power),
+}
 
 _COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
                 ">": operator.gt, "==": operator.eq, "!=": operator.ne}
 
 #: The functions an expression may call, each applied to its evaluated arguments.
 _CALLS = {
-    "min": lambda args: min([_numeric(a) for a in args]),
-    "max": lambda args: max([_numeric(a) for a in args]),
-    "abs": lambda args: abs(_numeric(_one("abs", args))),
+    "min": _extreme("min", operator.lt),
+    "max": _extreme("max", operator.gt),
+    "abs": _abs,
     "sqrt": _sqrt,
 }
 
-_ONE, _ZERO = Fraction(1), Fraction(0)
+_TRUE, _FALSE = _carrying(Fraction(1)), _carrying(Fraction(0))
 
 
 def format_expr(expr: Expr) -> str:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
 from . import exprs
-from .chain import GRID_PLACES, Score, ScoreChain, clamp01
+from .chain import GRID_PLACES, Ratio, Score, ScoreChain, clamp01
 from .errors import (
     IncompatibleChainError,
     MapDomainError,
@@ -155,14 +156,15 @@ class AnalyticMap(OrderMap):
     def apply(self, score: Score) -> Score:
         return score.chain.on_grid(self._exact()(score))
 
-    def _exact(self) -> Callable[[Score], exprs.Number]:
+    def _exact(self) -> Callable[[Score], exprs.Number | Ratio]:
         """A score's image clamped into [0, 1], not rounded; compiled once, for one batch.
 
-        Returned, never stored on the map, so the map still pickles.
+        An exact image stays an integer ratio, which ``on_grid`` rounds as
+        it is.  Returned, never stored on the map, so the map still pickles.
         """
-        run = exprs.compile_expr(self.expr)
+        run = exprs.compile_ratio(self.expr)
 
-        def exact(score: Score) -> exprs.Number:
+        def exact(score: Score) -> exprs.Number | Ratio:
             if not score.chain.is_rational:
                 raise UnsupportedOperationError("analytic maps require the rational carrier")
             return clamp01(run({"x": score.value}))
@@ -179,8 +181,10 @@ class AnalyticMap(OrderMap):
         out = [chain.on_grid(v) for v in unrounded]
         rounded = set(map(id, out))
         rounded.add(id(chain.bottom))  # bottom is an image too: the scores given are nonzero
-        # Exact images are hashed only on a collision: big Fractions hash slowly.
-        if len(rounded) <= len(out) and len(rounded) < len({0, *unrounded}):
+        # Exact images are hashed only on a collision (big ones hash slowly), as reduced
+        # Fractions, so that equal values are equal.
+        if len(rounded) <= len(out) and len(rounded) < len(
+                {0, *(Fraction(*v) if isinstance(v, tuple) else v for v in unrounded)}):
             raise QuantizationError(
                 f"quantization to {GRID_PLACES} decimals merges distinct images of the "
                 f"{len({s.value for s in scores})} scores given and bottom; refusing to transform"

@@ -102,6 +102,8 @@ class Scheme:
             name = attr.name.lower()
             if not name:
                 raise SchemeError("attribute names must be non-empty")
+            if not NAME_RE.fullmatch(name):  # so that a written header reads back
+                raise SchemeError(f"attribute name {name!r} is not a name that queries can read")
             if name in by_name:
                 raise SchemeError(f"duplicate attribute {name!r}")
             attr = Attribute(name, attr.atype)

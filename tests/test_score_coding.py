@@ -275,6 +275,8 @@ def check_on_grid(value) -> None:
     rounded = cold.on_grid(value)
     assert rounded is cold.score(expected) and cold.on_grid(value) is rounded
     assert warm.score(expected) is warm.on_grid(value)
+    num, den = value.as_integer_ratio()  # an analytic map's image, an integer pair not reduced
+    assert cold.on_grid((7 * num, 7 * den)) is rounded
 
 
 @pytest.mark.parametrize("value", GRID_EDGES, ids=repr)
@@ -337,6 +339,10 @@ def check_clamp01(value) -> None:
     assert clamped == expected and type(clamped) is type(expected)
     if 0 <= value <= 1:
         assert clamped is value
+    if isinstance(value, Fraction):  # the integer pair of an analytic map's image clamps alike
+        pair = (3 * value.numerator, 3 * value.denominator)
+        assert Fraction(*clamp01(pair)) == expected
+        assert clamp01(pair) is pair or not 0 <= value <= 1
 
 
 @pytest.mark.parametrize("value", CLAMPED, ids=repr)
