@@ -8,7 +8,7 @@ score of a tuple absent from every operand is bottom throughout.
 Restricted to tables and conditions with scores in {0, 1}, each operation
 coincides with its classic counterpart.
 
-Result rows are operand rows or gathered from them by plans, so results are
+Result rows are operand rows or built from their values by plans, so results are
 built by ``RankedTable._trusted`` with no per-row check; bottom is filtered
 wherever a connective can yield it.  A restriction's and a semijoin's
 results are built only when read (``RankedTable._capped``).
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping
 from .chain import Score, abjunction, meet, min_score, residuum
 from .conditions import Condition
 from .errors import IncompatibleChainError, SchemeError, UnsupportedOperationError
-from .table import RankedTable, Row, Scheme, gather, joiner, renamer
+from .table import RankedTable, Row, Scheme, joiner, renamer, values_of
 
 
 # --- scheme rules ---------------------------------------------------------------
@@ -70,11 +70,11 @@ def _require_same_chain(*tables: RankedTable) -> None:
 def _matched_pairs(d1: RankedTable, d2: RankedTable) -> Iterator[tuple[Row, Score, Row, Score]]:
     """Hash join: every d1 row and d2 row agreeing on the shared attributes.
 
-    The hash key of a row is its shared pairs, in name order; d1's are read
-    by a gather plan and looked up in d2's index, which d2 builds once.
+    The hash key of a row is its shared values, in name order; d1's are read
+    by a plan and looked up in d2's index, which d2 builds once.
     """
     shared = tuple(sorted(d1.scheme.name_set & d2.scheme.name_set))
-    key_of_d1, index = gather(d1.scheme, shared), d2.index(shared)
+    key_of_d1, index = values_of(d1.scheme, shared), d2.index(shared)
     for row, score in d1:
         for other, other_score in index.get(key_of_d1(row), ()):
             yield row, score, other, other_score
@@ -85,8 +85,8 @@ def natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     scheme = d1.scheme.union(d2.scheme)
     _require_same_chain(d1, d2)
     join = joiner(d1.scheme, d2.scheme)
-    entries = {
-        join(row, other): meet(score, other_score)
+    entries = {  # the meet, inline: chains are checked, and a table's scores lie on its chain
+        join(row, other): score if score.key <= other_score.key else other_score
         for row, score, other, other_score in _matched_pairs(d1, d2)
     }
     return RankedTable._trusted(scheme, d1.chain, entries)
@@ -108,14 +108,14 @@ def restrict(d: RankedTable, theta: Condition) -> RankedTable:
 def project(d: RankedTable, names: Iterable[str]) -> RankedTable:
     """Project onto a sub-scheme; a projected tuple takes the best extension."""
     scheme = d.scheme.project(names)
-    shorten = gather(d.scheme, scheme.sorted_names)
-    best: dict[tuple, Score] = {}  # projected row pairs -> best score so far
+    shorten, make = values_of(d.scheme, scheme.sorted_names), scheme.row
+    best: dict[tuple, Score] = {}  # projected row values -> best score so far
     for row, score in d:
         shorter = shorten(row)
         current = best.get(shorter)
         if current is None or score.key > current.key:
             best[shorter] = score
-    return RankedTable._trusted(scheme, d.chain, {Row(p): s for p, s in best.items()})
+    return RankedTable._trusted(scheme, d.chain, {make(v): s for v, s in best.items()})
 
 
 def union_tables(d1: RankedTable, d2: RankedTable) -> RankedTable:

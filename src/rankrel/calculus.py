@@ -503,14 +503,14 @@ def table_of(m: Structure, phi: Formula) -> RankedTable:
     levels, count = _free_ranges(phi, variables, coded, m.universe)
     _check_valuations("formula", len(m.universe), count * work)
     _last = (phi, m, variables, compiled)
-    order = sorted(range(len(variables)), key=lambda i: variables[i].lower())
-    names = [variables[i].lower() for i in order]  # a row's pairs in name order
-    entries = {}
+    order = sorted(range(len(variables)), key=lambda i: variables[i].lower())  # a row's order
+    scheme = Scheme((var, STR) for var in variables)
+    entries, make = {}, scheme.row
     for values in _valuations(levels):
         score = evaluate(phi, m, dict(zip(variables, values)))
         if not score.is_bottom:
-            entries[Row(zip(names, map(values.__getitem__, order)))] = score
-    return RankedTable._trusted(Scheme((var, STR) for var in variables), m.chain, entries)
+            entries[make(map(values.__getitem__, order))] = score
+    return RankedTable._trusted(scheme, m.chain, entries)
 
 
 # --- formula -> relational expression ---------------------------------------

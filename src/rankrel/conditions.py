@@ -52,10 +52,10 @@ class Condition:
         """This condition's score of ``table``'s rows, once per value tuple of its free attributes.
 
         Returns the free attribute names in name order, and each distinct
-        key of ``table.index(names)`` with its score, in first-occurrence
-        table order; keys scoring bottom are left out.  The scorer scores
-        each key's first row, so scorer calls and their errors come as a
-        row-by-row scan in table order would bring them.
+        key of ``table.index(names)`` (a row's values of them) with its
+        score, in first-occurrence table order; keys scoring bottom are left
+        out.  The scorer scores each key's first row, so scorer calls and
+        their errors come as a row-by-row scan in table order would bring them.
         """
         names = tuple(sorted(self.free_attrs() & table.scheme.name_set))
         index = table.index(names)
@@ -93,7 +93,7 @@ class ExprCondition(Condition):
             )
 
     def score_of(self, row: Row, chain: ScoreChain) -> Score:
-        return self._compiled(chain)(dict(row))
+        return self._compiled(chain)(dict(row.items))
 
     def scorer(self, scheme: Scheme, chain: ScoreChain) -> Callable[[Row], Score]:
         score, free = self._compiled(chain), sorted(self.free_attrs() & scheme.name_set)

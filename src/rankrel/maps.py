@@ -58,6 +58,10 @@ class OrderMap:
         """Images of a batch, in its order; single hook for per-batch consistency checks."""
         return [self.apply(s) for s in scores]
 
+    def batch(self) -> tuple[Callable[[Score], Score], Callable[[Iterable[Score]], list[Score]]]:
+        """:meth:`apply` and :meth:`apply_all` for one batch's calls, sharing what they set up."""
+        return self.apply, self.apply_all
+
 
 def _input_key(pair: tuple[Score, Score]) -> tuple:
     return pair[0].key
@@ -154,42 +158,46 @@ class AnalyticMap(OrderMap):
         return cls(exprs.parse_expr(text), declared=frozenset(declared))
 
     def apply(self, score: Score) -> Score:
-        return score.chain.on_grid(self._exact()(score))
+        return self.batch()[0](score)
 
-    def _exact(self) -> Callable[[Score], exprs.Number | Ratio]:
-        """A score's image clamped into [0, 1], not rounded; compiled once, for one batch.
+    def apply_all(self, scores: Iterable[Score]) -> list[Score]:
+        return self.batch()[1](scores)
 
-        An exact image stays an integer ratio, which ``on_grid`` rounds as
-        it is.  Returned, never stored on the map, so the map still pickles.
-        """
+    def batch(self) -> tuple[Callable[[Score], Score], Callable[[Iterable[Score]], list[Score]]]:
+        """``apply`` and ``apply_all`` over one compile, not kept: the map still pickles.
+        An exact image, clamped into [0, 1], stays an integer ratio for ``on_grid``."""
         run = exprs.compile_ratio(self.expr)
 
         def exact(score: Score) -> exprs.Number | Ratio:
             if not score.chain.is_rational:
                 raise UnsupportedOperationError("analytic maps require the rational carrier")
             return clamp01(run({"x": score.value}))
-        return exact
 
-    def apply_all(self, scores: Iterable[Score]) -> list[Score]:
-        scores = list(scores)
-        if not scores:
-            return []
-        exact = self._exact()
-        unrounded = [exact(s) for s in scores]
-        # one chain builds every image, one object per value: merged images share an id
-        chain = scores[0].chain
-        out = [chain.on_grid(v) for v in unrounded]
-        rounded = set(map(id, out))
-        rounded.add(id(chain.bottom))  # bottom is an image too: the scores given are nonzero
-        # Exact images are hashed only on a collision (big ones hash slowly), as reduced
-        # Fractions, so that equal values are equal.
-        if len(rounded) <= len(out) and len(rounded) < len(
-                {0, *(Fraction(*v) if isinstance(v, tuple) else v for v in unrounded)}):
-            raise QuantizationError(
-                f"quantization to {GRID_PLACES} decimals merges distinct images of the "
-                f"{len({s.value for s in scores})} scores given and bottom; refusing to transform"
-            )
-        return out
+        def apply(score: Score) -> Score:
+            return score.chain.on_grid(exact(score))
+
+        def apply_all(scores: Iterable[Score]) -> list[Score]:
+            scores = list(scores)
+            if not scores:
+                return []
+            unrounded = [exact(s) for s in scores]
+            # one chain builds every image, one object per value: merged images share an id
+            chain = scores[0].chain
+            out = [chain.on_grid(v) for v in unrounded]
+            rounded = set(map(id, out))
+            rounded.add(id(chain.bottom))  # bottom is an image too: the scores given are nonzero
+            # Exact images are hashed only on a collision (big ones hash slowly), as reduced
+            # Fractions, so that equal values are equal.
+            if len(rounded) <= len(out) and len(rounded) < len(
+                    {0, *(Fraction(*v) if isinstance(v, tuple) else v for v in unrounded)}):
+                raise QuantizationError(
+                    f"quantization to {GRID_PLACES} decimals merges distinct images of the "
+                    f"{len({s.value for s in scores})} scores given and bottom; "
+                    "refusing to transform"
+                )
+            return out
+
+        return apply, apply_all
 
     def __repr__(self) -> str:
         return f"AnalyticMap({exprs.format_expr(self.expr)})"
@@ -243,16 +251,17 @@ def apply_checked(f: OrderMap, scores: Iterable[Score],
     infinitely many) would move off bottom.  The distinct objects given go
     through one batch application, which runs the map's own consistency
     checks; every image must lie on ``chain``; declared map properties are
-    verified on the graph of the scores given, plus bottom and top.  The
-    scores are stored ones, never bottom.  No score is hashed here.  A chain
-    keeps one object per value, so scores built by chain methods reach the
-    map once per value; distinct objects of one value, built by ``Score``
-    itself, each go through the map, to equal images.  The ids stay valid
-    while the objects live: the caller's table or interpretations hold them
-    while it reads the images.
+    verified on the graph of the scores given, plus bottom and top.  All three
+    share one ``f.batch()``.  The scores are stored ones, never bottom, and none
+    is hashed.  A chain keeps one object per value, so scores built by chain
+    methods reach the map once per value; distinct objects of one value, built
+    by ``Score`` itself, each go through the map, to equal images.  The ids stay
+    valid while the objects live: the caller's table or interpretations hold
+    them while it reads the images.
     """
+    apply, apply_all = f.batch()
     try:
-        keeps_bottom = f.apply(chain.bottom).is_bottom
+        keeps_bottom = apply(chain.bottom).is_bottom
     except MapDomainError:
         keeps_bottom = False
     if not keeps_bottom:
@@ -261,13 +270,13 @@ def apply_checked(f: OrderMap, scores: Iterable[Score],
             "stop scoring bottom"
         )
     distinct = {id(score): score for score in scores}
-    images = f.apply_all(distinct.values())
+    images = apply_all(distinct.values())
     if any(image.chain != chain for image in images):
         raise IncompatibleChainError("the map sends scores off the table's chain")
     if f.declared:
         graph = [*zip(distinct.values(), images), (chain.bottom, chain.bottom)]
         try:
-            graph.append((chain.top, f.apply(chain.top)))
+            graph.append((chain.top, apply(chain.top)))
         except MapDomainError:
             pass
         verify_declared(f, graph)

@@ -20,11 +20,12 @@ import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import call, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .chain import RATIONAL, Score, ScoreChain, exact_decimal_str, meet, rank_codes
+from .chain import RATIONAL, Score, ScoreChain, exact_decimal_str, rank_codes
 from .errors import (
     ChainError,
     IncompatibleChainError,
@@ -89,10 +90,12 @@ class Scheme:
     Declaration order is remembered for display; equality and all relational
     semantics treat the scheme as a set.  Its name views are computed once;
     ``positions`` maps each name to its index in ``sorted_names``, which is
-    where a conforming row stores that attribute's pair.
+    where a conforming row stores that attribute's value, and ``row`` is the
+    ``Row`` type of ``sorted_names``, which builds the scheme's rows.
     """
 
-    __slots__ = ("attrs", "names", "name_set", "sorted_names", "positions", "_by_name", "_key")
+    __slots__ = ("attrs", "names", "name_set", "sorted_names", "positions", "row", "_by_name",
+                 "_key")
 
     def __init__(self, attrs: Iterable[tuple[str, AttrType] | Attribute]):
         normalized = []
@@ -112,8 +115,9 @@ class Scheme:
         object.__setattr__(self, "attrs", tuple(normalized))
         object.__setattr__(self, "names", tuple(by_name))
         object.__setattr__(self, "name_set", frozenset(by_name))
-        object.__setattr__(self, "sorted_names", tuple(sorted(by_name)))  # a row's pair order
+        object.__setattr__(self, "sorted_names", tuple(sorted(by_name)))  # a row's value order
         object.__setattr__(self, "positions", {n: i for i, n in enumerate(self.sorted_names)})
+        object.__setattr__(self, "row", _row_type(self.sorted_names))
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_key", frozenset(normalized))
 
@@ -201,30 +205,44 @@ class Scheme:
 class Row(tuple):
     """A tuple on some scheme: a total attribute -> value assignment.
 
-    A tuple of its name-sorted ``(name, value)`` pairs, so equal assignments
-    are equal rows, hashing and equality run in C, and rows of one scheme
-    order by their values in name order.  Names belong to the scheme: a
-    caller reads values through the scheme's plans (:func:`values_of`).
+    The tuple of its values in name order.  Each name tuple has one ``Row``
+    subclass (``Scheme.row``) holding the names, so hashing, equality and
+    ordering run in C on plain values.  Rows of two schemes with equal values
+    are equal: every operator that mixes tables requires one scheme.  Names
+    belong to the scheme: callers read values through its plans (:func:`values_of`).
     """
 
     __slots__ = ()
+    _names: tuple[str, ...] = ()
 
     @classmethod
     def of(cls, mapping: Mapping[str, object]) -> "Row":
-        return cls(sorted((name.lower(), value) for name, value in mapping.items()))
+        pairs = sorted((name.lower(), value) for name, value in mapping.items())
+        return _row_type(tuple(name for name, _ in pairs))(value for _, value in pairs)
 
     @property
     def items(self) -> tuple[tuple[str, object], ...]:
-        return self  # the pairs themselves, not a copy
+        """The ``(name, value)`` pairs in name order, built on each call."""
+        return tuple(zip(self._names, self))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self)
+        inner = ", ".join(f"{k}={v!r}" for k, v in zip(self._names, self))
         return f"Row({inner})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the one row type of the names
+        return Row.of, (dict(self.items),)
+
+
+@cache
+def _row_type(names: tuple[str, ...]) -> type[Row]:
+    """The one ``Row`` subclass of ``names``, a name tuple in name order."""
+    return type("Row", (Row,), {"__slots__": (), "_names": names})
 
 
 # --- per-call row plans -----------------------------------------------------
 #
-# A conforming row is its pairs in name order, so on one scheme each
+# A conforming row is its values in name order, so on one scheme each
 # attribute sits at a fixed index of the row.  An operator builds these
 # plans once per call and then assembles every result row by indexing.
 
@@ -239,51 +257,45 @@ def _selector(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*indexes)
 
 
-def gather(scheme: Scheme, names: Iterable[str]) -> Callable[[tuple], tuple]:
-    """Plan mapping a row on ``scheme`` to its pairs of ``names``.
+def values_of(scheme: Scheme, names: Iterable[str]) -> Callable[[Sequence], tuple]:
+    """Plan mapping a row on ``scheme`` to the plain tuple of its values of ``names``.
 
-    The pairs come out in the order of ``names``; given them in name order,
-    the result holds the pairs of the row's projection.
+    The values come out in the order of ``names``; given them in name
+    order, the tuple equals the row's projection, and is its key in
+    :meth:`RankedTable.index`.
     """
     return _selector([scheme.positions[scheme.attr(name).name] for name in names])
-
-
-def values_of(scheme: Scheme, names: Iterable[str]) -> Callable[[Row], tuple]:
-    """Plan mapping a row on ``scheme`` to its values of ``names``, in that order."""
-    positions = [scheme.positions[scheme.attr(name).name] for name in names]
-    return lambda row: tuple([row[position][1] for position in positions])
 
 
 def renamer(scheme: Scheme, renamed: Scheme) -> Callable[[Row], Row]:
     """Plan mapping a row on ``scheme`` to the row of its values on ``renamed``, a renaming."""
     old_name = dict(zip(renamed.names, scheme.names))  # renaming keeps the attribute order
-    values = values_of(scheme, [old_name[name] for name in renamed.sorted_names])
-    return lambda row: Row(zip(renamed.sorted_names, values(row)))
+    values, row = values_of(scheme, [old_name[name] for name in renamed.sorted_names]), renamed.row
+    return lambda old: row(values(old))
 
 
 def joiner(left: Scheme, right: Scheme) -> Callable[[tuple, tuple], Row]:
     """Plan mapping a left and a right row to their joined ``Row``.
 
-    Each pair of the joined row, in name order, is picked from the two rows'
-    concatenated pairs; a shared attribute is read from the right row.  The
-    plan does not compare shared values: callers pair only rows that agree
-    on them.
+    Each value of the joined row, in name order, is picked from the two
+    rows' concatenated values; a shared attribute is read from the right
+    row.  The plan does not compare shared values: callers pair only rows
+    that agree on them.
     """
-    offset = len(left.sorted_names)
-    select = _selector([
+    offset, names = len(left.sorted_names), tuple(sorted(left.name_set | right.name_set))
+    select, row = _selector([
         offset + right.positions[name] if name in right.positions else left.positions[name]
-        for name in sorted(left.name_set | right.name_set)
-    ])
-    return lambda left_row, right_row: Row(select(left_row + right_row))
+        for name in names
+    ]), _row_type(names)
+    return lambda left_row, right_row: row(select(left_row + right_row))
 
 
 def rank_sorted(pairs: Iterable[tuple[Row, Score]]) -> list[tuple[Row, Score]]:
     """(row, score) pairs of one scheme by descending score, ties by the row.
 
-    Two stable sorts: first by the row's pairs, which orders rows of one
-    scheme by their values in name order, since every row has the same names
-    at the same places; then descending by the score's exact order key,
-    ``Score.key``.
+    Two stable sorts: first by the row, which orders rows of one scheme by
+    their values in name order; then descending by the score's exact order
+    key, ``Score.key``.
     """
     ordered = sorted(pairs, key=itemgetter(0))
     ordered.sort(key=lambda pair: pair[1].key, reverse=True)
@@ -311,12 +323,12 @@ def make_row(scheme: Scheme, values: Mapping[str, object]) -> Row:
 
 
 def _row_conforms(scheme: Scheme, row: Row) -> bool:
-    """Each pair checked as ``make_row`` checks a value: name, kind and domain."""
-    if len(row) != len(scheme):
+    """The row type's names are the scheme's; each value checked as ``make_row`` checks it."""
+    if not isinstance(row, Row) or row._names != scheme.sorted_names or len(row) != len(scheme):
         return False
-    for (name, value), want in zip(row, scheme.sorted_names):
-        atype = scheme._by_name[want].atype
-        if name != want or not _conforms(value, atype.kind):
+    for value, name in zip(row, scheme.sorted_names):
+        atype = scheme._by_name[name].atype
+        if not _conforms(value, atype.kind):
             return False
         if atype.domain is not None and value not in atype.domain:
             return False
@@ -373,7 +385,7 @@ class RankedTable:
                 caps: dict[tuple, Score]) -> "RankedTable":
         """``table`` with each row's score capped at its cap; rows with no cap drop out.
 
-        A row's cap is ``caps`` of its pairs of ``names``, the key that
+        A row's cap is ``caps`` of its values of ``names``, the key that
         ``table.index(names)`` files it under; a key with no entry in ``caps``
         drops its rows, and every stored cap is nonzero, on ``table``'s chain.
         Nothing is computed here.  Two reads build nothing: ``len()`` counts
@@ -396,8 +408,9 @@ class RankedTable:
         if name != "_entries" or self._capping is None:
             raise AttributeError(name)
         table, names, caps = self._capping
-        key_of = gather(table.scheme, names)
-        entries = {row: meet(score, cap) for row, score in table._entries.items()
+        key_of = values_of(table.scheme, names)
+        entries = {row: score if score.key <= cap.key else cap  # the meet, inline
+                   for row, score in table._entries.items()
                    if (cap := caps.get(key_of(row))) is not None}
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_capping", None)
@@ -484,20 +497,20 @@ class RankedTable:
             yield from self.rows_by_rank()
         else:
             table, names, caps = self._capping
-            yield from _capped_by_rank(table, gather(table.scheme, names), caps)
+            yield from _capped_by_rank(table, values_of(table.scheme, names), caps)
 
     def index(self, key_names: tuple[str, ...]) -> dict[tuple, list[tuple[Row, Score]]]:
         """Hash index on ``key_names``, given in name order: the table's random access.
 
-        A key holds a row's ``(name, value)`` pairs of ``key_names``, as
-        ``gather`` reads them; its bucket holds the ``(row, score)`` pairs
-        with that key, in table order.  Built at the first call per key and
-        kept, so callers must not change it.
+        A key is a row's values of ``key_names`` (:func:`values_of`), a plain
+        tuple equal to the row's projection; its bucket holds the ``(row,
+        score)`` pairs with that key, in table order.  Built at the first call
+        per key and kept, so callers must not change it.
         """
         index = self._indexes.get(key_names)
         if index is None:
+            key_of = values_of(self.scheme, key_names)
             index = self._indexes[key_names] = {}
-            key_of = gather(self.scheme, key_names)
             for pair in self._entries.items():
                 index.setdefault(key_of(pair[0]), []).append(pair)
         return index
@@ -535,11 +548,10 @@ def _capped_by_rank(table: RankedTable, key_of: Callable[[Row], tuple],
         cap = caps.get(key_of(row))
         if cap is None:
             continue
-        value = meet(score, cap)
-        if value is score:
+        if score.key <= cap.key:  # the meet, inline: the score stands
             yield row, score
         else:
-            held[code[id(cap)]].append((row, value))
+            held[code[id(cap)]].append((row, cap))
     for group in reversed(held[:level + 1]):
         yield from group
 
@@ -637,7 +649,7 @@ def _read_rows(reader, chain: ScoreChain) -> RankedTable:
     parsers = [_PARSERS[scheme.attr(name).atype.kind] for name in names]
     value_cells = _selector([scheme.names.index(name) + 1 for name in names])  # in name order
     entries: dict[Row, Score] = {}
-    parse, bottom = chain.parse, chain.bottom
+    parse, bottom, make = chain.parse, chain.bottom, scheme.row
     for cells in records:
         if len(cells) != width or not cells[0].strip():
             if not any(map(str.strip, cells)):
@@ -653,7 +665,7 @@ def _read_rows(reader, chain: ScoreChain) -> RankedTable:
             raise ChainError(f"line {reader.line_num}: rows with score 0 are not stored; "
                              "omit the row")
         try:
-            row = Row(zip(names, map(call, parsers, value_cells(cells))))
+            row = make(map(call, parsers, value_cells(cells)))
         except (ValueError, ZeroDivisionError):
             raise _cell_error(scheme, cells[1:], reader.line_num) from None
         if row in entries:
@@ -696,7 +708,7 @@ def column_plan(scheme: Scheme, names: Iterable[str]) -> list[tuple[int, Callabl
 
 def row_cells(row: Row, plan: Sequence[tuple[int, Callable]]) -> list[str]:
     """A row's cell texts, one per column of ``plan``."""
-    return [fmt(row[position][1]) for position, fmt in plan]
+    return [fmt(row[position]) for position, fmt in plan]
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
@@ -731,8 +743,7 @@ def ranked_columns(
         texts = {key: csv_cell(text) for key, text in texts.items()}
     columns = [map(texts.__getitem__, map(id, map(itemgetter(1), pairs)))]
     for attr in map(scheme.attr, scheme.names):
-        values = map(itemgetter(1), map(itemgetter(scheme.positions[attr.name]),
-                                        map(itemgetter(0), pairs)))
+        values = map(itemgetter(scheme.positions[attr.name]), map(itemgetter(0), pairs))
         if attr.atype.kind == "str":
             columns.append(map(csv_cell, values) if quoted else values)
         else:

@@ -41,7 +41,7 @@ from . import algebra, planner
 from .catalog import Catalog
 from .chain import Score
 from .errors import IncompatibleChainError, RankrelError
-from .table import RankedTable, Row, Scheme, gather, joiner, rank_sorted
+from .table import RankedTable, Row, Scheme, joiner, rank_sorted, values_of
 
 
 class TopKError(RankrelError):
@@ -144,7 +144,7 @@ def _completion_plan(sources: Sequence[SortedSource], start: int) -> list[tuple]
         scheme = sources[other].table.scheme
         key_names = tuple(sorted(bound.name_set & scheme.name_set))
         lookup = sources[other].table.index(key_names).get
-        plan.append((lookup, gather(bound, key_names), joiner(bound, scheme)))
+        plan.append((lookup, values_of(bound, key_names), joiner(bound, scheme)))
         bound = bound.union(scheme)
     return plan
 

@@ -263,7 +263,8 @@ def stringified(table: RankedTable) -> RankedTable:
     """The same table with every value replaced by its CSV text (:func:`format_value`)."""
     scheme = Scheme((name, STR) for name in table.scheme.names)
     return RankedTable(scheme, table.chain, {
-        Row((name, format_value(value)) for name, value in row): score for row, score in table})
+        Row.of({name: format_value(value) for name, value in row.items}): score
+        for row, score in table})
 
 
 # --- ordinal oracles ----------------------------------------------------------
@@ -491,6 +492,32 @@ def _reference_one(expr, args: list):
 # --- table oracles --------------------------------------------------------------
 
 
+class PairRow(tuple):
+    """The oracles' row: the tuple of a row's ``(name, value)`` pairs in name order.
+
+    Each row carries its names, so an oracle reads no scheme position, and
+    rows of one scheme order by their values in name order, as the engine's
+    value rows are meant to.  :func:`pairs_of` and :func:`table_of_pairs`
+    cross between the two layouts.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, mapping) -> "PairRow":
+        return cls(sorted((name.lower(), value) for name, value in mapping.items()))
+
+
+def pairs_of(table: RankedTable) -> dict[PairRow, Score]:
+    """A table's entries keyed by pair rows."""
+    return {PairRow(row.items): score for row, score in table}
+
+
+def table_of_pairs(scheme: Scheme, chain: ScoreChain, entries: dict) -> RankedTable:
+    """The table of pair-row ``entries``, through the validating constructor."""
+    return RankedTable(scheme, chain, {Row.of(dict(row)): score for row, score in entries.items()})
+
+
 def reference_row_conforms(scheme: Scheme, row: Row) -> bool:
     """Name-by-name conformance check: the oracle for ``table._row_conforms``."""
     if tuple(name for name, _ in row.items) != scheme.sorted_names:
@@ -509,19 +536,24 @@ def row_value(scheme: Scheme, row: Row, name: str):
     return values_of(scheme, [name])(row)[0]
 
 
-# --- row-building oracles: the per-row forms the gather plans replace -----------
+# --- row-building oracles: the per-row forms the row plans replace, on pair rows ---
 
 
-def join_rows(r: Row, s: Row) -> Row:
-    """Join two tuples agreeing on shared attributes (the empty row is neutral)."""
-    merged = dict(r.items)
-    for name, value in s.items:
+def join_pairs(r: PairRow, s: PairRow) -> PairRow:
+    """Join two pair rows agreeing on shared attributes (the empty row is neutral)."""
+    merged = dict(r)
+    for name, value in s:
         if name in merged and merged[name] != value:
             raise ValueError(
                 f"tuples disagree on {name!r}: {merged[name]!r} vs {value!r}"
             )
         merged[name] = value
-    return Row.of(merged)
+    return PairRow.of(merged)
+
+
+def join_rows(r: Row, s: Row) -> Row:
+    """:func:`join_pairs` on two engine rows."""
+    return Row.of(dict(join_pairs(PairRow(r.items), PairRow(s.items))))
 
 
 # Connectives on the raw values, never on ``Score.key``: the oracle for the key.
@@ -548,32 +580,32 @@ def value_min(scores, default: Score) -> Score:
 
 
 def rank_key(item: tuple[Row, Score]) -> tuple:
-    """Display-order key for a (row, score) pair: descending score, then row."""
+    """Display-order key for a (row, score) pair: descending score, then the pair row."""
     row, score = item
-    return (-score.value, row)
+    return (-score.value, PairRow(row.items))
 
 
 def _reference_matched_pairs(d1: RankedTable, d2: RankedTable):
-    shared = [name for name in d1.scheme.names if name in d2.scheme.name_set]
+    """Every pair row of d1 and d2 that agree on the shared attributes, hashed on those pairs."""
+    shared = d1.scheme.name_set & d2.scheme.name_set
 
-    def key(row: Row) -> tuple:
-        values = dict(row.items)
-        return tuple(values[name] for name in shared)
+    def key(row: PairRow) -> tuple:
+        return tuple(pair for pair in row if pair[0] in shared)
 
     index: dict = {}
-    for row, score in d2:
+    for row, score in pairs_of(d2).items():
         index.setdefault(key(row), []).append((row, score))
-    for row, score in d1:
+    for row, score in pairs_of(d1).items():
         for other, other_score in index.get(key(row), ()):
             yield row, score, other, other_score
 
 
 def reference_natural_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     entries = {
-        join_rows(row, other): value_meet(score, other_score)
+        join_pairs(row, other): value_meet(score, other_score)
         for row, score, other, other_score in _reference_matched_pairs(d1, d2)
     }
-    return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)
+    return table_of_pairs(d1.scheme.union(d2.scheme), d1.chain, entries)
 
 
 def reference_product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
@@ -581,19 +613,19 @@ def reference_product_join(d1: RankedTable, d2: RankedTable) -> RankedTable:
     for row, score, other, other_score in _reference_matched_pairs(d1, d2):
         value = d1.chain.score(score.value * other_score.value)
         if not value.is_bottom:
-            entries[join_rows(row, other)] = value
-    return RankedTable(d1.scheme.union(d2.scheme), d1.chain, entries)
+            entries[join_pairs(row, other)] = value
+    return table_of_pairs(d1.scheme.union(d2.scheme), d1.chain, entries)
 
 
 def reference_project(d: RankedTable, names) -> RankedTable:
     scheme = d.scheme.project(names)
     entries: dict = {}
-    for row, score in d:
-        shorter = Row(pair for pair in row.items if pair[0] in scheme.name_set)
+    for row, score in pairs_of(d).items():
+        shorter = PairRow(pair for pair in row if pair[0] in scheme.name_set)
         best = entries.get(shorter)
         if best is None or score.value > best.value:
             entries[shorter] = score
-    return RankedTable(scheme, d.chain, entries)
+    return table_of_pairs(scheme, d.chain, entries)
 
 
 def reference_semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
@@ -603,10 +635,24 @@ def reference_semijoin(d1: RankedTable, d2: RankedTable) -> RankedTable:
 def reference_rename(d: RankedTable, mapping) -> RankedTable:
     lowered = {old.lower(): new.lower() for old, new in mapping.items()}
     entries = {
-        Row.of({lowered.get(name, name): value for name, value in row.items}): score
-        for row, score in d
+        PairRow.of({lowered.get(name, name): value for name, value in row}): score
+        for row, score in pairs_of(d).items()
     }
-    return RankedTable(d.scheme.rename(mapping), d.chain, entries)
+    return table_of_pairs(d.scheme.rename(mapping), d.chain, entries)
+
+
+def reference_union(d1: RankedTable, d2: RankedTable) -> RankedTable:
+    entries = pairs_of(d1)
+    for row, score in pairs_of(d2).items():
+        entries[row] = value_join(entries.get(row, score), score)
+    return table_of_pairs(d1.scheme, d1.chain, entries)
+
+
+def reference_difference(d1: RankedTable, d2: RankedTable) -> RankedTable:
+    other, bottom = pairs_of(d2), d2.chain.bottom
+    entries = {row: value for row, score in pairs_of(d1).items()
+               if not (value := value_abjunction(score, other.get(row, bottom))).is_bottom}
+    return table_of_pairs(d1.scheme, d1.chain, entries)
 
 
 def reference_divide(dividend: RankedTable, mediator: RankedTable,

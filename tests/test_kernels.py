@@ -1,12 +1,15 @@
-"""The per-call gather plans against the per-row forms they replace.
+"""The per-call row plans against the per-row forms they replace.
 
 Every operator that builds rows through a plan (join, project, rename,
 semijoin, divide, the rank sort, CSV write and read) is checked on seeded
 random table pairs against the oracles in ``helpers``: equal tables,
-identical order, byte-identical CSV.  A guard test then makes the per-row
-forms raise and runs the operators on 2,000-row tables.  Every producer that
-builds its result without the per-row check is checked against the
-validating constructor, on both carriers.
+identical order, byte-identical CSV, each compared as the oracles' pair rows,
+which carry their names as the engine's value rows do not.  Every operator
+is also checked so on the rational and a symbolic chain, with heavy ties.  A
+guard test then makes the per-row forms raise and runs the operators on
+2,000-row tables.  Every producer that builds its result without the
+per-row check is checked against the validating constructor, on both
+carriers.
 """
 
 import ast
@@ -19,6 +22,9 @@ import pytest
 
 from helpers import (
     ANY_ARITIES,
+    PairRow,
+    pairs_of,
+    reference_difference,
     reference_divide,
     reference_natural_join,
     reference_product_join,
@@ -26,7 +32,9 @@ from helpers import (
     reference_rank_order,
     reference_read_table_csv,
     reference_rename,
+    reference_restrict,
     reference_semijoin,
+    reference_union,
     reference_write_table_csv,
     replay_hint,
     rnd_any_structure,
@@ -121,8 +129,12 @@ def rnd_rename(rng: random.Random, scheme: Scheme) -> dict:
 
 
 def assert_same(actual: RankedTable, expected: RankedTable) -> None:
-    assert actual == expected
-    assert actual.rows_by_rank() == reference_rank_order(expected)
+    """Equal schemes, pair rows and scores, in the pair rows' rank order; every row of
+    the scheme's type."""
+    assert actual.scheme == expected.scheme and pairs_of(actual) == pairs_of(expected)
+    assert all(type(row) is actual.scheme.row for row, _ in actual)
+    order = [(PairRow(row.items), score) for row, score in actual.rows_by_rank()]
+    assert order == [(PairRow(row.items), score) for row, score in reference_rank_order(expected)]
 
 
 class TestAgainstPerRowForms:
@@ -177,6 +189,62 @@ class TestAgainstPerRowForms:
         k = rng.randint(1, len(expected))
         sources = [topk.SortedSource.from_table(d) for d in (d1, d2)]
         assert list(topk.top_k(sources, k).items) == expected[:k]
+
+
+@pytest.mark.parametrize("chain", [RATIONAL, ScoreChain(("none", "low", "mid", "high"))],
+                         ids=["rational", "levels"])
+def test_every_operator_matches_the_pair_row_reference(chain):
+    """Keys of at most three values, equal, shared or disjoint schemes, and one or two
+    score levels per table, so that rows tie at every level."""
+    seed = stable_seed(f"pair rows on {chain.levels}")
+    rng = random.Random(seed)
+    pool = ([chain.score(Fraction(i, 4)) for i in range(1, 5)] if chain.is_rational
+            else [chain.score(level) for level in range(1, len(chain.levels))])
+
+    def table(names) -> RankedTable:
+        scheme = Scheme((name, INT) for name in rng.sample(names, len(names)))
+        levels = rng.sample(pool, rng.randint(1, 2))
+        return RankedTable(scheme, chain, {
+            Row.of({name: rng.randint(0, 2) for name in names}): rng.choice(levels)
+            for _ in range(rng.randint(0, 12))})
+
+    shapes, tied = Counter(), 0
+    with replay_hint(seed):
+        for _ in range(150):
+            shape = rng.choice(("equal", "shared", "disjoint"))
+            first = rng.sample(NAMES[:4], rng.randint(1, 3))
+            rest = [name for name in NAMES[:5] if name not in first]
+            second = {"equal": first, "shared": [rng.choice(first), rng.choice(rest)],
+                      "disjoint": rng.sample(rest, rng.randint(1, 2))}[shape]
+            d1, d2 = table(first), table(second)
+            shapes[shape] += 1
+            joined = algebra.natural_join(d1, d2)
+            assert_same(joined, reference_natural_join(d1, d2))
+            if chain.is_rational:
+                assert_same(algebra.product_join(d1, d2), reference_product_join(d1, d2))
+            assert_same(algebra.semijoin(d1, d2), reference_semijoin(d1, d2))
+            if shape == "equal":
+                assert_same(algebra.union_tables(d1, d2), reference_union(d1, d2))
+                assert_same(algebra.difference(d1, d2), reference_difference(d1, d2))
+                theta = TableCondition(d2)
+                assert_same(algebra.restrict(d1, theta), reference_restrict(d1, theta))
+            elif shape == "disjoint":
+                mediator = table(list(joined.scheme.names))
+                assert_same(algebra.divide(d1, mediator, d2), reference_divide(d1, mediator, d2))
+            for d in (d1, joined):
+                keep = rng.sample(d.scheme.names, rng.randint(0, len(d.scheme)))
+                assert_same(algebra.project(d, keep), reference_project(d, keep))
+                mapping = rnd_rename(rng, d.scheme)
+                assert_same(algebra.rename(d, mapping), reference_rename(d, mapping))
+                counts = Counter(score for _, score in d)
+                tied += len(d) > 1 and min(counts.values()) > 1
+            expected = reference_rank_order(reference_natural_join(d1, d2))
+            for k in {1, len(expected)} - {0}:
+                sources = [topk.SortedSource.from_table(d) for d in (d1, d2)]
+                assert ([(PairRow(row.items), s) for row, s in topk.top_k(sources, k).items]
+                        == [(PairRow(row.items), s) for row, s in expected[:k]])
+    assert min(shapes.values()) >= 40
+    assert tied >= 100  # tables whose every level holds two rows or more
 
 
 def test_symbolic_chain_csv_round_trip():

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from helpers import (
     stable_seed,
 )
 
-from rankrel import algebra, maps, ordinal
+from rankrel import algebra, exprs, maps, ordinal
 from rankrel.calculus import structure_from_tables
 from rankrel.chain import RATIONAL, Score, symbolic_chain
 from rankrel.conditions import ExprCondition
@@ -205,6 +206,19 @@ class TestComposeTable:
         compose_table(table, f)
         inner = {score for _, score in table if not score.is_top}
         assert inner and all(f.calls[score] == 1 for score in inner)
+
+    @pytest.mark.parametrize("declared", [(), ("preserving",), ("embedding", "fixed-top")])
+    def test_an_analytic_map_compiles_once_per_compose(self, monkeypatch, declared):
+        # bottom's probe, the batch and top's probe share one compiled closure
+        compiled = []
+        compile_ratio = exprs.compile_ratio
+        monkeypatch.setattr(exprs, "compile_ratio",
+                            lambda expr: compiled.append(expr) or compile_ratio(expr))
+        f = AnalyticMap.parse("x <= 0.5 ? sqrt(x)/sqrt(2) : 2*(x-0.5)^2 + 0.5", declared)
+        image = compose_table(demo.houses(), f)
+        assert compiled == [f.expr]
+        monkeypatch.undo()
+        assert image == reference_compose_table(demo.houses(), pickle.loads(pickle.dumps(f)))
 
     @pytest.mark.parametrize("declared, fails", [
         ("preserving", False), ("fixed-bottom", False), ("reflecting", True),

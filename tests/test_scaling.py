@@ -159,6 +159,49 @@ def test_counted_work_grows_linearly(case):
     assert max(growth) <= MAX_GROWTH, f"{case}: calls {counts} at {SIZES} rows"
 
 
+def keyed(n: int) -> RankedTable:
+    """n rows on (key, z), the key's 12 values as in :func:`left`: joined, n²/12 rows."""
+    return ranked(("key", "z"), ((i % 12, i) for i in range(n)))
+
+
+def apart(n: int) -> RankedTable:
+    """n rows on (x, y), disjoint from :func:`left`'s scheme: joined, n² rows."""
+    return ranked(("x", "y"), ((i, i % 5) for i in range(n)))
+
+
+def project_join(names):
+    return lambda d1, d2: algebra.project(algebra.natural_join(d1, d2), names)
+
+
+#: Joins whose output outgrows their input: each case's operator and its right
+#: input, the left one being :func:`left`.
+MULTIPLYING = {
+    "natural_join-12-value-key": (algebra.natural_join, keyed),
+    "natural_join-disjoint": (algebra.natural_join, apart),
+    "project-join-12-value-key": (project_join(["id", "z"]), keyed),
+    "project-join-disjoint": (project_join(["key", "y"]), apart),
+}
+MULTIPLYING_SIZES = (50, 100, 200)
+MAX_GROWTH_PER_ROW = 1.3  # per doubling of the input rows, in calls per row read or built
+
+
+@pytest.mark.parametrize("case", sorted(MULTIPLYING))
+def test_counted_work_per_row_in_and_out(case):
+    """Linear in the rows in and out: a join re-walking an input per output row nears 2x."""
+    operator, other = MULTIPLYING[case]
+    per_row = []
+    for n in MULTIPLYING_SIZES:
+        d1, d2 = left(n), other(n)
+        joined = algebra.natural_join(d1, d2)
+        rows = len(d1) + len(d2) + len(joined)
+        if operator is not algebra.natural_join:
+            rows += len(operator(d1, d2))
+        per_row.append(counted_calls(operator, left(n), other(n)) / rows)
+    growth = [larger / smaller for smaller, larger in zip(per_row, per_row[1:])]
+    assert max(growth) <= MAX_GROWTH_PER_ROW, (
+        f"{case}: calls per row {[round(c, 2) for c in per_row]} at {MULTIPLYING_SIZES} rows")
+
+
 def _chain_scores(monkeypatch) -> list:
     """The raw values given to ``ScoreChain.score`` from now on, in call order."""
     calls = []
@@ -186,16 +229,20 @@ def test_arithmetic_results_are_each_scored(monkeypatch):
 
 
 def _batches(monkeypatch) -> list:
-    """The batches given to ``AnalyticMap.apply_all`` from now on, each as a list."""
+    """The batches given to an ``AnalyticMap.batch``'s ``apply_all`` from now on, each as a list."""
     batches = []
-    apply_all = AnalyticMap.apply_all
+    batch = AnalyticMap.batch
 
-    def counted(f, scores):
-        scores = list(scores)
-        batches.append(scores)
-        return apply_all(f, scores)
+    def counted(f):
+        apply, apply_all = batch(f)
 
-    monkeypatch.setattr(AnalyticMap, "apply_all", counted)
+        def counting(scores):
+            scores = list(scores)
+            batches.append(scores)
+            return apply_all(scores)
+        return apply, counting
+
+    monkeypatch.setattr(AnalyticMap, "batch", counted)
     return batches
 
 

@@ -20,7 +20,7 @@ from helpers import (
     stable_seed,
 )
 
-from rankrel import table as table_module
+from rankrel import algebra, table as table_module
 from rankrel.chain import RATIONAL
 from rankrel.errors import (
     ChainError,
@@ -37,7 +37,6 @@ from rankrel.table import (
     Scheme,
     _row_conforms,
     from_classic,
-    gather,
     make_row,
     read_table_csv,
     to_classic,
@@ -68,7 +67,9 @@ class TestScheme:
         scheme = Scheme((("B", INT), ("a", STR)))
         assert scheme.names is scheme.names and scheme.names == ("b", "a")
         assert scheme.name_set is scheme.name_set and scheme.name_set == {"a", "b"}
-        assert scheme.sorted_names == ("a", "b") == tuple(n for n, _ in Row.of({"b": 1, "a": "x"}))
+        pairs = Row.of({"b": 1, "a": "x"}).items
+        assert scheme.sorted_names == ("a", "b") == tuple(name for name, _ in pairs)
+        assert scheme.row is scheme.row is Scheme((("a", STR), ("b", INT))).row
         assert hash(scheme) == hash(Scheme((("a", STR), ("b", INT))))
         assert scheme != Scheme((("a", INT), ("b", INT)))
 
@@ -115,14 +116,16 @@ class TestRows:
         with pytest.raises(ValueError):
             join_rows(Row.of({"id": 71}), Row.of({"id": 85}))
 
-    def test_a_row_is_the_tuple_of_its_pairs(self):
+    def test_a_row_is_the_tuple_of_its_values(self):
         row = Row.of({"B": 2, "a": "x"})
         pairs = (("a", "x"), ("b", 2))
-        assert row.items is row and row == pairs and hash(row) == hash(pairs)
-        assert {row.items: 1} == {pairs: 1}  # an oracle keyed on plain pairs reads it back
+        assert row == ("x", 2) and hash(row) == hash(("x", 2)) and len(row) == 2
+        assert row.items == pairs and {row.items: 1} == {pairs: 1}  # an oracle keyed on pairs
+        assert type(row) is Scheme((("a", STR), ("b", INT))).row and isinstance(row, Row)
         assert repr(row) == "Row(a='x', b=2)"
-        for again in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
-            assert type(again) is Row and again == row
+        mixed = Row.of({"S": "x", "iD": -3, "Dw": Fraction(-1, 20)})
+        assert mixed.items == (("dw", Fraction(-1, 20)), ("id", -3), ("s", "x"))
+        assert repr(mixed) == "Row(dw=Fraction(-1, 20), id=-3, s='x')"
         with pytest.raises(AttributeError):
             row.extra = 1
 
@@ -133,14 +136,26 @@ class TestRows:
         scheme = Scheme((("id", INT), ("w", DEC)))
         row = make_row(scheme, {"id": 3, "w": 2})
         assert values_of(scheme, ["W", "id"])(row) == (Fraction(2), 3)
-        assert gather(scheme, ["W"])(row) == (("w", Fraction(2)),)
+        assert values_of(scheme, ["W"])(row) == (Fraction(2),)
 
-    @pytest.mark.parametrize("plan", [gather, values_of])
+    # ``gather``, the key plan of joins and indexes, is now ``values_of`` on
+    # names in name order: its case builds a table's index on those names.
+    @pytest.mark.parametrize("plan", [
+        pytest.param(lambda scheme, names: from_classic((), scheme).index(tuple(names)), id="gather"),
+        pytest.param(values_of, id="values_of"),
+    ])
     def test_a_plan_names_an_unknown_attribute(self, plan):
         scheme = Scheme((("id", INT), ("w", DEC)))
         message = r"unknown attribute 'nosuch'; scheme has \('id', 'w'\)"
         with pytest.raises(SchemeError, match=message):
             plan(scheme, ["id", "nosuch"])
+
+    def test_an_index_on_an_unknown_attribute_is_not_kept(self):
+        table = from_classic({Row.of({"id": 1})}, Scheme((("id", INT),)))
+        for _ in range(2):
+            with pytest.raises(SchemeError, match="unknown attribute 'nosuch'"):
+                table.index(("nosuch",))
+        assert table.index(("id",)) == {(1,): list(table.rows_by_rank())}
 
     def test_make_row_type_checked(self):
         scheme = Scheme((("id", INT), ("w", DEC)))
@@ -206,6 +221,10 @@ class TestRankedTable:
     def test_score_of_scheme_mismatch(self, people):
         with pytest.raises(SchemeError):
             people.score_of(Row.of({"id": 1}))
+        other = Row.of({"id": 1, "nick": "ann"})
+        assert other == Row.of({"id": 1, "name": "ann"})  # equal values on another scheme
+        with pytest.raises(SchemeError, match="does not conform"):
+            people.score_of(other)
 
     def test_bottom_entries_dropped_by_from_entries(self, people):
         table = RankedTable.from_entries(
@@ -274,6 +293,12 @@ class TestDemoTables:
                       demo.similar_join()):
             again = round_trip(value)
             assert again == value and repr(again) == repr(value)
+            if isinstance(value, RankedTable):
+                assert [row.items for row, _ in again] == [row.items for row, _ in value]
+                assert {type(row) for row, _ in again} == {value.scheme.row}
+        row = Row.of({"B": 2, "a": "x"})
+        again = round_trip(row)
+        assert type(again) is type(row) and again.items == row.items and again == row
 
     def test_round_trips_rebuild_through_the_constructors(self):
         from rankrel import demo
@@ -356,6 +381,12 @@ class TestCsv:
         with pytest.raises(SchemeError, match=rf"^line 1: attribute name '{re.escape(name)}'"):
             read_table_csv(f"#,{name}:int\n0.5,1\n")
         assert read_table_csv("#, _My_id2 :int\n0.5,1\n").scheme.names == ("_my_id2",)
+
+    def test_ties_break_on_values_in_name_order_across_a_rename(self):
+        t = read_table_csv("#,a:int,b:int\n0.5,1,2\n0.5,2,1\n")
+        assert write_table_csv(t) == "#,a:int,b:int\n0.5,1,2\n0.5,2,1\n"
+        renamed = algebra.rename(t, {"a": "z"})  # z sorts after b: ties break on b first
+        assert write_table_csv(renamed) == "#,z:int,b:int\n0.5,2,1\n0.5,1,2\n"
 
     def test_file_round_trip(self, people, tmp_path):
         path = tmp_path / "people.csv"
